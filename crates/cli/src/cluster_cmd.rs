@@ -83,7 +83,15 @@ pub fn serve_servelet(addr: &str, root: impl AsRef<Path>) -> DbResult<forkbase::
         let text = std::fs::read_to_string(&refs_path).map_err(io_err)?;
         db.load_refs(&text)?;
     }
+    // Connections are served on a thread each, and `write_durable` goes
+    // through one fixed temporary file: one sync + refs rewrite at a time.
+    // The refs are dumped inside the lock, so the file never goes back to
+    // an older set of heads than an earlier ack already made durable.
+    let persisting = std::sync::Mutex::new(());
     let persist: forkbase::PersistFn<FileStore> = Arc::new(move |db| {
+        let _one_at_a_time = persisting
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         forkbase_store::ChunkStore::sync(db.store())?;
         write_durable(&refs_path, &db.dump_refs())
     });
@@ -898,6 +906,65 @@ mod tests {
         // Bad inputs stay structured errors.
         assert!(run_cluster_command(&s, &["add-replica", "nope"]).is_err());
         assert!(run_cluster_command(&s, &["promote", "999"]).is_err());
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// Two routers' worth of mutating frames on two connections at once:
+    /// the persist hook used to race on `refs.tmp` and fail a write that
+    /// had already applied with "No such file or directory".
+    #[test]
+    fn concurrent_mutating_connections_all_ack_and_reopen() {
+        use forkbase::{ClusterTopology, TopoRole};
+        const WRITERS: usize = 2;
+        const PUTS: usize = 40;
+        let root = temp_root("servelet-concurrent");
+        let router = |server: &forkbase::ServeletServer| {
+            let topology = ClusterTopology {
+                servelet_ids: vec![0],
+                addrs: vec![Some(server.addr().to_string())],
+                roles: vec![TopoRole::Primary { anchor: 0 }],
+                next_id: 1,
+            };
+            Cluster::<forkbase_store::MemStore>::connect(
+                &topology,
+                forkbase_postree::TreeConfig::default_config(),
+            )
+            .unwrap()
+        };
+        let server = serve_servelet("127.0.0.1:0", &root).unwrap();
+        let cluster = router(&server);
+        let start = std::sync::Barrier::new(WRITERS);
+        std::thread::scope(|scope| {
+            for w in 0..WRITERS {
+                let (cluster, start) = (&cluster, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for i in 0..PUTS {
+                        cluster
+                            .put_string(
+                                &format!("w{w}-k{i}"),
+                                format!("v{i}"),
+                                PutOptions::default(),
+                            )
+                            .unwrap_or_else(|e| panic!("writer {w} put {i}: {e}"));
+                    }
+                });
+            }
+        });
+        drop(cluster);
+        drop(server);
+        // Every ack was persisted: a fresh servelet over the same
+        // directory has every key.
+        let server = serve_servelet("127.0.0.1:0", &root).unwrap();
+        let cluster = router(&server);
+        for w in 0..WRITERS {
+            for i in 0..PUTS {
+                let got = cluster.get(&format!("w{w}-k{i}"), "master").unwrap();
+                assert_eq!(got.value, Value::string(format!("v{i}")));
+            }
+        }
+        drop(cluster);
+        drop(server);
         std::fs::remove_dir_all(&root).unwrap();
     }
 

@@ -67,21 +67,19 @@
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use forkbase::{
-    Cluster, DbError, DiffSummary, ForkBackend, ForkBase, ForkDiff, ForkInfo, ForkService, MapPage,
-    PutOptions, RateLimiter, VersionSpec,
+    AcceptLoop, Cluster, DbError, DiffSummary, ForkBackend, ForkBase, ForkDiff, ForkInfo,
+    ForkService, MapPage, PutOptions, RateLimiter, VersionSpec,
 };
 use forkbase_store::SweepStore;
 use forkbase_types::Value;
 
-/// Handle to a running REST server.
+/// Handle to a running REST server. Dropping it stops the server.
 pub struct RestServer {
-    addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
+    accept: AcceptLoop,
 }
 
 impl RestServer {
@@ -104,70 +102,32 @@ impl RestServer {
         limiter: Option<Arc<RateLimiter>>,
     ) -> std::io::Result<RestServer> {
         let listener = TcpListener::bind(("127.0.0.1", port))?;
-        let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let shutdown_flag = Arc::clone(&shutdown);
-        let handle = std::thread::spawn(move || {
-            while !shutdown_flag.load(Ordering::Relaxed) {
-                match listener.accept() {
-                    Ok((stream, peer)) => {
-                        let db = Arc::clone(&db);
-                        let forks = Arc::clone(&forks);
-                        let limiter = limiter.clone();
-                        std::thread::spawn(move || {
-                            let _ = handle_connection(
-                                stream,
-                                &db,
-                                &forks,
-                                limiter.as_deref(),
-                                peer.ip(),
-                            );
-                        });
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(std::time::Duration::from_millis(5));
-                    }
-                    Err(_) => break,
-                }
-            }
-        });
-        Ok(RestServer {
-            addr,
-            shutdown,
-            handle: Some(handle),
-        })
+        let accept = AcceptLoop::spawn(listener, move |stream, peer| {
+            let db = Arc::clone(&db);
+            let forks = Arc::clone(&forks);
+            let limiter = limiter.clone();
+            std::thread::spawn(move || {
+                let _ = handle_connection(stream, &db, &forks, limiter.as_deref(), peer.ip());
+            });
+        })?;
+        Ok(RestServer { accept })
     }
 
     /// The bound address.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.accept.addr()
     }
 
     /// Stop accepting connections and join the accept loop.
-    pub fn stop(mut self) {
-        self.shutdown.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for RestServer {
-    fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
+    pub fn stop(self) {
+        self.accept.stop();
     }
 }
 
 /// Handle to a running cluster REST gateway: routed data verbs plus the
 /// fault-tolerance surface (`/v1/cluster/health`, `/v1/cluster/restart`).
 pub struct ClusterRestServer {
-    addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
+    accept: AcceptLoop,
 }
 
 /// Default ceiling on concurrent gateway connections
@@ -217,71 +177,41 @@ impl ClusterRestServer {
         limiter: Option<Arc<RateLimiter>>,
     ) -> std::io::Result<ClusterRestServer> {
         let listener = TcpListener::bind(("127.0.0.1", port))?;
-        let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let shutdown_flag = Arc::clone(&shutdown);
         // A counting semaphore over connection-handler threads.
         let active = Arc::new(AtomicUsize::new(0));
-        let handle = std::thread::spawn(move || {
-            while !shutdown_flag.load(Ordering::Relaxed) {
-                match listener.accept() {
-                    Ok((mut stream, peer)) => {
-                        // Acquire a slot; shed the connection if none left.
-                        if active.fetch_add(1, Ordering::SeqCst) >= max_connections {
-                            active.fetch_sub(1, Ordering::SeqCst);
-                            let _ = shed_connection(&mut stream);
-                            continue;
-                        }
-                        let cluster = Arc::clone(&cluster);
-                        let active = Arc::clone(&active);
-                        let forks = Arc::clone(&forks);
-                        let limiter = limiter.clone();
-                        std::thread::spawn(move || {
-                            let _guard = SlotGuard(active);
-                            let _ = handle_cluster_connection(
-                                stream,
-                                &cluster,
-                                &forks,
-                                limiter.as_deref(),
-                                peer.ip(),
-                            );
-                        });
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(std::time::Duration::from_millis(5));
-                    }
-                    Err(_) => break,
-                }
+        let accept = AcceptLoop::spawn(listener, move |mut stream, peer| {
+            // Acquire a slot; shed the connection if none left.
+            if active.fetch_add(1, Ordering::SeqCst) >= max_connections {
+                active.fetch_sub(1, Ordering::SeqCst);
+                let _ = shed_connection(&mut stream);
+                return;
             }
-        });
-        Ok(ClusterRestServer {
-            addr,
-            shutdown,
-            handle: Some(handle),
-        })
+            let cluster = Arc::clone(&cluster);
+            let active = Arc::clone(&active);
+            let forks = Arc::clone(&forks);
+            let limiter = limiter.clone();
+            std::thread::spawn(move || {
+                let _guard = SlotGuard(active);
+                let _ = handle_cluster_connection(
+                    stream,
+                    &cluster,
+                    &forks,
+                    limiter.as_deref(),
+                    peer.ip(),
+                );
+            });
+        })?;
+        Ok(ClusterRestServer { accept })
     }
 
     /// The bound address.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.accept.addr()
     }
 
     /// Stop accepting connections and join the accept loop.
-    pub fn stop(mut self) {
-        self.shutdown.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for ClusterRestServer {
-    fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
+    pub fn stop(self) {
+        self.accept.stop();
     }
 }
 
@@ -1623,6 +1553,45 @@ mod tests {
             "in-process servelets have no address: {body}"
         );
         server.stop();
+    }
+
+    /// An aborted or garbage connection must not end the accept thread
+    /// (`Err(_) => break` used to, for good), and stopping or dropping a
+    /// server with no request in flight must not wait out anything.
+    #[test]
+    fn gateways_outlive_bad_connections_and_stop_promptly() {
+        use std::time::{Duration, Instant};
+        fn abuse(addr: SocketAddr) {
+            for _ in 0..10 {
+                drop(TcpStream::connect(addr).unwrap());
+            }
+            let mut junk = TcpStream::connect(addr).unwrap();
+            junk.write_all(&[0xff; 64]).unwrap();
+        }
+        fn prompt(what: &str, stop: impl FnOnce()) {
+            let t = Instant::now();
+            stop();
+            let took = t.elapsed();
+            assert!(took < Duration::from_millis(50), "{what} took {took:?}");
+        }
+
+        let (server, _db) = start();
+        let addr = server.addr();
+        abuse(addr);
+        assert_eq!(request(addr, "PUT", "/put/k", "v").0, 200);
+        prompt("RestServer::stop", || server.stop());
+        assert!(TcpStream::connect(addr).is_err(), "listener is gone");
+        let (server, _db) = start();
+        prompt("RestServer drop", || drop(server));
+
+        let (server, _cluster, _refs) = start_cluster();
+        let addr = server.addr();
+        abuse(addr);
+        assert_eq!(request(addr, "PUT", "/put/k", "v").0, 200);
+        prompt("ClusterRestServer::stop", || server.stop());
+        assert!(TcpStream::connect(addr).is_err(), "listener is gone");
+        let (server, _cluster, _refs) = start_cluster();
+        prompt("ClusterRestServer drop", || drop(server));
     }
 
     #[test]

@@ -76,7 +76,7 @@ mod supervisor;
 pub mod wire;
 
 pub use chaos::{ChaosPlan, ChaosReport};
-pub use net::{PersistFn, ServeletServer};
+pub use net::{AcceptLoop, PersistFn, ServeletServer};
 pub use ratelimit::{RateLimit, RateLimiter};
 pub use replication::{
     PrimaryReplication, ReplicaRead, ReplicaStatus, ReplicationStatus, ShipReport,

@@ -10,7 +10,8 @@
 //!   [`wire::dispatch`]. Kept for tests, benches, and the chaos harness,
 //!   whose fault injection needs deterministic, instant "network" hops.
 //! * [`TcpTransport`] — frames the same request bytes over TCP to a
-//!   standalone servelet process (see [`super::net`]). Chaos faults are
+//!   standalone servelet process, on connections pooled per servelet
+//!   and reused across calls (see [`super::net`]). Chaos faults are
 //!   **not** injected here: the chaos harness is an in-process
 //!   deterministic simulator, and a real network provides its own
 //!   faults.
@@ -25,6 +26,9 @@
 //!   was (or may have been) handed over. Ambiguous.
 //! * **timed out** — no reply within the per-call deadline; the servelet
 //!   may still apply the request later. Ambiguous.
+//!
+//! A TCP connection that saw either ambiguous outcome is closed, never
+//! pooled: a retry always runs on a socket with no unanswered request.
 //!
 //! Ambiguous outcomes surface as [`DbError::ServeletUnavailable`] /
 //! [`DbError::ServeletTimeout`] and are **never** auto-retried for writes;
@@ -340,10 +344,10 @@ impl<S: SweepStore + 'static> Transport<S> for ChannelTransport<S> {
     }
 }
 
-/// The network transport: one TCP connection per attempt to a standalone
+/// The network transport: pooled TCP connections to a standalone
 /// servelet process (see [`super::net`] for the client and server).
 pub(super) struct TcpTransport {
-    addr: String,
+    pool: Arc<net::ConnPool>,
 }
 
 impl<S> Transport<S> for TcpTransport {
@@ -358,9 +362,9 @@ impl<S> Transport<S> for TcpTransport {
         // own. The blocking call runs on its own thread so scatter can
         // begin every node before gathering any.
         let (tx, rx) = bounded::<Outcome>(1);
-        let addr = self.addr.clone();
+        let pool = Arc::clone(&self.pool);
         std::thread::spawn(move || {
-            let _ = tx.send(net::remote_call(&addr, &req, deadline));
+            let _ = tx.send(pool.call(&req, deadline));
         });
         Pending::Wait {
             rx,
@@ -377,7 +381,7 @@ impl<S> Transport<S> for TcpTransport {
     fn join(&self) {}
 
     fn addr(&self) -> Option<&str> {
-        Some(&self.addr)
+        Some(self.pool.addr())
     }
 }
 
@@ -409,7 +413,9 @@ pub(super) fn spawn_node<S: SweepStore + Send + 'static>(
 pub(super) fn remote_node<S: SweepStore + 'static>(id: u64, addr: String) -> Arc<Node<S>> {
     Arc::new(Node {
         id,
-        transport: Box::new(TcpTransport { addr }),
+        transport: Box::new(TcpTransport {
+            pool: Arc::new(net::ConnPool::new(addr)),
+        }),
     })
 }
 

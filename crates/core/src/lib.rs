@@ -55,7 +55,7 @@ pub use api::{
 };
 pub use bundle::{export_bundle, import_bundle, import_bundle_replace, BundleRef};
 pub use cluster::{
-    ChaosPlan, ChaosReport, Cluster, ClusterGcReport, ClusterStat, ClusterTopology,
+    AcceptLoop, ChaosPlan, ChaosReport, Cluster, ClusterGcReport, ClusterStat, ClusterTopology,
     ClusterWriteBatch, HealthState, MapPage, Partial, PartialHeads, PersistFn, PrimaryReplication,
     RateLimit, RateLimiter, RemoteRespawnFn, ReplicaRead, ReplicaStatus, ReplicationStatus,
     Respawned, RetryPolicy, RpcConfig, ServeletHealth, ServeletServer, ShipReport,

@@ -975,3 +975,179 @@ fn fork_ops_route_like_normal_verbs() {
 fn fork_ops_route_like_normal_verbs_over_tcp() {
     fork_ops_route_like_normal_verbs_case(&TestCluster::tcp(3));
 }
+
+// ---------------------------------------------------------------------
+// Pooled router→servelet connections
+// ---------------------------------------------------------------------
+
+/// A byte-forwarding proxy in front of one `ServeletServer`. It counts
+/// the connections the router opens and, while `hold` is set, keeps each
+/// request back until its partner proxy has one too.
+struct Proxy {
+    accept: forkbase::AcceptLoop,
+    accepts: Arc<std::sync::atomic::AtomicUsize>,
+    hold: Arc<std::sync::atomic::AtomicBool>,
+}
+
+impl Proxy {
+    fn spawn(upstream: std::net::SocketAddr, rendezvous: Arc<std::sync::Barrier>) -> Proxy {
+        use std::io::{Read, Write};
+        use std::net::{Shutdown, TcpListener, TcpStream};
+        use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+        let accepts = Arc::new(AtomicUsize::new(0));
+        let hold = Arc::new(AtomicBool::new(false));
+        let (count, held) = (Arc::clone(&accepts), Arc::clone(&hold));
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let accept = forkbase::AcceptLoop::spawn(listener, move |mut client, _peer| {
+            count.fetch_add(1, Ordering::SeqCst);
+            let mut up = TcpStream::connect(upstream).unwrap();
+            let (mut replies, mut back) = (up.try_clone().unwrap(), client.try_clone().unwrap());
+            std::thread::spawn(move || {
+                let _ = std::io::copy(&mut replies, &mut back);
+                let _ = back.shutdown(Shutdown::Both);
+            });
+            let (held, rendezvous) = (Arc::clone(&held), Arc::clone(&rendezvous));
+            std::thread::spawn(move || {
+                // The requests used here fit one read.
+                let mut buf = [0u8; 64 * 1024];
+                while let Ok(n @ 1..) = client.read(&mut buf) {
+                    if held.load(Ordering::SeqCst) {
+                        rendezvous.wait();
+                    }
+                    if up.write_all(&buf[..n]).is_err() {
+                        break;
+                    }
+                }
+                let _ = up.shutdown(Shutdown::Both);
+            });
+        })
+        .unwrap();
+        Proxy {
+            accept,
+            accepts,
+            hold,
+        }
+    }
+}
+
+fn two_remote_primaries(addrs: [String; 2]) -> ClusterTopology {
+    ClusterTopology {
+        servelet_ids: vec![0, 1],
+        addrs: addrs.into_iter().map(Some).collect(),
+        roles: vec![
+            TopoRole::Primary { anchor: 0 },
+            TopoRole::Primary { anchor: 1 },
+        ],
+        next_id: 2,
+    }
+}
+
+#[test]
+fn routed_calls_share_one_connection_and_scatter_begins_all_before_gathering_over_tcp() {
+    use std::sync::atomic::Ordering;
+    let cfg = TreeConfig::test_config();
+    let servers: Vec<ServeletServer> = (0..2)
+        .map(|_| {
+            let db = Arc::new(ForkBase::with_config(MemStore::new(), cfg));
+            ServeletServer::spawn("127.0.0.1:0", db, None).unwrap()
+        })
+        .collect();
+    let rendezvous = Arc::new(std::sync::Barrier::new(2));
+    let proxies: Vec<Proxy> = servers
+        .iter()
+        .map(|s| Proxy::spawn(s.addr(), Arc::clone(&rendezvous)))
+        .collect();
+    let topology = two_remote_primaries([
+        proxies[0].accept.addr().to_string(),
+        proxies[1].accept.addr().to_string(),
+    ]);
+    let connect = || {
+        let c = Cluster::<MemStore>::connect(&topology, cfg).unwrap();
+        // A scatter that gathered one node before beginning the next
+        // would sit in the held proxy until this deadline, then fail.
+        c.set_rpc_config(forkbase::RpcConfig {
+            deadline: std::time::Duration::from_secs(2),
+            ..forkbase::RpcConfig::default()
+        });
+        c
+    };
+
+    // Sequential routed verbs: one accepted connection per servelet,
+    // however many calls.
+    let c = connect();
+    for i in 0..40 {
+        let key = format!("k{i}");
+        c.put_string(&key, format!("v{i}"), PutOptions::default())
+            .unwrap();
+        assert_eq!(
+            c.get(&key, "master").unwrap().value.as_str(),
+            Some(&*format!("v{i}"))
+        );
+    }
+    for p in &proxies {
+        assert_eq!(p.accepts.load(Ordering::SeqCst), 1);
+    }
+
+    // Scatter on pooled connections: both requests are on the wire
+    // before either reply is awaited.
+    for p in &proxies {
+        p.hold.store(true, Ordering::SeqCst);
+    }
+    assert_eq!(c.list_keys().unwrap().len(), 40);
+    for p in &proxies {
+        assert_eq!(
+            p.accepts.load(Ordering::SeqCst),
+            1,
+            "scatter reused the pool"
+        );
+    }
+    // And from a cold pool, where each attempt has to dial first.
+    let cold = connect();
+    assert_eq!(cold.list_keys().unwrap().len(), 40);
+    for p in &proxies {
+        assert_eq!(p.accepts.load(Ordering::SeqCst), 2);
+    }
+}
+
+#[test]
+fn stopped_servelet_is_down_for_a_router_holding_its_connection_over_tcp() {
+    let cfg = TreeConfig::test_config();
+    let dbs: Vec<Arc<ForkBase<MemStore>>> = (0..2)
+        .map(|_| Arc::new(ForkBase::with_config(MemStore::new(), cfg)))
+        .collect();
+    let mut servers: Vec<ServeletServer> = dbs
+        .iter()
+        .map(|db| ServeletServer::spawn("127.0.0.1:0", Arc::clone(db), None).unwrap())
+        .collect();
+    let addrs = [servers[0].addr().to_string(), servers[1].addr().to_string()];
+    let c = Cluster::<MemStore>::connect(&two_remote_primaries(addrs.clone()), cfg).unwrap();
+    // No retries: an ambiguous outcome on the first attempt would surface.
+    c.set_rpc_config(forkbase::RpcConfig {
+        retry: forkbase::RetryPolicy::no_retry(),
+        ..forkbase::RpcConfig::default()
+    });
+    let slot = c.route("k");
+    c.put_string("k", "before".into(), PutOptions::default())
+        .unwrap();
+
+    // The router now holds an open connection to the owner. Stopping the
+    // servelet must close it, not leave a side door into a "stopped" node.
+    servers[slot].stop();
+    let err = c
+        .put_string("k", "during".into(), PutOptions::default())
+        .unwrap_err();
+    assert!(matches!(err, DbError::ServeletUnavailable { .. }), "{err}");
+    assert_eq!(
+        c.get("k", "master").unwrap_err().code(),
+        "servelet_unavailable"
+    );
+    let head = dbs[slot].get("k", "master").unwrap();
+    assert_eq!(head.value.as_str(), Some("before"), "nothing got through");
+
+    // Respawn on the same address: the stale pooled socket is noticed
+    // before use, so the very next write goes through on a fresh one.
+    servers[slot] = ServeletServer::spawn(&addrs[slot], Arc::clone(&dbs[slot]), None).unwrap();
+    c.put_string("k", "after".into(), PutOptions::default())
+        .unwrap();
+    assert_eq!(c.get("k", "master").unwrap().value.as_str(), Some("after"));
+}
