@@ -34,39 +34,16 @@
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use forkbase::{Cluster, ClusterTopology, DbError, DbResult, PutOptions};
+use forkbase::{Cluster, ClusterTopology, DbError, DbResult};
 use forkbase_store::FileStore;
 use forkbase_types::Value;
 
-fn io_err(e: std::io::Error) -> DbError {
-    DbError::Store(forkbase_store::StoreError::Io(e))
-}
+use crate::commands::{parse_batch, render_outcomes, Flags};
+use crate::session::{io_err, read_if_present, synced_refs, write_durable, Session};
 
 /// First line of the `REPLICAS_SYNCED` marker; an unrecognized magic is
 /// ignored (conservative: the replicas just resync in full).
 const SYNCED_MARKER_MAGIC: &str = "forkbase-cluster-replicas-synced-v1";
-
-/// Durably replace `path` with `contents`: write a tmp file, fsync it,
-/// atomically rename it into place, then fsync the parent directory —
-/// the same protocol the chunk store uses for its MANIFEST. Required
-/// here because cluster rebalance deletes the migrated keys' previous
-/// on-disk copy right after these files are written.
-fn write_durable(path: &Path, contents: &str) -> DbResult<()> {
-    let tmp = path.with_extension("tmp");
-    (|| -> std::io::Result<()> {
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            std::io::Write::write_all(&mut f, contents.as_bytes())?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, path)?;
-        if let Some(parent) = path.parent() {
-            std::fs::File::open(parent)?.sync_all()?;
-        }
-        Ok(())
-    })()
-    .map_err(io_err)
-}
 
 /// Start a standalone servelet process: a [`forkbase::ServeletServer`]
 /// executing wire requests against a durable [`FileStore`] under `root`
@@ -75,14 +52,8 @@ fn write_durable(path: &Path, contents: &str) -> DbResult<()> {
 /// the refs file **before** it is acked — kill -9 after an ack never
 /// loses the write. This is what `forkbase serve --servelet ADDR` runs.
 pub fn serve_servelet(addr: &str, root: impl AsRef<Path>) -> DbResult<forkbase::ServeletServer> {
-    let root = root.as_ref().to_path_buf();
-    let store = FileStore::open(root.join("chunks"))?;
-    let db = Arc::new(forkbase::ForkBase::new(store));
-    let refs_path = root.join("refs");
-    if refs_path.exists() {
-        let text = std::fs::read_to_string(&refs_path).map_err(io_err)?;
-        db.load_refs(&text)?;
-    }
+    let refs_path = root.as_ref().join("refs");
+    let db = Session::open(root)?.db_arc();
     // Connections are served on a thread each, and `write_durable` goes
     // through one fixed temporary file: one sync + refs rewrite at a time.
     // The refs are dumped inside the lock, so the file never goes back to
@@ -92,8 +63,7 @@ pub fn serve_servelet(addr: &str, root: impl AsRef<Path>) -> DbResult<forkbase::
         let _one_at_a_time = persisting
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        forkbase_store::ChunkStore::sync(db.store())?;
-        write_durable(&refs_path, &db.dump_refs())
+        write_durable(&refs_path, &synced_refs(db)?)
     });
     // Per-peer admission control: a chatty router cannot monopolize the
     // servelet's worker threads; shed frames answer a structured
@@ -150,7 +120,7 @@ impl ClusterSession {
         }
         std::fs::create_dir_all(Self::cluster_dir(root)).map_err(io_err)?;
         let topology = ClusterTopology::local((0..n as u64).collect(), n as u64);
-        std::fs::write(&topo_path, topology.encode()).map_err(io_err)?;
+        write_durable(&topo_path, &topology.encode())?;
         Self::open(root)
     }
 
@@ -178,14 +148,12 @@ impl ClusterSession {
         // Load each LOCAL servelet's branch heads (validated against its
         // store). Remote servelets own their stores and refs — their
         // `forkbase serve` process loads them on startup.
-        for slot in 0..cluster.len() {
-            let id = cluster.ids()[slot];
-            if cluster.servelet_addr(id).is_some() {
-                continue;
-            }
-            let refs_path = Self::servelet_dir(&root, id).join("refs");
-            if refs_path.exists() {
-                let text = std::fs::read_to_string(&refs_path).map_err(io_err)?;
+        let local_refs = |id: u64| match cluster.servelet_addr(id) {
+            Some(_) => Ok(None),
+            None => read_if_present(&Self::servelet_dir(&root, id).join("refs")),
+        };
+        for (slot, id) in cluster.ids().into_iter().enumerate() {
+            if let Some(text) = local_refs(id)? {
                 cluster.on_node(slot, move |db| db.load_refs(&text))??;
             }
         }
@@ -193,12 +161,7 @@ impl ClusterSession {
         // catch-up marker below can only vouch for a replica whose
         // persisted refs are actually loaded.
         for (rid, _) in cluster.replica_ids() {
-            if cluster.servelet_addr(rid).is_some() {
-                continue;
-            }
-            let refs_path = Self::servelet_dir(&root, rid).join("refs");
-            if refs_path.exists() {
-                let text = std::fs::read_to_string(&refs_path).map_err(io_err)?;
+            if let Some(text) = local_refs(rid)? {
                 cluster.on_replica(rid, move |db| db.load_refs(&text))??;
             }
         }
@@ -208,24 +171,20 @@ impl ClusterSession {
         // marker is deleted BEFORE any command runs — a crash from here
         // on leaves no marker, and the next open resyncs conservatively.
         let marker_path = Self::synced_marker_path(&root);
-        match std::fs::read_to_string(&marker_path) {
-            Ok(text) => {
-                let mut lines = text.lines();
-                if lines.next() == Some(SYNCED_MARKER_MAGIC) {
-                    let attached: Vec<u64> =
-                        cluster.replica_ids().iter().map(|&(rid, _)| rid).collect();
-                    for line in lines {
-                        if let Ok(rid) = line.trim().parse::<u64>() {
-                            if attached.contains(&rid) {
-                                cluster.mark_replica_synced(rid)?;
-                            }
+        if let Some(text) = read_if_present(&marker_path)? {
+            let mut lines = text.lines();
+            if lines.next() == Some(SYNCED_MARKER_MAGIC) {
+                let attached: Vec<u64> =
+                    cluster.replica_ids().iter().map(|&(rid, _)| rid).collect();
+                for line in lines {
+                    if let Ok(rid) = line.trim().parse::<u64>() {
+                        if attached.contains(&rid) {
+                            cluster.mark_replica_synced(rid)?;
                         }
                     }
                 }
-                std::fs::remove_file(&marker_path).map_err(io_err)?;
             }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => return Err(io_err(e)),
+            std::fs::remove_file(&marker_path).map_err(io_err)?;
         }
         // Supervised restarts reopen the packs AND restore the persisted
         // branch heads — richer than the bare `open` factory above.
@@ -233,20 +192,14 @@ impl ClusterSession {
         cluster.set_respawn(move |id| {
             let dir = Self::servelet_dir(&respawn_root, id);
             let store = FileStore::open(dir.join("chunks"))?;
-            let refs = match std::fs::read_to_string(dir.join("refs")) {
-                Ok(text) => Some(text),
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
-                Err(e) => return Err(io_err(e)),
-            };
+            let refs = read_if_present(&dir.join("refs"))?;
             Ok(forkbase::Respawned { store, refs })
         });
         // Resume fork leases from the FORKS record next to TOPOLOGY —
         // absolute unix-second leases keep their promised expiry across
         // a gateway restart.
         let forks = Arc::new(forkbase::ForkService::new());
-        let forks_path = Self::forks_path(&root);
-        if forks_path.exists() {
-            let text = std::fs::read_to_string(&forks_path).map_err(io_err)?;
+        if let Some(text) = read_if_present(&Self::forks_path(&root))? {
             forks.load(&text)?;
         }
         Ok(ClusterSession {
@@ -293,10 +246,7 @@ impl ClusterSession {
             if topology.addr_of(id).is_some() {
                 continue;
             }
-            let refs = self.cluster.on_node(slot, |db| {
-                forkbase_store::ChunkStore::sync(db.store())?;
-                Ok::<_, DbError>(db.dump_refs())
-            })??;
+            let refs = self.cluster.on_node(slot, synced_refs)??;
             let dir = Self::servelet_dir(&self.root, id);
             std::fs::create_dir_all(&dir).map_err(io_err)?;
             write_durable(&dir.join("refs"), &refs)?;
@@ -306,10 +256,7 @@ impl ClusterSession {
             if topology.addr_of(rid).is_some() {
                 continue;
             }
-            let refs = self.cluster.on_replica(rid, |db| {
-                forkbase_store::ChunkStore::sync(db.store())?;
-                Ok::<_, DbError>(db.dump_refs())
-            })??;
+            let refs = self.cluster.on_replica(rid, synced_refs)??;
             let dir = Self::servelet_dir(&self.root, rid);
             std::fs::create_dir_all(&dir).map_err(io_err)?;
             write_durable(&dir.join("refs"), &refs)?;
@@ -345,45 +292,57 @@ impl ClusterSession {
         Ok(())
     }
 
-    /// Add a servelet (provisioning its data directory) and migrate the
-    /// keys it now owns. Returns the new servelet's id.
-    pub fn add_servelet(&self) -> DbResult<u64> {
-        let id = self.cluster.next_servelet_id();
-        let dir = Self::servelet_dir(&self.root, id);
-        let store = FileStore::open(dir.join("chunks"))?;
-        let assigned = match self.cluster.add_servelet(store) {
-            Ok(assigned) => assigned,
+    /// Durably rewrite the `TOPOLOGY` record from the live placement.
+    fn save_topology(&self) -> DbResult<()> {
+        write_durable(
+            &Self::topology_path(&self.root),
+            &self.cluster.topology().encode(),
+        )
+    }
+
+    /// Provision the next servelet id's data directory, hand its store to
+    /// `join` (which returns the id the cluster assigned), then make the
+    /// joiner's refs (from `refs`) and the new topology durable. A failed
+    /// join burns the id (ids are never reused) and drops the fresh
+    /// directory, so it leaks no partial packs on disk.
+    fn provision(
+        &self,
+        join: impl FnOnce(FileStore) -> DbResult<u64>,
+        refs: impl FnOnce(u64) -> DbResult<String>,
+    ) -> DbResult<u64> {
+        let next = self.cluster.next_servelet_id();
+        let dir = Self::servelet_dir(&self.root, next);
+        let id = match join(FileStore::open(dir.join("chunks"))?) {
+            Ok(id) => id,
             Err(e) => {
-                // The id is burned (ids are never reused) and migration
-                // rolled back; drop the freshly provisioned directory so a
-                // failed add does not leak partial packs on disk.
                 let _ = std::fs::remove_dir_all(&dir);
                 return Err(e);
             }
         };
-        debug_assert_eq!(assigned, id);
-        // Durability order matters: the new servelet's refs (it holds the
-        // migrated keys now) and the TOPOLOGY that makes reopen load it
-        // must be on disk BEFORE any source refs lacking those keys are
-        // rewritten (the caller's save()). A crash between here and that
-        // save leaves at worst a shadowed duplicate on the sources —
-        // routing prefers the new owner — never a lost key.
-        let slot = self
-            .cluster
-            .ids()
-            .iter()
-            .position(|&i| i == assigned)
-            .expect("just added");
-        let refs = self.cluster.on_node(slot, |db| {
-            forkbase_store::ChunkStore::sync(db.store())?;
-            Ok::<_, DbError>(db.dump_refs())
-        })??;
-        write_durable(&dir.join("refs"), &refs)?;
-        write_durable(
-            &Self::topology_path(&self.root),
-            &self.cluster.topology().encode(),
-        )?;
-        Ok(assigned)
+        debug_assert_eq!(id, next);
+        write_durable(&dir.join("refs"), &refs(id)?)?;
+        self.save_topology()?;
+        Ok(id)
+    }
+
+    /// Add a servelet (provisioning its data directory) and migrate the
+    /// keys it now owns. Returns the new servelet's id.
+    ///
+    /// Durability order matters: the new servelet's refs (it holds the
+    /// migrated keys now) and the TOPOLOGY that makes reopen load it must
+    /// be on disk BEFORE any source refs lacking those keys are rewritten
+    /// (the caller's save()). A crash between here and that save leaves at
+    /// worst a shadowed duplicate on the sources — routing prefers the new
+    /// owner — never a lost key.
+    pub fn add_servelet(&self) -> DbResult<u64> {
+        self.provision(
+            |store| self.cluster.add_servelet(store),
+            |id| {
+                let ids = self.cluster.ids();
+                let slot = ids.iter().position(|&i| i == id).expect("just added");
+                self.cluster.on_node(slot, synced_refs)?
+            },
+        )
     }
 
     /// Join a **remote** servelet process (already listening via
@@ -392,10 +351,7 @@ impl ClusterSession {
     /// routes to it again.
     pub fn add_remote_servelet(&self, addr: &str) -> DbResult<u64> {
         let id = self.cluster.add_remote_servelet(addr)?;
-        write_durable(
-            &Self::topology_path(&self.root),
-            &self.cluster.topology().encode(),
-        )?;
+        self.save_topology()?;
         Ok(id)
     }
 
@@ -403,28 +359,10 @@ impl ClusterSession {
     /// primary `primary_id`, fully synced before this returns. Persists
     /// the topology so a reopen re-attaches it.
     pub fn add_replica(&self, primary_id: u64) -> DbResult<u64> {
-        let id = self.cluster.next_servelet_id();
-        let dir = Self::servelet_dir(&self.root, id);
-        let store = FileStore::open(dir.join("chunks"))?;
-        let assigned = match self.cluster.add_replica(primary_id, store) {
-            Ok(assigned) => assigned,
-            Err(e) => {
-                // The id is burned; drop the freshly provisioned directory.
-                let _ = std::fs::remove_dir_all(&dir);
-                return Err(e);
-            }
-        };
-        debug_assert_eq!(assigned, id);
-        let refs = self.cluster.on_replica(assigned, |db| {
-            forkbase_store::ChunkStore::sync(db.store())?;
-            Ok::<_, DbError>(db.dump_refs())
-        })??;
-        write_durable(&dir.join("refs"), &refs)?;
-        write_durable(
-            &Self::topology_path(&self.root),
-            &self.cluster.topology().encode(),
-        )?;
-        Ok(assigned)
+        self.provision(
+            |store| self.cluster.add_replica(primary_id, store),
+            |id| self.cluster.on_replica(id, synced_refs)?,
+        )
     }
 
     /// Attach a **remote** replica process (already listening via
@@ -432,10 +370,7 @@ impl ClusterSession {
     /// persist the topology.
     pub fn add_remote_replica(&self, primary_id: u64, addr: &str) -> DbResult<u64> {
         let id = self.cluster.add_remote_replica(primary_id, addr)?;
-        write_durable(
-            &Self::topology_path(&self.root),
-            &self.cluster.topology().encode(),
-        )?;
+        self.save_topology()?;
         Ok(id)
     }
 
@@ -489,35 +424,12 @@ pub fn run_cluster_command(session: &ClusterSession, args: &[&str]) -> DbResult<
     if verb == "fork" {
         return crate::fork_cmd::run_fork_command(session.forks(), session.cluster(), rest);
     }
-    let mut positional = Vec::new();
-    let mut branch = "master".to_string();
-    let mut author = "cli".to_string();
-    let mut message = String::new();
-    let mut limit = 1000usize;
-    let mut it = rest.iter();
-    while let Some(&a) = it.next() {
-        let mut flag = |name: &str| -> DbResult<String> {
-            it.next()
-                .map(|s| s.to_string())
-                .ok_or_else(|| DbError::InvalidInput(format!("{name} needs a value")))
-        };
-        match a {
-            "--branch" => branch = flag("--branch")?,
-            "--author" => author = flag("--author")?,
-            "--message" => message = flag("--message")?,
-            "--limit" => {
-                limit = flag("--limit")?
-                    .parse()
-                    .map_err(|_| DbError::InvalidInput("--limit must be a number".into()))?;
-            }
-            other => positional.push(other),
-        }
-    }
-    let opts = PutOptions {
-        branch: branch.clone(),
-        author,
-        message,
-    };
+    let Flags {
+        positional,
+        opts,
+        limit,
+    } = Flags::parse(rest, true)?;
+    let branch = opts.branch.clone();
     let pos = |i: usize| -> DbResult<&str> { positional.get(i).copied().ok_or_else(usage) };
     let cluster = session.cluster();
 
@@ -547,39 +459,14 @@ pub fn run_cluster_command(session: &ClusterSession, args: &[&str]) -> DbResult<
             // Same spec syntax as the single-node `batch` verb; ops are
             // grouped per owning servelet and each group commits
             // atomically there (no cross-servelet atomicity — see README).
-            if positional.is_empty() {
-                return Err(DbError::InvalidInput(
-                    "batch needs at least one op: put:KEY=VALUE or del:KEY".into(),
-                ));
-            }
             let mut wb = cluster.write_batch();
-            for spec in &positional {
-                if let Some(rest) = spec.strip_prefix("put:") {
-                    let (key, value) = rest.split_once('=').ok_or_else(|| {
-                        DbError::InvalidInput(format!("batch put op needs KEY=VALUE: {spec:?}"))
-                    })?;
-                    wb.put(key, Value::string(value), &opts);
-                } else if let Some(key) = spec.strip_prefix("del:") {
-                    wb.delete_branch(key, &branch);
-                } else {
-                    return Err(DbError::InvalidInput(format!(
-                        "unknown batch op {spec:?} (put:KEY=VALUE | del:KEY)"
-                    )));
-                }
+            for (key, value) in parse_batch(&positional)? {
+                match value {
+                    Some(value) => wb.put(key, Value::string(value), &opts),
+                    None => wb.delete_branch(key, &branch),
+                };
             }
-            let outcomes = wb.commit()?;
-            let mut out = String::new();
-            for o in outcomes {
-                match o {
-                    forkbase::BatchOutcome::Committed(c) => {
-                        out.push_str(&format!("{} -> {}\n", c.branch, c.uid));
-                    }
-                    forkbase::BatchOutcome::Deleted { key, branch } => {
-                        out.push_str(&format!("deleted {key}@{branch}\n"));
-                    }
-                }
-            }
-            Ok(out)
+            Ok(render_outcomes(wb.commit()?))
         }
         "range" => {
             let key = pos(0)?;
@@ -752,6 +639,7 @@ pub fn run_cluster_command(session: &ClusterSession, args: &[&str]) -> DbResult<
 #[cfg(test)]
 mod tests {
     use super::*;
+    use forkbase::PutOptions;
 
     fn temp_root(tag: &str) -> PathBuf {
         let dir =

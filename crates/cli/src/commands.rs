@@ -11,7 +11,7 @@
 //! support [`SweepStore`] (all shipped stores do) so the `gc` verb can
 //! physically reclaim space.
 
-use forkbase::{DbError, DbResult, ForkBase, PutOptions, VersionSpec};
+use forkbase::{BatchOutcome, DbError, DbResult, ForkBase, PutOptions, VersionSpec};
 use forkbase_postree::MergePolicy;
 use forkbase_store::SweepStore;
 use forkbase_table::TableStore;
@@ -33,40 +33,10 @@ pub fn run_command<S: SweepStore>(db: &ForkBase<S>, args: &[&str]) -> DbResult<S
     let Some((&verb, rest)) = args.split_first() else {
         return Err(usage());
     };
-    // Common flag parsing: trailing `--branch NAME --author NAME --message TEXT`.
-    let mut positional = Vec::new();
-    let mut branch = "master".to_string();
-    let mut author = "cli".to_string();
-    let mut message = String::new();
-    let mut it = rest.iter();
-    while let Some(&a) = it.next() {
-        match a {
-            "--branch" => {
-                branch = it
-                    .next()
-                    .ok_or_else(|| DbError::InvalidInput("--branch needs a value".into()))?
-                    .to_string();
-            }
-            "--author" => {
-                author = it
-                    .next()
-                    .ok_or_else(|| DbError::InvalidInput("--author needs a value".into()))?
-                    .to_string();
-            }
-            "--message" => {
-                message = it
-                    .next()
-                    .ok_or_else(|| DbError::InvalidInput("--message needs a value".into()))?
-                    .to_string();
-            }
-            other => positional.push(other),
-        }
-    }
-    let opts = PutOptions {
-        branch: branch.clone(),
-        author,
-        message,
-    };
+    let Flags {
+        positional, opts, ..
+    } = Flags::parse(rest, false)?;
+    let branch = opts.branch.clone();
     let pos = |i: usize| -> DbResult<&str> { positional.get(i).copied().ok_or_else(usage) };
 
     match verb {
@@ -80,39 +50,14 @@ pub fn run_command<S: SweepStore>(db: &ForkBase<S>, args: &[&str]) -> DbResult<S
             // batch put:KEY=VALUE… del:KEY… [--branch B]: stage string puts
             // and branch deletions across any number of keys, committed
             // atomically — every head swings together or none do.
-            if positional.is_empty() {
-                return Err(DbError::InvalidInput(
-                    "batch needs at least one op: put:KEY=VALUE or del:KEY".into(),
-                ));
-            }
             let mut wb = db.write_batch();
-            for spec in &positional {
-                if let Some(rest) = spec.strip_prefix("put:") {
-                    let (key, value) = rest.split_once('=').ok_or_else(|| {
-                        DbError::InvalidInput(format!("batch put op needs KEY=VALUE: {spec:?}"))
-                    })?;
-                    wb.put(key, Value::string(value), &opts);
-                } else if let Some(key) = spec.strip_prefix("del:") {
-                    wb.delete_branch(key, &branch);
-                } else {
-                    return Err(DbError::InvalidInput(format!(
-                        "unknown batch op {spec:?} (put:KEY=VALUE | del:KEY)"
-                    )));
-                }
+            for (key, value) in parse_batch(&positional)? {
+                match value {
+                    Some(value) => wb.put(key, Value::string(value), &opts),
+                    None => wb.delete_branch(key, &branch),
+                };
             }
-            let outcomes = wb.commit()?;
-            let mut out = String::new();
-            for o in outcomes {
-                match o {
-                    forkbase::BatchOutcome::Committed(c) => {
-                        out.push_str(&format!("{} -> {}\n", c.branch, c.uid));
-                    }
-                    forkbase::BatchOutcome::Deleted { key, branch } => {
-                        out.push_str(&format!("deleted {key}@{branch}\n"));
-                    }
-                }
-            }
-            Ok(out)
+            Ok(render_outcomes(wb.commit()?))
         }
         "get" => {
             let key = pos(0)?;
@@ -333,7 +278,89 @@ pub fn run_command<S: SweepStore>(db: &ForkBase<S>, args: &[&str]) -> DbResult<S
     }
 }
 
-fn parse_uid(s: &str) -> DbResult<forkbase::Uid> {
+/// The flags every verb family shares — `--branch`, `--author`,
+/// `--message`, and where the family takes it `--limit N` — and the
+/// positionals they leave.
+pub(crate) struct Flags<'a> {
+    pub positional: Vec<&'a str>,
+    pub opts: PutOptions,
+    pub limit: usize,
+}
+
+impl<'a> Flags<'a> {
+    /// Parse `args`; with `with_limit` unset, `--limit` is a positional.
+    pub(crate) fn parse(args: &[&'a str], with_limit: bool) -> DbResult<Flags<'a>> {
+        let mut flags = Flags {
+            positional: Vec::new(),
+            opts: PutOptions::on_branch("master").author("cli"),
+            limit: 1000,
+        };
+        let mut it = args.iter();
+        while let Some(&a) = it.next() {
+            let mut value = || -> DbResult<String> {
+                it.next()
+                    .map(|s| s.to_string())
+                    .ok_or_else(|| DbError::InvalidInput(format!("{a} needs a value")))
+            };
+            match a {
+                "--branch" => flags.opts.branch = value()?,
+                "--author" => flags.opts.author = value()?,
+                "--message" => flags.opts.message = value()?,
+                "--limit" if with_limit => {
+                    flags.limit = value()?
+                        .parse()
+                        .map_err(|_| DbError::InvalidInput("--limit must be a number".into()))?;
+                }
+                other => flags.positional.push(other),
+            }
+        }
+        Ok(flags)
+    }
+}
+
+/// Parse `batch` op specs: `put:KEY=VALUE` as `(KEY, Some(VALUE))`,
+/// `del:KEY` (delete the batch's branch) as `(KEY, None)`.
+pub(crate) fn parse_batch<'a>(specs: &[&'a str]) -> DbResult<Vec<(&'a str, Option<&'a str>)>> {
+    if specs.is_empty() {
+        return Err(DbError::InvalidInput(
+            "batch needs at least one op: put:KEY=VALUE or del:KEY".into(),
+        ));
+    }
+    specs
+        .iter()
+        .map(|spec| {
+            if let Some(rest) = spec.strip_prefix("put:") {
+                let (key, value) = rest.split_once('=').ok_or_else(|| {
+                    DbError::InvalidInput(format!("batch put op needs KEY=VALUE: {spec:?}"))
+                })?;
+                Ok((key, Some(value)))
+            } else if let Some(key) = spec.strip_prefix("del:") {
+                Ok((key, None))
+            } else {
+                Err(DbError::InvalidInput(format!(
+                    "unknown batch op {spec:?} (put:KEY=VALUE | del:KEY)"
+                )))
+            }
+        })
+        .collect()
+}
+
+/// One line per committed `batch` op.
+pub(crate) fn render_outcomes(outcomes: Vec<BatchOutcome>) -> String {
+    let mut out = String::new();
+    for o in outcomes {
+        match o {
+            BatchOutcome::Committed(c) => out.push_str(&format!("{} -> {}\n", c.branch, c.uid)),
+            BatchOutcome::Deleted { key, branch } => {
+                out.push_str(&format!("deleted {key}@{branch}\n"))
+            }
+        }
+    }
+    out
+}
+
+/// A version uid in base32 (as printed) or hex.
+pub(crate) fn parse_uid(s: &str) -> DbResult<forkbase::Uid> {
     forkbase::Uid::from_base32(s)
         .or_else(|| forkbase::Uid::from_hex(s))
         .ok_or_else(|| DbError::InvalidInput(format!("not a version id: {s:?}")))

@@ -11,19 +11,19 @@
 //! fork put ID KEY VALUE [--author A] [--message M]
 //! ```
 //!
-//! Implemented as a pure function over any [`ForkBackend`], so the same
+//! Implemented as a pure function over any [`Backend`], so the same
 //! code path drives a single-node [`forkbase::ForkBase`] session and a
 //! [`forkbase::Cluster`] session (`forkbase cluster fork …`). The fork
 //! registry itself lives in the caller's [`ForkService`], which the CLI
 //! sessions persist to a `FORKS` record next to the branch heads — a
 //! reopened session resumes every lease where it left off.
 
-use forkbase::{DbError, DbResult, ForkBackend, ForkInfo, ForkService, PutOptions, VersionSpec};
+use forkbase::{Backend, DbError, DbResult, ForkInfo, ForkService, PutOptions, VersionSpec};
 use forkbase_types::Value;
 
 /// Run one `fork` subcommand against `backend`, returning its textual
 /// output. `args` excludes the `fork` verb itself.
-pub fn run_fork_command<B: ForkBackend + ?Sized>(
+pub fn run_fork_command<B: Backend + ?Sized>(
     forks: &ForkService,
     backend: &B,
     args: &[&str],
@@ -75,11 +75,7 @@ pub fn run_fork_command<B: ForkBackend + ?Sized>(
     match verb {
         "create" => {
             let base = match (version, base) {
-                (Some(v), _) => VersionSpec::Version(
-                    forkbase::Uid::from_base32(&v)
-                        .or_else(|| forkbase::Uid::from_hex(&v))
-                        .ok_or_else(|| DbError::InvalidInput(format!("not a version id: {v:?}")))?,
-                ),
+                (Some(v), _) => VersionSpec::Version(crate::commands::parse_uid(&v)?),
                 (None, b) => VersionSpec::Branch(b.unwrap_or_else(|| "master".to_string())),
             };
             let info = forks.create(base, ttl, id_flag)?;

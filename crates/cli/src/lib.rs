@@ -17,5 +17,5 @@ pub mod session;
 pub use cluster_cmd::{run_cluster_command, serve_servelet, ClusterSession};
 pub use commands::run_command;
 pub use fork_cmd::run_fork_command;
-pub use rest::{ClusterRestServer, RestServer};
+pub use rest::RestServer;
 pub use session::Session;

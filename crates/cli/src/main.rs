@@ -25,8 +25,7 @@
 use std::process::ExitCode;
 
 use forkbase_cli::{
-    run_cluster_command, run_command, run_fork_command, ClusterRestServer, ClusterSession,
-    RestServer, Session,
+    run_cluster_command, run_command, run_fork_command, ClusterSession, RestServer, Session,
 };
 
 /// Default per-peer admission policy for the REST gateways: generous
@@ -97,7 +96,7 @@ fn main() -> ExitCode {
 
     if rest.first().copied() == Some("serve") {
         let port: u16 = rest.get(1).and_then(|p| p.parse().ok()).unwrap_or(8642);
-        let server = match RestServer::start_configured(
+        let server = match RestServer::start(
             session.db_arc(),
             port,
             session.forks_arc(),
@@ -132,32 +131,17 @@ fn main() -> ExitCode {
         }
     }
 
-    if rest.first().copied() == Some("fork") {
-        return match run_fork_command(session.forks(), session.db(), &rest[1..]) {
-            Ok(output) => {
-                if !output.is_empty() {
-                    println!("{output}");
-                }
-                if let Err(e) = session.save() {
-                    eprintln!("warning: failed to persist state: {e}");
-                    return ExitCode::FAILURE;
-                }
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-
-    match run_command(session.db(), &rest) {
+    let output = match rest.split_first() {
+        Some((&"fork", sub)) => run_fork_command(session.forks(), session.db(), sub),
+        _ => run_command(session.db(), &rest),
+    };
+    match output {
         Ok(output) => {
             if !output.is_empty() {
                 println!("{output}");
             }
             if let Err(e) = session.save() {
-                eprintln!("warning: failed to persist refs: {e}");
+                eprintln!("warning: failed to persist state: {e}");
                 return ExitCode::FAILURE;
             }
             ExitCode::SUCCESS
@@ -197,10 +181,9 @@ fn cluster_main(data_dir: &str, args: &[&str]) -> ExitCode {
 
     if args.first().copied() == Some("serve") {
         let port: u16 = args.get(1).and_then(|p| p.parse().ok()).unwrap_or(8643);
-        let server = match ClusterRestServer::start_configured(
+        let server = match RestServer::start_cluster(
             session.cluster_arc(),
             port,
-            forkbase_cli::rest::DEFAULT_CONNECTION_LIMIT,
             session.forks_arc(),
             Some(gateway_rate_limiter()),
         ) {

@@ -1,81 +1,74 @@
 //! Minimal RESTful interface (paper Fig. 1, "RESTful" semantic view).
 //!
 //! A deliberately small HTTP/1.1 server on `std::net::TcpListener` — one
-//! thread per connection, no external dependencies. Routes:
+//! thread per connection, no external dependencies. One [`RestServer`]
+//! serves either deployment shape, a single node ([`RestServer::start`])
+//! or a [`Cluster`] ([`RestServer::start_cluster`]), from one route
+//! table. Unmarked routes go through [`Backend`] and answer alike on
+//! both shapes; rows marked *node* or *cluster* exist on that shape only.
 //!
 //! ```text
-//! GET  /keys                          → key list (one per line)
-//! GET  /get/<key>?branch=B            → value summary + version
-//! PUT  /put/<key>?branch=B            → body = string value; returns uid
-//! GET  /head/<key>?branch=B           → version uid
-//! GET  /branches/<key>                → branch\tuid lines
-//! POST /branch/<key>/<new>?from=B     → create branch
-//! GET  /diff/<key>?from=A&to=B        → diff rendering
-//! GET  /history/<key>?branch=B        → history lines
-//! GET  /stat                          → store statistics
-//! GET  /verify/<key>?branch=B         → verification result
+//! GET  /keys                        → key list (one per line)
+//! GET  /get/<key>?branch=B          → value summary + version
+//! PUT  /put/<key>?branch=B          → body = string value; returns uid
+//! GET  /head/<key>?branch=B         → version uid
 //! GET  /v1/<key>/range?start=&end=&limit=&branch=
-//!                                     → JSON page of map entries, served
-//!                                       by the streaming cursor (O(chunk)
-//!                                       server memory regardless of value
-//!                                       or range size)
+//!                                   → JSON page of map entries
+//! …    /v1/fork…                    → fork sandboxes (see `fork_route`)
+//! GET  /branches/<key>              → branch\tuid lines            node
+//! POST /branch/<key>/<new>?from=B   → create branch                node
+//! GET  /diff/<key>?from=A&to=B      → diff rendering               node
+//! GET  /history/<key>?branch=B      → history lines                node
+//! GET  /verify/<key>?branch=B       → verification result          node
+//! GET  /stat                        → store statistics             node
+//! GET  /v1/cluster/health           → per-servelet liveness JSON   cluster
+//! GET  /v1/cluster/topology         → per-servelet placement JSON  cluster
+//! GET  /v1/cluster/replication      → per-primary replication lag  cluster
+//! POST /v1/cluster/restart/<id>     → supervised restart           cluster
 //! ```
-//!
-//! Both servers also expose the **fork sandbox** family under the
-//! reserved `/v1/fork` prefix (see [`ForkService`] and the route table
-//! on `fork_route`): `POST /v1/fork` leases a writable fork of any
-//! branch or version in O(1); `GET`/`DELETE /v1/fork/<id>` inspect and
-//! drop it; `POST /v1/fork/<id>/touch` renews the lease; and
-//! `get`/`put`/`range`/`diff` under `/v1/fork/<id>/…` read and write
-//! the fork's isolated namespace. Expired forks answer `404` with code
-//! `fork_expired`. When a per-peer rate limiter is configured
-//! ([`RestServer::start_configured`]), shed requests answer `429 Too
-//! Many Requests` with a `retry-after` header from the token bucket.
 //!
 //! Successful legacy routes answer `text/plain; charset=utf-8`; `/v1/…`
 //! routes answer `application/json`. **Every** error is structured JSON —
 //! `{"error":{"code":"<stable snake_case>","message":"<human text>"}}` —
 //! with the code drawn from [`DbError::code`], so clients branch on
-//! `error.code`, not on prose or status text.
+//! `error.code`, not on prose or status text (the status map is
+//! `respond_error`). On a cluster, unavailability and timeout bodies
+//! outside `/v1/fork` also name the failing servelet and its address.
 //!
-//! [`ClusterRestServer`] serves a [`Cluster`] instead of a single node,
-//! adding the fault-tolerance surface:
-//!
-//! ```text
-//! GET  /v1/cluster/health             → per-servelet liveness JSON
-//! GET  /v1/cluster/topology           → per-servelet placement JSON
-//!                                       (id + transport + address + role)
-//! GET  /v1/cluster/replication        → per-primary replication lag JSON
-//! POST /v1/cluster/restart/<id>       → supervised restart of servelet <id>
-//! GET  /get/<key>?branch=B            → routed get
-//! PUT  /put/<key>?branch=B            → routed put
-//! GET  /keys                          → strict cluster-wide key list
-//! ```
-//!
-//! A dead servelet maps to `503 Service Unavailable` **with a
-//! `retry-after` header** (a supervisor restart may heal it); a missed RPC
-//! deadline maps to `504 Gateway Timeout` (`servelet_timeout` — the
-//! outcome is ambiguous, see the cluster retry policy). Both error bodies
-//! carry the failing servelet's id and, for remote servelets, its
-//! address, so an operator reading the error knows which process to look
-//! at.
-//!
-//! The cluster gateway bounds concurrent connections
-//! ([`ClusterRestServer::start_with_limit`]); excess connections are shed
-//! immediately with `503` + `retry-after` rather than queued behind an
-//! unbounded thread pile.
+//! Load is refused at the door, never queued: a bad or oversized
+//! `content-length` gets `400` before the body is read, a connection past
+//! the ceiling of 64 gets `503` + `retry-after` (code `overloaded`), and
+//! a configured per-peer rate limiter sheds with `429` + `retry-after`.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
+use bytes::Bytes;
 use forkbase::{
-    AcceptLoop, Cluster, DbError, DiffSummary, ForkBackend, ForkBase, ForkDiff, ForkInfo,
+    AcceptLoop, Backend, Cluster, DbError, DbResult, DiffSummary, ForkBase, ForkDiff, ForkInfo,
     ForkService, MapPage, PutOptions, RateLimiter, VersionSpec,
 };
 use forkbase_store::SweepStore;
 use forkbase_types::Value;
+
+use crate::commands::parse_uid;
+
+/// Connections served at once; past this a new one is shed with `503`.
+/// One thread per connection only stays cheap while the count is bounded.
+const MAX_CONNECTIONS: usize = 64;
+
+/// Largest request body accepted; a longer `content-length` is refused
+/// before the body is read.
+const MAX_BODY_BYTES: usize = 16 * 1024 * 1024;
+
+/// Hard ceiling on one `/range` page. The endpoint's bounded-memory
+/// promise only holds if the response body is bounded too: an
+/// unauthenticated `limit=4000000000` must not make the server
+/// materialize a multi-GB page.
+const RANGE_LIMIT_MAX: u64 = 10_000;
 
 /// Handle to a running REST server. Dropping it stops the server.
 pub struct RestServer {
@@ -83,125 +76,54 @@ pub struct RestServer {
 }
 
 impl RestServer {
-    /// Start serving `db` on `127.0.0.1:port` (`port` 0 = auto-assign)
-    /// with a fresh [`ForkService`] and no rate limiting.
+    /// Start serving `db` on `127.0.0.1:port` (`port` 0 = auto-assign).
+    /// `forks` is the fork registry the embedding process persists and
+    /// reaps; `limiter`, when given, sheds per-peer floods with `429`.
     pub fn start<S: SweepStore + 'static>(
         db: Arc<ForkBase<S>>,
         port: u16,
+        forks: Arc<ForkService>,
+        limiter: Option<Arc<RateLimiter>>,
     ) -> std::io::Result<RestServer> {
-        Self::start_configured(db, port, Arc::new(ForkService::new()), None)
+        Self::spawn(db, port, forks, limiter)
     }
 
-    /// [`Self::start`] with an explicit fork service (so the embedding
-    /// process can persist/reap its registry) and optional per-peer rate
-    /// limiting (shed requests answer `429` + `retry-after`).
-    pub fn start_configured<S: SweepStore + 'static>(
-        db: Arc<ForkBase<S>>,
+    /// [`Self::start`] for a cluster gateway: routed data verbs plus the
+    /// fault-tolerance surface under `/v1/cluster`.
+    pub fn start_cluster<S: SweepStore + Send + 'static>(
+        cluster: Arc<Cluster<S>>,
         port: u16,
         forks: Arc<ForkService>,
         limiter: Option<Arc<RateLimiter>>,
     ) -> std::io::Result<RestServer> {
-        let listener = TcpListener::bind(("127.0.0.1", port))?;
-        let accept = AcceptLoop::spawn(listener, move |stream, peer| {
-            let db = Arc::clone(&db);
-            let forks = Arc::clone(&forks);
-            let limiter = limiter.clone();
-            std::thread::spawn(move || {
-                let _ = handle_connection(stream, &db, &forks, limiter.as_deref(), peer.ip());
-            });
-        })?;
-        Ok(RestServer { accept })
+        Self::spawn(cluster, port, forks, limiter)
     }
 
-    /// The bound address.
-    pub fn addr(&self) -> SocketAddr {
-        self.accept.addr()
-    }
-
-    /// Stop accepting connections and join the accept loop.
-    pub fn stop(self) {
-        self.accept.stop();
-    }
-}
-
-/// Handle to a running cluster REST gateway: routed data verbs plus the
-/// fault-tolerance surface (`/v1/cluster/health`, `/v1/cluster/restart`).
-pub struct ClusterRestServer {
-    accept: AcceptLoop,
-}
-
-/// Default ceiling on concurrent gateway connections
-/// ([`ClusterRestServer::start`]). One thread per connection only stays
-/// cheap while the count is bounded; excess clients get an immediate
-/// `503` + `retry-after` instead of a growing thread pile.
-pub const DEFAULT_CONNECTION_LIMIT: usize = 64;
-
-impl ClusterRestServer {
-    /// Start serving `cluster` on `127.0.0.1:port` (`port` 0 =
-    /// auto-assign) with the default concurrent-connection ceiling.
-    pub fn start<S: SweepStore + Send + 'static>(
-        cluster: Arc<Cluster<S>>,
+    fn spawn<B: Shape>(
+        backend: Arc<B>,
         port: u16,
-    ) -> std::io::Result<ClusterRestServer> {
-        Self::start_with_limit(cluster, port, DEFAULT_CONNECTION_LIMIT)
-    }
-
-    /// [`Self::start`] with an explicit ceiling on concurrent
-    /// connections. When `max_connections` handlers are in flight, new
-    /// connections are shed immediately with `503 Service Unavailable` +
-    /// `retry-after` (structured `overloaded` error body) — load is
-    /// refused at the door, never queued unboundedly.
-    pub fn start_with_limit<S: SweepStore + Send + 'static>(
-        cluster: Arc<Cluster<S>>,
-        port: u16,
-        max_connections: usize,
-    ) -> std::io::Result<ClusterRestServer> {
-        Self::start_configured(
-            cluster,
-            port,
-            max_connections,
-            Arc::new(ForkService::new()),
-            None,
-        )
-    }
-
-    /// [`Self::start_with_limit`] with an explicit fork service and
-    /// optional per-peer rate limiting — the full-control constructor
-    /// the `cluster serve` command uses (it persists the fork registry
-    /// and reaps expired forks from the supervisor tick).
-    pub fn start_configured<S: SweepStore + Send + 'static>(
-        cluster: Arc<Cluster<S>>,
-        port: u16,
-        max_connections: usize,
         forks: Arc<ForkService>,
         limiter: Option<Arc<RateLimiter>>,
-    ) -> std::io::Result<ClusterRestServer> {
+    ) -> std::io::Result<RestServer> {
         let listener = TcpListener::bind(("127.0.0.1", port))?;
         // A counting semaphore over connection-handler threads.
         let active = Arc::new(AtomicUsize::new(0));
         let accept = AcceptLoop::spawn(listener, move |mut stream, peer| {
-            // Acquire a slot; shed the connection if none left.
-            if active.fetch_add(1, Ordering::SeqCst) >= max_connections {
+            if active.fetch_add(1, Ordering::SeqCst) >= MAX_CONNECTIONS {
                 active.fetch_sub(1, Ordering::SeqCst);
                 let _ = shed_connection(&mut stream);
                 return;
             }
-            let cluster = Arc::clone(&cluster);
-            let active = Arc::clone(&active);
+            let slot = SlotGuard(Arc::clone(&active));
+            let backend = Arc::clone(&backend);
             let forks = Arc::clone(&forks);
             let limiter = limiter.clone();
             std::thread::spawn(move || {
-                let _guard = SlotGuard(active);
-                let _ = handle_cluster_connection(
-                    stream,
-                    &cluster,
-                    &forks,
-                    limiter.as_deref(),
-                    peer.ip(),
-                );
+                let _slot = slot;
+                let _ = handle_connection(stream, &*backend, &forks, limiter.as_deref(), peer.ip());
             });
         })?;
-        Ok(ClusterRestServer { accept })
+        Ok(RestServer { accept })
     }
 
     /// The bound address.
@@ -225,99 +147,107 @@ impl Drop for SlotGuard {
     }
 }
 
+/// Read briefly and discard what arrives, so that closing does not reset
+/// the connection (unread bytes make the kernel send RST) before the
+/// client has read the refusal written next.
+fn drain(stream: &mut TcpStream) {
+    let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
+    let _ = stream.read(&mut [0u8; 4096]);
+}
+
 /// Refuse a connection at the door: the gateway is at its concurrency
-/// ceiling. Cheap by construction — briefly drain the request (closing
-/// with unread bytes would RST the connection before the client reads
-/// the 503), write one canned response, close.
+/// ceiling. Cheap by construction — drain, write one canned response,
+/// close.
 fn shed_connection(stream: &mut TcpStream) -> std::io::Result<()> {
-    let _ = stream.set_read_timeout(Some(std::time::Duration::from_millis(200)));
-    let mut sink = [0u8; 4096];
-    let _ = stream.read(&mut sink);
-    respond_with(
+    drain(stream);
+    respond(
         stream,
         503,
         JSON,
-        &[("retry-after", "1")],
+        Some(1),
         "{\"error\":{\"code\":\"overloaded\",\
           \"message\":\"gateway at its concurrent connection limit; retry shortly\"}}",
     )
 }
 
-fn handle_cluster_connection<S: SweepStore + Send + 'static>(
-    mut stream: TcpStream,
-    cluster: &Cluster<S>,
-    forks: &ForkService,
-    limiter: Option<&RateLimiter>,
-    peer: IpAddr,
-) -> std::io::Result<()> {
-    let Some(req) = read_request(&mut stream)? else {
-        return respond(&mut stream, 400, TEXT, "malformed request line");
-    };
-    if let Some(limiter) = limiter {
-        if let Err(e) = limiter.check(peer) {
-            return respond_error(&mut stream, &e);
-        }
-    }
-    let branch = req
-        .query_param("branch")
-        .unwrap_or_else(|| "master".to_string());
-    let segments: Vec<&str> = req.path.split('/').filter(|s| !s.is_empty()).collect();
-    let json_route = segments.first() == Some(&"v1");
-    if let Some(result) = fork_route(forks, cluster, &req, &segments) {
-        return match result {
-            Ok(text) => respond(&mut stream, 200, JSON, &text),
-            Err(e) => respond_error(&mut stream, &e),
-        };
-    }
-    let result: Result<String, DbError> = match (req.method.as_str(), segments.as_slice()) {
-        ("GET", ["v1", "cluster", "health"]) => Ok(health_json(cluster)),
-        ("GET", ["v1", "cluster", "topology"]) => Ok(topology_json(cluster)),
-        ("GET", ["v1", "cluster", "replication"]) => Ok(replication_json(cluster)),
-        ("POST", ["v1", "cluster", "restart", id]) => id
-            .parse::<u64>()
-            .map_err(|_| DbError::InvalidInput(format!("servelet id is not a number: {id:?}")))
-            .and_then(|id| {
-                cluster
-                    .restart_servelet(id)
-                    .map(|()| format!("{{\"restarted\":{id}}}"))
-            }),
-        ("GET", ["keys"]) => cluster.list_keys().map(|ks| ks.join("\n")),
-        ("GET", ["get", key]) => cluster
-            .get(&url_decode(key), &branch)
-            .map(|g| format!("{}\nversion: {}", g.value.summary(), g.uid)),
-        ("PUT", ["put", key]) => {
-            let text = String::from_utf8_lossy(&req.body).into_owned();
-            let opts = PutOptions::on_branch(branch.clone()).author("rest");
-            cluster
-                .put(&url_decode(key), Value::Str(text), opts)
-                .map(|c| c.uid.to_string())
-        }
-        _ => Err(DbError::InvalidInput(format!(
-            "no route for {} {}",
-            req.method, req.path
-        ))),
-    };
+/// What one deployment shape adds to the shared route table.
+trait Shape: Backend + Send + Sync + 'static {
+    /// Answer a route only this shape serves; `None` falls through to
+    /// the shared table.
+    fn route(&self, req: &Request, segments: &[&str]) -> Option<DbResult<String>>;
 
-    match result {
-        Ok(text) => {
-            let ctype = if json_route { JSON } else { TEXT };
-            respond(&mut stream, 200, ctype, &text)
-        }
-        // The gateway knows which process each servelet is: attach the
-        // failing servelet's address to unavailability/timeout bodies.
-        Err(e) => {
-            let extra_fields = match &e {
-                DbError::ServeletUnavailable { servelet }
-                | DbError::ServeletTimeout { servelet } => {
-                    let address = match cluster.servelet_addr(*servelet) {
-                        Some(a) => format!("\"{}\"", json_escape(&a)),
-                        None => "null".to_string(),
-                    };
-                    format!(",\"servelet\":{servelet},\"address\":{address}")
-                }
-                _ => String::new(),
-            };
-            respond_error_with(&mut stream, &e, &extra_fields)
+    /// Extra JSON fields (each led by `,`) for the error object.
+    fn error_fields(&self, _e: &DbError) -> String {
+        String::new()
+    }
+}
+
+impl<S: SweepStore + 'static> Shape for ForkBase<S> {
+    fn route(&self, req: &Request, segments: &[&str]) -> Option<DbResult<String>> {
+        let q = |name: &str| req.param_or_master(name);
+        Some(match (req.method.as_str(), segments) {
+            ("GET", ["stat"]) => Ok(self.stat().to_string()),
+            ("GET", ["branches", key]) => self.list_branches(&url_decode(key)).map(|bs| {
+                bs.into_iter()
+                    .map(|b| format!("{}\t{}", b.name, b.head))
+                    .collect::<Vec<_>>()
+                    .join("\n")
+            }),
+            ("POST", ["branch", key, new]) => self
+                .branch(&url_decode(key), &q("from"), &url_decode(new))
+                .map(|()| format!("created {new}")),
+            ("GET", ["diff", key]) => self
+                .diff(
+                    &url_decode(key),
+                    &VersionSpec::Branch(q("from")),
+                    &VersionSpec::Branch(q("to")),
+                )
+                .map(|d| format!("{d:?}")),
+            ("GET", ["history", key]) => self
+                .history(&url_decode(key), &VersionSpec::Branch(q("branch")))
+                .map(|h| {
+                    h.into_iter()
+                        .map(|e| format!("{}\t{}\t{}", e.uid, e.author, e.message))
+                        .collect::<Vec<_>>()
+                        .join("\n")
+                }),
+            ("GET", ["verify", key]) => self
+                .verify_branch(&url_decode(key), &q("branch"))
+                .map(|n| format!("OK {n}")),
+            _ => return None,
+        })
+    }
+}
+
+impl<S: SweepStore + Send + 'static> Shape for Cluster<S> {
+    fn route(&self, req: &Request, segments: &[&str]) -> Option<DbResult<String>> {
+        Some(match (req.method.as_str(), segments) {
+            ("GET", ["v1", "cluster", "health"]) => Ok(health_json(self)),
+            ("GET", ["v1", "cluster", "topology"]) => Ok(topology_json(self)),
+            ("GET", ["v1", "cluster", "replication"]) => Ok(replication_json(self)),
+            ("POST", ["v1", "cluster", "restart", id]) => id
+                .parse::<u64>()
+                .map_err(|_| DbError::InvalidInput(format!("servelet id is not a number: {id:?}")))
+                .and_then(|id| {
+                    self.restart_servelet(id)
+                        .map(|()| format!("{{\"restarted\":{id}}}"))
+                }),
+            _ => return None,
+        })
+    }
+
+    /// The gateway knows which process each servelet is: name the
+    /// failing servelet and its address in unavailability/timeout bodies.
+    fn error_fields(&self, e: &DbError) -> String {
+        match e {
+            DbError::ServeletUnavailable { servelet } | DbError::ServeletTimeout { servelet } => {
+                let address = match self.servelet_addr(*servelet) {
+                    Some(a) => format!("\"{}\"", json_escape(&a)),
+                    None => "null".to_string(),
+                };
+                format!(",\"servelet\":{servelet},\"address\":{address}")
+            }
+            _ => String::new(),
         }
     }
 }
@@ -425,8 +355,7 @@ fn health_json<S: SweepStore + Send + 'static>(cluster: &Cluster<S>) -> String {
     )
 }
 
-/// One parsed HTTP request — shared by the single-node and cluster
-/// handlers so both speak exactly the same dialect.
+/// One parsed HTTP request.
 struct Request {
     method: String,
     path: String,
@@ -441,25 +370,32 @@ impl Request {
             (k == name).then(|| url_decode(v))
         })
     }
+
+    /// A branch-valued query parameter, `master` when absent.
+    fn param_or_master(&self, name: &str) -> String {
+        self.query_param(name)
+            .unwrap_or_else(|| "master".to_string())
+    }
 }
 
-/// Read one request off `stream`. `Ok(None)` means the request line was
-/// malformed (the caller answers 400).
-fn read_request(stream: &mut TcpStream) -> std::io::Result<Option<Request>> {
-    stream.set_read_timeout(Some(std::time::Duration::from_secs(5)))?;
+/// Read one request off `stream`. A request refused before routing —
+/// malformed request line, bad or oversized `content-length` — comes
+/// back as the error to answer with.
+fn read_request(stream: &mut TcpStream) -> std::io::Result<DbResult<Request>> {
+    stream.set_read_timeout(Some(Duration::from_secs(5)))?;
     let mut reader = BufReader::new(stream.try_clone()?);
 
     let mut request_line = String::new();
     reader.read_line(&mut request_line)?;
     let mut parts = request_line.split_whitespace();
     let (Some(method), Some(target)) = (parts.next(), parts.next()) else {
-        return Ok(None);
+        return Ok(Err(DbError::InvalidInput("malformed request line".into())));
     };
     let method = method.to_string();
     let target = target.to_string();
 
     // Headers: we only need Content-Length.
-    let mut content_length = 0usize;
+    let mut content_length = Ok(0usize);
     loop {
         let mut line = String::new();
         reader.read_line(&mut line)?;
@@ -467,24 +403,31 @@ fn read_request(stream: &mut TcpStream) -> std::io::Result<Option<Request>> {
         if line.is_empty() {
             break;
         }
-        if let Some(v) = line
-            .to_ascii_lowercase()
-            .strip_prefix("content-length:")
-            .map(|v| v.trim().to_string())
-        {
-            content_length = v.parse().unwrap_or(0);
+        if let Some(v) = line.to_ascii_lowercase().strip_prefix("content-length:") {
+            let v = v.trim();
+            content_length = v
+                .parse()
+                .map_err(|_| format!("content-length is not a number: {v:?}"));
         }
     }
-    let mut body = vec![0u8; content_length.min(16 * 1024 * 1024)];
-    if content_length > 0 {
-        reader.read_exact(&mut body)?;
-    }
+    let mut body = match content_length {
+        Ok(n) if n <= MAX_BODY_BYTES => vec![0u8; n],
+        refused => {
+            drain(stream);
+            let why = refused.map_or_else(
+                |why| why,
+                |n| format!("body of {n} bytes is over the {MAX_BODY_BYTES}-byte limit"),
+            );
+            return Ok(Err(DbError::InvalidInput(why)));
+        }
+    };
+    reader.read_exact(&mut body)?;
 
     let (path, query) = match target.split_once('?') {
         Some((p, q)) => (p.to_string(), q.to_string()),
         None => (target, String::new()),
     };
-    Ok(Some(Request {
+    Ok(Ok(Request {
         method,
         path,
         query,
@@ -492,117 +435,93 @@ fn read_request(stream: &mut TcpStream) -> std::io::Result<Option<Request>> {
     }))
 }
 
-fn handle_connection<S: SweepStore>(
+fn handle_connection<B: Shape>(
     mut stream: TcpStream,
-    db: &ForkBase<S>,
+    backend: &B,
     forks: &ForkService,
     limiter: Option<&RateLimiter>,
     peer: IpAddr,
 ) -> std::io::Result<()> {
-    let Some(req) = read_request(&mut stream)? else {
-        return respond(&mut stream, 400, TEXT, "malformed request line");
+    let req = match read_request(&mut stream)? {
+        Ok(req) => req,
+        Err(e) => return respond_error(&mut stream, &e, ""),
     };
-    if let Some(limiter) = limiter {
-        if let Err(e) = limiter.check(peer) {
-            return respond_error(&mut stream, &e);
+    if let Some(Err(e)) = limiter.map(|l| l.check(peer)) {
+        return respond_error(&mut stream, &e, "");
+    }
+    let segments: Vec<&str> = req.path.split('/').filter(|s| !s.is_empty()).collect();
+    // Fork error bodies name no servelet, on either shape.
+    let (result, named) = match fork_route(forks, backend, &req, &segments) {
+        Some(result) => (result, false),
+        None => (
+            backend
+                .route(&req, &segments)
+                .unwrap_or_else(|| shared_route(backend, &req, &segments)),
+            true,
+        ),
+    };
+    match result {
+        // /v1 routes are JSON end to end; legacy routes stay text/plain
+        // on success (errors are JSON everywhere).
+        Ok(text) => {
+            let ctype = if segments.first() == Some(&"v1") {
+                JSON
+            } else {
+                TEXT
+            };
+            respond(&mut stream, 200, ctype, None, &text)
+        }
+        Err(e) => {
+            let fields = if named {
+                backend.error_fields(&e)
+            } else {
+                String::new()
+            };
+            respond_error(&mut stream, &e, &fields)
         }
     }
-    let q = |name: &str| req.query_param(name);
-    let branch = q("branch").unwrap_or_else(|| "master".to_string());
-    let (method, path, body) = (req.method.as_str(), req.path.as_str(), &req.body);
+}
 
-    let segments: Vec<&str> = path.split('/').filter(|s| !s.is_empty()).collect();
-    // /v1 routes are JSON end to end; legacy routes stay text/plain on
-    // success (errors are JSON everywhere).
-    let json_route = segments.first() == Some(&"v1");
-    if let Some(result) = fork_route(forks, db, &req, &segments) {
-        return match result {
-            Ok(text) => respond(&mut stream, 200, JSON, &text),
-            Err(e) => respond_error(&mut stream, &e),
-        };
-    }
-    let result: Result<String, DbError> = match (method, segments.as_slice()) {
-        ("GET", ["v1", key, "range"]) => range_route(
-            db,
-            &url_decode(key),
-            &branch,
-            &q("start"),
-            &q("end"),
-            &q("limit"),
-        ),
-        ("GET", ["keys"]) => Ok(db.list_keys().join("\n")),
-        ("GET", ["stat"]) => Ok(db.stat().to_string()),
-        ("GET", ["get", key]) => db
-            .get(&url_decode(key), &branch)
+/// The routes every shape serves, through [`Backend`].
+fn shared_route<B: Backend + ?Sized>(
+    backend: &B,
+    req: &Request,
+    segments: &[&str],
+) -> DbResult<String> {
+    let branch = VersionSpec::Branch(req.param_or_master("branch"));
+    match (req.method.as_str(), segments) {
+        ("GET", ["keys"]) => backend.list_keys().map(|ks| ks.join("\n")),
+        ("GET", ["get", key]) => backend
+            .get_at(&url_decode(key), &branch)
             .map(|g| format!("{}\nversion: {}", g.value.summary(), g.uid)),
         ("PUT", ["put", key]) => {
-            let text = String::from_utf8_lossy(body).into_owned();
-            let opts = PutOptions::on_branch(branch.clone()).author("rest");
-            db.put(&url_decode(key), Value::Str(text), &opts)
+            let text = String::from_utf8_lossy(&req.body).into_owned();
+            let opts = PutOptions::on_branch(req.param_or_master("branch")).author("rest");
+            backend
+                .put_at(&url_decode(key), Value::Str(text), &opts)
                 .map(|c| c.uid.to_string())
         }
-        ("GET", ["head", key]) => db.head(&url_decode(key), &branch).map(|u| u.to_string()),
-        ("GET", ["branches", key]) => db.list_branches(&url_decode(key)).map(|bs| {
-            bs.into_iter()
-                .map(|b| format!("{}\t{}", b.name, b.head))
-                .collect::<Vec<_>>()
-                .join("\n")
-        }),
-        ("POST", ["branch", key, new]) => {
-            let from = q("from").unwrap_or_else(|| "master".to_string());
-            db.branch(&url_decode(key), &from, &url_decode(new))
-                .map(|()| format!("created {new}"))
+        ("GET", ["head", key]) => backend
+            .resolve_spec(&url_decode(key), &branch)
+            .map(|u| u.to_string()),
+        ("GET", ["v1", key, "range"]) => {
+            let key = url_decode(key);
+            range_page(req, &key, |start, end, limit| {
+                backend.map_range_at(&key, &branch, start, end, limit)
+            })
         }
-        ("GET", ["diff", key]) => {
-            let from = q("from").unwrap_or_else(|| "master".to_string());
-            let to = q("to").unwrap_or_else(|| "master".to_string());
-            db.diff(
-                &url_decode(key),
-                &VersionSpec::Branch(from),
-                &VersionSpec::Branch(to),
-            )
-            .map(|d| format!("{d:?}"))
-        }
-        ("GET", ["history", key]) => db
-            .history(&url_decode(key), &VersionSpec::Branch(branch.clone()))
-            .map(|h| {
-                h.into_iter()
-                    .map(|e| format!("{}\t{}\t{}", e.uid, e.author, e.message))
-                    .collect::<Vec<_>>()
-                    .join("\n")
-            }),
-        ("GET", ["verify", key]) => db
-            .verify_branch(&url_decode(key), &branch)
-            .map(|n| format!("OK {n}")),
         _ => Err(DbError::InvalidInput(format!(
-            "no route for {method} {path}"
+            "no route for {} {}",
+            req.method, req.path
         ))),
-    };
-
-    match result {
-        Ok(text) => {
-            let ctype = if json_route { JSON } else { TEXT };
-            respond(&mut stream, 200, ctype, &text)
-        }
-        Err(e) => respond_error(&mut stream, &e),
     }
 }
 
 /// Map a [`DbError`] onto its HTTP status and write the structured JSON
-/// error body. One mapping for both servers, so clients see identical
-/// behavior whether they talk to a single node or the cluster gateway.
-fn respond_error(stream: &mut TcpStream, e: &DbError) -> std::io::Result<()> {
-    respond_error_with(stream, e, "")
-}
-
-/// [`respond_error`] with extra JSON fields spliced into the `error`
-/// object (`extra_fields` starts with `,` or is empty) — the cluster
-/// gateway uses this to attach the failing servelet's id and address.
-fn respond_error_with(
-    stream: &mut TcpStream,
-    e: &DbError,
-    extra_fields: &str,
-) -> std::io::Result<()> {
+/// error body, with `extra_fields` (empty, or led by `,`) spliced into
+/// the `error` object. One mapping for both shapes, so clients see
+/// identical behavior whether they talk to a single node or a cluster.
+fn respond_error(stream: &mut TcpStream, e: &DbError, extra_fields: &str) -> std::io::Result<()> {
     let status = match e {
         DbError::NoSuchKey(_) | DbError::NoSuchBranch { .. } | DbError::NoSuchVersion(_) => 404,
         // An expired (or reaped, or never-created — indistinguishable
@@ -647,87 +566,33 @@ fn respond_error_with(
         _ if status == 503 => Some(1),
         _ => None,
     };
-    let retry_after = retry_after.map(|s| s.to_string());
-    let extra: Vec<(&str, &str)> = retry_after
-        .as_deref()
-        .map(|v| ("retry-after", v))
-        .into_iter()
-        .collect();
-    respond_with(stream, status, JSON, &extra, &body)
+    respond(stream, status, JSON, retry_after, &body)
 }
 
-/// Hard ceiling on one `/v1/<key>/range` page. The endpoint's constant-
-/// memory promise only holds if the response body is bounded too: an
-/// unauthenticated `limit=4000000000` must not make the server
-/// materialize a multi-GB page.
-const RANGE_LIMIT_MAX: usize = 10_000;
-
-/// `GET /v1/<key>/range`: a JSON page of map entries from the streaming
-/// cursor. `start` is inclusive, `end` exclusive; `limit` caps the page
-/// (default 1000, clamped to [`RANGE_LIMIT_MAX`]) and `truncated` tells
-/// the client whether more entries remain past the page. Keys and values
-/// are rendered as (lossily decoded) strings; entries that are not valid
-/// UTF-8 additionally carry `key_hex`/`value_hex` with the exact bytes,
-/// so binary data survives the trip.
-fn range_route<S: SweepStore>(
-    db: &ForkBase<S>,
+/// A `/range` page as JSON. `start` is inclusive, `end` exclusive;
+/// `limit` caps the page (default 1000, clamped to [`RANGE_LIMIT_MAX`])
+/// and `truncated` tells the client whether more entries remain.
+fn range_page(
+    req: &Request,
     key: &str,
-    branch: &str,
-    start: &Option<String>,
-    end: &Option<String>,
-    limit: &Option<String>,
-) -> Result<String, DbError> {
-    use std::ops::Bound;
-    let limit: usize = match limit {
+    page: impl FnOnce(Option<Bytes>, Option<Bytes>, u64) -> DbResult<MapPage>,
+) -> DbResult<String> {
+    let limit = match req.query_param("limit") {
         None => 1000,
         Some(l) => l
-            .parse::<usize>()
+            .parse::<u64>()
             .map_err(|_| DbError::InvalidInput(format!("limit is not a number: {l:?}")))?
             .min(RANGE_LIMIT_MAX),
     };
-    let snap = db.snapshot(key, &VersionSpec::Branch(branch.to_string()))?;
-    let start_bound = match start {
-        Some(s) => Bound::Included(s.as_bytes()),
-        None => Bound::Unbounded,
-    };
-    let end_bound = match end {
-        Some(e) => Bound::Excluded(e.as_bytes()),
-        None => Bound::Unbounded,
-    };
-    let mut range = snap.map_range::<&[u8], _>((start_bound, end_bound))?;
-    let mut body = format!(
-        "{{\"key\":\"{}\",\"version\":\"{}\",\"entries\":[",
-        json_escape(key),
-        snap.uid()
-    );
-    let mut n = 0usize;
-    let mut truncated = false;
-    for item in &mut range {
-        let (k, v) = item?;
-        if n == limit {
-            truncated = true;
-            break;
-        }
-        if n > 0 {
-            body.push(',');
-        }
-        body.push('{');
-        body.push_str(&json_bytes_field("key", &k));
-        body.push(',');
-        body.push_str(&json_bytes_field("value", &v));
-        body.push('}');
-        n += 1;
-    }
-    body.push_str(&format!("],\"count\":{n},\"truncated\":{truncated}}}"));
-    Ok(body)
+    let bound = |name: &str| req.query_param(name).map(Bytes::from);
+    Ok(page_json(key, &page(bound("start"), bound("end"), limit)?))
 }
 
-/// The `/v1/fork` route family, shared verbatim by the single-node
-/// server and the cluster gateway (the [`ForkService`] is generic over
-/// any [`ForkBackend`]). Returns `None` when `segments` is not a fork
-/// route, so the caller falls through to its own table. The path prefix
-/// `/v1/fork` is reserved — a data key literally named `fork` must use
-/// the legacy routes.
+/// The `/v1/fork` route family, the same on both shapes (the
+/// [`ForkService`] drives any [`Backend`]). Returns `None` when
+/// `segments` is not a fork route, so the caller falls through to the
+/// other tables. The path prefix `/v1/fork` is reserved — a data key
+/// literally named `fork` must use the legacy routes.
 ///
 /// ```text
 /// POST   /v1/fork?base=B|version=UID&ttl=SECS&id=ID   → create (O(1))
@@ -740,12 +605,12 @@ fn range_route<S: SweepStore>(
 /// GET    /v1/fork/<id>/range/<key>?start=&end=&limit= → fork-scoped map page
 /// GET    /v1/fork/<id>/diff                           → diff-vs-base, all touched keys
 /// ```
-fn fork_route<B: ForkBackend + ?Sized>(
+fn fork_route<B: Backend + ?Sized>(
     forks: &ForkService,
     backend: &B,
     req: &Request,
     segments: &[&str],
-) -> Option<Result<String, DbError>> {
+) -> Option<DbResult<String>> {
     if segments.first() != Some(&"v1") || segments.get(1) != Some(&"fork") {
         return None;
     }
@@ -763,17 +628,11 @@ fn fork_route<B: ForkBackend + ?Sized>(
     Some(match (req.method.as_str(), &segments[2..]) {
         ("POST", []) => {
             let base = match q("version") {
-                Some(v) => {
-                    match forkbase::Uid::from_base32(&v).or_else(|| forkbase::Uid::from_hex(&v)) {
-                        Some(uid) => VersionSpec::Version(uid),
-                        None => {
-                            return Some(Err(DbError::InvalidInput(format!(
-                                "not a version id: {v:?}"
-                            ))))
-                        }
-                    }
-                }
-                None => VersionSpec::Branch(q("base").unwrap_or_else(|| "master".to_string())),
+                Some(v) => match parse_uid(&v) {
+                    Ok(uid) => VersionSpec::Version(uid),
+                    Err(e) => return Some(Err(e)),
+                },
+                None => VersionSpec::Branch(req.param_or_master("base")),
             };
             forks.create(base, ttl, q("id")).map(|i| fork_json(&i, now))
         }
@@ -813,15 +672,14 @@ fn fork_route<B: ForkBackend + ?Sized>(
                     )
                 })
         }
-        ("GET", [id, "range", key]) => fork_range_route(
-            forks,
-            backend,
-            id,
-            &url_decode(key),
-            &q("start"),
-            &q("end"),
-            &q("limit"),
-        ),
+        // Served through the fork's read spec: its branch for touched
+        // keys, the base for untouched ones.
+        ("GET", [id, "range", key]) => {
+            let key = url_decode(key);
+            range_page(req, &key, |start, end, limit| {
+                forks.range(backend, id, &key, start, end, limit)
+            })
+        }
         ("GET", [id, "diff"]) => forks.diff(backend, id).map(|d| fork_diff_json(&d)),
         _ => Err(DbError::InvalidInput(format!(
             "no fork route for {} {}",
@@ -851,36 +709,6 @@ fn fork_json(info: &ForkInfo, now: u64) -> String {
         info.writes,
         info.touched.len()
     )
-}
-
-/// Fork-scoped `/range`: same page shape as `/v1/<key>/range`, served
-/// through the fork's read spec (its branch for touched keys, the base
-/// for untouched ones).
-fn fork_range_route<B: ForkBackend + ?Sized>(
-    forks: &ForkService,
-    backend: &B,
-    id: &str,
-    key: &str,
-    start: &Option<String>,
-    end: &Option<String>,
-    limit: &Option<String>,
-) -> Result<String, DbError> {
-    let limit: u64 = match limit {
-        None => 1000,
-        Some(l) => l
-            .parse::<u64>()
-            .map_err(|_| DbError::InvalidInput(format!("limit is not a number: {l:?}")))?
-            .min(RANGE_LIMIT_MAX as u64),
-    };
-    let page = forks.range(
-        backend,
-        id,
-        key,
-        start.as_ref().map(|s| bytes::Bytes::from(s.clone())),
-        end.as_ref().map(|e| bytes::Bytes::from(e.clone())),
-        limit,
-    )?;
-    Ok(page_json(key, &page))
 }
 
 /// Render a [`MapPage`] in the `/v1/<key>/range` response shape.
@@ -994,20 +822,13 @@ fn diff_summary_json(s: &DiffSummary) -> String {
 const TEXT: &str = "text/plain; charset=utf-8";
 const JSON: &str = "application/json";
 
+/// Write one whole response; `retry_after` (seconds) becomes the
+/// `retry-after` header.
 fn respond(
     stream: &mut TcpStream,
     status: u16,
     content_type: &str,
-    body: &str,
-) -> std::io::Result<()> {
-    respond_with(stream, status, content_type, &[], body)
-}
-
-fn respond_with(
-    stream: &mut TcpStream,
-    status: u16,
-    content_type: &str,
-    extra_headers: &[(&str, &str)],
+    retry_after: Option<u64>,
     body: &str,
 ) -> std::io::Result<()> {
     let reason = match status {
@@ -1021,10 +842,10 @@ fn respond_with(
         504 => "Gateway Timeout",
         _ => "Internal Server Error",
     };
-    let mut extra = String::new();
-    for (name, value) in extra_headers {
-        extra.push_str(&format!("{name}: {value}\r\n"));
-    }
+    let extra = match retry_after {
+        Some(secs) => format!("retry-after: {secs}\r\n"),
+        None => String::new(),
+    };
     let response = format!(
         "HTTP/1.1 {status} {reason}\r\ncontent-type: {content_type}\r\n\
          content-length: {}\r\n{extra}connection: close\r\n\r\n{body}",
@@ -1106,27 +927,111 @@ mod tests {
     use super::*;
     use forkbase_postree::TreeConfig;
     use forkbase_store::MemStore;
+    use std::time::Instant;
 
     fn start() -> (RestServer, Arc<ForkBase<MemStore>>) {
         let db = Arc::new(ForkBase::with_config(
             MemStore::new(),
             TreeConfig::test_config(),
         ));
-        let server = RestServer::start(Arc::clone(&db), 0).unwrap();
+        let server =
+            RestServer::start(Arc::clone(&db), 0, Arc::new(ForkService::new()), None).unwrap();
         (server, db)
+    }
+
+    type RefsMap = Arc<std::sync::Mutex<std::collections::HashMap<u64, String>>>;
+
+    /// A 3-servelet in-memory cluster behind the REST gateway. The respawn
+    /// factory hands back the same `Arc<MemStore>` (chunks survive a kill,
+    /// as a durable backend's would) plus the last saved branch heads, so
+    /// `/v1/cluster/restart` heals kills completely.
+    fn start_cluster() -> (RestServer, Arc<Cluster<Arc<MemStore>>>, RefsMap) {
+        let stores: Vec<(u64, Arc<MemStore>)> =
+            (0..3).map(|id| (id, Arc::new(MemStore::new()))).collect();
+        let by_id: std::collections::HashMap<u64, Arc<MemStore>> = stores.iter().cloned().collect();
+        let cluster = Arc::new(Cluster::from_stores(stores, TreeConfig::test_config()));
+        let refs: RefsMap = Arc::default();
+        let respawn_refs = Arc::clone(&refs);
+        cluster.set_respawn(move |id| {
+            Ok(forkbase::Respawned {
+                store: Arc::clone(&by_id[&id]),
+                refs: respawn_refs.lock().unwrap().get(&id).cloned(),
+            })
+        });
+        let server =
+            RestServer::start_cluster(Arc::clone(&cluster), 0, Arc::new(ForkService::new()), None)
+                .unwrap();
+        (server, cluster, refs)
+    }
+
+    /// Commit a map value under a key, built on the store owning it.
+    type PutMap = Box<dyn Fn(&str, Vec<(Bytes, Bytes)>)>;
+
+    /// One gateway under test, of either shape, with the backend it
+    /// serves.
+    struct Gateway {
+        shape: &'static str,
+        server: RestServer,
+        backend: Arc<dyn Backend + Send + Sync>,
+        put_map: PutMap,
+    }
+
+    fn node() -> Gateway {
+        let (server, db) = start();
+        let owner = Arc::clone(&db);
+        Gateway {
+            shape: "node",
+            server,
+            backend: db,
+            put_map: Box::new(move |key, pairs| {
+                let map = owner.new_map(pairs).unwrap();
+                owner.put(key, map, &PutOptions::default()).unwrap();
+            }),
+        }
+    }
+
+    fn cluster() -> Gateway {
+        let (server, cluster, _refs) = start_cluster();
+        let router = Arc::clone(&cluster);
+        Gateway {
+            shape: "cluster",
+            server,
+            backend: cluster,
+            put_map: Box::new(move |key, pairs| {
+                let key = key.to_string();
+                router
+                    .with_key(&key.clone(), move |db| {
+                        let map = db.new_map(pairs)?;
+                        db.put(&key, map, &PutOptions::default())
+                    })
+                    .unwrap()
+                    .unwrap();
+            }),
+        }
+    }
+
+    /// The shared routes answer alike on both shapes: their tests run
+    /// once per entry.
+    const SHAPES: [fn() -> Gateway; 2] = [node, cluster];
+
+    /// Send `raw` as the whole request; the full response text back.
+    fn exchange(addr: SocketAddr, raw: &str) -> String {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.write_all(raw.as_bytes()).unwrap();
+        let mut response = String::new();
+        stream.read_to_string(&mut response).unwrap();
+        response
     }
 
     /// Full raw response text — status line, headers, and body.
     fn request_raw(addr: SocketAddr, method: &str, path: &str, body: &str) -> String {
-        let mut stream = TcpStream::connect(addr).unwrap();
-        let req = format!(
-            "{method} {path} HTTP/1.1\r\nhost: test\r\ncontent-length: {}\r\n\r\n{body}",
-            body.len()
-        );
-        stream.write_all(req.as_bytes()).unwrap();
-        let mut response = String::new();
-        stream.read_to_string(&mut response).unwrap();
-        response
+        exchange(
+            addr,
+            &format!(
+                "{method} {path} HTTP/1.1\r\nhost: test\r\ncontent-length: {}\r\n\r\n{body}",
+                body.len()
+            ),
+        )
     }
 
     fn request(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
@@ -1145,16 +1050,40 @@ mod tests {
 
     #[test]
     fn put_get_roundtrip_over_http() {
-        let (server, _db) = start();
-        let (status, uid) = request(server.addr(), "PUT", "/put/greeting", "hello rest");
-        assert_eq!(status, 200);
-        assert!(uid.len() >= 52, "uid is base32: {uid}");
+        for make in SHAPES {
+            let g = make();
+            let shape = g.shape;
+            let addr = g.server.addr();
+            let (status, uid) = request(addr, "PUT", "/put/greeting", "hello rest");
+            assert_eq!(status, 200, "{shape}");
+            assert!(uid.len() >= 52, "{shape}: uid is base32: {uid}");
+            let (status, body) = request(addr, "GET", "/get/greeting", "");
+            assert_eq!(status, 200, "{shape}");
+            assert!(body.contains("hello rest"), "{shape}: {body}");
+            assert!(body.contains(&uid), "{shape}: {body}");
+            g.server.stop();
+        }
+    }
 
-        let (status, body) = request(server.addr(), "GET", "/get/greeting", "");
+    #[test]
+    fn cluster_gateway_routes_puts_and_gets() {
+        let g = cluster();
+        let addr = g.server.addr();
+        for i in 0..9 {
+            let (status, uid) =
+                request(addr, "PUT", &format!("/put/key-{i}"), &format!("value-{i}"));
+            assert_eq!(status, 200);
+            assert!(uid.len() >= 52, "uid is base32: {uid}");
+        }
+        let (status, body) = request(addr, "GET", "/get/key-4", "");
         assert_eq!(status, 200);
-        assert!(body.contains("hello rest"));
-        assert!(body.contains(&uid));
-        server.stop();
+        assert!(body.contains("value-4"), "{body}");
+        let (status, keys) = request(addr, "GET", "/keys", "");
+        assert_eq!(status, 200);
+        assert_eq!(keys.lines().count(), 9, "{keys}");
+        let (status, _) = request(addr, "GET", "/get/ghost", "");
+        assert_eq!(status, 404);
+        g.server.stop();
     }
 
     #[test]
@@ -1198,131 +1127,181 @@ mod tests {
 
     #[test]
     fn errors_map_to_http_statuses() {
-        let (server, _db) = start();
-        let (status, _) = request(server.addr(), "GET", "/get/nope", "");
-        assert_eq!(status, 404);
-        let (status, _) = request(server.addr(), "GET", "/no/such/route", "");
-        assert_eq!(status, 400);
-        let (status, _) = request(server.addr(), "GET", "/head/ghost", "");
-        assert_eq!(status, 404);
-        server.stop();
+        for make in SHAPES {
+            let g = make();
+            let shape = g.shape;
+            let addr = g.server.addr();
+            let (status, _) = request(addr, "GET", "/get/nope", "");
+            assert_eq!(status, 404, "{shape}");
+            let (status, _) = request(addr, "GET", "/no/such/route", "");
+            assert_eq!(status, 400, "{shape}");
+            let (status, _) = request(addr, "GET", "/head/ghost", "");
+            assert_eq!(status, 404, "{shape}");
+            g.server.stop();
+        }
     }
 
     #[test]
     fn errors_are_structured_json() {
-        let (server, _db) = start();
-        let (status, body) = request(server.addr(), "GET", "/get/nope", "");
-        assert_eq!(status, 404);
-        assert!(
-            body.contains("\"error\"") && body.contains("\"code\":\"no_such_key\""),
-            "structured error body: {body}"
-        );
-        let (status, body) = request(server.addr(), "GET", "/no/such/route", "");
-        assert_eq!(status, 400);
-        assert!(body.contains("\"code\":\"invalid_input\""), "body: {body}");
+        for make in SHAPES {
+            let g = make();
+            let shape = g.shape;
+            let addr = g.server.addr();
+            let (status, body) = request(addr, "GET", "/get/nope", "");
+            assert_eq!(status, 404, "{shape}");
+            assert!(
+                body.contains("\"error\"") && body.contains("\"code\":\"no_such_key\""),
+                "{shape}: structured error body: {body}"
+            );
+            let (status, body) = request(addr, "GET", "/no/such/route", "");
+            assert_eq!(status, 400, "{shape}");
+            assert!(
+                body.contains("\"code\":\"invalid_input\""),
+                "{shape}: {body}"
+            );
+        }
+    }
+
+    /// An over-cap `content-length` is refused at once, unread, and
+    /// nothing is written.
+    #[test]
+    fn oversized_body_is_refused_before_it_is_read() {
+        for make in SHAPES {
+            let g = make();
+            let shape = g.shape;
+            let t = Instant::now();
+            let raw = exchange(
+                g.server.addr(),
+                &format!(
+                    "PUT /put/big HTTP/1.1\r\ncontent-length: {}\r\n\r\npartial",
+                    MAX_BODY_BYTES + 1
+                ),
+            );
+            let took = t.elapsed();
+            assert!(took < Duration::from_secs(1), "{shape}: took {took:?}");
+            assert!(raw.starts_with("HTTP/1.1 400"), "{shape}: {raw}");
+            assert!(raw.contains("\"code\":\"invalid_input\""), "{shape}: {raw}");
+            assert!(!g.backend.list_keys().unwrap().contains(&"big".to_string()));
+        }
+    }
+
+    /// A `content-length` that is not a number used to read as 0 and
+    /// commit an empty value.
+    #[test]
+    fn malformed_content_length_is_refused() {
+        for make in SHAPES {
+            let g = make();
+            let shape = g.shape;
+            let raw = exchange(
+                g.server.addr(),
+                "PUT /put/k HTTP/1.1\r\ncontent-length: abc\r\n\r\n",
+            );
+            assert!(raw.starts_with("HTTP/1.1 400"), "{shape}: {raw}");
+            assert!(raw.contains("\"code\":\"invalid_input\""), "{shape}: {raw}");
+            assert!(g.backend.list_keys().unwrap().is_empty(), "{shape}");
+        }
     }
 
     #[test]
     fn v1_range_pages_map_entries() {
-        let (server, db) = start();
-        let pairs: Vec<(bytes::Bytes, bytes::Bytes)> = (0..50)
-            .map(|i| {
-                (
-                    bytes::Bytes::from(format!("k{i:03}")),
-                    bytes::Bytes::from(format!("v{i}")),
-                )
-            })
-            .collect();
-        let map = db.new_map(pairs).unwrap();
-        db.put("table", map, &forkbase::PutOptions::default())
-            .unwrap();
+        for make in SHAPES {
+            let g = make();
+            let shape = g.shape;
+            let addr = g.server.addr();
+            let pairs: Vec<(Bytes, Bytes)> = (0..50)
+                .map(|i| {
+                    (
+                        Bytes::from(format!("k{i:03}")),
+                        Bytes::from(format!("v{i}")),
+                    )
+                })
+                .collect();
+            (g.put_map)("table", pairs);
 
-        // Bounded page.
-        let (status, body) = request(
-            server.addr(),
-            "GET",
-            "/v1/table/range?start=k010&end=k015",
-            "",
-        );
-        assert_eq!(status, 200);
-        assert!(body.contains("\"count\":5"), "body: {body}");
-        assert!(body.contains("\"truncated\":false"));
-        assert!(body.contains("{\"key\":\"k010\",\"value\":\"v10\"}"));
-        assert!(!body.contains("k015"));
+            // Bounded page.
+            let (status, body) = request(addr, "GET", "/v1/table/range?start=k010&end=k015", "");
+            assert_eq!(status, 200, "{shape}");
+            assert!(body.contains("\"count\":5"), "{shape}: {body}");
+            assert!(body.contains("\"truncated\":false"), "{shape}: {body}");
+            assert!(
+                body.contains("{\"key\":\"k010\",\"value\":\"v10\"}"),
+                "{shape}: {body}"
+            );
+            assert!(!body.contains("k015"), "{shape}: {body}");
 
-        // Limit + truncation marker.
-        let (status, body) = request(server.addr(), "GET", "/v1/table/range?limit=7", "");
-        assert_eq!(status, 200);
-        assert!(body.contains("\"count\":7") && body.contains("\"truncated\":true"));
+            // Limit + truncation marker.
+            let (status, body) = request(addr, "GET", "/v1/table/range?limit=7", "");
+            assert_eq!(status, 200, "{shape}");
+            assert!(
+                body.contains("\"count\":7") && body.contains("\"truncated\":true"),
+                "{shape}: {body}"
+            );
 
-        // Absurd limits are clamped, not honored or rejected.
-        let (status, body) = request(server.addr(), "GET", "/v1/table/range?limit=4000000000", "");
-        assert_eq!(status, 200);
-        assert!(body.contains("\"count\":50"), "body: {body}");
+            // Absurd limits are clamped, not honored or rejected.
+            let (status, body) = request(addr, "GET", "/v1/table/range?limit=4000000000", "");
+            assert_eq!(status, 200, "{shape}");
+            assert!(body.contains("\"count\":50"), "{shape}: {body}");
 
-        // Binary (non-UTF-8) entries carry lossless hex companions.
-        let map = db
-            .new_map(vec![(
-                bytes::Bytes::from_static(&[0xff, 0x01]),
-                bytes::Bytes::from_static(&[0xfe]),
-            )])
-            .unwrap();
-        db.put("bin", map, &forkbase::PutOptions::default())
-            .unwrap();
-        let (status, body) = request(server.addr(), "GET", "/v1/bin/range", "");
-        assert_eq!(status, 200);
-        assert!(
-            body.contains("\"key_hex\":\"ff01\"") && body.contains("\"value_hex\":\"fe\""),
-            "body: {body}"
-        );
+            // Binary (non-UTF-8) entries carry lossless hex companions.
+            (g.put_map)(
+                "bin",
+                vec![(
+                    Bytes::from_static(&[0xff, 0x01]),
+                    Bytes::from_static(&[0xfe]),
+                )],
+            );
+            let (status, body) = request(addr, "GET", "/v1/bin/range", "");
+            assert_eq!(status, 200, "{shape}");
+            assert!(
+                body.contains("\"key_hex\":\"ff01\"") && body.contains("\"value_hex\":\"fe\""),
+                "{shape}: {body}"
+            );
 
-        // Missing key → structured 404.
-        let (status, body) = request(server.addr(), "GET", "/v1/ghost/range", "");
-        assert_eq!(status, 404);
-        assert!(body.contains("\"code\":\"no_such_key\""));
+            // Missing key → structured 404.
+            let (status, body) = request(addr, "GET", "/v1/ghost/range", "");
+            assert_eq!(status, 404, "{shape}");
+            assert!(body.contains("\"code\":\"no_such_key\""), "{shape}: {body}");
 
-        // Non-map value → 400 type mismatch.
-        db.put(
-            "scalar",
-            Value::string("not a map"),
-            &forkbase::PutOptions::default(),
-        )
-        .unwrap();
-        let (status, body) = request(server.addr(), "GET", "/v1/scalar/range", "");
-        assert_eq!(status, 400);
-        assert!(body.contains("\"code\":\"type_mismatch\""), "body: {body}");
-        server.stop();
+            // Non-map value → type mismatch: 400 on a node. A servelet's
+            // mismatch reaches the gateway as a carried `Remote` error,
+            // which the status map answers with 500 (code intact).
+            g.backend
+                .put_at("scalar", Value::string("not a map"), &PutOptions::default())
+                .unwrap();
+            let (status, body) = request(addr, "GET", "/v1/scalar/range", "");
+            if shape == "node" {
+                assert_eq!(status, 400);
+            }
+            assert!(
+                body.contains("\"code\":\"type_mismatch\""),
+                "{shape}: {body}"
+            );
+            // A bad limit → 400.
+            let (status, body) = request(addr, "GET", "/v1/table/range?limit=many", "");
+            assert_eq!(status, 400, "{shape}");
+            assert!(
+                body.contains("\"code\":\"invalid_input\""),
+                "{shape}: {body}"
+            );
+            g.server.stop();
+        }
     }
 
     #[test]
     fn url_decoding() {
-        let (server, db) = start();
-        request(server.addr(), "PUT", "/put/hello%20world", "spaced");
-        assert!(db.list_keys().contains(&"hello world".to_string()));
-        server.stop();
-    }
-
-    type RefsMap = Arc<std::sync::Mutex<std::collections::HashMap<u64, String>>>;
-
-    /// A 3-servelet in-memory cluster behind the REST gateway. The respawn
-    /// factory hands back the same `Arc<MemStore>` (chunks survive a kill,
-    /// as a durable backend's would) plus the last saved branch heads, so
-    /// `/v1/cluster/restart` heals kills completely.
-    fn start_cluster() -> (ClusterRestServer, Arc<Cluster<Arc<MemStore>>>, RefsMap) {
-        let stores: Vec<(u64, Arc<MemStore>)> =
-            (0..3).map(|id| (id, Arc::new(MemStore::new()))).collect();
-        let by_id: std::collections::HashMap<u64, Arc<MemStore>> = stores.iter().cloned().collect();
-        let cluster = Arc::new(Cluster::from_stores(stores, TreeConfig::test_config()));
-        let refs: RefsMap = Arc::default();
-        let respawn_refs = Arc::clone(&refs);
-        cluster.set_respawn(move |id| {
-            Ok(forkbase::Respawned {
-                store: Arc::clone(&by_id[&id]),
-                refs: respawn_refs.lock().unwrap().get(&id).cloned(),
-            })
-        });
-        let server = ClusterRestServer::start(Arc::clone(&cluster), 0).unwrap();
-        (server, cluster, refs)
+        for make in SHAPES {
+            let g = make();
+            let shape = g.shape;
+            request(g.server.addr(), "PUT", "/put/hello%20world", "spaced");
+            assert!(
+                g.backend
+                    .list_keys()
+                    .unwrap()
+                    .contains(&"hello world".to_string()),
+                "{shape}"
+            );
+            g.server.stop();
+        }
     }
 
     /// Snapshot every servelet's branch heads into `refs` (what the CLI's
@@ -1332,30 +1311,6 @@ mod tests {
             let dump = cluster.on_node(slot, |db| db.dump_refs()).unwrap();
             refs.lock().unwrap().insert(id, dump);
         }
-    }
-
-    #[test]
-    fn cluster_gateway_routes_puts_and_gets() {
-        let (server, _cluster, _refs) = start_cluster();
-        for i in 0..9 {
-            let (status, uid) = request(
-                server.addr(),
-                "PUT",
-                &format!("/put/key-{i}"),
-                &format!("value-{i}"),
-            );
-            assert_eq!(status, 200);
-            assert!(uid.len() >= 52, "uid is base32: {uid}");
-        }
-        let (status, body) = request(server.addr(), "GET", "/get/key-4", "");
-        assert_eq!(status, 200);
-        assert!(body.contains("value-4"), "{body}");
-        let (status, keys) = request(server.addr(), "GET", "/keys", "");
-        assert_eq!(status, 200);
-        assert_eq!(keys.lines().count(), 9);
-        let (status, _) = request(server.addr(), "GET", "/get/ghost", "");
-        assert_eq!(status, 404);
-        server.stop();
     }
 
     #[test]
@@ -1560,7 +1515,6 @@ mod tests {
     /// server with no request in flight must not wait out anything.
     #[test]
     fn gateways_outlive_bad_connections_and_stop_promptly() {
-        use std::time::{Duration, Instant};
         fn abuse(addr: SocketAddr) {
             for _ in 0..10 {
                 drop(TcpStream::connect(addr).unwrap());
@@ -1575,63 +1529,66 @@ mod tests {
             assert!(took < Duration::from_millis(50), "{what} took {took:?}");
         }
 
-        let (server, _db) = start();
-        let addr = server.addr();
-        abuse(addr);
-        assert_eq!(request(addr, "PUT", "/put/k", "v").0, 200);
-        prompt("RestServer::stop", || server.stop());
-        assert!(TcpStream::connect(addr).is_err(), "listener is gone");
-        let (server, _db) = start();
-        prompt("RestServer drop", || drop(server));
-
-        let (server, _cluster, _refs) = start_cluster();
-        let addr = server.addr();
-        abuse(addr);
-        assert_eq!(request(addr, "PUT", "/put/k", "v").0, 200);
-        prompt("ClusterRestServer::stop", || server.stop());
-        assert!(TcpStream::connect(addr).is_err(), "listener is gone");
-        let (server, _cluster, _refs) = start_cluster();
-        prompt("ClusterRestServer drop", || drop(server));
+        for make in SHAPES {
+            let g = make();
+            let shape = g.shape;
+            let addr = g.server.addr();
+            abuse(addr);
+            assert_eq!(request(addr, "PUT", "/put/k", "v").0, 200, "{shape}");
+            prompt(&format!("{shape} stop"), || g.server.stop());
+            assert!(
+                TcpStream::connect(addr).is_err(),
+                "{shape}: listener is gone"
+            );
+            // The backend outlives the server, as a serving process's does.
+            let g = make();
+            let server = g.server;
+            prompt(&format!("{shape} drop"), || drop(server));
+        }
     }
 
     #[test]
     fn gateway_sheds_connections_past_the_limit() {
-        let (_s, cluster, _refs) = start_cluster();
-        // Limit 1: park one slow connection (accepted, never sends its
-        // request), then observe the next connection being shed.
-        let server = ClusterRestServer::start_with_limit(Arc::clone(&cluster), 0, 1).unwrap();
-        let addr = server.addr();
-        let parked = TcpStream::connect(addr).unwrap();
-        // Give the accept loop time to hand the parked connection off.
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        let raw = loop {
-            let raw = request_raw(addr, "GET", "/keys", "");
-            if raw.starts_with("HTTP/1.1 503") || std::time::Instant::now() > deadline {
-                break raw;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(10));
-        };
-        assert!(raw.starts_with("HTTP/1.1 503"), "{raw}");
-        assert!(raw.contains("\"code\":\"overloaded\""), "{raw}");
-        assert!(
-            raw.to_ascii_lowercase().contains("retry-after: 1"),
-            "shed responses carry retry-after: {raw}"
-        );
-        drop(parked);
-        // Slot released: the gateway serves again.
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        loop {
-            let (status, _) = request(addr, "GET", "/keys", "");
-            if status == 200 {
-                break;
-            }
+        for make in SHAPES {
+            let g = make();
+            let shape = g.shape;
+            let addr = g.server.addr();
+            // Fill every slot with a connection that never sends its
+            // request, then observe the next connection being shed.
+            let parked: Vec<TcpStream> = (0..MAX_CONNECTIONS)
+                .map(|_| TcpStream::connect(addr).unwrap())
+                .collect();
+            // Give the accept loop time to hand the parked connections off.
+            let deadline = Instant::now() + Duration::from_secs(5);
+            let raw = loop {
+                let raw = request_raw(addr, "GET", "/keys", "");
+                if raw.starts_with("HTTP/1.1 503") || Instant::now() > deadline {
+                    break raw;
+                }
+                std::thread::sleep(Duration::from_millis(10));
+            };
+            assert!(raw.starts_with("HTTP/1.1 503"), "{shape}: {raw}");
+            assert!(raw.contains("\"code\":\"overloaded\""), "{shape}: {raw}");
             assert!(
-                std::time::Instant::now() < deadline,
-                "gateway never recovered after shedding"
+                raw.to_ascii_lowercase().contains("retry-after: 1"),
+                "{shape}: shed responses carry retry-after: {raw}"
             );
-            std::thread::sleep(std::time::Duration::from_millis(10));
+            drop(parked);
+            // Slots released: the gateway serves again.
+            let deadline = Instant::now() + Duration::from_secs(5);
+            loop {
+                let (status, _) = request(addr, "GET", "/keys", "");
+                if status == 200 {
+                    break;
+                }
+                assert!(
+                    Instant::now() < deadline,
+                    "{shape}: gateway never recovered after shedding"
+                );
+                std::thread::sleep(Duration::from_millis(10));
+            }
+            g.server.stop();
         }
-        server.stop();
     }
 
     /// Pull the string value of `"name":"…"` out of a flat JSON body.
@@ -1650,8 +1607,7 @@ mod tests {
             TreeConfig::test_config(),
         ));
         let forks = Arc::new(ForkService::new());
-        let server =
-            RestServer::start_configured(Arc::clone(&db), 0, Arc::clone(&forks), None).unwrap();
+        let server = RestServer::start(Arc::clone(&db), 0, Arc::clone(&forks), None).unwrap();
         let addr = server.addr();
         request(addr, "PUT", "/put/doc", "base-value");
 
@@ -1716,14 +1672,8 @@ mod tests {
             (0..3).map(|id| (id, Arc::new(MemStore::new()))).collect();
         let cluster = Arc::new(Cluster::from_stores(stores, TreeConfig::test_config()));
         let forks = Arc::new(ForkService::new());
-        let server = ClusterRestServer::start_configured(
-            Arc::clone(&cluster),
-            0,
-            DEFAULT_CONNECTION_LIMIT,
-            Arc::clone(&forks),
-            None,
-        )
-        .unwrap();
+        let server =
+            RestServer::start_cluster(Arc::clone(&cluster), 0, Arc::clone(&forks), None).unwrap();
         let addr = server.addr();
         for i in 0..6 {
             request(addr, "PUT", &format!("/put/key-{i}"), &format!("v{i}"));
@@ -1763,9 +1713,7 @@ mod tests {
         let (server, db) = start();
         drop(server);
         let limiter = Arc::new(RateLimiter::new(forkbase::RateLimit::new(5.0, 2.0)));
-        let server =
-            RestServer::start_configured(db, 0, Arc::new(ForkService::new()), Some(limiter))
-                .unwrap();
+        let server = RestServer::start(db, 0, Arc::new(ForkService::new()), Some(limiter)).unwrap();
         let addr = server.addr();
         // The burst admits two requests; the third is shed with the
         // structured code and a whole-seconds retry-after hint.
@@ -1788,21 +1736,25 @@ mod tests {
 
     #[test]
     fn concurrent_http_clients() {
-        let (server, db) = start();
-        let addr = server.addr();
-        let mut handles = Vec::new();
-        for t in 0..6 {
-            handles.push(std::thread::spawn(move || {
-                for i in 0..10 {
-                    let (status, _) = request(addr, "PUT", &format!("/put/key-{t}-{i}"), "payload");
-                    assert_eq!(status, 200);
-                }
-            }));
+        for make in SHAPES {
+            let g = make();
+            let shape = g.shape;
+            let addr = g.server.addr();
+            let mut handles = Vec::new();
+            for t in 0..6 {
+                handles.push(std::thread::spawn(move || {
+                    for i in 0..10 {
+                        let (status, _) =
+                            request(addr, "PUT", &format!("/put/key-{t}-{i}"), "payload");
+                        assert_eq!(status, 200);
+                    }
+                }));
+            }
+            for h in handles {
+                h.join().unwrap();
+            }
+            assert_eq!(g.backend.list_keys().unwrap().len(), 60, "{shape}");
+            g.server.stop();
         }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(db.list_keys().len(), 60);
-        server.stop();
     }
 }

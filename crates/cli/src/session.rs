@@ -30,9 +30,7 @@ impl Session {
         let store = FileStore::open(root.join("chunks"))?;
         let db = Arc::new(ForkBase::new(store));
         let refs_path = root.join("refs");
-        if refs_path.exists() {
-            let text = std::fs::read_to_string(&refs_path)
-                .map_err(|e| DbError::Store(forkbase_store::StoreError::Io(e)))?;
+        if let Some(text) = read_if_present(&refs_path)? {
             db.load_refs(&text)?;
         }
         // Resume fork leases from the FORKS record. Leases are absolute
@@ -40,9 +38,7 @@ impl Session {
         // the expiry it was promised.
         let forks = Arc::new(ForkService::new());
         let forks_path = root.join("FORKS");
-        if forks_path.exists() {
-            let text = std::fs::read_to_string(&forks_path)
-                .map_err(|e| DbError::Store(forkbase_store::StoreError::Io(e)))?;
+        if let Some(text) = read_if_present(&forks_path)? {
             forks.load(&text)?;
         }
         Ok(Session {
@@ -73,21 +69,54 @@ impl Session {
         Arc::clone(&self.forks)
     }
 
-    /// Persist branch heads and the fork registry, flushing the chunk
-    /// store first.
+    /// Persist branch heads and the fork registry durably, flushing the
+    /// chunk store first.
     pub fn save(&self) -> DbResult<()> {
-        forkbase_store::ChunkStore::sync(self.db.store())?;
-        for (path, contents) in [
-            (&self.refs_path, self.db.dump_refs()),
-            (&self.forks_path, self.forks.dump()),
-        ] {
-            let tmp = path.with_extension("tmp");
-            std::fs::write(&tmp, contents)
-                .and_then(|()| std::fs::rename(&tmp, path))
-                .map_err(|e| DbError::Store(forkbase_store::StoreError::Io(e)))?;
+        write_durable(&self.refs_path, &synced_refs(&self.db)?)?;
+        write_durable(&self.forks_path, &self.forks.dump())
+    }
+}
+
+/// Flush `db`'s chunk store, then dump its branch heads: the contents of
+/// a `refs` file that never names a chunk the disk lacks.
+pub(crate) fn synced_refs(db: &ForkBase<FileStore>) -> DbResult<String> {
+    forkbase_store::ChunkStore::sync(db.store())?;
+    Ok(db.dump_refs())
+}
+
+pub(crate) fn io_err(e: std::io::Error) -> DbError {
+    DbError::Store(forkbase_store::StoreError::Io(e))
+}
+
+/// The contents of the record at `path`, `None` when there is none.
+pub(crate) fn read_if_present(path: &Path) -> DbResult<Option<String>> {
+    match std::fs::read_to_string(path) {
+        Ok(text) => Ok(Some(text)),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+        Err(e) => Err(io_err(e)),
+    }
+}
+
+/// Durably replace `path` with `contents`: write a tmp file, fsync it,
+/// atomically rename it into place, then fsync the parent directory —
+/// the same protocol the chunk store uses for its MANIFEST. Every record
+/// the CLI persists (refs, `FORKS`, `TOPOLOGY`, the replica marker) goes
+/// through here, so a crash leaves either the old file or the new one.
+pub(crate) fn write_durable(path: &Path, contents: &str) -> DbResult<()> {
+    let tmp = path.with_extension("tmp");
+    (|| -> std::io::Result<()> {
+        {
+            let mut f = std::fs::File::create(&tmp)?;
+            std::io::Write::write_all(&mut f, contents.as_bytes())?;
+            f.sync_all()?;
+        }
+        std::fs::rename(&tmp, path)?;
+        if let Some(parent) = path.parent() {
+            std::fs::File::open(parent)?.sync_all()?;
         }
         Ok(())
-    }
+    })()
+    .map_err(io_err)
 }
 
 #[cfg(test)]

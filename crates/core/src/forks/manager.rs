@@ -1,7 +1,6 @@
-//! The fork registry and lifecycle engine: [`ForkService`] plus the
-//! [`ForkBackend`] abstraction that lets one service drive either a
-//! single-node [`ForkBase`] or a sharded
-//! [`Cluster`](crate::cluster::Cluster).
+//! The fork registry and lifecycle engine: [`ForkService`], which drives
+//! any [`Backend`] — a single-node [`ForkBase`](crate::api::ForkBase) or
+//! a sharded [`Cluster`](crate::cluster::Cluster).
 //!
 //! The service owns only *registry* state (which forks exist, their
 //! leases, which keys each fork has touched and from which base
@@ -14,13 +13,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use bytes::Bytes;
-use forkbase_store::{ChunkStore, SweepStore};
 use forkbase_types::Value;
 
-use super::diff::{DiffSummary, ForkDiff, KeyDiff};
+use super::diff::{ForkDiff, KeyDiff};
 use super::lease::{Lease, LeaseClock};
-use crate::api::{CommitResult, ForkBase, GetResult, PutOptions, VersionSpec};
-use crate::cluster::{Cluster, MapPage};
+use crate::api::{CommitResult, GetResult, PutOptions, VersionSpec};
+use crate::backend::Backend;
+use crate::cluster::MapPage;
 use crate::error::{DbError, DbResult};
 use crate::fnode::Uid;
 
@@ -36,138 +35,6 @@ pub const FORKS_MAGIC: &str = "forkbase-forks-v1";
 
 /// Longest accepted fork id.
 const MAX_FORK_ID_LEN: usize = 64;
-
-/// The storage operations a fork needs from its host. Implemented by
-/// the single-node [`ForkBase`] (direct calls) and by
-/// [`Cluster`](crate::cluster::Cluster) (each call routes to the owning
-/// servelet over the wire protocol, so fork ops inherit the cluster's
-/// retry policy, deadlines, and persist-before-ack semantics).
-pub trait ForkBackend {
-    /// Resolve a spec to a concrete version uid.
-    fn resolve_spec(&self, key: &str, spec: &VersionSpec) -> DbResult<Uid>;
-    /// Read the value a spec resolves to.
-    fn get_at(&self, key: &str, spec: &VersionSpec) -> DbResult<GetResult>;
-    /// Commit a value on `opts.branch`.
-    fn put_at(&self, key: &str, value: Value, opts: &PutOptions) -> DbResult<CommitResult>;
-    /// Create `new_branch` pointing at an existing version.
-    fn branch_from_version(&self, key: &str, uid: &Uid, new_branch: &str) -> DbResult<()>;
-    /// Delete a branch head (versions stay until GC).
-    fn delete_branch(&self, key: &str, branch: &str) -> DbResult<()>;
-    /// Summarized diff between two specs of one key.
-    fn diff_specs(&self, key: &str, from: &VersionSpec, to: &VersionSpec) -> DbResult<DiffSummary>;
-    /// One page of map entries at a spec, `[start, end)`, at most
-    /// `limit` entries.
-    fn map_range_at(
-        &self,
-        key: &str,
-        spec: &VersionSpec,
-        start: Option<Bytes>,
-        end: Option<Bytes>,
-        limit: u64,
-    ) -> DbResult<MapPage>;
-}
-
-impl<S: ChunkStore> ForkBackend for ForkBase<S> {
-    fn resolve_spec(&self, key: &str, spec: &VersionSpec) -> DbResult<Uid> {
-        self.resolve(key, spec)
-    }
-
-    fn get_at(&self, key: &str, spec: &VersionSpec) -> DbResult<GetResult> {
-        let uid = self.resolve(key, spec)?;
-        self.get_version(&uid)
-    }
-
-    fn put_at(&self, key: &str, value: Value, opts: &PutOptions) -> DbResult<CommitResult> {
-        self.put(key, value, opts)
-    }
-
-    fn branch_from_version(&self, key: &str, uid: &Uid, new_branch: &str) -> DbResult<()> {
-        ForkBase::branch_from_version(self, key, uid, new_branch)
-    }
-
-    fn delete_branch(&self, key: &str, branch: &str) -> DbResult<()> {
-        ForkBase::delete_branch(self, key, branch)
-    }
-
-    fn diff_specs(&self, key: &str, from: &VersionSpec, to: &VersionSpec) -> DbResult<DiffSummary> {
-        Ok(DiffSummary::from_value_diff(&self.diff(key, from, to)?))
-    }
-
-    fn map_range_at(
-        &self,
-        key: &str,
-        spec: &VersionSpec,
-        start: Option<Bytes>,
-        end: Option<Bytes>,
-        limit: u64,
-    ) -> DbResult<MapPage> {
-        use std::ops::Bound;
-        let snap = self.snapshot(key, spec)?;
-        let start_bound = match &start {
-            Some(s) => Bound::Included(s.as_ref()),
-            None => Bound::Unbounded,
-        };
-        let end_bound = match &end {
-            Some(e) => Bound::Excluded(e.as_ref()),
-            None => Bound::Unbounded,
-        };
-        let limit = usize::try_from(limit).unwrap_or(usize::MAX);
-        let mut range = snap.map_range::<&[u8], _>((start_bound, end_bound))?;
-        let mut entries = Vec::new();
-        let mut truncated = false;
-        for item in &mut range {
-            let (k, v) = item?;
-            if entries.len() == limit {
-                truncated = true;
-                break;
-            }
-            entries.push((k, v));
-        }
-        Ok(MapPage {
-            entries,
-            truncated,
-            version: snap.uid(),
-        })
-    }
-}
-
-impl<S: SweepStore + Send + 'static> ForkBackend for Cluster<S> {
-    fn resolve_spec(&self, key: &str, spec: &VersionSpec) -> DbResult<Uid> {
-        // One routed RPC; `GetAt` already returns the resolved uid.
-        Cluster::get_at(self, key, spec).map(|g| g.uid)
-    }
-
-    fn get_at(&self, key: &str, spec: &VersionSpec) -> DbResult<GetResult> {
-        Cluster::get_at(self, key, spec)
-    }
-
-    fn put_at(&self, key: &str, value: Value, opts: &PutOptions) -> DbResult<CommitResult> {
-        Cluster::put(self, key, value, opts.clone())
-    }
-
-    fn branch_from_version(&self, key: &str, uid: &Uid, new_branch: &str) -> DbResult<()> {
-        Cluster::branch_from_version(self, key, uid, new_branch)
-    }
-
-    fn delete_branch(&self, key: &str, branch: &str) -> DbResult<()> {
-        Cluster::delete_branch(self, key, branch)
-    }
-
-    fn diff_specs(&self, key: &str, from: &VersionSpec, to: &VersionSpec) -> DbResult<DiffSummary> {
-        Cluster::diff_specs(self, key, from, to)
-    }
-
-    fn map_range_at(
-        &self,
-        key: &str,
-        spec: &VersionSpec,
-        start: Option<Bytes>,
-        end: Option<Bytes>,
-        limit: u64,
-    ) -> DbResult<MapPage> {
-        Cluster::map_range_at(self, key, spec, start, end, limit)
-    }
-}
 
 /// Registry entry for one fork.
 #[derive(Clone, Debug)]
@@ -210,7 +77,7 @@ pub struct ReapReport {
 }
 
 /// The fork-sandbox service: a lease-governed registry of writable
-/// forks layered over any [`ForkBackend`].
+/// forks layered over any [`Backend`].
 ///
 /// The service is deliberately backend-stateless — every operation
 /// takes the backend as an argument — so one `ForkService` can be
@@ -347,7 +214,7 @@ impl ForkService {
     /// registry entry. Unlike the data verbs this also accepts a fork
     /// whose lease already expired (DELETE beats the reaper). Returns
     /// the number of branches deleted.
-    pub fn drop_fork<B: ForkBackend + ?Sized>(&self, backend: &B, id: &str) -> DbResult<u64> {
+    pub fn drop_fork<B: Backend + ?Sized>(&self, backend: &B, id: &str) -> DbResult<u64> {
         let (branch, keys) = {
             let forks = self.forks.lock().unwrap();
             let info = forks.get(id).ok_or_else(|| DbError::ForkExpired {
@@ -368,7 +235,7 @@ impl ForkService {
     /// failures are counted and retried on the next pass, so a flaky
     /// servelet cannot wedge the reaper. Call this from the supervisor
     /// tick or any periodic loop.
-    pub fn reap_expired<B: ForkBackend + ?Sized>(&self, backend: &B) -> ReapReport {
+    pub fn reap_expired<B: Backend + ?Sized>(&self, backend: &B) -> ReapReport {
         let now = self.clock.now();
         let expired: Vec<(String, String, Vec<String>)> = {
             let forks = self.forks.lock().unwrap();
@@ -404,7 +271,7 @@ impl ForkService {
 
     /// Read `key` as the fork sees it: its own branch if the fork has
     /// written the key, otherwise a live pass-through to the base spec.
-    pub fn get<B: ForkBackend + ?Sized>(
+    pub fn get<B: Backend + ?Sized>(
         &self,
         backend: &B,
         id: &str,
@@ -415,7 +282,7 @@ impl ForkService {
     }
 
     /// One page of map entries of `key` as the fork sees it.
-    pub fn range<B: ForkBackend + ?Sized>(
+    pub fn range<B: Backend + ?Sized>(
         &self,
         backend: &B,
         id: &str,
@@ -434,7 +301,7 @@ impl ForkService {
     /// is recorded so diff-vs-base stays exact even if the base branch
     /// moves on afterwards. `opts.branch` is ignored — the service owns
     /// branch placement.
-    pub fn put<B: ForkBackend + ?Sized>(
+    pub fn put<B: Backend + ?Sized>(
         &self,
         backend: &B,
         id: &str,
@@ -498,7 +365,7 @@ impl ForkService {
 
     /// Full diff-vs-base: one [`KeyDiff`] per touched key. Keys the
     /// fork created (no base version) carry no value summary.
-    pub fn diff<B: ForkBackend + ?Sized>(&self, backend: &B, id: &str) -> DbResult<ForkDiff> {
+    pub fn diff<B: Backend + ?Sized>(&self, backend: &B, id: &str) -> DbResult<ForkDiff> {
         let (branch, touched) = {
             let forks = self.forks.lock().unwrap();
             let info = self.live(&forks, id)?;
@@ -679,11 +546,7 @@ impl ForkService {
 /// Delete every `branch` head a fork created. Already-gone branches and
 /// keys count as success (reaping is idempotent); any other error
 /// aborts so the caller can retry the whole fork later.
-fn drop_branches<B: ForkBackend + ?Sized>(
-    backend: &B,
-    branch: &str,
-    keys: &[String],
-) -> DbResult<u64> {
+fn drop_branches<B: Backend + ?Sized>(backend: &B, branch: &str, keys: &[String]) -> DbResult<u64> {
     let mut dropped = 0;
     for key in keys {
         match backend.delete_branch(key, branch) {
@@ -717,6 +580,8 @@ fn validate_fork_id(id: &str) -> DbResult<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::ForkBase;
+    use crate::forks::DiffSummary;
     use forkbase_store::MemStore;
     use forkbase_types::Value;
 

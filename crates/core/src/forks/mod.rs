@@ -18,8 +18,8 @@
 //! immutable and content-addressed, dropping a fork's branches returns
 //! the store to (within dedup) its pre-fork footprint after one GC pass.
 //!
-//! The service is generic over a [`ForkBackend`]: both the single-node
-//! [`ForkBase`](crate::db::ForkBase) and the sharded
+//! The service is generic over a [`Backend`](crate::backend::Backend):
+//! both the single-node [`ForkBase`](crate::db::ForkBase) and the sharded
 //! [`Cluster`](crate::cluster::Cluster) implement it, so fork verbs
 //! route exactly like normal verbs (over the in-process channel
 //! transport or TCP, wire version 3).
@@ -31,6 +31,5 @@ mod manager;
 pub use diff::{DiffSummary, ForkDiff, KeyDiff, MapEntryDelta, MAX_DIFF_SAMPLES};
 pub use lease::{Lease, LeaseClock};
 pub use manager::{
-    ForkBackend, ForkInfo, ForkService, ReapReport, DEFAULT_FORK_TTL_SECS, FORKS_MAGIC,
-    FORK_BRANCH_PREFIX,
+    ForkInfo, ForkService, ReapReport, DEFAULT_FORK_TTL_SECS, FORKS_MAGIC, FORK_BRANCH_PREFIX,
 };

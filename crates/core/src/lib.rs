@@ -38,8 +38,10 @@
 //! assert!(db.verify_version(&v1.uid).is_ok());
 //! ```
 
+mod accept;
 pub mod acl;
 pub mod api;
+pub mod backend;
 pub mod bundle;
 pub mod cluster;
 pub mod db;
@@ -48,14 +50,16 @@ pub mod fnode;
 pub mod forks;
 pub mod gc;
 
+pub use accept::AcceptLoop;
 pub use acl::{AccessController, Permission, Role};
 pub use api::{
     BatchOutcome, BlobReader, BranchInfo, CommitResult, DbStat, ForkBase, GetResult, HistoryEntry,
     ListStream, MapRange, PutOptions, Snapshot, ValueDiff, VersionSpec, WriteBatch, DEFAULT_BRANCH,
 };
+pub use backend::Backend;
 pub use bundle::{export_bundle, import_bundle, import_bundle_replace, BundleRef};
 pub use cluster::{
-    AcceptLoop, ChaosPlan, ChaosReport, Cluster, ClusterGcReport, ClusterStat, ClusterTopology,
+    ChaosPlan, ChaosReport, Cluster, ClusterGcReport, ClusterStat, ClusterTopology,
     ClusterWriteBatch, HealthState, MapPage, Partial, PartialHeads, PersistFn, PrimaryReplication,
     RateLimit, RateLimiter, RemoteRespawnFn, ReplicaRead, ReplicaStatus, ReplicationStatus,
     Respawned, RetryPolicy, RpcConfig, ServeletHealth, ServeletServer, ShipReport,
@@ -64,7 +68,7 @@ pub use cluster::{
 pub use error::{DbError, DbResult};
 pub use fnode::{FNode, Uid};
 pub use forks::{
-    DiffSummary, ForkBackend, ForkDiff, ForkInfo, ForkService, KeyDiff, Lease, LeaseClock,
-    MapEntryDelta, ReapReport, DEFAULT_FORK_TTL_SECS,
+    DiffSummary, ForkDiff, ForkInfo, ForkService, KeyDiff, Lease, LeaseClock, MapEntryDelta,
+    ReapReport, DEFAULT_FORK_TTL_SECS,
 };
 pub use gc::GcReport;

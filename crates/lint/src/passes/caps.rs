@@ -10,8 +10,9 @@
 //!   `install_ref` (hash-verified bundle import only), and persisting
 //!   the `TOPOLOGY` / `FORKS` records.
 //! * **No panics in request paths**: `unwrap()` / `expect(` / `panic!`
-//!   are denied in the RPC, net, wire, replication, and rate-limit
-//!   modules, where a poisoned worker thread kills a servelet. A
+//!   are denied in the RPC, net, wire, replication, rate-limit, accept
+//!   loop, and REST gateway modules, where a panicking thread kills a
+//!   servelet worker or a listener. A
 //!   genuinely unreachable case can carry a
 //!   `// forkbase-lint: allow(no-panic): <why>` waiver on its own or
 //!   the preceding line.
@@ -23,8 +24,11 @@ use crate::{rust_files_under, Finding};
 
 const PASS: &str = "P3/caps";
 
-/// Request-path modules where a panic kills a servelet worker.
+/// Request-path modules where a panic kills a servelet worker, an
+/// accept loop, or a gateway connection handler.
 const NO_PANIC_FILES: &[&str] = &[
+    "crates/core/src/accept.rs",
+    "crates/cli/src/rest.rs",
     "crates/core/src/cluster/rpc.rs",
     "crates/core/src/cluster/net.rs",
     "crates/core/src/cluster/wire.rs",
@@ -104,7 +108,7 @@ pub fn run(root: &Path) -> Vec<Finding> {
                     line,
                     PASS,
                     format!(
-                        "`{}` in a servelet request path — return a DbError instead (a panic \
+                        "`{}` in a request path — return a DbError instead (a panic \
                          kills the worker); a provably unreachable case may carry \
                          `// forkbase-lint: allow(no-panic): <why>`",
                         token.trim_start_matches('.')

@@ -356,6 +356,22 @@ fn p3_panic_in_request_path_is_flagged_waiver_and_tests_are_not() {
     );
     put(&root, WIRE_RS, &in_tests);
     assert!(findings_of(&root, "P3").is_empty());
+
+    // The REST gateway's connection handler is a request path too.
+    let rest_rs = root.join("crates/cli/src/rest.rs");
+    let clean_rest = fs::read_to_string(&rest_rs).unwrap();
+    put(
+        &root,
+        "crates/cli/src/rest.rs",
+        &format!("{clean_rest}\nfn port(s: &str) -> u16 {{\n    s.parse().expect(\"port\")\n}}\n"),
+    );
+    let findings = findings_of(&root, "P3");
+    assert!(
+        findings
+            .iter()
+            .any(|f| f.contains("rest.rs") && f.contains("expect(")),
+        "{findings:?}"
+    );
 }
 
 #[test]
