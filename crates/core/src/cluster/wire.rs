@@ -2209,6 +2209,369 @@ mod tests {
         );
     }
 
+    /// A fixed 32-byte uid for the per-tag golden vectors below.
+    const U7: [u8; 32] = [7; 32];
+
+    /// Little-endian u64 fields, concatenated.
+    fn le64(vals: &[u64]) -> Vec<u8> {
+        vals.iter().flat_map(|v| v.to_le_bytes()).collect()
+    }
+
+    #[test]
+    fn golden_bytes_for_every_request_tag() {
+        let uid = Uid::from_bytes(U7);
+        let m_opts = PutOptions {
+            branch: "m".into(),
+            author: "a".into(),
+            message: String::new(),
+        };
+        let cases: Vec<(Request, Vec<u8>)> = vec![
+            (
+                Request::PutBlob {
+                    key: "k".into(),
+                    content: Bytes::from_static(&[0, 1, 2]),
+                    opts: m_opts.clone(),
+                },
+                [
+                    &[0x03, 1, 0, 0, 0, b'k', 3, 0, 0, 0, 0, 1, 2][..],
+                    &[1, 0, 0, 0, b'm', 1, 0, 0, 0, b'a', 0, 0, 0, 0],
+                ]
+                .concat(),
+            ),
+            (
+                Request::Heads {
+                    pairs: vec![("a".into(), "m".into())],
+                },
+                vec![0x05, 1, 0, 0, 0, 1, 0, 0, 0, b'a', 1, 0, 0, 0, b'm'],
+            ),
+            (
+                Request::MapRange {
+                    key: "k".into(),
+                    branch: "m".into(),
+                    start: Some(Bytes::from_static(b"a")),
+                    end: None,
+                    limit: 2,
+                },
+                [
+                    &[0x07, 1, 0, 0, 0, b'k', 1, 0, 0, 0, b'm'][..],
+                    &[1, 1, 0, 0, 0, b'a', 0],
+                    &le64(&[2]),
+                ]
+                .concat(),
+            ),
+            (
+                Request::Batch {
+                    ops: vec![
+                        WireOp::Put {
+                            key: "k".into(),
+                            value: Value::Int(1),
+                            opts: PutOptions {
+                                branch: "m".into(),
+                                author: String::new(),
+                                message: String::new(),
+                            },
+                        },
+                        WireOp::DeleteBranch {
+                            key: "k".into(),
+                            branch: "d".into(),
+                        },
+                    ],
+                },
+                [
+                    &[0x0B, 2, 0, 0, 0][..],
+                    &[0x01, 1, 0, 0, 0, b'k'],
+                    &[9, 0, 0, 0, 0x02, 1, 0, 0, 0, 0, 0, 0, 0],
+                    &[1, 0, 0, 0, b'm', 0, 0, 0, 0, 0, 0, 0, 0],
+                    &[0x02, 1, 0, 0, 0, b'k', 1, 0, 0, 0, b'd'],
+                ]
+                .concat(),
+            ),
+            (
+                Request::ExportBundle {
+                    keys: vec!["a".into(), "b".into()],
+                },
+                vec![0x20, 2, 0, 0, 0, 1, 0, 0, 0, b'a', 1, 0, 0, 0, b'b'],
+            ),
+            (
+                Request::ImportBundle {
+                    bundle: vec![1, 2, 3],
+                },
+                vec![0x21, 3, 0, 0, 0, 1, 2, 3],
+            ),
+            (
+                Request::ForgetKeys {
+                    keys: vec!["a".into()],
+                },
+                vec![0x22, 1, 0, 0, 0, 1, 0, 0, 0, b'a'],
+            ),
+            (
+                Request::LoadRefs { refs: "r".into() },
+                vec![0x23, 1, 0, 0, 0, b'r'],
+            ),
+            (
+                Request::DiffSpecs {
+                    key: "k".into(),
+                    from: VersionSpec::Version(uid),
+                    to: VersionSpec::Branch("b".into()),
+                },
+                [
+                    &[0x29, 1, 0, 0, 0, b'k', 0x02][..],
+                    &U7,
+                    &[0x01, 1, 0, 0, 0, b'b'],
+                ]
+                .concat(),
+            ),
+            (
+                Request::MapRangeAt {
+                    key: "k".into(),
+                    spec: VersionSpec::Branch("b".into()),
+                    start: None,
+                    end: Some(Bytes::from_static(b"z")),
+                    limit: 1,
+                },
+                [
+                    &[0x2A, 1, 0, 0, 0, b'k', 0x01, 1, 0, 0, 0, b'b'][..],
+                    &[0, 1, 1, 0, 0, 0, b'z'],
+                    &le64(&[1]),
+                ]
+                .concat(),
+            ),
+        ];
+        for (req, want) in cases {
+            assert_eq!(req.encode(), want, "{req:?}");
+            assert_eq!(Request::decode(&want).unwrap(), req);
+        }
+    }
+
+    #[test]
+    fn golden_bytes_for_every_reply_shape() {
+        let uid = Uid::from_bytes(U7);
+        let stat = DbStat {
+            keys: 1,
+            branches: 2,
+            store: forkbase_store::StoreStats {
+                unique_chunks: 3,
+                stored_bytes: 4,
+                puts: 5,
+                logical_bytes: 6,
+                dedup_hits: 7,
+                dedup_saved_bytes: 8,
+                gets: 9,
+                misses: 10,
+                compaction_chunks_rewritten: 11,
+                compaction_bytes_rewritten: 12,
+                sweep_chunks_reclaimed: 13,
+                sweep_bytes_reclaimed: 14,
+            },
+        };
+        let gc = GcReport {
+            live_chunks: 1,
+            sweep: forkbase_store::SweepReport {
+                chunks_reclaimed: 2,
+                bytes_reclaimed: 3,
+                chunks_rewritten: 4,
+                bytes_rewritten: 5,
+                segments_deleted: 6,
+                disk_bytes_before: 7,
+                disk_bytes_after: 8,
+            },
+        };
+        let cases: Vec<(Reply, Vec<u8>)> = vec![
+            (
+                Reply::Committed(CommitResult {
+                    uid,
+                    branch: "m".into(),
+                }),
+                [&[0x81][..], &U7, &[1, 0, 0, 0, b'm']].concat(),
+            ),
+            (
+                Reply::Got(GetResult {
+                    value: Value::Bool(true),
+                    uid,
+                }),
+                [&[0x82, 2, 0, 0, 0, 0x01, 1][..], &U7].concat(),
+            ),
+            (
+                Reply::Uids(vec![uid]),
+                [&[0x83, 1, 0, 0, 0][..], &U7].concat(),
+            ),
+            (
+                Reply::Stat(stat),
+                [
+                    &[0x84][..],
+                    &le64(&[1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14]),
+                ]
+                .concat(),
+            ),
+            (
+                Reply::Page(MapPage {
+                    entries: vec![(Bytes::from_static(b"k"), Bytes::from_static(b"v"))],
+                    truncated: true,
+                    version: uid,
+                }),
+                [
+                    &[0x85, 1, 0, 0, 0, 1, 0, 0, 0, b'k', 1, 0, 0, 0, b'v', 1][..],
+                    &U7,
+                ]
+                .concat(),
+            ),
+            (
+                Reply::Keys(vec!["a".into()]),
+                vec![0x86, 1, 0, 0, 0, 1, 0, 0, 0, b'a'],
+            ),
+            (
+                Reply::Gc(gc),
+                [&[0x88][..], &le64(&[1, 2, 3, 4, 5, 6, 7, 8])].concat(),
+            ),
+            (
+                Reply::Outcomes(vec![
+                    BatchOutcome::Committed(CommitResult {
+                        uid,
+                        branch: "m".into(),
+                    }),
+                    BatchOutcome::Deleted {
+                        key: "k".into(),
+                        branch: "d".into(),
+                    },
+                ]),
+                [
+                    &[0x89, 2, 0, 0, 0, 0x01][..],
+                    &U7,
+                    &[1, 0, 0, 0, b'm'],
+                    &[0x02, 1, 0, 0, 0, b'k', 1, 0, 0, 0, b'd'],
+                ]
+                .concat(),
+            ),
+            (Reply::Blob(vec![9, 8]), vec![0x8A, 2, 0, 0, 0, 9, 8]),
+            (Reply::Text("t".into()), vec![0x8B, 1, 0, 0, 0, b't']),
+        ];
+        for (rep, want) in cases {
+            assert_eq!(rep.encode(), want, "{rep:?}");
+            assert_eq!(Reply::decode(&want).unwrap(), rep);
+        }
+    }
+
+    #[test]
+    fn golden_bytes_for_every_diff_shape() {
+        let cases: Vec<(DiffSummary, Vec<u8>)> = vec![
+            (
+                DiffSummary::Primitive {
+                    from: Value::Int(1),
+                    to: Value::Bool(false),
+                },
+                [
+                    &[0x8C, 0x02, 9, 0, 0, 0, 0x02][..],
+                    &le64(&[1]),
+                    &[2, 0, 0, 0, 0x01, 0],
+                ]
+                .concat(),
+            ),
+            (
+                DiffSummary::Map {
+                    added: 1,
+                    removed: 2,
+                    modified: 3,
+                    entries: vec![MapEntryDelta {
+                        key: Bytes::from_static(b"k"),
+                        from: None,
+                        to: Some(Bytes::from_static(b"v")),
+                    }],
+                },
+                [
+                    &[0x8C, 0x03][..],
+                    &le64(&[1, 2, 3]),
+                    &[1, 0, 0, 0, 1, 0, 0, 0, b'k', 0, 1, 1, 0, 0, 0, b'v'],
+                ]
+                .concat(),
+            ),
+            (
+                DiffSummary::Chunked {
+                    from_len: 1,
+                    to_len: 2,
+                    shared_chunks: 3,
+                    shared_bytes: 4,
+                    from_chunks: 5,
+                    to_chunks: 6,
+                },
+                [&[0x8C, 0x04][..], &le64(&[1, 2, 3, 4, 5, 6])].concat(),
+            ),
+        ];
+        for (diff, want) in cases {
+            let rep = Reply::Diff(diff);
+            assert_eq!(rep.encode(), want, "{rep:?}");
+            assert_eq!(Reply::decode(&want).unwrap(), rep);
+        }
+    }
+
+    #[test]
+    fn golden_bytes_for_every_error_shape() {
+        let kb = [1, 0, 0, 0, b'k', 1, 0, 0, 0, b'b'];
+        let m = [1, 0, 0, 0, b'm'];
+        let cases: Vec<(WireError, Vec<u8>)> = vec![
+            (
+                WireError::NoSuchBranch {
+                    key: "k".into(),
+                    branch: "b".into(),
+                },
+                [&[0xEE, 0x02][..], &kb].concat(),
+            ),
+            (
+                WireError::NoSuchVersion {
+                    uid: Uid::from_bytes(U7),
+                },
+                [&[0xEE, 0x03][..], &U7].concat(),
+            ),
+            (
+                WireError::BranchExists {
+                    key: "k".into(),
+                    branch: "b".into(),
+                },
+                [&[0xEE, 0x04][..], &kb].concat(),
+            ),
+            (
+                WireError::NoCommonAncestor {
+                    a: Uid::from_bytes(U7),
+                    b: Uid::from_bytes([8; 32]),
+                },
+                [&[0xEE, 0x05][..], &U7, &[8; 32]].concat(),
+            ),
+            (
+                WireError::TamperDetected {
+                    message: "m".into(),
+                },
+                [&[0xEE, 0x06][..], &m].concat(),
+            ),
+            (
+                WireError::ServeletTimeout { servelet: 9 },
+                [&[0xEE, 0x08][..], &le64(&[9])].concat(),
+            ),
+            (
+                WireError::PermissionDenied {
+                    message: "m".into(),
+                },
+                [&[0xEE, 0x09][..], &m].concat(),
+            ),
+            (
+                WireError::InvalidInput {
+                    message: "m".into(),
+                },
+                [&[0xEE, 0x0A][..], &m].concat(),
+            ),
+            (
+                WireError::Remote {
+                    code: "c".into(),
+                    message: "m".into(),
+                },
+                [&[0xEE, 0x0B, 1, 0, 0, 0, b'c'][..], &m].concat(),
+            ),
+        ];
+        for (err, want) in cases {
+            let rep = Reply::Err(err);
+            assert_eq!(rep.encode(), want, "{rep:?}");
+            assert_eq!(Reply::decode(&want).unwrap(), rep);
+        }
+    }
+
     #[test]
     fn golden_frame_bytes() {
         // A full frame around Probe: len=6 LE, version 1, tag 0x01, CRC.
