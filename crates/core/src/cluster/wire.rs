@@ -36,6 +36,23 @@
 //! [`WIRE_VERSION`]. The golden-bytes tests at the bottom of this file
 //! pin the encoding; an accidental re-tag fails the build, not a
 //! production handshake.
+//!
+//! # The verb table
+//!
+//! Every request, reply, error, batch op, outcome, diff and version
+//! spec is declared once as a `wire_enum!` row: tag constant, variant,
+//! fields in wire order. The enum, `encode`, `decode` and the `expect_*`
+//! extractors all come from that row; each field type's bytes come from
+//! its one `Field` impl. Adding a verb:
+//!
+//! 1. a fresh top-level `const REQ_*: u8` (lint P1 reads tags from these
+//!    constants);
+//! 2. one row in the `Request` table, an arm in `Request::retry_class`
+//!    (idempotent? persisted before ack?) and one in `run`;
+//! 3. a row in `PROTOCOL.md`'s tag table and a golden-byte pin below;
+//! 4. a `WIRE_VERSION` bump, and only with it
+//!    `cargo run -p forkbase-lint -- --bless` (PROTOCOL.md § Version bump
+//!    procedure).
 
 use std::io::Read;
 
@@ -43,10 +60,11 @@ use bytes::Bytes;
 use forkbase_crypto::hash::HASH_LEN;
 use forkbase_crypto::Hash;
 use forkbase_store::crc::crc32;
-use forkbase_store::{ChunkStore, SweepStore};
+use forkbase_store::{ChunkStore, StoreStats, SweepReport, SweepStore};
 use forkbase_types::Value;
 
 use crate::api::{BatchOutcome, CommitResult, DbStat, GetResult, PutOptions, VersionSpec};
+use crate::backend::Backend;
 use crate::bundle::{export_bundle_keys, import_bundle, import_bundle_replace};
 use crate::db::ForkBase;
 use crate::error::{DbError, DbResult};
@@ -209,83 +227,18 @@ fn read_exact_or_torn(r: &mut impl Read, buf: &mut [u8]) -> Result<(), FrameErro
 }
 
 // ----------------------------------------------------------------------
-// Body primitives
+// Body codec: one `Field` impl per wire type
 // ----------------------------------------------------------------------
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
-    put_u32(out, b.len() as u32);
-    out.extend_from_slice(b);
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_bytes(out, s.as_bytes());
-}
-
-fn put_bool(out: &mut Vec<u8>, b: bool) {
-    out.push(u8::from(b));
-}
-
-fn put_hash(out: &mut Vec<u8>, h: &Hash) {
-    out.extend_from_slice(h.as_bytes());
-}
-
-fn put_opt_bytes(out: &mut Vec<u8>, b: &Option<Bytes>) {
-    match b {
-        None => out.push(0),
-        Some(b) => {
-            out.push(1);
-            put_bytes(out, b);
-        }
-    }
-}
-
-fn put_value(out: &mut Vec<u8>, v: &Value) {
-    put_bytes(out, &v.encode());
-}
-
-fn put_opts(out: &mut Vec<u8>, o: &PutOptions) {
-    put_str(out, &o.branch);
-    put_str(out, &o.author);
-    put_str(out, &o.message);
-}
-
-const SPEC_BRANCH: u8 = 0x01;
-const SPEC_VERSION: u8 = 0x02;
-
-fn put_spec(out: &mut Vec<u8>, spec: &VersionSpec) {
-    match spec {
-        VersionSpec::Branch(b) => {
-            out.push(SPEC_BRANCH);
-            put_str(out, b);
-        }
-        VersionSpec::Version(uid) => {
-            out.push(SPEC_VERSION);
-            put_hash(out, uid);
-        }
-    }
-}
-
 /// A bounds-checked reader over a fully received frame body. Every
-/// length is validated against the remaining buffer before use, so no
-/// decode allocates beyond the frame it was handed.
+/// length and element count is validated against the remaining buffer
+/// before use, so no decode allocates beyond the frame it was handed.
 struct Rd<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Rd<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Rd { buf, pos: 0 }
-    }
-
     fn err(what: &str) -> DbError {
         DbError::InvalidInput(format!("wire decode: {what}"))
     }
@@ -299,275 +252,353 @@ impl<'a> Rd<'a> {
         Ok(s)
     }
 
+    fn array<const N: usize>(&mut self) -> DbResult<[u8; N]> {
+        self.take(N)?
+            .try_into()
+            .map_err(|_| Self::err("truncated body"))
+    }
+
     fn u8(&mut self) -> DbResult<u8> {
         Ok(self.take(1)?[0])
     }
 
-    fn u32(&mut self) -> DbResult<u32> {
-        match self.take(4)?.try_into() {
-            Ok(b) => Ok(u32::from_le_bytes(b)),
-            Err(_) => Err(Self::err("truncated body")),
-        }
-    }
-
-    fn u64(&mut self) -> DbResult<u64> {
-        match self.take(8)?.try_into() {
-            Ok(b) => Ok(u64::from_le_bytes(b)),
-            Err(_) => Err(Self::err("truncated body")),
-        }
-    }
-
-    fn bool(&mut self) -> DbResult<bool> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            b => Err(Self::err(&format!("bad bool byte {b:#04x}"))),
-        }
-    }
-
+    /// A `u32`-length-prefixed byte run, borrowed from the frame.
     fn bytes(&mut self) -> DbResult<&'a [u8]> {
-        let len = self.u32()? as usize;
+        let len = u32::from_le_bytes(self.array()?) as usize;
         self.take(len)
     }
 
-    fn string(&mut self) -> DbResult<String> {
-        let b = self.bytes()?;
-        String::from_utf8(b.to_vec()).map_err(|_| Self::err("non-UTF-8 string"))
-    }
-
-    fn hash(&mut self) -> DbResult<Hash> {
-        let b = self.take(HASH_LEN)?;
-        Hash::from_slice(b).ok_or_else(|| Self::err("bad hash length"))
-    }
-
-    fn opt_bytes(&mut self) -> DbResult<Option<Bytes>> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(Bytes::copy_from_slice(self.bytes()?))),
-            b => Err(Self::err(&format!("bad option byte {b:#04x}"))),
-        }
-    }
-
-    fn value(&mut self) -> DbResult<Value> {
-        let b = self.bytes()?;
-        Value::decode(b).map_err(DbError::Value)
-    }
-
-    fn opts(&mut self) -> DbResult<PutOptions> {
-        Ok(PutOptions {
-            branch: self.string()?,
-            author: self.string()?,
-            message: self.string()?,
-        })
-    }
-
-    fn spec(&mut self) -> DbResult<VersionSpec> {
-        match self.u8()? {
-            SPEC_BRANCH => Ok(VersionSpec::Branch(self.string()?)),
-            SPEC_VERSION => Ok(VersionSpec::Version(self.hash()?)),
-            t => Err(Self::err(&format!("bad version-spec tag {t:#04x}"))),
-        }
-    }
-
-    /// Element count for a vec about to be decoded. Bounded: each element
-    /// encodes to ≥ 1 byte, so a count beyond the remaining buffer is
-    /// rejected before any allocation.
-    fn count(&mut self) -> DbResult<usize> {
-        let n = self.u32()? as usize;
-        if n > self.buf.len() - self.pos {
+    /// Element count for a vec about to be decoded. Bounded: a count
+    /// whose elements cannot fit in the remaining buffer at `min_len`
+    /// bytes each is rejected before any allocation.
+    fn count(&mut self, min_len: usize) -> DbResult<usize> {
+        let n = u32::from_le_bytes(self.array()?) as usize;
+        if n.saturating_mul(min_len.max(1)) > self.buf.len() - self.pos {
             return Err(Self::err("implausible element count"));
         }
         Ok(n)
     }
 
-    fn done(&self) -> DbResult<()> {
-        if self.pos != self.buf.len() {
+    /// Decode a whole frame body: one `T` and nothing after it.
+    fn body<T: Field>(buf: &'a [u8]) -> DbResult<T> {
+        let mut rd = Rd { buf, pos: 0 };
+        let value = T::read(&mut rd)?;
+        if rd.pos != rd.buf.len() {
             return Err(Self::err("trailing bytes after body"));
         }
-        Ok(())
+        Ok(value)
+    }
+}
+
+/// How one type crosses the wire. `MIN` is a lower bound on its encoded
+/// length, which [`Rd::count`] uses to refuse element counts the rest of
+/// the frame cannot hold.
+trait Field: Sized {
+    /// The fewest bytes any value of this type encodes to.
+    const MIN: usize;
+    fn put(&self, out: &mut Vec<u8>);
+    fn read(rd: &mut Rd<'_>) -> DbResult<Self>;
+}
+
+fn put_u32(out: &mut Vec<u8>, v: u32) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Length-prefixed bytes in one copy, never a per-byte loop.
+fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
+    put_u32(out, b.len() as u32);
+    out.extend_from_slice(b);
+}
+
+impl Field for u64 {
+    const MIN: usize = 8;
+    fn put(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.to_le_bytes());
+    }
+    fn read(rd: &mut Rd<'_>) -> DbResult<Self> {
+        Ok(u64::from_le_bytes(rd.array()?))
+    }
+}
+
+impl Field for bool {
+    const MIN: usize = 1;
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(u8::from(*self));
+    }
+    fn read(rd: &mut Rd<'_>) -> DbResult<Self> {
+        match rd.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            b => Err(Rd::err(&format!("bad bool byte {b:#04x}"))),
+        }
+    }
+}
+
+impl Field for String {
+    const MIN: usize = 4;
+    fn put(&self, out: &mut Vec<u8>) {
+        put_bytes(out, self.as_bytes());
+    }
+    fn read(rd: &mut Rd<'_>) -> DbResult<Self> {
+        String::from_utf8(rd.bytes()?.to_vec()).map_err(|_| Rd::err("non-UTF-8 string"))
+    }
+}
+
+impl Field for Hash {
+    const MIN: usize = HASH_LEN;
+    fn put(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(self.as_bytes());
+    }
+    fn read(rd: &mut Rd<'_>) -> DbResult<Self> {
+        Hash::from_slice(rd.take(HASH_LEN)?).ok_or_else(|| Rd::err("bad hash length"))
+    }
+}
+
+impl Field for Bytes {
+    const MIN: usize = 4;
+    fn put(&self, out: &mut Vec<u8>) {
+        put_bytes(out, self);
+    }
+    fn read(rd: &mut Rd<'_>) -> DbResult<Self> {
+        Ok(Bytes::copy_from_slice(rd.bytes()?))
+    }
+}
+
+impl Field for Vec<u8> {
+    const MIN: usize = 4;
+    fn put(&self, out: &mut Vec<u8>) {
+        put_bytes(out, self);
+    }
+    fn read(rd: &mut Rd<'_>) -> DbResult<Self> {
+        Ok(rd.bytes()?.to_vec())
+    }
+}
+
+impl Field for Option<Bytes> {
+    const MIN: usize = 1;
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            None => out.push(0),
+            Some(b) => {
+                out.push(1);
+                b.put(out);
+            }
+        }
+    }
+    fn read(rd: &mut Rd<'_>) -> DbResult<Self> {
+        match rd.u8()? {
+            0 => Ok(None),
+            1 => Ok(Some(Bytes::read(rd)?)),
+            b => Err(Rd::err(&format!("bad option byte {b:#04x}"))),
+        }
+    }
+}
+
+impl Field for Value {
+    const MIN: usize = 4;
+    fn put(&self, out: &mut Vec<u8>) {
+        put_bytes(out, &self.encode());
+    }
+    fn read(rd: &mut Rd<'_>) -> DbResult<Self> {
+        Value::decode(rd.bytes()?).map_err(DbError::Value)
+    }
+}
+
+impl<T: Field> Field for Vec<T> {
+    const MIN: usize = 4;
+    fn put(&self, out: &mut Vec<u8>) {
+        put_u32(out, self.len() as u32);
+        for v in self {
+            v.put(out);
+        }
+    }
+    fn read(rd: &mut Rd<'_>) -> DbResult<Self> {
+        let n = rd.count(T::MIN)?;
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(T::read(rd)?);
+        }
+        Ok(out)
+    }
+}
+
+impl<A: Field, B: Field> Field for (A, B) {
+    const MIN: usize = A::MIN + B::MIN;
+    fn put(&self, out: &mut Vec<u8>) {
+        self.0.put(out);
+        self.1.put(out);
+    }
+    fn read(rd: &mut Rd<'_>) -> DbResult<Self> {
+        Ok((A::read(rd)?, B::read(rd)?))
+    }
+}
+
+/// The smallest of `lens` (for an enum's `MIN`: its shortest variant).
+const fn min_of(lens: &[usize]) -> usize {
+    let mut min = usize::MAX;
+    let mut i = 0;
+    while i < lens.len() {
+        if lens[i] < min {
+            min = lens[i];
+        }
+        i += 1;
+    }
+    min
+}
+
+/// Implements [`Field`] for structs: the fields, in wire order.
+macro_rules! wire_struct {
+    ($($name:ident { $($f:ident: $t:ty),* $(,)? })*) => {$(
+        impl Field for $name {
+            const MIN: usize = 0 $(+ <$t as Field>::MIN)*;
+            fn put(&self, out: &mut Vec<u8>) {
+                $(Field::put(&self.$f, out);)*
+            }
+            fn read(rd: &mut Rd<'_>) -> DbResult<Self> {
+                Ok($name { $($f: <$t as Field>::read(rd)?),* })
+            }
+        }
+    )*};
+}
+
+/// Declares a tagged wire enum once. Each row is `TAG => Variant` and the
+/// variant's fields in wire order: none, `{ name: Type, .. }`, or one
+/// `(binding: Type)` optionally followed by its `Reply` extractor,
+/// `expect_x "what"`. The `pub enum` form also defines the enum; the
+/// `impl` form encodes an enum declared elsewhere. Every `TAG` is a
+/// top-level `u8` constant, where lint P1 and `lint/wire.lock` find it.
+macro_rules! wire_enum {
+    (
+        $(#[$meta:meta])*
+        pub enum $name:ident ($what:literal) {$(
+            $(#[$vmeta:meta])*
+            $tag:ident => $v:ident
+            $({ $($(#[$fmeta:meta])* $f:ident: $t:ty),* $(,)? })?
+            $(($b:ident: $bt:ty) $($x:ident $label:literal)?)?,
+        )*}
+    ) => {
+        $(#[$meta])*
+        pub enum $name {$(
+            $(#[$vmeta])*
+            $v $({ $($(#[$fmeta])* $f: $t),* })? $(($bt))?,
+        )*}
+        wire_enum! {
+            impl $name ($what) {$(
+                $tag => $v $({ $($f: $t),* })? $(($b: $bt) $($x $label)?)?,
+            )*}
+        }
+    };
+    (
+        impl $name:ident ($what:literal) {$(
+            $tag:ident => $v:ident
+            $({ $($f:ident: $t:ty),* $(,)? })?
+            $(($b:ident: $bt:ty) $($x:ident $label:literal)?)?,
+        )*}
+    ) => {
+        impl Field for $name {
+            const MIN: usize = 1 + min_of(&[$(
+                0 $($(+ <$t as Field>::MIN)*)? $(+ <$bt as Field>::MIN)?
+            ),*]);
+            fn put(&self, out: &mut Vec<u8>) {
+                out.push(self.wire_kind().0);
+                match self {$(
+                    Self::$v $({ $($f),* })? $(($b))? => {
+                        $($(Field::put($f, out);)*)?
+                        $(Field::put($b, out);)?
+                    }
+                )*}
+            }
+            fn read(rd: &mut Rd<'_>) -> DbResult<Self> {
+                Ok(match rd.u8()? {
+                    $($tag => Self::$v
+                        $({ $($f: <$t as Field>::read(rd)?),* })?
+                        $((<$bt as Field>::read(rd)?))?,
+                    )*
+                    t => {
+                        return Err(Rd::err(&format!(concat!("unknown ", $what, " tag {:#04x}"), t)))
+                    }
+                })
+            }
+        }
+
+        impl $name {
+            /// This value's tag byte and variant name.
+            fn wire_kind(&self) -> (u8, &'static str) {
+                match self {
+                    $(Self::$v { .. } => ($tag, stringify!($v)),)*
+                }
+            }
+            $($($(
+                #[doc = concat!("Extract a [`", stringify!($name), "::", stringify!($v), "`].")]
+                pub fn $x(self) -> DbResult<$bt> {
+                    match self {
+                        Self::$v($b) => Ok($b),
+                        other => Err(other.unexpected($label)),
+                    }
+                }
+            )?)?)*
+        }
+    };
+}
+
+wire_struct! {
+    PutOptions { branch: String, author: String, message: String }
+    CommitResult { uid: Uid, branch: String }
+    GetResult { value: Value, uid: Uid }
+    MapPage {
+        entries: Vec<(Bytes, Bytes)>,
+        truncated: bool,
+        version: Uid,
+    }
+    MapEntryDelta {
+        key: Bytes,
+        from: Option<Bytes>,
+        to: Option<Bytes>,
+    }
+    DbStat {
+        keys: u64,
+        branches: u64,
+        store: StoreStats,
+    }
+    StoreStats {
+        unique_chunks: u64,
+        stored_bytes: u64,
+        puts: u64,
+        logical_bytes: u64,
+        dedup_hits: u64,
+        dedup_saved_bytes: u64,
+        gets: u64,
+        misses: u64,
+        compaction_chunks_rewritten: u64,
+        compaction_bytes_rewritten: u64,
+        sweep_chunks_reclaimed: u64,
+        sweep_bytes_reclaimed: u64,
+    }
+    GcReport { live_chunks: u64, sweep: SweepReport }
+    SweepReport {
+        chunks_reclaimed: u64,
+        bytes_reclaimed: u64,
+        chunks_rewritten: u64,
+        bytes_rewritten: u64,
+        segments_deleted: u64,
+        disk_bytes_before: u64,
+        disk_bytes_after: u64,
+    }
+}
+
+const SPEC_BRANCH: u8 = 0x01;
+const SPEC_VERSION: u8 = 0x02;
+
+wire_enum! {
+    impl VersionSpec ("version-spec") {
+        SPEC_BRANCH => Branch(b: String),
+        SPEC_VERSION => Version(uid: Uid),
     }
 }
 
 // ----------------------------------------------------------------------
 // Requests
 // ----------------------------------------------------------------------
-
-/// One operation of a routed [`Request::Batch`].
-#[derive(Clone, Debug, PartialEq)]
-pub enum WireOp {
-    /// Stage a put of `value` on `(key, opts.branch)`.
-    Put {
-        /// Target key.
-        key: String,
-        /// The value to commit.
-        value: Value,
-        /// Branch/author/message options.
-        opts: PutOptions,
-    },
-    /// Stage a branch deletion.
-    DeleteBranch {
-        /// Target key.
-        key: String,
-        /// Branch to delete.
-        branch: String,
-    },
-}
-
-/// Every verb a servelet serves, data plane and control plane alike.
-///
-/// Tag bytes (frozen): data plane `0x01..=0x0B`, control plane
-/// `0x20..=0x25`, spec-addressed fork verbs `0x26..=0x2A` (wire
-/// version 3). See `PROTOCOL.md`.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Request {
-    /// Control: liveness probe (no work, short deadline).
-    Probe,
-    /// `Put` a value on the owning servelet.
-    Put {
-        /// Target key.
-        key: String,
-        /// The value to commit.
-        value: Value,
-        /// Branch/author/message options.
-        opts: PutOptions,
-    },
-    /// `Put` a blob built from raw content on the owning servelet.
-    PutBlob {
-        /// Target key.
-        key: String,
-        /// Raw blob content (chunked on the servelet).
-        content: Bytes,
-        /// Branch/author/message options.
-        opts: PutOptions,
-    },
-    /// `Get` the head of `key@branch`.
-    Get {
-        /// Target key.
-        key: String,
-        /// Branch whose head to read.
-        branch: String,
-    },
-    /// Read many branch heads in one consistent call.
-    Heads {
-        /// `(key, branch)` pairs.
-        pairs: Vec<(String, String)>,
-    },
-    /// Database statistics.
-    Stat,
-    /// One bounded page of a map range scan.
-    MapRange {
-        /// Target key.
-        key: String,
-        /// Branch whose head to scan.
-        branch: String,
-        /// Inclusive start bound, if any.
-        start: Option<Bytes>,
-        /// Exclusive end bound, if any.
-        end: Option<Bytes>,
-        /// Page size limit.
-        limit: u64,
-    },
-    /// List every key this servelet holds.
-    ListKeys,
-    /// Stored chunk-payload bytes.
-    StoredBytes,
-    /// Run a garbage-collection pass.
-    Gc,
-    /// A multi-op write batch, committed atomically on this servelet.
-    Batch {
-        /// The staged operations, in batch order.
-        ops: Vec<WireOp>,
-    },
-    /// Control: export the full history of `keys` as a bundle
-    /// (migration copy phase).
-    ExportBundle {
-        /// Keys whose branches to export.
-        keys: Vec<String>,
-    },
-    /// Control: import a bundle produced by [`Request::ExportBundle`].
-    /// Every chunk is re-hashed and every history walked before a ref
-    /// installs — the wire inherits the bundle codec's tamper evidence.
-    ImportBundle {
-        /// The bundle bytes.
-        bundle: Vec<u8>,
-    },
-    /// Control: drop the refs of `keys` (migration cutover).
-    ForgetKeys {
-        /// Keys to forget.
-        keys: Vec<String>,
-    },
-    /// Control: restore persisted branch heads (supervised restart).
-    LoadRefs {
-        /// The refs text ([`ForkBase::dump_refs`] format).
-        refs: String,
-    },
-    /// Control: dump branch heads for persistence.
-    DumpRefs,
-    /// Control: apply a replication bundle with **replace** semantics —
-    /// after import the receiver's branch set for every key in the
-    /// bundle exactly mirrors the sender's, including branches the
-    /// sender deleted. Same tamper evidence as
-    /// [`Request::ImportBundle`]; unlike it, re-applying the same
-    /// bundle (or an older one out of order) converges instead of
-    /// erroring, which is what makes replication shipping retryable.
-    /// Wire version 2.
-    Replicate {
-        /// The bundle bytes.
-        bundle: Vec<u8>,
-    },
-    /// `Get` the value at an arbitrary [`VersionSpec`] (branch head *or*
-    /// pinned version uid). The fork service reads untouched keys through
-    /// the fork's base spec with this. Wire version 3.
-    GetAt {
-        /// Target key.
-        key: String,
-        /// Branch head or version uid to read.
-        spec: VersionSpec,
-    },
-    /// Create `new_branch` pointing at an existing version of `key` —
-    /// the lazy copy-on-write step of a fork's first write to a key.
-    /// Wire version 3.
-    BranchFromVersion {
-        /// Target key.
-        key: String,
-        /// The version the new branch starts from.
-        uid: Uid,
-        /// Name of the branch to create.
-        new_branch: String,
-    },
-    /// Drop a single branch of `key` (fork reaping). Wire version 3.
-    DeleteBranch {
-        /// Target key.
-        key: String,
-        /// Branch to delete.
-        branch: String,
-    },
-    /// Structural diff between two versions of `key`, summarized for the
-    /// wire (entry deltas are sampled, counts are exact). Wire version 3.
-    DiffSpecs {
-        /// Target key.
-        key: String,
-        /// The "from" side.
-        from: VersionSpec,
-        /// The "to" side.
-        to: VersionSpec,
-    },
-    /// One bounded page of a map range scan at an arbitrary
-    /// [`VersionSpec`] (the spec-generic [`Request::MapRange`]).
-    /// Wire version 3.
-    MapRangeAt {
-        /// Target key.
-        key: String,
-        /// Branch head or version uid to scan.
-        spec: VersionSpec,
-        /// Inclusive start bound, if any.
-        start: Option<Bytes>,
-        /// Exclusive end bound, if any.
-        end: Option<Bytes>,
-        /// Page size limit.
-        limit: u64,
-    },
-}
 
 const REQ_PROBE: u8 = 0x01;
 const REQ_PUT: u8 = 0x02;
@@ -595,10 +626,192 @@ const REQ_MAP_RANGE_AT: u8 = 0x2A;
 const OP_PUT: u8 = 0x01;
 const OP_DELETE_BRANCH: u8 = 0x02;
 
+wire_enum! {
+    /// One operation of a routed [`Request::Batch`].
+    #[derive(Clone, Debug, PartialEq)]
+    pub enum WireOp ("batch op") {
+        /// Stage a put of `value` on `(key, opts.branch)`.
+        OP_PUT => Put {
+            /// Target key.
+            key: String,
+            /// The value to commit.
+            value: Value,
+            /// Branch/author/message options.
+            opts: PutOptions,
+        },
+        /// Stage a branch deletion.
+        OP_DELETE_BRANCH => DeleteBranch {
+            /// Target key.
+            key: String,
+            /// Branch to delete.
+            branch: String,
+        },
+    }
+}
+
+wire_enum! {
+    /// Every verb a servelet serves, data plane and control plane alike.
+    ///
+    /// Tag bytes (frozen): data plane `0x01..=0x0B`, control plane
+    /// `0x20..=0x25`, spec-addressed fork verbs `0x26..=0x2A` (wire
+    /// version 3). See `PROTOCOL.md`.
+    #[derive(Clone, Debug, PartialEq)]
+    pub enum Request ("request") {
+        /// Control: liveness probe (no work, short deadline).
+        REQ_PROBE => Probe,
+        /// `Put` a value on the owning servelet.
+        REQ_PUT => Put {
+            /// Target key.
+            key: String,
+            /// The value to commit.
+            value: Value,
+            /// Branch/author/message options.
+            opts: PutOptions,
+        },
+        /// `Put` a blob built from raw content on the owning servelet.
+        REQ_PUT_BLOB => PutBlob {
+            /// Target key.
+            key: String,
+            /// Raw blob content (chunked on the servelet).
+            content: Bytes,
+            /// Branch/author/message options.
+            opts: PutOptions,
+        },
+        /// `Get` the head of `key@branch`.
+        REQ_GET => Get {
+            /// Target key.
+            key: String,
+            /// Branch whose head to read.
+            branch: String,
+        },
+        /// Read many branch heads in one consistent call.
+        REQ_HEADS => Heads {
+            /// `(key, branch)` pairs.
+            pairs: Vec<(String, String)>,
+        },
+        /// Database statistics.
+        REQ_STAT => Stat,
+        /// One bounded page of a map range scan.
+        REQ_MAP_RANGE => MapRange {
+            /// Target key.
+            key: String,
+            /// Branch whose head to scan.
+            branch: String,
+            /// Inclusive start bound, if any.
+            start: Option<Bytes>,
+            /// Exclusive end bound, if any.
+            end: Option<Bytes>,
+            /// Page size limit.
+            limit: u64,
+        },
+        /// List every key this servelet holds.
+        REQ_LIST_KEYS => ListKeys,
+        /// Stored chunk-payload bytes.
+        REQ_STORED_BYTES => StoredBytes,
+        /// Run a garbage-collection pass.
+        REQ_GC => Gc,
+        /// A multi-op write batch, committed atomically on this servelet.
+        REQ_BATCH => Batch {
+            /// The staged operations, in batch order.
+            ops: Vec<WireOp>,
+        },
+        /// Control: export the full history of `keys` as a bundle
+        /// (migration copy phase).
+        REQ_EXPORT_BUNDLE => ExportBundle {
+            /// Keys whose branches to export.
+            keys: Vec<String>,
+        },
+        /// Control: import a bundle produced by [`Request::ExportBundle`].
+        /// Every chunk is re-hashed and every history walked before a ref
+        /// installs — the wire inherits the bundle codec's tamper evidence.
+        REQ_IMPORT_BUNDLE => ImportBundle {
+            /// The bundle bytes.
+            bundle: Vec<u8>,
+        },
+        /// Control: drop the refs of `keys` (migration cutover).
+        REQ_FORGET_KEYS => ForgetKeys {
+            /// Keys to forget.
+            keys: Vec<String>,
+        },
+        /// Control: restore persisted branch heads (supervised restart).
+        REQ_LOAD_REFS => LoadRefs {
+            /// The refs text ([`ForkBase::dump_refs`] format).
+            refs: String,
+        },
+        /// Control: dump branch heads for persistence.
+        REQ_DUMP_REFS => DumpRefs,
+        /// Control: apply a replication bundle with **replace** semantics —
+        /// after import the receiver's branch set for every key in the
+        /// bundle exactly mirrors the sender's, including branches the
+        /// sender deleted. Same tamper evidence as
+        /// [`Request::ImportBundle`]; unlike it, re-applying the same
+        /// bundle (or an older one out of order) converges instead of
+        /// erroring, which is what makes replication shipping retryable.
+        /// Wire version 2.
+        REQ_REPLICATE => Replicate {
+            /// The bundle bytes.
+            bundle: Vec<u8>,
+        },
+        /// `Get` the value at an arbitrary [`VersionSpec`] (branch head *or*
+        /// pinned version uid). The fork service reads untouched keys through
+        /// the fork's base spec with this. Wire version 3.
+        REQ_GET_AT => GetAt {
+            /// Target key.
+            key: String,
+            /// Branch head or version uid to read.
+            spec: VersionSpec,
+        },
+        /// Create `new_branch` pointing at an existing version of `key` —
+        /// the lazy copy-on-write step of a fork's first write to a key.
+        /// Wire version 3.
+        REQ_BRANCH_FROM_VERSION => BranchFromVersion {
+            /// Target key.
+            key: String,
+            /// The version the new branch starts from.
+            uid: Uid,
+            /// Name of the branch to create.
+            new_branch: String,
+        },
+        /// Drop a single branch of `key` (fork reaping). Wire version 3.
+        REQ_DELETE_BRANCH => DeleteBranch {
+            /// Target key.
+            key: String,
+            /// Branch to delete.
+            branch: String,
+        },
+        /// Structural diff between two versions of `key`, summarized for the
+        /// wire (entry deltas are sampled, counts are exact). Wire version 3.
+        REQ_DIFF_SPECS => DiffSpecs {
+            /// Target key.
+            key: String,
+            /// The "from" side.
+            from: VersionSpec,
+            /// The "to" side.
+            to: VersionSpec,
+        },
+        /// One bounded page of a map range scan at an arbitrary
+        /// [`VersionSpec`] (the spec-generic [`Request::MapRange`]).
+        /// Wire version 3.
+        REQ_MAP_RANGE_AT => MapRangeAt {
+            /// Target key.
+            key: String,
+            /// Branch head or version uid to scan.
+            spec: VersionSpec,
+            /// Inclusive start bound, if any.
+            start: Option<Bytes>,
+            /// Exclusive end bound, if any.
+            end: Option<Bytes>,
+            /// Page size limit.
+            limit: u64,
+        },
+    }
+}
+
 impl Request {
-    /// Whether retrying this request cannot change state (the
-    /// ambiguous-write rule keys off this).
-    pub fn idempotent(&self) -> bool {
+    /// `(idempotent, mutates)` for every verb. Wildcard-free, so a new
+    /// verb cannot compile without choosing whether a retry is safe and
+    /// whether the servelet must persist before acking it.
+    fn retry_class(&self) -> (bool, bool) {
         match self {
             Request::Probe
             | Request::Get { .. }
@@ -610,355 +823,46 @@ impl Request {
             | Request::GetAt { .. }
             | Request::DiffSpecs { .. }
             | Request::MapRangeAt { .. }
-            | Request::DumpRefs => true,
+            | Request::DumpRefs => (true, false),
             // Replace-import converges: applying the same bundle twice
             // leaves the same refs, so a retry after an ambiguous
             // outcome cannot corrupt the replica.
-            Request::Replicate { .. } => true,
+            Request::Replicate { .. } => (true, true),
             Request::Put { .. }
             | Request::PutBlob { .. }
             | Request::Gc
             | Request::Batch { .. }
-            | Request::ExportBundle { .. }
             | Request::ImportBundle { .. }
             | Request::ForgetKeys { .. }
             | Request::LoadRefs { .. }
             | Request::BranchFromVersion { .. }
-            | Request::DeleteBranch { .. } => false,
+            | Request::DeleteBranch { .. } => (false, true),
+            Request::ExportBundle { .. } => (false, false),
         }
+    }
+
+    /// Whether retrying this request cannot change state (the
+    /// ambiguous-write rule keys off this).
+    pub fn idempotent(&self) -> bool {
+        self.retry_class().0
     }
 
     /// Encode as a frame body (tag + fields; no frame envelope).
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        match self {
-            Request::Probe => out.push(REQ_PROBE),
-            Request::Put { key, value, opts } => {
-                out.push(REQ_PUT);
-                put_str(&mut out, key);
-                put_value(&mut out, value);
-                put_opts(&mut out, opts);
-            }
-            Request::PutBlob { key, content, opts } => {
-                out.push(REQ_PUT_BLOB);
-                put_str(&mut out, key);
-                put_bytes(&mut out, content);
-                put_opts(&mut out, opts);
-            }
-            Request::Get { key, branch } => {
-                out.push(REQ_GET);
-                put_str(&mut out, key);
-                put_str(&mut out, branch);
-            }
-            Request::Heads { pairs } => {
-                out.push(REQ_HEADS);
-                put_u32(&mut out, pairs.len() as u32);
-                for (k, b) in pairs {
-                    put_str(&mut out, k);
-                    put_str(&mut out, b);
-                }
-            }
-            Request::Stat => out.push(REQ_STAT),
-            Request::MapRange {
-                key,
-                branch,
-                start,
-                end,
-                limit,
-            } => {
-                out.push(REQ_MAP_RANGE);
-                put_str(&mut out, key);
-                put_str(&mut out, branch);
-                put_opt_bytes(&mut out, start);
-                put_opt_bytes(&mut out, end);
-                put_u64(&mut out, *limit);
-            }
-            Request::ListKeys => out.push(REQ_LIST_KEYS),
-            Request::StoredBytes => out.push(REQ_STORED_BYTES),
-            Request::Gc => out.push(REQ_GC),
-            Request::Batch { ops } => {
-                out.push(REQ_BATCH);
-                put_u32(&mut out, ops.len() as u32);
-                for op in ops {
-                    match op {
-                        WireOp::Put { key, value, opts } => {
-                            out.push(OP_PUT);
-                            put_str(&mut out, key);
-                            put_value(&mut out, value);
-                            put_opts(&mut out, opts);
-                        }
-                        WireOp::DeleteBranch { key, branch } => {
-                            out.push(OP_DELETE_BRANCH);
-                            put_str(&mut out, key);
-                            put_str(&mut out, branch);
-                        }
-                    }
-                }
-            }
-            Request::ExportBundle { keys } => {
-                out.push(REQ_EXPORT_BUNDLE);
-                put_u32(&mut out, keys.len() as u32);
-                for k in keys {
-                    put_str(&mut out, k);
-                }
-            }
-            Request::ImportBundle { bundle } => {
-                out.push(REQ_IMPORT_BUNDLE);
-                put_bytes(&mut out, bundle);
-            }
-            Request::ForgetKeys { keys } => {
-                out.push(REQ_FORGET_KEYS);
-                put_u32(&mut out, keys.len() as u32);
-                for k in keys {
-                    put_str(&mut out, k);
-                }
-            }
-            Request::LoadRefs { refs } => {
-                out.push(REQ_LOAD_REFS);
-                put_str(&mut out, refs);
-            }
-            Request::DumpRefs => out.push(REQ_DUMP_REFS),
-            Request::Replicate { bundle } => {
-                out.push(REQ_REPLICATE);
-                put_bytes(&mut out, bundle);
-            }
-            Request::GetAt { key, spec } => {
-                out.push(REQ_GET_AT);
-                put_str(&mut out, key);
-                put_spec(&mut out, spec);
-            }
-            Request::BranchFromVersion {
-                key,
-                uid,
-                new_branch,
-            } => {
-                out.push(REQ_BRANCH_FROM_VERSION);
-                put_str(&mut out, key);
-                put_hash(&mut out, uid);
-                put_str(&mut out, new_branch);
-            }
-            Request::DeleteBranch { key, branch } => {
-                out.push(REQ_DELETE_BRANCH);
-                put_str(&mut out, key);
-                put_str(&mut out, branch);
-            }
-            Request::DiffSpecs { key, from, to } => {
-                out.push(REQ_DIFF_SPECS);
-                put_str(&mut out, key);
-                put_spec(&mut out, from);
-                put_spec(&mut out, to);
-            }
-            Request::MapRangeAt {
-                key,
-                spec,
-                start,
-                end,
-                limit,
-            } => {
-                out.push(REQ_MAP_RANGE_AT);
-                put_str(&mut out, key);
-                put_spec(&mut out, spec);
-                put_opt_bytes(&mut out, start);
-                put_opt_bytes(&mut out, end);
-                put_u64(&mut out, *limit);
-            }
-        }
+        self.put(&mut out);
         out
     }
 
     /// Decode a frame body produced by [`Self::encode`].
     pub fn decode(body: &[u8]) -> DbResult<Request> {
-        let mut rd = Rd::new(body);
-        let req = match rd.u8()? {
-            REQ_PROBE => Request::Probe,
-            REQ_PUT => Request::Put {
-                key: rd.string()?,
-                value: rd.value()?,
-                opts: rd.opts()?,
-            },
-            REQ_PUT_BLOB => Request::PutBlob {
-                key: rd.string()?,
-                content: Bytes::copy_from_slice(rd.bytes()?),
-                opts: rd.opts()?,
-            },
-            REQ_GET => Request::Get {
-                key: rd.string()?,
-                branch: rd.string()?,
-            },
-            REQ_HEADS => {
-                let n = rd.count()?;
-                let mut pairs = Vec::with_capacity(n);
-                for _ in 0..n {
-                    pairs.push((rd.string()?, rd.string()?));
-                }
-                Request::Heads { pairs }
-            }
-            REQ_STAT => Request::Stat,
-            REQ_MAP_RANGE => Request::MapRange {
-                key: rd.string()?,
-                branch: rd.string()?,
-                start: rd.opt_bytes()?,
-                end: rd.opt_bytes()?,
-                limit: rd.u64()?,
-            },
-            REQ_LIST_KEYS => Request::ListKeys,
-            REQ_STORED_BYTES => Request::StoredBytes,
-            REQ_GC => Request::Gc,
-            REQ_BATCH => {
-                let n = rd.count()?;
-                let mut ops = Vec::with_capacity(n);
-                for _ in 0..n {
-                    ops.push(match rd.u8()? {
-                        OP_PUT => WireOp::Put {
-                            key: rd.string()?,
-                            value: rd.value()?,
-                            opts: rd.opts()?,
-                        },
-                        OP_DELETE_BRANCH => WireOp::DeleteBranch {
-                            key: rd.string()?,
-                            branch: rd.string()?,
-                        },
-                        t => return Err(Rd::err(&format!("unknown batch op tag {t:#04x}"))),
-                    });
-                }
-                Request::Batch { ops }
-            }
-            REQ_EXPORT_BUNDLE => {
-                let n = rd.count()?;
-                let mut keys = Vec::with_capacity(n);
-                for _ in 0..n {
-                    keys.push(rd.string()?);
-                }
-                Request::ExportBundle { keys }
-            }
-            REQ_IMPORT_BUNDLE => Request::ImportBundle {
-                bundle: rd.bytes()?.to_vec(),
-            },
-            REQ_FORGET_KEYS => {
-                let n = rd.count()?;
-                let mut keys = Vec::with_capacity(n);
-                for _ in 0..n {
-                    keys.push(rd.string()?);
-                }
-                Request::ForgetKeys { keys }
-            }
-            REQ_LOAD_REFS => Request::LoadRefs { refs: rd.string()? },
-            REQ_DUMP_REFS => Request::DumpRefs,
-            REQ_REPLICATE => Request::Replicate {
-                bundle: rd.bytes()?.to_vec(),
-            },
-            REQ_GET_AT => Request::GetAt {
-                key: rd.string()?,
-                spec: rd.spec()?,
-            },
-            REQ_BRANCH_FROM_VERSION => Request::BranchFromVersion {
-                key: rd.string()?,
-                uid: rd.hash()?,
-                new_branch: rd.string()?,
-            },
-            REQ_DELETE_BRANCH => Request::DeleteBranch {
-                key: rd.string()?,
-                branch: rd.string()?,
-            },
-            REQ_DIFF_SPECS => Request::DiffSpecs {
-                key: rd.string()?,
-                from: rd.spec()?,
-                to: rd.spec()?,
-            },
-            REQ_MAP_RANGE_AT => Request::MapRangeAt {
-                key: rd.string()?,
-                spec: rd.spec()?,
-                start: rd.opt_bytes()?,
-                end: rd.opt_bytes()?,
-                limit: rd.u64()?,
-            },
-            t => return Err(Rd::err(&format!("unknown request tag {t:#04x}"))),
-        };
-        rd.done()?;
-        Ok(req)
+        Rd::body(body)
     }
 }
 
 // ----------------------------------------------------------------------
 // Errors on the wire
 // ----------------------------------------------------------------------
-
-/// A [`DbError`] flattened for the wire. Variants whose fields survive a
-/// round trip map 1:1; the rest (store/tree/value internals, merge
-/// conflict lists) travel as [`WireError::Remote`] carrying the original
-/// stable [`DbError::code`] plus the rendered message.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum WireError {
-    /// `no_such_key`.
-    NoSuchKey {
-        /// The key queried.
-        key: String,
-    },
-    /// `no_such_branch`.
-    NoSuchBranch {
-        /// The key queried.
-        key: String,
-        /// The missing branch.
-        branch: String,
-    },
-    /// `no_such_version`.
-    NoSuchVersion {
-        /// The missing uid.
-        uid: Uid,
-    },
-    /// `branch_exists`.
-    BranchExists {
-        /// The key.
-        key: String,
-        /// The already-present branch.
-        branch: String,
-    },
-    /// `no_common_ancestor`.
-    NoCommonAncestor {
-        /// First version.
-        a: Uid,
-        /// Second version.
-        b: Uid,
-    },
-    /// `tamper_detected`.
-    TamperDetected {
-        /// What failed validation.
-        message: String,
-    },
-    /// `servelet_unavailable`.
-    ServeletUnavailable {
-        /// Stable id of the unreachable servelet.
-        servelet: u64,
-    },
-    /// `servelet_timeout`.
-    ServeletTimeout {
-        /// Stable id of the servelet that missed its deadline.
-        servelet: u64,
-    },
-    /// `permission_denied`.
-    PermissionDenied {
-        /// Why.
-        message: String,
-    },
-    /// `invalid_input`.
-    InvalidInput {
-        /// Why.
-        message: String,
-    },
-    /// `rate_limited` (wire version 3).
-    RateLimited {
-        /// Suggested wait before retrying, in milliseconds.
-        retry_after_ms: u64,
-    },
-    /// Any error without a richer wire form; `code` is the original
-    /// stable [`DbError::code`].
-    Remote {
-        /// The original stable error code.
-        code: String,
-        /// The rendered error message.
-        message: String,
-    },
-}
 
 const ERR_NO_SUCH_KEY: u8 = 0x01;
 const ERR_NO_SUCH_BRANCH: u8 = 0x02;
@@ -972,6 +876,85 @@ const ERR_PERMISSION_DENIED: u8 = 0x09;
 const ERR_INVALID_INPUT: u8 = 0x0A;
 const ERR_REMOTE: u8 = 0x0B;
 const ERR_RATE_LIMITED: u8 = 0x0C;
+
+wire_enum! {
+    /// A [`DbError`] flattened for the wire. Variants whose fields survive a
+    /// round trip map 1:1; the rest (store/tree/value internals, merge
+    /// conflict lists) travel as [`WireError::Remote`] carrying the original
+    /// stable [`DbError::code`] plus the rendered message.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub enum WireError ("error") {
+        /// `no_such_key`.
+        ERR_NO_SUCH_KEY => NoSuchKey {
+            /// The key queried.
+            key: String,
+        },
+        /// `no_such_branch`.
+        ERR_NO_SUCH_BRANCH => NoSuchBranch {
+            /// The key queried.
+            key: String,
+            /// The missing branch.
+            branch: String,
+        },
+        /// `no_such_version`.
+        ERR_NO_SUCH_VERSION => NoSuchVersion {
+            /// The missing uid.
+            uid: Uid,
+        },
+        /// `branch_exists`.
+        ERR_BRANCH_EXISTS => BranchExists {
+            /// The key.
+            key: String,
+            /// The already-present branch.
+            branch: String,
+        },
+        /// `no_common_ancestor`.
+        ERR_NO_COMMON_ANCESTOR => NoCommonAncestor {
+            /// First version.
+            a: Uid,
+            /// Second version.
+            b: Uid,
+        },
+        /// `tamper_detected`.
+        ERR_TAMPER_DETECTED => TamperDetected {
+            /// What failed validation.
+            message: String,
+        },
+        /// `servelet_unavailable`.
+        ERR_SERVELET_UNAVAILABLE => ServeletUnavailable {
+            /// Stable id of the unreachable servelet.
+            servelet: u64,
+        },
+        /// `servelet_timeout`.
+        ERR_SERVELET_TIMEOUT => ServeletTimeout {
+            /// Stable id of the servelet that missed its deadline.
+            servelet: u64,
+        },
+        /// `permission_denied`.
+        ERR_PERMISSION_DENIED => PermissionDenied {
+            /// Why.
+            message: String,
+        },
+        /// `invalid_input`.
+        ERR_INVALID_INPUT => InvalidInput {
+            /// Why.
+            message: String,
+        },
+        /// `rate_limited` (wire version 3).
+        ERR_RATE_LIMITED => RateLimited {
+            /// Suggested wait before retrying, in milliseconds.
+            retry_after_ms: u64,
+        },
+        /// Any error without a richer wire form; `code` is the original
+        /// stable [`DbError::code`].
+        ERR_REMOTE => Remote {
+            /// The original stable error code.
+            code: String,
+            /// The rendered error message.
+            message: String,
+        },
+    }
+}
 
 impl From<&DbError> for WireError {
     fn from(e: &DbError) -> WireError {
@@ -1027,144 +1010,11 @@ impl WireError {
             WireError::Remote { code, message } => DbError::Remote { code, message },
         }
     }
-
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        match self {
-            WireError::NoSuchKey { key } => {
-                out.push(ERR_NO_SUCH_KEY);
-                put_str(out, key);
-            }
-            WireError::NoSuchBranch { key, branch } => {
-                out.push(ERR_NO_SUCH_BRANCH);
-                put_str(out, key);
-                put_str(out, branch);
-            }
-            WireError::NoSuchVersion { uid } => {
-                out.push(ERR_NO_SUCH_VERSION);
-                put_hash(out, uid);
-            }
-            WireError::BranchExists { key, branch } => {
-                out.push(ERR_BRANCH_EXISTS);
-                put_str(out, key);
-                put_str(out, branch);
-            }
-            WireError::NoCommonAncestor { a, b } => {
-                out.push(ERR_NO_COMMON_ANCESTOR);
-                put_hash(out, a);
-                put_hash(out, b);
-            }
-            WireError::TamperDetected { message } => {
-                out.push(ERR_TAMPER_DETECTED);
-                put_str(out, message);
-            }
-            WireError::ServeletUnavailable { servelet } => {
-                out.push(ERR_SERVELET_UNAVAILABLE);
-                put_u64(out, *servelet);
-            }
-            WireError::ServeletTimeout { servelet } => {
-                out.push(ERR_SERVELET_TIMEOUT);
-                put_u64(out, *servelet);
-            }
-            WireError::PermissionDenied { message } => {
-                out.push(ERR_PERMISSION_DENIED);
-                put_str(out, message);
-            }
-            WireError::InvalidInput { message } => {
-                out.push(ERR_INVALID_INPUT);
-                put_str(out, message);
-            }
-            WireError::RateLimited { retry_after_ms } => {
-                out.push(ERR_RATE_LIMITED);
-                put_u64(out, *retry_after_ms);
-            }
-            WireError::Remote { code, message } => {
-                out.push(ERR_REMOTE);
-                put_str(out, code);
-                put_str(out, message);
-            }
-        }
-    }
-
-    fn decode_from(rd: &mut Rd<'_>) -> DbResult<WireError> {
-        Ok(match rd.u8()? {
-            ERR_NO_SUCH_KEY => WireError::NoSuchKey { key: rd.string()? },
-            ERR_NO_SUCH_BRANCH => WireError::NoSuchBranch {
-                key: rd.string()?,
-                branch: rd.string()?,
-            },
-            ERR_NO_SUCH_VERSION => WireError::NoSuchVersion { uid: rd.hash()? },
-            ERR_BRANCH_EXISTS => WireError::BranchExists {
-                key: rd.string()?,
-                branch: rd.string()?,
-            },
-            ERR_NO_COMMON_ANCESTOR => WireError::NoCommonAncestor {
-                a: rd.hash()?,
-                b: rd.hash()?,
-            },
-            ERR_TAMPER_DETECTED => WireError::TamperDetected {
-                message: rd.string()?,
-            },
-            ERR_SERVELET_UNAVAILABLE => WireError::ServeletUnavailable {
-                servelet: rd.u64()?,
-            },
-            ERR_SERVELET_TIMEOUT => WireError::ServeletTimeout {
-                servelet: rd.u64()?,
-            },
-            ERR_PERMISSION_DENIED => WireError::PermissionDenied {
-                message: rd.string()?,
-            },
-            ERR_INVALID_INPUT => WireError::InvalidInput {
-                message: rd.string()?,
-            },
-            ERR_RATE_LIMITED => WireError::RateLimited {
-                retry_after_ms: rd.u64()?,
-            },
-            ERR_REMOTE => WireError::Remote {
-                code: rd.string()?,
-                message: rd.string()?,
-            },
-            t => return Err(Rd::err(&format!("unknown error tag {t:#04x}"))),
-        })
-    }
 }
 
 // ----------------------------------------------------------------------
 // Replies
 // ----------------------------------------------------------------------
-
-/// Every answer a servelet returns. Tag bytes (frozen): `0x80..=0x8C`,
-/// errors `0xEE`.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Reply {
-    /// Success with no payload.
-    Unit,
-    /// A commit landed.
-    Committed(CommitResult),
-    /// A `Get` result.
-    Got(GetResult),
-    /// Branch heads, in request order.
-    Uids(Vec<Uid>),
-    /// Database statistics.
-    Stat(DbStat),
-    /// One page of a map range scan.
-    Page(MapPage),
-    /// Key listing.
-    Keys(Vec<String>),
-    /// A single counter.
-    Count(u64),
-    /// A garbage-collection report.
-    Gc(GcReport),
-    /// Per-op outcomes of a write batch, in batch order.
-    Outcomes(Vec<BatchOutcome>),
-    /// Raw bytes (bundle export).
-    Blob(Vec<u8>),
-    /// Text (refs dump).
-    Text(String),
-    /// A structural diff summary (wire version 3).
-    Diff(DiffSummary),
-    /// The request failed; the error crossed the wire.
-    Err(WireError),
-}
 
 const REP_UNIT: u8 = 0x80;
 const REP_COMMITTED: u8 = 0x81;
@@ -1186,333 +1036,96 @@ const DIFF_PRIMITIVE: u8 = 0x02;
 const DIFF_MAP: u8 = 0x03;
 const DIFF_CHUNKED: u8 = 0x04;
 
-fn put_diff(out: &mut Vec<u8>, d: &DiffSummary) {
-    match d {
-        DiffSummary::Identical => out.push(DIFF_IDENTICAL),
-        DiffSummary::Primitive { from, to } => {
-            out.push(DIFF_PRIMITIVE);
-            put_value(out, from);
-            put_value(out, to);
-        }
-        DiffSummary::Map {
-            added,
-            removed,
-            modified,
-            entries,
-        } => {
-            out.push(DIFF_MAP);
-            put_u64(out, *added);
-            put_u64(out, *removed);
-            put_u64(out, *modified);
-            put_u32(out, entries.len() as u32);
-            for e in entries {
-                put_bytes(out, &e.key);
-                put_opt_bytes(out, &e.from);
-                put_opt_bytes(out, &e.to);
-            }
-        }
-        DiffSummary::Chunked {
-            from_len,
-            to_len,
-            shared_chunks,
-            shared_bytes,
-            from_chunks,
-            to_chunks,
-        } => {
-            out.push(DIFF_CHUNKED);
-            for v in [
-                *from_len,
-                *to_len,
-                *shared_chunks,
-                *shared_bytes,
-                *from_chunks,
-                *to_chunks,
-            ] {
-                put_u64(out, v);
-            }
-        }
-    }
-}
-
-fn read_diff(rd: &mut Rd<'_>) -> DbResult<DiffSummary> {
-    Ok(match rd.u8()? {
-        DIFF_IDENTICAL => DiffSummary::Identical,
-        DIFF_PRIMITIVE => DiffSummary::Primitive {
-            from: rd.value()?,
-            to: rd.value()?,
-        },
-        DIFF_MAP => {
-            let added = rd.u64()?;
-            let removed = rd.u64()?;
-            let modified = rd.u64()?;
-            let n = rd.count()?;
-            let mut entries = Vec::with_capacity(n);
-            for _ in 0..n {
-                entries.push(MapEntryDelta {
-                    key: Bytes::copy_from_slice(rd.bytes()?),
-                    from: rd.opt_bytes()?,
-                    to: rd.opt_bytes()?,
-                });
-            }
-            DiffSummary::Map {
-                added,
-                removed,
-                modified,
-                entries,
-            }
-        }
-        DIFF_CHUNKED => DiffSummary::Chunked {
-            from_len: rd.u64()?,
-            to_len: rd.u64()?,
-            shared_chunks: rd.u64()?,
-            shared_bytes: rd.u64()?,
-            from_chunks: rd.u64()?,
-            to_chunks: rd.u64()?,
-        },
-        t => return Err(Rd::err(&format!("unknown diff tag {t:#04x}"))),
-    })
-}
-
 const OUTCOME_COMMITTED: u8 = 0x01;
 const OUTCOME_DELETED: u8 = 0x02;
 
-fn put_stat(out: &mut Vec<u8>, s: &DbStat) {
-    put_u64(out, s.keys);
-    put_u64(out, s.branches);
-    let st = &s.store;
-    for v in [
-        st.unique_chunks,
-        st.stored_bytes,
-        st.puts,
-        st.logical_bytes,
-        st.dedup_hits,
-        st.dedup_saved_bytes,
-        st.gets,
-        st.misses,
-        st.compaction_chunks_rewritten,
-        st.compaction_bytes_rewritten,
-        st.sweep_chunks_reclaimed,
-        st.sweep_bytes_reclaimed,
-    ] {
-        put_u64(out, v);
+wire_enum! {
+    impl DiffSummary ("diff") {
+        DIFF_IDENTICAL => Identical,
+        DIFF_PRIMITIVE => Primitive { from: Value, to: Value },
+        DIFF_MAP => Map {
+            added: u64,
+            removed: u64,
+            modified: u64,
+            entries: Vec<MapEntryDelta>,
+        },
+        DIFF_CHUNKED => Chunked {
+            from_len: u64,
+            to_len: u64,
+            shared_chunks: u64,
+            shared_bytes: u64,
+            from_chunks: u64,
+            to_chunks: u64,
+        },
     }
 }
 
-fn read_stat(rd: &mut Rd<'_>) -> DbResult<DbStat> {
-    Ok(DbStat {
-        keys: rd.u64()?,
-        branches: rd.u64()?,
-        store: forkbase_store::StoreStats {
-            unique_chunks: rd.u64()?,
-            stored_bytes: rd.u64()?,
-            puts: rd.u64()?,
-            logical_bytes: rd.u64()?,
-            dedup_hits: rd.u64()?,
-            dedup_saved_bytes: rd.u64()?,
-            gets: rd.u64()?,
-            misses: rd.u64()?,
-            compaction_chunks_rewritten: rd.u64()?,
-            compaction_bytes_rewritten: rd.u64()?,
-            sweep_chunks_reclaimed: rd.u64()?,
-            sweep_bytes_reclaimed: rd.u64()?,
-        },
-    })
+wire_enum! {
+    impl BatchOutcome ("outcome") {
+        OUTCOME_COMMITTED => Committed(c: CommitResult),
+        OUTCOME_DELETED => Deleted { key: String, branch: String },
+    }
+}
+
+wire_enum! {
+    /// Every answer a servelet returns. Tag bytes (frozen): `0x80..=0x8C`,
+    /// errors `0xEE`.
+    #[derive(Clone, Debug, PartialEq)]
+    pub enum Reply ("reply") {
+        /// Success with no payload.
+        REP_UNIT => Unit,
+        /// A commit landed.
+        REP_COMMITTED => Committed(c: CommitResult) expect_commit "commit",
+        /// A `Get` result.
+        REP_GOT => Got(g: GetResult) expect_get "get result",
+        /// Branch heads, in request order.
+        REP_UIDS => Uids(u: Vec<Uid>) expect_uids "uids",
+        /// Database statistics.
+        REP_STAT => Stat(s: DbStat) expect_stat "stat",
+        /// One page of a map range scan.
+        REP_PAGE => Page(p: MapPage) expect_page "map page",
+        /// Key listing.
+        REP_KEYS => Keys(k: Vec<String>) expect_keys "keys",
+        /// A single counter.
+        REP_COUNT => Count(n: u64) expect_count "count",
+        /// A garbage-collection report.
+        REP_GC => Gc(r: GcReport) expect_gc "gc report",
+        /// Per-op outcomes of a write batch, in batch order.
+        REP_OUTCOMES => Outcomes(o: Vec<BatchOutcome>) expect_outcomes "batch outcomes",
+        /// Raw bytes (bundle export).
+        REP_BLOB => Blob(b: Vec<u8>) expect_blob "blob",
+        /// Text (refs dump).
+        REP_TEXT => Text(t: String) expect_text "text",
+        /// A structural diff summary (wire version 3).
+        REP_DIFF => Diff(d: DiffSummary) expect_diff "diff summary",
+        /// The request failed; the error crossed the wire.
+        REP_ERR => Err(e: WireError),
+    }
 }
 
 impl Reply {
     /// Encode as a frame body (tag + fields; no frame envelope).
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        match self {
-            Reply::Unit => out.push(REP_UNIT),
-            Reply::Committed(c) => {
-                out.push(REP_COMMITTED);
-                put_hash(&mut out, &c.uid);
-                put_str(&mut out, &c.branch);
-            }
-            Reply::Got(g) => {
-                out.push(REP_GOT);
-                put_value(&mut out, &g.value);
-                put_hash(&mut out, &g.uid);
-            }
-            Reply::Uids(uids) => {
-                out.push(REP_UIDS);
-                put_u32(&mut out, uids.len() as u32);
-                for u in uids {
-                    put_hash(&mut out, u);
-                }
-            }
-            Reply::Stat(s) => {
-                out.push(REP_STAT);
-                put_stat(&mut out, s);
-            }
-            Reply::Page(p) => {
-                out.push(REP_PAGE);
-                put_u32(&mut out, p.entries.len() as u32);
-                for (k, v) in &p.entries {
-                    put_bytes(&mut out, k);
-                    put_bytes(&mut out, v);
-                }
-                put_bool(&mut out, p.truncated);
-                put_hash(&mut out, &p.version);
-            }
-            Reply::Keys(keys) => {
-                out.push(REP_KEYS);
-                put_u32(&mut out, keys.len() as u32);
-                for k in keys {
-                    put_str(&mut out, k);
-                }
-            }
-            Reply::Count(n) => {
-                out.push(REP_COUNT);
-                put_u64(&mut out, *n);
-            }
-            Reply::Gc(r) => {
-                out.push(REP_GC);
-                for v in [
-                    r.live_chunks,
-                    r.sweep.chunks_reclaimed,
-                    r.sweep.bytes_reclaimed,
-                    r.sweep.chunks_rewritten,
-                    r.sweep.bytes_rewritten,
-                    r.sweep.segments_deleted,
-                    r.sweep.disk_bytes_before,
-                    r.sweep.disk_bytes_after,
-                ] {
-                    put_u64(&mut out, v);
-                }
-            }
-            Reply::Outcomes(outcomes) => {
-                out.push(REP_OUTCOMES);
-                put_u32(&mut out, outcomes.len() as u32);
-                for o in outcomes {
-                    match o {
-                        BatchOutcome::Committed(c) => {
-                            out.push(OUTCOME_COMMITTED);
-                            put_hash(&mut out, &c.uid);
-                            put_str(&mut out, &c.branch);
-                        }
-                        BatchOutcome::Deleted { key, branch } => {
-                            out.push(OUTCOME_DELETED);
-                            put_str(&mut out, key);
-                            put_str(&mut out, branch);
-                        }
-                    }
-                }
-            }
-            Reply::Blob(b) => {
-                out.push(REP_BLOB);
-                put_bytes(&mut out, b);
-            }
-            Reply::Text(t) => {
-                out.push(REP_TEXT);
-                put_str(&mut out, t);
-            }
-            Reply::Diff(d) => {
-                out.push(REP_DIFF);
-                put_diff(&mut out, d);
-            }
-            Reply::Err(e) => {
-                out.push(REP_ERR);
-                e.encode_into(&mut out);
-            }
-        }
+        self.put(&mut out);
         out
     }
 
     /// Decode a frame body produced by [`Self::encode`].
     pub fn decode(body: &[u8]) -> DbResult<Reply> {
-        let mut rd = Rd::new(body);
-        let rep = match rd.u8()? {
-            REP_UNIT => Reply::Unit,
-            REP_COMMITTED => Reply::Committed(CommitResult {
-                uid: rd.hash()?,
-                branch: rd.string()?,
-            }),
-            REP_GOT => Reply::Got(GetResult {
-                value: rd.value()?,
-                uid: rd.hash()?,
-            }),
-            REP_UIDS => {
-                let n = rd.count()?;
-                let mut uids = Vec::with_capacity(n);
-                for _ in 0..n {
-                    uids.push(rd.hash()?);
-                }
-                Reply::Uids(uids)
-            }
-            REP_STAT => Reply::Stat(read_stat(&mut rd)?),
-            REP_PAGE => {
-                let n = rd.count()?;
-                let mut entries = Vec::with_capacity(n);
-                for _ in 0..n {
-                    entries.push((
-                        Bytes::copy_from_slice(rd.bytes()?),
-                        Bytes::copy_from_slice(rd.bytes()?),
-                    ));
-                }
-                Reply::Page(MapPage {
-                    entries,
-                    truncated: rd.bool()?,
-                    version: rd.hash()?,
-                })
-            }
-            REP_KEYS => {
-                let n = rd.count()?;
-                let mut keys = Vec::with_capacity(n);
-                for _ in 0..n {
-                    keys.push(rd.string()?);
-                }
-                Reply::Keys(keys)
-            }
-            REP_COUNT => Reply::Count(rd.u64()?),
-            REP_GC => Reply::Gc(GcReport {
-                live_chunks: rd.u64()?,
-                sweep: forkbase_store::SweepReport {
-                    chunks_reclaimed: rd.u64()?,
-                    bytes_reclaimed: rd.u64()?,
-                    chunks_rewritten: rd.u64()?,
-                    bytes_rewritten: rd.u64()?,
-                    segments_deleted: rd.u64()?,
-                    disk_bytes_before: rd.u64()?,
-                    disk_bytes_after: rd.u64()?,
-                },
-            }),
-            REP_OUTCOMES => {
-                let n = rd.count()?;
-                let mut outcomes = Vec::with_capacity(n);
-                for _ in 0..n {
-                    outcomes.push(match rd.u8()? {
-                        OUTCOME_COMMITTED => BatchOutcome::Committed(CommitResult {
-                            uid: rd.hash()?,
-                            branch: rd.string()?,
-                        }),
-                        OUTCOME_DELETED => BatchOutcome::Deleted {
-                            key: rd.string()?,
-                            branch: rd.string()?,
-                        },
-                        t => return Err(Rd::err(&format!("unknown outcome tag {t:#04x}"))),
-                    });
-                }
-                Reply::Outcomes(outcomes)
-            }
-            REP_BLOB => Reply::Blob(rd.bytes()?.to_vec()),
-            REP_TEXT => Reply::Text(rd.string()?),
-            REP_DIFF => Reply::Diff(read_diff(&mut rd)?),
-            REP_ERR => Reply::Err(WireError::decode_from(&mut rd)?),
-            t => return Err(Rd::err(&format!("unknown reply tag {t:#04x}"))),
-        };
-        rd.done()?;
-        Ok(rep)
+        Rd::body(body)
     }
 
     fn unexpected(self, wanted: &str) -> DbError {
         match self {
             Reply::Err(e) => e.into_db(),
-            other => DbError::InvalidInput(format!(
-                "unexpected wire reply: wanted {wanted}, got {:?} tag",
-                std::mem::discriminant(&other)
-            )),
+            other => {
+                let (tag, name) = other.wire_kind();
+                DbError::InvalidInput(format!(
+                    "unexpected wire reply: wanted {wanted}, got {} ({tag:#04x})",
+                    name.to_ascii_lowercase()
+                ))
+            }
         }
     }
 
@@ -1521,102 +1134,6 @@ impl Reply {
         match self {
             Reply::Unit => Ok(()),
             other => Err(other.unexpected("unit")),
-        }
-    }
-
-    /// Extract a [`Reply::Committed`].
-    pub fn expect_commit(self) -> DbResult<CommitResult> {
-        match self {
-            Reply::Committed(c) => Ok(c),
-            other => Err(other.unexpected("commit")),
-        }
-    }
-
-    /// Extract a [`Reply::Got`].
-    pub fn expect_get(self) -> DbResult<GetResult> {
-        match self {
-            Reply::Got(g) => Ok(g),
-            other => Err(other.unexpected("get result")),
-        }
-    }
-
-    /// Extract a [`Reply::Uids`].
-    pub fn expect_uids(self) -> DbResult<Vec<Uid>> {
-        match self {
-            Reply::Uids(u) => Ok(u),
-            other => Err(other.unexpected("uids")),
-        }
-    }
-
-    /// Extract a [`Reply::Stat`].
-    pub fn expect_stat(self) -> DbResult<DbStat> {
-        match self {
-            Reply::Stat(s) => Ok(s),
-            other => Err(other.unexpected("stat")),
-        }
-    }
-
-    /// Extract a [`Reply::Page`].
-    pub fn expect_page(self) -> DbResult<MapPage> {
-        match self {
-            Reply::Page(p) => Ok(p),
-            other => Err(other.unexpected("map page")),
-        }
-    }
-
-    /// Extract a [`Reply::Keys`].
-    pub fn expect_keys(self) -> DbResult<Vec<String>> {
-        match self {
-            Reply::Keys(k) => Ok(k),
-            other => Err(other.unexpected("keys")),
-        }
-    }
-
-    /// Extract a [`Reply::Count`].
-    pub fn expect_count(self) -> DbResult<u64> {
-        match self {
-            Reply::Count(n) => Ok(n),
-            other => Err(other.unexpected("count")),
-        }
-    }
-
-    /// Extract a [`Reply::Gc`].
-    pub fn expect_gc(self) -> DbResult<GcReport> {
-        match self {
-            Reply::Gc(r) => Ok(r),
-            other => Err(other.unexpected("gc report")),
-        }
-    }
-
-    /// Extract a [`Reply::Outcomes`].
-    pub fn expect_outcomes(self) -> DbResult<Vec<BatchOutcome>> {
-        match self {
-            Reply::Outcomes(o) => Ok(o),
-            other => Err(other.unexpected("batch outcomes")),
-        }
-    }
-
-    /// Extract a [`Reply::Blob`].
-    pub fn expect_blob(self) -> DbResult<Vec<u8>> {
-        match self {
-            Reply::Blob(b) => Ok(b),
-            other => Err(other.unexpected("blob")),
-        }
-    }
-
-    /// Extract a [`Reply::Text`].
-    pub fn expect_text(self) -> DbResult<String> {
-        match self {
-            Reply::Text(t) => Ok(t),
-            other => Err(other.unexpected("text")),
-        }
-    }
-
-    /// Extract a [`Reply::Diff`].
-    pub fn expect_diff(self) -> DbResult<DiffSummary> {
-        match self {
-            Reply::Diff(d) => Ok(d),
-            other => Err(other.unexpected("diff summary")),
         }
     }
 }
@@ -1636,7 +1153,6 @@ pub fn dispatch<S: SweepStore>(db: &ForkBase<S>, req: Request) -> Reply {
 }
 
 fn run<S: SweepStore>(db: &ForkBase<S>, req: Request) -> DbResult<Reply> {
-    use std::ops::Bound;
     match req {
         Request::Probe => Ok(Reply::Unit),
         Request::Put { key, value, opts } => Ok(Reply::Committed(db.put(&key, value, &opts)?)),
@@ -1659,32 +1175,9 @@ fn run<S: SweepStore>(db: &ForkBase<S>, req: Request) -> DbResult<Reply> {
             end,
             limit,
         } => {
-            let snap = db.snapshot(&key, &VersionSpec::Branch(branch))?;
-            let start_bound = match &start {
-                Some(s) => Bound::Included(s.as_ref()),
-                None => Bound::Unbounded,
-            };
-            let end_bound = match &end {
-                Some(e) => Bound::Excluded(e.as_ref()),
-                None => Bound::Unbounded,
-            };
-            let limit = usize::try_from(limit).unwrap_or(usize::MAX);
-            let mut range = snap.map_range::<&[u8], _>((start_bound, end_bound))?;
-            let mut entries = Vec::new();
-            let mut truncated = false;
-            for item in &mut range {
-                let (k, v) = item?;
-                if entries.len() == limit {
-                    truncated = true;
-                    break;
-                }
-                entries.push((k, v));
-            }
-            Ok(Reply::Page(MapPage {
-                entries,
-                truncated,
-                version: snap.uid(),
-            }))
+            let spec = VersionSpec::Branch(branch);
+            let page = Backend::map_range_at(db, &key, &spec, start, end, limit)?;
+            Ok(Reply::Page(page))
         }
         Request::ListKeys => Ok(Reply::Keys(db.list_keys())),
         Request::StoredBytes => Ok(Reply::Count(ChunkStore::stored_bytes(db.store()))),
@@ -1727,25 +1220,21 @@ fn run<S: SweepStore>(db: &ForkBase<S>, req: Request) -> DbResult<Reply> {
             let refs = import_bundle_replace(db, &mut bundle.as_slice())?;
             Ok(Reply::Count(refs.len() as u64))
         }
-        Request::GetAt { key, spec } => {
-            let uid = db.resolve(&key, &spec)?;
-            Ok(Reply::Got(db.get_version(&uid)?))
-        }
+        Request::GetAt { key, spec } => Ok(Reply::Got(Backend::get_at(db, &key, &spec)?)),
         Request::BranchFromVersion {
             key,
             uid,
             new_branch,
         } => {
-            db.branch_from_version(&key, &uid, &new_branch)?;
+            Backend::branch_from_version(db, &key, &uid, &new_branch)?;
             Ok(Reply::Unit)
         }
         Request::DeleteBranch { key, branch } => {
-            db.delete_branch(&key, &branch)?;
+            Backend::delete_branch(db, &key, &branch)?;
             Ok(Reply::Unit)
         }
         Request::DiffSpecs { key, from, to } => {
-            let diff = db.diff(&key, &from, &to)?;
-            Ok(Reply::Diff(DiffSummary::from_value_diff(&diff)))
+            Ok(Reply::Diff(Backend::diff_specs(db, &key, &from, &to)?))
         }
         Request::MapRangeAt {
             key,
@@ -1754,32 +1243,8 @@ fn run<S: SweepStore>(db: &ForkBase<S>, req: Request) -> DbResult<Reply> {
             end,
             limit,
         } => {
-            let snap = db.snapshot(&key, &spec)?;
-            let start_bound = match &start {
-                Some(s) => Bound::Included(s.as_ref()),
-                None => Bound::Unbounded,
-            };
-            let end_bound = match &end {
-                Some(e) => Bound::Excluded(e.as_ref()),
-                None => Bound::Unbounded,
-            };
-            let limit = usize::try_from(limit).unwrap_or(usize::MAX);
-            let mut range = snap.map_range::<&[u8], _>((start_bound, end_bound))?;
-            let mut entries = Vec::new();
-            let mut truncated = false;
-            for item in &mut range {
-                let (k, v) = item?;
-                if entries.len() == limit {
-                    truncated = true;
-                    break;
-                }
-                entries.push((k, v));
-            }
-            Ok(Reply::Page(MapPage {
-                entries,
-                truncated,
-                version: snap.uid(),
-            }))
+            let page = Backend::map_range_at(db, &key, &spec, start, end, limit)?;
+            Ok(Reply::Page(page))
         }
     }
 }
@@ -1788,19 +1253,7 @@ fn run<S: SweepStore>(db: &ForkBase<S>, req: Request) -> DbResult<Reply> {
 /// refs after these before acking, so an acked write survives a process
 /// kill.
 pub fn mutates(req: &Request) -> bool {
-    matches!(
-        req,
-        Request::Put { .. }
-            | Request::PutBlob { .. }
-            | Request::Gc
-            | Request::Batch { .. }
-            | Request::ImportBundle { .. }
-            | Request::ForgetKeys { .. }
-            | Request::LoadRefs { .. }
-            | Request::Replicate { .. }
-            | Request::BranchFromVersion { .. }
-            | Request::DeleteBranch { .. }
-    )
+    req.retry_class().1
 }
 
 #[cfg(test)]
@@ -2084,12 +1537,154 @@ mod tests {
 
     #[test]
     fn decoder_rejects_implausible_interior_counts() {
-        // A Heads request claiming 4 billion pairs in a tiny body must be
-        // rejected without allocating for 4 billion entries.
-        let mut body = vec![REQ_HEADS];
-        put_u32(&mut body, u32::MAX);
-        let err = Request::decode(&body).unwrap_err();
-        assert!(matches!(err, DbError::InvalidInput(_)), "{err:?}");
+        // A Heads request claiming 4 billion pairs in a tiny body, or 64
+        // pairs with 64 bytes behind them (a (String, String) is at least
+        // 8 bytes), is refused before anything is reserved for the pairs.
+        for (count, behind) in [(u32::MAX, 0), (64, 64)] {
+            let mut body = vec![REQ_HEADS];
+            put_u32(&mut body, count);
+            body.resize(body.len() + behind, 0);
+            match Request::decode(&body) {
+                Err(DbError::InvalidInput(m)) => {
+                    assert!(m.contains("implausible element count"), "{m}")
+                }
+                other => panic!("wrong outcome: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn mismatched_reply_names_the_variant_and_tag() {
+        let page = Reply::Page(MapPage {
+            entries: vec![],
+            truncated: false,
+            version: Uid::from_bytes(U7),
+        });
+        match page.expect_commit() {
+            Err(DbError::InvalidInput(m)) => {
+                assert_eq!(m, "unexpected wire reply: wanted commit, got page (0x85)")
+            }
+            other => panic!("wrong outcome: {other:?}"),
+        }
+        // A carried error is that error, not a mismatch.
+        let err = Reply::Err(WireError::NoSuchKey { key: "k".into() })
+            .expect_page()
+            .unwrap_err();
+        assert_eq!(err.code(), "no_such_key");
+    }
+
+    #[test]
+    fn every_verb_pins_its_retry_and_persist_flags() {
+        let k = || String::from("k");
+        let spec = || VersionSpec::Branch("b".into());
+        // (verb, idempotent, mutates)
+        let cases = vec![
+            (Request::Probe, true, false),
+            (
+                Request::Put {
+                    key: k(),
+                    value: Value::Int(1),
+                    opts: PutOptions::default(),
+                },
+                false,
+                true,
+            ),
+            (
+                Request::PutBlob {
+                    key: k(),
+                    content: Bytes::new(),
+                    opts: PutOptions::default(),
+                },
+                false,
+                true,
+            ),
+            (
+                Request::Get {
+                    key: k(),
+                    branch: k(),
+                },
+                true,
+                false,
+            ),
+            (Request::Heads { pairs: vec![] }, true, false),
+            (Request::Stat, true, false),
+            (
+                Request::MapRange {
+                    key: k(),
+                    branch: k(),
+                    start: None,
+                    end: None,
+                    limit: 1,
+                },
+                true,
+                false,
+            ),
+            (Request::ListKeys, true, false),
+            (Request::StoredBytes, true, false),
+            (Request::Gc, false, true),
+            (Request::Batch { ops: vec![] }, false, true),
+            (Request::ExportBundle { keys: vec![] }, false, false),
+            (Request::ImportBundle { bundle: vec![] }, false, true),
+            (Request::ForgetKeys { keys: vec![] }, false, true),
+            (Request::LoadRefs { refs: k() }, false, true),
+            (Request::DumpRefs, true, false),
+            (Request::Replicate { bundle: vec![] }, true, true),
+            (
+                Request::GetAt {
+                    key: k(),
+                    spec: spec(),
+                },
+                true,
+                false,
+            ),
+            (
+                Request::BranchFromVersion {
+                    key: k(),
+                    uid: Uid::from_bytes(U7),
+                    new_branch: k(),
+                },
+                false,
+                true,
+            ),
+            (
+                Request::DeleteBranch {
+                    key: k(),
+                    branch: k(),
+                },
+                false,
+                true,
+            ),
+            (
+                Request::DiffSpecs {
+                    key: k(),
+                    from: spec(),
+                    to: spec(),
+                },
+                true,
+                false,
+            ),
+            (
+                Request::MapRangeAt {
+                    key: k(),
+                    spec: spec(),
+                    start: None,
+                    end: None,
+                    limit: 1,
+                },
+                true,
+                false,
+            ),
+        ];
+        let tags: std::collections::BTreeSet<u8> =
+            cases.iter().map(|(req, _, _)| req.encode()[0]).collect();
+        assert_eq!(tags.len(), 22, "one case per request verb");
+        for (req, idempotent, mutating) in cases {
+            assert_eq!(
+                (req.idempotent(), mutates(&req)),
+                (idempotent, mutating),
+                "{req:?}"
+            );
+        }
     }
 
     // ------------------------------------------------------------------

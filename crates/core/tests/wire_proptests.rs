@@ -15,7 +15,10 @@ use forkbase::cluster::wire::{
     encode_frame, encode_frame_with_version, read_frame, read_frame_versioned, FrameError, Reply,
     Request, WireError, WireOp, MAX_FRAME_LEN, MIN_WIRE_VERSION, WIRE_VERSION,
 };
-use forkbase::{BatchOutcome, CommitResult, DbStat, GcReport, GetResult, MapPage, PutOptions, Uid};
+use forkbase::{
+    BatchOutcome, CommitResult, DbStat, DiffSummary, GcReport, GetResult, MapEntryDelta, MapPage,
+    PutOptions, Uid, VersionSpec,
+};
 use forkbase_store::crc::crc32;
 use forkbase_types::Value;
 use proptest::collection::vec;
@@ -72,6 +75,14 @@ fn value() -> BoxedStrategy<Value> {
     .boxed()
 }
 
+fn spec() -> BoxedStrategy<VersionSpec> {
+    prop_oneof![
+        key().prop_map(VersionSpec::Branch),
+        uid().prop_map(VersionSpec::Version),
+    ]
+    .boxed()
+}
+
 fn wire_op() -> BoxedStrategy<WireOp> {
     prop_oneof![
         (key(), value(), opts()).prop_map(|(key, value, opts)| WireOp::Put { key, value, opts }),
@@ -113,6 +124,25 @@ fn request() -> BoxedStrategy<Request> {
         ".{0,48}".prop_map(|refs| Request::LoadRefs { refs }),
         Just(Request::DumpRefs),
         raw(96).prop_map(|bundle| Request::Replicate { bundle }),
+        (key(), spec()).prop_map(|(key, spec)| Request::GetAt { key, spec }),
+        (key(), uid(), key()).prop_map(|(key, uid, new_branch)| Request::BranchFromVersion {
+            key,
+            uid,
+            new_branch
+        }),
+        (key(), key()).prop_map(|(key, branch)| Request::DeleteBranch { key, branch }),
+        (key(), spec(), spec()).prop_map(|(key, from, to)| Request::DiffSpecs { key, from, to }),
+        (
+            (key(), spec()),
+            (option::of(blob()), option::of(blob()), num::u64::ANY)
+        )
+            .prop_map(|((key, spec), (start, end, limit))| Request::MapRangeAt {
+                key,
+                spec,
+                start,
+                end,
+                limit,
+            }),
     ]
     .boxed()
 }
@@ -129,6 +159,7 @@ fn wire_error() -> BoxedStrategy<WireError> {
         num::u64::ANY.prop_map(|servelet| WireError::ServeletTimeout { servelet }),
         text().prop_map(|message| WireError::PermissionDenied { message }),
         text().prop_map(|message| WireError::InvalidInput { message }),
+        num::u64::ANY.prop_map(|retry_after_ms| WireError::RateLimited { retry_after_ms }),
         ("[a-z_]{1,24}", text()).prop_map(|(code, message)| WireError::Remote { code, message }),
     ]
     .boxed()
@@ -183,6 +214,32 @@ fn gc_report() -> BoxedStrategy<GcReport> {
         .boxed()
 }
 
+fn diff() -> BoxedStrategy<DiffSummary> {
+    let delta = (blob(), option::of(blob()), option::of(blob()))
+        .prop_map(|(key, from, to)| MapEntryDelta { key, from, to });
+    prop_oneof![
+        Just(DiffSummary::Identical),
+        (value(), value()).prop_map(|(from, to)| DiffSummary::Primitive { from, to }),
+        (vec(num::u64::ANY, 3usize), vec(delta, 0..5)).prop_map(|(n, entries)| {
+            DiffSummary::Map {
+                added: n[0],
+                removed: n[1],
+                modified: n[2],
+                entries,
+            }
+        }),
+        vec(num::u64::ANY, 6usize).prop_map(|n| DiffSummary::Chunked {
+            from_len: n[0],
+            to_len: n[1],
+            shared_chunks: n[2],
+            shared_bytes: n[3],
+            from_chunks: n[4],
+            to_chunks: n[5],
+        }),
+    ]
+    .boxed()
+}
+
 fn reply() -> BoxedStrategy<Reply> {
     prop_oneof![
         Just(Reply::Unit),
@@ -203,6 +260,7 @@ fn reply() -> BoxedStrategy<Reply> {
         vec(outcome(), 0..5).prop_map(Reply::Outcomes),
         raw(96).prop_map(Reply::Blob),
         ".{0,48}".prop_map(Reply::Text),
+        diff().prop_map(Reply::Diff),
         wire_error().prop_map(Reply::Err),
     ]
     .boxed()
