@@ -8,6 +8,8 @@
 //!   how the set was reached (structural invariance, property 1);
 //! * `diff` then `apply` reconstructs the target tree exactly;
 //! * lists behave like `Vec` under arbitrary splices;
+//! * an incremental update of a multi-level tree (`PosMap::apply`,
+//!   `PosList::splice`) yields exactly the root of a full rebuild;
 //! * blobs round-trip arbitrary byte strings and serve correct ranges.
 
 use std::collections::BTreeMap;
@@ -39,6 +41,70 @@ fn edits_strategy() -> impl Strategy<Value = Vec<(Vec<u8>, Option<Vec<u8>>)>> {
         (key_strategy(), proptest::option::of(value_strategy())),
         0..60,
     )
+}
+
+/// Base-map key `i`, fixed width so numeric order is byte order. Base maps
+/// hold the keys `10, 20, …, 10·n`, leaving room between, before and after
+/// them.
+fn base_key(i: u32) -> Bytes {
+    Bytes::from(format!("k{i:07}"))
+}
+
+/// Base tree size: sometimes a single root leaf (or empty), mostly 3–4
+/// levels deep under `test_small`.
+fn base_size() -> impl Strategy<Value = u32> {
+    prop_oneof![0u32..8, 0u32..3_000]
+}
+
+/// Edit-batch ingredients `(kind, anchor, span, value salt)`, expanded
+/// against the base size by [`expand_edits`]; a `None` salt deletes.
+type EditOp = (u8, u32, u32, Option<u8>);
+
+fn edit_ops() -> impl Strategy<Value = Vec<EditOp>> {
+    proptest::collection::vec(
+        (
+            0u8..6,
+            0u32..3_000,
+            1u32..200,
+            proptest::option::of(proptest::num::u8::ANY),
+        ),
+        1..12,
+    )
+}
+
+/// Turn [`EditOp`]s into a batch over a base map of `n` keys: scattered
+/// keys, clustered runs, keys before the first and after the last, deletes
+/// spanning whole leaves, and repeats of earlier keys (last one wins).
+fn expand_edits(n: u32, ops: &[EditOp]) -> Vec<MapEdit> {
+    let edit = |key: Bytes, salt: Option<u8>, i: u32| match salt {
+        Some(s) => MapEdit::put(key, Bytes::from(format!("new-{s}-{i}"))),
+        None => MapEdit::delete(key),
+    };
+    let existing = |i: u32| base_key(10 + 10 * i);
+    let mut out: Vec<MapEdit> = Vec::new();
+    for &(kind, anchor, span, salt) in ops {
+        let at = anchor % n.max(1);
+        match kind {
+            // An existing key, or the gap just after it.
+            0 => out.push(edit(base_key(10 + 10 * at + (span % 2) * 5), salt, at)),
+            // A clustered run of consecutive existing keys.
+            1 => out.extend((at..(at + span % 40).min(n)).map(|i| edit(existing(i), salt, i))),
+            // Before the first key.
+            2 => out.push(edit(base_key(span % 10), salt, span)),
+            // After the last key.
+            3 => out.push(edit(base_key(10 + 10 * n + span), salt, span)),
+            // A delete run long enough to span whole leaves.
+            4 => out.extend((at..(at + span).min(n)).map(|i| MapEdit::delete(existing(i)))),
+            // An earlier edit's key again, with a different outcome.
+            _ => {
+                if !out.is_empty() {
+                    let key = out[anchor as usize % out.len()].key.clone();
+                    out.push(edit(key, salt.map(|s| s.wrapping_add(1)), span));
+                }
+            }
+        }
+    }
+    out
 }
 
 proptest! {
@@ -187,6 +253,62 @@ proptest! {
         let got = list.to_vec().unwrap();
         let want: Vec<Bytes> = model.iter().map(|v| Bytes::from(v.clone())).collect();
         prop_assert_eq!(got, want);
+    }
+
+    /// `apply` on a multi-level map yields the root and length of a full
+    /// rebuild of the resulting record set: splicing reused leaves never
+    /// changes a chunk boundary.
+    #[test]
+    fn apply_root_equals_rebuild(n in base_size(), salt in 0u32..7, ops in edit_ops()) {
+        let store = MemStore::new();
+        let mut model: BTreeMap<Bytes, Bytes> = (0..n)
+            .map(|i| (base_key(10 + 10 * i), Bytes::from(format!("v{i}{}", "x".repeat(((i + salt) % 7) as usize)))))
+            .collect();
+        let base = PosMap::build_from_sorted(&store, cfg(), model.clone()).unwrap();
+        let edits = expand_edits(n, &ops);
+        let applied = base.apply(edits.clone()).unwrap();
+
+        for e in &edits {
+            match &e.value {
+                Some(v) => { model.insert(e.key.clone(), v.clone()); }
+                None => { model.remove(&e.key); }
+            }
+        }
+        let fresh = MemStore::new();
+        let rebuilt = PosMap::build_from_sorted(&fresh, cfg(), model).unwrap();
+        prop_assert_eq!(applied.root(), rebuilt.root());
+        prop_assert_eq!(applied.len(), rebuilt.len());
+    }
+
+    /// `splice` on a multi-level list yields the root and length of
+    /// `PosList::build` over the resulting elements, splice after splice.
+    #[test]
+    fn splice_root_equals_rebuild(
+        n in base_size(),
+        splices in proptest::collection::vec(
+            (0u32..3_100, prop_oneof![0u32..4, 0u32..300], 0u32..40),
+            1..4,
+        ),
+    ) {
+        let store = MemStore::new();
+        let element = |tag: &str, i: u32| Bytes::from(format!("{tag}{i}{}", "-".repeat(i as usize % 5)));
+        let mut model: Vec<Bytes> = (0..n).map(|i| element("e", i)).collect();
+        let mut list = PosList::build(&store, cfg(), model.clone()).unwrap();
+
+        for (round, &(anchor, remove, insert)) in splices.iter().enumerate() {
+            // Mostly inside the list, sometimes past its end (clamped).
+            let start = anchor % (model.len() as u32 + 10);
+            let inserted: Vec<Bytes> = (0..insert).map(|i| element(&format!("r{round}-"), i)).collect();
+            list = list.splice(start as u64, remove as u64, inserted.clone()).unwrap();
+            let s = (start as usize).min(model.len());
+            let r = (remove as usize).min(model.len() - s);
+            model.splice(s..s + r, inserted);
+
+            let fresh = MemStore::new();
+            let rebuilt = PosList::build(&fresh, cfg(), model.clone()).unwrap();
+            prop_assert_eq!(list.root(), rebuilt.root());
+            prop_assert_eq!(list.len(), rebuilt.len());
+        }
     }
 
     /// Blob round-trip and random range reads.
