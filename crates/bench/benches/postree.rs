@@ -4,7 +4,9 @@
 //! full scans — the primitive costs every higher-level number (Figs. 3–5)
 //! decomposes into.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{
+    criterion_group, criterion_main, BenchmarkGroup, BenchmarkId, Criterion, Throughput,
+};
 use forkbase_bench::workload;
 use forkbase_postree::{MapEdit, PosMap, TreeConfig};
 use forkbase_store::MemStore;
@@ -64,7 +66,26 @@ fn bench_single_edit(c: &mut Criterion) {
             .unwrap()
         });
     });
-    group.bench_function("batch100_edits_100k", |b| {
+    bench_batch100(&mut group, "batch100_edits_100k", &map, &data);
+    // The same 100-edit block on a map 12.5× smaller: the two times'
+    // ratio records how flat a block's cost is in map size.
+    let small_store = MemStore::new();
+    let small_data = workload::snapshot(8_000, 0xB3);
+    let small_map =
+        PosMap::build_from_sorted(&small_store, cfg.node, small_data.iter().cloned()).unwrap();
+    bench_batch100(&mut group, "batch100_edits_8k", &small_map, &small_data);
+    group.finish();
+}
+
+/// One 100-edit block spread evenly over `map`, shifted every iteration.
+fn bench_batch100(
+    group: &mut BenchmarkGroup<'_>,
+    name: &str,
+    map: &PosMap<'_, MemStore>,
+    data: &[(bytes::Bytes, bytes::Bytes)],
+) {
+    let n = data.len();
+    group.bench_function(name, |b| {
         let mut round = 0usize;
         b.iter(|| {
             round += 1;
@@ -79,7 +100,6 @@ fn bench_single_edit(c: &mut Criterion) {
             map.apply(edits).unwrap()
         });
     });
-    group.finish();
 }
 
 fn bench_scan(c: &mut Criterion) {

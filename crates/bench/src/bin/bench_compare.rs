@@ -9,9 +9,9 @@
 //! ```
 //!
 //! Only the *gated* groups fail the run — `chunk_throughput/*`,
-//! `db/concurrent_commits/*`, `db/cluster_put/*`, and
-//! `replication/ship_drain/*`, the numbers the ROADMAP bench history
-//! tracks; everything else is reported
+//! `db/concurrent_commits/*`, `db/cluster_put/*`,
+//! `replication/ship_drain/*` and `postree/apply/*`, the numbers the
+//! ROADMAP bench history tracks; everything else is reported
 //! informationally. A gated bench
 //! missing from the current run also fails (a silently dropped bench must
 //! not read as green). Shared CI runners are noisy, so the CI job runs
@@ -28,6 +28,7 @@ const GATED_PREFIXES: &[&str] = &[
     "db/concurrent_commits",
     "db/cluster_put",
     "replication/ship_drain",
+    "postree/apply",
 ];
 const DEFAULT_THRESHOLD: f64 = 0.25;
 
@@ -245,6 +246,8 @@ mod tests {
         ));
         assert!(is_gated("db/cluster_put/routed_4servelets_64keys"));
         assert!(is_gated("replication/ship_drain/drain_64keys/1replica"));
+        assert!(is_gated("postree/apply/batch100_edits_8k"));
+        assert!(!is_gated("postree/get/100000"));
         assert!(!is_gated("store/compaction/ingest_delete_compact_reread"));
         assert!(!is_gated("db/write_batch/batch_16keys"));
         assert!(!is_gated("crypto/sha256/4096"));

@@ -20,7 +20,30 @@ use forkbase_chunk::{ChunkerConfig, EntryChunker};
 use forkbase_crypto::{sha256, Hash};
 use forkbase_store::ChunkStore;
 
+use crate::cursor::LeafCursor;
 use crate::node::{IndexEntry, LeafEntry, Node, NodeResult};
+
+/// Where [`TreeBuilder::copy_from`] stops: it copies every entry the bound
+/// admits and leaves the cursor on the first one it does not.
+#[derive(Clone, Copy)]
+pub(crate) enum Until<'a> {
+    /// Entries whose key is below this one (map edits).
+    Key(&'a [u8]),
+    /// Entries at positions below this one (list splices).
+    Position(u64),
+    /// Every remaining entry, the tree's final leaf included.
+    End,
+}
+
+impl Until<'_> {
+    fn admits(self, key: &[u8], position: u64) -> bool {
+        match self {
+            Until::Key(bound) => key < bound,
+            Until::Position(bound) => position < bound,
+            Until::End => true,
+        }
+    }
+}
 
 /// Flush the staged-chunk buffer once it holds this many chunks…
 const FLUSH_CHUNKS: usize = 128;
@@ -163,6 +186,45 @@ impl<'s, S: ChunkStore> TreeBuilder<'s, S> {
         );
         self.levels[0].nodes_emitted += 1;
         self.push_index(1, node_ref)
+    }
+
+    /// Copy `cursor`'s entries up to `until` into the tree, resynchronizing
+    /// after every edit: whenever the builder is at a leaf boundary and the
+    /// cursor at the start of a leaf that lies wholly before the bound, the
+    /// leaf is spliced by reference (no decode, no re-hash); otherwise one
+    /// entry is streamed. The tree's final leaf is spliced only by
+    /// [`Until::End`]: its boundary was the end of the old stream, not a
+    /// pattern, so mid-stream it would not re-occur.
+    pub(crate) fn copy_from(
+        &mut self,
+        cursor: &mut LeafCursor<'_, S>,
+        until: Until<'_>,
+    ) -> NodeResult<()> {
+        loop {
+            cursor.normalize()?;
+            let position = cursor.position();
+            let Some(leaf) = cursor.leaf_ref() else {
+                return Ok(());
+            };
+            if self.at_leaf_boundary()
+                && cursor.at_leaf_start()
+                && (matches!(until, Until::End) || !cursor.leaf_is_last())
+                && until.admits(&leaf.split_key, position + leaf.count - 1)
+            {
+                let leaf = leaf.clone();
+                self.append_leaf_node(leaf)?;
+                cursor.skip_leaf()?;
+                continue;
+            }
+            if !cursor
+                .peek()?
+                .is_some_and(|next| until.admits(&next.key, position))
+            {
+                return Ok(());
+            }
+            let entry = cursor.next_entry()?.expect("peeked");
+            self.push(entry)?;
+        }
     }
 
     /// Push an index entry at `level` (≥ 1), cascading cuts upward.

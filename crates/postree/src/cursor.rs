@@ -177,7 +177,10 @@ impl<'s, S: ChunkStore> LeafCursor<'s, S> {
         self.leaf_ref.as_ref()
     }
 
-    /// Whether the cursor sits at the first entry of its leaf node.
+    /// Whether the cursor sits at the first entry of its leaf node. A
+    /// drained leaf is not a leaf start: after its last entry is consumed
+    /// the cursor still rests on it, so alignment tests must call
+    /// [`Self::normalize`] first.
     pub fn at_leaf_start(&self) -> bool {
         self.entry_idx == 0
     }
@@ -220,7 +223,9 @@ impl<'s, S: ChunkStore> LeafCursor<'s, S> {
     /// Advance past any fully-consumed leaf so the cursor either points at
     /// a real entry (at its node's start if the previous node was drained)
     /// or reaches the end. Uses `leaf_ref.count`, so it never decodes the
-    /// node being left behind.
+    /// node being left behind. Every caller that tests alignment
+    /// ([`Self::at_leaf_start`], [`Self::at_start_of_ancestor`]) normalizes
+    /// first; otherwise a drained leaf hides the next leaf's start.
     pub fn normalize(&mut self) -> NodeResult<()> {
         while let Some(r) = &self.leaf_ref {
             if (self.entry_idx as u64) < r.count {

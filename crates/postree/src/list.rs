@@ -9,7 +9,7 @@ use bytes::Bytes;
 use forkbase_chunk::ChunkerConfig;
 use forkbase_store::ChunkStore;
 
-use crate::builder::TreeBuilder;
+use crate::builder::{TreeBuilder, Until};
 use crate::cursor::LeafCursor;
 use crate::node::{LeafEntry, Node, NodeResult};
 use crate::TreeRef;
@@ -135,6 +135,12 @@ impl<'s, S: ChunkStore> PosList<'s, S> {
 
     /// Replace the `remove` elements starting at `start` with `insert`
     /// (both clamped to the list length), returning the new list.
+    ///
+    /// The lead and the tail are copied by the builder's resync loop: whole
+    /// leaves are spliced by reference wherever the new chunk boundaries
+    /// line up with the old ones — before `start`, and again a leaf or two
+    /// after the insertion — so only the leaves around the splice are
+    /// decoded and re-hashed.
     pub fn splice(
         &self,
         start: u64,
@@ -146,51 +152,14 @@ impl<'s, S: ChunkStore> PosList<'s, S> {
 
         let mut cursor = LeafCursor::new(self.store, self.tree)?;
         let mut builder = TreeBuilder::new(self.store, self.cfg);
-
-        // Splice whole leading leaves that end at or before `start`.
-        while builder.at_leaf_boundary()
-            && cursor.at_leaf_start()
-            && !cursor.at_end()
-            && !cursor.leaf_is_last()
-        {
-            let leaf_ref = cursor.leaf_ref().expect("not at end").clone();
-            if cursor.position() + leaf_ref.count <= start {
-                builder.append_leaf_node(leaf_ref)?;
-                cursor.skip_leaf()?;
-            } else {
-                break;
-            }
-        }
-        // Stream entries up to `start`.
-        while cursor.position() < start {
-            let e = cursor.next_entry()?.expect("within bounds");
-            builder.push(e)?;
-        }
-        // Drop the removed range.
+        builder.copy_from(&mut cursor, Until::Position(start))?;
         for _ in 0..remove {
             cursor.next_entry()?;
         }
-        // Emit insertions.
         for el in insert {
             builder.push(LeafEntry::new(Bytes::new(), el))?;
         }
-        // Tail: resynchronize and splice the rest wholesale.
-        loop {
-            if cursor.at_end() {
-                break;
-            }
-            if builder.at_leaf_boundary() && cursor.at_leaf_start() {
-                let leaf_ref = cursor.leaf_ref().expect("not at end").clone();
-                builder.append_leaf_node(leaf_ref)?;
-                cursor.skip_leaf()?;
-                continue;
-            }
-            match cursor.next_entry()? {
-                Some(e) => builder.push(e)?,
-                None => break,
-            }
-        }
-
+        builder.copy_from(&mut cursor, Until::End)?;
         let finished = builder.finish()?;
         Ok(PosList {
             store: self.store,
