@@ -628,3 +628,286 @@ mod tests {
         assert_eq!(run_command(&db, &["branches", "k"]).unwrap(), "master");
     }
 }
+
+/// Every verb of both shapes, run in order against one in-memory node
+/// and one 3-servelet cluster in a temp directory. Each output — or the
+/// code of each error — is pinned in `tests/golden/verb_table.txt`; run
+/// with `FORKBASE_BLESS=1` to rewrite that file after a deliberate change.
+#[cfg(test)]
+mod pins {
+    use std::path::{Path, PathBuf};
+
+    use forkbase::{ForkBase, ForkService, PutOptions};
+    use forkbase_postree::TreeConfig;
+    use forkbase_store::MemStore;
+
+    use crate::cluster_cmd::{run_cluster_command, serve_servelet, ClusterSession};
+    use crate::{run_command, run_fork_command};
+
+    const CSV: &str = "id,name\n1,one\n2,two\n3,three\n";
+    const CSV_VENDOR: &str = "id,name\n1,one\n2,TWO\n3,three\n4,four\n";
+
+    /// Node rows. `$HEAD` is the output of the last `head` row; `$TMP` a
+    /// scratch directory.
+    const NODE: &[&[&str]] = &[
+        &[],
+        &["bogus"],
+        &["put", "greeting", "hello"],
+        &[
+            "put",
+            "greeting",
+            "hello again",
+            "--message",
+            "second",
+            "--author",
+            "alice",
+        ],
+        &["put", "k"],
+        &["get", "greeting"],
+        &["get", "missing"],
+        &["head", "greeting"],
+        &["meta", "$HEAD"],
+        &["meta", "not-a-uid"],
+        &["latest", "greeting"],
+        &["history", "greeting"],
+        &["list"],
+        &["keys"],
+        &["branch", "greeting", "dev"],
+        &["branches", "greeting"],
+        &["put", "greeting", "dev edit", "--branch", "dev"],
+        &["diff", "greeting", "dev"],
+        &["merge", "greeting", "dev"],
+        &["merge", "greeting", "dev", "bogus-policy"],
+        &["rename-branch", "greeting", "dev", "feature"],
+        &["delete-branch", "greeting", "feature"],
+        &["verify", "greeting"],
+        &["export", "greeting"],
+        &["load-csv", "ds", CSV],
+        &["export-csv", "ds"],
+        &["select", "ds", "1", "3"],
+        &["branch", "ds", "vendor"],
+        &["load-csv", "ds", CSV_VENDOR, "0", "--branch", "vendor"],
+        &["diff-csv", "ds", "vendor"],
+        &["diff", "ds", "vendor"],
+        &["merge", "ds", "vendor"],
+        &["range", "ds"],
+        &["range", "ds", "1", "3", "--limit", "1"],
+        &["prove", "ds", "2"],
+        &["prove", "ds", "404"],
+        &["batch", "put:a=1", "put:b=2", "put:a=1b", "--author", "ops"],
+        &["batch", "del:b", "--branch", "nope"],
+        &["batch", "zap:x"],
+        &["bundle-export", "ds", "$TMP/ds.bundle"],
+        &["bundle-import", "$TMP/ds.bundle"],
+        &["stat"],
+        &["gc"],
+        &["fork", "create", "--id", "scratch", "--ttl", "300"],
+        &["fork", "put", "scratch", "greeting", "forked"],
+        &["fork", "get", "scratch", "greeting"],
+        &["fork", "diff", "scratch"],
+        &["fork", "list"],
+        &["fork", "info", "scratch"],
+        &["fork", "touch", "scratch", "--ttl", "900"],
+        &["fork", "drop", "scratch"],
+        &["fork", "get", "ghost", "k"],
+        &["fork", "bogus"],
+    ];
+
+    /// Cluster rows (`forkbase cluster …`). `tbl` is a 50-entry map put
+    /// there beforehand; `$ADDR1` and `$ADDR2` are servelet processes.
+    const CLUSTER: &[&[&str]] = &[
+        &[],
+        &["bogus"],
+        &["init", "3"],
+        &["put", "alpha", "1"],
+        &["put", "beta", "2"],
+        &["put", "gamma", "3"],
+        &["put", "delta", "4", "--branch", "dev", "--author", "ops"],
+        &["put", "k"],
+        &["get", "alpha"],
+        &["get", "delta", "--branch", "dev"],
+        &["get", "missing"],
+        &["head", "alpha"],
+        &["batch", "put:alpha=1b", "put:beta=2b", "put:epsilon=5"],
+        &["batch", "del:delta", "--branch", "dev"],
+        &["batch", "zap:x"],
+        &["keys"],
+        &["list"],
+        &["range", "tbl", "r010", "r020", "--limit", "5"],
+        &["range", "tbl", "r045"],
+        &["range", "alpha"],
+        &["stats"],
+        &["topology"],
+        &["health"],
+        &["replication-status"],
+        &["add"],
+        &["add-replica", "0"],
+        &["add-replica", "nope"],
+        &["replication-status"],
+        &["topology"],
+        &["promote", "4"],
+        &["promote", "999"],
+        &["topology"],
+        &["remove", "1"],
+        &["remove", "not-a-number"],
+        &["restart", "2"],
+        &["add-remote", "$ADDR1"],
+        &["add-remote-replica", "5", "$ADDR2"],
+        &["topology"],
+        &["replication-status"],
+        &["get", "alpha"],
+        &["get", "epsilon"],
+        &["keys"],
+        &["gc"],
+        &["fork", "create", "--id", "sbx", "--ttl", "300"],
+        &["fork", "put", "sbx", "alpha", "forked"],
+        &["fork", "get", "sbx", "alpha"],
+        &["fork", "diff", "sbx"],
+        &["fork", "list"],
+        &["fork", "drop", "sbx"],
+        &["stats"],
+    ];
+
+    fn temp_root(tag: &str) -> PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("forkbase-verb-table-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// Run `rows` in order through `run`, substituting `vars` into the
+    /// arguments and back out of the outputs; one transcript entry each.
+    fn transcript(
+        shape: &str,
+        rows: &[&[&str]],
+        vars: &[(&str, String)],
+        mut run: impl FnMut(&[&str]) -> forkbase::DbResult<String>,
+    ) -> String {
+        let mut out = String::new();
+        let mut head = String::new();
+        for row in rows {
+            let args: Vec<String> = row
+                .iter()
+                .map(|a| {
+                    vars.iter()
+                        .fold(a.replace("$HEAD", &head), |a, (k, v)| a.replace(k, v))
+                })
+                .collect();
+            let refs: Vec<&str> = args.iter().map(String::as_str).collect();
+            let shown: Vec<String> = row
+                .iter()
+                .map(|a| {
+                    if a.is_empty() || a.contains(char::is_whitespace) {
+                        format!("{a:?}")
+                    } else {
+                        a.to_string()
+                    }
+                })
+                .collect();
+            out.push_str(&format!("$ {shape} {}\n", shown.join(" ")));
+            match run(&refs) {
+                Ok(text) => {
+                    if row.first() == Some(&"head") {
+                        head = text.clone();
+                    }
+                    let text = vars.iter().fold(text, |t, (k, v)| t.replace(v.as_str(), k));
+                    for line in text.lines() {
+                        out.push_str(&normalize_line(line));
+                        out.push('\n');
+                    }
+                }
+                Err(e) => out.push_str(&format!("error: {}\n", e.code())),
+            }
+        }
+        out
+    }
+
+    /// Lease countdowns (`N s`) depend on the wall clock: blank their
+    /// digits. Control bytes (encoded table rows) are escaped so the
+    /// golden file stays text.
+    fn normalize_line(line: &str) -> String {
+        let mut out = String::new();
+        let mut rest = line;
+        while let Some(c) = rest.chars().next() {
+            let digits = rest.len() - rest.trim_start_matches(|c: char| c.is_ascii_digit()).len();
+            if digits == 0 {
+                if c.is_control() && c != '\t' {
+                    out.extend(c.escape_unicode());
+                } else {
+                    out.push(c);
+                }
+                rest = &rest[c.len_utf8()..];
+                continue;
+            }
+            let after = &rest[digits..];
+            let seconds = after.starts_with(" s") && !after[2..].starts_with(char::is_alphanumeric);
+            out.push_str(&if seconds {
+                "#".repeat(digits)
+            } else {
+                rest[..digits].to_string()
+            });
+            rest = after;
+        }
+        out
+    }
+
+    fn node_transcript(tmp: &Path) -> String {
+        let db = ForkBase::with_config(MemStore::new(), TreeConfig::test_config());
+        let forks = ForkService::new();
+        let vars = [("$TMP", tmp.display().to_string())];
+        transcript("node", NODE, &vars, |args| match args.split_first() {
+            Some((&"fork", sub)) => run_fork_command(&forks, &db, sub),
+            _ => run_command(&db, args),
+        })
+    }
+
+    fn cluster_transcript(root: &Path) -> String {
+        let remote1 = serve_servelet("127.0.0.1:0", root.join("remote-1")).unwrap();
+        let remote2 = serve_servelet("127.0.0.1:0", root.join("remote-2")).unwrap();
+        let session = ClusterSession::init(root.join("data"), 3).unwrap();
+        session
+            .cluster()
+            .with_key("tbl", |db| {
+                let pairs = (0..50)
+                    .map(|i| {
+                        (
+                            bytes::Bytes::from(format!("r{i:03}")),
+                            bytes::Bytes::from(format!("x{i}")),
+                        )
+                    })
+                    .collect();
+                let map = db.new_map(pairs)?;
+                db.put("tbl", map, &PutOptions::default())
+            })
+            .unwrap()
+            .unwrap();
+        let vars = [
+            ("$ADDR1", remote1.addr().to_string()),
+            ("$ADDR2", remote2.addr().to_string()),
+        ];
+        let out = transcript("cluster", CLUSTER, &vars, |args| {
+            run_cluster_command(&session, args)
+        });
+        drop(session);
+        drop((remote1, remote2));
+        out
+    }
+
+    #[test]
+    fn every_verb_of_both_shapes_matches_its_pinned_output() {
+        let root = temp_root("pins");
+        std::fs::create_dir_all(&root).unwrap();
+        let got = node_transcript(&root) + &cluster_transcript(&root);
+        let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/verb_table.txt");
+        if std::env::var_os("FORKBASE_BLESS").is_some() {
+            std::fs::create_dir_all(golden.parent().unwrap()).unwrap();
+            std::fs::write(&golden, &got).unwrap();
+        }
+        let want = std::fs::read_to_string(&golden).unwrap();
+        for (n, (g, w)) in got.lines().zip(want.lines()).enumerate() {
+            assert_eq!(g, w, "first difference at line {}", n + 1);
+        }
+        assert_eq!(got.lines().count(), want.lines().count());
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+}
