@@ -147,6 +147,11 @@ impl ServeletServer {
             };
             let thread = std::thread::spawn(move || {
                 let _guard = guard;
+                // Moved into locals declared after the guard, so they drop
+                // before it: a closure's captures would outlive the
+                // unregistration, and `stop` could return while this thread
+                // still holds the database (and a FileStore's `LOCK`).
+                let (db, persist, limiter, stop_flag) = (db, persist, limiter, stop_flag);
                 serve_conn(
                     conn,
                     &db,
@@ -705,6 +710,38 @@ mod tests {
                 .unwrap_err(),
             AttemptError::NotDelivered
         );
+    }
+
+    /// A handler whose router hung up exits on its own; `stop` must still
+    /// wait until it has let go of everything it was serving with. A
+    /// FileStore's `LOCK` goes with the last handle on the database, so a
+    /// reopen right after `stop` used to find it still held.
+    #[test]
+    fn stop_waits_for_a_self_closed_handler_to_let_go() {
+        /// Lets go of the marker only after a slow drop.
+        struct SlowDrop(#[allow(dead_code)] Arc<()>);
+        impl Drop for SlowDrop {
+            fn drop(&mut self) {
+                std::thread::sleep(Duration::from_millis(200));
+            }
+        }
+        let marker = Arc::new(());
+        let held = SlowDrop(Arc::clone(&marker));
+        let persist: PersistFn<MemStore> = Arc::new(move |_db| {
+            let _held = &held;
+            Ok(())
+        });
+        let db = Arc::new(ForkBase::new(MemStore::new()));
+        let srv = ServeletServer::spawn("127.0.0.1:0", db, Some(persist)).unwrap();
+        let pool = pool_for(&srv);
+        assert_eq!(pool.call(&Request::Probe, DEADLINE).unwrap(), Reply::Unit);
+        // With the accept loop (and its copy of the hook) gone first, the
+        // handler holds the last copy, as when `stop` races a hang-up.
+        srv.accept.stop();
+        drop(pool);
+        std::thread::sleep(Duration::from_millis(50));
+        srv.stop();
+        assert_eq!(Arc::strong_count(&marker), 1, "stop returned too early");
     }
 
     #[test]
