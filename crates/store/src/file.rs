@@ -101,6 +101,32 @@ fn frame_len(len: u32) -> u64 {
     (HEADER_LEN + TRAILER_LEN) as u64 + u64::from(len)
 }
 
+/// Write one `magic len hash payload crc32` frame at `*offset` of
+/// `segment`, advance `*offset` past it, and return the payload's slot.
+fn write_frame(
+    w: &mut impl Write,
+    segment: u64,
+    offset: &mut u64,
+    hash: &Hash,
+    payload: &[u8],
+) -> std::io::Result<Slot> {
+    let mut crc_input = Vec::with_capacity(32 + payload.len());
+    crc_input.extend_from_slice(hash.as_bytes());
+    crc_input.extend_from_slice(payload);
+    w.write_all(FRAME_MAGIC)?;
+    w.write_all(&(payload.len() as u32).to_le_bytes())?;
+    w.write_all(hash.as_bytes())?;
+    w.write_all(payload)?;
+    w.write_all(&crc32(&crc_input).to_le_bytes())?;
+    let slot = Slot {
+        segment,
+        payload_offset: *offset + HEADER_LEN as u64,
+        len: payload.len() as u32,
+    };
+    *offset += frame_len(slot.len);
+    Ok(slot)
+}
+
 /// Location of a chunk inside the segment files.
 #[derive(Clone, Copy, Debug)]
 struct Slot {
@@ -698,26 +724,14 @@ impl FileStore {
             self.publish_active(next);
         }
 
-        let payload_offset = active.offset + HEADER_LEN as u64;
-        let mut crc_input = Vec::with_capacity(32 + bytes.len());
-        crc_input.extend_from_slice(hash.as_bytes());
-        crc_input.extend_from_slice(bytes);
-        let crc = crc32(&crc_input);
-
-        active.writer.write_all(FRAME_MAGIC)?;
-        active
-            .writer
-            .write_all(&(bytes.len() as u32).to_le_bytes())?;
-        active.writer.write_all(hash.as_bytes())?;
-        active.writer.write_all(bytes)?;
-        active.writer.write_all(&crc.to_le_bytes())?;
-        active.offset += frame_len(bytes.len() as u32);
-
-        Ok(Slot {
-            segment: active.segment,
-            payload_offset,
-            len: bytes.len() as u32,
-        })
+        let segment = active.segment;
+        Ok(write_frame(
+            &mut active.writer,
+            segment,
+            &mut active.offset,
+            hash,
+            bytes,
+        )?)
     }
 
     fn read_slot(&self, slot: Slot) -> StoreResult<Bytes> {
@@ -853,7 +867,6 @@ impl FileStore {
                 src_file.seek(SeekFrom::Start(slot.payload_offset))?;
                 let mut buf = vec![0u8; slot.len as usize];
                 src_file.read_exact(&mut buf)?;
-                let bytes = Bytes::from(buf);
                 if let Some((_, _, offset)) = &writer {
                     if *offset >= self.cfg.segment_bytes {
                         let (_, mut w, _) = writer.take().expect("writer present");
@@ -869,27 +882,9 @@ impl FileStore {
                     new_segments.push(id);
                 }
                 let (id, w, offset) = writer.as_mut().expect("writer just ensured");
-                let mut crc_input = Vec::with_capacity(32 + bytes.len());
-                crc_input.extend_from_slice(hash.as_bytes());
-                crc_input.extend_from_slice(&bytes);
-                let crc = crc32(&crc_input);
-                w.write_all(FRAME_MAGIC)?;
-                w.write_all(&(bytes.len() as u32).to_le_bytes())?;
-                w.write_all(hash.as_bytes())?;
-                w.write_all(&bytes)?;
-                w.write_all(&crc.to_le_bytes())?;
-                let payload_offset = *offset + HEADER_LEN as u64;
-                *offset += frame_len(bytes.len() as u32);
-                moved.push((
-                    *hash,
-                    Slot {
-                        segment: *id,
-                        payload_offset,
-                        len: bytes.len() as u32,
-                    },
-                ));
+                moved.push((*hash, write_frame(w, *id, offset, hash, &buf)?));
                 chunks_rewritten += 1;
-                bytes_rewritten += bytes.len() as u64;
+                bytes_rewritten += u64::from(slot.len);
             }
             if let Some((_, mut w, _)) = writer.take() {
                 w.flush()?;

@@ -15,19 +15,17 @@
 //!   append-only segments tracked by an atomically-swapped manifest, an
 //!   in-memory index, crash recovery that tolerates torn tail writes and
 //!   killed compactions, and GC-driven physical compaction.
-//! * [`CachedStore`] — read-through LRU cache wrapper for slow backends.
 //! * [`FaultyStore`] — fault-injection wrapper simulating the paper's
 //!   *malicious storage provider* (§II-D): corrupts, drops, or substitutes
 //!   chunks so tamper-evidence tests can prove detection.
 //!
 //! Stores that can physically reclaim dead-chunk space additionally
-//! implement the [`SweepStore`] capability (see [`sweep`]); the wrappers
-//! forward it.
+//! implement the [`SweepStore`] capability (see [`sweep`]); the fault
+//! wrapper forwards it.
 //!
 //! Every store tracks [`StoreStats`] — the counters behind the Fig. 4
 //! deduplication experiment (storage growth per dataset load).
 
-pub mod cache;
 pub mod crc;
 pub mod error;
 pub mod faulty;
@@ -39,7 +37,6 @@ pub mod sweep;
 use bytes::Bytes;
 use forkbase_crypto::{sha256, Hash};
 
-pub use cache::CachedStore;
 pub use error::{StoreError, StoreResult};
 pub use faulty::{FaultMode, FaultyStore, WriteFault};
 pub use file::{FileStore, FileStoreConfig};

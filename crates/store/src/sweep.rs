@@ -9,9 +9,8 @@
 //! lives above the store, in `forkbase::gc`; the store only executes the
 //! sweep against a caller-supplied liveness predicate.
 //!
-//! Wrapper stores ([`crate::CachedStore`], [`crate::FaultyStore`]) forward
-//! the capability when their inner store has it, so a cached file store
-//! still compacts.
+//! The wrapper store [`crate::FaultyStore`] forwards the capability when
+//! its inner store has it, so a fault-injected file store still compacts.
 
 use forkbase_crypto::Hash;
 
