@@ -172,27 +172,22 @@ impl<S: ChunkStore> ForkBase<S> {
     }
 }
 
-/// Intern `opts` into `pool` behind an `Arc`: ops staged with the same
-/// options share one allocation instead of each cloning the strings.
-/// Shared by [`WriteBatch`] and [`crate::cluster::ClusterWriteBatch`].
-pub(crate) fn intern_opts(pool: &mut Vec<Arc<PutOptions>>, opts: &PutOptions) -> Arc<PutOptions> {
-    if let Some(hit) = pool
-        .iter()
-        .rev()
-        .take(OPTS_POOL_SCAN)
-        .find(|o| ***o == *opts)
-    {
-        return Arc::clone(hit);
-    }
-    let interned = Arc::new(opts.clone());
-    pool.push(Arc::clone(&interned));
-    interned
-}
-
 impl<'db, S: ChunkStore> WriteBatch<'db, S> {
-    /// See [`intern_opts`].
+    /// Intern `opts` behind an `Arc`: ops staged with the same options
+    /// share one allocation instead of each cloning the strings.
     fn intern_opts(&mut self, opts: &PutOptions) -> Arc<PutOptions> {
-        intern_opts(&mut self.opts_pool, opts)
+        let pool = &mut self.opts_pool;
+        if let Some(hit) = pool
+            .iter()
+            .rev()
+            .take(OPTS_POOL_SCAN)
+            .find(|o| ***o == *opts)
+        {
+            return Arc::clone(hit);
+        }
+        let interned = Arc::new(opts.clone());
+        pool.push(Arc::clone(&interned));
+        interned
     }
 
     /// Stage a `Put` of `value` on `(key, opts.branch)`.

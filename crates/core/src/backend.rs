@@ -7,8 +7,9 @@ use bytes::Bytes;
 use forkbase_store::{ChunkStore, SweepStore};
 use forkbase_types::Value;
 
-use crate::api::{CommitResult, ForkBase, GetResult, PutOptions, VersionSpec};
-use crate::cluster::{Cluster, MapPage};
+use crate::api::{BatchOutcome, CommitResult, ForkBase, GetResult, PutOptions, VersionSpec};
+use crate::cluster::wire::WireOp;
+use crate::cluster::{Cluster, ClusterWriteBatch, MapPage};
 use crate::error::DbResult;
 use crate::fnode::Uid;
 use crate::forks::DiffSummary;
@@ -39,6 +40,9 @@ pub trait Backend {
     ) -> DbResult<MapPage>;
     /// Every key, sorted (a cluster fails if any servelet is down).
     fn list_keys(&self) -> DbResult<Vec<String>>;
+    /// Commit `ops` as one write batch: atomic on a node, atomic per
+    /// servelet on a cluster. Outcomes come back in op order.
+    fn commit_batch(&self, ops: Vec<WireOp>) -> DbResult<Vec<BatchOutcome>>;
 }
 
 impl<S: ChunkStore> Backend for ForkBase<S> {
@@ -107,6 +111,17 @@ impl<S: ChunkStore> Backend for ForkBase<S> {
     fn list_keys(&self) -> DbResult<Vec<String>> {
         Ok(ForkBase::list_keys(self))
     }
+
+    fn commit_batch(&self, ops: Vec<WireOp>) -> DbResult<Vec<BatchOutcome>> {
+        let mut wb = self.write_batch();
+        for op in ops {
+            match op {
+                WireOp::Put { key, value, opts } => wb.put(key, value, &opts),
+                WireOp::DeleteBranch { key, branch } => wb.delete_branch(key, branch),
+            };
+        }
+        wb.commit()
+    }
 }
 
 impl<S: SweepStore + Send + 'static> Backend for Cluster<S> {
@@ -148,5 +163,9 @@ impl<S: SweepStore + Send + 'static> Backend for Cluster<S> {
 
     fn list_keys(&self) -> DbResult<Vec<String>> {
         Cluster::list_keys(self)
+    }
+
+    fn commit_batch(&self, ops: Vec<WireOp>) -> DbResult<Vec<BatchOutcome>> {
+        ClusterWriteBatch { cluster: self, ops }.commit()
     }
 }

@@ -1134,7 +1134,6 @@ impl<S: SweepStore + Send + 'static> Cluster<S> {
         ClusterWriteBatch {
             cluster: self,
             ops: Vec::new(),
-            opts_pool: Vec::new(),
         }
     }
 
@@ -1378,29 +1377,8 @@ impl<S: SweepStore + Send + 'static> Cluster<S> {
     /// and the next rebalance cleans up any stale source copies.
     pub fn add_servelet(&self, store: S) -> DbResult<u64> {
         let _gate = self.rebalance_gate.write();
-        let deadline = self.rpc.read().control_deadline;
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let node = spawn_node(id, store, self.cfg);
-        let (old_nodes, old_ring, new_ring) = {
-            let state = self.state.read();
-            let mut ids: Vec<u64> = state.anchors.clone();
-            ids.push(id);
-            (state.nodes.clone(), state.ring.clone(), build_ring(&ids))
-        };
-        let mut all_nodes = old_nodes;
-        all_nodes.push(Arc::clone(&node));
-        let plan = plan_and_copy(&all_nodes, &old_ring, &new_ring, deadline)?;
-        {
-            let mut state = self.state.write();
-            state.nodes.push(node);
-            state.anchors.push(id);
-            state.ring = new_ring;
-        }
-        // Keys just moved between primaries: every replica's mirror is
-        // now of the wrong key set, so all resync in full on next ship.
-        self.mark_replicas_stale();
-        cutover(&all_nodes, plan, deadline)?;
-        Ok(id)
+        self.join(spawn_node(id, store, self.cfg))
     }
 
     /// [`Self::add_servelet`] for a **remote** servelet process already
@@ -1411,18 +1389,25 @@ impl<S: SweepStore + Send + 'static> Cluster<S> {
     /// same way they would in process.
     pub fn add_remote_servelet(&self, addr: impl Into<String>) -> DbResult<u64> {
         let _gate = self.rebalance_gate.write();
-        let deadline = self.rpc.read().control_deadline;
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let node = remote_node(id, addr.into());
         // Fail fast if nobody is listening, before any state changes.
         call_control(&node, self.rpc.read().probe_deadline, Request::Probe)?.expect_unit()?;
-        let (old_nodes, old_ring, new_ring) = {
+        self.join(node)
+    }
+
+    /// Make `node` a primary: extend the ring with it, copy over the keys
+    /// it now owns, install it, and cut over. The caller holds the
+    /// rebalance gate.
+    fn join(&self, node: Arc<Node<S>>) -> DbResult<u64> {
+        let deadline = self.rpc.read().control_deadline;
+        let id = node.id;
+        let (mut all_nodes, old_ring, new_ring) = {
             let state = self.state.read();
             let mut ids: Vec<u64> = state.anchors.clone();
             ids.push(id);
             (state.nodes.clone(), state.ring.clone(), build_ring(&ids))
         };
-        let mut all_nodes = old_nodes;
         all_nodes.push(Arc::clone(&node));
         let plan = plan_and_copy(&all_nodes, &old_ring, &new_ring, deadline)?;
         {
@@ -1431,6 +1416,8 @@ impl<S: SweepStore + Send + 'static> Cluster<S> {
             state.anchors.push(id);
             state.ring = new_ring;
         }
+        // Keys just moved between primaries: every replica's mirror is
+        // now of the wrong key set, so all resync in full on next ship.
         self.mark_replicas_stale();
         cutover(&all_nodes, plan, deadline)?;
         Ok(id)
@@ -1530,43 +1517,18 @@ impl<S: SweepStore + Send + 'static> Cluster<S> {
 ///   need all-or-nothing semantics must keep the batch on one servelet
 ///   (e.g. by key choice) or reconcile on error.
 pub struct ClusterWriteBatch<'c, S: SweepStore + Send + 'static> {
-    cluster: &'c Cluster<S>,
-    ops: Vec<ClusterOp>,
-    /// Distinct option sets staged so far (same interning discipline as
-    /// [`crate::api::WriteBatch`]): staging is an `Arc` bump, not three
-    /// `String` clones per op.
-    opts_pool: Vec<Arc<PutOptions>>,
-}
-
-#[derive(Clone)]
-enum ClusterOp {
-    Put {
-        key: String,
-        value: Value,
-        opts: Arc<PutOptions>,
-    },
-    DeleteBranch {
-        key: String,
-        branch: String,
-    },
-}
-
-impl ClusterOp {
-    fn key(&self) -> &str {
-        match self {
-            ClusterOp::Put { key, .. } | ClusterOp::DeleteBranch { key, .. } => key,
-        }
-    }
+    pub(crate) cluster: &'c Cluster<S>,
+    /// Staged in wire form: each group's ops go out as they are.
+    pub(crate) ops: Vec<WireOp>,
 }
 
 impl<S: SweepStore + Send + 'static> ClusterWriteBatch<'_, S> {
     /// Stage a `Put` of `value` on `(key, opts.branch)`.
     pub fn put(&mut self, key: impl Into<String>, value: Value, opts: &PutOptions) -> &mut Self {
-        let opts = crate::api::batch::intern_opts(&mut self.opts_pool, opts);
-        self.ops.push(ClusterOp::Put {
+        self.ops.push(WireOp::Put {
             key: key.into(),
             value,
-            opts,
+            opts: opts.clone(),
         });
         self
     }
@@ -1577,7 +1539,7 @@ impl<S: SweepStore + Send + 'static> ClusterWriteBatch<'_, S> {
         key: impl Into<String>,
         branch: impl Into<String>,
     ) -> &mut Self {
-        self.ops.push(ClusterOp::DeleteBranch {
+        self.ops.push(WireOp::DeleteBranch {
             key: key.into(),
             branch: branch.into(),
         });
@@ -1611,10 +1573,11 @@ impl<S: SweepStore + Send + 'static> ClusterWriteBatch<'_, S> {
         let chaos = cluster.chaos.read().clone();
         let groups = {
             let state = cluster.state.read();
-            let mut groups: BTreeMap<usize, Vec<(usize, ClusterOp)>> = BTreeMap::new();
+            let mut groups: BTreeMap<usize, Vec<(usize, WireOp)>> = BTreeMap::new();
             for (i, op) in self.ops.into_iter().enumerate() {
+                let (WireOp::Put { key, .. } | WireOp::DeleteBranch { key, .. }) = &op;
                 groups
-                    .entry(route_on(&state.ring, op.key()))
+                    .entry(route_on(&state.ring, key))
                     .or_default()
                     .push((i, op));
             }
@@ -1625,21 +1588,13 @@ impl<S: SweepStore + Send + 'static> ClusterWriteBatch<'_, S> {
         // Ascending slot order: deterministic, so a failure always leaves
         // a prefix of slots committed (documented above).
         for (slot, group) in groups {
-            let indices: Vec<usize> = group.iter().map(|(i, _)| *i).collect();
-            let mut keys: Vec<String> = group.iter().map(|(_, op)| op.key().to_string()).collect();
+            let (indices, ops): (Vec<usize>, Vec<WireOp>) = group.into_iter().unzip();
+            let mut keys: Vec<String> = ops
+                .iter()
+                .map(|(WireOp::Put { key, .. } | WireOp::DeleteBranch { key, .. })| key.clone())
+                .collect();
             keys.sort();
             keys.dedup();
-            let ops: Vec<WireOp> = group
-                .into_iter()
-                .map(|(_, op)| match op {
-                    ClusterOp::Put { key, value, opts } => WireOp::Put {
-                        key,
-                        value,
-                        opts: (*opts).clone(),
-                    },
-                    ClusterOp::DeleteBranch { key, branch } => WireOp::DeleteBranch { key, branch },
-                })
-                .collect();
             let outcomes = rpc::retry_loop(
                 &rpc_cfg,
                 chaos.as_deref(),

@@ -1182,20 +1182,7 @@ fn run<S: SweepStore>(db: &ForkBase<S>, req: Request) -> DbResult<Reply> {
         Request::ListKeys => Ok(Reply::Keys(db.list_keys())),
         Request::StoredBytes => Ok(Reply::Count(ChunkStore::stored_bytes(db.store()))),
         Request::Gc => Ok(Reply::Gc(db.gc()?)),
-        Request::Batch { ops } => {
-            let mut wb = db.write_batch();
-            for op in ops {
-                match op {
-                    WireOp::Put { key, value, opts } => {
-                        wb.put(key, value, &opts);
-                    }
-                    WireOp::DeleteBranch { key, branch } => {
-                        wb.delete_branch(key, branch);
-                    }
-                }
-            }
-            Ok(Reply::Outcomes(wb.commit()?))
-        }
+        Request::Batch { ops } => Ok(Reply::Outcomes(Backend::commit_batch(db, ops)?)),
         Request::ExportBundle { keys } => {
             let mut buf = Vec::new();
             export_bundle_keys(db, &keys, &mut buf)?;
