@@ -1,295 +1,135 @@
-//! The command-line verb set.
+//! The command-line verb set: one table for both deployment shapes, the
+//! way `rest.rs` serves both from one route table. Unmarked verbs go
+//! through [`Backend`] and behave alike on a node (`forkbase VERB …`) and
+//! a cluster (`forkbase cluster VERB …`); rows marked *node* or *cluster*
+//! exist on that shape only.
 //!
-//! Mirrors the paper's API layer verbs (Fig. 1): `put get list branch
-//! merge select stat export diff head rename latest meta history verify`
-//! plus `gc` (mark-and-sweep with physical compaction) and dataset
-//! commands (`load-csv`, `export-csv`, `diff-csv`) that exercise the
-//! table layer the way the demo's Web UI does.
+//! ```text
+//! put KEY VALUE                    commit a string value (a cluster names the owner)
+//! get KEY                          the head value and version (likewise)
+//! head KEY                         the head version uid
+//! batch put:K=V|del:K …            one write batch (atomic per servelet on a cluster)
+//! list | keys                      every key
+//! range KEY [START [END]]          one page of map entries (`--limit N`, default 1000)
+//! fork <sub> …                     leased sandboxes (see `fork_cmd`)
+//! latest KEY | history KEY         branch heads; version history           node
+//! meta UID | verify KEY | export KEY                                        node
+//! branches KEY | branch KEY NEW | rename-branch KEY OLD NEW                 node
+//! delete-branch KEY B | merge KEY SRC [fail|ours|theirs] | diff KEY OTHER   node
+//! select KEY [START [END]] | stat | gc                                      node
+//! load-csv KEY CSV|@FILE [COL] | export-csv KEY | diff-csv KEY OTHER        node
+//! bundle-export KEY FILE [BRANCH…] | bundle-import FILE | prove KEY ENTRY   node
+//! add | add-remote ADDR | remove ID | restart ID                         cluster
+//! add-replica PID | add-remote-replica PID ADDR | promote ID             cluster
+//! stats | gc | topology | health | replication-status                    cluster
+//! ```
 //!
-//! Implemented as a pure function over any [`ForkBase`] instance so tests
-//! and the REST layer reuse it without spawning processes. The store must
-//! support [`SweepStore`] (all shipped stores do) so the `gc` verb can
-//! physically reclaim space.
+//! Every verb reads `--branch B` (default `master`); writes also take
+//! `--author A` and `--message M`. The node verbs mirror the paper's API
+//! layer (Fig. 1) plus `gc` (mark-and-sweep with physical compaction) and
+//! the dataset verbs that exercise the table layer the way the demo's Web
+//! UI does. Verbs return their output as text, so tests drive the same
+//! code path the binary does.
 
-use forkbase::{BatchOutcome, DbError, DbResult, ForkBase, PutOptions, VersionSpec};
+use bytes::Bytes;
+use forkbase::cluster::wire::WireOp;
+use forkbase::{BatchOutcome, Cluster, DbError, DbResult, ForkBase, PutOptions, VersionSpec};
 use forkbase_postree::MergePolicy;
-use forkbase_store::SweepStore;
+use forkbase_store::{FileStore, SweepStore};
 use forkbase_table::TableStore;
 use forkbase_types::Value;
 
-/// Run one command against `db`, returning its textual output.
+use crate::fork_cmd::run_fork_command;
+use crate::session::{Session, Shape};
+
+fn usage() -> DbError {
+    DbError::InvalidInput(
+        "usage: [cluster] put|get|head|batch|list|keys|range|fork|serve [PORT] …; \
+         node: latest|meta|history|branches|branch|rename-branch|delete-branch|merge|diff|\
+         select|stat|gc|export|verify|load-csv|export-csv|diff-csv|bundle-export|\
+         bundle-import|prove …; cluster: init N|add|add-remote ADDR|remove ID|\
+         add-replica PID|add-remote-replica PID ADDR|promote ID|replication-status|stats|gc|\
+         topology|health|restart ID … [--branch B --author A --message M] (see README)"
+            .into(),
+    )
+}
+
+/// Run one command against `session`, returning its textual output.
 ///
-/// `args` excludes the program name (e.g. `["put", "key", "value"]`).
-pub fn run_command<S: SweepStore>(db: &ForkBase<S>, args: &[&str]) -> DbResult<String> {
-    let usage = || -> DbError {
-        DbError::InvalidInput(
-            "usage: put|batch|get|head|latest|meta|history|list|branches|branch|rename-branch|\
-             delete-branch|merge|diff|select|stat|gc|export|verify|load-csv|export-csv|diff-csv|\
-             bundle-export|bundle-import|prove \
-             … (see README; `forkbase cluster …` drives the sharded cluster)"
-                .into(),
-        )
-    };
+/// `args` excludes the program name and, on a cluster, the leading
+/// `cluster` (e.g. `["put", "key", "value"]`).
+pub fn run_command<B: Shape>(session: &Session<B>, args: &[&str]) -> DbResult<String> {
     let Some((&verb, rest)) = args.split_first() else {
         return Err(usage());
     };
-    let Flags {
-        positional, opts, ..
-    } = Flags::parse(rest, false)?;
-    let branch = opts.branch.clone();
-    let pos = |i: usize| -> DbResult<&str> { positional.get(i).copied().ok_or_else(usage) };
-
+    let backend = &*session.backend;
+    // The fork family parses its own flags (`--ttl`, `--id`, …) — hand
+    // it the raw argument tail before the generic flag pass consumes
+    // anything.
+    if verb == "fork" {
+        return run_fork_command(&session.forks, backend, rest);
+    }
+    let flags = Flags::parse(rest)?;
+    let branch = VersionSpec::Branch(flags.opts.branch.clone());
     match verb {
         "put" => {
-            let key = pos(0)?;
-            let value = pos(1)?;
-            let commit = db.put(key, Value::string(value), &opts)?;
-            Ok(format!("{} -> {}", commit.branch, commit.uid))
-        }
-        "batch" => {
-            // batch put:KEY=VALUE… del:KEY… [--branch B]: stage string puts
-            // and branch deletions across any number of keys, committed
-            // atomically — every head swings together or none do.
-            let mut wb = db.write_batch();
-            for (key, value) in parse_batch(&positional)? {
-                match value {
-                    Some(value) => wb.put(key, Value::string(value), &opts),
-                    None => wb.delete_branch(key, &branch),
-                };
-            }
-            Ok(render_outcomes(wb.commit()?))
+            let key = flags.pos(0)?;
+            let commit = backend.put_at(key, Value::string(flags.pos(1)?), &flags.opts)?;
+            let owner = backend.owner(key);
+            let servelet = owner.map_or(String::new(), |id| format!("servelet {id} "));
+            Ok(format!("{servelet}{} -> {}", commit.branch, commit.uid))
         }
         "get" => {
-            let key = pos(0)?;
-            let got = db.get(key, &branch)?;
-            Ok(format!("{}\n(version {})", got.value.summary(), got.uid))
-        }
-        "head" => {
-            let key = pos(0)?;
-            Ok(db.head(key, &branch)?.to_string())
-        }
-        "latest" => {
-            let key = pos(0)?;
-            let mut out = String::new();
-            for b in db.latest(key)? {
-                out.push_str(&format!("{}\t{}\n", b.name, b.head));
-            }
-            Ok(out)
-        }
-        "meta" => {
-            let uid = parse_uid(pos(0)?)?;
-            let m = db.meta(&uid)?;
+            let key = flags.pos(0)?;
+            let got = backend.get_at(key, &branch)?;
+            let owner = backend.owner(key);
+            let on = owner.map_or(String::new(), |id| format!(" on servelet {id}"));
             Ok(format!(
-                "uid:     {}\ntype:    {}\nauthor:  {}\nmessage: {}\ntime:    {}\nbases:   {}",
-                m.uid,
-                m.value_type,
-                m.author,
-                m.message,
-                m.logical_time,
-                m.bases
-                    .iter()
-                    .map(|b| b.to_string())
-                    .collect::<Vec<_>>()
-                    .join(", ")
+                "{}\n(version {}{on})",
+                got.value.summary(),
+                got.uid
             ))
         }
-        "history" => {
-            let key = pos(0)?;
+        "head" => Ok(backend.resolve_spec(flags.pos(0)?, &branch)?.to_string()),
+        "batch" => {
+            // batch put:KEY=VALUE… del:KEY… [--branch B]: string puts and
+            // branch deletions across any number of keys. A node commits
+            // them atomically; a cluster groups them per owning servelet
+            // and each group commits atomically there (see README).
             let mut out = String::new();
-            for h in db.history(key, &VersionSpec::Branch(branch.clone()))? {
-                out.push_str(&format!(
-                    "{}  [{}] {} — {}\n",
-                    h.uid,
-                    h.logical_time,
-                    h.author,
-                    if h.message.is_empty() {
-                        "(no message)"
-                    } else {
-                        &h.message
-                    }
-                ));
+            for outcome in backend.commit_batch(parse_batch(&flags)?)? {
+                out.push_str(&match outcome {
+                    BatchOutcome::Committed(c) => format!("{} -> {}\n", c.branch, c.uid),
+                    BatchOutcome::Deleted { key, branch } => format!("deleted {key}@{branch}\n"),
+                });
             }
             Ok(out)
         }
-        "list" => Ok(db.list_keys().join("\n")),
-        "branches" => {
-            let key = pos(0)?;
-            Ok(db
-                .list_branches(key)?
-                .into_iter()
-                .map(|b| b.name)
-                .collect::<Vec<_>>()
-                .join("\n"))
-        }
-        "branch" => {
-            let key = pos(0)?;
-            let new_branch = pos(1)?;
-            db.branch(key, &branch, new_branch)?;
-            Ok(format!("created branch {new_branch} from {branch}"))
-        }
-        "rename-branch" => {
-            let key = pos(0)?;
-            let old = pos(1)?;
-            let new = pos(2)?;
-            db.rename_branch(key, old, new)?;
-            Ok(format!("renamed {old} -> {new}"))
-        }
-        "delete-branch" => {
-            let key = pos(0)?;
-            let name = pos(1)?;
-            db.delete_branch(key, name)?;
-            Ok(format!("deleted branch {name}"))
-        }
-        "merge" => {
-            let key = pos(0)?;
-            let src = pos(1)?;
-            let policy = match positional.get(2).copied() {
-                None | Some("fail") => MergePolicy::Fail,
-                Some("ours") => MergePolicy::Ours,
-                Some("theirs") => MergePolicy::Theirs,
-                Some(p) => {
-                    return Err(DbError::InvalidInput(format!(
-                        "unknown merge policy {p:?} (fail|ours|theirs)"
-                    )))
-                }
-            };
-            let commit = db.merge(key, &branch, src, policy, &opts)?;
-            Ok(format!("merged {src} into {branch} -> {}", commit.uid))
-        }
-        "diff" => {
-            let key = pos(0)?;
-            let other = pos(1)?;
-            let diff = db.diff(
-                key,
-                &VersionSpec::Branch(branch.clone()),
-                &VersionSpec::Branch(other.to_string()),
-            )?;
-            Ok(render_value_diff(&diff))
-        }
-        "select" => {
-            let key = pos(0)?;
-            let start = positional.get(1).copied();
-            let end = positional.get(2).copied();
-            let got = db.get(key, &branch)?;
-            let entries =
-                db.map_select(&got.value, start.map(str::as_bytes), end.map(str::as_bytes))?;
-            let mut out = String::new();
-            for (k, v) in entries {
-                out.push_str(&format!(
-                    "{}\t{}\n",
-                    String::from_utf8_lossy(&k),
-                    String::from_utf8_lossy(&v)
-                ));
+        "list" | "keys" => Ok(backend.list_keys()?.join("\n")),
+        "range" => {
+            let bound = |i: usize| flags.positional.get(i).map(|s| Bytes::from(s.to_string()));
+            let (key, limit) = (flags.pos(0)?, flags.limit);
+            let page = backend.map_range_at(key, &branch, bound(1), bound(2), limit)?;
+            let mut out = render_entries(&page.entries);
+            if page.truncated {
+                out.push_str("… (truncated; raise --limit or narrow the range)\n");
             }
             Ok(out)
         }
-        "stat" => Ok(db.stat().to_string()),
-        "gc" => {
-            // Mark-and-sweep plus physical compaction (the store seals its
-            // own log first); stops the world for writers only.
-            let report = db.gc()?;
-            Ok(report.to_string())
-        }
-        "export" => {
-            let key = pos(0)?;
-            let mut buf = Vec::new();
-            db.export(key, &VersionSpec::Branch(branch.clone()), &mut buf)?;
-            Ok(String::from_utf8_lossy(&buf).into_owned())
-        }
-        "verify" => {
-            let key = pos(0)?;
-            let n = db.verify_branch(key, &branch)?;
-            Ok(format!("OK: verified {n} version(s) of {key}@{branch}"))
-        }
-        "load-csv" => {
-            let key = pos(0)?;
-            let csv = pos(1)?; // inline CSV text (REST/test path) or @file
-            let text = if let Some(path) = csv.strip_prefix('@') {
-                std::fs::read_to_string(path)
-                    .map_err(|e| DbError::Store(forkbase_store::StoreError::Io(e)))?
-            } else {
-                csv.to_string()
-            };
-            let key_col: usize = positional
-                .get(2)
-                .map(|s| s.parse())
-                .transpose()
-                .map_err(|_| DbError::InvalidInput("key column must be a number".into()))?
-                .unwrap_or(0);
-            let commit = TableStore::new(db).load_csv(key, &text, key_col, &opts)?;
-            Ok(format!("loaded -> {}", commit.uid))
-        }
-        "export-csv" => {
-            let key = pos(0)?;
-            TableStore::new(db).export_csv(key, &VersionSpec::Branch(branch.clone()))
-        }
-        "diff-csv" => {
-            let key = pos(0)?;
-            let other = pos(1)?;
-            let diff = TableStore::new(db).diff(
-                key,
-                &VersionSpec::Branch(branch.clone()),
-                &VersionSpec::Branch(other.to_string()),
-            )?;
-            Ok(diff.render())
-        }
-        "bundle-export" => {
-            let key = pos(0)?;
-            let path = pos(1)?;
-            let branches: Vec<&str> = positional[2..].to_vec();
-            let mut file = std::fs::File::create(path)
-                .map_err(|e| DbError::Store(forkbase_store::StoreError::Io(e)))?;
-            let chunks = forkbase::export_bundle(db, key, &branches, &mut file)?;
-            Ok(format!("wrote {chunks} chunk(s) to {path}"))
-        }
-        "bundle-import" => {
-            let path = pos(0)?;
-            let mut file = std::fs::File::open(path)
-                .map_err(|e| DbError::Store(forkbase_store::StoreError::Io(e)))?;
-            let refs = forkbase::import_bundle(db, &mut file)?;
-            let mut out = String::new();
-            for r in refs {
-                out.push_str(&format!("{}@{} -> {}\n", r.key, r.branch, r.uid));
-            }
-            Ok(out)
-        }
-        "prove" => {
-            // prove <key> <entry-key> [--branch B]: emit a light-client
-            // proof and immediately check it against the head uid.
-            let key = pos(0)?;
-            let entry_key = pos(1)?;
-            let (proof, uid) = db.prove_entry(
-                key,
-                &VersionSpec::Branch(branch.clone()),
-                entry_key.as_bytes(),
-            )?;
-            let value = db.verify_entry_proof(&uid, entry_key.as_bytes(), &proof)?;
-            Ok(format!(
-                "version: {uid}\nproof:   {} node(s), {} bytes\nresult:  {}",
-                proof.nodes.len(),
-                proof.size_bytes(),
-                match value {
-                    Some(v) => format!("present, value = {:?}", String::from_utf8_lossy(&v)),
-                    None => "absent (absence proven)".to_string(),
-                }
-            ))
-        }
-        _ => Err(usage()),
+        _ => B::own_verb(session, verb, &flags),
     }
 }
 
-/// The flags every verb family shares — `--branch`, `--author`,
-/// `--message`, and where the family takes it `--limit N` — and the
-/// positionals they leave.
-pub(crate) struct Flags<'a> {
-    pub positional: Vec<&'a str>,
-    pub opts: PutOptions,
-    pub limit: usize,
+/// The flags every verb shares — `--branch`, `--author`, `--message` and
+/// `--limit N` — and the positionals they leave.
+pub struct Flags<'a> {
+    positional: Vec<&'a str>,
+    opts: PutOptions,
+    limit: u64,
 }
 
 impl<'a> Flags<'a> {
-    /// Parse `args`; with `with_limit` unset, `--limit` is a positional.
-    pub(crate) fn parse(args: &[&'a str], with_limit: bool) -> DbResult<Flags<'a>> {
+    fn parse(args: &[&'a str]) -> DbResult<Flags<'a>> {
         let mut flags = Flags {
             positional: Vec::new(),
             opts: PutOptions::on_branch("master").author("cli"),
@@ -306,7 +146,7 @@ impl<'a> Flags<'a> {
                 "--branch" => flags.opts.branch = value()?,
                 "--author" => flags.opts.author = value()?,
                 "--message" => flags.opts.message = value()?,
-                "--limit" if with_limit => {
+                "--limit" => {
                     flags.limit = value()?
                         .parse()
                         .map_err(|_| DbError::InvalidInput("--limit must be a number".into()))?;
@@ -316,26 +156,47 @@ impl<'a> Flags<'a> {
         }
         Ok(flags)
     }
+
+    /// The `i`th positional argument, or the usage error.
+    fn pos(&self, i: usize) -> DbResult<&'a str> {
+        self.positional.get(i).copied().ok_or_else(usage)
+    }
+
+    /// The `i`th positional argument parsed as a number; `what` names it
+    /// in the error.
+    fn id(&self, i: usize, what: &str) -> DbResult<u64> {
+        self.pos(i)?
+            .parse()
+            .map_err(|_| DbError::InvalidInput(what.to_string()))
+    }
 }
 
-/// Parse `batch` op specs: `put:KEY=VALUE` as `(KEY, Some(VALUE))`,
-/// `del:KEY` (delete the batch's branch) as `(KEY, None)`.
-pub(crate) fn parse_batch<'a>(specs: &[&'a str]) -> DbResult<Vec<(&'a str, Option<&'a str>)>> {
-    if specs.is_empty() {
+/// The `batch` op specs: `put:KEY=VALUE` stages a string put with the
+/// flags' options, `del:KEY` deletes the flags' branch of KEY.
+fn parse_batch(flags: &Flags) -> DbResult<Vec<WireOp>> {
+    if flags.positional.is_empty() {
         return Err(DbError::InvalidInput(
             "batch needs at least one op: put:KEY=VALUE or del:KEY".into(),
         ));
     }
-    specs
+    flags
+        .positional
         .iter()
         .map(|spec| {
             if let Some(rest) = spec.strip_prefix("put:") {
                 let (key, value) = rest.split_once('=').ok_or_else(|| {
                     DbError::InvalidInput(format!("batch put op needs KEY=VALUE: {spec:?}"))
                 })?;
-                Ok((key, Some(value)))
+                Ok(WireOp::Put {
+                    key: key.into(),
+                    value: Value::string(value),
+                    opts: flags.opts.clone(),
+                })
             } else if let Some(key) = spec.strip_prefix("del:") {
-                Ok((key, None))
+                Ok(WireOp::DeleteBranch {
+                    key: key.into(),
+                    branch: flags.opts.branch.clone(),
+                })
             } else {
                 Err(DbError::InvalidInput(format!(
                     "unknown batch op {spec:?} (put:KEY=VALUE | del:KEY)"
@@ -345,18 +206,331 @@ pub(crate) fn parse_batch<'a>(specs: &[&'a str]) -> DbResult<Vec<(&'a str, Optio
         .collect()
 }
 
-/// One line per committed `batch` op.
-pub(crate) fn render_outcomes(outcomes: Vec<BatchOutcome>) -> String {
+/// One `KEY\tVALUE` line per map entry.
+fn render_entries(entries: &[(Bytes, Bytes)]) -> String {
     let mut out = String::new();
-    for o in outcomes {
-        match o {
-            BatchOutcome::Committed(c) => out.push_str(&format!("{} -> {}\n", c.branch, c.uid)),
-            BatchOutcome::Deleted { key, branch } => {
-                out.push_str(&format!("deleted {key}@{branch}\n"))
-            }
-        }
+    for (k, v) in entries {
+        out.push_str(&format!(
+            "{}\t{}\n",
+            String::from_utf8_lossy(k),
+            String::from_utf8_lossy(v)
+        ));
     }
     out
+}
+
+/// The verbs only a node has.
+pub(crate) fn node_verb<S: SweepStore>(
+    db: &ForkBase<S>,
+    verb: &str,
+    flags: &Flags,
+) -> DbResult<String> {
+    let branch = &flags.opts.branch;
+    let at = |b: &str| VersionSpec::Branch(b.to_string());
+    let pos = |i: usize| flags.pos(i);
+    match verb {
+        "latest" => {
+            let mut out = String::new();
+            for b in db.latest(pos(0)?)? {
+                out.push_str(&format!("{}\t{}\n", b.name, b.head));
+            }
+            Ok(out)
+        }
+        "meta" => {
+            let m = db.meta(&parse_uid(pos(0)?)?)?;
+            Ok(format!(
+                "uid:     {}\ntype:    {}\nauthor:  {}\nmessage: {}\ntime:    {}\nbases:   {}",
+                m.uid,
+                m.value_type,
+                m.author,
+                m.message,
+                m.logical_time,
+                m.bases
+                    .iter()
+                    .map(|b| b.to_string())
+                    .collect::<Vec<_>>()
+                    .join(", ")
+            ))
+        }
+        "history" => {
+            let mut out = String::new();
+            for h in db.history(pos(0)?, &at(branch))? {
+                let message = if h.message.is_empty() {
+                    "(no message)"
+                } else {
+                    &h.message
+                };
+                out.push_str(&format!(
+                    "{}  [{}] {} — {message}\n",
+                    h.uid, h.logical_time, h.author
+                ));
+            }
+            Ok(out)
+        }
+        "branches" => Ok(db
+            .list_branches(pos(0)?)?
+            .into_iter()
+            .map(|b| b.name)
+            .collect::<Vec<_>>()
+            .join("\n")),
+        "branch" => {
+            let new_branch = pos(1)?;
+            db.branch(pos(0)?, branch, new_branch)?;
+            Ok(format!("created branch {new_branch} from {branch}"))
+        }
+        "rename-branch" => {
+            let (old, new) = (pos(1)?, pos(2)?);
+            db.rename_branch(pos(0)?, old, new)?;
+            Ok(format!("renamed {old} -> {new}"))
+        }
+        "delete-branch" => {
+            let name = pos(1)?;
+            db.delete_branch(pos(0)?, name)?;
+            Ok(format!("deleted branch {name}"))
+        }
+        "merge" => {
+            let (key, src) = (pos(0)?, pos(1)?);
+            let policy = match flags.positional.get(2).copied() {
+                None | Some("fail") => MergePolicy::Fail,
+                Some("ours") => MergePolicy::Ours,
+                Some("theirs") => MergePolicy::Theirs,
+                Some(p) => {
+                    return Err(DbError::InvalidInput(format!(
+                        "unknown merge policy {p:?} (fail|ours|theirs)"
+                    )))
+                }
+            };
+            let commit = db.merge(key, branch, src, policy, &flags.opts)?;
+            Ok(format!("merged {src} into {branch} -> {}", commit.uid))
+        }
+        "diff" => {
+            let diff = db.diff(pos(0)?, &at(branch), &at(pos(1)?))?;
+            Ok(render_value_diff(&diff))
+        }
+        "select" => {
+            let got = db.get(pos(0)?, branch)?;
+            let bound = |i: usize| flags.positional.get(i).map(|s| s.as_bytes());
+            Ok(render_entries(&db.map_select(
+                &got.value,
+                bound(1),
+                bound(2),
+            )?))
+        }
+        "stat" => Ok(db.stat().to_string()),
+        // Mark-and-sweep plus physical compaction (the store seals its
+        // own log first); stops the world for writers only.
+        "gc" => Ok(db.gc()?.to_string()),
+        "export" => {
+            let mut buf = Vec::new();
+            db.export(pos(0)?, &at(branch), &mut buf)?;
+            Ok(String::from_utf8_lossy(&buf).into_owned())
+        }
+        "verify" => {
+            let key = pos(0)?;
+            let n = db.verify_branch(key, branch)?;
+            Ok(format!("OK: verified {n} version(s) of {key}@{branch}"))
+        }
+        "load-csv" => {
+            let key = pos(0)?;
+            let csv = pos(1)?; // inline CSV text (REST/test path) or @file
+            let text = match csv.strip_prefix('@') {
+                Some(path) => std::fs::read_to_string(path).map_err(crate::session::io_err)?,
+                None => csv.to_string(),
+            };
+            let key_col: usize = flags
+                .positional
+                .get(2)
+                .map(|s| s.parse())
+                .transpose()
+                .map_err(|_| DbError::InvalidInput("key column must be a number".into()))?
+                .unwrap_or(0);
+            let commit = TableStore::new(db).load_csv(key, &text, key_col, &flags.opts)?;
+            Ok(format!("loaded -> {}", commit.uid))
+        }
+        "export-csv" => TableStore::new(db).export_csv(pos(0)?, &at(branch)),
+        "diff-csv" => {
+            let diff = TableStore::new(db).diff(pos(0)?, &at(branch), &at(pos(1)?))?;
+            Ok(diff.render())
+        }
+        "bundle-export" => {
+            let (key, path) = (pos(0)?, pos(1)?);
+            let branches: Vec<&str> = flags.positional[2..].to_vec();
+            let mut file = std::fs::File::create(path).map_err(crate::session::io_err)?;
+            let chunks = forkbase::export_bundle(db, key, &branches, &mut file)?;
+            Ok(format!("wrote {chunks} chunk(s) to {path}"))
+        }
+        "bundle-import" => {
+            let mut file = std::fs::File::open(pos(0)?).map_err(crate::session::io_err)?;
+            let mut out = String::new();
+            for r in forkbase::import_bundle(db, &mut file)? {
+                out.push_str(&format!("{}@{} -> {}\n", r.key, r.branch, r.uid));
+            }
+            Ok(out)
+        }
+        "prove" => {
+            // prove <key> <entry-key> [--branch B]: emit a light-client
+            // proof and immediately check it against the head uid.
+            let entry_key = pos(1)?.as_bytes();
+            let (proof, uid) = db.prove_entry(pos(0)?, &at(branch), entry_key)?;
+            let value = db.verify_entry_proof(&uid, entry_key, &proof)?;
+            Ok(format!(
+                "version: {uid}\nproof:   {} node(s), {} bytes\nresult:  {}",
+                proof.nodes.len(),
+                proof.size_bytes(),
+                match value {
+                    Some(v) => format!("present, value = {:?}", String::from_utf8_lossy(&v)),
+                    None => "absent (absence proven)".to_string(),
+                }
+            ))
+        }
+        _ => Err(usage()),
+    }
+}
+
+/// The verbs only a cluster has.
+pub(crate) fn cluster_verb(
+    session: &Session<Cluster<FileStore>>,
+    verb: &str,
+    flags: &Flags,
+) -> DbResult<String> {
+    let cluster = session.cluster();
+    match verb {
+        "add" => {
+            let id = session.add_servelet()?;
+            Ok(format!(
+                "servelet {id} joined; keys per servelet now {:?}",
+                cluster.key_distribution()?
+            ))
+        }
+        "add-remote" => {
+            let addr = flags.pos(0)?;
+            let id = session.add_remote(None, addr)?;
+            Ok(format!(
+                "remote servelet {id} ({addr}) joined; keys per servelet now {:?}",
+                cluster.key_distribution()?
+            ))
+        }
+        "add-replica" => {
+            let primary = flags.id(0, "add-replica needs a primary id")?;
+            let id = session.add_replica(primary)?;
+            Ok(format!(
+                "replica {id} attached to primary {primary} (synced)"
+            ))
+        }
+        "add-remote-replica" => {
+            let primary = flags.id(0, "add-remote-replica needs a primary id")?;
+            let addr = flags.pos(1)?;
+            let id = session.add_remote(Some(primary), addr)?;
+            Ok(format!(
+                "remote replica {id} ({addr}) attached to primary {primary} (synced)"
+            ))
+        }
+        "promote" => {
+            let id = flags.id(0, "promote needs a replica id")?;
+            let old = session.promote_replica(id)?;
+            Ok(format!(
+                "replica {id} promoted; primary {old} retired (its id is burned; \
+                 its directory remains on disk until you delete it)"
+            ))
+        }
+        "remove" => {
+            let id = flags.id(0, "remove needs a servelet id")?;
+            session.remove_servelet(id)?;
+            Ok(format!(
+                "servelet {id} drained and removed; keys per servelet now {:?}",
+                cluster.key_distribution()?
+            ))
+        }
+        "restart" => {
+            let id = flags.id(0, "restart needs a servelet id")?;
+            cluster.restart_servelet(id)?;
+            Ok(format!("servelet {id} restarted from its durable backend"))
+        }
+        "topology" => {
+            // Columns 1–2 (and the remote address) are unchanged from the
+            // pre-replication output; the role is appended as a NEW last
+            // column so existing consumers keep parsing by prefix.
+            let topo = cluster.topology();
+            let mut out = String::new();
+            for id in &topo.servelet_ids {
+                match topo.addr_of(*id) {
+                    Some(addr) => out.push_str(&format!("servelet {id}\tremote\t{addr}")),
+                    None => out.push_str(&format!("servelet {id}\tin-process")),
+                }
+                match topo.role_of(*id) {
+                    Some(forkbase::TopoRole::Primary { anchor }) if anchor == id => {
+                        out.push_str("\tprimary")
+                    }
+                    Some(forkbase::TopoRole::Primary { anchor }) => {
+                        out.push_str(&format!("\tprimary (anchor {anchor})"))
+                    }
+                    Some(forkbase::TopoRole::Replica { primary }) => {
+                        out.push_str(&format!("\treplica of {primary}"))
+                    }
+                    None => {}
+                }
+                out.push('\n');
+            }
+            Ok(out)
+        }
+        "replication-status" => {
+            let mut out = String::new();
+            for p in &cluster.replication_status().primaries {
+                out.push_str(&format!(
+                    "primary {}\tanchor {}\tseq {}\n",
+                    p.primary, p.anchor, p.seq
+                ));
+                for r in &p.replicas {
+                    out.push_str(&format!(
+                        "  replica {}\tlag {}\tpending {}{}{}\n",
+                        r.id,
+                        r.lag,
+                        r.pending,
+                        if r.needs_full_sync { "\tresyncing" } else { "" },
+                        match &r.addr {
+                            Some(a) => format!("\t{a}"),
+                            None => String::new(),
+                        },
+                    ));
+                }
+                if p.replicas.is_empty() {
+                    out.push_str("  (no replicas)\n");
+                }
+            }
+            Ok(out)
+        }
+        "stats" => Ok(cluster.stats()?.to_string()),
+        "gc" => {
+            let report = cluster.gc()?;
+            let mut out = String::new();
+            for (id, report) in report.reports {
+                out.push_str(&format!("servelet {id}:\n{report}\n"));
+            }
+            if !report.degraded.is_empty() {
+                out.push_str(&format!(
+                    "skipped unreachable servelet(s) {:?}; their dead chunks survive \
+                     until a later pass finds them alive\n",
+                    report.degraded
+                ));
+            }
+            Ok(out)
+        }
+        "health" => {
+            let mut out = String::new();
+            for h in cluster.health() {
+                out.push_str(&format!("servelet {}\t{}", h.servelet, h.state.as_str()));
+                if h.consecutive_failures > 0 {
+                    out.push_str(&format!("\tfailures={}", h.consecutive_failures));
+                }
+                if let Some(err) = &h.last_error {
+                    out.push_str(&format!("\t{err}"));
+                }
+                out.push('\n');
+            }
+            Ok(out)
+        }
+        _ => Err(usage()),
+    }
 }
 
 /// A version uid in base32 (as printed) or hex.
@@ -419,8 +593,16 @@ mod tests {
     use forkbase_postree::TreeConfig;
     use forkbase_store::MemStore;
 
-    fn db() -> ForkBase<MemStore> {
-        ForkBase::with_config(MemStore::new(), TreeConfig::test_config())
+    /// An in-memory node session (never saved).
+    pub(crate) fn db() -> Session<ForkBase<MemStore>> {
+        Session {
+            backend: std::sync::Arc::new(ForkBase::with_config(
+                MemStore::new(),
+                TreeConfig::test_config(),
+            )),
+            forks: std::sync::Arc::default(),
+            dir: std::path::PathBuf::new(),
+        }
     }
 
     #[test]
@@ -481,7 +663,7 @@ mod tests {
 
         // Edit on vendor branch by re-loading a changed CSV... easier: use
         // table layer directly for the edit, then CLI diff.
-        let tables = TableStore::new(&db);
+        let tables = TableStore::new(&*db.backend);
         tables
             .update_cell("ds", "2", "name", "TWO", &PutOptions::on_branch("vendor"))
             .unwrap();
@@ -528,7 +710,7 @@ mod tests {
         let csv = "id,v\n1,a\n2,b\n3,c\n";
         run_command(&db, &["load-csv", "ds", csv]).unwrap();
         run_command(&db, &["branch", "ds", "dev"]).unwrap();
-        let tables = TableStore::new(&db);
+        let tables = TableStore::new(&*db.backend);
         tables
             .update_cell("ds", "1", "v", "dev-edit", &PutOptions::on_branch("dev"))
             .unwrap();
@@ -637,12 +819,9 @@ mod tests {
 mod pins {
     use std::path::{Path, PathBuf};
 
-    use forkbase::{ForkBase, ForkService, PutOptions};
-    use forkbase_postree::TreeConfig;
-    use forkbase_store::MemStore;
+    use forkbase::PutOptions;
 
-    use crate::cluster_cmd::{run_cluster_command, serve_servelet, ClusterSession};
-    use crate::{run_command, run_fork_command};
+    use crate::{run_command, serve_servelet, Session};
 
     const CSV: &str = "id,name\n1,one\n2,two\n3,three\n";
     const CSV_VENDOR: &str = "id,name\n1,one\n2,TWO\n3,three\n4,four\n";
@@ -852,19 +1031,15 @@ mod pins {
     }
 
     fn node_transcript(tmp: &Path) -> String {
-        let db = ForkBase::with_config(MemStore::new(), TreeConfig::test_config());
-        let forks = ForkService::new();
+        let session = super::tests::db();
         let vars = [("$TMP", tmp.display().to_string())];
-        transcript("node", NODE, &vars, |args| match args.split_first() {
-            Some((&"fork", sub)) => run_fork_command(&forks, &db, sub),
-            _ => run_command(&db, args),
-        })
+        transcript("node", NODE, &vars, |args| run_command(&session, args))
     }
 
     fn cluster_transcript(root: &Path) -> String {
         let remote1 = serve_servelet("127.0.0.1:0", root.join("remote-1")).unwrap();
         let remote2 = serve_servelet("127.0.0.1:0", root.join("remote-2")).unwrap();
-        let session = ClusterSession::init(root.join("data"), 3).unwrap();
+        let session = Session::init_cluster(root.join("data"), 3).unwrap();
         session
             .cluster()
             .with_key("tbl", |db| {
@@ -886,7 +1061,7 @@ mod pins {
             ("$ADDR2", remote2.addr().to_string()),
         ];
         let out = transcript("cluster", CLUSTER, &vars, |args| {
-            run_cluster_command(&session, args)
+            run_command(&session, args)
         });
         drop(session);
         drop((remote1, remote2));

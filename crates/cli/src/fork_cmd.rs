@@ -184,7 +184,8 @@ mod tests {
     fn fork_verb_family_end_to_end() {
         let db = db();
         let forks = ForkService::new();
-        crate::run_command(&db, &["put", "doc", "base"]).unwrap();
+        db.put("doc", Value::string("base"), &PutOptions::default())
+            .unwrap();
 
         let out =
             run_fork_command(&forks, &db, &["create", "--id", "scratch", "--ttl", "300"]).unwrap();
@@ -196,9 +197,10 @@ mod tests {
         assert!(out.contains("base"), "{out}");
         let out = run_fork_command(&forks, &db, &["put", "scratch", "doc", "edited"]).unwrap();
         assert!(out.starts_with("fork/scratch -> "), "{out}");
-        assert!(crate::run_command(&db, &["get", "doc"])
-            .unwrap()
-            .contains("base"));
+        assert_eq!(
+            db.get("doc", "master").unwrap().value.as_str(),
+            Some("base")
+        );
 
         let out = run_fork_command(&forks, &db, &["list"]).unwrap();
         assert!(out.contains("scratch") && out.contains("live"), "{out}");

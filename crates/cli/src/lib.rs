@@ -2,20 +2,20 @@
 //! Command-line and RESTful interfaces for ForkBase (paper Fig. 1,
 //! "Semantic Views": *Command Line scripting* and *RESTful* access).
 //!
-//! The [`commands`] module implements the verb set as a pure function
-//! from argument vectors to output text, so the same code path serves the
-//! binary, the tests, and the REST server. The [`rest`] module is a
-//! deliberately small HTTP/1.1 server on `std::net` — no async stack, one
-//! thread per connection — exposing the core verbs at predictable paths.
+//! Each view serves either deployment shape — a single node or a sharded
+//! [`forkbase::Cluster`] — from one table: `commands` holds the CLI verb
+//! table ([`run_command`]), [`rest`] the route table of a deliberately
+//! small HTTP/1.1 server on `std::net`. The verbs both shapes share go
+//! through [`forkbase::Backend`]; a private shape hook adds the rest. A
+//! [`Session`] binds one shape to its directory: it opens it, persists
+//! it, and serves it.
 
-pub mod cluster_cmd;
-pub mod commands;
+mod commands;
 pub mod fork_cmd;
 pub mod rest;
-pub mod session;
+mod session;
 
-pub use cluster_cmd::{run_cluster_command, serve_servelet, ClusterSession};
 pub use commands::run_command;
 pub use fork_cmd::run_fork_command;
 pub use rest::RestServer;
-pub use session::Session;
+pub use session::{serve_servelet, Session};

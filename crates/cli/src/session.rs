@@ -1,62 +1,232 @@
-//! A CLI session: a durable ForkBase database rooted in a directory.
+//! A CLI session: one deployment shape's durable state in a directory,
+//! opened, saved and served the same way for a node and a cluster.
 //!
-//! Layout:
+//! A node keeps its records in the data directory itself; a cluster
+//! keeps them in `<data>/cluster/`:
 //!
 //! ```text
-//! <root>/chunks/MANIFEST    — chunk-store segment list (atomic swap)
-//! <root>/chunks/pack-*.fbk  — the chunk store (append-only pack files)
-//! <root>/refs               — branch heads (the only mutable file)
-//! <root>/FORKS              — fork-sandbox registry (leases resume on reopen)
+//! <data>/chunks/MANIFEST            — node: chunk-store segment list (atomic swap)
+//! <data>/chunks/pack-*.fbk          — node: the chunk store (append-only pack files)
+//! <data>/refs                       — node: branch heads
+//! <data>/FORKS                      — node: fork-sandbox registry (leases resume on reopen)
+//! <data>/cluster/TOPOLOGY           — servelet ids, roles + next id (stable routing)
+//! <data>/cluster/FORKS              — cluster: fork-sandbox registry
+//! <data>/cluster/REPLICAS_SYNCED    — replicas proven caught-up at last clean save
+//! <data>/cluster/servelet-<id>/     — one servelet's `chunks/` and `refs`, a node's layout
 //! ```
+//!
+//! Every cluster servelet runs its own worker thread with a private
+//! `ForkBase<FileStore>`; the topology record makes routing a pure
+//! function of the persisted ring anchors, so reopening the directory
+//! routes every key exactly as before. `add`/`remove` rebalance live:
+//! only the keys whose ring owner changed migrate, each with its full
+//! branch/version history and byte-identical chunk addresses. Replicas
+//! use the same `servelet-<id>/` layout and are re-attached on reopen.
+//!
+//! `REPLICAS_SYNCED` is the cross-process half of the zero-acked-write-
+//! loss story: a (re)attached replica is conservatively marked for full
+//! resync, which needs a live primary — so promoting a dead primary's
+//! replica from a *fresh* process would be refused. The marker, written
+//! durably at every clean save for exactly the replicas the ship left at
+//! lag 0 (refs already persisted), and **consumed (deleted) on open**,
+//! lets those replicas re-attach caught-up: `cluster promote` then works
+//! with the primary dead, draining an empty log. Any unclean exit leaves
+//! no marker and the next open falls back to the conservative resync.
 
 use std::path::{Path, PathBuf};
+use std::process::ExitCode;
 use std::sync::Arc;
+use std::time::Duration;
 
-use forkbase::{DbError, DbResult, ForkBase, ForkService};
-use forkbase_store::FileStore;
+use forkbase::{
+    Backend, Cluster, ClusterTopology, DbError, DbResult, ForkBase, ForkService, RateLimit,
+    RateLimiter, ServeletServer, Supervisor,
+};
+use forkbase_store::{ChunkStore, FileStore, SweepStore};
 
-/// A database bound to an on-disk directory.
-pub struct Session {
-    db: Arc<ForkBase<FileStore>>,
-    forks: Arc<ForkService>,
-    refs_path: PathBuf,
-    forks_path: PathBuf,
+use crate::commands::{cluster_verb, node_verb, run_command, Flags};
+use crate::rest::RestServer;
+
+/// First line of the `REPLICAS_SYNCED` marker; an unrecognized magic is
+/// ignored (conservative: the replicas just resync in full).
+const SYNCED_MARKER_MAGIC: &str = "forkbase-cluster-replicas-synced-v1";
+
+/// One deployment shape's durable state, bound to a directory: a single
+/// node (the default) or a [`Cluster`].
+pub struct Session<B = ForkBase<FileStore>> {
+    pub(crate) backend: Arc<B>,
+    pub(crate) forks: Arc<ForkService>,
+    /// Where this shape's records live: the data directory for a node,
+    /// `<data>/cluster` for a cluster.
+    pub(crate) dir: PathBuf,
 }
 
-impl Session {
-    /// Open (or initialize) a database under `root`.
-    pub fn open(root: impl AsRef<Path>) -> DbResult<Session> {
-        let root = root.as_ref();
-        let store = FileStore::open(root.join("chunks"))?;
-        let db = Arc::new(ForkBase::new(store));
-        let refs_path = root.join("refs");
-        if let Some(text) = read_if_present(&refs_path)? {
-            db.load_refs(&text)?;
+/// What one deployment shape adds to the shared session and verb table.
+/// Its module is private, so no other crate can name or implement it.
+/// (The REST gateway's own hook also serves in-memory clusters; this
+/// one persists, so its cluster is file-backed.)
+pub trait Shape: Backend + Send + Sync + Sized + 'static {
+    /// Default gateway port.
+    const PORT: u16;
+    /// How the gateway names itself when it starts.
+    const GATEWAY: &'static str;
+
+    /// The servelet owning `key`, named beside `put` and `get` output.
+    fn owner(&self, _key: &str) -> Option<u64> {
+        None
+    }
+
+    /// Run a verb only this shape has, or answer the usage error.
+    fn own_verb(session: &Session<Self>, verb: &str, flags: &Flags) -> DbResult<String>;
+
+    /// Make everything but `FORKS` durable under `dir`.
+    fn save(&self, dir: &Path) -> DbResult<()>;
+
+    /// Start the REST gateway, and whatever keeps the shape healthy
+    /// while it serves.
+    fn serve(
+        session: &Session<Self>,
+        port: u16,
+        limiter: Arc<RateLimiter>,
+    ) -> std::io::Result<(RestServer, Option<Supervisor>)>;
+
+    /// The serving loop's periodic work, done before each save.
+    fn beat(&self, _forks: &ForkService) {}
+}
+
+impl<S: SweepStore + 'static> Shape for ForkBase<S> {
+    const PORT: u16 = 8642;
+    const GATEWAY: &'static str = "forkbase REST server";
+
+    fn own_verb(session: &Session<Self>, verb: &str, flags: &Flags) -> DbResult<String> {
+        node_verb(&session.backend, verb, flags)
+    }
+
+    fn save(&self, dir: &Path) -> DbResult<()> {
+        write_durable(&dir.join("refs"), &synced_refs(self)?)
+    }
+
+    fn serve(
+        session: &Session<Self>,
+        port: u16,
+        limiter: Arc<RateLimiter>,
+    ) -> std::io::Result<(RestServer, Option<Supervisor>)> {
+        let forks = Arc::clone(&session.forks);
+        let server = RestServer::start(Arc::clone(&session.backend), port, forks, Some(limiter))?;
+        Ok((server, None))
+    }
+
+    /// Reap expired fork sandboxes: their branches are deleted and the
+    /// next `gc` reclaims their chunks.
+    fn beat(&self, forks: &ForkService) {
+        let report = forks.reap_expired(self);
+        if !report.reaped.is_empty() {
+            println!(
+                "reaped {} expired fork(s): {}",
+                report.reaped.len(),
+                report.reaped.join(", ")
+            );
         }
-        // Resume fork leases from the FORKS record. Leases are absolute
-        // unix seconds, so a fork created before a restart keeps exactly
-        // the expiry it was promised.
-        let forks = Arc::new(ForkService::new());
-        let forks_path = root.join("FORKS");
-        if let Some(text) = read_if_present(&forks_path)? {
+    }
+}
+
+impl Shape for Cluster<FileStore> {
+    const PORT: u16 = 8643;
+    const GATEWAY: &'static str = "forkbase cluster gateway";
+
+    fn owner(&self, key: &str) -> Option<u64> {
+        Some(self.owner_id(key))
+    }
+
+    fn own_verb(session: &Session<Self>, verb: &str, flags: &Flags) -> DbResult<String> {
+        cluster_verb(session, verb, flags)
+    }
+
+    /// Persist every local servelet's branch heads (syncing each chunk
+    /// store first) and the topology record. Ships the replication log
+    /// first (best-effort), so replicas are as fresh as possible at the
+    /// durability point.
+    fn save(&self, dir: &Path) -> DbResult<()> {
+        let _ = self.ship_replication();
+        let topology = self.topology();
+        // Primaries by slot, then replicas. Remote servelets persist on
+        // their own side (ack-implies-durable); only their topology entry
+        // is ours to record.
+        let primaries = self.ids().into_iter().enumerate();
+        for (slot, id) in primaries.filter(|(_, id)| topology.addr_of(*id).is_none()) {
+            write_refs(dir, id, &self.on_node(slot, synced_refs)??)?;
+        }
+        for (rid, _) in self.replica_ids() {
+            if topology.addr_of(rid).is_none() {
+                write_refs(dir, rid, &self.on_replica(rid, synced_refs)??)?;
+            }
+        }
+        write_durable(&dir.join("TOPOLOGY"), &topology.encode())?;
+        // Record which replicas this save proved caught-up (shipped to
+        // lag 0 above, refs now durable): they may re-attach without a
+        // full resync on the next open — see the module doc. Written
+        // last: the marker must never assert more than what is on disk.
+        let caught_up: Vec<String> = self
+            .replication_status()
+            .primaries
+            .iter()
+            .flat_map(|p| &p.replicas)
+            .filter(|r| r.lag == 0 && r.pending == 0 && !r.needs_full_sync)
+            .map(|r| r.id.to_string())
+            .collect();
+        let marker_path = dir.join("REPLICAS_SYNCED");
+        if caught_up.is_empty() {
+            match std::fs::remove_file(&marker_path) {
+                Err(e) if e.kind() != std::io::ErrorKind::NotFound => Err(io_err(e)),
+                _ => Ok(()),
+            }
+        } else {
+            write_durable(
+                &marker_path,
+                &format!("{SYNCED_MARKER_MAGIC}\n{}\n", caught_up.join("\n")),
+            )
+        }
+    }
+
+    fn serve(
+        session: &Session<Self>,
+        port: u16,
+        limiter: Arc<RateLimiter>,
+    ) -> std::io::Result<(RestServer, Option<Supervisor>)> {
+        let cluster = Arc::clone(&session.backend);
+        let forks = Arc::clone(&session.forks);
+        let server = RestServer::start_cluster(Arc::clone(&cluster), port, forks, Some(limiter))?;
+        // Self-heal while serving: probe every 2 s and restart dead
+        // servelets from their durable backends (packs + refs files).
+        // After 5 consecutive failed probes (~10 s down) a primary with a
+        // caught-up replica is failed over instead of restarted in place.
+        // The fork-sandbox reaper rides the same tick: expired leases are
+        // collected every pass, their branches dropped cluster-wide.
+        cluster.set_failover_threshold(Some(5));
+        let forks = Arc::clone(&session.forks);
+        let supervisor =
+            Supervisor::spawn_with_tick(cluster, Duration::from_secs(2), move |cluster| {
+                let _ = forks.reap_expired(cluster);
+            });
+        Ok((server, Some(supervisor)))
+    }
+}
+
+impl<B: Shape> Session<B> {
+    /// A session over a loaded `backend` whose records live in `dir`,
+    /// resuming fork leases from `dir/FORKS`. Leases are absolute unix
+    /// seconds, so a fork created before a restart keeps exactly the
+    /// expiry it was promised.
+    fn resume(backend: B, dir: PathBuf) -> DbResult<Self> {
+        let forks = ForkService::new();
+        if let Some(text) = read_if_present(&dir.join("FORKS"))? {
             forks.load(&text)?;
         }
         Ok(Session {
-            db,
-            forks,
-            refs_path,
-            forks_path,
+            backend: Arc::new(backend),
+            forks: Arc::new(forks),
+            dir,
         })
-    }
-
-    /// The database handle.
-    pub fn db(&self) -> &ForkBase<FileStore> {
-        &self.db
-    }
-
-    /// Shared handle for long-running services (REST server).
-    pub fn db_arc(&self) -> Arc<ForkBase<FileStore>> {
-        Arc::clone(&self.db)
     }
 
     /// The fork-sandbox registry this session persists.
@@ -64,23 +234,338 @@ impl Session {
         &self.forks
     }
 
-    /// Shared handle to the fork registry (what the REST server holds).
-    pub fn forks_arc(&self) -> Arc<ForkService> {
-        Arc::clone(&self.forks)
+    /// Persist the shape's records and the fork registry durably, each
+    /// chunk store flushed before the heads that name its chunks.
+    pub fn save(&self) -> DbResult<()> {
+        self.backend.save(&self.dir)?;
+        write_durable(&self.dir.join("FORKS"), &self.forks.dump())
     }
 
-    /// Persist branch heads and the fork registry durably, flushing the
-    /// chunk store first.
-    pub fn save(&self) -> DbResult<()> {
-        write_durable(&self.refs_path, &synced_refs(&self.db)?)?;
-        write_durable(&self.forks_path, &self.forks.dump())
+    /// Run one invocation's arguments (the verb and its arguments, after
+    /// `--data DIR` and any leading `cluster`). `serve [PORT]` serves the
+    /// REST gateway until the process is killed; any other verb runs
+    /// once, and then the session is saved whether or not the verb
+    /// succeeded — a routed batch that fails on one servelet stays
+    /// committed on the others, and those heads must survive the process.
+    pub fn run_cli(&self, args: &[&str]) -> ExitCode {
+        if let Some((&"serve", port)) = args.split_first() {
+            return self.serve(port.first().and_then(|p| p.parse().ok()).unwrap_or(B::PORT));
+        }
+        let output = run_command(self, args);
+        let code = match &output {
+            Ok(text) => {
+                if !text.is_empty() {
+                    println!("{text}");
+                }
+                ExitCode::SUCCESS
+            }
+            Err(e) => {
+                eprintln!("error: {e}");
+                ExitCode::FAILURE
+            }
+        };
+        match self.save() {
+            Ok(()) => code,
+            Err(e) => {
+                eprintln!("warning: failed to persist state: {e}");
+                ExitCode::FAILURE
+            }
+        }
     }
+
+    /// Serve the REST gateway on `port` until the process is killed,
+    /// saving every 5 s so a Ctrl-C loses at most 5 s of head movement
+    /// (chunks themselves are always durable).
+    fn serve(&self, port: u16) -> ExitCode {
+        // Per-peer admission: generous enough that a human or a
+        // well-behaved script never sees it, tight enough that one
+        // runaway client cannot monopolize the thread-per-connection
+        // server. Shed requests answer `429` + `retry-after`.
+        let limiter = Arc::new(RateLimiter::new(RateLimit::new(500.0, 1000.0)));
+        let (server, supervisor) = match B::serve(self, port, limiter) {
+            Ok(serving) => serving,
+            Err(e) => {
+                eprintln!("failed to bind port {port}: {e}");
+                return ExitCode::FAILURE;
+            }
+        };
+        println!("{} listening on http://{}", B::GATEWAY, server.addr());
+        let note = if supervisor.is_some() {
+            " (supervised)"
+        } else {
+            ""
+        };
+        println!("data directory: {}{note}", self.dir.display());
+        println!("press Ctrl-C to stop");
+        loop {
+            std::thread::sleep(Duration::from_secs(5));
+            self.backend.beat(&self.forks);
+            if let Err(e) = self.save() {
+                eprintln!("warning: failed to persist state: {e}");
+            }
+        }
+    }
+}
+
+impl Session {
+    /// Open (or initialize) a single node under `root`.
+    pub fn open(root: impl AsRef<Path>) -> DbResult<Session> {
+        let root = root.as_ref();
+        let db = ForkBase::new(FileStore::open(root.join("chunks"))?);
+        if let Some(text) = read_if_present(&root.join("refs"))? {
+            db.load_refs(&text)?;
+        }
+        Session::resume(db, root.to_path_buf())
+    }
+
+    /// The database handle.
+    pub fn db(&self) -> &ForkBase<FileStore> {
+        &self.backend
+    }
+}
+
+impl Session<Cluster<FileStore>> {
+    /// Initialize a fresh cluster of `n` servelets under `<root>/cluster`.
+    /// Refuses to clobber an existing topology.
+    pub fn init_cluster(root: impl AsRef<Path>, n: usize) -> DbResult<Self> {
+        let dir = root.as_ref().join("cluster");
+        if n == 0 {
+            return Err(DbError::InvalidInput(
+                "a cluster needs at least one servelet".into(),
+            ));
+        }
+        let topo_path = dir.join("TOPOLOGY");
+        if topo_path.exists() {
+            return Err(DbError::InvalidInput(format!(
+                "cluster already initialized at {}",
+                topo_path.display()
+            )));
+        }
+        std::fs::create_dir_all(&dir).map_err(io_err)?;
+        let topology = ClusterTopology::local((0..n as u64).collect(), n as u64);
+        write_durable(&topo_path, &topology.encode())?;
+        Self::open_cluster(root)
+    }
+
+    /// Open the cluster persisted under `<root>/cluster`.
+    pub fn open_cluster(root: impl AsRef<Path>) -> DbResult<Self> {
+        let dir = root.as_ref().join("cluster");
+        let topo_path = dir.join("TOPOLOGY");
+        let text = std::fs::read_to_string(&topo_path).map_err(|e| {
+            DbError::InvalidInput(format!(
+                "no cluster at {} ({e}); run `cluster init N` first",
+                topo_path.display()
+            ))
+        })?;
+        let topology = ClusterTopology::parse(&text)?;
+        let open_dir = dir.clone();
+        let cluster = Cluster::from_topology(
+            &topology,
+            forkbase_postree::TreeConfig::default_config(),
+            move |id| Ok(FileStore::open(servelet_dir(&open_dir, id).join("chunks"))?),
+        )?;
+        // Load each LOCAL servelet's branch heads (validated against its
+        // store). Remote servelets own their stores and refs — their
+        // `forkbase serve` process loads them on startup.
+        let local_refs = |id: u64| match cluster.servelet_addr(id) {
+            Some(_) => Ok(None),
+            None => read_if_present(&servelet_dir(&dir, id).join("refs")),
+        };
+        for (slot, id) in cluster.ids().into_iter().enumerate() {
+            if let Some(text) = local_refs(id)? {
+                cluster.on_node(slot, move |db| db.load_refs(&text))??;
+            }
+        }
+        // Local replicas restore their mirrored heads the same way — the
+        // catch-up marker below can only vouch for a replica whose
+        // persisted refs are actually loaded.
+        for (rid, _) in cluster.replica_ids() {
+            if let Some(text) = local_refs(rid)? {
+                cluster.on_replica(rid, move |db| db.load_refs(&text))??;
+            }
+        }
+        // Consume the catch-up marker: replicas the last clean save
+        // proved at lag 0 (with refs persisted) re-attach caught-up, so
+        // `promote` works even when their primary never comes back. The
+        // marker is deleted BEFORE any command runs — a crash from here
+        // on leaves no marker, and the next open resyncs conservatively.
+        let marker_path = dir.join("REPLICAS_SYNCED");
+        if let Some(text) = read_if_present(&marker_path)? {
+            let mut lines = text.lines();
+            if lines.next() == Some(SYNCED_MARKER_MAGIC) {
+                let attached: Vec<u64> =
+                    cluster.replica_ids().iter().map(|&(rid, _)| rid).collect();
+                for line in lines {
+                    if let Ok(rid) = line.trim().parse::<u64>() {
+                        if attached.contains(&rid) {
+                            cluster.mark_replica_synced(rid)?;
+                        }
+                    }
+                }
+            }
+            std::fs::remove_file(&marker_path).map_err(io_err)?;
+        }
+        // Supervised restarts reopen the packs AND restore the persisted
+        // branch heads — richer than the bare `open` factory above.
+        let respawn_dir = dir.clone();
+        cluster.set_respawn(move |id| {
+            let servelet = servelet_dir(&respawn_dir, id);
+            let store = FileStore::open(servelet.join("chunks"))?;
+            let refs = read_if_present(&servelet.join("refs"))?;
+            Ok(forkbase::Respawned { store, refs })
+        });
+        Session::resume(cluster, dir)
+    }
+
+    /// The cluster handle.
+    pub fn cluster(&self) -> &Cluster<FileStore> {
+        &self.backend
+    }
+
+    /// Durably rewrite the `TOPOLOGY` record from the live placement.
+    fn save_topology(&self) -> DbResult<()> {
+        write_durable(
+            &self.dir.join("TOPOLOGY"),
+            &self.backend.topology().encode(),
+        )
+    }
+
+    /// Provision the next servelet id's data directory, hand its store to
+    /// `join` (which returns the id the cluster assigned), then make the
+    /// joiner's refs (from `refs`) and the new topology durable. A failed
+    /// join burns the id (ids are never reused) and drops the fresh
+    /// directory, so it leaks no partial packs on disk.
+    fn provision(
+        &self,
+        join: impl FnOnce(FileStore) -> DbResult<u64>,
+        refs: impl FnOnce(u64) -> DbResult<String>,
+    ) -> DbResult<u64> {
+        let dir = servelet_dir(&self.dir, self.backend.next_servelet_id());
+        let id = match join(FileStore::open(dir.join("chunks"))?) {
+            Ok(id) => id,
+            Err(e) => {
+                let _ = std::fs::remove_dir_all(&dir);
+                return Err(e);
+            }
+        };
+        write_durable(&dir.join("refs"), &refs(id)?)?;
+        self.save_topology()?;
+        Ok(id)
+    }
+
+    /// Add a servelet (provisioning its data directory) and migrate the
+    /// keys it now owns. Returns the new servelet's id.
+    ///
+    /// Durability order matters: the new servelet's refs (it holds the
+    /// migrated keys now) and the TOPOLOGY that makes reopen load it must
+    /// be on disk BEFORE any source refs lacking those keys are rewritten
+    /// (the caller's save()). A crash between here and that save leaves at
+    /// worst a shadowed duplicate on the sources — routing prefers the new
+    /// owner — never a lost key.
+    pub(crate) fn add_servelet(&self) -> DbResult<u64> {
+        let cluster = &self.backend;
+        self.provision(
+            |store| cluster.add_servelet(store),
+            |id| {
+                // A servelet that is gone again by now cannot be saved.
+                let slot = cluster.ids().iter().position(|&i| i == id);
+                let slot = slot.ok_or(DbError::ServeletUnavailable { servelet: id })?;
+                cluster.on_node(slot, synced_refs)?
+            },
+        )
+    }
+
+    /// Attach a new local replica (provisioning its data directory) to
+    /// primary `primary_id`, fully synced before this returns.
+    pub(crate) fn add_replica(&self, primary_id: u64) -> DbResult<u64> {
+        let cluster = &self.backend;
+        self.provision(
+            |store| cluster.add_replica(primary_id, store),
+            |id| cluster.on_replica(id, synced_refs)?,
+        )
+    }
+
+    /// Join a servelet process (already listening via `forkbase serve
+    /// --servelet ADDR`) as a primary, or with `primary_id` as a replica,
+    /// and persist the topology so a reopen routes to it again.
+    pub(crate) fn add_remote(&self, primary_id: Option<u64>, addr: &str) -> DbResult<u64> {
+        let id = match primary_id {
+            None => self.backend.add_remote_servelet(addr)?,
+            Some(primary) => self.backend.add_remote_replica(primary, addr)?,
+        };
+        self.save_topology()?;
+        Ok(id)
+    }
+
+    /// Promote replica `id` to primary of its slot (see
+    /// [`Cluster::promote_replica`]) and persist the swung topology.
+    /// The retired primary's data directory is left on disk — its id is
+    /// burned, so nothing will ever route to it; delete it by hand once
+    /// you no longer want the forensic copy. Returns the retired id.
+    pub(crate) fn promote_replica(&self, id: u64) -> DbResult<u64> {
+        let old = self.backend.promote_replica(id)?;
+        self.save()?;
+        Ok(old)
+    }
+
+    /// Remove servelet `id` after migrating its keys away, then delete its
+    /// drained data directory.
+    pub(crate) fn remove_servelet(&self, id: u64) -> DbResult<()> {
+        self.backend.remove_servelet(id)?;
+        // Make the migrated keys durable on their destinations (sync +
+        // refs + topology) BEFORE deleting the victim's directory — until
+        // this save the victim held the only on-disk copy.
+        self.save()?;
+        let dir = servelet_dir(&self.dir, id);
+        if dir.exists() {
+            std::fs::remove_dir_all(&dir).map_err(io_err)?;
+        }
+        Ok(())
+    }
+}
+
+/// Start a standalone servelet process: a [`ServeletServer`] executing
+/// wire requests against a durable [`FileStore`] under `root` (a node's
+/// layout). Every mutating request syncs the store and durably rewrites
+/// the refs file **before** it is acked — kill -9 after an ack never
+/// loses the write. This is what `forkbase serve --servelet ADDR` runs.
+pub fn serve_servelet(addr: &str, root: impl AsRef<Path>) -> DbResult<ServeletServer> {
+    let refs_path = root.as_ref().join("refs");
+    let db = Session::open(root)?.backend;
+    // Connections are served on a thread each, and `write_durable` goes
+    // through one fixed temporary file: one sync + refs rewrite at a time.
+    // The refs are dumped inside the lock, so the file never goes back to
+    // an older set of heads than an earlier ack already made durable.
+    let persisting = std::sync::Mutex::new(());
+    let persist: forkbase::PersistFn<FileStore> = Arc::new(move |db| {
+        let _one_at_a_time = persisting
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        write_durable(&refs_path, &synced_refs(db)?)
+    });
+    // Per-peer admission control: a chatty router cannot monopolize the
+    // servelet's worker threads; shed frames answer a structured
+    // `WireError::RateLimited` with a retry hint, connection kept open.
+    let limiter = Arc::new(RateLimiter::new(RateLimit::new(2000.0, 4000.0)));
+    ServeletServer::spawn_limited(addr, db, Some(persist), Some(limiter))
+}
+
+/// A cluster servelet's data directory under the cluster's `dir`.
+fn servelet_dir(dir: &Path, id: u64) -> PathBuf {
+    dir.join(format!("servelet-{id}"))
+}
+
+/// Durably write servelet `id`'s `refs`, creating its directory.
+fn write_refs(dir: &Path, id: u64, refs: &str) -> DbResult<()> {
+    let servelet = servelet_dir(dir, id);
+    std::fs::create_dir_all(&servelet).map_err(io_err)?;
+    write_durable(&servelet.join("refs"), refs)
 }
 
 /// Flush `db`'s chunk store, then dump its branch heads: the contents of
 /// a `refs` file that never names a chunk the disk lacks.
-pub(crate) fn synced_refs(db: &ForkBase<FileStore>) -> DbResult<String> {
-    forkbase_store::ChunkStore::sync(db.store())?;
+fn synced_refs<S: ChunkStore>(db: &ForkBase<S>) -> DbResult<String> {
+    db.store().sync()?;
     Ok(db.dump_refs())
 }
 
@@ -89,7 +574,7 @@ pub(crate) fn io_err(e: std::io::Error) -> DbError {
 }
 
 /// The contents of the record at `path`, `None` when there is none.
-pub(crate) fn read_if_present(path: &Path) -> DbResult<Option<String>> {
+fn read_if_present(path: &Path) -> DbResult<Option<String>> {
     match std::fs::read_to_string(path) {
         Ok(text) => Ok(Some(text)),
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
@@ -102,7 +587,7 @@ pub(crate) fn read_if_present(path: &Path) -> DbResult<Option<String>> {
 /// the same protocol the chunk store uses for its MANIFEST. Every record
 /// the CLI persists (refs, `FORKS`, `TOPOLOGY`, the replica marker) goes
 /// through here, so a crash leaves either the old file or the new one.
-pub(crate) fn write_durable(path: &Path, contents: &str) -> DbResult<()> {
+fn write_durable(path: &Path, contents: &str) -> DbResult<()> {
     let tmp = path.with_extension("tmp");
     (|| -> std::io::Result<()> {
         {
@@ -232,6 +717,248 @@ mod tests {
         let refs = root.join("refs");
         std::fs::write(&refs, format!("k\tmaster\t{}\n", "ab".repeat(32))).unwrap();
         assert!(Session::open(&root).is_err());
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn cluster_state_survives_reopen_and_routes_identically() {
+        let root = temp_root("cluster-reopen");
+        let owners: Vec<(String, u64)>;
+        {
+            let s = Session::init_cluster(&root, 3).unwrap();
+            for i in 0..30 {
+                run_command(&s, &["put", &format!("k{i}"), &format!("v{i}")]).unwrap();
+            }
+            owners = (0..30)
+                .map(|i| {
+                    let k = format!("k{i}");
+                    let owner = s.cluster().owner_id(&k);
+                    (k, owner)
+                })
+                .collect();
+            s.save().unwrap();
+        }
+        let s = Session::open_cluster(&root).unwrap();
+        for (key, owner) in owners {
+            assert_eq!(
+                s.cluster().owner_id(&key),
+                owner,
+                "routing drifted for {key}"
+            );
+            let out = run_command(&s, &["get", &key]).unwrap();
+            assert!(out.contains(&format!("servelet {owner}")));
+        }
+        // Double-init is refused.
+        assert!(Session::init_cluster(&root, 2).is_err());
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn cluster_rebalance_via_commands() {
+        let root = temp_root("cluster-rebalance");
+        let s = Session::init_cluster(&root, 2).unwrap();
+        for i in 0..40 {
+            run_command(&s, &["put", &format!("k{i}"), &format!("v{i}")]).unwrap();
+        }
+        let out = run_command(&s, &["add"]).unwrap();
+        assert!(out.contains("servelet 2 joined"), "{out}");
+        assert!(servelet_dir(&root.join("cluster"), 2).exists());
+        let keys = run_command(&s, &["keys"]).unwrap();
+        assert_eq!(keys.lines().count(), 40);
+
+        let out = run_command(&s, &["remove", "0"]).unwrap();
+        assert!(out.contains("servelet 0 drained"), "{out}");
+        assert!(
+            !servelet_dir(&root.join("cluster"), 0).exists(),
+            "drained directory deleted"
+        );
+        for i in 0..40 {
+            let got = run_command(&s, &["get", &format!("k{i}")]).unwrap();
+            assert!(got.contains(&format!("\"v{i}\"")), "{got}");
+        }
+        let stats = run_command(&s, &["stats"]).unwrap();
+        assert!(
+            stats.contains("cluster: 2 servelet(s), 40 key(s)"),
+            "{stats}"
+        );
+        s.save().unwrap();
+
+        // Reopen after elasticity: topology reflects the changes.
+        drop(s);
+        let s = Session::open_cluster(&root).unwrap();
+        assert_eq!(s.cluster().ids(), vec![1, 2]);
+        assert_eq!(run_command(&s, &["keys"]).unwrap().lines().count(), 40);
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn replication_via_commands_survives_reopen_and_promotes() {
+        let root = temp_root("cluster-replication");
+        let s = Session::init_cluster(&root, 2).unwrap();
+        for i in 0..20 {
+            run_command(&s, &["put", &format!("k{i}"), &format!("v{i}")]).unwrap();
+        }
+        let pid = s.cluster().ids()[0];
+        let out = run_command(&s, &["add-replica", &pid.to_string()]).unwrap();
+        assert!(out.contains(&format!("attached to primary {pid}")), "{out}");
+        let rid = s.cluster().replica_ids()[0].0;
+        assert!(servelet_dir(&root.join("cluster"), rid).exists());
+
+        // The topology output renders the new role column after the
+        // unchanged legacy columns.
+        let topo = run_command(&s, &["topology"]).unwrap();
+        assert!(
+            topo.contains(&format!("servelet {pid}\tin-process\tprimary\n")),
+            "{topo}"
+        );
+        assert!(
+            topo.contains(&format!("servelet {rid}\tin-process\treplica of {pid}\n")),
+            "{topo}"
+        );
+        let status = run_command(&s, &["replication-status"]).unwrap();
+        assert!(
+            status.contains(&format!("replica {rid}\tlag 0")),
+            "{status}"
+        );
+        s.save().unwrap();
+        // The clean save proved the replica caught-up and recorded it.
+        let marker = std::fs::read_to_string(root.join("cluster/REPLICAS_SYNCED")).unwrap();
+        assert!(marker.contains(&rid.to_string()), "{marker}");
+        drop(s);
+
+        // Reopen re-attaches the replica. The catch-up marker is consumed
+        // (deleted) and the replica re-attaches already caught-up — no
+        // full resync, so the dead-primary promote below can work.
+        let s = Session::open_cluster(&root).unwrap();
+        assert!(!root.join("cluster/REPLICAS_SYNCED").exists());
+        assert_eq!(s.cluster().replica_ids(), vec![(rid, pid)]);
+        let status = s.cluster().replication_status();
+        assert!(
+            !status.primaries[0].replicas[0].needs_full_sync,
+            "{status:?}"
+        );
+
+        // Kill the primary FIRST, then promote via the CLI — the runbook
+        // scenario: the primary never comes back, and the fresh process
+        // can still fail over because the marker vouched for the replica.
+        let slot = s.cluster().ids().iter().position(|&i| i == pid).unwrap();
+        s.cluster().kill_servelet(slot).unwrap();
+        let out = run_command(&s, &["promote", &rid.to_string()]).unwrap();
+        assert!(out.contains(&format!("replica {rid} promoted")), "{out}");
+        for i in 0..20 {
+            let got = run_command(&s, &["get", &format!("k{i}")]).unwrap();
+            assert!(got.contains(&format!("\"v{i}\"")), "{got}");
+        }
+        drop(s);
+
+        // The swung topology persisted: a fresh open routes through the
+        // promoted servelet, with the retired id gone for good.
+        let s = Session::open_cluster(&root).unwrap();
+        assert!(s.cluster().ids().contains(&rid));
+        assert!(!s.cluster().ids().contains(&pid));
+        for i in 0..20 {
+            let got = run_command(&s, &["get", &format!("k{i}")]).unwrap();
+            assert!(got.contains(&format!("\"v{i}\"")), "{got}");
+        }
+        // Bad inputs stay structured errors.
+        assert!(run_command(&s, &["add-replica", "nope"]).is_err());
+        assert!(run_command(&s, &["promote", "999"]).is_err());
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// Two routers' worth of mutating frames on two connections at once:
+    /// the persist hook used to race on `refs.tmp` and fail a write that
+    /// had already applied with "No such file or directory".
+    #[test]
+    fn concurrent_mutating_connections_all_ack_and_reopen() {
+        use forkbase::{ClusterTopology, TopoRole};
+        const WRITERS: usize = 2;
+        const PUTS: usize = 40;
+        let root = temp_root("servelet-concurrent");
+        let router = |server: &forkbase::ServeletServer| {
+            let topology = ClusterTopology {
+                servelet_ids: vec![0],
+                addrs: vec![Some(server.addr().to_string())],
+                roles: vec![TopoRole::Primary { anchor: 0 }],
+                next_id: 1,
+            };
+            Cluster::<forkbase_store::MemStore>::connect(
+                &topology,
+                forkbase_postree::TreeConfig::default_config(),
+            )
+            .unwrap()
+        };
+        let server = serve_servelet("127.0.0.1:0", &root).unwrap();
+        let cluster = router(&server);
+        let start = std::sync::Barrier::new(WRITERS);
+        std::thread::scope(|scope| {
+            for w in 0..WRITERS {
+                let (cluster, start) = (&cluster, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for i in 0..PUTS {
+                        cluster
+                            .put_string(
+                                &format!("w{w}-k{i}"),
+                                format!("v{i}"),
+                                PutOptions::default(),
+                            )
+                            .unwrap_or_else(|e| panic!("writer {w} put {i}: {e}"));
+                    }
+                });
+            }
+        });
+        drop(cluster);
+        drop(server);
+        // Every ack was persisted: a fresh servelet over the same
+        // directory has every key.
+        let server = serve_servelet("127.0.0.1:0", &root).unwrap();
+        let cluster = router(&server);
+        for w in 0..WRITERS {
+            for i in 0..PUTS {
+                let got = cluster.get(&format!("w{w}-k{i}"), "master").unwrap();
+                assert_eq!(got.value, Value::string(format!("v{i}")));
+            }
+        }
+        drop(cluster);
+        drop(server);
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn batch_range_and_errors() {
+        let root = temp_root("cluster-batch");
+        let s = Session::init_cluster(&root, 2).unwrap();
+        let out = run_command(&s, &["batch", "put:a=1", "put:b=2", "put:a=1b"]).unwrap();
+        assert_eq!(out.lines().count(), 3);
+        let got = run_command(&s, &["get", "a"]).unwrap();
+        assert!(got.contains("1b"));
+
+        // A table-ish map for range.
+        s.cluster()
+            .with_key("tbl", |db| {
+                let pairs = (0..50)
+                    .map(|i| {
+                        (
+                            bytes::Bytes::from(format!("r{i:03}")),
+                            bytes::Bytes::from(format!("x{i}")),
+                        )
+                    })
+                    .collect();
+                let map = db.new_map(pairs)?;
+                db.put("tbl", map, &PutOptions::default())
+            })
+            .unwrap()
+            .unwrap();
+        let page = run_command(&s, &["range", "tbl", "r010", "r020", "--limit", "5"]).unwrap();
+        assert!(page.contains("r010\t"));
+        assert!(page.contains("truncated"), "{page}");
+
+        assert!(run_command(&s, &[]).is_err());
+        assert!(run_command(&s, &["bogus"]).is_err());
+        assert!(run_command(&s, &["get", "missing"]).is_err());
+        assert!(run_command(&s, &["remove", "not-a-number"]).is_err());
+        assert!(run_command(&s, &["batch", "zap:x"]).is_err());
         std::fs::remove_dir_all(&root).unwrap();
     }
 }

@@ -11,8 +11,9 @@
 //!   the `TOPOLOGY` / `FORKS` records.
 //! * **No panics in request paths**: `unwrap()` / `expect(` / `panic!`
 //!   are denied in the RPC, net, wire, replication, rate-limit, accept
-//!   loop, and REST gateway modules, where a panicking thread kills a
-//!   servelet worker or a listener. A
+//!   loop, REST gateway and CLI session modules, where a panicking thread
+//!   kills a servelet worker or a listener, or a save leaves records
+//!   half-written. A
 //!   genuinely unreachable case can carry a
 //!   `// forkbase-lint: allow(no-panic): <why>` waiver on its own or
 //!   the preceding line.
@@ -25,10 +26,12 @@ use crate::{rust_files_under, Finding};
 const PASS: &str = "P3/caps";
 
 /// Request-path modules where a panic kills a servelet worker, an
-/// accept loop, or a gateway connection handler.
+/// accept loop, or a gateway connection handler — and the CLI session,
+/// which serves servelets and persists every record.
 const NO_PANIC_FILES: &[&str] = &[
     "crates/core/src/accept.rs",
     "crates/cli/src/rest.rs",
+    "crates/cli/src/session.rs",
     "crates/core/src/cluster/rpc.rs",
     "crates/core/src/cluster/net.rs",
     "crates/core/src/cluster/wire.rs",
@@ -73,17 +76,17 @@ const CAPABILITIES: &[(&str, &str, &[&str])] = &[
     (
         "topology().encode()",
         "TOPOLOGY record write",
-        &["crates/cli/src/cluster_cmd.rs"],
+        &["crates/cli/src/session.rs"],
     ),
     (
         "topology.encode()",
         "TOPOLOGY record write",
-        &["crates/cli/src/cluster_cmd.rs"],
+        &["crates/cli/src/session.rs"],
     ),
     (
         "forks.dump()",
         "FORKS record write",
-        &["crates/cli/src/cluster_cmd.rs", "crates/cli/src/session.rs"],
+        &["crates/cli/src/session.rs"],
     ),
 ];
 

@@ -372,6 +372,20 @@ fn p3_panic_in_request_path_is_flagged_waiver_and_tests_are_not() {
             .any(|f| f.contains("rest.rs") && f.contains("expect(")),
         "{findings:?}"
     );
+
+    // So is the CLI session: it serves servelets and writes every record.
+    put(
+        &root,
+        "crates/cli/src/session.rs",
+        "fn save(p: &str) {\n    std::fs::write(p, \"\").unwrap();\n}\n",
+    );
+    let findings = findings_of(&root, "P3");
+    assert!(
+        findings
+            .iter()
+            .any(|f| f.contains("session.rs") && f.contains("unwrap()")),
+        "{findings:?}"
+    );
 }
 
 #[test]
@@ -397,6 +411,20 @@ fn p3_capability_outside_allowlist_is_flagged() {
          pub fn swing(db: &Db) {\n    let mut b = db.branches.write();\n    b.clear();\n}\n",
     );
     fs::remove_file(root.join("crates/core/src/gc.rs")).unwrap();
+    assert!(findings_of(&root, "P3").is_empty());
+
+    // The FORKS record has exactly one writer: the session.
+    let write_forks = "pub fn save(s: &Session) {\n    write(&s.forks.dump());\n}\n";
+    put(&root, "crates/cli/src/commands.rs", write_forks);
+    let findings = findings_of(&root, "P3");
+    assert!(
+        findings
+            .iter()
+            .any(|f| f.contains("commands.rs") && f.contains("FORKS record write")),
+        "{findings:?}"
+    );
+    fs::remove_file(root.join("crates/cli/src/commands.rs")).unwrap();
+    put(&root, "crates/cli/src/session.rs", write_forks);
     assert!(findings_of(&root, "P3").is_empty());
 }
 
