@@ -548,6 +548,35 @@ fn bench_ship_drain(c: &mut Criterion) {
             },
         );
     }
+    // The same round trip through routed batches: the put batch captures
+    // one bundle per owner group; the delete batch removes every key, so
+    // each group falls back to per-key captures that ship as forgets.
+    group.throughput(Throughput::Elements(KEYS as u64));
+    let cluster = Cluster::new(4, forkbase_postree::TreeConfig::default_config());
+    for id in cluster.ids() {
+        cluster.add_replica(id, MemStore::new()).unwrap();
+    }
+    group.bench_function("batch_ship_forget_64keys", |b| {
+        let opts = PutOptions::default();
+        b.iter(|| {
+            let mut batch = cluster.write_batch();
+            for key in &keys {
+                batch.put(key.clone(), Value::string("shipped"), &opts);
+            }
+            batch.commit().unwrap();
+            let report = cluster.ship_replication();
+            assert!(report.failed.is_empty());
+            assert_eq!(report.shipped, KEYS as u64);
+            let mut batch = cluster.write_batch();
+            for key in &keys {
+                batch.delete_branch(key.clone(), "master");
+            }
+            batch.commit().unwrap();
+            let report = cluster.ship_replication();
+            assert!(report.failed.is_empty());
+            assert_eq!(report.shipped, KEYS as u64);
+        });
+    });
     group.finish();
 }
 

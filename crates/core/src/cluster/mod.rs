@@ -225,26 +225,22 @@ impl ClusterTopology {
         let mut out = format!("{TOPOLOGY_MAGIC}\nnext-id\t{}\n", self.next_id);
         for (i, id) in self.servelet_ids.iter().enumerate() {
             let addr = self.addrs.get(i).and_then(|a| a.as_deref());
-            let role = self.roles.get(i);
             // Legacy two/three-column layout for self-anchored primaries,
             // four-column otherwise.
-            let self_anchored = match role {
-                Some(TopoRole::Primary { anchor }) => *anchor == *id,
-                None => true,
-                Some(TopoRole::Replica { .. }) => false,
-            };
-            if self_anchored {
-                match addr {
-                    Some(addr) => out.push_str(&format!("servelet\t{id}\t{addr}\n")),
-                    None => out.push_str(&format!("servelet\t{id}\n")),
+            let role = match self.roles.get(i) {
+                Some(TopoRole::Primary { anchor }) if anchor != id => {
+                    Some(format!("primary:{anchor}"))
                 }
-            } else {
-                let addr = addr.unwrap_or("-");
-                let role = match role.expect("non-self-anchored entries have a role") {
-                    TopoRole::Primary { anchor } => format!("primary:{anchor}"),
-                    TopoRole::Replica { primary } => format!("replica:{primary}"),
-                };
-                out.push_str(&format!("servelet\t{id}\t{addr}\t{role}\n"));
+                Some(TopoRole::Replica { primary }) => Some(format!("replica:{primary}")),
+                _ => None,
+            };
+            match (role, addr) {
+                (None, Some(addr)) => out.push_str(&format!("servelet\t{id}\t{addr}\n")),
+                (None, None) => out.push_str(&format!("servelet\t{id}\n")),
+                (Some(role), addr) => {
+                    let addr = addr.unwrap_or("-");
+                    out.push_str(&format!("servelet\t{id}\t{addr}\t{role}\n"));
+                }
             }
         }
         out
@@ -311,9 +307,10 @@ impl ClusterTopology {
                 _ => return Err(err("unknown line")),
             }
         }
-        if servelet_ids.is_empty() {
-            return Err(err("no servelets"));
-        }
+        let max = *servelet_ids
+            .iter()
+            .max()
+            .ok_or_else(|| err("no servelets"))?;
         let mut seen = std::collections::HashSet::new();
         if !servelet_ids.iter().all(|id| seen.insert(*id)) {
             return Err(err("duplicate servelet id"));
@@ -342,7 +339,6 @@ impl ClusterTopology {
                 }
             }
         }
-        let max = *servelet_ids.iter().max().expect("non-empty");
         let next_id = next_id.unwrap_or(max + 1);
         if next_id <= max {
             return Err(err("next-id must exceed every live id"));
@@ -843,6 +839,7 @@ impl<S: SweepStore + Send + 'static> Cluster<S> {
         rpc::retry_loop(
             &rpc_cfg,
             chaos.as_deref(),
+            None,
             idempotent,
             || {
                 let state = self.state.read();
@@ -867,6 +864,7 @@ impl<S: SweepStore + Send + 'static> Cluster<S> {
         let reply = rpc::retry_loop(
             &rpc_cfg,
             chaos.as_deref(),
+            None,
             false,
             || {
                 let state = self.state.read();
@@ -878,6 +876,94 @@ impl<S: SweepStore + Send + 'static> Cluster<S> {
             self.capture_locked(&[key])?;
         }
         Ok(reply)
+    }
+
+    /// Serve a multi-key verb per owner: group `items` by owning slot
+    /// under one ring view, send each group's `request` through
+    /// [`rpc::retry_loop`] and pass the reply to `finish`, which must
+    /// return one entry per item. Groups run concurrently, one scoped
+    /// thread each (inline when a single owner holds every item), all
+    /// under one rebalance-gate hold, so whatever `finish` does (the
+    /// write path's capture) happens under the hold of the request it
+    /// follows. Each group's first-attempt chaos fault is drawn in slot
+    /// order before any group starts, as [`rpc::scatter_nodes`] does, so
+    /// a seed keeps its schedule.
+    ///
+    /// Returns each group's input positions and result, in slot order. A
+    /// group thread that panics reports its owner unavailable — an
+    /// ambiguous outcome, like a connection lost after delivery.
+    #[allow(clippy::type_complexity)]
+    fn per_owner<T: Send, X: Send>(
+        &self,
+        items: Vec<T>,
+        key_of: impl Fn(&T) -> &str,
+        idempotent: bool,
+        request: impl Fn(Vec<T>) -> Request + Sync,
+        finish: impl Fn(&[String], Reply) -> DbResult<Vec<X>> + Sync,
+    ) -> Vec<(Vec<usize>, DbResult<Vec<X>>)> {
+        let _gate = self.rebalance_gate.read();
+        let rpc_cfg = self.rpc.read().clone();
+        let chaos = self.chaos.read().clone();
+        let mut groups: BTreeMap<usize, (Vec<usize>, Vec<String>, Vec<T>)> = BTreeMap::new();
+        {
+            let state = self.state.read();
+            for (i, item) in items.into_iter().enumerate() {
+                let key = key_of(&item);
+                let group = groups.entry(route_on(&state.ring, key)).or_default();
+                group.0.push(i);
+                group.1.push(key.to_string());
+                group.2.push(item);
+            }
+        }
+        let run = |slot: usize, first, keys: &[String], items| {
+            let resolve = || Arc::clone(&self.state.read().nodes[slot]);
+            let reply = rpc::retry_loop(
+                &rpc_cfg,
+                chaos.as_deref(),
+                Some(first),
+                idempotent,
+                resolve,
+                request(items),
+            )?;
+            let out = finish(keys, reply)?;
+            if out.len() != keys.len() {
+                return Err(DbError::InvalidInput(format!(
+                    "servelet {} answered {} of {} items",
+                    resolve().id,
+                    out.len(),
+                    keys.len()
+                )));
+            }
+            Ok(out)
+        };
+        let firsts: Vec<_> = groups
+            .keys()
+            .map(|_| rpc::draw_fault(chaos.as_deref()))
+            .collect();
+        let jobs = groups
+            .into_iter()
+            .zip(firsts)
+            .map(|((slot, group), first)| {
+                let (indices, keys, items) = group;
+                (slot, indices, move || run(slot, first, &keys, items))
+            });
+        if jobs.len() == 1 {
+            return jobs.map(|(_, indices, job)| (indices, job())).collect();
+        }
+        std::thread::scope(|s| {
+            let running: Vec<_> = jobs
+                .map(|(slot, indices, job)| (slot, indices, s.spawn(job)))
+                .collect();
+            running
+                .into_iter()
+                .map(|(slot, indices, thread)| {
+                    let panicked = || DbError::ServeletUnavailable {
+                        servelet: self.state.read().nodes[slot].id,
+                    };
+                    (indices, thread.join().unwrap_or_else(|_| Err(panicked())))
+                })
+                .collect()
+        })
     }
 
     /// Ship `req` to **every** servelet concurrently and gather
@@ -1144,34 +1230,7 @@ impl<S: SweepStore + Send + 'static> Cluster<S> {
     /// results come back in input order. Strict: any unreachable owner
     /// fails the call — see [`Self::heads_partial`] to degrade instead.
     pub fn heads(&self, pairs: &[(&str, &str)]) -> DbResult<Vec<Uid>> {
-        let _gate = self.rebalance_gate.read();
-        let rpc_cfg = self.rpc.read().clone();
-        let chaos = self.chaos.read().clone();
-        let mut out: Vec<Option<Uid>> = vec![None; pairs.len()];
-        for (slot, group) in self.head_groups(pairs) {
-            let indices: Vec<usize> = group.iter().map(|(i, _, _)| *i).collect();
-            let req = Request::Heads {
-                pairs: group.into_iter().map(|(_, k, b)| (k, b)).collect(),
-            };
-            let uids = rpc::retry_loop(
-                &rpc_cfg,
-                chaos.as_deref(),
-                true,
-                || {
-                    let state = self.state.read();
-                    Arc::clone(&state.nodes[slot])
-                },
-                req,
-            )?
-            .expect_uids()?;
-            for (i, uid) in indices.into_iter().zip(uids) {
-                out[i] = Some(uid);
-            }
-        }
-        Ok(out
-            .into_iter()
-            .map(|u| u.expect("every pair grouped"))
-            .collect())
+        in_input_order(self.head_groups(pairs))
     }
 
     /// Degrading [`Self::heads`]: pairs owned by unreachable servelets
@@ -1179,31 +1238,13 @@ impl<S: SweepStore + Send + 'static> Cluster<S> {
     /// [`PartialHeads::degraded`]. Data errors (e.g. a missing branch on
     /// a *reachable* servelet) still fail the call.
     pub fn heads_partial(&self, pairs: &[(&str, &str)]) -> DbResult<PartialHeads> {
-        let _gate = self.rebalance_gate.read();
-        let rpc_cfg = self.rpc.read().clone();
-        let chaos = self.chaos.read().clone();
         let mut out = PartialHeads {
             heads: vec![None; pairs.len()],
             degraded: Vec::new(),
         };
-        for (slot, group) in self.head_groups(pairs) {
-            let indices: Vec<usize> = group.iter().map(|(i, _, _)| *i).collect();
-            let req = Request::Heads {
-                pairs: group.into_iter().map(|(_, k, b)| (k, b)).collect(),
-            };
-            let result = rpc::retry_loop(
-                &rpc_cfg,
-                chaos.as_deref(),
-                true,
-                || {
-                    let state = self.state.read();
-                    Arc::clone(&state.nodes[slot])
-                },
-                req,
-            );
+        for (indices, result) in self.head_groups(pairs) {
             match result {
-                Ok(reply) => {
-                    let uids = reply.expect_uids()?;
+                Ok(uids) => {
                     for (i, uid) in indices.into_iter().zip(uids) {
                         out.heads[i] = Some(uid);
                     }
@@ -1218,19 +1259,20 @@ impl<S: SweepStore + Send + 'static> Cluster<S> {
         Ok(out)
     }
 
-    /// Group head pairs by owning slot under one ring view.
-    #[allow(clippy::type_complexity)]
-    fn head_groups(&self, pairs: &[(&str, &str)]) -> BTreeMap<usize, Vec<(usize, String, String)>> {
-        let state = self.state.read();
-        let mut groups: BTreeMap<usize, Vec<(usize, String, String)>> = BTreeMap::new();
-        for (i, (key, branch)) in pairs.iter().enumerate() {
-            groups.entry(route_on(&state.ring, key)).or_default().push((
-                i,
-                key.to_string(),
-                branch.to_string(),
-            ));
-        }
-        groups
+    /// One consistent [`ForkBase::heads`] read per owning servelet.
+    fn head_groups(&self, pairs: &[(&str, &str)]) -> Vec<(Vec<usize>, DbResult<Vec<Uid>>)> {
+        self.per_owner(
+            pairs.to_vec(),
+            |(key, _)| key,
+            true,
+            |group| Request::Heads {
+                pairs: group
+                    .into_iter()
+                    .map(|(k, b)| (k.to_string(), b.to_string()))
+                    .collect(),
+            },
+            |_, reply| reply.expect_uids(),
+        )
     }
 
     /// Scatter-gather statistics from every servelet. Strict — see
@@ -1508,14 +1550,15 @@ impl<S: SweepStore + Send + 'static> Cluster<S> {
 ///
 /// * **per-servelet atomicity** — all ops landing on one servelet commit
 ///   (and become visible) together or not at all;
-/// * **deterministic cross-servelet ordering** — groups commit in
-///   ascending servelet slot order, so failures always leave a prefix of
-///   slots committed;
-/// * **no cross-servelet atomicity** — if the group on slot `k` fails,
-///   groups on slots `< k` have already committed and stay committed. A
-///   cluster is not a distributed transaction coordinator; callers that
-///   need all-or-nothing semantics must keep the batch on one servelet
-///   (e.g. by key choice) or reconcile on error.
+/// * **independent groups** — the groups commit concurrently, and each
+///   commits or fails on its own. When any fails, `commit` returns the
+///   error of the lowest failing slot; every other group may have
+///   committed, and each committed group was captured for its replicas;
+/// * **no cross-servelet atomicity** — a committed group stays committed
+///   when another fails. A cluster is not a distributed transaction
+///   coordinator; callers that need all-or-nothing semantics must keep
+///   the batch on one servelet (e.g. by key choice) or reconcile on
+///   error.
 pub struct ClusterWriteBatch<'c, S: SweepStore + Send + 'static> {
     pub(crate) cluster: &'c Cluster<S>,
     /// Staged in wire form: each group's ops go out as they are.
@@ -1564,60 +1607,21 @@ impl<S: SweepStore + Send + 'static> ClusterWriteBatch<'_, S> {
     /// outcome (see [`RetryPolicy`]); a [`DbError::ServeletTimeout`] means
     /// that group *may* have committed.
     pub fn commit(self) -> DbResult<Vec<BatchOutcome>> {
-        if self.ops.is_empty() {
-            return Ok(Vec::new());
-        }
         let cluster = self.cluster;
-        let _gate = cluster.rebalance_gate.read();
-        let rpc_cfg = cluster.rpc.read().clone();
-        let chaos = cluster.chaos.read().clone();
-        let groups = {
-            let state = cluster.state.read();
-            let mut groups: BTreeMap<usize, Vec<(usize, WireOp)>> = BTreeMap::new();
-            for (i, op) in self.ops.into_iter().enumerate() {
-                let (WireOp::Put { key, .. } | WireOp::DeleteBranch { key, .. }) = &op;
-                groups
-                    .entry(route_on(&state.ring, key))
-                    .or_default()
-                    .push((i, op));
-            }
-            groups
-        };
-        let mut out: Vec<Option<BatchOutcome>> = Vec::new();
-        out.resize_with(groups.values().map(Vec::len).sum(), || None);
-        // Ascending slot order: deterministic, so a failure always leaves
-        // a prefix of slots committed (documented above).
-        for (slot, group) in groups {
-            let (indices, ops): (Vec<usize>, Vec<WireOp>) = group.into_iter().unzip();
-            let mut keys: Vec<String> = ops
-                .iter()
-                .map(|(WireOp::Put { key, .. } | WireOp::DeleteBranch { key, .. })| key.clone())
-                .collect();
-            keys.sort();
-            keys.dedup();
-            let outcomes = rpc::retry_loop(
-                &rpc_cfg,
-                chaos.as_deref(),
-                false,
-                || {
-                    let state = cluster.state.read();
-                    Arc::clone(&state.nodes[slot])
-                },
-                Request::Batch { ops },
-            )?
-            .expect_outcomes()?;
-            // Capture under the gate held since before the commit: a
-            // promotion cannot slip between the group's ack and this.
-            let key_refs: Vec<&str> = keys.iter().map(String::as_str).collect();
-            cluster.capture_locked(&key_refs)?;
-            for (i, outcome) in indices.into_iter().zip(outcomes) {
-                out[i] = Some(outcome);
-            }
-        }
-        Ok(out
-            .into_iter()
-            .map(|o| o.expect("every op grouped"))
-            .collect())
+        in_input_order(cluster.per_owner(
+            self.ops,
+            |(WireOp::Put { key, .. } | WireOp::DeleteBranch { key, .. })| key,
+            false,
+            |ops| Request::Batch { ops },
+            |keys, reply| {
+                let outcomes = reply.expect_outcomes()?;
+                // Still under the gate held since before the commit: a
+                // promotion cannot slip between the group's ack and this.
+                let keys: Vec<&str> = keys.iter().map(String::as_str).collect();
+                cluster.capture_locked(&keys)?;
+                Ok(outcomes)
+            },
+        ))
     }
 }
 
@@ -1650,14 +1654,29 @@ fn ring_point(servelet_id: u64, vnode: u32) -> u64 {
     buf[..16].copy_from_slice(b"forkbase-ring-v1");
     buf[16..24].copy_from_slice(&servelet_id.to_le_bytes());
     buf[24..28].copy_from_slice(&vnode.to_le_bytes());
-    let h = sha256(&buf);
-    u64::from_le_bytes(h.as_bytes()[..8].try_into().expect("8 bytes"))
+    hash_point(&buf)
 }
 
 /// The ring point a key hashes to.
 fn key_point(key: &str) -> u64 {
-    let h = sha256(key.as_bytes());
-    u64::from_le_bytes(h.as_bytes()[..8].try_into().expect("8 bytes"))
+    hash_point(key.as_bytes())
+}
+
+/// The first eight bytes of `data`'s SHA-256, little-endian.
+fn hash_point(data: &[u8]) -> u64 {
+    let [a, b, c, d, e, f, g, h, ..] = *sha256(data).as_bytes();
+    u64::from_le_bytes([a, b, c, d, e, f, g, h])
+}
+
+/// Flatten [`Cluster::per_owner`]'s groups back into input order. The
+/// lowest failing slot's error wins.
+fn in_input_order<X>(groups: Vec<(Vec<usize>, DbResult<Vec<X>>)>) -> DbResult<Vec<X>> {
+    let mut out = Vec::new();
+    for (indices, result) in groups {
+        out.extend(indices.into_iter().zip(result?));
+    }
+    out.sort_unstable_by_key(|(i, _)| *i);
+    Ok(out.into_iter().map(|(_, x)| x).collect())
 }
 
 /// Build the ring for ids in slot order (`slot = index in ids`).

@@ -2,10 +2,13 @@
 //!
 //! Every ring slot (a **primary**) can carry 0..N **replicas**. The
 //! router is the replication driver: after a routed write is acked it
-//! exports the written key as the same hash-verified bundle the
-//! migration path uses and appends it to a per-replica **ship log**
-//! ([`ReplicaHandle::pending`]); [`Cluster::ship_replication`] drains the
-//! log asynchronously (the [`super::Supervisor`] pumps it every tick).
+//! exports the written keys as the same hash-verified bundle the
+//! migration path uses — one `ExportBundle` frame per **capture**, which
+//! is a single-key write or one owner group of a
+//! [`super::ClusterWriteBatch`] — and appends it to a per-replica **ship
+//! log** ([`ReplicaHandle::pending`]); [`Cluster::ship_replication`]
+//! drains the log asynchronously, one apply per capture (the
+//! [`super::Supervisor`] pumps it every tick).
 //! Replicas apply bundles with *replace* semantics
 //! ([`crate::bundle::import_bundle_replace`] via the `Replicate` wire
 //! verb), so re-shipping after an ambiguous outcome converges instead of
@@ -35,11 +38,12 @@
 //!
 //! # Staleness
 //!
-//! Each replica set carries a capture sequence number; a replica's
-//! `lag = seq - acked_seq` bounds how many acked captures it has not yet
-//! applied. [`Cluster::get_from_replica`] surfaces that bound in the
-//! reply and prefers the least-lagging replica, falling back to the
-//! primary when no replica can serve.
+//! Each replica set carries a capture sequence number, bumped once per
+//! capture (so a batch's owner group counts once, however many keys it
+//! wrote); a replica's `lag = seq - acked_seq` bounds how many acked
+//! captures it has not yet applied. [`Cluster::get_from_replica`]
+//! surfaces that bound in the reply and prefers the least-lagging
+//! replica, falling back to the primary when no replica can serve.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::Ordering;
@@ -66,7 +70,8 @@ pub const PARTIAL_READ_MAX_LAG: u64 = 0;
 /// One captured write, self-contained: shippable (and re-shippable)
 /// without the primary being alive.
 pub(super) enum ShipPayload {
-    /// The key's full exported history at capture time.
+    /// The captured keys' full exported histories at capture time, one
+    /// bundle shared by every key of the capture.
     Bundle(Vec<u8>),
     /// The key had no branches left at capture time (fully deleted).
     Forget,
@@ -80,7 +85,8 @@ pub(super) struct ReplicaHandle<S> {
     pub(super) acked_seq: u64,
     /// The ship log: latest unshipped capture per key (newer captures of
     /// a key coalesce over older ones — replace-import makes the newest
-    /// bundle subsume them).
+    /// bundle subsume them). The keys of one capture share its seq and
+    /// payload.
     pub(super) pending: BTreeMap<String, (u64, Arc<ShipPayload>)>,
     /// The replica must mirror the whole key set from scratch before
     /// serving (fresh attach, reopen from a topology record, or a
@@ -90,7 +96,7 @@ pub(super) struct ReplicaHandle<S> {
 
 /// The replicas of one primary plus its capture sequence.
 pub(super) struct ReplicaSet<S> {
-    /// Monotone counter, bumped once per captured write on this primary.
+    /// Monotone counter, bumped once per capture on this primary.
     pub(super) seq: u64,
     pub(super) replicas: Vec<ReplicaHandle<S>>,
 }
@@ -131,9 +137,10 @@ pub struct ReplicaStatus {
     pub addr: Option<String>,
     /// Captures applied through this sequence number.
     pub acked_seq: u64,
-    /// Acked captures not yet applied here (`seq - acked_seq`).
+    /// Acked captures not yet applied here (`seq - acked_seq`); a
+    /// batch's owner group is one capture.
     pub lag: u64,
-    /// Unshipped entries in the ship log.
+    /// Unshipped keys in the ship log.
     pub pending: u64,
     /// Whether the replica must fully resync before serving reads.
     pub needs_full_sync: bool,
@@ -147,7 +154,8 @@ pub struct PrimaryReplication {
     /// The id anchoring the primary's ring slot (differs from `primary`
     /// after a promotion).
     pub anchor: u64,
-    /// Captures recorded on this primary so far.
+    /// Captures recorded on this primary so far: one per routed write,
+    /// one per owner group of a routed batch.
     pub seq: u64,
     /// Its replicas, in attach order.
     pub replicas: Vec<ReplicaStatus>,
@@ -177,7 +185,7 @@ pub struct ReplicaRead {
 /// What one [`Cluster::ship_replication`] pass did.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ShipReport {
-    /// Ship-log entries applied to replicas.
+    /// Ship-log keys applied to replicas (a capture counts its keys).
     pub shipped: u64,
     /// Replicas that completed a full key sync this pass.
     pub synced: Vec<u64>,
@@ -350,9 +358,10 @@ impl<S: SweepStore + Send + 'static> Cluster<S> {
     // ------------------------------------------------------------------
 
     /// Capture `keys` (just written and acked) into the ship log of every
-    /// replica of their owning primaries. The caller **must** hold the
-    /// rebalance gate (shared suffices): the gate is what makes
-    /// ack-then-capture atomic with respect to promotion.
+    /// replica of their owning primaries: one `ExportBundle` frame and one
+    /// capture per primary. The caller **must** hold the rebalance gate
+    /// (shared suffices): the gate is what makes ack-then-capture atomic
+    /// with respect to promotion.
     ///
     /// An export failure propagates: the caller's write then surfaces as
     /// an error and is never counted acked, keeping the zero-loss
@@ -365,7 +374,7 @@ impl<S: SweepStore + Send + 'static> Cluster<S> {
             }
         }
         let deadline = self.rpc.read().control_deadline;
-        let mut by_primary: BTreeMap<u64, Vec<&str>> = BTreeMap::new();
+        let mut by_primary: BTreeMap<u64, BTreeSet<&str>> = BTreeMap::new();
         {
             let state = self.state.read();
             for &key in keys {
@@ -373,7 +382,7 @@ impl<S: SweepStore + Send + 'static> Cluster<S> {
                 by_primary
                     .entry(state.nodes[slot].id)
                     .or_default()
-                    .push(key);
+                    .insert(key);
             }
         }
         for (pid, keys) in by_primary {
@@ -392,40 +401,50 @@ impl<S: SweepStore + Send + 'static> Cluster<S> {
             // `by_primary` and re-reading the state; its keys will be
             // re-captured against the new owner.
             let Some(node) = node else { continue };
-            for key in keys {
-                let export = call_control(
-                    &node,
-                    deadline,
-                    Request::ExportBundle {
-                        keys: vec![key.to_string()],
-                    },
-                )
-                .and_then(Reply::expect_blob);
-                let payload = match export {
-                    Ok(bundle) => ShipPayload::Bundle(bundle),
-                    // No branches left on the key: the write was a full
-                    // deletion — ship a forget instead of a bundle.
-                    Err(DbError::NoSuchKey(_)) | Err(DbError::InvalidInput(_)) => {
-                        ShipPayload::Forget
-                    }
-                    Err(e) => return Err(e),
+            // `None`: some key has no branches left (a full deletion).
+            let export = |keys: &[String]| {
+                let req = Request::ExportBundle {
+                    keys: keys.to_vec(),
                 };
-                let payload = Arc::new(payload);
-                let mut repl = self.replication.lock();
-                if let Some(set) = repl.sets.get_mut(&pid) {
-                    if set.replicas.is_empty() {
-                        continue;
-                    }
-                    set.seq += 1;
-                    let seq = set.seq;
-                    for r in &mut set.replicas {
-                        r.pending
-                            .insert(key.to_string(), (seq, Arc::clone(&payload)));
+                match call_control(&node, deadline, req).and_then(Reply::expect_blob) {
+                    Ok(bundle) => Ok(Some(bundle)),
+                    Err(DbError::NoSuchKey(_)) | Err(DbError::InvalidInput(_)) => Ok(None),
+                    Err(e) => Err(e),
+                }
+            };
+            let keys: Vec<String> = keys.into_iter().map(String::from).collect();
+            match export(&keys)? {
+                Some(bundle) => self.log_capture(pid, &keys, ShipPayload::Bundle(bundle)),
+                None if keys.len() == 1 => self.log_capture(pid, &keys, ShipPayload::Forget),
+                // One capture per key, so the deleted ones ship a forget.
+                None => {
+                    for key in keys.chunks(1) {
+                        let payload = export(key)?.map_or(ShipPayload::Forget, ShipPayload::Bundle);
+                        self.log_capture(pid, key, payload);
                     }
                 }
             }
         }
         Ok(())
+    }
+
+    /// Log one capture of `keys` on primary `pid`: bump its `seq` once
+    /// and queue `payload` under that seq for every key on every replica.
+    fn log_capture(&self, pid: u64, keys: &[String], payload: ShipPayload) {
+        let payload = Arc::new(payload);
+        let mut repl = self.replication.lock();
+        if let Some(set) = repl.sets.get_mut(&pid) {
+            if set.replicas.is_empty() {
+                return;
+            }
+            set.seq += 1;
+            let seq = set.seq;
+            for r in &mut set.replicas {
+                for key in keys {
+                    r.pending.insert(key.clone(), (seq, Arc::clone(&payload)));
+                }
+            }
+        }
     }
 
     /// Invalidate every replica's mirror (rebalance moved keys between
@@ -559,14 +578,14 @@ impl<S: SweepStore + Send + 'static> Cluster<S> {
         Ok(())
     }
 
-    /// Apply replica `rid`'s pending captures in sequence order, stopping
-    /// at the first failure. Returns how many entries shipped. Callers
-    /// hold the rebalance gate.
+    /// Apply replica `rid`'s pending captures in sequence order, one frame
+    /// per capture, stopping at the first failure. Returns how many keys
+    /// shipped. Callers hold the rebalance gate.
     fn drain_pending(&self, rid: u64, deadline: Duration) -> DbResult<u64> {
         let pid = self
             .primary_of(rid)
             .ok_or_else(|| DbError::InvalidInput(format!("no replica with id {rid}")))?;
-        let (node, mut entries) = {
+        let (node, captures) = {
             let repl = self.replication.lock();
             // The set can dissolve between `primary_of` and re-locking
             // (concurrent promote/detach): nothing left to drain.
@@ -576,17 +595,22 @@ impl<S: SweepStore + Send + 'static> Cluster<S> {
             let Some(r) = set.replicas.iter().find(|r| r.id == rid) else {
                 return Ok(0);
             };
-            let entries: Vec<(String, u64, Arc<ShipPayload>)> = r
-                .pending
-                .iter()
-                .map(|(k, (s, p))| (k.clone(), *s, Arc::clone(p)))
-                .collect();
-            (Arc::clone(&r.node), entries)
+            // Per capture, oldest first: the keys still logged under it.
+            let mut captures: BTreeMap<u64, (Vec<String>, Arc<ShipPayload>)> = BTreeMap::new();
+            for (key, (seq, payload)) in &r.pending {
+                captures
+                    .entry(*seq)
+                    .or_insert_with(|| (Vec::new(), Arc::clone(payload)))
+                    .0
+                    .push(key.clone());
+            }
+            (Arc::clone(&r.node), captures)
         };
-        entries.sort_by_key(|(_, s, _)| *s);
         let mut shipped = 0u64;
         let mut failure = None;
-        for (key, seq, payload) in entries {
+        for (seq, (keys, payload)) in captures {
+            // A capture's bundle may still carry keys a newer capture
+            // superseded; that one ships later and replaces them.
             let applied = match &*payload {
                 ShipPayload::Bundle(bundle) => call_control(
                     &node,
@@ -597,25 +621,23 @@ impl<S: SweepStore + Send + 'static> Cluster<S> {
                 )
                 .and_then(Reply::expect_count)
                 .map(|_| ()),
-                ShipPayload::Forget => call_control(
-                    &node,
-                    deadline,
-                    Request::ForgetKeys {
-                        keys: vec![key.clone()],
-                    },
-                )
-                .and_then(Reply::expect_unit),
+                ShipPayload::Forget => {
+                    call_control(&node, deadline, Request::ForgetKeys { keys: keys.clone() })
+                        .and_then(Reply::expect_unit)
+                }
             };
             match applied {
                 Ok(()) => {
-                    shipped += 1;
+                    shipped += keys.len() as u64;
                     let mut repl = self.replication.lock();
                     if let Some(set) = repl.sets.get_mut(&pid) {
                         if let Some(r) = set.replicas.iter_mut().find(|r| r.id == rid) {
-                            // Remove only if no newer capture of the key
-                            // coalesced in while we were shipping.
-                            if r.pending.get(&key).is_some_and(|(s, _)| *s == seq) {
-                                r.pending.remove(&key);
+                            // Remove only keys no newer capture coalesced
+                            // over while we were shipping.
+                            for key in &keys {
+                                if r.pending.get(key).is_some_and(|(s, _)| *s == seq) {
+                                    r.pending.remove(key);
+                                }
                             }
                         }
                     }

@@ -426,15 +426,19 @@ pub(super) fn shutdown_node<S>(node: &Node<S>) {
     node.transport.join();
 }
 
-/// One RPC attempt with a chaos draw.
+/// The chaos fault for the next data-plane attempt (none when disarmed).
+pub(super) fn draw_fault(chaos: Option<&ChaosState>) -> Fault {
+    chaos.map_or(Fault::None, |c| c.next_fault())
+}
+
+/// One RPC attempt under `fault`.
 pub(super) fn attempt<S>(
     node: &Node<S>,
     deadline: Duration,
-    chaos: Option<&ChaosState>,
+    fault: Fault,
     req: Request,
     allow_duplicate: bool,
 ) -> Outcome {
-    let fault = chaos.map_or(Fault::None, |c| c.next_fault());
     node.transport
         .begin(deadline, fault, req, allow_duplicate)
         .gather(deadline)
@@ -479,9 +483,14 @@ pub(super) fn maint_call<S, R: Send + 'static>(
 /// transport failure; writes retry only a provably-undelivered request
 /// (the ambiguous-write rule). A `Reply::Err` is a successful round trip
 /// carrying a data error and is never retried.
+///
+/// `first` is the first attempt's fault when the caller drew it ahead
+/// (so concurrent groups keep a seed's schedule); every other attempt
+/// draws its own.
 pub(super) fn retry_loop<S>(
     cfg: &RpcConfig,
     chaos: Option<&ChaosState>,
+    mut first: Option<Fault>,
     idempotent: bool,
     resolve: impl Fn() -> Arc<Node<S>>,
     req: Request,
@@ -489,7 +498,8 @@ pub(super) fn retry_loop<S>(
     let mut attempt_no = 1u32;
     loop {
         let node = resolve();
-        match attempt(&node, cfg.deadline, chaos, req.clone(), idempotent) {
+        let fault = first.take().unwrap_or_else(|| draw_fault(chaos));
+        match attempt(&node, cfg.deadline, fault, req.clone(), idempotent) {
             Ok(r) => return Ok(r),
             Err(e) => {
                 let may_retry = idempotent || e.write_retry_safe();
@@ -508,7 +518,7 @@ pub(super) fn retry_loop<S>(
 /// machinery itself is exempt from fault injection (injecting there would
 /// test the simulator, not the system).
 pub(super) fn call_control<S>(node: &Node<S>, deadline: Duration, req: Request) -> DbResult<Reply> {
-    attempt(node, deadline, None, req, false).map_err(|e| e.into_db(node.id))
+    attempt(node, deadline, Fault::None, req, false).map_err(|e| e.into_db(node.id))
 }
 
 /// Ship `req` to every node concurrently, then gather per-node outcomes
@@ -526,7 +536,7 @@ pub(super) fn scatter_nodes<S>(
     let pending: Vec<(u64, Pending)> = nodes
         .iter()
         .map(|node| {
-            let fault = chaos.map_or(Fault::None, |c| c.next_fault());
+            let fault = draw_fault(chaos);
             (
                 node.id,
                 node.transport.begin(deadline, fault, req.clone(), true),
@@ -572,11 +582,25 @@ mod tests {
     #[test]
     fn channel_transport_round_trips_requests() {
         let node = spawn_node(7, MemStore::new(), TreeConfig::default());
-        let reply = attempt(&node, Duration::from_secs(5), None, Request::Probe, true).unwrap();
+        let reply = attempt(
+            &node,
+            Duration::from_secs(5),
+            Fault::None,
+            Request::Probe,
+            true,
+        )
+        .unwrap();
         assert_eq!(reply, Reply::Unit);
         shutdown_node(&node);
         // After shutdown the send fails before delivery.
-        let err = attempt(&node, Duration::from_secs(1), None, Request::Probe, true).unwrap_err();
+        let err = attempt(
+            &node,
+            Duration::from_secs(1),
+            Fault::None,
+            Request::Probe,
+            true,
+        )
+        .unwrap_err();
         assert_eq!(err, AttemptError::NotDelivered);
     }
 
@@ -588,7 +612,7 @@ mod tests {
         let err = attempt(
             &node,
             Duration::from_millis(500),
-            None,
+            Fault::None,
             Request::Probe,
             true,
         )

@@ -11,7 +11,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use forkbase::{ChaosPlan, Cluster, DbError, PutOptions, Respawned, Supervisor, Uid};
+use forkbase::{BatchOutcome, ChaosPlan, Cluster, DbError, PutOptions, Respawned, Supervisor, Uid};
 use forkbase_postree::TreeConfig;
 use forkbase_store::{ChunkStore, FaultyStore, FileStore, MemStore, WriteFault};
 use parking_lot::Mutex;
@@ -596,6 +596,43 @@ fn failover_retires_the_old_primary_for_good() {
 // Seeded chaos property suite (CI chaos job)
 // ----------------------------------------------------------------------
 
+/// One routed `write_batch` of two keys per current primary, so its
+/// owner groups commit (and capture) side by side. Every committed
+/// outcome joins `acked`; an error acks nothing. Returns in bounded time.
+fn batch_across_every_primary(c: &MemCluster, round: u64, acked: &mut Vec<(String, Uid)>) {
+    let keys: Vec<String> = c
+        .ids()
+        .into_iter()
+        .flat_map(|pid| {
+            (0..)
+                .map(move |i| format!("batch-{round}-{i}"))
+                .filter(move |k| c.owner_id(k) == pid)
+                .take(2)
+        })
+        .collect();
+    let mut wb = c.write_batch();
+    for key in &keys {
+        wb.put(
+            key,
+            forkbase_types::Value::string(format!("b{round}")),
+            &PutOptions::default(),
+        );
+    }
+    let t = Instant::now();
+    if let Ok(outcomes) = wb.commit() {
+        for (key, outcome) in keys.iter().zip(outcomes) {
+            if let BatchOutcome::Committed(commit) = outcome {
+                acked.push((key.clone(), commit.uid));
+            }
+        }
+    }
+    assert!(
+        t.elapsed() < Duration::from_secs(3),
+        "batch exceeded its bound: {:?}",
+        t.elapsed()
+    );
+}
+
 /// Writes the failing seed to `CHAOS_FAILURE_SEED.txt` when a chaos round
 /// panics, so CI uploads it and the run replays locally from the seed.
 struct SeedGuard(u64);
@@ -644,7 +681,7 @@ fn chaos_round(seed: u64) {
     );
     let bound = Duration::from_secs(3);
     let mut churn_acked: Vec<(String, Uid)> = Vec::new();
-    for round in 0..6 {
+    for round in 0..6u64 {
         for i in 0..12 {
             // Reads: any structured outcome is fine; hanging is not.
             let t = Instant::now();
@@ -677,6 +714,7 @@ fn chaos_round(seed: u64) {
                 t.elapsed()
             );
         }
+        batch_across_every_primary(&c, round, &mut churn_acked);
         // Supervision between rounds restarts whatever the plan crashed.
         c.supervise_once();
     }
@@ -780,6 +818,7 @@ fn replication_chaos_round(seed: u64) {
                 t.elapsed()
             );
         }
+        batch_across_every_primary(&c, round, &mut churn_acked);
         // Kill a seeded-random primary while its ship log is hot.
         if round % 2 == 0 {
             let slot = (next() % c.len() as u64) as usize;

@@ -205,6 +205,18 @@ impl TestCluster {
         }
     }
 
+    /// Run `f` against replica `rid`'s database.
+    fn on_replica<R: Send + 'static>(
+        &self,
+        rid: u64,
+        f: impl FnOnce(&ForkBase<MemStore>) -> R + Send + 'static,
+    ) -> DbResult<R> {
+        match self.backend {
+            Backend::InProcess => self.c.on_replica(rid, f),
+            Backend::Tcp => Ok(f(&self.remote.lock().unwrap()[&rid].db)),
+        }
+    }
+
     /// Kill the servelet at `slot` without removing it from the ring:
     /// in-process that shuts down the worker thread; over TCP it stops
     /// the listener so the router sees connection-refused.
@@ -863,6 +875,240 @@ fn partial_reads_fall_back_to_caught_up_replica() {
 #[test]
 fn partial_reads_fall_back_to_caught_up_replica_over_tcp() {
     partial_reads_fall_back_to_replica_case(&TestCluster::tcp(3));
+}
+
+// ---------------------------------------------------------------------
+// Routed batches over replicated primaries (transport-generic)
+// ---------------------------------------------------------------------
+
+/// The first `n` keys named `{prefix}-{i}` that primary `pid` owns.
+fn keys_owned_by(h: &TestCluster, pid: u64, prefix: &str, n: usize) -> Vec<String> {
+    (0..)
+        .map(|i| format!("{prefix}-{i}"))
+        .filter(|k| h.c.owner_id(k) == pid)
+        .take(n)
+        .collect()
+}
+
+/// Attach one replica to every primary; returns `(primary, replica)`.
+fn replicate_every_primary(h: &TestCluster) -> Vec<(u64, u64)> {
+    h.c.ids()
+        .into_iter()
+        .map(|pid| (pid, h.add_replica(pid).unwrap()))
+        .collect()
+}
+
+/// Primary `pid`'s capture sequence number.
+fn capture_seq(h: &TestCluster, pid: u64) -> u64 {
+    h.c.replication_status()
+        .primaries
+        .iter()
+        .find(|p| p.primary == pid)
+        .unwrap()
+        .seq
+}
+
+/// Branch name → head uid of `key` in `db`, empty when the key is gone.
+fn branch_heads(db: &ForkBase<MemStore>, key: &str) -> Vec<(String, Uid)> {
+    db.list_branches(key)
+        .map(|bs| bs.into_iter().map(|b| (b.name, b.head)).collect())
+        .unwrap_or_default()
+}
+
+/// Assert replica `rid` holds exactly primary `pid`'s keys and heads.
+fn assert_mirrors(h: &TestCluster, pid: u64, rid: u64) {
+    let slot = h.c.ids().iter().position(|&id| id == pid).unwrap();
+    let primary = h.on_node(slot, |db| {
+        db.list_keys()
+            .into_iter()
+            .map(|k| {
+                let heads = branch_heads(db, &k);
+                (k, heads)
+            })
+            .collect::<Vec<_>>()
+    });
+    let replica = h.on_replica(rid, |db| {
+        db.list_keys()
+            .into_iter()
+            .map(|k| {
+                let heads = branch_heads(db, &k);
+                (k, heads)
+            })
+            .collect::<Vec<_>>()
+    });
+    assert_eq!(primary.unwrap(), replica.unwrap(), "replica {rid} of {pid}");
+}
+
+/// A batch spanning three replicated primaries commits as three groups,
+/// each captured once: every primary's `seq` advances by one, a ship
+/// counts every key, and afterwards each replica equals its primary.
+fn batch_spans_replicated_primaries_case(h: &TestCluster) {
+    let pairs = replicate_every_primary(h);
+    let mut wb = h.c.write_batch();
+    for &(pid, _) in &pairs {
+        for key in keys_owned_by(h, pid, "span", 3) {
+            wb.put(
+                key,
+                forkbase_types::Value::string("v1"),
+                &PutOptions::default(),
+            );
+        }
+    }
+    let seqs: Vec<u64> = pairs.iter().map(|&(pid, _)| capture_seq(h, pid)).collect();
+    assert_eq!(wb.commit().unwrap().len(), 9);
+    for (&(pid, _), seq) in pairs.iter().zip(seqs) {
+        assert_eq!(capture_seq(h, pid), seq + 1, "one capture per group");
+    }
+    let report = h.c.ship_replication();
+    assert!(report.failed.is_empty(), "ship failed: {:?}", report.failed);
+    assert_eq!(report.shipped, 9, "a ship counts keys, not captures");
+    for &(pid, rid) in &pairs {
+        assert_mirrors(h, pid, rid);
+    }
+}
+
+#[test]
+fn batch_spanning_primaries_captures_once_per_group() {
+    batch_spans_replicated_primaries_case(&TestCluster::in_process(3));
+}
+
+#[test]
+fn batch_spanning_primaries_captures_once_per_group_over_tcp() {
+    batch_spans_replicated_primaries_case(&TestCluster::tcp(3));
+}
+
+/// A key captured in a 4-key batch and then alone: one drain ships the
+/// batch's capture and the newer one, leaving the newer head for that
+/// key and the batch's heads for the other three.
+fn newer_capture_wins_case(h: &TestCluster) {
+    let pid = h.c.ids()[0];
+    let rid = h.add_replica(pid).unwrap();
+    let keys = keys_owned_by(h, pid, "coalesce", 4);
+    let mut wb = h.c.write_batch();
+    for key in &keys {
+        wb.put(
+            key,
+            forkbase_types::Value::string("batch"),
+            &PutOptions::default(),
+        );
+    }
+    let mut heads: Vec<Uid> = wb
+        .commit()
+        .unwrap()
+        .iter()
+        .map(|o| o.commit().unwrap().uid)
+        .collect();
+    heads[0] =
+        h.c.put_string(&keys[0], "alone".into(), PutOptions::default())
+            .unwrap()
+            .uid;
+    let report = h.c.ship_replication();
+    assert!(report.failed.is_empty(), "ship failed: {:?}", report.failed);
+    assert_eq!(report.shipped, 4);
+    for (key, uid) in keys.iter().zip(&heads) {
+        let owned = key.clone();
+        let on_replica = h.on_replica(rid, move |db| db.head(&owned, "master"));
+        assert_eq!(&on_replica.unwrap().unwrap(), uid, "{key}");
+    }
+    assert_mirrors(h, pid, rid);
+}
+
+#[test]
+fn newer_capture_of_a_batched_key_wins_on_the_replica() {
+    newer_capture_wins_case(&TestCluster::in_process(3));
+}
+
+#[test]
+fn newer_capture_of_a_batched_key_wins_on_the_replica_over_tcp() {
+    newer_capture_wins_case(&TestCluster::tcp(3));
+}
+
+/// A batch whose `DeleteBranch` removes a key's last branch ships a
+/// forget for it: the replica no longer lists the key, and the batch's
+/// other writes arrive.
+fn batch_delete_ships_forget_case(h: &TestCluster) {
+    let pid = h.c.ids()[0];
+    let rid = h.add_replica(pid).unwrap();
+    let keys = keys_owned_by(h, pid, "doomed", 2);
+    for key in &keys {
+        h.c.put_string(key, "v1".into(), PutOptions::default())
+            .unwrap();
+    }
+    h.c.ship_replication();
+    let mut wb = h.c.write_batch();
+    wb.delete_branch(&keys[0], "master");
+    wb.put(
+        &keys[1],
+        forkbase_types::Value::string("v2"),
+        &PutOptions::default(),
+    );
+    wb.commit().unwrap();
+    let report = h.c.ship_replication();
+    assert!(report.failed.is_empty(), "ship failed: {:?}", report.failed);
+    let listed = h.on_replica(rid, |db| db.list_keys()).unwrap();
+    assert!(
+        !listed.contains(&keys[0]),
+        "{} still on the replica",
+        keys[0]
+    );
+    assert!(listed.contains(&keys[1]));
+    assert_mirrors(h, pid, rid);
+}
+
+#[test]
+fn batch_deleting_a_last_branch_ships_a_forget() {
+    batch_delete_ships_forget_case(&TestCluster::in_process(3));
+}
+
+#[test]
+fn batch_deleting_a_last_branch_ships_a_forget_over_tcp() {
+    batch_delete_ships_forget_case(&TestCluster::tcp(3));
+}
+
+/// With one owner dead the batch fails with `servelet_unavailable`,
+/// while the live owners' groups commit and reach their replicas.
+fn batch_with_dead_owner_case(h: &TestCluster) {
+    let pairs = replicate_every_primary(h);
+    let dead = h.c.ids()[1];
+    let mut wb = h.c.write_batch();
+    let mut live_keys = Vec::new();
+    for &(pid, _) in &pairs {
+        for key in keys_owned_by(h, pid, "partial", 2) {
+            wb.put(
+                &key,
+                forkbase_types::Value::string("v"),
+                &PutOptions::default(),
+            );
+            if pid != dead {
+                live_keys.push(key);
+            }
+        }
+    }
+    h.kill(1).unwrap();
+    let err = wb.commit().unwrap_err();
+    assert_eq!(err.code(), "servelet_unavailable");
+    assert!(
+        matches!(err, DbError::ServeletUnavailable { servelet } if servelet == dead),
+        "{err:?}"
+    );
+    for key in &live_keys {
+        assert_eq!(h.c.get(key, "master").unwrap().value.as_str(), Some("v"));
+    }
+    let report = h.c.ship_replication();
+    assert!(report.failed.is_empty(), "ship failed: {:?}", report.failed);
+    for &(pid, rid) in pairs.iter().filter(|(pid, _)| *pid != dead) {
+        assert_mirrors(h, pid, rid);
+    }
+}
+
+#[test]
+fn batch_with_a_dead_owner_commits_and_ships_the_live_groups() {
+    batch_with_dead_owner_case(&TestCluster::in_process(3));
+}
+
+#[test]
+fn batch_with_a_dead_owner_commits_and_ships_the_live_groups_over_tcp() {
+    batch_with_dead_owner_case(&TestCluster::tcp(3));
 }
 
 // ---------------------------------------------------------------------

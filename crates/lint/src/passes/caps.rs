@@ -10,10 +10,10 @@
 //!   `install_ref` (hash-verified bundle import only), and persisting
 //!   the `TOPOLOGY` / `FORKS` records.
 //! * **No panics in request paths**: `unwrap()` / `expect(` / `panic!`
-//!   are denied in the RPC, net, wire, replication, rate-limit, accept
-//!   loop, REST gateway and CLI session modules, where a panicking thread
-//!   kills a servelet worker or a listener, or a save leaves records
-//!   half-written. A
+//!   are denied in the cluster router, RPC, net, wire, replication,
+//!   rate-limit, accept loop, REST gateway and CLI session modules, where
+//!   a panicking thread kills a servelet worker, a listener or a routed
+//!   call, or a save leaves records half-written. A
 //!   genuinely unreachable case can carry a
 //!   `// forkbase-lint: allow(no-panic): <why>` waiver on its own or
 //!   the preceding line.
@@ -26,12 +26,14 @@ use crate::{rust_files_under, Finding};
 const PASS: &str = "P3/caps";
 
 /// Request-path modules where a panic kills a servelet worker, an
-/// accept loop, or a gateway connection handler — and the CLI session,
-/// which serves servelets and persists every record.
+/// accept loop, a gateway connection handler, or a routed call (the
+/// cluster router) — and the CLI session, which serves servelets and
+/// persists every record.
 const NO_PANIC_FILES: &[&str] = &[
     "crates/core/src/accept.rs",
     "crates/cli/src/rest.rs",
     "crates/cli/src/session.rs",
+    "crates/core/src/cluster/mod.rs",
     "crates/core/src/cluster/rpc.rs",
     "crates/core/src/cluster/net.rs",
     "crates/core/src/cluster/wire.rs",

@@ -373,6 +373,20 @@ fn p3_panic_in_request_path_is_flagged_waiver_and_tests_are_not() {
         "{findings:?}"
     );
 
+    // So is the cluster router: every routed verb runs through it.
+    put(
+        &root,
+        "crates/core/src/cluster/mod.rs",
+        "fn point(h: &[u8]) -> u64 {\n    u64::from_le_bytes(h[..8].try_into().expect(\"8\"))\n}\n",
+    );
+    let findings = findings_of(&root, "P3");
+    assert!(
+        findings
+            .iter()
+            .any(|f| f.contains("cluster/mod.rs") && f.contains("expect(")),
+        "{findings:?}"
+    );
+
     // So is the CLI session: it serves servelets and writes every record.
     put(
         &root,
