@@ -1230,7 +1230,7 @@ impl<S: SweepStore + Send + 'static> Cluster<S> {
     /// results come back in input order. Strict: any unreachable owner
     /// fails the call — see [`Self::heads_partial`] to degrade instead.
     pub fn heads(&self, pairs: &[(&str, &str)]) -> DbResult<Vec<Uid>> {
-        in_input_order(self.head_groups(pairs))
+        in_input_order(self.heads_per_owner(pairs))
     }
 
     /// Degrading [`Self::heads`]: pairs owned by unreachable servelets
@@ -1242,7 +1242,7 @@ impl<S: SweepStore + Send + 'static> Cluster<S> {
             heads: vec![None; pairs.len()],
             degraded: Vec::new(),
         };
-        for (indices, result) in self.head_groups(pairs) {
+        for (indices, result) in self.heads_per_owner(pairs) {
             match result {
                 Ok(uids) => {
                     for (i, uid) in indices.into_iter().zip(uids) {
@@ -1260,7 +1260,7 @@ impl<S: SweepStore + Send + 'static> Cluster<S> {
     }
 
     /// One consistent [`ForkBase::heads`] read per owning servelet.
-    fn head_groups(&self, pairs: &[(&str, &str)]) -> Vec<(Vec<usize>, DbResult<Vec<Uid>>)> {
+    fn heads_per_owner(&self, pairs: &[(&str, &str)]) -> Vec<(Vec<usize>, DbResult<Vec<Uid>>)> {
         self.per_owner(
             pairs.to_vec(),
             |(key, _)| key,
