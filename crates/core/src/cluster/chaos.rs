@@ -125,7 +125,10 @@ impl ChaosPlan {
 /// What a chaos run actually injected ([`super::Cluster::chaos_report`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ChaosReport {
-    /// Data-plane RPCs that crossed the boundary while armed.
+    /// Data-plane RPC attempts a fault was drawn for while armed. A
+    /// routed batch draws each owner group's whole retry schedule up
+    /// front, so its unused retries count here (and in the fault
+    /// counters below) too.
     pub rpcs: u64,
     /// Requests dropped.
     pub drops: u64,

@@ -105,7 +105,7 @@ use crate::forks::DiffSummary;
 use crate::gc::GcReport;
 use forkbase_types::Value;
 
-use chaos::ChaosState;
+use chaos::{ChaosState, Fault};
 use replication::ReplicationState;
 use rpc::{call_control, maint_call, remote_node, shutdown_node, spawn_node, Node};
 use supervisor::{HealthRecord, RespawnFn};
@@ -838,8 +838,7 @@ impl<S: SweepStore + Send + 'static> Cluster<S> {
         let key = key.to_string();
         rpc::retry_loop(
             &rpc_cfg,
-            chaos.as_deref(),
-            None,
+            || rpc::draw_fault(chaos.as_deref()),
             idempotent,
             || {
                 let state = self.state.read();
@@ -863,8 +862,7 @@ impl<S: SweepStore + Send + 'static> Cluster<S> {
         let owned_key = key.to_string();
         let reply = rpc::retry_loop(
             &rpc_cfg,
-            chaos.as_deref(),
-            None,
+            || rpc::draw_fault(chaos.as_deref()),
             false,
             || {
                 let state = self.state.read();
@@ -885,13 +883,13 @@ impl<S: SweepStore + Send + 'static> Cluster<S> {
     /// thread each (inline when a single owner holds every item), all
     /// under one rebalance-gate hold, so whatever `finish` does (the
     /// write path's capture) happens under the hold of the request it
-    /// follows. Each group's first-attempt chaos fault is drawn in slot
-    /// order before any group starts, as [`rpc::scatter_nodes`] does, so
-    /// a seed keeps its schedule.
+    /// follows. Each group's whole chaos schedule (one fault per allowed
+    /// attempt) is drawn in slot order before any group starts, so a seed
+    /// keeps its schedule whatever the thread timing.
     ///
     /// Returns each group's input positions and result, in slot order. A
-    /// group thread that panics reports its owner unavailable — an
-    /// ambiguous outcome, like a connection lost after delivery.
+    /// group thread that panics is a router fault: `invalid_input`, never
+    /// an owner [`Self::heads_partial`] would degrade on.
     #[allow(clippy::type_complexity)]
     fn per_owner<T: Send, X: Send>(
         &self,
@@ -915,12 +913,12 @@ impl<S: SweepStore + Send + 'static> Cluster<S> {
                 group.2.push(item);
             }
         }
-        let run = |slot: usize, first, keys: &[String], items| {
+        let run = |slot: usize, faults: Vec<_>, keys: &[String], items| {
             let resolve = || Arc::clone(&self.state.read().nodes[slot]);
+            let mut faults = faults.into_iter();
             let reply = rpc::retry_loop(
                 &rpc_cfg,
-                chaos.as_deref(),
-                Some(first),
+                || faults.next().unwrap_or(Fault::None),
                 idempotent,
                 resolve,
                 request(items),
@@ -936,16 +934,20 @@ impl<S: SweepStore + Send + 'static> Cluster<S> {
             }
             Ok(out)
         };
-        let firsts: Vec<_> = groups
+        let schedules: Vec<Vec<_>> = groups
             .keys()
-            .map(|_| rpc::draw_fault(chaos.as_deref()))
+            .map(|_| {
+                (0..rpc_cfg.retry.max_attempts)
+                    .map(|_| rpc::draw_fault(chaos.as_deref()))
+                    .collect()
+            })
             .collect();
         let jobs = groups
             .into_iter()
-            .zip(firsts)
-            .map(|((slot, group), first)| {
+            .zip(schedules)
+            .map(|((slot, group), faults)| {
                 let (indices, keys, items) = group;
-                (slot, indices, move || run(slot, first, &keys, items))
+                (slot, indices, move || run(slot, faults, &keys, items))
             });
         if jobs.len() == 1 {
             return jobs.map(|(_, indices, job)| (indices, job())).collect();
@@ -957,8 +959,9 @@ impl<S: SweepStore + Send + 'static> Cluster<S> {
             running
                 .into_iter()
                 .map(|(slot, indices, thread)| {
-                    let panicked = || DbError::ServeletUnavailable {
-                        servelet: self.state.read().nodes[slot].id,
+                    let panicked = || {
+                        let id = self.state.read().nodes[slot].id;
+                        DbError::InvalidInput(format!("router group for servelet {id} panicked"))
                     };
                     (indices, thread.join().unwrap_or_else(|_| Err(panicked())))
                 })
@@ -1605,7 +1608,8 @@ impl<S: SweepStore + Send + 'static> ClusterWriteBatch<'_, S> {
     ///
     /// Writes: per-group commits are never auto-retried past an ambiguous
     /// outcome (see [`RetryPolicy`]); a [`DbError::ServeletTimeout`] means
-    /// that group *may* have committed.
+    /// that group *may* have committed, as does an `invalid_input` naming
+    /// a router group that panicked.
     pub fn commit(self) -> DbResult<Vec<BatchOutcome>> {
         let cluster = self.cluster;
         in_input_order(cluster.per_owner(

@@ -484,13 +484,12 @@ pub(super) fn maint_call<S, R: Send + 'static>(
 /// (the ambiguous-write rule). A `Reply::Err` is a successful round trip
 /// carrying a data error and is never retried.
 ///
-/// `first` is the first attempt's fault when the caller drew it ahead
-/// (so concurrent groups keep a seed's schedule); every other attempt
-/// draws its own.
+/// `fault` yields each attempt's chaos fault: [`draw_fault`] for a lone
+/// call, a schedule drawn ahead for calls that run side by side (so a
+/// seed keeps its schedule whatever the thread timing).
 pub(super) fn retry_loop<S>(
     cfg: &RpcConfig,
-    chaos: Option<&ChaosState>,
-    mut first: Option<Fault>,
+    mut fault: impl FnMut() -> Fault,
     idempotent: bool,
     resolve: impl Fn() -> Arc<Node<S>>,
     req: Request,
@@ -498,8 +497,7 @@ pub(super) fn retry_loop<S>(
     let mut attempt_no = 1u32;
     loop {
         let node = resolve();
-        let fault = first.take().unwrap_or_else(|| draw_fault(chaos));
-        match attempt(&node, cfg.deadline, fault, req.clone(), idempotent) {
+        match attempt(&node, cfg.deadline, fault(), req.clone(), idempotent) {
             Ok(r) => return Ok(r),
             Err(e) => {
                 let may_retry = idempotent || e.write_retry_safe();

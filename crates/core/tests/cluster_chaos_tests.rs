@@ -148,6 +148,40 @@ fn writes_never_retry_past_an_ambiguous_outcome() {
 }
 
 #[test]
+fn a_seed_replays_its_faults_across_parallel_owner_groups() {
+    // Drop-heavy: `heads` groups are idempotent and retry side by side,
+    // so faults drawn on the group threads would follow thread timing.
+    let run = || {
+        let (c, _stores, _refs) = supervised_mem_cluster(4);
+        fast_rpc(&c);
+        let keys: Vec<String> = (0..32).map(|i| format!("k{i}")).collect();
+        for key in &keys {
+            c.put_string(key, "v".to_string(), PutOptions::default())
+                .unwrap();
+        }
+        let owners: std::collections::BTreeSet<u64> = keys.iter().map(|k| c.owner_id(k)).collect();
+        assert_eq!(owners.len(), 4, "the heads read spans every owner");
+        let pairs: Vec<(&str, &str)> = keys.iter().map(|k| (k.as_str(), "master")).collect();
+        c.arm_chaos(ChaosPlan::seeded(77).drops(500));
+        let mut acked = Vec::new();
+        let degraded: Vec<Vec<u64>> = (0..8)
+            .map(|round| {
+                batch_across_every_primary(&c, round, &mut acked);
+                c.heads_partial(&pairs).unwrap().degraded
+            })
+            .collect();
+        let acked: Vec<String> = acked.into_iter().map(|(key, _)| key).collect();
+        (degraded, acked, c.disarm_chaos().unwrap())
+    };
+    let first = run();
+    assert!(
+        first.0.iter().any(|d| !d.is_empty()),
+        "the plan degrades some group: {first:?}"
+    );
+    assert_eq!(run(), first, "one seed, one fault schedule and outcome");
+}
+
+#[test]
 fn supervisor_restarts_a_killed_servelet_to_full_health() {
     let (c, _stores, refs) = supervised_mem_cluster(3);
     fast_rpc(&c);
