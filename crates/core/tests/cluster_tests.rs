@@ -1347,12 +1347,121 @@ fn routed_calls_share_one_connection_and_scatter_begins_all_before_gathering_ove
             "scatter reused the pool"
         );
     }
+    // Routed multi-owner verbs likewise put every owner group on the wire
+    // before gathering any: a batch and a heads read spanning both
+    // primaries get through the held proxies within the deadline.
+    let spanning: Vec<String> = [0, 1]
+        .iter()
+        .map(|&slot| {
+            (0..)
+                .map(|i| format!("k{i}"))
+                .find(|k| c.route(k) == slot)
+                .unwrap()
+        })
+        .collect();
+    let mut wb = c.write_batch();
+    for key in &spanning {
+        wb.put(
+            key,
+            forkbase_types::Value::string("held"),
+            &PutOptions::default(),
+        );
+    }
+    let heads: Vec<Uid> = wb
+        .commit()
+        .unwrap()
+        .iter()
+        .map(|o| o.commit().unwrap().uid)
+        .collect();
+    let pairs: Vec<(&str, &str)> = spanning.iter().map(|k| (k.as_str(), "master")).collect();
+    assert_eq!(c.heads(&pairs).unwrap(), heads);
+    for p in &proxies {
+        assert_eq!(
+            p.accepts.load(Ordering::SeqCst),
+            1,
+            "owner groups reused the pool"
+        );
+    }
     // And from a cold pool, where each attempt has to dial first.
     let cold = connect();
     assert_eq!(cold.list_keys().unwrap().len(), 40);
     for p in &proxies {
         assert_eq!(p.accepts.load(Ordering::SeqCst), 2);
     }
+}
+
+#[test]
+fn hung_owner_costs_one_deadline_over_tcp() {
+    use std::io::Read;
+    use std::time::{Duration, Instant};
+    let cfg = TreeConfig::test_config();
+    let db = Arc::new(ForkBase::with_config(MemStore::new(), cfg));
+    let live = ServeletServer::spawn("127.0.0.1:0", Arc::clone(&db), None).unwrap();
+    let replica_db = Arc::new(ForkBase::with_config(MemStore::new(), cfg));
+    let replica = ServeletServer::spawn("127.0.0.1:0", replica_db, None).unwrap();
+    // Accepts and reads every request, never answers one.
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let hung = forkbase::AcceptLoop::spawn(listener, |mut conn, _peer| {
+        std::thread::spawn(move || while let Ok(1..) = conn.read(&mut [0u8; 4096]) {});
+    })
+    .unwrap();
+    let topology = two_remote_primaries([live.addr().to_string(), hung.addr().to_string()]);
+    let c = Cluster::<MemStore>::connect(&topology, cfg).unwrap();
+    let deadline = Duration::from_millis(800);
+    // No retries: each verb below makes exactly one attempt per owner.
+    c.set_rpc_config(forkbase::RpcConfig {
+        deadline,
+        retry: forkbase::RetryPolicy::no_retry(),
+        ..forkbase::RpcConfig::default()
+    });
+    // The live primary's groups are captured for a replica.
+    c.add_remote_replica(0, replica.addr().to_string()).unwrap();
+    let key_on = |slot: usize| {
+        (0..)
+            .map(|i| format!("k{i}"))
+            .find(|k| c.route(k) == slot)
+            .unwrap()
+    };
+    let (live_key, hung_key) = (key_on(0), key_on(1));
+
+    let t = Instant::now();
+    let err = c.get(&hung_key, "master").unwrap_err();
+    let took = t.elapsed();
+    assert!(
+        matches!(err, DbError::ServeletTimeout { servelet: 1 }),
+        "{err}"
+    );
+    assert!(took < deadline * 3 / 2, "a hung get took {took:?}");
+
+    // One capture of the live key, for the batch's allowance.
+    let t = Instant::now();
+    c.put_string(&live_key, "alone".into(), PutOptions::default())
+        .unwrap();
+    let capture = t.elapsed();
+    let mut wb = c.write_batch();
+    for key in [&live_key, &hung_key] {
+        wb.put(
+            key,
+            forkbase_types::Value::string("batch"),
+            &PutOptions::default(),
+        );
+    }
+    let t = Instant::now();
+    let err = wb.commit().unwrap_err();
+    let took = t.elapsed();
+    assert!(
+        matches!(err, DbError::ServeletTimeout { servelet: 1 }),
+        "{err}"
+    );
+    assert!(
+        took < deadline * 3 / 2 + capture,
+        "a batch with a hung owner took {took:?}"
+    );
+    assert_eq!(
+        c.get(&live_key, "master").unwrap().value.as_str(),
+        Some("batch"),
+        "the live owner's group committed"
+    );
 }
 
 #[test]
