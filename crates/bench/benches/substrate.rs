@@ -501,6 +501,55 @@ fn bench_cluster_put(c: &mut Criterion) {
     group.finish();
 }
 
+/// Routed point reads over real loopback TCP: a pure router (every
+/// servelet remote) over two in-process `ServeletServer`s, 64 routed
+/// `get`s per iteration on the router's pooled connections. This is the
+/// path `cluster_tcp_replica` · `read_p50_us` times end to end, minus the
+/// servelet processes: route, encode, one framed round trip, decode.
+fn bench_cluster_get(c: &mut Criterion) {
+    use forkbase::{Cluster, ClusterTopology, ServeletServer, TopoRole};
+    use std::sync::Arc;
+    const KEYS: usize = 64;
+    let cfg = forkbase_postree::TreeConfig::default_config();
+    let servers: Vec<ServeletServer> = (0..2)
+        .map(|_| {
+            let db = Arc::new(ForkBase::with_config(MemStore::new(), cfg));
+            ServeletServer::spawn("127.0.0.1:0", db, None).unwrap()
+        })
+        .collect();
+    let topology = ClusterTopology {
+        servelet_ids: vec![0, 1],
+        addrs: servers.iter().map(|s| Some(s.addr().to_string())).collect(),
+        roles: vec![
+            TopoRole::Primary { anchor: 0 },
+            TopoRole::Primary { anchor: 1 },
+        ],
+        next_id: 2,
+    };
+    let cluster = Cluster::<MemStore>::connect(&topology, cfg).unwrap();
+    let keys: Vec<String> = (0..KEYS).map(|i| format!("get-key-{i}")).collect();
+    for key in &keys {
+        cluster
+            .put(key, Value::string("payload"), PutOptions::default())
+            .unwrap();
+    }
+
+    let mut group = c.benchmark_group("db/cluster_get");
+    group.throughput(Throughput::Elements(KEYS as u64));
+    group.bench_function("routed_tcp_get", |b| {
+        b.iter(|| {
+            for key in &keys {
+                cluster.get(key, "master").unwrap();
+            }
+        });
+    });
+    group.finish();
+    drop(cluster);
+    for server in &servers {
+        server.stop();
+    }
+}
+
 /// Replication ship/drain throughput: one iteration routes 64 puts
 /// against a 4-servelet cluster (the ship-log capture rides the routed
 /// write), drains the logs with `ship_replication` — the export-apply
@@ -593,6 +642,7 @@ criterion_group!(
     bench_snapshot_scan,
     bench_write_batch,
     bench_cluster_put,
+    bench_cluster_get,
     bench_ship_drain
 );
 criterion_main!(benches);

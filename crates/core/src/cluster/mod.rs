@@ -833,19 +833,7 @@ impl<S: SweepStore + Send + 'static> Cluster<S> {
     /// attempts heals the call.
     fn routed(&self, key: &str, idempotent: bool, req: Request) -> DbResult<Reply> {
         let _gate = self.rebalance_gate.read();
-        let rpc_cfg = self.rpc.read().clone();
-        let chaos = self.chaos.read().clone();
-        let key = key.to_string();
-        rpc::retry_loop(
-            &rpc_cfg,
-            || rpc::draw_fault(chaos.as_deref()),
-            idempotent,
-            || {
-                let state = self.state.read();
-                Arc::clone(&state.nodes[route_on(&state.ring, &key)])
-            },
-            req,
-        )
+        self.routed_locked(key, idempotent, req, |_, reply| Ok(reply))
     }
 
     /// [`Self::routed`] for mutating verbs: after a successful commit the
@@ -857,47 +845,54 @@ impl<S: SweepStore + Send + 'static> Cluster<S> {
     /// acked, so the invariant holds vacuously.
     fn routed_write(&self, key: &str, req: Request) -> DbResult<Reply> {
         let _gate = self.rebalance_gate.read();
+        self.routed_locked(key, false, req, |_, reply| {
+            if !matches!(reply, Reply::Err(_)) {
+                self.capture_locked(&[key])?;
+            }
+            Ok(reply)
+        })
+    }
+
+    /// The one-group [`rpc::fan_out`] behind [`Self::routed`] and
+    /// [`Self::routed_write`]; the caller holds the rebalance gate.
+    fn routed_locked(
+        &self,
+        key: &str,
+        idempotent: bool,
+        req: Request,
+        finish: impl FnMut(usize, Reply) -> DbResult<Reply>,
+    ) -> DbResult<Reply> {
         let rpc_cfg = self.rpc.read().clone();
         let chaos = self.chaos.read().clone();
-        let owned_key = key.to_string();
-        let reply = rpc::retry_loop(
-            &rpc_cfg,
-            || rpc::draw_fault(chaos.as_deref()),
-            false,
-            || {
-                let state = self.state.read();
-                Arc::clone(&state.nodes[route_on(&state.ring, &owned_key)])
-            },
-            req,
-        )?;
-        if !matches!(reply, Reply::Err(_)) {
-            self.capture_locked(&[key])?;
-        }
-        Ok(reply)
+        let route = |_| {
+            let state = self.state.read();
+            let node = Arc::clone(&state.nodes[route_on(&state.ring, key)]);
+            (node, rpc::draw_fault(chaos.as_deref()))
+        };
+        let (deadline, retry) = (rpc_cfg.deadline, &rpc_cfg.retry);
+        rpc::fan_out(deadline, retry, idempotent, vec![req], route, finish).remove(0)
     }
 
     /// Serve a multi-key verb per owner: group `items` by owning slot
-    /// under one ring view, send each group's `request` through
-    /// [`rpc::retry_loop`] and pass the reply to `finish`, which must
-    /// return one entry per item. Groups run concurrently, one scoped
-    /// thread each (inline when a single owner holds every item), all
-    /// under one rebalance-gate hold, so whatever `finish` does (the
-    /// write path's capture) happens under the hold of the request it
-    /// follows. Each group's whole chaos schedule (one fault per allowed
-    /// attempt) is drawn in slot order before any group starts, so a seed
-    /// keeps its schedule whatever the thread timing.
+    /// under one ring view, send each group's `request` through one
+    /// [`rpc::fan_out`] and pass each reply to `finish` as it is
+    /// gathered; `finish` must return one entry per item. Every group's
+    /// attempt is on the wire before any reply is read, so the owners
+    /// work in parallel, while the caller's thread alone runs the rounds
+    /// under one rebalance-gate hold: whatever `finish` does (the write
+    /// path's capture) happens under the hold of the request it follows.
+    /// Each group's whole chaos schedule (one fault per allowed attempt)
+    /// is drawn in slot order before any group starts.
     ///
-    /// Returns each group's input positions and result, in slot order. A
-    /// group thread that panics is a router fault: `invalid_input`, never
-    /// an owner [`Self::heads_partial`] would degrade on.
+    /// Returns each group's input positions and result, in slot order.
     #[allow(clippy::type_complexity)]
-    fn per_owner<T: Send, X: Send>(
+    fn per_owner<T, X>(
         &self,
         items: Vec<T>,
         key_of: impl Fn(&T) -> &str,
         idempotent: bool,
-        request: impl Fn(Vec<T>) -> Request + Sync,
-        finish: impl Fn(&[String], Reply) -> DbResult<Vec<X>> + Sync,
+        request: impl Fn(Vec<T>) -> Request,
+        finish: impl Fn(&[String], Reply) -> DbResult<Vec<X>>,
     ) -> Vec<(Vec<usize>, DbResult<Vec<X>>)> {
         let _gate = self.rebalance_gate.read();
         let rpc_cfg = self.rpc.read().clone();
@@ -913,70 +908,64 @@ impl<S: SweepStore + Send + 'static> Cluster<S> {
                 group.2.push(item);
             }
         }
-        let run = |slot: usize, faults: Vec<_>, keys: &[String], items| {
-            let resolve = || Arc::clone(&self.state.read().nodes[slot]);
-            let mut faults = faults.into_iter();
-            let reply = rpc::retry_loop(
-                &rpc_cfg,
-                || faults.next().unwrap_or(Fault::None),
-                idempotent,
-                resolve,
-                request(items),
-            )?;
-            let out = finish(keys, reply)?;
-            if out.len() != keys.len() {
-                return Err(DbError::InvalidInput(format!(
-                    "servelet {} answered {} of {} items",
-                    resolve().id,
-                    out.len(),
-                    keys.len()
-                )));
-            }
-            Ok(out)
-        };
-        let schedules: Vec<Vec<_>> = groups
-            .keys()
+        // Per group, in slot order: its slot, input positions and keys.
+        let mut plan = Vec::with_capacity(groups.len());
+        let mut reqs = Vec::with_capacity(groups.len());
+        for (slot, (indices, keys, items)) in groups {
+            reqs.push(request(items));
+            plan.push((slot, indices, keys));
+        }
+        let mut schedules: Vec<_> = plan
+            .iter()
             .map(|_| {
                 (0..rpc_cfg.retry.max_attempts)
                     .map(|_| rpc::draw_fault(chaos.as_deref()))
-                    .collect()
+                    .collect::<Vec<_>>()
+                    .into_iter()
             })
             .collect();
-        let jobs = groups
-            .into_iter()
-            .zip(schedules)
-            .map(|((slot, group), faults)| {
-                let (indices, keys, items) = group;
-                (slot, indices, move || run(slot, faults, &keys, items))
-            });
-        if jobs.len() == 1 {
-            return jobs.map(|(_, indices, job)| (indices, job())).collect();
-        }
-        std::thread::scope(|s| {
-            let running: Vec<_> = jobs
-                .map(|(slot, indices, job)| (slot, indices, s.spawn(job)))
-                .collect();
-            running
-                .into_iter()
-                .map(|(slot, indices, thread)| {
-                    let panicked = || {
-                        let id = self.state.read().nodes[slot].id;
-                        DbError::InvalidInput(format!("router group for servelet {id} panicked"))
-                    };
-                    (indices, thread.join().unwrap_or_else(|_| Err(panicked())))
-                })
-                .collect()
-        })
+        let owner = |g: usize| Arc::clone(&self.state.read().nodes[plan[g].0]);
+        let results = rpc::fan_out(
+            rpc_cfg.deadline,
+            &rpc_cfg.retry,
+            idempotent,
+            reqs,
+            |g| (owner(g), schedules[g].next().unwrap_or(Fault::None)),
+            |g, reply| {
+                let keys = &plan[g].2;
+                let out = finish(keys, reply)?;
+                if out.len() != keys.len() {
+                    return Err(DbError::InvalidInput(format!(
+                        "servelet {} answered {} of {} items",
+                        owner(g).id,
+                        out.len(),
+                        keys.len()
+                    )));
+                }
+                Ok(out)
+            },
+        );
+        plan.into_iter()
+            .map(|(_, indices, _)| indices)
+            .zip(results)
+            .collect()
     }
 
-    /// Ship `req` to **every** servelet concurrently and gather
-    /// per-servelet outcomes in slot order.
-    fn scatter_results(&self, req: &Request) -> Vec<(u64, rpc::Outcome)> {
+    /// Ship `req` to **every** servelet and gather per-servelet results
+    /// in slot order: the zero-retry [`rpc::fan_out`]. The whole gather
+    /// shares one deadline window, so a scatter verb is bounded by
+    /// ~`deadline` however many members are slow. Scatter verbs are
+    /// reads, so the `Duplicate` fault applies.
+    fn scatter_results(&self, req: &Request) -> Vec<(u64, DbResult<Reply>)> {
         let _gate = self.rebalance_gate.read();
         let nodes = self.state.read().nodes.clone();
         let deadline = self.rpc.read().deadline;
         let chaos = self.chaos.read().clone();
-        rpc::scatter_nodes(&nodes, deadline, chaos.as_deref(), req)
+        let route = |g| (Arc::clone(&nodes[g]), rpc::draw_fault(chaos.as_deref()));
+        let reqs = vec![req.clone(); nodes.len()];
+        let once = RetryPolicy::no_retry();
+        let results = rpc::fan_out(deadline, &once, true, reqs, route, |_, r| Ok(r));
+        nodes.iter().map(|n| n.id).zip(results).collect()
     }
 
     /// Strict scatter-gather: the first unreachable servelet (or data
@@ -989,10 +978,7 @@ impl<S: SweepStore + Send + 'static> Cluster<S> {
     ) -> DbResult<Vec<(u64, R)>> {
         self.scatter_results(req)
             .into_iter()
-            .map(|(id, r)| match r {
-                Ok(reply) => Ok((id, extract(reply)?)),
-                Err(e) => Err(e.into_db(id)),
-            })
+            .map(|(id, r)| Ok((id, extract(r?)?)))
             .collect()
     }
 
@@ -1007,9 +993,9 @@ impl<S: SweepStore + Send + 'static> Cluster<S> {
     ) -> Partial<R> {
         let mut partial = Partial::default();
         for (id, r) in self.scatter_results(req) {
-            match r.map(&extract) {
-                Ok(Ok(v)) => partial.results.push((id, v)),
-                Ok(Err(_)) | Err(_) => partial.degraded.push(id),
+            match r.and_then(&extract) {
+                Ok(v) => partial.results.push((id, v)),
+                Err(_) => partial.degraded.push(id),
             }
         }
         partial
@@ -1608,8 +1594,7 @@ impl<S: SweepStore + Send + 'static> ClusterWriteBatch<'_, S> {
     ///
     /// Writes: per-group commits are never auto-retried past an ambiguous
     /// outcome (see [`RetryPolicy`]); a [`DbError::ServeletTimeout`] means
-    /// that group *may* have committed, as does an `invalid_input` naming
-    /// a router group that panicked.
+    /// that group *may* have committed.
     pub fn commit(self) -> DbResult<Vec<BatchOutcome>> {
         let cluster = self.cluster;
         in_input_order(cluster.per_owner(

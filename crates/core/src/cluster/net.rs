@@ -3,10 +3,13 @@
 //!
 //! One request/reply exchange per frame, any number of frames per
 //! connection. The router keeps a small pool of idle connections per
-//! servelet (`ConnPool`) and reuses them across calls; a connection
-//! goes back to the pool only after a complete, decoded reply, so a
-//! socket that saw a timeout, a torn frame or any other ambiguous
-//! outcome is never used again. The server executes every request
+//! servelet (`ConnPool`) and reuses them across calls. A call is two
+//! steps on the caller's thread, by one deadline: `send` writes the
+//! request, and `receive` reads the reply later, so the caller can have
+//! requests out to several servelets at once without a thread per call.
+//! A connection goes back to the pool only after a complete, decoded
+//! reply, so a socket that saw a timeout, a torn frame or any other
+//! ambiguous outcome is never used again. The server executes every request
 //! through [`wire::dispatch`] — the same function the in-process
 //! transport uses — so a verb behaves identically no matter how it
 //! arrived.
@@ -26,7 +29,7 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use forkbase_store::SweepStore;
 use parking_lot::Mutex;
@@ -36,7 +39,7 @@ use crate::db::ForkBase;
 use crate::error::{DbError, DbResult};
 
 use super::ratelimit::RateLimiter;
-use super::rpc::AttemptError;
+use super::rpc::{AttemptError, Outcome};
 use super::wire::{self, FrameError, Reply, Request, WireError};
 
 /// Idle connections a router keeps per servelet. Callers beyond this
@@ -319,31 +322,36 @@ impl ConnPool {
         &self.addr
     }
 
-    /// One whole call: check a connection out (or dial one), send `req`
-    /// and await the reply, all within `deadline` per step. The
-    /// connection is pooled again only if the reply arrived whole and
-    /// decoded.
-    pub(super) fn call(&self, req: &Request, deadline: Duration) -> Result<Reply, AttemptError> {
-        // Zero would mean "no timeout" to the socket APIs; clamp up.
-        let deadline = deadline.max(Duration::from_millis(1));
+    /// Start a call: check a connection out (or dial one) and write
+    /// `req` to it, both by `until`. The connection comes back with the
+    /// request on the wire and the reply unread: pass it to
+    /// [`Self::receive`], or drop it, which closes it unpooled.
+    pub(super) fn send(&self, req: &Request, until: Instant) -> Result<TcpStream, AttemptError> {
         let mut conn = match self.checkout_idle() {
             Some(conn) => conn,
             None => {
                 let sock: SocketAddr = self.addr.parse().map_err(|_| AttemptError::NotDelivered)?;
-                let conn = TcpStream::connect_timeout(&sock, deadline)
+                let conn = TcpStream::connect_timeout(&sock, time_left(until))
                     .map_err(|_| AttemptError::NotDelivered)?;
                 let _ = conn.set_nodelay(true);
                 conn
             }
         };
         // A pooled connection still carries its previous call's deadline.
-        let _ = conn.set_write_timeout(Some(deadline));
-        let _ = conn.set_read_timeout(Some(deadline));
+        let _ = conn.set_write_timeout(Some(time_left(until)));
         let frame = wire::encode_frame(&req.encode());
         if conn.write_all(&frame).and_then(|_| conn.flush()).is_err() {
             // Bytes may have partially left the process.
             return Err(AttemptError::DiedAfterDelivery);
         }
+        Ok(conn)
+    }
+
+    /// Finish a call begun by [`Self::send`]: read the reply by `until`.
+    /// The connection is pooled again only if the reply arrived whole
+    /// and decoded.
+    pub(super) fn receive(&self, mut conn: TcpStream, until: Instant) -> Outcome {
+        let _ = conn.set_read_timeout(Some(time_left(until)));
         let reply = match wire::read_frame(&mut conn) {
             Ok(body) => Reply::decode(&body).map_err(|_| AttemptError::DiedAfterDelivery)?,
             Err(FrameError::Io(e))
@@ -373,6 +381,14 @@ impl ConnPool {
         drop(stale);
         None
     }
+}
+
+/// What is left of `until`, as a socket timeout: at least 1 ms, since
+/// zero would mean "no timeout" (and a reply already in hand is read).
+fn time_left(until: Instant) -> Duration {
+    until
+        .saturating_duration_since(Instant::now())
+        .max(Duration::from_millis(1))
 }
 
 /// Whether an idle connection is still usable: open, with nothing to
@@ -444,6 +460,15 @@ mod tests {
 
     fn send_reply(conn: &mut TcpStream, reply: &Reply) {
         let _ = conn.write_all(&wire::encode_frame(&reply.encode()));
+    }
+
+    impl ConnPool {
+        /// One whole call: send, then receive, by one deadline.
+        fn call(&self, req: &Request, deadline: Duration) -> Result<Reply, AttemptError> {
+            let until = Instant::now() + deadline;
+            let conn = self.send(req, until)?;
+            self.receive(conn, until)
+        }
     }
 
     #[test]
@@ -565,6 +590,69 @@ mod tests {
             assert_eq!(pool.call(&Request::Probe, DEADLINE).unwrap(), Reply::Unit);
         }
         assert_eq!(accepts.load(Ordering::SeqCst), 2, "one redial, then reuse");
+    }
+
+    /// What a `Pending` dropped without a gather does to its connection.
+    #[test]
+    fn a_send_never_received_is_closed_not_pooled() {
+        let (peer, accepts) = scripted_peer(|_nth, mut conn| {
+            while wire::read_frame(&mut conn).is_ok() {
+                send_reply(&mut conn, &Reply::Unit);
+            }
+        });
+        let pool = pool_at(peer.addr());
+        let abandoned = pool
+            .send(&Request::Probe, Instant::now() + DEADLINE)
+            .unwrap();
+        drop(abandoned);
+        assert!(pool.idle.lock().is_empty(), "an unread reply is not pooled");
+        for _ in 0..3 {
+            assert_eq!(pool.call(&Request::Probe, DEADLINE).unwrap(), Reply::Unit);
+        }
+        assert_eq!(accepts.load(Ordering::SeqCst), 2, "one redial, then reuse");
+    }
+
+    #[test]
+    fn a_timed_out_receive_drops_its_socket_while_another_send_completes() {
+        // Connection 0 answers late, with a reply no Probe could get;
+        // every other connection answers at once.
+        let (late_tx, late_rx) = mpsc::channel::<()>();
+        let late_rx = std::sync::Mutex::new(late_rx);
+        let (peer, accepts) = scripted_peer(move |nth, mut conn| {
+            while wire::read_frame(&mut conn).is_ok() {
+                if nth == 0 {
+                    let _ = late_rx.lock().unwrap().recv();
+                    send_reply(&mut conn, &Reply::Count(7));
+                } else {
+                    send_reply(&mut conn, &Reply::Unit);
+                }
+            }
+        });
+        let pool = pool_at(peer.addr());
+        // Two calls in flight at once from one thread, on two connections.
+        let short = Instant::now() + Duration::from_millis(100);
+        let slow = pool.send(&Request::Probe, short).unwrap();
+        let until = Instant::now() + DEADLINE;
+        let fast = pool.send(&Request::Probe, until).unwrap();
+        assert_eq!(
+            pool.receive(slow, short).unwrap_err(),
+            AttemptError::TimedOut
+        );
+        assert!(
+            pool.idle.lock().is_empty(),
+            "a timed-out socket is not pooled"
+        );
+        assert_eq!(pool.receive(fast, until).unwrap(), Reply::Unit);
+        // The late reply is now written, into a socket nobody reads.
+        late_tx.send(()).unwrap();
+        for _ in 0..3 {
+            assert_eq!(pool.call(&Request::Probe, DEADLINE).unwrap(), Reply::Unit);
+        }
+        assert_eq!(
+            accepts.load(Ordering::SeqCst),
+            2,
+            "no redial after the timeout"
+        );
     }
 
     #[test]

@@ -11,10 +11,15 @@
 //!   whose fault injection needs deterministic, instant "network" hops.
 //! * [`TcpTransport`] — frames the same request bytes over TCP to a
 //!   standalone servelet process, on connections pooled per servelet
-//!   and reused across calls (see [`super::net`]). Chaos faults are
-//!   **not** injected here: the chaos harness is an in-process
-//!   deterministic simulator, and a real network provides its own
-//!   faults.
+//!   and reused across calls (see [`super::net`]). An attempt is
+//!   written on the caller's thread when it begins and read when it is
+//!   gathered: the router starts no thread. Chaos faults are **not**
+//!   injected here: the chaos harness is an in-process deterministic
+//!   simulator, and a real network provides its own faults.
+//!
+//! Every call runs through one loop, [`fan_out`], in rounds on the
+//! caller's thread: every request is on the wire before any reply is
+//! read, so the servelets work in parallel.
 //!
 //! The failure taxonomy matters for correctness and is identical on both
 //! transports:
@@ -34,6 +39,7 @@
 //! [`DbError::ServeletTimeout`] and are **never** auto-retried for writes;
 //! idempotent verbs retry per [`RetryPolicy`].
 
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -189,8 +195,10 @@ impl AttemptError {
 /// *successful* round trip carrying a data error — never retried.
 pub(super) type Outcome = Result<Reply, AttemptError>;
 
-/// An attempt in flight: either it already failed at send time, or a
-/// reply (or transport error) will arrive on the receiver.
+/// An attempt in flight: it already failed at send time, its outcome
+/// will arrive on a channel, or its request is on a TCP connection with
+/// the reply unread. Dropping a `Pending` without a gather abandons the
+/// attempt; a TCP connection is then closed, never pooled.
 pub(super) enum Pending {
     Fail(AttemptError),
     Wait {
@@ -199,18 +207,25 @@ pub(super) enum Pending {
         /// timeout (lost reply, live worker) rather than a disconnect.
         _keepalive: Option<Sender<Outcome>>,
     },
+    Tcp {
+        pool: Arc<net::ConnPool>,
+        conn: TcpStream,
+    },
 }
 
 impl Pending {
-    /// Wait up to `deadline` for the outcome.
-    pub(super) fn gather(self, deadline: Duration) -> Outcome {
+    /// Wait until `until` for the outcome.
+    pub(super) fn gather(self, until: Instant) -> Outcome {
         match self {
             Pending::Fail(e) => Err(e),
-            Pending::Wait { rx, _keepalive } => match rx.recv_timeout(deadline) {
-                Ok(out) => out,
-                Err(RecvTimeoutError::Disconnected) => Err(AttemptError::DiedAfterDelivery),
-                Err(RecvTimeoutError::Timeout) => Err(AttemptError::TimedOut),
-            },
+            Pending::Wait { rx, _keepalive } => {
+                match rx.recv_timeout(until.saturating_duration_since(Instant::now())) {
+                    Ok(out) => out,
+                    Err(RecvTimeoutError::Disconnected) => Err(AttemptError::DiedAfterDelivery),
+                    Err(RecvTimeoutError::Timeout) => Err(AttemptError::TimedOut),
+                }
+            }
+            Pending::Tcp { pool, conn } => pool.receive(conn, until),
         }
     }
 }
@@ -219,19 +234,14 @@ impl Pending {
 /// bytes move; verb semantics live in [`wire::dispatch`] on the servelet
 /// side of whichever transport is in use.
 pub(super) trait Transport<S>: Send + Sync {
-    /// Begin one attempt: ship `req`, return a handle the caller gathers
-    /// with a deadline. `fault` is the chaos draw for this attempt
+    /// Begin one attempt on the caller's thread: ship `req` by `until`
+    /// and return a handle the caller gathers by the same deadline.
+    /// `fault` is the chaos draw for this attempt
     /// (ignored by network transports); `allow_duplicate` gates the
     /// `Duplicate` fault — only idempotent attempts may be delivered
     /// twice, a write sees clean delivery instead (the transport never
     /// double-applies a write on its own).
-    fn begin(
-        &self,
-        deadline: Duration,
-        fault: Fault,
-        req: Request,
-        allow_duplicate: bool,
-    ) -> Pending;
+    fn begin(&self, until: Instant, fault: Fault, req: Request, allow_duplicate: bool) -> Pending;
 
     /// The maintenance side door: the raw channel sender, for in-process
     /// servelets only. Remote servelets return `None` — closures cannot
@@ -260,13 +270,7 @@ pub(super) struct ChannelTransport<S> {
 }
 
 impl<S: SweepStore + 'static> Transport<S> for ChannelTransport<S> {
-    fn begin(
-        &self,
-        _deadline: Duration,
-        fault: Fault,
-        req: Request,
-        allow_duplicate: bool,
-    ) -> Pending {
+    fn begin(&self, _until: Instant, fault: Fault, req: Request, allow_duplicate: bool) -> Pending {
         // A write is never delivered twice by the transport itself:
         // Duplicate degrades to clean delivery (the fault draw still
         // happened, keeping chaos schedules deterministic).
@@ -346,30 +350,19 @@ impl<S: SweepStore + 'static> Transport<S> for ChannelTransport<S> {
 
 /// The network transport: pooled TCP connections to a standalone
 /// servelet process (see [`super::net`] for the client and server).
+/// `begin` writes the request on the caller's thread and `gather` reads
+/// the reply, so no thread is spawned per attempt.
 pub(super) struct TcpTransport {
     pool: Arc<net::ConnPool>,
 }
 
 impl<S> Transport<S> for TcpTransport {
-    fn begin(
-        &self,
-        deadline: Duration,
-        _fault: Fault,
-        req: Request,
-        _allow_duplicate: bool,
-    ) -> Pending {
-        // Chaos faults are in-process-only; a real network injects its
-        // own. The blocking call runs on its own thread so scatter can
-        // begin every node before gathering any.
-        let (tx, rx) = bounded::<Outcome>(1);
+    /// Chaos faults are in-process-only; a real network injects its own.
+    fn begin(&self, until: Instant, _: Fault, req: Request, _: bool) -> Pending {
         let pool = Arc::clone(&self.pool);
-        std::thread::spawn(move || {
-            let _ = tx.send(pool.call(&req, deadline));
-        });
-        Pending::Wait {
-            rx,
-            _keepalive: None,
-        }
+        self.pool
+            .send(&req, until)
+            .map_or_else(Pending::Fail, |conn| Pending::Tcp { pool, conn })
     }
 
     fn maint_sender(&self) -> Option<&Sender<Msg<S>>> {
@@ -431,19 +424,6 @@ pub(super) fn draw_fault(chaos: Option<&ChaosState>) -> Fault {
     chaos.map_or(Fault::None, |c| c.next_fault())
 }
 
-/// One RPC attempt under `fault`.
-pub(super) fn attempt<S>(
-    node: &Node<S>,
-    deadline: Duration,
-    fault: Fault,
-    req: Request,
-    allow_duplicate: bool,
-) -> Outcome {
-    node.transport
-        .begin(deadline, fault, req, allow_duplicate)
-        .gather(deadline)
-}
-
 /// Run a maintenance closure on an in-process servelet's thread: the
 /// local-only side door for tests and CLI administration. One attempt,
 /// no chaos. Remote servelets reject — closures cannot cross the wire.
@@ -474,89 +454,98 @@ pub(super) fn maint_call<S, R: Send + 'static>(
     }
 }
 
-/// Ship `req` with retries per `cfg`. `resolve` is called before
-/// **every** attempt so a retry lands on the current servelet at the
-/// route — a supervisor restart between attempts heals the call
-/// mid-retry.
+/// Ship each of `reqs` as its own group and return each group's result
+/// in order: the one fan-out loop. A lone routed verb or control call
+/// is one group, a routed batch one group per owner, a scatter one per
+/// servelet with no retry.
 ///
-/// `idempotent` selects the retry rule: idempotent verbs retry on any
-/// transport failure; writes retry only a provably-undelivered request
-/// (the ambiguous-write rule). A `Reply::Err` is a successful round trip
-/// carrying a data error and is never retried.
+/// It runs in rounds on the caller's thread. A round begins every live
+/// group's attempt in order, then gathers them in order, all by one
+/// deadline taken at the round's start. `finish` runs on each reply as
+/// it is gathered, while later groups are still being served. Only the
+/// groups that may retry go on to the next round, after one backoff:
+/// idempotent verbs on any transport failure, writes only after a
+/// provably-undelivered request (the ambiguous-write rule). A
+/// `Reply::Err` is a successful round trip and is never retried.
 ///
-/// `fault` yields each attempt's chaos fault: [`draw_fault`] for a lone
-/// call, a schedule drawn ahead for calls that run side by side (so a
-/// seed keeps its schedule whatever the thread timing).
-pub(super) fn retry_loop<S>(
-    cfg: &RpcConfig,
-    mut fault: impl FnMut() -> Fault,
+/// `route` gives each attempt's servelet and chaos fault. It is called
+/// before **every** attempt, so a retry lands on the current servelet
+/// at the route: a supervised restart between attempts heals the call.
+pub(super) fn fan_out<S, X>(
+    deadline: Duration,
+    retry: &RetryPolicy,
     idempotent: bool,
-    resolve: impl Fn() -> Arc<Node<S>>,
-    req: Request,
-) -> DbResult<Reply> {
-    let mut attempt_no = 1u32;
-    loop {
-        let node = resolve();
-        match attempt(&node, cfg.deadline, fault(), req.clone(), idempotent) {
-            Ok(r) => return Ok(r),
-            Err(e) => {
-                let may_retry = idempotent || e.write_retry_safe();
-                if !may_retry || attempt_no >= cfg.retry.max_attempts {
-                    return Err(e.into_db(node.id));
+    reqs: Vec<Request>,
+    mut route: impl FnMut(usize) -> (Arc<Node<S>>, Fault),
+    mut finish: impl FnMut(usize, Reply) -> DbResult<X>,
+) -> Vec<DbResult<X>> {
+    let mut done = Vec::with_capacity(reqs.len());
+    let mut live: Vec<usize> = (0..reqs.len()).collect();
+    for attempt_no in 1.. {
+        let until = Instant::now() + deadline;
+        let pending: Vec<_> = live
+            .iter()
+            .map(|&g| {
+                let (node, fault) = route(g);
+                let p = node
+                    .transport
+                    .begin(until, fault, reqs[g].clone(), idempotent);
+                (g, node.id, p)
+            })
+            .collect();
+        live.clear();
+        for (g, id, p) in pending {
+            match p.gather(until) {
+                Ok(reply) => done.push((g, finish(g, reply))),
+                Err(e)
+                    if (idempotent || e.write_retry_safe()) && attempt_no < retry.max_attempts =>
+                {
+                    live.push(g)
                 }
-                attempt_no += 1;
-                std::thread::sleep(cfg.retry.backoff_before(attempt_no));
+                Err(e) => done.push((g, Err(e.into_db(id)))),
             }
         }
+        if live.is_empty() {
+            break;
+        }
+        std::thread::sleep(retry.backoff_before(attempt_no + 1));
     }
+    done.sort_unstable_by_key(|(g, _)| *g);
+    done.into_iter().map(|(_, r)| r).collect()
 }
 
 /// Control-plane call: one attempt, no chaos, no retry, caller-chosen
 /// deadline. Used by migration internals and supervision so the recovery
 /// machinery itself is exempt from fault injection (injecting there would
 /// test the simulator, not the system).
-pub(super) fn call_control<S>(node: &Node<S>, deadline: Duration, req: Request) -> DbResult<Reply> {
-    attempt(node, deadline, Fault::None, req, false).map_err(|e| e.into_db(node.id))
-}
-
-/// Ship `req` to every node concurrently, then gather per-node outcomes
-/// in slot order. The whole gather shares one deadline window, so a
-/// scatter verb is bounded by ~`deadline` wall-clock regardless of how
-/// many members are slow. Failures come back per node — the caller
-/// decides between strict (first error wins) and partial (degraded set)
-/// semantics. Scatter verbs are reads, so the `Duplicate` fault applies.
-pub(super) fn scatter_nodes<S>(
-    nodes: &[Arc<Node<S>>],
+pub(super) fn call_control<S>(
+    node: &Arc<Node<S>>,
     deadline: Duration,
-    chaos: Option<&ChaosState>,
-    req: &Request,
-) -> Vec<(u64, Outcome)> {
-    let pending: Vec<(u64, Pending)> = nodes
-        .iter()
-        .map(|node| {
-            let fault = draw_fault(chaos);
-            (
-                node.id,
-                node.transport.begin(deadline, fault, req.clone(), true),
-            )
-        })
-        .collect();
-    // One shared window: attempts already run concurrently, so each node
-    // gets whatever remains of the original deadline.
-    let deadline_at = Instant::now() + deadline;
-    pending
-        .into_iter()
-        .map(|(id, p)| {
-            let left = deadline_at.saturating_duration_since(Instant::now());
-            (id, p.gather(left))
-        })
-        .collect()
+    req: Request,
+) -> DbResult<Reply> {
+    let route = |_| (Arc::clone(node), Fault::None);
+    let once = RetryPolicy::no_retry();
+    fan_out(deadline, &once, false, vec![req], route, |_, r| Ok(r)).remove(0)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use forkbase_store::MemStore;
+
+    /// One attempt under `fault`, begun and gathered by one deadline.
+    fn attempt<S>(
+        node: &Node<S>,
+        deadline: Duration,
+        fault: Fault,
+        req: Request,
+        allow_duplicate: bool,
+    ) -> Outcome {
+        let until = Instant::now() + deadline;
+        node.transport
+            .begin(until, fault, req, allow_duplicate)
+            .gather(until)
+    }
 
     #[test]
     fn backoff_schedule_is_deterministic_and_capped() {
