@@ -544,10 +544,6 @@ fn bench_cluster_get(c: &mut Criterion) {
         });
     });
     group.finish();
-    drop(cluster);
-    for server in &servers {
-        server.stop();
-    }
 }
 
 /// Replication ship/drain throughput: one iteration routes 64 puts

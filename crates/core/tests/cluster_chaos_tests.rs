@@ -149,8 +149,8 @@ fn writes_never_retry_past_an_ambiguous_outcome() {
 
 #[test]
 fn a_seed_replays_its_faults_across_parallel_owner_groups() {
-    // Drop-heavy: `heads` groups are idempotent and retry side by side,
-    // so faults drawn on the group threads would follow thread timing.
+    // Drop-heavy: `heads` groups are idempotent, so most of them retry,
+    // each group drawing from its own schedule.
     let run = || {
         let (c, _stores, _refs) = supervised_mem_cluster(4);
         fast_rpc(&c);
