@@ -656,6 +656,12 @@ fn tampered_value_chunk_is_detected_by_verification() {
     let map = db.new_map(sample_pairs(500)).unwrap();
     let commit = db.put("ds", map, &PutOptions::default()).unwrap();
     assert!(db.verify_version(&commit.uid).is_ok());
+    // Read every key first, so any page a reader keeps decoded is warm:
+    // verification must still re-read the store, not trust earlier reads.
+    let value = db.get("ds", DEFAULT_BRANCH).unwrap().value;
+    for (k, v) in sample_pairs(500) {
+        assert_eq!(db.map_get(&value, &k).unwrap(), Some(v));
+    }
 
     // Corrupt every chunk in turn; detection must be 100%.
     let mut victims = Vec::new();
@@ -673,6 +679,87 @@ fn tampered_value_chunk_is_detected_by_verification() {
         victims.len(),
         "every corrupted chunk must be detected"
     );
+}
+
+#[test]
+fn page_first_read_while_tampered_errors_and_is_not_kept() {
+    // A reader that meets a tampered page must fail, and must not keep
+    // what it read: once the store heals the same read succeeds, and a
+    // re-flip is still caught by verification.
+    let pairs = sample_pairs(150);
+    let open = || {
+        let db =
+            ForkBase::with_config(FaultyStore::new(MemStore::new()), TreeConfig::test_config());
+        let map = db.new_map(pairs.clone()).unwrap();
+        let uid = db.put("ds", map, &PutOptions::default()).unwrap().uid;
+        (db, uid)
+    };
+    let (db, uid) = open();
+    let mut victims = Vec::new();
+    db.store().inner().for_each_chunk(|h, _| victims.push(*h));
+    victims.retain(|h| *h != uid);
+    assert!(victims.len() > 3, "test needs a multi-page tree");
+    for victim in victims {
+        let (db, uid) = open();
+        let value = db.get("ds", DEFAULT_BRANCH).unwrap().value;
+        db.store().inject(victim, FaultMode::FlipBit { byte: 0 });
+        let failed = pairs
+            .iter()
+            .filter(|(k, _)| db.map_get(&value, k).is_err())
+            .count();
+        assert!(failed > 0, "a tampered page must fail the reads through it");
+        db.store().heal_all();
+        for (k, v) in &pairs {
+            assert_eq!(db.map_get(&value, k).unwrap().as_ref(), Some(v));
+        }
+        db.store().inject(victim, FaultMode::FlipBit { byte: 0 });
+        assert!(db.verify_version(&uid).is_err());
+    }
+}
+
+fn snapshot_swept_by_gc_reads_as_missing<S: forkbase_store::SweepStore>(store: S) {
+    let db = ForkBase::with_config(store, TreeConfig::test_config());
+    let master = db.new_map(sample_pairs(200)).unwrap();
+    db.put("ds", master, &PutOptions::default()).unwrap();
+    db.branch("ds", DEFAULT_BRANCH, "scratch").unwrap();
+    let scratch: Vec<(Bytes, Bytes)> = (0..200)
+        .map(|i| (Bytes::from(format!("x{i:05}")), Bytes::from(vec![7u8; 64])))
+        .collect();
+    let scratch = db.new_map(scratch).unwrap();
+    db.put("ds", scratch, &PutOptions::on_branch("scratch"))
+        .unwrap();
+    let snap = db.snapshot("ds", &VersionSpec::branch("scratch")).unwrap();
+    let root = match snap.value() {
+        Value::Map(t) => t.root,
+        other => panic!("expected a map, got {other:?}"),
+    };
+    assert!(snap.map_get(b"x00007").unwrap().is_some());
+
+    db.delete_branch("ds", "scratch").unwrap();
+    db.gc().unwrap();
+    assert!(
+        !db.store().contains(&root).unwrap(),
+        "gc must sweep the root"
+    );
+    match snap.map_get(b"x00007") {
+        Err(DbError::Node(forkbase_postree::NodeError::Missing(h))) => assert_eq!(h, root),
+        other => panic!("a swept page must read as missing, got {other:?}"),
+    }
+    // The live branch is untouched.
+    let head = db.get("ds", DEFAULT_BRANCH).unwrap().value;
+    assert!(db.map_get(&head, b"row-000007").unwrap().is_some());
+}
+
+#[test]
+fn snapshot_held_across_gc_reads_swept_pages_as_missing() {
+    snapshot_swept_by_gc_reads_as_missing(MemStore::new());
+    let dir = std::env::temp_dir().join(format!(
+        "forkbase-db-tests-swept-snapshot-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    snapshot_swept_by_gc_reads_as_missing(forkbase_store::FileStore::open(&dir).unwrap());
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
