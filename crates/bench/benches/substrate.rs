@@ -291,6 +291,49 @@ fn bench_concurrent_blob_commits(c: &mut Criterion) {
     group.finish();
 }
 
+/// Point lookups on a durable store whose pages were all read once: the
+/// ledger's `map_get` shape (8 k accounts, default ~4 KiB pages), 64 keys
+/// per iteration. Warm pages come from the database's node cache; each
+/// miss is a pack read plus two SHA-256 passes and a decode.
+fn bench_map_get(c: &mut Criterion) {
+    const ACCOUNTS: u32 = 8192;
+    const GETS: u32 = 64;
+    let dir = std::env::temp_dir().join(format!("fkb-map-get-bench-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let db = ForkBase::new(FileStore::open(&dir).unwrap());
+    let accounts = (0..ACCOUNTS)
+        .map(|i| {
+            (
+                Bytes::from(format!("acct-{i:08}")),
+                Bytes::from(format!("{{\"balance\":{}}}", u64::from(i) * 7919)),
+            )
+        })
+        .collect();
+    let map = db.new_map(accounts).unwrap();
+    db.put("ledger", map, &PutOptions::default()).unwrap();
+    db.store().sync().unwrap();
+    let value = db.get("ledger", "master").unwrap().value;
+    let keys: Vec<Bytes> = (0..GETS)
+        .map(|i| Bytes::from(format!("acct-{:08}", i * 127 % ACCOUNTS)))
+        .collect();
+    for key in &keys {
+        assert!(db.map_get(&value, key).unwrap().is_some());
+    }
+
+    let mut group = c.benchmark_group("db/map_get");
+    group.throughput(Throughput::Elements(u64::from(GETS)));
+    group.bench_function("filestore_hot", |b| {
+        b.iter(|| {
+            for key in &keys {
+                criterion::black_box(db.map_get(&value, key).unwrap());
+            }
+        });
+    });
+    group.finish();
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Snapshot + cursor scan vs the materializing verb over a 100k-entry
 /// map. The cursor path must be at least as fast (it decodes the same
 /// leaves but skips the O(N) output vector), and it is the path that
@@ -635,6 +678,7 @@ criterion_group!(
     bench_compaction,
     bench_concurrent_commits,
     bench_concurrent_blob_commits,
+    bench_map_get,
     bench_snapshot_scan,
     bench_write_batch,
     bench_cluster_put,

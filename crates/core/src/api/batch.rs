@@ -24,7 +24,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use bytes::Bytes;
-use forkbase_postree::{MapEdit, PosBlob, PosMap};
+use forkbase_postree::{MapEdit, PosBlob};
 use forkbase_store::ChunkStore;
 use forkbase_types::Value;
 use parking_lot::MutexGuard;
@@ -441,7 +441,7 @@ impl<'db, S: ChunkStore> WriteBatch<'db, S> {
                     };
                     let tree = expect_map(&base_value)?;
                     let edits = edit_lists[op_idx].take().expect("detached in pre-pass");
-                    let updated = PosMap::open(&db.store, db.cfg.node, tree).apply(edits)?;
+                    let updated = db.map(tree).apply(edits)?;
                     let value = match base_value {
                         Value::Set(_) => Value::Set(updated.tree()),
                         _ => Value::Map(updated.tree()),

@@ -9,7 +9,7 @@
 //! these same cursors.
 
 use bytes::Bytes;
-use forkbase_postree::{BlobCursor, BlobRef, TreeCursor, TreeRef};
+use forkbase_postree::{BlobCursor, BlobRef, PosMap, TreeCursor, TreeRef};
 use forkbase_store::ChunkStore;
 
 use crate::error::{DbError, DbResult};
@@ -31,31 +31,21 @@ impl<'s, S: ChunkStore> MapRange<'s, S> {
     /// Open with optional inclusive-start / exclusive-end byte bounds
     /// (the classic `Select` semantics: `start ≤ key < end`).
     pub(crate) fn open(
-        store: &'s S,
-        tree: TreeRef,
+        map: &PosMap<'s, S>,
         start: Option<&[u8]>,
         end: Option<&[u8]>,
     ) -> DbResult<Self> {
-        Self::open_bounds(
-            store,
-            tree,
-            start.map(|s| (s, false)),
-            end.map(|e| (e, false)),
-        )
+        Self::open_bounds(map, start.map(|s| (s, false)), end.map(|e| (e, false)))
     }
 
     /// Open with full bound control: `start` is `(key, exclusive)`, `end`
     /// is `(key, inclusive)`.
     pub(crate) fn open_bounds(
-        store: &'s S,
-        tree: TreeRef,
+        map: &PosMap<'s, S>,
         start: Option<(&[u8], bool)>,
         end: Option<(&[u8], bool)>,
     ) -> DbResult<Self> {
-        let mut cursor = match start {
-            Some((key, _)) => TreeCursor::seek(store, tree, key)?,
-            None => TreeCursor::new(store, tree)?,
-        };
+        let mut cursor = map.cursor(start.map(|(key, _)| key))?;
         if let Some((key, true)) = start {
             // Exclusive start: skip the exact match (keys are unique).
             if let Some(e) = cursor.peek()? {

@@ -36,7 +36,7 @@ pub use verbs::ValueDiff;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use forkbase_postree::{TreeConfig, TreeRef};
+use forkbase_postree::{NodeCache, PosMap, TreeConfig, TreeRef};
 use forkbase_store::{ChunkStore, StoreStats, SweepStore};
 use forkbase_types::{Value, ValueType};
 use parking_lot::{Mutex, RwLock};
@@ -203,6 +203,17 @@ const HEAD_STRIPES: usize = 64;
 /// * Every mutating verb holds the GC gate shared; [`crate::gc::collect`]
 ///   holds it exclusive, so mark-and-sweep sees quiescent heads and never
 ///   races an in-flight commit's freshly written chunks.
+///
+/// # Decoded pages
+///
+/// Each database owns a [`NodeCache`]: map lookups, range scans, diff,
+/// merge and map edits read POS-Tree pages through it, and map edits add
+/// the pages they build once the store holds them. A page enters only
+/// after its SHA-256 matched its address or after this database built
+/// it; FNodes and blob data are never cached. `verify_*`, proofs, bundle
+/// import and GC mark bypass it and re-read the store, so tampering with
+/// the store after a page was cached is caught by verification, not by
+/// cached reads. GC drops swept pages from it under the exclusive gate.
 pub struct ForkBase<S> {
     pub(crate) store: S,
     pub(crate) cfg: TreeConfig,
@@ -214,6 +225,9 @@ pub struct ForkBase<S> {
     pub(crate) head_locks: Vec<Mutex<()>>,
     /// Commits and ref updates hold this shared; GC holds it exclusive.
     pub(crate) gc_gate: RwLock<()>,
+    /// Verified, decoded POS-Tree pages shared by this database's map
+    /// readers.
+    pub(crate) nodes: NodeCache,
 }
 
 impl<S: ChunkStore> ForkBase<S> {
@@ -231,7 +245,14 @@ impl<S: ChunkStore> ForkBase<S> {
             clock: AtomicU64::new(1),
             head_locks: (0..HEAD_STRIPES).map(|_| Mutex::new(())).collect(),
             gc_gate: RwLock::new(()),
+            nodes: NodeCache::new(),
         }
+    }
+
+    /// The map or set tree `tree`, read through this database's node
+    /// cache.
+    pub(crate) fn map(&self, tree: TreeRef) -> PosMap<'_, S> {
+        PosMap::open(&self.store, self.cfg.node, tree).with_cache(&self.nodes)
     }
 
     /// The stripe guarding the head of `(key, branch)`.

@@ -12,7 +12,7 @@ use std::io::Write;
 use std::sync::Arc;
 
 use bytes::Bytes;
-use forkbase_postree::{MerkleProof, PosBlob, PosMap};
+use forkbase_postree::{MerkleProof, PosBlob};
 use forkbase_store::ChunkStore;
 use forkbase_types::Value;
 
@@ -141,7 +141,7 @@ impl<'db, S: ChunkStore> Snapshot<'db, S> {
     /// Look up one entry of a map/set value (`O(log N)` node fetches).
     pub fn map_get(&self, entry_key: &[u8]) -> DbResult<Option<Bytes>> {
         let tree = expect_map(&self.fnode.value)?;
-        Ok(PosMap::open(self.db.store(), self.db.config().node, tree).get(entry_key)?)
+        Ok(self.db.map(tree).get(entry_key)?)
     }
 
     /// All entries of a map/set value (materializing; prefer
@@ -158,14 +158,14 @@ impl<'db, S: ChunkStore> Snapshot<'db, S> {
         end: Option<&[u8]>,
     ) -> DbResult<Vec<(Bytes, Bytes)>> {
         let tree = expect_map(&self.fnode.value)?;
-        MapRange::open(self.db.store(), tree, start, end)?.collect()
+        MapRange::open(&self.db.map(tree), start, end)?.collect()
     }
 
     /// Stream every entry of a map/set value in key order, holding at most
     /// one decoded leaf node in memory.
     pub fn map_iter(&self) -> DbResult<MapRange<'db, S>> {
         let tree = expect_map(&self.fnode.value)?;
-        MapRange::open(self.db.store(), tree, None, None)
+        MapRange::open(&self.db.map(tree), None, None)
     }
 
     /// Stream map/set entries within a key range, e.g.
@@ -190,7 +190,7 @@ impl<'db, S: ChunkStore> Snapshot<'db, S> {
             Bound::Excluded(b) => Some((b.as_ref(), false)),
             Bound::Included(b) => Some((b.as_ref(), true)),
         };
-        MapRange::open_bounds(self.db.store(), tree, start, end)
+        MapRange::open_bounds(&self.db.map(tree), start, end)
     }
 
     /// Stream the elements of a list value in order, one leaf node at a

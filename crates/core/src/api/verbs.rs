@@ -16,7 +16,6 @@ use std::io::Write;
 use std::sync::atomic::Ordering;
 
 use bytes::Bytes;
-use forkbase_postree::diff::diff_maps;
 use forkbase_postree::merge::{merge_maps, MergePolicy};
 use forkbase_postree::{MapDiff, MapEdit, PosBlob, PosList, PosMap};
 use forkbase_store::ChunkStore;
@@ -338,14 +337,14 @@ impl<S: ChunkStore> ForkBase<S> {
     /// Look up one entry of a `Map` value.
     pub fn map_get(&self, value: &Value, entry_key: &[u8]) -> DbResult<Option<Bytes>> {
         let tree = expect_map(value)?;
-        Ok(PosMap::open(&self.store, self.cfg.node, tree).get(entry_key)?)
+        Ok(self.map(tree).get(entry_key)?)
     }
 
     /// All entries of a `Map` value (O(N) output; the scan itself streams
     /// through [`super::MapRange`] in O(chunk) working memory).
     pub fn map_entries(&self, value: &Value) -> DbResult<Vec<(Bytes, Bytes)>> {
         let tree = expect_map(value)?;
-        cursor_ext::MapRange::open(&self.store, tree, None, None)?.collect()
+        cursor_ext::MapRange::open(&self.map(tree), None, None)?.collect()
     }
 
     /// `Select`: entries of a `Map` value with `start ≤ key < end`.
@@ -356,7 +355,7 @@ impl<S: ChunkStore> ForkBase<S> {
         end: Option<&[u8]>,
     ) -> DbResult<Vec<(Bytes, Bytes)>> {
         let tree = expect_map(value)?;
-        cursor_ext::MapRange::open(&self.store, tree, start, end)?.collect()
+        cursor_ext::MapRange::open(&self.map(tree), start, end)?.collect()
     }
 
     /// Apply edits to a `Map`/`Set` value, returning the updated value.
@@ -364,7 +363,7 @@ impl<S: ChunkStore> ForkBase<S> {
     /// collector can run, or use [`Self::put_map_edits`].
     pub fn map_apply(&self, value: &Value, edits: Vec<MapEdit>) -> DbResult<Value> {
         let tree = expect_map(value)?;
-        let updated = PosMap::open(&self.store, self.cfg.node, tree).apply(edits)?;
+        let updated = self.map(tree).apply(edits)?;
         Ok(match value {
             Value::Set(_) => Value::Set(updated.tree()),
             _ => Value::Map(updated.tree()),
@@ -440,7 +439,7 @@ impl<S: ChunkStore> ForkBase<S> {
                 if a == b {
                     return Ok(ValueDiff::Identical);
                 }
-                Ok(ValueDiff::Map(diff_maps(&self.store, *a, *b)?))
+                Ok(ValueDiff::Map(self.map(*a).diff(*b)?))
             }
             (Value::Blob(a), Value::Blob(b)) => {
                 if a == b {
@@ -627,10 +626,7 @@ impl<S: ChunkStore> ForkBase<S> {
         match (base, ours, theirs) {
             (Value::Map(b), Value::Map(o), Value::Map(t))
             | (Value::Set(b), Value::Set(o), Value::Set(t)) => {
-                let base_m = PosMap::open(&self.store, self.cfg.node, *b);
-                let ours_m = PosMap::open(&self.store, self.cfg.node, *o);
-                let theirs_m = PosMap::open(&self.store, self.cfg.node, *t);
-                let out = merge_maps(&base_m, &ours_m, &theirs_m, policy)?;
+                let out = merge_maps(&self.map(*b), &self.map(*o), &self.map(*t), policy)?;
                 Ok(match base {
                     Value::Set(_) => Value::Set(out.merged.tree()),
                     _ => Value::Map(out.merged.tree()),

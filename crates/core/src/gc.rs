@@ -156,11 +156,18 @@ impl std::fmt::Display for GcReport {
 /// every mutating verb (`put`, `put_blob`, `put_map_edits`, `merge`,
 /// branch/ref updates) is quiesced: the mark phase sees a consistent set
 /// of heads and no commit can publish chunks between mark and sweep.
-/// Read-only verbs never take the gate and keep running during GC.
+/// Read-only verbs never take the gate and keep running during GC; after
+/// the sweep, still under the gate, the database's node cache drops every
+/// page outside the live set. The mark itself reads the store, not the
+/// cache, and adds nothing to it.
 pub fn collect<S: SweepStore>(db: &ForkBase<S>) -> DbResult<GcReport> {
     let _world_stopped = db.gc_exclusive();
     let live = mark(db)?;
-    let sweep = db.store().sweep(&|h| live.contains(h))?;
+    let sweep = db.store().sweep(&|h| live.contains(h));
+    // Even a failed sweep may have dropped chunks: forget every cached
+    // page outside the live set either way, so none is served again.
+    db.nodes.retain(|h| live.contains(h));
+    let sweep = sweep?;
     Ok(GcReport {
         live_chunks: live.len() as u64,
         sweep,

@@ -15,11 +15,14 @@
 //! the node's own bytes (reset-on-cut chunking) and will re-occur in the
 //! new stream at exactly the same place.
 
+use std::sync::Arc;
+
 use bytes::Bytes;
 use forkbase_chunk::{ChunkerConfig, EntryChunker};
 use forkbase_crypto::{sha256, Hash};
 use forkbase_store::ChunkStore;
 
+use crate::cache::NodeCache;
 use crate::cursor::LeafCursor;
 use crate::node::{IndexEntry, LeafEntry, Node, NodeResult};
 
@@ -104,6 +107,11 @@ pub struct TreeBuilder<'s, S> {
     /// of once per node.
     staged: Vec<(Hash, Bytes)>,
     staged_bytes: usize,
+    /// Receives the nodes this builder emits, once the store holds them.
+    cache: Option<&'s NodeCache>,
+    /// The staged chunks that are nodes (not raw blob data), kept for
+    /// `cache` until their batch is stored.
+    staged_nodes: Vec<(Hash, Bytes)>,
 }
 
 impl<'s, S: ChunkStore> TreeBuilder<'s, S> {
@@ -117,7 +125,16 @@ impl<'s, S: ChunkStore> TreeBuilder<'s, S> {
             nodes_written: 0,
             staged: Vec::new(),
             staged_bytes: 0,
+            cache: None,
+            staged_nodes: Vec::new(),
         }
+    }
+
+    /// Add every node this builder emits to `cache` once the store has
+    /// accepted its chunk.
+    pub(crate) fn caching(mut self, cache: Option<&'s NodeCache>) -> Self {
+        self.cache = cache;
+        self
     }
 
     /// Stage an arbitrary content-addressed chunk for the next batched
@@ -133,13 +150,24 @@ impl<'s, S: ChunkStore> TreeBuilder<'s, S> {
         Ok(())
     }
 
-    /// Send all staged chunks to the store in one `put_batch` round-trip.
+    /// Send all staged chunks to the store in one `put_batch` round-trip,
+    /// then hand the nodes among them to the cache.
     fn flush_staged(&mut self) -> NodeResult<()> {
         if self.staged.is_empty() {
             return Ok(());
         }
         self.staged_bytes = 0;
+        let nodes = std::mem::take(&mut self.staged_nodes);
+        let epoch = self.cache.map(NodeCache::epoch);
         self.store.put_batch(std::mem::take(&mut self.staged))?;
+        if let (Some(cache), Some(epoch)) = (self.cache, epoch) {
+            for (hash, chunk) in nodes {
+                // Decoded from the chunk, so the cached node views only
+                // its own page, not the buffers its entries came from.
+                let node = Node::decode(&chunk)?;
+                cache.insert(hash, Arc::new(node), chunk.len(), epoch);
+            }
+        }
         Ok(())
     }
 
@@ -270,9 +298,12 @@ impl<'s, S: ChunkStore> TreeBuilder<'s, S> {
         lvl.nodes_emitted += 1;
         let count = node.subtree_count();
         let split_key = node.split_key().unwrap_or_default();
-        let encoded = node.encode();
+        let encoded = Bytes::from(node.encode());
         let hash = sha256(&encoded);
-        self.stage_chunk(hash, Bytes::from(encoded))?;
+        if self.cache.is_some() {
+            self.staged_nodes.push((hash, encoded.clone()));
+        }
+        self.stage_chunk(hash, encoded)?;
         self.nodes_written += 1;
         Ok(IndexEntry {
             split_key,

@@ -5,49 +5,78 @@
 //! O(height) without decoding it, ask whether the current leaf is the tree's
 //! final node, and test alignment at ancestor levels. These powers drive
 //! both the incremental update (`map::apply`) and the sub-tree-pruning diff.
+//!
+//! A cursor holds the nodes on its path as shared `Arc<Node>`s. Opened by
+//! a [`crate::PosMap`] that has a [`NodeCache`], it reads them through
+//! that cache; otherwise every node is a verified [`Node::load`].
+
+use std::sync::Arc;
 
 use bytes::Bytes;
 use forkbase_crypto::Hash;
 use forkbase_store::ChunkStore;
 
+use crate::cache::{load_node, NodeCache};
 use crate::node::{IndexEntry, LeafEntry, Node, NodeError, NodeResult};
 use crate::TreeRef;
 
 /// One step of the root→leaf path.
 struct PathNode {
-    /// Children of this index node.
-    children: Vec<IndexEntry>,
+    /// This index node.
+    node: Arc<Node>,
     /// Index of the child currently descended into.
     idx: usize,
     /// Content hash of this index node.
     hash: Hash,
-    /// Height of this index node above the leaves (≥ 1).
-    level: u8,
+}
+
+impl PathNode {
+    fn children(&self) -> &[IndexEntry] {
+        self.node.children()
+    }
 }
 
 /// A forward cursor over a tree's leaf entries.
 pub struct LeafCursor<'s, S> {
     store: &'s S,
+    cache: Option<&'s NodeCache>,
     /// Root → parent-of-leaf chain. Empty when the root is itself a leaf.
     path: Vec<PathNode>,
     /// Reference (split_key, hash, count) of the current leaf node;
     /// `None` when the cursor is exhausted.
     leaf_ref: Option<IndexEntry>,
-    /// Lazily decoded entries of the current leaf.
-    leaf: Option<Vec<LeafEntry>>,
+    /// The current leaf, fetched lazily when its entries are read.
+    leaf: Option<Arc<Node>>,
     /// Position within the current leaf.
     entry_idx: usize,
     /// Number of leaf entries strictly before the current leaf node.
     position_base: u64,
-    /// Total nodes decoded, for complexity accounting (Fig. 5 experiment).
+    /// Total nodes fetched, for complexity accounting (Fig. 5 experiment).
     nodes_loaded: u64,
 }
 
 impl<'s, S: ChunkStore> LeafCursor<'s, S> {
     /// Open a cursor at the first entry of the tree.
     pub fn new(store: &'s S, tree: TreeRef) -> NodeResult<Self> {
+        Self::open(store, None, tree, None)
+    }
+
+    /// Open a cursor positioned at the first entry with key ≥ `key`.
+    pub fn seek(store: &'s S, tree: TreeRef, key: &[u8]) -> NodeResult<Self> {
+        Self::open(store, None, tree, Some(key))
+    }
+
+    /// Open a cursor reading nodes through `cache`, at the first entry
+    /// with key ≥ `key`, or at the first entry when `key` is `None`.
+    pub(crate) fn open(
+        store: &'s S,
+        cache: Option<&'s NodeCache>,
+        tree: TreeRef,
+        key: Option<&[u8]>,
+    ) -> NodeResult<Self> {
         let mut cursor = LeafCursor {
             store,
+            cache,
             path: Vec::new(),
             leaf_ref: None,
             leaf: None,
@@ -55,20 +84,9 @@ impl<'s, S: ChunkStore> LeafCursor<'s, S> {
             position_base: 0,
             nodes_loaded: 0,
         };
-        cursor.descend_root(tree, DescendTo::First)?;
-        Ok(cursor)
-    }
-
-    /// Open a cursor positioned at the first entry with key ≥ `key`.
-    pub fn seek(store: &'s S, tree: TreeRef, key: &[u8]) -> NodeResult<Self> {
-        let mut cursor = LeafCursor {
-            store,
-            path: Vec::new(),
-            leaf_ref: None,
-            leaf: None,
-            entry_idx: 0,
-            position_base: 0,
-            nodes_loaded: 0,
+        let Some(key) = key else {
+            cursor.descend_root(tree, DescendTo::First)?;
+            return Ok(cursor);
         };
         cursor.descend_root(tree, DescendTo::Key(key))?;
         // Position within the leaf.
@@ -93,22 +111,19 @@ impl<'s, S: ChunkStore> LeafCursor<'s, S> {
 
     fn descend_root(&mut self, tree: TreeRef, target: DescendTo<'_>) -> NodeResult<()> {
         let root = self.load_node(&tree.root)?;
-        match root {
-            Node::Leaf(entries) => {
-                let split_key = entries.last().map(|e| e.key.clone()).unwrap_or_default();
-                self.leaf_ref = Some(IndexEntry::new(split_key, tree.root, entries.len() as u64));
-                self.leaf = Some(entries);
-                self.entry_idx = 0;
-            }
-            Node::Index { children, level } => {
-                self.path.push(PathNode {
-                    children,
-                    idx: 0,
-                    hash: tree.root,
-                    level,
-                });
-                self.descend(target)?;
-            }
+        if root.level() == 0 {
+            let entries = root.entries();
+            let split_key = entries.last().map(|e| e.key.clone()).unwrap_or_default();
+            self.leaf_ref = Some(IndexEntry::new(split_key, tree.root, entries.len() as u64));
+            self.leaf = Some(root);
+            self.entry_idx = 0;
+        } else {
+            self.path.push(PathNode {
+                node: root,
+                idx: 0,
+                hash: tree.root,
+            });
+            self.descend(target)?;
         }
         Ok(())
     }
@@ -117,57 +132,66 @@ impl<'s, S: ChunkStore> LeafCursor<'s, S> {
     fn descend(&mut self, target: DescendTo<'_>) -> NodeResult<()> {
         loop {
             let top = self.path.last_mut().expect("descend with non-empty path");
+            let children = top.node.children();
             let idx = match target {
                 DescendTo::First => 0,
                 DescendTo::Key(key) => {
-                    let i = top.children.partition_point(|c| c.split_key.as_ref() < key);
-                    i.min(top.children.len() - 1)
+                    let i = children.partition_point(|c| c.split_key.as_ref() < key);
+                    i.min(children.len() - 1)
                 }
             };
             top.idx = idx;
             if let DescendTo::Key(_) = target {
                 // position_base accounting only for the siblings we skipped.
-                for c in &top.children[..idx] {
+                for c in &children[..idx] {
                     self.position_base += c.count;
                 }
             }
-            let child_ref = top.children[idx].clone();
-            if top.level == 1 {
-                // Children of a level-1 index node are leaves. Do NOT load
-                // the leaf here: the ref (split key, hash, count) from the
-                // parent suffices for skipping and hash comparison, and
-                // `load_leaf` decodes lazily only when entries are read.
-                self.leaf_ref = Some(child_ref);
-                self.leaf = None;
-                self.entry_idx = 0;
+            if !self.step_down()? {
                 return Ok(());
-            }
-            let child = self.load_node(&child_ref.hash)?;
-            match child {
-                Node::Index { children, level } => {
-                    debug_assert_eq!(level + 1, self.path.last().expect("parent").level);
-                    self.path.push(PathNode {
-                        children,
-                        idx: 0,
-                        hash: child_ref.hash,
-                        level,
-                    });
-                }
-                Node::Leaf(_) => {
-                    return Err(NodeError::Malformed(
-                        "leaf node below an index node of level > 1".into(),
-                    ))
-                }
             }
         }
     }
 
-    fn load_node(&mut self, hash: &Hash) -> NodeResult<Node> {
-        self.nodes_loaded += 1;
-        Node::load(self.store, hash)
+    /// From the path's deepest node, follow the child at its `idx`: to a
+    /// lazy leaf ref when that node is level 1 (returns `false`), else by
+    /// pushing the child index node onto the path (returns `true`).
+    fn step_down(&mut self) -> NodeResult<bool> {
+        let top = self.path.last().expect("step_down with non-empty path");
+        let child_ref = top.children()[top.idx].clone();
+        let level = top.node.level();
+        if level == 1 {
+            // Children of a level-1 index node are leaves. Do NOT load
+            // the leaf here: the ref (split key, hash, count) from the
+            // parent suffices for skipping and hash comparison, and
+            // `load_leaf` fetches it lazily only when entries are read.
+            self.leaf_ref = Some(child_ref);
+            self.leaf = None;
+            self.entry_idx = 0;
+            return Ok(false);
+        }
+        let child = self.load_node(&child_ref.hash)?;
+        if child.level() == 0 {
+            return Err(NodeError::Malformed(
+                "leaf node below an index node of level > 1".into(),
+            ));
+        }
+        debug_assert_eq!(child.level() + 1, level);
+        self.path.push(PathNode {
+            node: child,
+            idx: 0,
+            hash: child_ref.hash,
+        });
+        Ok(true)
     }
 
-    /// Count of nodes decoded so far by this cursor.
+    fn load_node(&mut self, hash: &Hash) -> NodeResult<Arc<Node>> {
+        self.nodes_loaded += 1;
+        load_node(self.store, self.cache, hash)
+    }
+
+    /// Count of nodes fetched so far by this cursor (from the store or
+    /// the cache).
     pub fn nodes_loaded(&self) -> u64 {
         self.nodes_loaded
     }
@@ -187,7 +211,7 @@ impl<'s, S: ChunkStore> LeafCursor<'s, S> {
 
     /// Whether the current leaf is the last leaf node of the tree.
     pub fn leaf_is_last(&self) -> bool {
-        self.leaf_ref.is_some() && self.path.iter().all(|p| p.idx + 1 == p.children.len())
+        self.leaf_ref.is_some() && self.path.iter().all(|p| p.idx + 1 == p.children().len())
     }
 
     /// Number of leaf entries strictly before the cursor position.
@@ -200,7 +224,7 @@ impl<'s, S: ChunkStore> LeafCursor<'s, S> {
         self.leaf_ref.is_none()
     }
 
-    fn load_leaf(&mut self) -> NodeResult<&Vec<LeafEntry>> {
+    fn load_leaf(&mut self) -> NodeResult<&[LeafEntry]> {
         if self.leaf.is_none() {
             let hash = self
                 .leaf_ref
@@ -208,16 +232,14 @@ impl<'s, S: ChunkStore> LeafCursor<'s, S> {
                 .expect("load_leaf at end of tree")
                 .hash;
             let node = self.load_node(&hash)?;
-            match node {
-                Node::Leaf(entries) => self.leaf = Some(entries),
-                Node::Index { .. } => {
-                    return Err(NodeError::Malformed(
-                        "index node where a leaf was expected".into(),
-                    ))
-                }
+            if node.level() != 0 {
+                return Err(NodeError::Malformed(
+                    "index node where a leaf was expected".into(),
+                ));
             }
+            self.leaf = Some(node);
         }
-        Ok(self.leaf.as_ref().expect("just loaded"))
+        Ok(self.leaf.as_ref().expect("just loaded").entries())
     }
 
     /// Advance past any fully-consumed leaf so the cursor either points at
@@ -246,7 +268,7 @@ impl<'s, S: ChunkStore> LeafCursor<'s, S> {
             let len = self.load_leaf()?.len();
             if idx < len {
                 // Double lookup to satisfy the borrow checker cheaply.
-                return Ok(self.leaf.as_ref().expect("loaded").get(idx));
+                return Ok(self.leaf.as_ref().expect("loaded").entries().get(idx));
             }
             self.advance_leaf()?;
         }
@@ -295,49 +317,25 @@ impl<'s, S: ChunkStore> LeafCursor<'s, S> {
         self.leaf = None;
         self.leaf_ref = None;
         self.entry_idx = 0;
-        // Climb until an ancestor has a next sibling.
+        self.climb_to_next_sibling()
+    }
+
+    /// Pop path nodes until one has a next sibling child, step to it, and
+    /// walk down to its leftmost leaf ref, loading only interior index
+    /// nodes (leaves stay lazy). An empty path means the end of the tree.
+    fn climb_to_next_sibling(&mut self) -> NodeResult<()> {
         loop {
             let Some(top) = self.path.last_mut() else {
                 return Ok(()); // root was a leaf, or tree exhausted
             };
-            if top.idx + 1 < top.children.len() {
+            if top.idx + 1 < top.children().len() {
                 top.idx += 1;
                 break;
             }
             self.path.pop();
         }
-        self.redescend_first()
-    }
-
-    /// Walk down from the current path top to the leftmost leaf ref,
-    /// loading only interior index nodes (leaves stay lazy).
-    fn redescend_first(&mut self) -> NodeResult<()> {
-        loop {
-            let top = self.path.last().expect("non-empty during descend");
-            let child_ref = top.children[top.idx].clone();
-            if top.level == 1 {
-                self.leaf_ref = Some(child_ref);
-                self.leaf = None;
-                self.entry_idx = 0;
-                return Ok(());
-            }
-            let child = self.load_node(&child_ref.hash)?;
-            match child {
-                Node::Index { children, level } => {
-                    self.path.push(PathNode {
-                        children,
-                        idx: 0,
-                        hash: child_ref.hash,
-                        level,
-                    });
-                }
-                Node::Leaf(_) => {
-                    return Err(NodeError::Malformed(
-                        "leaf node below an index node of level > 1".into(),
-                    ))
-                }
-            }
-        }
+        while self.step_down()? {}
+        Ok(())
     }
 
     /// Hash of the ancestor node `levels_up` levels above the leaf
@@ -374,7 +372,7 @@ impl<'s, S: ChunkStore> LeafCursor<'s, S> {
             return None;
         }
         let node = &self.path[self.path.len() - levels_up];
-        Some(node.children.iter().map(|c| c.count).sum())
+        Some(node.children().iter().map(|c| c.count).sum())
     }
 
     /// Skip the entire subtree rooted `levels_up` levels above the current
@@ -386,26 +384,13 @@ impl<'s, S: ChunkStore> LeafCursor<'s, S> {
         debug_assert!(self.at_start_of_ancestor(levels_up));
         let count = self.ancestor_count(levels_up).expect("ancestor exists");
         self.position_base += count;
-        // Drop the path below (and including) the ancestor, then advance.
-        let keep = self.path.len() - levels_up;
-        self.path.truncate(keep + 1); // keep ancestor itself at top
-        self.path.pop(); // remove ancestor: we're skipping it wholesale
-                         // Now climb/advance like advance_leaf_inner but from the ancestor's
-                         // parent.
+        // Drop the path from the ancestor down — we skip it wholesale —
+        // then advance from the ancestor's parent.
+        self.path.truncate(self.path.len() - levels_up);
         self.leaf = None;
         self.leaf_ref = None;
         self.entry_idx = 0;
-        loop {
-            let Some(top) = self.path.last_mut() else {
-                return Ok(()); // skipped the root's subtree: end of tree
-            };
-            if top.idx + 1 < top.children.len() {
-                top.idx += 1;
-                break;
-            }
-            self.path.pop();
-        }
-        self.redescend_first()
+        self.climb_to_next_sibling()
     }
 
     /// Decode and return every not-yet-consumed entry of the current leaf,
@@ -418,10 +403,9 @@ impl<'s, S: ChunkStore> LeafCursor<'s, S> {
                 return Ok(None);
             }
             let idx = self.entry_idx;
-            let len = self.load_leaf()?.len();
-            if idx < len {
-                let entries = self.leaf.as_ref().expect("loaded");
-                let out: Vec<LeafEntry> = entries[idx..].to_vec();
+            let entries = self.load_leaf()?;
+            if idx < entries.len() {
+                let out = entries[idx..].to_vec();
                 self.advance_leaf()?;
                 return Ok(Some(out));
             }
@@ -448,7 +432,8 @@ impl<'s, S: ChunkStore> LeafCursor<'s, S> {
 /// ([`TreeCursor::next_entry`]) or a whole leaf node at a time
 /// ([`TreeCursor::next_leaf`]). Either way the cursor holds at most one
 /// decoded leaf in memory — scans over arbitrarily large trees run in
-/// O(chunk) space, not O(tree).
+/// O(chunk) space, not O(tree). [`crate::PosMap::cursor`] opens one that
+/// reads through the map's node cache.
 pub struct TreeCursor<'s, S> {
     inner: LeafCursor<'s, S>,
 }
@@ -466,6 +451,10 @@ impl<'s, S: ChunkStore> TreeCursor<'s, S> {
         Ok(TreeCursor {
             inner: LeafCursor::seek(store, tree, key)?,
         })
+    }
+
+    pub(crate) fn from_leaf_cursor(inner: LeafCursor<'s, S>) -> Self {
+        TreeCursor { inner }
     }
 
     /// Borrow the next entry without consuming it.

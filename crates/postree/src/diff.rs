@@ -15,6 +15,7 @@
 use bytes::Bytes;
 use forkbase_store::ChunkStore;
 
+use crate::cache::NodeCache;
 use crate::cursor::LeafCursor;
 use crate::node::NodeResult;
 use crate::TreeRef;
@@ -103,12 +104,22 @@ impl MapDiff {
 
 /// Compute the differences from `from` to `to`.
 pub fn diff_maps<S: ChunkStore>(store: &S, from: TreeRef, to: TreeRef) -> NodeResult<MapDiff> {
+    diff_in(store, None, from, to)
+}
+
+/// [`diff_maps`], reading nodes through `cache` when one is given.
+pub(crate) fn diff_in<S: ChunkStore>(
+    store: &S,
+    cache: Option<&NodeCache>,
+    from: TreeRef,
+    to: TreeRef,
+) -> NodeResult<MapDiff> {
     let mut out = MapDiff::default();
     if from.root == to.root {
         return Ok(out); // identical trees: O(1)
     }
-    let mut a = LeafCursor::new(store, from)?;
-    let mut b = LeafCursor::new(store, to)?;
+    let mut a = LeafCursor::open(store, cache, from, None)?;
+    let mut b = LeafCursor::open(store, cache, to, None)?;
 
     loop {
         // Step past drained leaves first, otherwise the boundary-alignment

@@ -6,8 +6,6 @@
 //! a varint saves a few bytes but creates two encodings of small numbers in
 //! careless hands, and content addressing cannot afford ambiguity.
 
-use bytes::Bytes;
-
 /// Append a `u32` (LE).
 #[inline]
 pub fn put_u32(out: &mut Vec<u8>, v: u32) {
@@ -110,11 +108,6 @@ impl<'a> Reader<'a> {
     pub fn bytes(&mut self, what: &'static str) -> Result<&'a [u8], DecodeError> {
         let len = self.u32(what)? as usize;
         self.take(len, what)
-    }
-
-    /// Read a length-prefixed byte string as owned [`Bytes`].
-    pub fn bytes_owned(&mut self, what: &'static str) -> Result<Bytes, DecodeError> {
-        Ok(Bytes::copy_from_slice(self.bytes(what)?))
     }
 }
 

@@ -30,10 +30,13 @@
 //! * [`verify`] — full structural + cryptographic re-validation, the
 //!   mechanism behind tamper evidence (paper §II-D);
 //! * [`proof`] — compact Merkle proofs so light clients can check single
-//!   entries against a trusted root hash.
+//!   entries against a trusted root hash;
+//! * [`cache`] — a byte-bounded cache of verified, decoded nodes that a
+//!   database shares among its map readers.
 
 pub mod blob;
 pub mod builder;
+pub mod cache;
 pub mod cursor;
 pub mod diff;
 pub mod encoding;
@@ -48,6 +51,7 @@ use forkbase_crypto::Hash;
 
 pub use blob::{BlobCursor, BlobRef, PosBlob};
 pub use builder::TreeBuilder;
+pub use cache::NodeCache;
 pub use cursor::TreeCursor;
 pub use diff::{DiffEntry, DiffStats, MapDiff};
 pub use list::PosList;

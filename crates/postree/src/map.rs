@@ -26,7 +26,9 @@ use forkbase_chunk::ChunkerConfig;
 use forkbase_store::ChunkStore;
 
 use crate::builder::{TreeBuilder, Until};
-use crate::cursor::LeafCursor;
+use crate::cache::{load_node, NodeCache};
+use crate::cursor::{LeafCursor, TreeCursor};
+use crate::diff::{diff_in, MapDiff};
 use crate::node::{LeafEntry, Node, NodeResult};
 use crate::TreeRef;
 
@@ -62,10 +64,16 @@ impl MapEdit {
 /// `PosMap` is a *handle*: cheap to copy, tied to a store reference. All
 /// mutating operations return a new `PosMap`; old versions stay readable
 /// forever (immutability is what the whole versioning model rests on).
+///
+/// A handle given a [`NodeCache`] ([`Self::with_cache`]) reads nodes
+/// through it — lookups, iteration, [`Self::apply`], [`Self::diff`] and
+/// merge — and [`Self::apply`] adds the nodes it builds once the store
+/// has them. Maps derived from a cached handle share its cache.
 pub struct PosMap<'s, S> {
     store: &'s S,
     cfg: ChunkerConfig,
     tree: TreeRef,
+    cache: Option<&'s NodeCache>,
 }
 
 impl<'s, S> Clone for PosMap<'s, S> {
@@ -74,6 +82,7 @@ impl<'s, S> Clone for PosMap<'s, S> {
             store: self.store,
             cfg: self.cfg,
             tree: self.tree,
+            cache: self.cache,
         }
     }
 }
@@ -86,12 +95,25 @@ impl<'s, S: ChunkStore> PosMap<'s, S> {
             store,
             cfg,
             tree: TreeRef::new(finished.hash, 0),
+            cache: None,
         })
     }
 
     /// Open an existing tree by reference.
     pub fn open(store: &'s S, cfg: ChunkerConfig, tree: TreeRef) -> Self {
-        PosMap { store, cfg, tree }
+        PosMap {
+            store,
+            cfg,
+            tree,
+            cache: None,
+        }
+    }
+
+    /// Read (and, in [`Self::apply`], keep built) nodes through `cache`.
+    #[must_use = "returns the cached handle; the original is consumed"]
+    pub fn with_cache(mut self, cache: &'s NodeCache) -> Self {
+        self.cache = Some(cache);
+        self
     }
 
     /// Bulk-build from an iterator of key-ordered, de-duplicated entries.
@@ -119,6 +141,7 @@ impl<'s, S: ChunkStore> PosMap<'s, S> {
             store,
             cfg,
             tree: TreeRef::new(finished.hash, finished.count),
+            cache: None,
         })
     }
 
@@ -168,9 +191,9 @@ impl<'s, S: ChunkStore> PosMap<'s, S> {
 
     /// Point lookup: `O(log N)` node fetches.
     pub fn get(&self, key: &[u8]) -> NodeResult<Option<Bytes>> {
-        let mut node = Node::load(self.store, &self.tree.root)?;
+        let mut node = load_node(self.store, self.cache, &self.tree.root)?;
         loop {
-            match node {
+            let child = match &*node {
                 Node::Leaf(entries) => {
                     return Ok(entries
                         .binary_search_by(|e| e.key.as_ref().cmp(key))
@@ -182,9 +205,10 @@ impl<'s, S: ChunkStore> PosMap<'s, S> {
                     if idx == children.len() {
                         return Ok(None); // key beyond the maximum
                     }
-                    node = Node::load(self.store, &children[idx].hash)?;
+                    children[idx].hash
                 }
-            }
+            };
+            node = load_node(self.store, self.cache, &child)?;
         }
     }
 
@@ -195,22 +219,32 @@ impl<'s, S: ChunkStore> PosMap<'s, S> {
 
     /// Iterate all entries in key order.
     pub fn iter(&self) -> NodeResult<MapIter<'s, S>> {
-        Ok(MapIter {
-            cursor: LeafCursor::new(self.store, self.tree)?,
-            end: None,
-        })
+        self.range(None, None)
     }
 
     /// Iterate entries with `start ≤ key < end` (either bound optional).
     pub fn range(&self, start: Option<&[u8]>, end: Option<&[u8]>) -> NodeResult<MapIter<'s, S>> {
-        let cursor = match start {
-            Some(s) => LeafCursor::seek(self.store, self.tree, s)?,
-            None => LeafCursor::new(self.store, self.tree)?,
-        };
         Ok(MapIter {
-            cursor,
+            cursor: self.leaf_cursor(start)?,
             end: end.map(Bytes::copy_from_slice),
         })
+    }
+
+    /// A streaming cursor at the first entry with key ≥ `start` (at the
+    /// first entry when `start` is `None`), reading through this map's
+    /// cache.
+    pub fn cursor(&self, start: Option<&[u8]>) -> NodeResult<TreeCursor<'s, S>> {
+        Ok(TreeCursor::from_leaf_cursor(self.leaf_cursor(start)?))
+    }
+
+    fn leaf_cursor(&self, start: Option<&[u8]>) -> NodeResult<LeafCursor<'s, S>> {
+        LeafCursor::open(self.store, self.cache, self.tree, start)
+    }
+
+    /// The differences from this map to `to`, read through this map's
+    /// cache (see [`crate::diff::diff_maps`]).
+    pub fn diff(&self, to: TreeRef) -> NodeResult<MapDiff> {
+        diff_in(self.store, self.cache, self.tree, to)
     }
 
     /// Apply a batch of edits, returning the updated map. See module docs
@@ -227,8 +261,8 @@ impl<'s, S: ChunkStore> PosMap<'s, S> {
         edits.dedup_by(|a, b| a.key == b.key);
         edits.reverse();
 
-        let mut cursor = LeafCursor::new(self.store, self.tree)?;
-        let mut builder = TreeBuilder::new(self.store, self.cfg);
+        let mut cursor = self.leaf_cursor(None)?;
+        let mut builder = TreeBuilder::new(self.store, self.cfg).caching(self.cache);
         for edit in &edits {
             builder.copy_from(&mut cursor, Until::Key(&edit.key))?;
             // Drop the old value, then emit the new one (none for deletes).
@@ -245,6 +279,7 @@ impl<'s, S: ChunkStore> PosMap<'s, S> {
             store: self.store,
             cfg: self.cfg,
             tree: TreeRef::new(finished.hash, finished.count),
+            cache: self.cache,
         })
     }
 
@@ -557,5 +592,59 @@ mod tests {
             one_by_one = one_by_one.apply([e.clone()]).unwrap();
         }
         assert_eq!(all.root(), one_by_one.root());
+    }
+
+    #[test]
+    fn cached_handle_reads_and_writes_what_an_uncached_one_does() {
+        let store = MemStore::new();
+        let cache = NodeCache::new();
+        let plain = sample(&store, 2000);
+        let cached = plain.clone().with_cache(&cache);
+        let edits: Vec<MapEdit> = (0..50)
+            .map(|i| MapEdit::put(k(i * 37 % 2100), Bytes::from(format!("e{i}"))))
+            .chain((0..10).map(|i| MapEdit::delete(k(i * 101))))
+            .collect();
+        let plain2 = plain.apply(edits.clone()).unwrap();
+        let cached2 = cached.apply(edits).unwrap();
+        assert_eq!(plain2.tree(), cached2.tree());
+        // `apply` kept the nodes it built; the uncached handle kept none.
+        assert!(cache.contains(&cached2.root()));
+        for i in (0..2100).step_by(7) {
+            assert_eq!(plain2.get(&k(i)).unwrap(), cached2.get(&k(i)).unwrap());
+        }
+        assert_eq!(plain2.to_vec().unwrap(), cached2.to_vec().unwrap());
+        let mut range = cached2.cursor(Some(&k(1500))).unwrap();
+        assert_eq!(range.next_entry().unwrap().unwrap().key, k(1500));
+        assert_eq!(
+            plain.diff(plain2.tree()).unwrap(),
+            cached.diff(cached2.tree()).unwrap()
+        );
+    }
+
+    #[test]
+    fn built_nodes_are_cached_only_once_stored() {
+        use forkbase_store::{FaultyStore, WriteFault};
+        let store = FaultyStore::new(MemStore::new());
+        let cache = NodeCache::new();
+        let map = PosMap::build_from_sorted(&store, cfg(), (0..500).map(|i| (k(i), v(i))))
+            .unwrap()
+            .with_cache(&cache);
+        // The root the insert builds, by structural invariance.
+        let elsewhere = MemStore::new();
+        let expected =
+            PosMap::build_from_sorted(&elsewhere, cfg(), (0..=500).map(|i| (k(i), v(i))))
+                .unwrap()
+                .root();
+
+        store.inject_write(WriteFault::FailPut);
+        assert!(map.insert(k(500), v(500)).is_err());
+        assert!(
+            !cache.contains(&expected),
+            "a refused chunk must not be cached"
+        );
+        store.heal_writes();
+        let updated = map.insert(k(500), v(500)).unwrap();
+        assert_eq!(updated.root(), expected);
+        assert!(cache.contains(&expected));
     }
 }

@@ -16,7 +16,7 @@
 use bytes::Bytes;
 use forkbase_store::ChunkStore;
 
-use crate::diff::{diff_maps, DiffEntry};
+use crate::diff::DiffEntry;
 use crate::map::{MapEdit, PosMap};
 
 /// Conflict-resolution policy for three-way merges.
@@ -118,9 +118,8 @@ pub fn merge_maps<'s, S: ChunkStore>(
     theirs: &PosMap<'s, S>,
     policy: MergePolicy,
 ) -> Result<MergeOutcome<'s, S>, MergeError> {
-    let store = ours.store();
-    let delta_ours = diff_maps(store, base.tree(), ours.tree())?;
-    let delta_theirs = diff_maps(store, base.tree(), theirs.tree())?;
+    let delta_ours = base.diff(ours.tree())?;
+    let delta_theirs = base.diff(theirs.tree())?;
 
     let mut report = MergeReport {
         ours_changes: delta_ours.entries.len(),

@@ -13,6 +13,15 @@
 //! Blob leaves are *raw* byte chunks with no header — this lets two blobs
 //! share chunks with maximal granularity — and are handled by the
 //! [`crate::blob`] module directly.
+//!
+//! [`Node::decode`] is zero-copy: every key, value and split key of the
+//! decoded node is a [`Bytes`] view into the chunk it was decoded from,
+//! so a decoded node costs its chunk plus one entry vector.
+//! [`Node::load`] is the uncached, verifying read: it fetches the chunk,
+//! re-hashes it against its address and decodes it, every time. Map
+//! lookups, cursors and merge read through a database's
+//! [`crate::cache::NodeCache`] instead, which keeps nodes that passed the
+//! same check; `verify`, proofs and GC mark always use [`Node::load`].
 
 use bytes::Bytes;
 use forkbase_crypto::{sha256, Hash};
@@ -216,6 +225,22 @@ impl Node {
         }
     }
 
+    /// The data entries of a leaf (empty for an index node).
+    pub fn entries(&self) -> &[LeafEntry] {
+        match self {
+            Node::Leaf(e) => e,
+            Node::Index { .. } => &[],
+        }
+    }
+
+    /// The child references of an index node (empty for a leaf).
+    pub fn children(&self) -> &[IndexEntry] {
+        match self {
+            Node::Leaf(_) => &[],
+            Node::Index { children, .. } => children,
+        }
+    }
+
     /// Number of entries in this node (not the subtree).
     pub fn entry_count(&self) -> usize {
         match self {
@@ -275,8 +300,14 @@ impl Node {
     }
 
     /// Decode a node from chunk bytes, validating structural invariants.
-    pub fn decode(bytes: &[u8]) -> NodeResult<Node> {
-        let mut r = Reader::new(bytes);
+    /// Keys, values and split keys are views into `chunk`, not copies.
+    pub fn decode(chunk: &Bytes) -> NodeResult<Node> {
+        // The length-prefixed field just read, as a view into `chunk`.
+        fn view(chunk: &Bytes, r: &mut Reader<'_>, what: &'static str) -> NodeResult<Bytes> {
+            let len = r.bytes(what)?.len();
+            Ok(chunk.slice(r.pos() - len..r.pos()))
+        }
+        let mut r = Reader::new(chunk);
         let magic = r.u8("magic")?;
         if magic != NODE_MAGIC {
             return Err(NodeError::Malformed(format!(
@@ -295,8 +326,8 @@ impl Node {
                 }
                 let mut entries = Vec::with_capacity(n);
                 for _ in 0..n {
-                    let key = r.bytes_owned("leaf key")?;
-                    let value = r.bytes_owned("leaf value")?;
+                    let key = view(chunk, &mut r, "leaf key")?;
+                    let value = view(chunk, &mut r, "leaf value")?;
                     entries.push(LeafEntry { key, value });
                 }
                 Node::Leaf(entries)
@@ -307,7 +338,7 @@ impl Node {
                 }
                 let mut children = Vec::with_capacity(n);
                 for _ in 0..n {
-                    let split_key = r.bytes_owned("split key")?;
+                    let split_key = view(chunk, &mut r, "split key")?;
                     let hash_bytes = r.raw(32, "child hash")?;
                     let hash = Hash::from_slice(hash_bytes).expect("32 bytes");
                     let count = r.u64("child count")?;
@@ -347,6 +378,11 @@ impl Node {
     /// end-to-end (the fetched bytes must hash back to `hash` — this is the
     /// per-node tamper check of §II-D).
     pub fn load<S: ChunkStore>(store: &S, hash: &Hash) -> NodeResult<Node> {
+        Node::decode(&Node::fetch_verified(store, hash)?)
+    }
+
+    /// The chunk at `hash`, checked to hash back to `hash`.
+    pub(crate) fn fetch_verified<S: ChunkStore>(store: &S, hash: &Hash) -> NodeResult<Bytes> {
         let bytes = store.get(hash)?.ok_or(NodeError::Missing(*hash))?;
         let actual = sha256(&bytes);
         if actual != *hash {
@@ -355,7 +391,7 @@ impl Node {
                 actual,
             });
         }
-        Node::decode(&bytes)
+        Ok(bytes)
     }
 }
 
@@ -376,8 +412,17 @@ mod tests {
     #[test]
     fn leaf_roundtrip() {
         let node = leaf(&[("alpha", "1"), ("beta", "2"), ("gamma", "")]);
-        let decoded = Node::decode(&node.encode()).unwrap();
+        let chunk = Bytes::from(node.encode());
+        let decoded = Node::decode(&chunk).unwrap();
         assert_eq!(decoded, node);
+        // Zero-copy: every field is a view into the chunk.
+        let Node::Leaf(entries) = &decoded else {
+            panic!("decoded a leaf as an index node");
+        };
+        for e in entries {
+            assert_eq!(e.key.backing_len(), chunk.len());
+            assert_eq!(e.value.backing_len(), chunk.len());
+        }
         assert_eq!(decoded.level(), 0);
         assert_eq!(decoded.entry_count(), 3);
         assert_eq!(decoded.subtree_count(), 3);
@@ -387,7 +432,7 @@ mod tests {
     #[test]
     fn empty_leaf_roundtrip() {
         let node = Node::Leaf(vec![]);
-        let decoded = Node::decode(&node.encode()).unwrap();
+        let decoded = Node::decode(&Bytes::from(node.encode())).unwrap();
         assert_eq!(decoded, node);
         assert_eq!(decoded.split_key(), None);
     }
@@ -401,7 +446,7 @@ mod tests {
                 IndexEntry::new(&b"z"[..], sha256(b"child2"), 7),
             ],
         };
-        let decoded = Node::decode(&node.encode()).unwrap();
+        let decoded = Node::decode(&Bytes::from(node.encode())).unwrap();
         assert_eq!(decoded, node);
         assert_eq!(decoded.level(), 2);
         assert_eq!(decoded.subtree_count(), 17);
@@ -410,25 +455,37 @@ mod tests {
     #[test]
     fn decode_rejects_garbage() {
         assert!(matches!(
-            Node::decode(b"not a node"),
+            Node::decode(&Bytes::from_static(b"not a node")),
             Err(NodeError::Malformed(_))
         ));
-        assert!(matches!(Node::decode(b""), Err(NodeError::Decode(_))));
+        assert!(matches!(
+            Node::decode(&Bytes::new()),
+            Err(NodeError::Decode(_))
+        ));
         // Truncated entry.
         let mut bytes = leaf(&[("k", "v")]).encode();
         bytes.truncate(bytes.len() - 1);
-        assert!(matches!(Node::decode(&bytes), Err(NodeError::Decode(_))));
+        assert!(matches!(
+            Node::decode(&Bytes::from(bytes)),
+            Err(NodeError::Decode(_))
+        ));
         // Trailing junk.
         let mut bytes = leaf(&[("k", "v")]).encode();
         bytes.push(0);
-        assert!(matches!(Node::decode(&bytes), Err(NodeError::Malformed(_))));
+        assert!(matches!(
+            Node::decode(&Bytes::from(bytes)),
+            Err(NodeError::Malformed(_))
+        ));
     }
 
     #[test]
     fn decode_rejects_inconsistent_kind_level() {
         let mut bytes = leaf(&[("k", "v")]).encode();
         bytes[2] = 3; // leaf with level 3
-        assert!(matches!(Node::decode(&bytes), Err(NodeError::Malformed(_))));
+        assert!(matches!(
+            Node::decode(&Bytes::from(bytes)),
+            Err(NodeError::Malformed(_))
+        ));
 
         let idx = Node::Index {
             level: 1,
@@ -436,7 +493,10 @@ mod tests {
         };
         let mut bytes = idx.encode();
         bytes[2] = 0; // index with level 0
-        assert!(matches!(Node::decode(&bytes), Err(NodeError::Malformed(_))));
+        assert!(matches!(
+            Node::decode(&Bytes::from(bytes)),
+            Err(NodeError::Malformed(_))
+        ));
     }
 
     #[test]

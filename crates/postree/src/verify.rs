@@ -15,6 +15,11 @@
 //!   well-formed B+-tree. This closes the loophole of a malicious store
 //!   presenting a differently-chunked tree with the same logical content
 //!   (which would break page-sharing guarantees silently).
+//!
+//! Verification never reads through a [`crate::cache::NodeCache`]: every
+//! node is fetched from the store and re-hashed on every pass. A cache
+//! keeps what passed the check when it was read, so it cannot notice a
+//! store that changes a page afterwards; this walk does.
 
 use bytes::Bytes;
 use forkbase_chunk::{ChunkerConfig, EntryChunker};

@@ -30,7 +30,7 @@ impl ChunkStore for LeafReads {
 
     fn get(&self, hash: &Hash) -> StoreResult<Option<Bytes>> {
         let got = self.inner.get(hash)?;
-        if let Some(Ok(node)) = got.as_deref().map(Node::decode) {
+        if let Some(Ok(node)) = got.as_ref().map(Node::decode) {
             if node.level() == 0 {
                 self.leaves.fetch_add(1, Ordering::Relaxed);
             }

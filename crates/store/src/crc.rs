@@ -29,14 +29,48 @@ const fn build_table() -> [u32; 256] {
 
 static TABLE: [u32; 256] = build_table();
 
+/// Incremental CRC-32: the CRC of several slices, as if concatenated,
+/// without copying them together.
+///
+/// ```
+/// use forkbase_store::crc::{crc32, Crc32};
+/// assert_eq!(Crc32::new().update(b"1234").update(b"56789").finish(), crc32(b"123456789"));
+/// ```
+#[derive(Clone, Copy, Debug)]
+pub struct Crc32(u32);
+
+impl Default for Crc32 {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Crc32 {
+    /// The state before any byte.
+    pub fn new() -> Self {
+        Crc32(0xFFFF_FFFF)
+    }
+
+    /// Feed the next `data` bytes.
+    #[must_use = "returns the advanced state"]
+    pub fn update(self, data: &[u8]) -> Self {
+        let mut crc = self.0;
+        for &b in data {
+            let idx = ((crc ^ b as u32) & 0xff) as usize;
+            crc = (crc >> 8) ^ TABLE[idx];
+        }
+        Crc32(crc)
+    }
+
+    /// The CRC-32 of every byte fed so far.
+    pub fn finish(self) -> u32 {
+        !self.0
+    }
+}
+
 /// Compute the CRC-32 of `data`.
 pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        let idx = ((crc ^ b as u32) & 0xff) as usize;
-        crc = (crc >> 8) ^ TABLE[idx];
-    }
-    !crc
+    Crc32::new().update(data).finish()
 }
 
 #[cfg(test)]
@@ -58,6 +92,16 @@ mod tests {
             crc32(b"The quick brown fox jumps over the lazy dog"),
             0x414F_A339
         );
+    }
+
+    #[test]
+    fn incremental_matches_one_shot_at_every_split() {
+        let data = b"The quick brown fox jumps over the lazy dog";
+        for at in 0..=data.len() {
+            let (a, b) = data.split_at(at);
+            assert_eq!(Crc32::new().update(a).update(b).finish(), crc32(data));
+        }
+        assert_eq!(Crc32::new().finish(), crc32(b""));
     }
 
     #[test]

@@ -66,14 +66,17 @@
 
 use std::collections::{HashMap, HashSet};
 use std::fs::{self, File, OpenOptions};
-use std::io::{BufWriter, ErrorKind, Read, Seek, SeekFrom, Write};
+use std::io::{BufWriter, ErrorKind, Read, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use bytes::Bytes;
 use forkbase_crypto::Hash;
 use parking_lot::{Mutex, RwLock};
 
-use crate::crc::crc32;
+use crate::crc::{crc32, Crc32};
 use crate::stats::{StatsCell, StoreStats};
 use crate::sweep::{SweepReport, SweepStore, Utilization};
 use crate::{ChunkStore, StoreError, StoreResult};
@@ -110,14 +113,15 @@ fn write_frame(
     hash: &Hash,
     payload: &[u8],
 ) -> std::io::Result<Slot> {
-    let mut crc_input = Vec::with_capacity(32 + payload.len());
-    crc_input.extend_from_slice(hash.as_bytes());
-    crc_input.extend_from_slice(payload);
+    let crc = Crc32::new()
+        .update(hash.as_bytes())
+        .update(payload)
+        .finish();
     w.write_all(FRAME_MAGIC)?;
     w.write_all(&(payload.len() as u32).to_le_bytes())?;
     w.write_all(hash.as_bytes())?;
     w.write_all(payload)?;
-    w.write_all(&crc32(&crc_input).to_le_bytes())?;
+    w.write_all(&crc.to_le_bytes())?;
     let slot = Slot {
         segment,
         payload_offset: *offset + HEADER_LEN as u64,
@@ -263,10 +267,19 @@ pub struct FileStore {
     /// new id is published here, so an Acquire load of the id always pairs
     /// with a flushed watermark that is valid for (or conservative about)
     /// that segment.
-    active_segment: std::sync::atomic::AtomicU64,
+    active_segment: AtomicU64,
     /// Bytes of the active segment known flushed to the OS: reads at or
     /// below this watermark need no lock and no flush.
-    active_flushed: std::sync::atomic::AtomicU64,
+    active_flushed: AtomicU64,
+    /// One read handle per segment file the manifest names, for `pread`.
+    /// Added when a segment file is created and removed when compaction
+    /// deletes it, so a slot that names a deleted segment finds no handle
+    /// and its read retries through the index. Never held across I/O.
+    handles: RwLock<HashMap<u64, Arc<File>>>,
+    /// The next segment id. Seeded past every listed segment at open and
+    /// only ever incremented, so no id names two files in one process and
+    /// a stale slot can never read another segment's bytes.
+    next_segment: AtomicU64,
     /// Held for the store's lifetime; released by the OS on process death.
     /// Prevents a second process from opening the same directory and
     /// deleting another's in-flight compaction output as "debris".
@@ -432,6 +445,19 @@ impl FileStore {
             .create(true)
             .append(true)
             .open(Self::pack_path(&dir, manifest.active))?;
+        let mut handles = HashMap::new();
+        for &seg in &manifest.packs {
+            match File::open(Self::pack_path(&dir, seg)) {
+                Ok(f) => {
+                    handles.insert(seg, Arc::new(f));
+                }
+                // Listed but never created (see the replay above): no
+                // frame can name it.
+                Err(e) if e.kind() == ErrorKind::NotFound => {}
+                Err(e) => return Err(e.into()),
+            }
+        }
+        let next_segment = manifest.packs.iter().max().copied().unwrap_or(0) + 1;
         let active = Active {
             segment: manifest.active,
             writer: BufWriter::new(file),
@@ -445,8 +471,10 @@ impl FileStore {
             dir,
             cfg,
             // Everything replayed from disk is by definition flushed.
-            active_segment: std::sync::atomic::AtomicU64::new(active.segment),
-            active_flushed: std::sync::atomic::AtomicU64::new(active.offset),
+            active_segment: AtomicU64::new(active.segment),
+            active_flushed: AtomicU64::new(active.offset),
+            handles: RwLock::new(handles),
+            next_segment: AtomicU64::new(next_segment),
             index: RwLock::new(index),
             active: Mutex::new(active),
             manifest: Mutex::new(manifest),
@@ -624,10 +652,7 @@ impl FileStore {
                     .try_into()
                     .expect("4 bytes"),
             );
-            let mut crc_input = Vec::with_capacity(32 + payload_len);
-            crc_input.extend_from_slice(hash_bytes);
-            crc_input.extend_from_slice(payload);
-            if crc32(&crc_input) != crc_stored {
+            if Crc32::new().update(hash_bytes).update(payload).finish() != crc_stored {
                 break; // damaged frame: treat as torn tail
             }
             let hash = Hash::from_slice(hash_bytes).expect("32 bytes");
@@ -678,8 +703,7 @@ impl FileStore {
     /// holds the active lock.
     fn flush_active(&self, active: &mut Active) -> StoreResult<()> {
         active.writer.flush()?;
-        self.active_flushed
-            .store(active.offset, std::sync::atomic::Ordering::Release);
+        self.active_flushed.store(active.offset, Ordering::Release);
         Ok(())
     }
 
@@ -687,7 +711,6 @@ impl FileStore {
     /// watermark is reset *first* — see the field docs for the ordering
     /// argument. The caller holds the active lock.
     fn publish_active(&self, segment: u64) {
-        use std::sync::atomic::Ordering;
         self.active_flushed.store(0, Ordering::Release);
         self.active_segment.store(segment, Ordering::Release);
     }
@@ -701,7 +724,7 @@ impl FileStore {
             active.writer.flush()?;
             active.writer.get_ref().sync_all()?;
             let mut manifest = self.manifest.lock();
-            let next = manifest.packs.iter().max().copied().unwrap_or(0) + 1;
+            let next = self.allocate_segment();
             // Create the file, then commit it to the manifest, then write
             // frames: a crash in between leaves an empty listed segment or
             // an unlisted empty orphan — both recover cleanly.
@@ -709,6 +732,7 @@ impl FileStore {
                 .create(true)
                 .append(true)
                 .open(Self::pack_path(&self.dir, next))?;
+            self.open_handle(next)?;
             let mut next_manifest = manifest.clone();
             next_manifest.epoch += 1;
             next_manifest.active = next;
@@ -734,12 +758,32 @@ impl FileStore {
         )?)
     }
 
+    /// A fresh segment id (see `next_segment`). The caller holds the
+    /// active lock.
+    fn allocate_segment(&self) -> u64 {
+        self.next_segment.fetch_add(1, Ordering::Relaxed)
+    }
+
+    /// Open the read handle of segment `seg`, whose file now exists.
+    fn open_handle(&self, seg: u64) -> StoreResult<()> {
+        let file = File::open(Self::pack_path(&self.dir, seg))?;
+        self.handles.write().insert(seg, Arc::new(file));
+        Ok(())
+    }
+
+    /// Read a slot's payload with one positioned read on its segment's
+    /// handle. A segment deleted since the slot was read has no handle and
+    /// reads as `NotFound`, which [`ChunkStore::get`] retries.
     fn read_slot(&self, slot: Slot) -> StoreResult<Bytes> {
-        let path = Self::pack_path(&self.dir, slot.segment);
-        let mut file = File::open(path)?;
-        file.seek(SeekFrom::Start(slot.payload_offset))?;
+        let file = self.handles.read().get(&slot.segment).cloned();
+        let Some(file) = file else {
+            return Err(StoreError::Io(std::io::Error::new(
+                ErrorKind::NotFound,
+                format!("segment {} was deleted", slot.segment),
+            )));
+        };
         let mut buf = vec![0u8; slot.len as usize];
-        file.read_exact(&mut buf)?;
+        file.read_exact_at(&mut buf, slot.payload_offset)?;
         Ok(Bytes::from(buf))
     }
 
@@ -845,28 +889,15 @@ impl FileStore {
         };
         to_move.sort_unstable_by_key(|(_, s)| (s.segment, s.payload_offset));
 
-        let mut next_id = manifest.packs.iter().max().copied().unwrap_or(0) + 1;
         let mut new_segments: Vec<u64> = Vec::new();
         let mut moved: Vec<(Hash, Slot)> = Vec::with_capacity(to_move.len());
         let mut chunks_rewritten = 0u64;
         let mut bytes_rewritten = 0u64;
         {
-            let mut writer: Option<(u64, BufWriter<File>, u64)> = None; // (id, w, offset)
-                                                                        // `to_move` is sorted by (segment, offset): keep one source
-                                                                        // file handle per victim segment instead of reopening the
-                                                                        // file for every chunk.
-            let mut src: Option<(u64, File)> = None;
+            // (id, writer, offset) of the temp segment being filled.
+            let mut writer: Option<(u64, BufWriter<File>, u64)> = None;
             for (hash, slot) in &to_move {
-                if src.as_ref().map(|(seg, _)| *seg) != Some(slot.segment) {
-                    src = Some((
-                        slot.segment,
-                        File::open(Self::pack_path(&self.dir, slot.segment))?,
-                    ));
-                }
-                let (_, src_file) = src.as_mut().expect("source handle just ensured");
-                src_file.seek(SeekFrom::Start(slot.payload_offset))?;
-                let mut buf = vec![0u8; slot.len as usize];
-                src_file.read_exact(&mut buf)?;
+                let buf = self.read_slot(*slot)?;
                 if let Some((_, _, offset)) = &writer {
                     if *offset >= self.cfg.segment_bytes {
                         let (_, mut w, _) = writer.take().expect("writer present");
@@ -875,8 +906,7 @@ impl FileStore {
                     }
                 }
                 if writer.is_none() {
-                    let id = next_id;
-                    next_id += 1;
+                    let id = self.allocate_segment();
                     let file = File::create(Self::pack_tmp_path(&self.dir, id))?;
                     writer = Some((id, BufWriter::new(file), 0));
                     new_segments.push(id);
@@ -899,6 +929,7 @@ impl FileStore {
                 Self::pack_tmp_path(&self.dir, id),
                 Self::pack_path(&self.dir, id),
             )?;
+            self.open_handle(id)?;
         }
         Self::fsync_dir(&self.dir)?;
 
@@ -906,8 +937,9 @@ impl FileStore {
         // empty segment created (and listed) before the manifest swap.
         let active_is_victim = victims.contains(&active.segment);
         let new_active_id = if active_is_victim {
-            let id = next_id;
+            let id = self.allocate_segment();
             File::create(Self::pack_path(&self.dir, id))?.sync_all()?;
+            self.open_handle(id)?;
             Some(id)
         } else {
             None
@@ -960,6 +992,7 @@ impl FileStore {
         }
         for &seg in &victims {
             fs::remove_file(Self::pack_path(&self.dir, seg))?;
+            self.handles.write().remove(&seg);
         }
         Self::fsync_dir(&self.dir)?;
 
@@ -1107,7 +1140,8 @@ impl ChunkStore for FileStore {
         // segment between our index read and the file read; the frame
         // itself is immutable, so retrying through the index is enough.
         const ATTEMPTS: usize = 3;
-        for attempt in 0..ATTEMPTS {
+        let mut attempt = 1;
+        loop {
             let slot = self.index.read().get(hash).copied();
             let Some(slot) = slot else {
                 self.stats.record_get(false);
@@ -1118,7 +1152,6 @@ impl ChunkStore for FileStore {
             // segments and already-flushed active frames (including the
             // whole of a compaction, which seals the log up front) — so
             // only a read of genuinely unflushed data touches the lock.
-            use std::sync::atomic::Ordering;
             let frame_end = slot.payload_offset + u64::from(slot.len) + TRAILER_LEN as u64;
             if slot.segment == self.active_segment.load(Ordering::Acquire)
                 && frame_end > self.active_flushed.load(Ordering::Acquire)
@@ -1139,15 +1172,12 @@ impl ChunkStore for FileStore {
                     self.stats.record_get(true);
                     return Ok(Some(bytes));
                 }
-                Err(StoreError::Io(e))
-                    if e.kind() == ErrorKind::NotFound && attempt + 1 < ATTEMPTS =>
-                {
-                    continue;
+                Err(StoreError::Io(e)) if e.kind() == ErrorKind::NotFound && attempt < ATTEMPTS => {
+                    attempt += 1;
                 }
                 Err(e) => return Err(e),
             }
         }
-        unreachable!("loop always returns on the final attempt")
     }
 
     fn contains(&self, hash: &Hash) -> StoreResult<bool> {
@@ -1661,6 +1691,62 @@ mod tests {
         for h in &live {
             assert!(s.get(h).unwrap().is_some());
         }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn segment_ids_are_never_reused() {
+        // A compaction that deletes the highest-numbered segment and
+        // writes none must not hand that id to the next rotation: a
+        // reader still holding a slot in the deleted segment would read
+        // the new file's bytes at a stale offset.
+        let dir = temp_dir("no-id-reuse");
+        let cfg = FileStoreConfig {
+            segment_bytes: 1000,
+            ..Default::default()
+        };
+        let s = FileStore::open_with(&dir, cfg).unwrap();
+        let chunk = |i: u32| {
+            let b = sized_chunk(i, 300);
+            (sha256(&b), b)
+        };
+        let (a, b, dead1, dead2) = (chunk(0), chunk(1), chunk(2), chunk(3));
+        // Segment 0: a, dead1, dead2; then b rotates into segment 1.
+        for (h, bytes) in [&a, &dead1, &dead2, &b] {
+            s.put_with_hash(*h, bytes.clone()).unwrap();
+        }
+        assert_eq!(s.manifest.lock().active, 1);
+        // Segment 0 is a victim: `a` moves into new segment 2, above the
+        // active segment.
+        s.compact(&HashSet::from([a.0, b.0])).unwrap();
+        let stale = s.index.read()[&a.0];
+        assert_eq!(stale.segment, 2);
+        assert_eq!(s.manifest.lock().packs, vec![1, 2]);
+        // `a` dies: segment 2 is deleted and nothing is written.
+        s.compact(&HashSet::from([b.0])).unwrap();
+        assert_eq!(s.manifest.lock().packs, vec![1]);
+
+        // Fill segment 1 until it rotates, then write one more chunk of
+        // the same size, which lands where `a` used to be.
+        let (c, d, e) = (chunk(4), chunk(5), chunk(6));
+        for (h, bytes) in [&c, &d, &e] {
+            s.put_with_hash(*h, bytes.clone()).unwrap();
+        }
+        let active = s.manifest.lock().active;
+        assert!(active > 2, "rotation reused segment id {active}");
+        assert_eq!(s.index.read()[&e.0].payload_offset, stale.payload_offset);
+        match s.read_slot(stale) {
+            Err(StoreError::Io(err)) => assert_eq!(err.kind(), ErrorKind::NotFound),
+            other => panic!("a stale slot must not read another file: {other:?}"),
+        }
+        assert_eq!(s.get(&a.0).unwrap(), None);
+        assert_eq!(s.get(&e.0).unwrap(), Some(e.1.clone()));
+
+        // Ids stay unique across reopen too.
+        drop(s);
+        let s = FileStore::open_with(&dir, cfg).unwrap();
+        assert_eq!(s.get(&e.0).unwrap(), Some(e.1));
+        assert!(s.allocate_segment() > active);
         fs::remove_dir_all(&dir).unwrap();
     }
 
