@@ -12,7 +12,7 @@ use forkbase_crypto::{sha256, Hash};
 use forkbase_store::ChunkStore;
 
 use crate::builder::TreeBuilder;
-use crate::node::{IndexEntry, Node, NodeError, NodeResult, TreeConfig};
+use crate::node::{fetch_verified, IndexEntry, Node, NodeError, NodeResult, TreeConfig};
 
 /// Reference to a stored blob.
 ///
@@ -259,19 +259,6 @@ impl<'s, S: ChunkStore> PosBlob<'s, S> {
         }
         Ok(total)
     }
-}
-
-/// Fetch a chunk and verify it hashes back to its address.
-fn fetch_verified<S: ChunkStore>(store: &S, hash: &Hash) -> NodeResult<Bytes> {
-    let bytes = store.get(hash)?.ok_or(NodeError::Missing(*hash))?;
-    let actual = sha256(&bytes);
-    if actual != *hash {
-        return Err(NodeError::HashMismatch {
-            expected: *hash,
-            actual,
-        });
-    }
-    Ok(bytes)
 }
 
 /// One frame of a [`BlobCursor`]'s descent: the children of an index node,

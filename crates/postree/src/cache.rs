@@ -33,7 +33,7 @@ use forkbase_crypto::Hash;
 use forkbase_store::ChunkStore;
 use parking_lot::Mutex;
 
-use crate::node::{IndexEntry, LeafEntry, Node, NodeResult};
+use crate::node::{fetch_verified, IndexEntry, LeafEntry, Node, NodeResult};
 
 /// Total budget of one cache, in chunk bytes plus decoded struct sizes.
 const BUDGET_BYTES: usize = 32 * 1024 * 1024;
@@ -112,23 +112,18 @@ impl NodeCache {
         &self.shards[usize::from(hash.as_bytes()[0]) % SHARDS]
     }
 
-    /// Number of cached nodes.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    fn len(&self) -> usize {
         self.shards.iter().map(|s| s.lock().map.len()).sum()
     }
 
-    /// Whether no node is cached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Bytes charged against the budget (chunk bytes plus struct sizes).
-    pub fn charged_bytes(&self) -> usize {
+    #[cfg(test)]
+    fn charged_bytes(&self) -> usize {
         self.shards.iter().map(|s| s.lock().bytes).sum()
     }
 
-    /// Whether the node at `hash` is cached.
-    pub fn contains(&self, hash: &Hash) -> bool {
+    #[cfg(test)]
+    pub(crate) fn contains(&self, hash: &Hash) -> bool {
         self.shard(hash).lock().map.contains_key(hash)
     }
 
@@ -219,7 +214,7 @@ pub(crate) fn load_node<S: ChunkStore>(
         return Ok(node);
     }
     let epoch = cache.epoch();
-    let chunk = Node::fetch_verified(store, hash)?;
+    let chunk = fetch_verified(store, hash)?;
     let node = Arc::new(Node::decode(&chunk)?);
     cache.insert(*hash, Arc::clone(&node), chunk.len(), epoch);
     Ok(node)
@@ -281,7 +276,7 @@ mod tests {
         let cache = NodeCache::with_budget(SHARDS * 512);
         let (h, node, len) = leaf(1, 1024);
         cache.insert(h, Arc::new(node), len, cache.epoch());
-        assert!(cache.is_empty());
+        assert_eq!(cache.len(), 0);
     }
 
     #[test]
@@ -319,7 +314,7 @@ mod tests {
         let before = cache.epoch();
         cache.insert(a, Arc::new(na), la, before);
         cache.retain(|h| *h != a);
-        assert!(cache.is_empty());
+        assert_eq!(cache.len(), 0);
         assert_eq!(cache.charged_bytes(), 0);
         // A page fetched before the retain is not inserted after it.
         cache.insert(b, Arc::new(nb), lb, before);

@@ -226,7 +226,7 @@ impl Node {
     }
 
     /// The data entries of a leaf (empty for an index node).
-    pub fn entries(&self) -> &[LeafEntry] {
+    pub(crate) fn entries(&self) -> &[LeafEntry] {
         match self {
             Node::Leaf(e) => e,
             Node::Index { .. } => &[],
@@ -234,7 +234,7 @@ impl Node {
     }
 
     /// The child references of an index node (empty for a leaf).
-    pub fn children(&self) -> &[IndexEntry] {
+    pub(crate) fn children(&self) -> &[IndexEntry] {
         match self {
             Node::Leaf(_) => &[],
             Node::Index { children, .. } => children,
@@ -378,21 +378,22 @@ impl Node {
     /// end-to-end (the fetched bytes must hash back to `hash` — this is the
     /// per-node tamper check of §II-D).
     pub fn load<S: ChunkStore>(store: &S, hash: &Hash) -> NodeResult<Node> {
-        Node::decode(&Node::fetch_verified(store, hash)?)
+        Node::decode(&fetch_verified(store, hash)?)
     }
+}
 
-    /// The chunk at `hash`, checked to hash back to `hash`.
-    pub(crate) fn fetch_verified<S: ChunkStore>(store: &S, hash: &Hash) -> NodeResult<Bytes> {
-        let bytes = store.get(hash)?.ok_or(NodeError::Missing(*hash))?;
-        let actual = sha256(&bytes);
-        if actual != *hash {
-            return Err(NodeError::HashMismatch {
-                expected: *hash,
-                actual,
-            });
-        }
-        Ok(bytes)
+/// The chunk at `hash` (a node or a raw blob chunk), checked to hash back
+/// to `hash`.
+pub(crate) fn fetch_verified<S: ChunkStore>(store: &S, hash: &Hash) -> NodeResult<Bytes> {
+    let bytes = store.get(hash)?.ok_or(NodeError::Missing(*hash))?;
+    let actual = sha256(&bytes);
+    if actual != *hash {
+        return Err(NodeError::HashMismatch {
+            expected: *hash,
+            actual,
+        });
     }
+    Ok(bytes)
 }
 
 #[cfg(test)]

@@ -16,7 +16,7 @@ use bytes::Bytes;
 use forkbase_crypto::{sha256, Hash};
 use forkbase_store::ChunkStore;
 
-use crate::node::{Node, NodeError, NodeResult};
+use crate::node::{fetch_verified, Node, NodeResult};
 use crate::TreeRef;
 
 /// A membership / absence proof for one key.
@@ -53,14 +53,7 @@ pub fn prove_key<S: ChunkStore>(store: &S, tree: TreeRef, key: &[u8]) -> NodeRes
     let mut nodes = Vec::new();
     let mut hash = tree.root;
     loop {
-        let bytes = store.get(&hash)?.ok_or(NodeError::Missing(hash))?;
-        let actual = sha256(&bytes);
-        if actual != hash {
-            return Err(NodeError::HashMismatch {
-                expected: hash,
-                actual,
-            });
-        }
+        let bytes = fetch_verified(store, &hash)?;
         let node = Node::decode(&bytes)?;
         nodes.push(bytes);
         match node {
