@@ -8,7 +8,7 @@
 //!
 //! A node enters only through two doors:
 //!
-//! * [`load_node`] — a miss fetches the chunk, checks its SHA-256 against
+//! * `load_node` — a miss fetches the chunk, checks its SHA-256 against
 //!   the address ([`Node::load`]'s check) and decodes it;
 //! * [`crate::TreeBuilder`] — a node this process built and encoded
 //!   itself, inserted once the store has accepted its chunk.
@@ -166,8 +166,7 @@ impl NodeCache {
         );
         shard.ring.push_back(hash);
         shard.bytes += cost;
-        let budget = self.shard_budget;
-        shard.evict_to(budget);
+        shard.evict_to(self.shard_budget);
     }
 
     /// Drop every cached node whose hash `keep` rejects. Garbage

@@ -21,7 +21,8 @@
 //! re-hashes it against its address and decodes it, every time. Map
 //! lookups, cursors and merge read through a database's
 //! [`crate::cache::NodeCache`] instead, which keeps nodes that passed the
-//! same check; `verify`, proofs and GC mark always use [`Node::load`].
+//! same check; `verify`, proofs, blob reads and GC mark always re-read
+//! and re-hash.
 
 use bytes::Bytes;
 use forkbase_crypto::{sha256, Hash};

@@ -992,7 +992,9 @@ impl FileStore {
         }
         for &seg in &victims {
             fs::remove_file(Self::pack_path(&self.dir, seg))?;
-            self.handles.write().remove(&seg);
+            // Bound first so the handle closes after the map lock is released.
+            let handle = self.handles.write().remove(&seg);
+            drop(handle);
         }
         Self::fsync_dir(&self.dir)?;
 
