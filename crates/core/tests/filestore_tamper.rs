@@ -95,15 +95,13 @@ fn restore(frame: &Frame, original: &[u8]) {
 fn assert_integrity_error(verb: &str, how: Damage, err: &DbError) {
     use forkbase_postree::NodeError;
     use forkbase_store::StoreError;
-    let store_integrity =
-        |e: &StoreError| matches!(e, StoreError::Corrupt { .. } | StoreError::BadFrame { .. });
-    let ok = match err {
-        DbError::TamperDetected(_) => true,
-        DbError::Store(e) => store_integrity(e),
-        DbError::Node(NodeError::HashMismatch { .. }) => true,
-        DbError::Node(NodeError::Store(e)) => store_integrity(e),
-        _ => false,
-    };
+    let ok = matches!(
+        err,
+        DbError::TamperDetected(_)
+            | DbError::Store(StoreError::BadFrame { .. })
+            | DbError::Node(NodeError::HashMismatch { .. })
+            | DbError::Node(NodeError::Store(StoreError::BadFrame { .. }))
+    );
     assert!(ok, "{verb} under {how:?}: not an integrity error: {err:?}");
 }
 

@@ -535,6 +535,46 @@ mod tests {
         }
     }
 
+    /// Rewrite one payload byte of the first frame in `dir`'s first pack
+    /// file and recompute the frame CRC, in place under the open store:
+    /// the frame stays well formed, so only the SHA-256 address can tell.
+    fn rewrite_first_frame(dir: &std::path::Path, len: usize) {
+        use std::os::unix::fs::FileExt;
+        const HEADER: usize = 4 + 4 + 32;
+        let path = dir.join("pack-00000000.fbk");
+        let mut frame = std::fs::read(&path).unwrap()[..HEADER + len + 4].to_vec();
+        frame[HEADER + len / 2] ^= 0x01;
+        let crc = forkbase_store::crc::crc32(&frame[8..HEADER + len]);
+        frame[HEADER + len..].copy_from_slice(&crc.to_le_bytes());
+        let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+        file.write_all_at(&frame, 0).unwrap();
+    }
+
+    #[test]
+    fn crc_matching_rewrite_on_a_file_store_is_a_hash_mismatch() {
+        // `FileStore::get` checks only its framing, so a payload rewritten
+        // under a matching CRC reaches the verifying fetch, which is the
+        // one SHA-256 check on the read path.
+        let dir =
+            std::env::temp_dir().join(format!("forkbase-node-rewrite-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = forkbase_store::FileStore::open(&dir).unwrap();
+        let chunk = leaf(&[("secret", "value"), ("other", "entry")]).encode();
+        let h = store.put(Bytes::from(chunk.clone())).unwrap();
+        store.sync().unwrap();
+        rewrite_first_frame(&dir, chunk.len());
+        for got in [
+            fetch_verified(&store, &h).map(|_| ()),
+            Node::load(&store, &h).map(|_| ()),
+        ] {
+            match got {
+                Err(NodeError::HashMismatch { expected, .. }) => assert_eq!(expected, h),
+                other => panic!("expected HashMismatch, got {other:?}"),
+            }
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn encoding_is_deterministic() {
         let a = leaf(&[("a", "1"), ("b", "2")]);

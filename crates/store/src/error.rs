@@ -3,8 +3,6 @@
 use std::fmt;
 use std::io;
 
-use forkbase_crypto::Hash;
-
 /// Result alias for store operations.
 pub type StoreResult<T> = Result<T, StoreError>;
 
@@ -13,16 +11,10 @@ pub type StoreResult<T> = Result<T, StoreError>;
 pub enum StoreError {
     /// Underlying I/O failure (file stores).
     Io(io::Error),
-    /// A fetched chunk failed its integrity check: the bytes on media do
-    /// not hash to the requested address. Either media corruption or a
-    /// malicious provider (paper §II-D threat model).
-    Corrupt {
-        /// Address that was requested.
-        expected: Hash,
-        /// Hash of the bytes actually returned.
-        actual: Hash,
-    },
-    /// A segment file frame was malformed (bad magic/CRC/length).
+    /// A segment file frame was malformed (bad magic/CRC/length), or
+    /// holds another chunk's hash than the one read from it. Stores check
+    /// their framing only; a chunk whose bytes do not hash to its address
+    /// is the addressed reader's finding (paper §II-D threat model).
     BadFrame {
         /// Which segment file.
         segment: u64,
@@ -39,10 +31,6 @@ impl fmt::Display for StoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             StoreError::Io(e) => write!(f, "store I/O error: {e}"),
-            StoreError::Corrupt { expected, actual } => write!(
-                f,
-                "chunk integrity violation: requested {expected:?} but content hashes to {actual:?}"
-            ),
             StoreError::BadFrame {
                 segment,
                 offset,
@@ -74,16 +62,9 @@ impl From<io::Error> for StoreError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use forkbase_crypto::sha256;
 
     #[test]
     fn display_formats() {
-        let e = StoreError::Corrupt {
-            expected: sha256(b"a"),
-            actual: sha256(b"b"),
-        };
-        assert!(e.to_string().contains("integrity violation"));
-
         let e = StoreError::BadFrame {
             segment: 3,
             offset: 128,

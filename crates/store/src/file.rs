@@ -28,6 +28,20 @@
 //! the manifest. A torn final frame (crash mid-append) is detected by
 //! magic/length/CRC validation and truncated back to the last good frame.
 //!
+//! # Reads
+//!
+//! [`ChunkStore::get`] reads `hash ‖ payload ‖ crc32` with one positioned
+//! read on the segment's open handle, checks that the frame's stored hash
+//! is the requested one (a 32-byte compare, so a stale slot can never
+//! read as another chunk) and that the CRC matches (media damage), and
+//! returns the payload as a zero-copy view. A failure of either check is
+//! [`StoreError::BadFrame`]. `get` does **not** SHA-256 the payload: the
+//! bytes it returns are media-checked, not authenticated. A frame
+//! rewritten with a matching CRC passes here and is caught by the reader
+//! that asked for the address — `forkbase_postree`'s verifying fetch,
+//! `FNode::load` and bundle import each hash what they read — so every
+//! chunk read is hashed exactly once, on every store.
+//!
 //! # Manifest protocol
 //!
 //! The manifest is a small CRC-tailed text file listing the epoch, the
@@ -48,7 +62,11 @@
 //! 2. pick victims: segments whose live frame bytes fall below
 //!    [`FileStoreConfig::compact_min_utilization`] of their file size;
 //! 3. copy the victims' live chunks into `pack-N.fbk.tmp` files (fsynced),
-//!    then rename them into place;
+//!    then rename them into place. Each survivor is read through the same
+//!    checked frame read as `get`: a damaged one fails the compaction with
+//!    [`StoreError::BadFrame`] before the manifest swap, its temp files
+//!    are removed and the victims stay in place, so compaction never
+//!    launders bit-rot under a fresh CRC;
 //! 4. durably record dead frames that remain inside *retained* segments
 //!    in `TOMBSTONES` (atomic rename, like the manifest) so a sweep
 //!    outlives the process — without this, dead chunks in well-utilized
@@ -83,6 +101,7 @@ use crate::{ChunkStore, StoreError, StoreResult};
 
 const FRAME_MAGIC: &[u8; 4] = b"FKB1";
 const HEADER_LEN: usize = 4 + 4 + 32; // magic + len + hash
+const HASH_LEN: usize = 32;
 const TRAILER_LEN: usize = 4; // crc32
 
 const MANIFEST_NAME: &str = "MANIFEST";
@@ -771,10 +790,14 @@ impl FileStore {
         Ok(())
     }
 
-    /// Read a slot's payload with one positioned read on its segment's
-    /// handle. A segment deleted since the slot was read has no handle and
-    /// reads as `NotFound`, which [`ChunkStore::get`] retries.
-    fn read_slot(&self, slot: Slot) -> StoreResult<Bytes> {
+    /// Read the frame of `hash` at `slot` — `hash ‖ payload ‖ crc32` —
+    /// with one positioned read on its segment's handle, and return the
+    /// payload as a view into that buffer. The frame's stored hash must be
+    /// `hash` and its CRC must match, else [`StoreError::BadFrame`]: a
+    /// slot never reads as another chunk's bytes, and media damage never
+    /// reads as data. A segment deleted since the slot was read has no
+    /// handle and reads as `NotFound`, which [`ChunkStore::get`] retries.
+    fn read_frame(&self, slot: Slot, hash: &Hash) -> StoreResult<Bytes> {
         let file = self.handles.read().get(&slot.segment).cloned();
         let Some(file) = file else {
             return Err(StoreError::Io(std::io::Error::new(
@@ -782,9 +805,23 @@ impl FileStore {
                 format!("segment {} was deleted", slot.segment),
             )));
         };
-        let mut buf = vec![0u8; slot.len as usize];
-        file.read_exact_at(&mut buf, slot.payload_offset)?;
-        Ok(Bytes::from(buf))
+        let len = slot.len as usize;
+        let mut buf = vec![0u8; HASH_LEN + len + TRAILER_LEN];
+        file.read_exact_at(&mut buf, slot.payload_offset - HASH_LEN as u64)?;
+        let bad = |reason: &str| StoreError::BadFrame {
+            segment: slot.segment,
+            offset: slot.payload_offset - HEADER_LEN as u64,
+            reason: reason.to_string(),
+        };
+        let (body, trailer) = buf.split_at(HASH_LEN + len);
+        if &body[..HASH_LEN] != hash.as_bytes() {
+            return Err(bad("frame holds another chunk's hash"));
+        }
+        let stored = u32::from_le_bytes([trailer[0], trailer[1], trailer[2], trailer[3]]);
+        if crc32(body) != stored {
+            return Err(bad("crc mismatch"));
+        }
+        Ok(Bytes::from(buf).slice(HASH_LEN..HASH_LEN + len))
     }
 
     /// Physically compact the store against a live-chunk set (the mark
@@ -890,37 +927,19 @@ impl FileStore {
         to_move.sort_unstable_by_key(|(_, s)| (s.segment, s.payload_offset));
 
         let mut new_segments: Vec<u64> = Vec::new();
-        let mut moved: Vec<(Hash, Slot)> = Vec::with_capacity(to_move.len());
-        let mut chunks_rewritten = 0u64;
-        let mut bytes_rewritten = 0u64;
-        {
-            // (id, writer, offset) of the temp segment being filled.
-            let mut writer: Option<(u64, BufWriter<File>, u64)> = None;
-            for (hash, slot) in &to_move {
-                let buf = self.read_slot(*slot)?;
-                if let Some((_, _, offset)) = &writer {
-                    if *offset >= self.cfg.segment_bytes {
-                        let (_, mut w, _) = writer.take().expect("writer present");
-                        w.flush()?;
-                        w.get_ref().sync_all()?;
-                    }
+        let moved = match self.copy_survivors(&to_move, &mut new_segments) {
+            Ok(moved) => moved,
+            Err(e) => {
+                // Nothing is committed: drop the partial copies and leave
+                // every victim where the manifest names it.
+                for &id in &new_segments {
+                    let _ = fs::remove_file(Self::pack_tmp_path(&self.dir, id));
                 }
-                if writer.is_none() {
-                    let id = self.allocate_segment();
-                    let file = File::create(Self::pack_tmp_path(&self.dir, id))?;
-                    writer = Some((id, BufWriter::new(file), 0));
-                    new_segments.push(id);
-                }
-                let (id, w, offset) = writer.as_mut().expect("writer just ensured");
-                moved.push((*hash, write_frame(w, *id, offset, hash, &buf)?));
-                chunks_rewritten += 1;
-                bytes_rewritten += u64::from(slot.len);
+                return Err(e);
             }
-            if let Some((_, mut w, _)) = writer.take() {
-                w.flush()?;
-                w.get_ref().sync_all()?;
-            }
-        }
+        };
+        let chunks_rewritten = moved.len() as u64;
+        let bytes_rewritten = to_move.iter().map(|(_, s)| u64::from(s.len)).sum();
 
         // Phase 4: move the temp segments into place. A crash from here to
         // the manifest swap leaves unlisted orphans, deleted on open.
@@ -1030,6 +1049,44 @@ impl FileStore {
             disk_bytes_before,
             disk_bytes_after,
         })
+    }
+
+    /// Copy `to_move` into fresh temp segments (fsynced), pushing each
+    /// new segment id onto `new_segments` as it is created, and return the
+    /// new slots. Every frame is read through [`Self::read_frame`], so a
+    /// survivor damaged on media fails the copy instead of being rewritten
+    /// under a fresh, valid CRC.
+    fn copy_survivors(
+        &self,
+        to_move: &[(Hash, Slot)],
+        new_segments: &mut Vec<u64>,
+    ) -> StoreResult<Vec<(Hash, Slot)>> {
+        let mut moved = Vec::with_capacity(to_move.len());
+        // (id, writer, offset) of the temp segment being filled.
+        let mut writer: Option<(u64, BufWriter<File>, u64)> = None;
+        for (hash, slot) in to_move {
+            let buf = self.read_frame(*slot, hash)?;
+            if let Some((_, _, offset)) = &writer {
+                if *offset >= self.cfg.segment_bytes {
+                    let (_, mut w, _) = writer.take().expect("writer present");
+                    w.flush()?;
+                    w.get_ref().sync_all()?;
+                }
+            }
+            if writer.is_none() {
+                let id = self.allocate_segment();
+                let file = File::create(Self::pack_tmp_path(&self.dir, id))?;
+                writer = Some((id, BufWriter::new(file), 0));
+                new_segments.push(id);
+            }
+            let (id, w, offset) = writer.as_mut().expect("writer just ensured");
+            moved.push((*hash, write_frame(w, *id, offset, hash, &buf)?));
+        }
+        if let Some((_, mut w, _)) = writer.take() {
+            w.flush()?;
+            w.get_ref().sync_all()?;
+        }
+        Ok(moved)
     }
 
     /// Flush the active writer if `slot` may still be buffered in it. The
@@ -1160,17 +1217,8 @@ impl ChunkStore for FileStore {
             {
                 self.flush_if_active(slot)?;
             }
-            match self.read_slot(slot) {
+            match self.read_frame(slot, hash) {
                 Ok(bytes) => {
-                    // End-to-end integrity: media corruption surfaces here
-                    // rather than propagating bad data upward.
-                    let actual = forkbase_crypto::sha256(&bytes);
-                    if actual != *hash {
-                        return Err(StoreError::Corrupt {
-                            expected: *hash,
-                            actual,
-                        });
-                    }
                     self.stats.record_get(true);
                     return Ok(Some(bytes));
                 }
@@ -1456,34 +1504,75 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Segment 0's path and the bytes of its first frame, whose payload
+    /// is `len` bytes long.
+    fn first_frame(dir: &Path, len: usize) -> (PathBuf, Vec<u8>) {
+        let seg = FileStore::pack_path(dir, 0);
+        let bytes = fs::read(&seg).unwrap();
+        (seg, bytes[..HEADER_LEN + len + TRAILER_LEN].to_vec())
+    }
+
     #[test]
     fn media_corruption_surfaces_as_error() {
+        // The store checks its framing: a payload flip under a stale CRC
+        // and a frame naming another chunk's hash (CRC recomputed) are
+        // each `BadFrame`, read through the live store's open handle. A
+        // payload rewritten under a matching CRC is the addressed
+        // reader's catch (`fetch_verified`, `FNode::load`), not the
+        // store's: see their tests.
         let dir = temp_dir("media");
         let s = FileStore::open(&dir).unwrap();
         let h = s.put(Bytes::from(vec![7u8; 100])).unwrap();
         s.sync().unwrap();
+        let (seg, original) = first_frame(&dir, 100);
+        let file = OpenOptions::new().write(true).open(&seg).unwrap();
 
-        // Corrupt the payload in place but leave the CRC region: simulate
-        // silent bit-rot after a successful write. We re-write payload AND
-        // a matching CRC so only the content-hash check can catch it.
-        let seg = FileStore::pack_path(&dir, 0);
-        let mut bytes = fs::read(&seg).unwrap();
-        bytes[HEADER_LEN] ^= 0x01; // payload byte
-        let payload = bytes[HEADER_LEN..HEADER_LEN + 100].to_vec();
-        let mut crc_input = Vec::new();
-        crc_input.extend_from_slice(&bytes[8..40]);
-        crc_input.extend_from_slice(&payload);
-        let crc = crc32(&crc_input).to_le_bytes();
-        let crc_at = HEADER_LEN + 100;
-        bytes[crc_at..crc_at + 4].copy_from_slice(&crc);
-        fs::write(&seg, &bytes).unwrap();
-
-        drop(s); // release the directory lock before reopening
-        let s = FileStore::open(&dir).unwrap();
+        let mut rotted = original.clone();
+        rotted[HEADER_LEN + 50] ^= 0x01;
+        file.write_all_at(&rotted, 0).unwrap();
         match s.get(&h) {
-            Err(StoreError::Corrupt { expected, .. }) => assert_eq!(expected, h),
-            other => panic!("expected Corrupt error, got {other:?}"),
+            Err(StoreError::BadFrame {
+                segment: 0,
+                offset: 0,
+                reason,
+            }) => assert!(reason.contains("crc"), "{reason}"),
+            other => panic!("expected BadFrame for a stale crc, got {other:?}"),
         }
+
+        let mut foreign = original.clone();
+        foreign[8..HEADER_LEN].copy_from_slice(sha256(b"another chunk").as_bytes());
+        let crc = crc32(&foreign[8..HEADER_LEN + 100]);
+        foreign[HEADER_LEN + 100..].copy_from_slice(&crc.to_le_bytes());
+        file.write_all_at(&foreign, 0).unwrap();
+        match s.get(&h) {
+            Err(StoreError::BadFrame { reason, .. }) => {
+                assert!(reason.contains("hash"), "{reason}")
+            }
+            other => panic!("expected BadFrame for a foreign hash, got {other:?}"),
+        }
+
+        file.write_all_at(&original, 0).unwrap();
+        assert_eq!(s.get(&h).unwrap(), Some(Bytes::from(vec![7u8; 100])));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn get_returns_a_crc_matching_rewrite_unhashed() {
+        // The contract `fetch_verified` and `FNode::load` rely on: `get`
+        // does not authenticate, so it hands back a well-framed rewrite
+        // and the reader that knows the address must hash it.
+        let dir = temp_dir("rewrite");
+        let s = FileStore::open(&dir).unwrap();
+        let h = s.put(Bytes::from(vec![7u8; 100])).unwrap();
+        s.sync().unwrap();
+        let (seg, mut frame) = first_frame(&dir, 100);
+        frame[HEADER_LEN] ^= 0x01;
+        let crc = crc32(&frame[8..HEADER_LEN + 100]);
+        frame[HEADER_LEN + 100..].copy_from_slice(&crc.to_le_bytes());
+        let file = OpenOptions::new().write(true).open(&seg).unwrap();
+        file.write_all_at(&frame, 0).unwrap();
+        let got = s.get(&h).unwrap().unwrap();
+        assert_ne!(sha256(&got), h);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1737,9 +1826,22 @@ mod tests {
         let active = s.manifest.lock().active;
         assert!(active > 2, "rotation reused segment id {active}");
         assert_eq!(s.index.read()[&e.0].payload_offset, stale.payload_offset);
-        match s.read_slot(stale) {
+        match s.read_frame(stale, &a.0) {
             Err(StoreError::Io(err)) => assert_eq!(err.kind(), ErrorKind::NotFound),
             other => panic!("a stale slot must not read another file: {other:?}"),
+        }
+        // Had the id been reused, the stale slot would name `e`'s frame.
+        // The frame-hash compare still refuses to read it as `a`.
+        s.sync().unwrap();
+        let reused = Slot {
+            segment: s.index.read()[&e.0].segment,
+            ..stale
+        };
+        match s.read_frame(reused, &a.0) {
+            Err(StoreError::BadFrame { reason, .. }) => {
+                assert!(reason.contains("hash"), "{reason}")
+            }
+            other => panic!("a slot must never read as another chunk: {other:?}"),
         }
         assert_eq!(s.get(&a.0).unwrap(), None);
         assert_eq!(s.get(&e.0).unwrap(), Some(e.1.clone()));
@@ -1800,6 +1902,67 @@ mod tests {
         assert_eq!(s.chunk_count(), 2);
         assert!(s.get(&keep).unwrap().is_some());
         assert!(s.get(&after).unwrap().is_some());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn compaction_refuses_to_launder_bit_rot() {
+        let dir = temp_dir("compact-rot");
+        let cfg = FileStoreConfig {
+            segment_bytes: 16 * 1024,
+            sync_every_put: false,
+            ..Default::default()
+        };
+        let s = FileStore::open_with(&dir, cfg).unwrap();
+        let batch: Vec<(Hash, Bytes)> = (0..16u32)
+            .map(|i| {
+                let b = sized_chunk(i, 4096);
+                (sha256(&b), b)
+            })
+            .collect();
+        s.put_batch(batch.clone()).unwrap();
+        s.sync().unwrap();
+        // One survivor per segment: every segment is a victim.
+        let live: HashSet<Hash> = batch.iter().step_by(4).map(|(h, _)| *h).collect();
+        let victim = batch[4].0;
+        let slot = s.index.read()[&victim];
+        let at = slot.payload_offset + 10;
+        let file = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .open(FileStore::pack_path(&dir, slot.segment))
+            .unwrap();
+        let mut byte = [0u8; 1];
+        file.read_exact_at(&mut byte, at).unwrap();
+        file.write_all_at(&[byte[0] ^ 0x40], at).unwrap();
+
+        let packs = s.manifest.lock().packs.clone();
+        let epoch = s.manifest_epoch();
+        match s.compact(&live) {
+            Err(StoreError::BadFrame { segment, .. }) => assert_eq!(segment, slot.segment),
+            other => panic!("compaction must refuse a damaged survivor: {other:?}"),
+        }
+        // Nothing was committed: same manifest, every victim still on
+        // disk, no temp segment left behind.
+        assert_eq!(s.manifest_epoch(), epoch);
+        assert_eq!(s.manifest.lock().packs, packs);
+        for seg in &packs {
+            assert!(FileStore::pack_path(&dir, *seg).exists());
+        }
+        assert!(FileStore::list_tmp_files(&dir).unwrap().is_empty());
+        for (h, b) in &batch {
+            if *h == victim {
+                assert!(matches!(s.get(h), Err(StoreError::BadFrame { .. })));
+            } else if live.contains(h) {
+                assert_eq!(s.get(h).unwrap().as_ref(), Some(b));
+            }
+        }
+
+        // Repaired, the same compaction goes through.
+        file.write_all_at(&byte, at).unwrap();
+        let report = s.compact(&live).unwrap();
+        assert_eq!(report.chunks_rewritten, live.len() as u64);
+        assert_eq!(s.get(&victim).unwrap(), Some(batch[4].1.clone()));
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -85,6 +85,13 @@ pub trait ChunkStore: Send + Sync {
     }
 
     /// Fetch a chunk by hash. `Ok(None)` means the store has no such chunk.
+    ///
+    /// The bytes are **media-checked, not authenticated**: a store may
+    /// check its own framing ([`FileStore`] checks the frame's stored hash
+    /// and CRC-32), but no store promises that the bytes hash to `hash`.
+    /// Tamper evidence is the addressed reader's job — the caller knows
+    /// the address it asked for and re-hashes what it got, as the POS-Tree
+    /// fetch, `FNode` load and bundle import do.
     fn get(&self, hash: &Hash) -> StoreResult<Option<Bytes>>;
 
     /// Whether a chunk with this hash is present.
