@@ -7,6 +7,10 @@
 //!   so the frame is well formed and only the SHA-256 address can tell;
 //! * **Bit rot** — a payload byte flips and the CRC is left stale.
 //!
+//! The same cases run on a `FaultyStore` over a `MemStore`, which flips a
+//! bit of what it serves (**Injected**): no store below the reader checks
+//! anything there.
+//!
 //! Every read verb that reaches the damaged chunk must return an error,
 //! never a value and never a panic. A map page that failed to read must
 //! not be kept by the database's page cache: a repeat read fails again,
@@ -22,7 +26,7 @@ use forkbase::{DbError, ForkBase, PutOptions, VersionSpec, DEFAULT_BRANCH};
 use forkbase_crypto::Hash;
 use forkbase_postree::{MapEdit, Node, TreeConfig};
 use forkbase_store::crc::crc32;
-use forkbase_store::{ChunkStore, FileStore, MemStore};
+use forkbase_store::{ChunkStore, FaultMode, FaultyStore, FileStore, MemStore};
 use forkbase_types::Value;
 
 const HEADER_LEN: usize = 4 + 4 + 32; // magic, len, hash
@@ -32,6 +36,28 @@ const CRC_LEN: usize = 4;
 enum Damage {
     Rewrite,
     BitRot,
+    Injected,
+}
+
+/// A store whose chunks a test can damage, and later repair.
+trait Damageable: ChunkStore {
+    /// Damage `victim` and return what undoes it.
+    fn damage(&self, victim: &Hash, how: Damage) -> Box<dyn FnOnce() + '_>;
+}
+
+impl Damageable for FileStore {
+    fn damage(&self, victim: &Hash, how: Damage) -> Box<dyn FnOnce() + '_> {
+        let (frame, original) = damage_frame(self.dir(), victim, how);
+        Box::new(move || restore(&frame, &original))
+    }
+}
+
+impl Damageable for FaultyStore<MemStore> {
+    fn damage(&self, victim: &Hash, how: Damage) -> Box<dyn FnOnce() + '_> {
+        assert!(matches!(how, Damage::Injected));
+        self.inject(*victim, FaultMode::FlipBit { byte: 0 });
+        Box::new(move || self.heal_all())
+    }
 }
 
 /// One frame of a pack file: where it starts and how long its payload is.
@@ -67,7 +93,7 @@ fn frame_of(dir: &Path, hash: &Hash) -> Frame {
 }
 
 /// Damage the frame of `hash` in place and return its original bytes.
-fn damage(dir: &Path, hash: &Hash, how: Damage) -> (Frame, Vec<u8>) {
+fn damage_frame(dir: &Path, hash: &Hash, how: Damage) -> (Frame, Vec<u8>) {
     let frame = frame_of(dir, hash);
     let file = OpenOptions::new()
         .read(true)
@@ -136,7 +162,7 @@ fn blob_content() -> Vec<u8> {
 }
 
 /// Hashes of the nodes `levels` below `root` (0 = the root itself).
-fn descend(store: &FileStore, root: Hash, levels: u8) -> Vec<Hash> {
+fn descend(store: &impl ChunkStore, root: Hash, levels: u8) -> Vec<Hash> {
     let mut frontier = vec![root];
     for _ in 0..levels {
         let mut next = Vec::new();
@@ -159,17 +185,18 @@ fn tree_root(v: &Value) -> Hash {
 }
 
 /// Leaf pages of a map tree.
-fn leaves(store: &FileStore, v: &Value) -> Vec<Hash> {
+fn leaves(store: &impl ChunkStore, v: &Value) -> Vec<Hash> {
     let root = tree_root(v);
     let level = Node::load(store, &root).unwrap().level();
     descend(store, root, level)
 }
 
-/// A durable store holding a string key, a map key with two versions and
-/// a multi-chunk blob key, all flushed to the pack files.
-struct Fixture {
-    dir: PathBuf,
-    store: FileStore,
+/// A store holding a string key, a map key with two versions and a
+/// multi-chunk blob key, all flushed.
+struct Fixture<S> {
+    store: S,
+    /// Removed when the fixture drops.
+    dir: Option<PathBuf>,
     refs: String,
     doc: Hash,
     ds_v1: Hash,
@@ -184,14 +211,8 @@ struct Fixture {
     blob_chunk: Hash,
 }
 
-impl Fixture {
-    fn new(tag: &str) -> Fixture {
-        let dir = std::env::temp_dir().join(format!(
-            "forkbase-filestore-tamper-{tag}-{}",
-            std::process::id()
-        ));
-        let _ = fs::remove_dir_all(&dir);
-        let store = FileStore::open(&dir).unwrap();
+impl<S: Damageable> Fixture<S> {
+    fn new(store: S, dir: Option<PathBuf>) -> Fixture<S> {
         let (refs, doc, ds_v1, ds_v2, blob) = {
             let db = ForkBase::with_config(&store, TreeConfig::test_config());
             let opts = PutOptions::default();
@@ -225,8 +246,8 @@ impl Fixture {
         let chunks = descend(&store, b.root, b.depth);
         assert!(chunks.len() > 3, "test needs a multi-chunk blob");
         Fixture {
-            dir,
             store,
+            dir,
             refs,
             doc,
             ds_v1,
@@ -240,38 +261,49 @@ impl Fixture {
 
     /// A fresh database over the store: it has read nothing yet, so its
     /// page cache is empty and every read reaches the store.
-    fn reader(&self) -> ForkBase<&FileStore> {
+    fn reader(&self) -> ForkBase<&S> {
         let db = ForkBase::with_config(&self.store, TreeConfig::test_config());
         db.load_refs(&self.refs).unwrap();
         db
     }
 
-    /// Damage `victim`, run `check` on a fresh reader, restore the frame,
+    /// Damage `victim`, run `check` on a fresh reader, repair the chunk,
     /// then run `after` on the same reader.
     fn case(
         &self,
         victim: Hash,
         how: Damage,
-        check: impl Fn(&ForkBase<&FileStore>),
-        after: impl Fn(&ForkBase<&FileStore>),
+        check: impl Fn(&ForkBase<&S>),
+        after: impl Fn(&ForkBase<&S>),
     ) {
         let db = self.reader();
-        let (frame, original) = damage(&self.dir, &victim, how);
+        let repair = self.store.damage(&victim, how);
         check(&db);
-        restore(&frame, &original);
+        repair();
         after(&db);
     }
 }
 
-impl Drop for Fixture {
+impl<S> Drop for Fixture<S> {
     fn drop(&mut self) {
-        let _ = fs::remove_dir_all(&self.dir);
+        if let Some(dir) = &self.dir {
+            let _ = fs::remove_dir_all(dir);
+        }
     }
 }
 
-fn run_every_verb(how: Damage) {
-    let f = Fixture::new(&format!("{how:?}"));
-    let nothing = |_: &ForkBase<&FileStore>| {};
+/// A fixture over a fresh `FileStore` in a temp directory.
+fn file_fixture(tag: &str) -> Fixture<FileStore> {
+    let dir = std::env::temp_dir().join(format!(
+        "forkbase-filestore-tamper-{tag}-{}",
+        std::process::id()
+    ));
+    let _ = fs::remove_dir_all(&dir);
+    Fixture::new(FileStore::open(&dir).unwrap(), Some(dir))
+}
+
+fn run_every_verb<S: Damageable>(f: &Fixture<S>, how: Damage) {
+    let nothing = |_: &ForkBase<&S>| {};
 
     // get / get_version read the head FNode.
     f.case(
@@ -394,10 +426,16 @@ fn run_every_verb(how: Damage) {
 
 #[test]
 fn rewritten_frame_with_matching_crc_fails_every_read_verb() {
-    run_every_verb(Damage::Rewrite);
+    run_every_verb(&file_fixture("rewrite"), Damage::Rewrite);
 }
 
 #[test]
 fn bit_rot_with_stale_crc_fails_every_read_verb() {
-    run_every_verb(Damage::BitRot);
+    run_every_verb(&file_fixture("bitrot"), Damage::BitRot);
+}
+
+#[test]
+fn injected_flip_on_a_memstore_fails_every_read_verb() {
+    let f = Fixture::new(FaultyStore::new(MemStore::new()), None);
+    run_every_verb(&f, Damage::Injected);
 }
