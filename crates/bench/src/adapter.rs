@@ -1,7 +1,6 @@
 //! ForkBase adapter for the baselines' [`VersionedStore`] interface, so the
 //! Table I experiment sweeps every system through identical workloads.
 
-use bytes::Bytes;
 use forkbase_baselines::{Snapshot, VersionedStore};
 use forkbase_postree::{PosMap, TreeConfig, TreeRef};
 use forkbase_store::{ChunkStore, MemStore};
@@ -28,11 +27,6 @@ impl ForkBaseStore {
             cfg,
             versions: Vec::new(),
         }
-    }
-
-    /// Access the underlying chunk store (for page-count probes).
-    pub fn chunk_store(&self) -> &MemStore {
-        &self.store
     }
 }
 
@@ -73,11 +67,6 @@ impl VersionedStore for ForkBaseStore {
     fn version_count(&self) -> u64 {
         self.versions.len() as u64
     }
-}
-
-/// Convenience: commit a snapshot built from raw pairs.
-pub fn to_snapshot(pairs: &[(Bytes, Bytes)]) -> Snapshot {
-    pairs.to_vec()
 }
 
 #[cfg(test)]

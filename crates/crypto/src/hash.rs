@@ -34,11 +34,6 @@ impl Hash {
         &self.0
     }
 
-    /// Copy out the digest bytes.
-    pub fn to_bytes(self) -> [u8; HASH_LEN] {
-        self.0
-    }
-
     /// Parse from a byte slice; fails unless it is exactly 32 bytes.
     pub fn from_slice(slice: &[u8]) -> Option<Self> {
         if slice.len() != HASH_LEN {

@@ -18,15 +18,17 @@
 //!
 //! The pass also enforces the crate-root hygiene rule that rides along
 //! with the freeze: every non-vendor crate root carries
-//! `#![forbid(unsafe_code)]` (or `#![deny(unsafe_code)]` with an inline
-//! rationale comment when a vendored shim forces an exception).
+//! `#![forbid(unsafe_code)]`. The crate roots in `UNSAFE_ALLOWLIST` may
+//! instead say `#![deny(unsafe_code)]` with an inline rationale comment,
+//! and `allow(unsafe_code)` may appear only in the one file each entry
+//! names — nowhere else outside `crates/vendor/`.
 
 use std::collections::BTreeMap;
 use std::path::Path;
 
 use super::lockfile;
 use super::rust_src;
-use crate::{read_masked, Finding};
+use crate::{read_masked, rust_files_under, Finding};
 
 const PASS: &str = "P2/format-freeze";
 pub(crate) const LOCK: &str = "lint/format.lock";
@@ -42,6 +44,12 @@ const FROZEN: &[(&str, &str)] = &[
     ("crates/core/src/cluster/mod.rs", "TOPOLOGY_MAGIC"),
     ("crates/core/src/forks/manager.rs", "FORKS_MAGIC"),
 ];
+
+/// (crate root, the one file under it that may `allow(unsafe_code)`):
+/// the crates allowed to deny `unsafe_code` instead of forbidding it.
+/// `crates/crypto` calls its SHA-NI kernel after runtime CPU detection.
+const UNSAFE_ALLOWLIST: &[(&str, &str)] =
+    &[("crates/crypto/src/lib.rs", "crates/crypto/src/sha256.rs")];
 
 /// The ring-point derivation domain prefix: the full literal is captured
 /// from the source and locked.
@@ -112,6 +120,7 @@ pub fn run(root: &Path, bless: bool) -> Vec<Finding> {
         &mut findings,
     );
     forbid_unsafe(root, &mut findings);
+    allow_unsafe_only_where_listed(root, &mut findings);
     findings
 }
 
@@ -125,7 +134,8 @@ fn extract_literal(raw: &str, prefix: &str) -> Option<String> {
 }
 
 /// Crate-root hygiene: `#![forbid(unsafe_code)]` on every non-vendor
-/// crate root (libs and binaries).
+/// crate root (libs and binaries), or a commented `#![deny(unsafe_code)]`
+/// on an allowlisted one.
 fn forbid_unsafe(root: &Path, findings: &mut Vec<Finding>) {
     let mut roots: Vec<String> = Vec::new();
     if root.join("src/lib.rs").exists() {
@@ -175,6 +185,15 @@ fn forbid_unsafe(root: &Path, findings: &mut Vec<Finding>) {
             continue;
         }
         if let Some(line) = text.lines().find(|l| l.contains("#![deny(unsafe_code)]")) {
+            if !UNSAFE_ALLOWLIST.iter().any(|(r, _)| *r == rel) {
+                findings.push(Finding::new(
+                    rel,
+                    0,
+                    PASS,
+                    "`#![deny(unsafe_code)]` on a crate root outside the unsafe allowlist; use `#![forbid(unsafe_code)]`",
+                ));
+                continue;
+            }
             if line.contains("//") {
                 continue; // deny with an inline allowlist rationale
             }
@@ -192,5 +211,39 @@ fn forbid_unsafe(root: &Path, findings: &mut Vec<Finding>) {
             PASS,
             "crate root is missing `#![forbid(unsafe_code)]`",
         ));
+    }
+}
+
+/// `allow(unsafe_code)` (or `expect`) only in the allowlisted files: every
+/// other non-vendor Rust file is flagged where it says it.
+fn allow_unsafe_only_where_listed(root: &Path, findings: &mut Vec<Finding>) {
+    let mut files = Vec::new();
+    for dir in ["src", "tests", "examples", "crates", "bench"] {
+        files.extend(rust_files_under(root, dir));
+    }
+    files.retain(|f| !f.starts_with("crates/vendor/") && !f.contains("/target/"));
+    for rel in files {
+        if UNSAFE_ALLOWLIST.iter().any(|(_, file)| *file == rel) {
+            continue;
+        }
+        let Ok(text) = std::fs::read_to_string(root.join(&rel)) else {
+            continue;
+        };
+        let m = crate::lexer::Masked::new(text);
+        let mut from = 0;
+        while let Some(pos) = rust_src::find_word(&m.code, "unsafe_code", from) {
+            from = pos + "unsafe_code".len();
+            let attr: String = m.code[m.code[..pos].rfind('[').unwrap_or(0)..pos]
+                .split_whitespace()
+                .collect();
+            if attr.contains("allow(") || attr.contains("expect(") {
+                findings.push(Finding::new(
+                    rel.as_str(),
+                    m.line_of(pos),
+                    PASS,
+                    "`allow(unsafe_code)` outside the unsafe allowlist (crates/lint P2 `UNSAFE_ALLOWLIST`)",
+                ));
+            }
+        }
     }
 }

@@ -330,6 +330,75 @@ fn p2_missing_forbid_unsafe_is_flagged() {
 }
 
 #[test]
+fn p2_deny_unsafe_only_on_allowlisted_crate_roots() {
+    let root = fixture("p2-deny-unsafe");
+    // A commented `deny` is accepted on the crypto crate root only.
+    put(
+        &root,
+        "crates/crypto/src/lib.rs",
+        "#![deny(unsafe_code)] // one call into a detected CPU kernel\npub mod sha256;\n",
+    );
+    put(
+        &root,
+        "crates/crypto/src/sha256.rs",
+        "pub fn f() {\n    // SAFETY: detected\n    #[allow(unsafe_code)]\n    unsafe { g() }\n}\n",
+    );
+    assert!(findings_of(&root, "P2").is_empty());
+
+    put(
+        &root,
+        "crates/core/src/lib.rs",
+        "#![deny(unsafe_code)] // would like raw pointers\npub mod api;\n",
+    );
+    let findings = findings_of(&root, "P2");
+    assert!(
+        findings
+            .iter()
+            .any(|f| f.starts_with("crates/core/src/lib.rs") && f.contains("allowlist")),
+        "{findings:?}"
+    );
+    assert!(
+        !findings.iter().any(|f| f.starts_with("crates/crypto")),
+        "{findings:?}"
+    );
+}
+
+#[test]
+fn p2_allow_unsafe_outside_the_allowlisted_file_is_flagged() {
+    let root = fixture("p2-allow-unsafe");
+    put(
+        &root,
+        "crates/crypto/src/hash.rs",
+        "// allow(unsafe_code) in a comment is fine\n\
+         pub const S: &str = \"allow(unsafe_code)\";\n\
+         #[allow(dead_code, unsafe_code)]\n\
+         fn h() {}\n",
+    );
+    let findings = findings_of(&root, "P2");
+    assert_eq!(findings.len(), 1, "{findings:?}");
+    assert!(
+        findings[0].starts_with("crates/crypto/src/hash.rs:3:"),
+        "{findings:?}"
+    );
+
+    put(&root, "crates/crypto/src/hash.rs", "fn h() {}\n");
+    put(
+        &root,
+        "crates/core/tests/t.rs",
+        "#[expect(unsafe_code)]\nfn t() {}\n",
+    );
+    let findings = findings_of(&root, "P2");
+    assert!(
+        findings
+            .iter()
+            .any(|f| f.starts_with("crates/core/tests/t.rs:1:")),
+        "{findings:?}"
+    );
+    put(&root, "crates/core/tests/t.rs", "fn t() {}\n");
+    assert!(findings_of(&root, "P2").is_empty());
+}
+
+#[test]
 fn p3_panic_in_request_path_is_flagged_waiver_and_tests_are_not() {
     let root = fixture("p3-panic");
     let bad = format!(

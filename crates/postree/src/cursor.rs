@@ -12,7 +12,6 @@
 
 use std::sync::Arc;
 
-use bytes::Bytes;
 use forkbase_crypto::Hash;
 use forkbase_store::ChunkStore;
 
@@ -494,15 +493,11 @@ enum DescendTo<'a> {
     Key(&'a [u8]),
 }
 
-/// Convenience: the split key of a leaf entry list (used by tests).
-pub fn max_key(entries: &[LeafEntry]) -> Bytes {
-    entries.last().map(|e| e.key.clone()).unwrap_or_default()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::TreeBuilder;
+    use bytes::Bytes;
     use forkbase_chunk::ChunkerConfig;
     use forkbase_store::MemStore;
 

@@ -1,6 +1,5 @@
 //! The `Value` enum and its canonical byte encoding.
 
-use bytes::Bytes;
 use forkbase_postree::{BlobRef, TreeRef};
 
 /// Type of a [`Value`], used by the `Meta` verb and schema checks.
@@ -285,11 +284,6 @@ impl Value {
             Value::Blob(r) => Some(*r),
             _ => None,
         }
-    }
-
-    /// Encode to owned [`Bytes`].
-    pub fn encode_bytes(&self) -> Bytes {
-        Bytes::from(self.encode())
     }
 }
 
