@@ -1,7 +1,7 @@
 //! Criterion microbenchmarks for the substrate layers: SHA-256, the
-//! rolling hash, the content-defined chunker, the chunk stores (single
-//! put vs batched group commit), and the concurrent commit pipeline
-//! (striped head locks vs an emulated global commit lock).
+//! frame CRC-32, the rolling hash, the content-defined chunker, the chunk
+//! stores (single put vs batched group commit), and the concurrent commit
+//! pipeline (striped head locks vs an emulated global commit lock).
 //!
 //! These bound every higher-level number: a 4 KiB page costs one SHA-256
 //! compression pass per load (verification) and per store (addressing).
@@ -14,7 +14,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use forkbase::{ForkBase, PutOptions};
 use forkbase_bench::workload;
 use forkbase_chunk::{ByteChunker, ChunkerConfig, RollingHash};
-use forkbase_crypto::{sha256, Hash};
+use forkbase_crypto::{crc32, sha256, Hash};
 use forkbase_store::{ChunkStore, FileStore, FileStoreConfig, MemStore};
 use forkbase_types::Value;
 
@@ -25,6 +25,18 @@ fn bench_sha256(c: &mut Criterion) {
         group.throughput(Throughput::Bytes(size as u64));
         group.bench_with_input(BenchmarkId::from_parameter(size), &data, |b, d| {
             b.iter(|| sha256(d));
+        });
+    }
+    group.finish();
+}
+
+fn bench_crc32(c: &mut Criterion) {
+    let mut group = c.benchmark_group("crypto/crc32");
+    for size in [4096usize, 1 << 20] {
+        let data = workload::random_bytes(size, 0x51);
+        group.throughput(Throughput::Bytes(size as u64));
+        group.bench_with_input(BenchmarkId::from_parameter(size), &data, |b, d| {
+            b.iter(|| crc32(d));
         });
     }
     group.finish();
@@ -671,6 +683,7 @@ fn bench_ship_drain(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_sha256,
+    bench_crc32,
     bench_rolling_hash,
     bench_chunker,
     bench_stores,

@@ -58,8 +58,7 @@ use std::io::Read;
 
 use bytes::Bytes;
 use forkbase_crypto::hash::HASH_LEN;
-use forkbase_crypto::Hash;
-use forkbase_store::crc::crc32;
+use forkbase_crypto::{crc32, Hash};
 use forkbase_store::{ChunkStore, StoreStats, SweepReport, SweepStore};
 use forkbase_types::Value;
 

@@ -23,9 +23,8 @@ use std::path::{Path, PathBuf};
 
 use bytes::Bytes;
 use forkbase::{DbError, ForkBase, PutOptions, VersionSpec, DEFAULT_BRANCH};
-use forkbase_crypto::Hash;
+use forkbase_crypto::{crc32, Hash};
 use forkbase_postree::{MapEdit, Node, TreeConfig};
-use forkbase_store::crc::crc32;
 use forkbase_store::{ChunkStore, FaultMode, FaultyStore, FileStore, MemStore};
 use forkbase_types::Value;
 

@@ -19,7 +19,7 @@ use forkbase::{
     BatchOutcome, CommitResult, DbStat, DiffSummary, GcReport, GetResult, MapEntryDelta, MapPage,
     PutOptions, Uid, VersionSpec,
 };
-use forkbase_store::crc::crc32;
+use forkbase_crypto::crc32;
 use forkbase_types::Value;
 use proptest::collection::vec;
 use proptest::prelude::*;

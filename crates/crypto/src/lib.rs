@@ -1,5 +1,5 @@
-#![deny(unsafe_code)] // one audited call into the SHA-NI kernel, after runtime detection (sha256.rs)
-//! Cryptographic primitives for ForkBase.
+#![deny(unsafe_code)] // one audited call into each CPU kernel, after runtime detection (sha256.rs, crc32.rs)
+//! Cryptographic primitives and frame checksums for ForkBase.
 //!
 //! ForkBase identifies every immutable chunk by its SHA-256 digest and
 //! renders version identifiers using the RFC 4648 Base32 alphabet
@@ -15,10 +15,18 @@
 //! portable scalar loop, which the tests use as the kernel's oracle. Both
 //! give the same digests, so chunk addresses do not depend on the CPU.
 //!
-//! The crate denies `unsafe_code` instead of forbidding it for one
-//! expression: the call into that `#[target_feature]` kernel, made only
-//! after the CPU has reported the features. No other crate in the
-//! workspace may allow `unsafe` (`forkbase-lint` P2).
+//! The CRC-32 in [`mod@crc32`] frames every pack-file record, the store's
+//! MANIFEST and TOMBSTONES files, and every TCP wire frame. It also has
+//! two backends: on x86_64 CPUs with `pclmulqdq` and SSE4.1, inputs of 64
+//! bytes or more fold through a carry-less-multiply kernel; the rest, and
+//! every other CPU, run slicing-by-8. The tests pin both to the
+//! byte-at-a-time loop, so a CRC written on one CPU checks on any other.
+//!
+//! The crate denies `unsafe_code` instead of forbidding it for two
+//! expressions: the call into each `#[target_feature]` kernel, made only
+//! with a token (`ShaNi`, `Clmul`) that exists after the CPU has reported
+//! the features. No other crate in the workspace may allow `unsafe`
+//! (`forkbase-lint` P2).
 //!
 //! # Example
 //!
@@ -35,11 +43,13 @@
 //! ```
 
 pub mod base32;
+pub mod crc32;
 pub mod hash;
 pub mod hex;
 pub mod sha256;
 
 pub use base32::{base32_decode, base32_encode};
+pub use crc32::{crc32, Crc32};
 pub use hash::Hash;
 pub use hex::{hex_decode, hex_encode};
 pub use sha256::{sha256, Sha256};

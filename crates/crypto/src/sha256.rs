@@ -14,7 +14,8 @@
 //! alignment, so the digests — and with them every chunk address — are the
 //! same on every CPU.
 //!
-//! The call into the kernel is the crate's one `unsafe` expression: a
+//! The call into the kernel is one of the crate's two `unsafe` expressions
+//! (the other enters the CRC-32 kernel in [`crate::crc32`]): a
 //! `#[target_feature]` function may only be called once the CPU is known to
 //! have those features, and a `ShaNi` token exists only after runtime
 //! detection has said so.
@@ -285,7 +286,13 @@ mod shani {
 
         for block in blocks.as_chunks::<64>().0 {
             let (abef0, cdgh0) = (abef, cdgh);
-            let [mut w0, mut w1, mut w2, mut w3] = [0, 1, 2, 3].map(|j| message(block, j));
+            // Written out rather than `[0, 1, 2, 3].map(..)`: codegen may
+            // leave that closure out of line, a call per load that cost a
+            // quarter of the kernel's rate.
+            let mut w0 = message(block, 0);
+            let mut w1 = message(block, 1);
+            let mut w2 = message(block, 2);
+            let mut w3 = message(block, 3);
             rounds4(&mut abef, &mut cdgh, w0, 0);
             rounds4(&mut abef, &mut cdgh, w1, 1);
             rounds4(&mut abef, &mut cdgh, w2, 2);

@@ -20,7 +20,7 @@
 //! with the freeze: every non-vendor crate root carries
 //! `#![forbid(unsafe_code)]`. The crate roots in `UNSAFE_ALLOWLIST` may
 //! instead say `#![deny(unsafe_code)]` with an inline rationale comment,
-//! and `allow(unsafe_code)` may appear only in the one file each entry
+//! and `allow(unsafe_code)` may appear only in the kernel files each entry
 //! names — nowhere else outside `crates/vendor/`.
 
 use std::collections::BTreeMap;
@@ -45,11 +45,14 @@ const FROZEN: &[(&str, &str)] = &[
     ("crates/core/src/forks/manager.rs", "FORKS_MAGIC"),
 ];
 
-/// (crate root, the one file under it that may `allow(unsafe_code)`):
+/// (crate root, the kernel files under it that may `allow(unsafe_code)`):
 /// the crates allowed to deny `unsafe_code` instead of forbidding it.
-/// `crates/crypto` calls its SHA-NI kernel after runtime CPU detection.
-const UNSAFE_ALLOWLIST: &[(&str, &str)] =
-    &[("crates/crypto/src/lib.rs", "crates/crypto/src/sha256.rs")];
+/// `crates/crypto` calls its SHA-NI and carry-less-multiply CRC-32
+/// kernels after runtime CPU detection.
+const UNSAFE_ALLOWLIST: &[(&str, &[&str])] = &[(
+    "crates/crypto/src/lib.rs",
+    &["crates/crypto/src/sha256.rs", "crates/crypto/src/crc32.rs"],
+)];
 
 /// The ring-point derivation domain prefix: the full literal is captured
 /// from the source and locked.
@@ -223,7 +226,10 @@ fn allow_unsafe_only_where_listed(root: &Path, findings: &mut Vec<Finding>) {
     }
     files.retain(|f| !f.starts_with("crates/vendor/") && !f.contains("/target/"));
     for rel in files {
-        if UNSAFE_ALLOWLIST.iter().any(|(_, file)| *file == rel) {
+        if UNSAFE_ALLOWLIST
+            .iter()
+            .any(|(_, files)| files.contains(&rel.as_str()))
+        {
             continue;
         }
         let Ok(text) = std::fs::read_to_string(root.join(&rel)) else {

@@ -364,6 +364,50 @@ fn p2_deny_unsafe_only_on_allowlisted_crate_roots() {
 }
 
 #[test]
+fn p2_allow_unsafe_only_in_the_crypto_kernel_files() {
+    let root = fixture("p2-kernel-files");
+    const ALLOW: &str =
+        "pub fn f() {\n    // SAFETY: detected\n    #[allow(unsafe_code)]\n    unsafe { g() }\n}\n";
+    put(
+        &root,
+        "crates/crypto/src/lib.rs",
+        "#![deny(unsafe_code)] // calls into detected CPU kernels\npub mod crc32;\npub mod sha256;\n",
+    );
+    put(&root, "crates/crypto/src/sha256.rs", ALLOW);
+    put(&root, "crates/crypto/src/crc32.rs", ALLOW);
+    assert!(findings_of(&root, "P2").is_empty());
+
+    // The same line in the store, which uses the CRC, is still a finding.
+    put(&root, "crates/store/src/crc.rs", ALLOW);
+    let findings = findings_of(&root, "P2");
+    assert_eq!(findings.len(), 1, "{findings:?}");
+    assert!(
+        findings[0].starts_with("crates/store/src/crc.rs:3:"),
+        "{findings:?}"
+    );
+    put(&root, "crates/store/src/crc.rs", "pub fn f() {}\n");
+
+    // So is a commented `deny` on the store's crate root.
+    put(
+        &root,
+        "crates/store/src/lib.rs",
+        "#![deny(unsafe_code)] // the CRC kernel lives here\npub mod crc;\n",
+    );
+    let findings = findings_of(&root, "P2");
+    assert_eq!(findings.len(), 1, "{findings:?}");
+    assert!(
+        findings[0].starts_with("crates/store/src/lib.rs") && findings[0].contains("allowlist"),
+        "{findings:?}"
+    );
+    put(
+        &root,
+        "crates/store/src/lib.rs",
+        "#![forbid(unsafe_code)]\npub mod crc;\n",
+    );
+    assert!(findings_of(&root, "P2").is_empty());
+}
+
+#[test]
 fn p2_allow_unsafe_outside_the_allowlisted_file_is_flagged() {
     let root = fixture("p2-allow-unsafe");
     put(

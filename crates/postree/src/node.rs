@@ -544,7 +544,7 @@ mod tests {
         let path = dir.join("pack-00000000.fbk");
         let mut frame = std::fs::read(&path).unwrap()[..HEADER + len + 4].to_vec();
         frame[HEADER + len / 2] ^= 0x01;
-        let crc = forkbase_store::crc::crc32(&frame[8..HEADER + len]);
+        let crc = forkbase_crypto::crc32(&frame[8..HEADER + len]);
         frame[HEADER + len..].copy_from_slice(&crc.to_le_bytes());
         let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
         file.write_all_at(&frame, 0).unwrap();

@@ -34,7 +34,10 @@
 //! read on the segment's open handle, checks that the frame's stored hash
 //! is the requested one (a 32-byte compare, so a stale slot can never
 //! read as another chunk) and that the CRC matches (media damage), and
-//! returns the payload as a zero-copy view. A failure of either check is
+//! returns the payload as a zero-copy view. The CRC is
+//! [`forkbase_crypto::crc32`]: on CPUs with carry-less multiply it folds
+//! a 4 KiB frame in a fraction of the time its reader's SHA-256 takes,
+//! so the media check costs little beside the content check. A failure of either check is
 //! [`StoreError::BadFrame`]. `get` does **not** SHA-256 the payload: the
 //! bytes it returns are media-checked, not authenticated. A frame
 //! rewritten with a matching CRC passes here and is caught by the reader
@@ -91,10 +94,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
-use forkbase_crypto::Hash;
+use forkbase_crypto::{crc32, Crc32, Hash};
 use parking_lot::{Mutex, RwLock};
 
-use crate::crc::{crc32, Crc32};
 use crate::stats::{StatsCell, StoreStats};
 use crate::sweep::{SweepReport, SweepStore, Utilization};
 use crate::{ChunkStore, StoreError, StoreResult};

@@ -26,7 +26,6 @@
 //! Every store tracks [`StoreStats`] — the counters behind the Fig. 4
 //! deduplication experiment (storage growth per dataset load).
 
-pub mod crc;
 pub mod error;
 pub mod faulty;
 pub mod file;

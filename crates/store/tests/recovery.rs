@@ -20,8 +20,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use bytes::Bytes;
-use forkbase_crypto::{sha256, Hash};
-use forkbase_store::crc::crc32;
+use forkbase_crypto::{crc32, sha256, Hash};
 use forkbase_store::{ChunkStore, FileStore, FileStoreConfig};
 
 fn temp_dir(tag: &str) -> PathBuf {
