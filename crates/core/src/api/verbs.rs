@@ -11,7 +11,7 @@
 //! [`Snapshot::blob_reader`](super::Snapshot::blob_reader). Signatures and
 //! behavior are unchanged from the pre-snapshot API.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::HashSet;
 use std::io::Write;
 use std::sync::atomic::Ordering;
 
@@ -25,6 +25,7 @@ use super::{cursor_ext, expect_map};
 use super::{CommitResult, ForkBase, GetResult, HistoryEntry, PutOptions, VersionSpec};
 use crate::error::{DbError, DbResult};
 use crate::fnode::{FNode, Uid};
+use crate::walk;
 
 /// Differences between two versions of a key.
 #[derive(Clone, Debug)]
@@ -495,46 +496,28 @@ impl<S: ChunkStore> ForkBase<S> {
         if a == b {
             return Ok(Some(*a));
         }
-        // BFS ancestor set of `a`, then BFS from `b` until a hit.
+        // Every ancestor of `a`, then breadth-first from `b` to the first
+        // one met among the bases it loads.
         let mut ancestors_a = HashSet::new();
-        let mut queue = VecDeque::from([*a]);
-        while let Some(u) = queue.pop_front() {
-            if !ancestors_a.insert(u) {
-                continue;
-            }
-            let f = FNode::load(&self.store, &u)?;
-            queue.extend(f.bases);
+        walk::versions(&self.store, [*a], &mut ancestors_a, |_, _, _| Ok(None))?;
+        if ancestors_a.contains(b) {
+            return Ok(Some(*b));
         }
-        let mut seen_b = HashSet::new();
-        let mut queue = VecDeque::from([*b]);
-        while let Some(u) = queue.pop_front() {
-            if ancestors_a.contains(&u) {
-                return Ok(Some(u));
-            }
-            if !seen_b.insert(u) {
-                continue;
-            }
-            let f = FNode::load(&self.store, &u)?;
-            queue.extend(f.bases);
-        }
-        Ok(None)
+        walk::versions(&self.store, [*b], &mut HashSet::new(), |_, f, _| {
+            Ok(f.bases.iter().find(|u| ancestors_a.contains(*u)).copied())
+        })
     }
 
     /// Whether `ancestor` is reachable from `descendant` through bases.
     fn is_ancestor(&self, ancestor: &Uid, descendant: &Uid) -> DbResult<bool> {
-        let mut seen = HashSet::new();
-        let mut queue = VecDeque::from([*descendant]);
-        while let Some(u) = queue.pop_front() {
-            if u == *ancestor {
-                return Ok(true);
-            }
-            if !seen.insert(u) {
-                continue;
-            }
-            let f = FNode::load(&self.store, &u)?;
-            queue.extend(f.bases);
+        if ancestor == descendant {
+            return Ok(true);
         }
-        Ok(false)
+        let mut seen = HashSet::new();
+        let hit = walk::versions(&self.store, [*descendant], &mut seen, |_, f, _| {
+            Ok(f.bases.contains(ancestor).then_some(*ancestor))
+        })?;
+        Ok(hit.is_some())
     }
 
     /// `Merge`: three-way merge `src_branch` into `dst_branch` (§II-B).
@@ -676,37 +659,36 @@ impl<S: ChunkStore> ForkBase<S> {
     /// Verify a value's underlying trees.
     pub fn verify_value(&self, value: &Value) -> DbResult<()> {
         match value {
-            Value::Map(t) | Value::Set(t) => {
+            // Lists reuse the map walk minus key ordering, which the
+            // verifier relaxes for empty keys.
+            Value::Map(t) | Value::Set(t) | Value::List(t) => {
                 forkbase_postree::verify::verify_map(&self.store, *t, self.cfg.node, false)?;
-                Ok(())
-            }
-            Value::List(t) => {
-                // Lists reuse the map walk minus key ordering, which the
-                // verifier relaxes for empty keys.
-                forkbase_postree::verify::verify_map(&self.store, *t, self.cfg.node, false)?;
-                Ok(())
             }
             Value::Blob(r) => {
                 PosBlob::new(&self.store, self.cfg).verify(r)?;
-                Ok(())
             }
-            _ => Ok(()),
+            _ => {}
         }
+        Ok(())
     }
 
     /// Verify a whole branch: head version, full ancestry chain, and every
     /// ancestor's value trees. Returns the number of versions checked.
     pub fn verify_branch(&self, key: &str, branch: &str) -> DbResult<u64> {
-        let mut uid = self.head(key, branch)?;
-        let mut checked = 0u64;
-        let mut seen = HashSet::new();
-        let mut queue = VecDeque::from([uid]);
-        while let Some(u) = queue.pop_front() {
-            if !seen.insert(u) {
-                continue;
-            }
-            uid = u;
-            let fnode = FNode::load(&self.store, &uid)?;
+        Ok(self.verify_history(key, [self.head(key, branch)?])?.0)
+    }
+
+    /// Verify every version reachable from `heads`, each once: it must be
+    /// a version of `key`, and its value trees must verify. Returns the
+    /// number of versions checked and the highest logical time among them.
+    /// Shared by [`Self::verify_branch`] and bundle import.
+    pub(crate) fn verify_history(
+        &self,
+        key: &str,
+        heads: impl IntoIterator<Item = Uid>,
+    ) -> DbResult<(u64, u64)> {
+        let (mut checked, mut max_time) = (0u64, 0u64);
+        walk::versions(&self.store, heads, &mut HashSet::new(), |uid, fnode, _| {
             if fnode.key != key {
                 return Err(DbError::TamperDetected(format!(
                     "version {uid} claims key {:?} on branch of {key:?}",
@@ -714,10 +696,11 @@ impl<S: ChunkStore> ForkBase<S> {
                 )));
             }
             self.verify_value(&fnode.value)?;
-            queue.extend(fnode.bases);
             checked += 1;
-        }
-        Ok(checked)
+            max_time = max_time.max(fnode.logical_time);
+            Ok(None)
+        })?;
+        Ok((checked, max_time))
     }
 }
 

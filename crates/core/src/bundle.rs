@@ -1,11 +1,13 @@
 //! Portable branch bundles — `git bundle` for data.
 //!
 //! A bundle is a self-contained byte stream holding every chunk reachable
-//! from selected branch heads plus the head refs themselves. Because all
-//! chunks are content-addressed, import is *verifying by construction*:
-//! each chunk is re-hashed on the way in, refs must resolve to FNodes of
-//! the right key, and a final `verify_branch` pass seals the deal. A
-//! tampered bundle cannot be imported.
+//! from selected branch heads (`walk.rs`, in walk order) plus the head
+//! refs themselves. Because all chunks are content-addressed, import is
+//! *verifying by construction*: each chunk is re-hashed on the way in,
+//! then each key's history is walked once from all of its refs, checked
+//! as [`ForkBase::verify_branch`] checks a branch: **every** version must
+//! be of the ref's key and its value trees must verify. A tampered bundle,
+//! or one whose history crosses keys, cannot be imported.
 //!
 //! Format:
 //!
@@ -15,7 +17,7 @@
 //! u32 chunk_count   { 32B hash, u32 len, payload }*
 //! ```
 
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
 use std::io::{Read, Write};
 
 use bytes::Bytes;
@@ -24,8 +26,7 @@ use forkbase_store::ChunkStore;
 
 use crate::db::ForkBase;
 use crate::error::{DbError, DbResult};
-use crate::fnode::FNode;
-use crate::gc;
+use crate::walk;
 
 const MAGIC: &[u8; 8] = b"FKBBNDL1";
 
@@ -44,6 +45,24 @@ fn io_err(e: std::io::Error) -> DbError {
     DbError::Store(forkbase_store::StoreError::Io(e))
 }
 
+/// The next `N` bytes of a bundle.
+fn read_array<const N: usize>(input: &mut dyn Read) -> DbResult<[u8; N]> {
+    let mut b = [0u8; N];
+    input.read_exact(&mut b).map_err(io_err)?;
+    Ok(b)
+}
+
+/// A `u32`-length-prefixed field of at most `max` bytes.
+fn read_field(input: &mut dyn Read, max: usize, what: &str) -> DbResult<Vec<u8>> {
+    let len = u32::from_le_bytes(read_array(input)?) as usize;
+    if len > max {
+        return Err(DbError::InvalidInput(format!("implausible {what} length")));
+    }
+    let mut b = vec![0u8; len];
+    input.read_exact(&mut b).map_err(io_err)?;
+    Ok(b)
+}
+
 /// Export `branches` of `key` (or every branch if `branches` is empty)
 /// into `out`. Returns the number of chunks written.
 pub fn export_bundle<S: ChunkStore>(
@@ -52,17 +71,8 @@ pub fn export_bundle<S: ChunkStore>(
     branches: &[&str],
     out: &mut dyn Write,
 ) -> DbResult<u64> {
-    // Resolve the heads to ship.
-    let all = db.list_branches(key)?;
-    let selected: Vec<BundleRef> = all
-        .into_iter()
-        .filter(|b| branches.is_empty() || branches.contains(&b.name.as_str()))
-        .map(|b| BundleRef {
-            key: key.to_string(),
-            branch: b.name,
-            uid: b.head,
-        })
-        .collect();
+    let mut selected = branch_refs(db, key)?;
+    selected.retain(|r| branches.is_empty() || branches.contains(&r.branch.as_str()));
     if selected.is_empty() {
         return Err(DbError::InvalidInput(format!(
             "no matching branches on {key:?}"
@@ -83,13 +93,7 @@ pub fn export_bundle_keys<S: ChunkStore>(
 ) -> DbResult<u64> {
     let mut selected = Vec::new();
     for key in keys {
-        for b in db.list_branches(key)? {
-            selected.push(BundleRef {
-                key: key.clone(),
-                branch: b.name,
-                uid: b.head,
-            });
-        }
+        selected.extend(branch_refs(db, key)?);
     }
     if selected.is_empty() {
         return Err(DbError::InvalidInput(
@@ -99,49 +103,49 @@ pub fn export_bundle_keys<S: ChunkStore>(
     export_refs(db, selected, out)
 }
 
-/// Shared bundle writer: mark everything reachable from `selected` heads
+/// Every branch head of `key`, as bundle refs.
+fn branch_refs<S: ChunkStore>(db: &ForkBase<S>, key: &str) -> DbResult<Vec<BundleRef>> {
+    let refs = db.list_branches(key)?.into_iter().map(|b| BundleRef {
+        key: key.to_string(),
+        branch: b.name,
+        uid: b.head,
+    });
+    Ok(refs.collect())
+}
+
+/// Shared bundle writer: walk everything reachable from `selected` heads
 /// and stream refs + chunks in the `FKBBNDL1` format.
 fn export_refs<S: ChunkStore>(
     db: &ForkBase<S>,
     selected: Vec<BundleRef>,
     out: &mut dyn Write,
 ) -> DbResult<u64> {
-    // Mark reachable chunks from the selected heads only.
-    let mut live: HashSet<Hash> = HashSet::new();
-    let mut order: Vec<Hash> = Vec::new();
-    let mut frontier: Vec<Hash> = selected.iter().map(|r| r.uid).collect();
-    while let Some(uid) = frontier.pop() {
-        if !live.insert(uid) {
-            continue;
-        }
-        order.push(uid);
-        let fnode = FNode::load(db.store(), &uid)?;
-        frontier.extend(fnode.bases.iter().copied());
-        let before = live.len();
-        gc::mark_value_into(db, &fnode.value, &mut live, &mut order)?;
-        debug_assert!(live.len() >= before);
-    }
+    let (mut order, mut seen) = (Vec::new(), HashSet::new());
+    let heads = selected.iter().map(|r| r.uid);
+    walk::versions(db.store(), heads, &mut seen, |uid, fnode, seen| {
+        order.push(*uid);
+        walk::pages(db.store(), &fnode.value, seen, |h| order.push(*h))?;
+        Ok(None)
+    })?;
 
-    out.write_all(MAGIC).map_err(io_err)?;
-    out.write_all(&(selected.len() as u32).to_le_bytes())
-        .map_err(io_err)?;
+    // The refs section is small: assemble it, then stream the chunks.
+    let mut head = MAGIC.to_vec();
+    head.extend_from_slice(&(selected.len() as u32).to_le_bytes());
     for r in &selected {
-        out.write_all(&(r.key.len() as u32).to_le_bytes())
-            .map_err(io_err)?;
-        out.write_all(r.key.as_bytes()).map_err(io_err)?;
-        out.write_all(&(r.branch.len() as u32).to_le_bytes())
-            .map_err(io_err)?;
-        out.write_all(r.branch.as_bytes()).map_err(io_err)?;
-        out.write_all(r.uid.as_bytes()).map_err(io_err)?;
+        for name in [&r.key, &r.branch] {
+            head.extend_from_slice(&(name.len() as u32).to_le_bytes());
+            head.extend_from_slice(name.as_bytes());
+        }
+        head.extend_from_slice(r.uid.as_bytes());
     }
-    out.write_all(&(order.len() as u32).to_le_bytes())
-        .map_err(io_err)?;
+    head.extend_from_slice(&(order.len() as u32).to_le_bytes());
+    out.write_all(&head).map_err(io_err)?;
     for hash in &order {
         let bytes = db.store().get(hash)?.ok_or(DbError::NoSuchVersion(*hash))?;
-        out.write_all(hash.as_bytes()).map_err(io_err)?;
-        out.write_all(&(bytes.len() as u32).to_le_bytes())
-            .map_err(io_err)?;
-        out.write_all(&bytes).map_err(io_err)?;
+        let len = (bytes.len() as u32).to_le_bytes();
+        for part in [hash.as_bytes(), &len[..], &bytes] {
+            out.write_all(part).map_err(io_err)?;
+        }
     }
     Ok(order.len() as u64)
 }
@@ -176,9 +180,7 @@ pub fn import_bundle<S: ChunkStore>(
                     branch: r.branch.clone(),
                 })
             }
-            Err(_) => {
-                db.install_ref(&r.key, &r.branch, r.uid)?;
-            }
+            Err(_) => db.install_ref(&r.key, &r.branch, r.uid)?,
         }
     }
     db.bump_clock_past(max_time);
@@ -202,53 +204,35 @@ pub fn import_bundle_replace<S: ChunkStore>(
     // Same GC-gate discipline as `import_bundle` (see comment there).
     let _gc = db.gc_shared();
     let (refs, max_time) = verify_bundle(db, input)?;
-    let mut by_key: std::collections::BTreeMap<String, Vec<(String, Hash)>> =
-        std::collections::BTreeMap::new();
+    let mut by_key: BTreeMap<&str, Vec<(String, Hash)>> = BTreeMap::new();
     for r in &refs {
-        by_key
-            .entry(r.key.clone())
-            .or_default()
-            .push((r.branch.clone(), r.uid));
+        let branch = (r.branch.clone(), r.uid);
+        by_key.entry(&r.key).or_default().push(branch);
     }
     for (key, branches) in by_key {
-        db.replace_key_refs(&key, branches)?;
+        db.replace_key_refs(key, branches)?;
     }
     db.bump_clock_past(max_time);
     Ok(refs)
 }
 
 /// Shared import front half: parse the stream, hash-verify and stage
-/// every chunk, and walk every ref's full history before anything is
-/// published. Returns the verified refs plus the highest logical time
-/// seen (callers advance the clock past it). The caller must hold the GC
-/// gate.
+/// every chunk, and verify every version under the refs, once per key,
+/// before anything is published. Returns the verified refs plus the
+/// highest logical time seen (callers advance the clock past it). The
+/// caller must hold the GC gate.
 fn verify_bundle<S: ChunkStore>(
     db: &ForkBase<S>,
     input: &mut dyn Read,
 ) -> DbResult<(Vec<BundleRef>, u64)> {
-    let mut magic = [0u8; 8];
-    input.read_exact(&mut magic).map_err(io_err)?;
-    if &magic != MAGIC {
+    if &read_array::<8>(input)? != MAGIC {
         return Err(DbError::InvalidInput("not a ForkBase bundle".into()));
     }
-    let read_u32 = |input: &mut dyn Read| -> DbResult<u32> {
-        let mut b = [0u8; 4];
-        input.read_exact(&mut b).map_err(io_err)?;
-        Ok(u32::from_le_bytes(b))
-    };
-    let read_hash = |input: &mut dyn Read| -> DbResult<Hash> {
-        let mut b = [0u8; 32];
-        input.read_exact(&mut b).map_err(io_err)?;
-        Ok(Hash::from_bytes(b))
-    };
-    let read_string = |input: &mut dyn Read| -> DbResult<String> {
-        let len = read_u32(input)? as usize;
-        if len > 1 << 20 {
-            return Err(DbError::InvalidInput("implausible string length".into()));
-        }
-        let mut b = vec![0u8; len];
-        input.read_exact(&mut b).map_err(io_err)?;
-        String::from_utf8(b).map_err(|_| DbError::InvalidInput("non-UTF-8 name".into()))
+    let read_u32 = |input: &mut dyn Read| read_array(input).map(u32::from_le_bytes);
+    let read_hash = |input: &mut dyn Read| read_array(input).map(Hash::from_bytes);
+    let read_string = |input: &mut dyn Read| {
+        String::from_utf8(read_field(input, 1 << 20, "string")?)
+            .map_err(|_| DbError::InvalidInput("non-UTF-8 name".into()))
     };
 
     let ref_count = read_u32(input)? as usize;
@@ -271,12 +255,7 @@ fn verify_bundle<S: ChunkStore>(
     let mut staged: Vec<(forkbase_crypto::Hash, Bytes)> = Vec::new();
     for _ in 0..chunk_count {
         let hash = read_hash(input)?;
-        let len = read_u32(input)? as usize;
-        if len > 1 << 28 {
-            return Err(DbError::InvalidInput("implausible chunk length".into()));
-        }
-        let mut payload = vec![0u8; len];
-        input.read_exact(&mut payload).map_err(io_err)?;
+        let payload = read_field(input, 1 << 28, "chunk")?;
         // Hash verification on the way in: tampered bundles die here.
         let actual = sha256(&payload);
         if actual != hash {
@@ -293,32 +272,18 @@ fn verify_bundle<S: ChunkStore>(
         db.store().put_batch(staged)?;
     }
 
-    // Install refs only after their full histories verify. Track the
-    // highest logical time seen so the destination's clock can be advanced
-    // past every imported commit (like `load_refs`): a later put on an
-    // imported key must never be stamped earlier than its own history.
-    let mut max_time = 0u64;
+    // Install refs only after their full histories verify, each key's
+    // history walked once from all of its refs. Track the highest logical
+    // time seen so the destination's clock can be advanced past every
+    // imported commit (like `load_refs`): a later put on an imported key
+    // must never be stamped earlier than its own history.
+    let mut heads: BTreeMap<&str, Vec<Hash>> = BTreeMap::new();
     for r in &refs {
-        let fnode = FNode::load(db.store(), &r.uid)?;
-        if fnode.key != r.key {
-            return Err(DbError::TamperDetected(format!(
-                "bundle ref {}@{} points at key {:?}",
-                r.key, r.branch, fnode.key
-            )));
-        }
-        // Ensure every version in the history is present and valid before
-        // exposing the branch.
-        let mut frontier = vec![r.uid];
-        let mut seen = HashSet::new();
-        while let Some(uid) = frontier.pop() {
-            if !seen.insert(uid) {
-                continue;
-            }
-            let f = FNode::load(db.store(), &uid)?;
-            db.verify_value(&f.value)?;
-            max_time = max_time.max(f.logical_time);
-            frontier.extend(f.bases);
-        }
+        heads.entry(&r.key).or_default().push(r.uid);
+    }
+    let mut max_time = 0u64;
+    for (key, uids) in heads {
+        max_time = max_time.max(db.verify_history(key, uids)?.1);
     }
     Ok((refs, max_time))
 }
@@ -565,6 +530,44 @@ mod tests {
         let fresh = db();
         assert!(import_bundle_replace(&fresh, &mut bad.as_slice()).is_err());
         assert!(fresh.list_keys().is_empty());
+    }
+
+    #[test]
+    fn history_crossing_keys_rejected() {
+        // A version of `k` whose base is a version of `other`: its ref
+        // names the right key, the base does not.
+        let src = db();
+        let other = src
+            .put("other", Value::string("elsewhere"), &PutOptions::default())
+            .unwrap();
+        let forged = crate::fnode::FNode {
+            key: "k".into(),
+            value: Value::string("mine"),
+            bases: vec![other.uid],
+            author: String::new(),
+            message: String::new(),
+            logical_time: 7,
+        };
+        let uid = forged.store(src.store()).unwrap();
+        let head = BundleRef {
+            key: "k".into(),
+            branch: "master".into(),
+            uid,
+        };
+        let mut bundle = Vec::new();
+        assert_eq!(export_refs(&src, vec![head], &mut bundle).unwrap(), 2);
+
+        let dst = db();
+        for result in [
+            import_bundle(&dst, &mut bundle.as_slice()),
+            import_bundle_replace(&dst, &mut bundle.as_slice()),
+        ] {
+            assert!(
+                matches!(result, Err(DbError::TamperDetected(_))),
+                "{result:?}"
+            );
+            assert!(dst.list_keys().is_empty(), "no ref installed");
+        }
     }
 
     #[test]

@@ -11,6 +11,10 @@
 //! and the sweep drops everything unvisited. GC preserves all *history*
 //! reachable from live heads — this is archival storage, not a cache.
 //!
+//! The mark is `walk.rs`'s two walks with the live set as their one
+//! seen set: every version from every head, and every page under it, is
+//! read once however many versions share it.
+//!
 //! The sweep itself is delegated to the store's [`SweepStore`] capability:
 //! on a `MemStore` it drops map entries; on a `FileStore` it additionally
 //! runs physical compaction, rewriting surviving chunks out of
@@ -20,99 +24,24 @@
 use std::collections::HashSet;
 
 use forkbase_crypto::Hash;
-use forkbase_postree::node::Node;
 use forkbase_store::{ChunkStore, SweepReport, SweepStore};
-use forkbase_types::Value;
 
 use crate::db::ForkBase;
 use crate::error::DbResult;
-use crate::fnode::FNode;
+use crate::walk;
 
 /// The set of chunks reachable from all branch heads.
 pub fn mark<S: ChunkStore>(db: &ForkBase<S>) -> DbResult<HashSet<Hash>> {
-    let mut live: HashSet<Hash> = HashSet::new();
-    let mut frontier: Vec<Hash> = Vec::new();
+    let mut heads = Vec::new();
     for key in db.list_keys() {
-        for b in db.list_branches(&key)? {
-            frontier.push(b.head);
-        }
+        heads.extend(db.list_branches(&key)?.into_iter().map(|b| b.head));
     }
-    while let Some(uid) = frontier.pop() {
-        if !live.insert(uid) {
-            continue;
-        }
-        // A frontier hash is always an FNode (bases and heads are FNodes).
-        let fnode = FNode::load(db.store(), &uid)?;
-        frontier.extend(fnode.bases.iter().copied());
-        mark_value(db, &fnode.value, &mut live)?;
-    }
+    let mut live = HashSet::new();
+    walk::versions(db.store(), heads, &mut live, |_, fnode, live| {
+        walk::pages(db.store(), &fnode.value, live, |_| {})?;
+        Ok(None)
+    })?;
     Ok(live)
-}
-
-fn mark_value<S: ChunkStore>(
-    db: &ForkBase<S>,
-    value: &Value,
-    live: &mut HashSet<Hash>,
-) -> DbResult<()> {
-    let mut order = Vec::new();
-    mark_value_into(db, value, live, &mut order)
-}
-
-/// Order-preserving variant used by bundle export: appends every newly
-/// discovered chunk hash to `order` in discovery order.
-pub(crate) fn mark_value_into<S: ChunkStore>(
-    db: &ForkBase<S>,
-    value: &Value,
-    live: &mut HashSet<Hash>,
-    order: &mut Vec<Hash>,
-) -> DbResult<()> {
-    match value {
-        Value::Map(t) | Value::Set(t) | Value::List(t) => mark_tree(db, &t.root, live, order),
-        Value::Blob(r) => mark_blob(db, &r.root, r.depth, live, order),
-        _ => Ok(()),
-    }
-}
-
-fn mark_tree<S: ChunkStore>(
-    db: &ForkBase<S>,
-    root: &Hash,
-    live: &mut HashSet<Hash>,
-    order: &mut Vec<Hash>,
-) -> DbResult<()> {
-    if !live.insert(*root) {
-        return Ok(());
-    }
-    order.push(*root);
-    let node = Node::load(db.store(), root)?;
-    if let Node::Index { children, .. } = node {
-        for c in children {
-            mark_tree(db, &c.hash, live, order)?;
-        }
-    }
-    Ok(())
-}
-
-fn mark_blob<S: ChunkStore>(
-    db: &ForkBase<S>,
-    root: &Hash,
-    depth: u8,
-    live: &mut HashSet<Hash>,
-    order: &mut Vec<Hash>,
-) -> DbResult<()> {
-    if !live.insert(*root) {
-        return Ok(());
-    }
-    order.push(*root);
-    if depth == 0 {
-        return Ok(()); // raw chunk
-    }
-    let node = Node::load(db.store(), root)?;
-    if let Node::Index { children, .. } = node {
-        for c in children {
-            mark_blob(db, &c.hash, depth - 1, live, order)?;
-        }
-    }
-    Ok(())
 }
 
 /// Report of one full GC pass: what the mark phase found live, plus the

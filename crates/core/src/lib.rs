@@ -39,7 +39,6 @@
 //! ```
 
 mod accept;
-pub mod acl;
 pub mod api;
 pub mod backend;
 pub mod bundle;
@@ -49,9 +48,9 @@ pub mod error;
 pub mod fnode;
 pub mod forks;
 pub mod gc;
+mod walk;
 
 pub use accept::AcceptLoop;
-pub use acl::{AccessController, Permission, Role};
 pub use api::{
     BatchOutcome, BlobReader, BranchInfo, CommitResult, DbStat, ForkBase, GetResult, HistoryEntry,
     ListStream, MapRange, PutOptions, Snapshot, ValueDiff, VersionSpec, WriteBatch, DEFAULT_BRANCH,

@@ -215,6 +215,28 @@ fn verify_branch_verifies_each_version_independently() {
 }
 
 #[test]
+fn import_bundle_verifies_each_version_once() {
+    // Each branch reaches 23 versions, 20 of them on the shared trunk; the
+    // 29 distinct versions are verified once each, not once per branch.
+    let fx = three_branches();
+    let mut bundle = Vec::new();
+    forkbase::export_bundle(&fx.fresh(), fx.key, &[], &mut bundle).unwrap();
+    let once = fx.per_version_verify_gets();
+    for replace in [false, true] {
+        let dst = MemStore::new();
+        let db = ForkBase::with_config(&dst, TreeConfig::test_config());
+        let before = dst.stats().gets;
+        let refs = if replace {
+            forkbase::import_bundle_replace(&db, &mut bundle.as_slice())
+        } else {
+            forkbase::import_bundle(&db, &mut bundle.as_slice())
+        };
+        assert_eq!(refs.unwrap().len(), 3);
+        assert_eq!(dst.stats().gets - before, once, "replace: {replace}");
+    }
+}
+
+#[test]
 #[ignore = "ROADMAP § 15(b): measured 47 225 gets against 1 519 distinct pages"]
 fn verify_branch_reads_each_distinct_page_once() {
     let fx = map_history(100);

@@ -15,7 +15,7 @@
 //! same on every CPU.
 //!
 //! The call into the kernel is one of the crate's two `unsafe` expressions
-//! (the other enters the CRC-32 kernel in [`crate::crc32`]): a
+//! (the other enters the CRC-32 kernel in [`mod@crate::crc32`]): a
 //! `#[target_feature]` function may only be called once the CPU is known to
 //! have those features, and a `ShaNi` token exists only after runtime
 //! detection has said so.

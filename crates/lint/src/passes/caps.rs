@@ -13,7 +13,9 @@
 //!   are denied in the cluster router, RPC, net, wire, replication,
 //!   rate-limit, accept loop, REST gateway and CLI session modules, where
 //!   a panicking thread kills a servelet worker, a listener or a routed
-//!   call, or a save leaves records half-written. A
+//!   call, or a save leaves records half-written; and in the history
+//!   walk, GC and bundle modules, which parse and walk bytes shipped from
+//!   another process (replica `Replicate`, rebalance). A
 //!   genuinely unreachable case can carry a
 //!   `// forkbase-lint: allow(no-panic): <why>` waiver on its own or
 //!   the preceding line.
@@ -39,6 +41,9 @@ const NO_PANIC_FILES: &[&str] = &[
     "crates/core/src/cluster/wire.rs",
     "crates/core/src/cluster/replication.rs",
     "crates/core/src/cluster/ratelimit.rs",
+    "crates/core/src/walk.rs",
+    "crates/core/src/gc.rs",
+    "crates/core/src/bundle.rs",
 ];
 
 const PANIC_TOKENS: &[&str] = &[".unwrap()", ".expect(", "panic!"];

@@ -98,9 +98,10 @@ impl<'s, S: ChunkStore> PosBlob<'s, S> {
     /// Read the whole blob.
     pub fn read_all(&self, blob: &BlobRef) -> NodeResult<Vec<u8>> {
         let mut out = Vec::with_capacity(blob.len as usize);
-        self.walk_chunks(blob, &mut |bytes| {
-            out.extend_from_slice(bytes);
-        })?;
+        let mut cursor = self.cursor(blob)?;
+        while let Some(chunk) = cursor.next_chunk()? {
+            out.extend_from_slice(&chunk);
+        }
         if out.len() as u64 != blob.len {
             return Err(NodeError::Malformed(format!(
                 "blob length {} does not match content {}",
@@ -167,32 +168,6 @@ impl<'s, S: ChunkStore> PosBlob<'s, S> {
         BlobCursor::new(self.store, blob)
     }
 
-    /// Invoke `f` with each raw chunk in order.
-    pub fn walk_chunks(&self, blob: &BlobRef, f: &mut impl FnMut(&[u8])) -> NodeResult<()> {
-        self.walk_inner(&blob.root, blob.depth, f)
-    }
-
-    fn walk_inner(&self, root: &Hash, depth: u8, f: &mut impl FnMut(&[u8])) -> NodeResult<()> {
-        if depth == 0 {
-            let bytes = self.get_chunk(root)?;
-            f(&bytes);
-            return Ok(());
-        }
-        let node = Node::load(self.store, root)?;
-        let Node::Index { children, level } = node else {
-            return Err(NodeError::Malformed("expected blob index node".into()));
-        };
-        if level != depth {
-            return Err(NodeError::Malformed(format!(
-                "blob index level {level} != expected depth {depth}"
-            )));
-        }
-        for c in &children {
-            self.walk_inner(&c.hash, depth - 1, f)?;
-        }
-        Ok(())
-    }
-
     /// The `(hash, len)` list of raw chunks — the unit of deduplication.
     pub fn chunk_refs(&self, blob: &BlobRef) -> NodeResult<Vec<(Hash, u64)>> {
         let mut out = Vec::new();
@@ -245,12 +220,14 @@ impl<'s, S: ChunkStore> PosBlob<'s, S> {
         Ok((chunks, bytes))
     }
 
-    /// Verify blob integrity: every chunk authenticates and lengths add up.
+    /// Verify blob integrity: every chunk authenticates, every index page
+    /// sits at its depth, and lengths add up.
     pub fn verify(&self, blob: &BlobRef) -> NodeResult<u64> {
         let mut total = 0u64;
-        self.walk_chunks(blob, &mut |bytes| {
-            total += bytes.len() as u64;
-        })?;
+        let mut cursor = self.cursor(blob)?;
+        while let Some(chunk) = cursor.next_chunk()? {
+            total += chunk.len() as u64;
+        }
         if total != blob.len {
             return Err(NodeError::Malformed(format!(
                 "blob length mismatch: ref says {}, chunks total {total}",
@@ -271,13 +248,14 @@ struct BlobFrame {
 
 /// A streaming cursor over a blob's raw data chunks, in order.
 ///
-/// Unlike [`PosBlob::read_all`] (which materializes the whole value) or
-/// [`PosBlob::walk_chunks`] (callback-driven), the cursor is a pull
-/// interface: each [`BlobCursor::next_chunk`] call fetches, verifies, and
-/// hands back exactly one data chunk. Memory held between calls is the
-/// root→leaf index path — O(log N) index nodes — never the blob content,
-/// which is what lets `Snapshot::blob_reader` stream a 64 MiB blob
-/// through a fixed-size buffer.
+/// Unlike [`PosBlob::read_all`] (which materializes the whole value), the
+/// cursor is a pull interface: each [`BlobCursor::next_chunk`] call
+/// fetches, verifies, and hands back exactly one data chunk, and checks
+/// each index page it opens against its expected depth. Memory held
+/// between calls is the root→leaf index path — O(log N) index nodes —
+/// never the blob content, which is what lets `Snapshot::blob_reader`
+/// stream a 64 MiB blob through a fixed-size buffer. [`PosBlob::read_all`]
+/// and [`PosBlob::verify`] drain one.
 pub struct BlobCursor<'s, S> {
     store: &'s S,
     stack: Vec<BlobFrame>,

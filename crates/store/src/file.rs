@@ -35,7 +35,7 @@
 //! is the requested one (a 32-byte compare, so a stale slot can never
 //! read as another chunk) and that the CRC matches (media damage), and
 //! returns the payload as a zero-copy view. The CRC is
-//! [`forkbase_crypto::crc32`]: on CPUs with carry-less multiply it folds
+//! [`forkbase_crypto::crc32()`]: on CPUs with carry-less multiply it folds
 //! a 4 KiB frame in a fraction of the time its reader's SHA-256 takes,
 //! so the media check costs little beside the content check. A failure of either check is
 //! [`StoreError::BadFrame`]. `get` does **not** SHA-256 the payload: the

@@ -2,14 +2,14 @@
 //!
 //! A shared product dataset is loaded once; two teams fork it, run
 //! independent data engineering, inspect each other's changes with
-//! multi-scope diffs (Fig. 5), and merge back — all with branch-scoped
-//! access control and zero data copying.
+//! multi-scope diffs (Fig. 5), and merge back — all with zero data
+//! copying.
 //!
 //! ```text
 //! cargo run --example collaborative_analytics
 //! ```
 
-use forkbase::{AccessController, ForkBase, Permission, PutOptions, Role, VersionSpec};
+use forkbase::{ForkBase, PutOptions, VersionSpec};
 use forkbase_postree::MergePolicy;
 use forkbase_store::{ChunkStore, MemStore};
 use forkbase_table::TableStore;
@@ -17,20 +17,6 @@ use forkbase_table::TableStore;
 fn main() {
     let db = ForkBase::new(MemStore::new());
     let tables = TableStore::new(&db);
-
-    // Access control: one admin, two analysts confined to their branches.
-    let acl = AccessController::new();
-    acl.add_user("admin", Role::Admin);
-    acl.add_user("ana", Role::Member);
-    acl.add_user("ben", Role::Member);
-    acl.grant("admin", "ana", "products", "team-a", Permission::Write)
-        .unwrap();
-    acl.grant("admin", "ben", "products", "team-b", Permission::Write)
-        .unwrap();
-    acl.grant("admin", "ana", "products", "master", Permission::Read)
-        .unwrap();
-    acl.grant("admin", "ben", "products", "master", Permission::Read)
-        .unwrap();
 
     // The admin loads the shared dataset.
     let mut csv = String::from("sku,name,price,stock\n");
@@ -41,8 +27,6 @@ fn main() {
             i % 50
         ));
     }
-    acl.check("admin", "products", "master", Permission::Write)
-        .unwrap();
     tables
         .load_csv(
             "products",
@@ -64,10 +48,7 @@ fn main() {
         db.store().stored_bytes() - base_bytes
     );
 
-    // Ana (team A) runs a price correction; the ACL confines her.
-    acl.check("ana", "products", "team-a", Permission::Write)
-        .unwrap();
-    assert!(!acl.allows("ana", "products", "master", Permission::Write));
+    // Ana (team A) runs a price correction on her fork.
     for sku in ["sku-00010", "sku-00011", "sku-00012"] {
         tables
             .update_cell(
@@ -83,8 +64,6 @@ fn main() {
     }
 
     // Ben (team B) restocks a disjoint set of rows.
-    acl.check("ben", "products", "team-b", Permission::Write)
-        .unwrap();
     for sku in ["sku-01900", "sku-01901"] {
         tables
             .update_cell(
