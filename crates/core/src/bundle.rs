@@ -180,7 +180,9 @@ pub fn import_bundle<S: ChunkStore>(
                     branch: r.branch.clone(),
                 })
             }
-            Err(_) => db.install_ref(&r.key, &r.branch, r.uid)?,
+            Err(_) => {
+                db.install_ref(&r.key, &r.branch, r.uid)?;
+            }
         }
     }
     db.bump_clock_past(max_time);
@@ -204,13 +206,15 @@ pub fn import_bundle_replace<S: ChunkStore>(
     // Same GC-gate discipline as `import_bundle` (see comment there).
     let _gc = db.gc_shared();
     let (refs, max_time) = verify_bundle(db, input)?;
-    let mut by_key: BTreeMap<&str, Vec<(String, Hash)>> = BTreeMap::new();
+    let mut by_key: BTreeMap<String, Vec<(String, Hash)>> = BTreeMap::new();
     for r in &refs {
-        let branch = (r.branch.clone(), r.uid);
-        by_key.entry(&r.key).or_default().push(branch);
+        by_key
+            .entry(r.key.clone())
+            .or_default()
+            .push((r.branch.clone(), r.uid));
     }
     for (key, branches) in by_key {
-        db.replace_key_refs(key, branches)?;
+        db.replace_key_refs(&key, branches)?;
     }
     db.bump_clock_past(max_time);
     Ok(refs)
