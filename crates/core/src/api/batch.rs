@@ -1,4 +1,9 @@
-//! [`WriteBatch`]: atomic multi-key commits.
+//! [`WriteBatch`]: atomic multi-key commits, and the one code path that
+//! moves a branch head: the single-op verbs commit one-op batches (a
+//! rename is a branch creation plus a deletion), and `merge` lands its
+//! version through the same `publish`. Only the verified imports in the
+//! parent module (bundle, replica, rebalance, refs file) write refs
+//! otherwise.
 //!
 //! A batch collects puts, compound map edits, and branch deletions across
 //! any number of `(key, branch)` pairs, then commits them in one step:
@@ -61,15 +66,39 @@ enum BatchOp {
     },
     /// Delete a branch ref (versions remain, like `delete_branch`).
     DeleteBranch { key: String, branch: String },
+    /// Create `branch` at `at`. Staged only by the branch verbs: the
+    /// public [`WriteBatch`] surface has no way to stage it.
+    Branch {
+        key: String,
+        branch: String,
+        at: BranchAt,
+    },
+}
+
+/// Where a [`BatchOp::Branch`] points its new branch.
+pub(super) enum BranchAt {
+    /// A version, which must load as one of the key's.
+    Version(Uid),
+    /// Another branch's head, read under that branch's stripe.
+    Head(String),
 }
 
 impl BatchOp {
-    fn key_branch(&self) -> (&str, &str) {
+    /// The `(key, branch)` whose head the op moves, then the one whose head
+    /// it reads: the same pair, unless a `Branch` op copies another head.
+    fn pairs(&self) -> [(&str, &str); 2] {
         match self {
             BatchOp::Put { key, opts, .. }
             | BatchOp::PutBlob { key, opts, .. }
-            | BatchOp::MapEdits { key, opts, .. } => (key, &opts.branch),
-            BatchOp::DeleteBranch { key, branch } => (key, branch),
+            | BatchOp::MapEdits { key, opts, .. } => [(key, &opts.branch); 2],
+            BatchOp::Branch {
+                key,
+                branch,
+                at: BranchAt::Head(from),
+            } => [(key, branch), (key, from)],
+            BatchOp::DeleteBranch { key, branch } | BatchOp::Branch { key, branch, .. } => {
+                [(key, branch); 2]
+            }
         }
     }
 }
@@ -249,6 +278,16 @@ impl<'db, S: ChunkStore> WriteBatch<'db, S> {
         self
     }
 
+    /// Stage the creation of `branch` at `at` (the branch verbs).
+    pub(super) fn branch_at(&mut self, key: &str, branch: &str, at: BranchAt) -> &mut Self {
+        self.ops.push(BatchOp::Branch {
+            key: key.to_string(),
+            branch: branch.to_string(),
+            at,
+        });
+        self
+    }
+
     /// Number of staged operations.
     pub fn len(&self) -> usize {
         self.ops.len()
@@ -267,26 +306,30 @@ impl<'db, S: ChunkStore> WriteBatch<'db, S> {
     /// head swings inside a single ref-table write section — or none do,
     /// if any operation fails. See the module docs for the protocol.
     pub fn commit(self) -> DbResult<Vec<BatchOutcome>> {
-        let db = self.db;
-        let mut ops = self.ops;
-        if ops.is_empty() {
-            return Ok(Vec::new());
-        }
         // Validate names before touching any lock.
-        for op in &ops {
-            let (key, branch) = op.key_branch();
+        for op in &self.ops {
+            let [(key, branch), _] = op.pairs();
             ForkBase::<S>::validate_name("key", key)?;
             ForkBase::<S>::validate_name("branch", branch)?;
         }
+        self.commit_unchecked()
+    }
 
+    /// [`Self::commit`] without the name checks: the branch verbs keep the
+    /// checks (and error order) they have always had.
+    pub(super) fn commit_unchecked(self) -> DbResult<Vec<BatchOutcome>> {
+        let (db, mut ops) = (self.db, self.ops);
+        if ops.is_empty() {
+            return Ok(Vec::new());
+        }
         let _gc = db.gc_gate.read();
 
         // Chunk blob contents BEFORE any head stripe is taken: chunking is
         // content-addressed and independent of heads, and a large blob
         // would otherwise stall every writer sharing a stripe with this
-        // batch for the whole chunking run (the non-batch `put_blob` makes
-        // the same choice). Must happen under the GC gate, so the freshly
-        // written trees cannot be swept before the heads swing.
+        // batch for the whole chunking run. Must happen under the GC gate,
+        // so the freshly written trees cannot be swept before the heads
+        // swing.
         for op in &mut ops {
             if let BatchOp::PutBlob { key, content, opts } = op {
                 let blob = PosBlob::new(&db.store, db.cfg);
@@ -299,43 +342,37 @@ impl<'db, S: ChunkStore> WriteBatch<'db, S> {
             }
         }
 
-        // Detach map-edit lists before the ops are (immutably) borrowed
-        // for the rest of the commit: `PosMap::apply` consumes its edits,
-        // and cloning a large edit list at commit time would reintroduce
-        // exactly the per-op copying this path avoids. Only allocated when
-        // a map-edit op exists, so the common all-puts batch skips it.
-        let mut edit_lists: Vec<Option<Vec<MapEdit>>> = Vec::new();
-        if ops.iter().any(|op| matches!(op, BatchOp::MapEdits { .. })) {
-            edit_lists = ops
-                .iter_mut()
-                .map(|op| match op {
-                    BatchOp::MapEdits { edits, .. } => Some(std::mem::take(edits)),
-                    _ => None,
-                })
-                .collect();
-        }
+        // Detach the edit lists `PosMap::apply` consumes before the ops are
+        // borrowed for the rest of the commit: cloning them at commit time
+        // would copy every edit.
+        let mut edit_lists: Vec<Vec<MapEdit>> = ops
+            .iter_mut()
+            .map(|op| match op {
+                BatchOp::MapEdits { edits, .. } => std::mem::take(edits),
+                _ => Vec::new(),
+            })
+            .collect();
 
         // Index the distinct (key, branch) pairs once (cheap FxHash — this
         // runs per op), so the per-op work below is a vector index instead
-        // of a repeated lookup. `distinct` borrows straight from the ops;
-        // no owned pair strings exist anywhere in the commit path — the op
-        // loop encodes versions from borrowed parts and the final
-        // ref-table write allocates only for genuinely new keys/branches.
-        let (distinct, op_pair): (Vec<(&str, &str)>, Vec<usize>) = {
+        // of a repeated lookup. `distinct` borrows straight from the ops:
+        // the commit path owns no pair strings.
+        let (distinct, op_pairs): (Vec<(&str, &str)>, Vec<[usize; 2]>) = {
             let mut pair_index: HashMap<(&str, &str), usize, FxBuildHasher> =
                 HashMap::with_capacity_and_hasher(ops.len(), FxBuildHasher::default());
             let mut distinct: Vec<(&str, &str)> = Vec::with_capacity(ops.len());
-            let op_pair: Vec<usize> = ops
+            let op_pairs = ops
                 .iter()
                 .map(|op| {
-                    let pair = op.key_branch();
-                    *pair_index.entry(pair).or_insert_with(|| {
-                        distinct.push(pair);
-                        distinct.len() - 1
+                    op.pairs().map(|pair| {
+                        *pair_index.entry(pair).or_insert_with(|| {
+                            distinct.push(pair);
+                            distinct.len() - 1
+                        })
                     })
                 })
                 .collect();
-            (distinct, op_pair)
+            (distinct, op_pairs)
         };
 
         // Lock every touched stripe in index order (deduplicated): the
@@ -362,110 +399,150 @@ impl<'db, S: ChunkStore> WriteBatch<'db, S> {
                 .unzip()
         };
 
-        // Build every new version against the locked heads. The ops are
-        // only borrowed: FNode encodings are produced straight from
-        // borrowed parts ([`fnode::encode_parts_with_uid`]) — no owned
-        // `FNode` is materialized and no key/author/message string is
-        // cloned per op. `heads` tracks in-batch chaining: a later op on
-        // the same (key, branch) bases on the earlier op's version; `None`
-        // marks a (possibly in-batch) deleted or absent branch.
-        let mut keys_created: Vec<usize> = Vec::new(); // pair indices of new keys put to
-        let mut staged_chunks: Vec<(Uid, Bytes)> = Vec::with_capacity(ops.len());
+        // Build every new version against the locked heads, from borrowed
+        // parts (`commit_one`). `heads` tracks in-batch chaining: a later op
+        // on the same pair bases on the earlier op's version, and `None`
+        // marks a (possibly in-batch) deleted or absent branch. A pair's
+        // in-batch head is not in the store until `publish`; `staged_at`
+        // says where in `staged` it is.
+        let mut staged: Vec<(Uid, Bytes)> = Vec::with_capacity(ops.len());
+        let mut staged_at: Vec<Option<usize>> = vec![None; distinct.len()];
         let mut outcomes: Vec<BatchOutcome> = Vec::with_capacity(ops.len());
-        // Per-pair value of the latest in-batch commit: later map-edit ops
-        // on the same branch must read the staged head's value from here —
-        // its FNode chunk is not in the store until the put_batch below.
-        // Only tracked for pairs some map-edit op actually targets, so the
-        // common all-puts batch never clones a value.
-        let mut staged_values: Vec<Option<Value>> = vec![None; distinct.len()];
-        let mut needs_value: Vec<bool> = vec![false; distinct.len()];
-        for (op, &p) in ops.iter().zip(&op_pair) {
-            if matches!(op, BatchOp::MapEdits { .. }) {
-                needs_value[p] = true;
-            }
-        }
+        let mut keys_created: Vec<usize> = Vec::new(); // pairs whose put created their key
 
-        // Classify a missing head the way `delete_branch` does: missing
-        // key vs missing branch, where a key counts as present if an
-        // earlier batch op created it.
-        let missing_head_err =
-            |created: &[usize], pair: usize, key: &str, branch: &str| -> DbError {
-                if !key_existed[pair] && !created.iter().any(|&p| distinct[p].0 == key) {
-                    DbError::NoSuchKey(key.to_string())
-                } else {
-                    DbError::NoSuchBranch {
-                        key: key.to_string(),
-                        branch: branch.to_string(),
-                    }
+        // A key exists if it did when the stripes were taken or an earlier
+        // op put to it; a missing head is a missing key or a missing branch.
+        let key_exists = |created: &[usize], pair: usize| {
+            key_existed[pair] || created.iter().any(|&p| distinct[p].0 == distinct[pair].0)
+        };
+        let missing_head_err = |created: &[usize], pair: usize| -> DbError {
+            let (key, branch) = distinct[pair];
+            if key_exists(created, pair) {
+                DbError::NoSuchBranch {
+                    key: key.to_string(),
+                    branch: branch.to_string(),
                 }
-            };
+            } else {
+                DbError::NoSuchKey(key.to_string())
+            }
+        };
 
-        for ((op_idx, op), &pair) in ops.iter().enumerate().zip(&op_pair) {
-            match op {
+        for ((op_idx, op), &[pair, from]) in ops.iter().enumerate().zip(&op_pairs) {
+            let outcome = match op {
                 BatchOp::DeleteBranch { key, branch } => {
-                    if heads[pair].is_none() {
-                        return Err(missing_head_err(&keys_created, pair, key, branch));
+                    if heads[pair].take().is_none() {
+                        return Err(missing_head_err(&keys_created, pair));
                     }
-                    heads[pair] = None;
-                    staged_values[pair] = None;
-                    outcomes.push(BatchOutcome::Deleted {
+                    BatchOutcome::Deleted {
                         key: key.clone(),
                         branch: branch.clone(),
-                    });
+                    }
                 }
                 BatchOp::Put { key, value, opts } => {
-                    let (uid, branch) =
-                        commit_one(db, &mut staged_chunks, key, value, heads[pair], opts);
-                    if needs_value[pair] {
-                        staged_values[pair] = Some(value.clone());
-                    }
-                    heads[pair] = Some(uid);
                     if !key_existed[pair] {
                         keys_created.push(pair);
                     }
-                    outcomes.push(BatchOutcome::Committed(CommitResult { uid, branch }));
+                    staged_at[pair] = Some(staged.len());
+                    let c = commit_one(db, &mut staged, key, value, heads[pair].as_slice(), opts);
+                    heads[pair] = Some(c.uid);
+                    BatchOutcome::Committed(c)
                 }
                 BatchOp::PutBlob { .. } => {
-                    unreachable!("blob ops were rewritten to puts before locking")
+                    return Err(DbError::InvalidInput(
+                        "a blob op reached the locked section unchunked".into(),
+                    ))
                 }
                 BatchOp::MapEdits { key, opts, .. } => {
-                    if heads[pair].is_none() {
-                        return Err(missing_head_err(&keys_created, pair, key, &opts.branch));
-                    }
-                    // Base value: the in-batch staged head if one exists
-                    // (its FNode is not in the store yet), else the stored
-                    // head's.
-                    let base_value = match &staged_values[pair] {
-                        Some(v) => v.clone(),
-                        None => FNode::load(&db.store, &heads[pair].expect("checked above"))?.value,
+                    let Some(head) = heads[pair] else {
+                        return Err(missing_head_err(&keys_created, pair));
+                    };
+                    let base_value = match staged_at[pair] {
+                        Some(i) => FNode::decode(&staged[i].1)?.value,
+                        None => FNode::load(&db.store, &head)?.value,
                     };
                     let tree = expect_map(&base_value)?;
-                    let edits = edit_lists[op_idx].take().expect("detached in pre-pass");
-                    let updated = db.map(tree).apply(edits)?;
+                    let updated = db
+                        .map(tree)
+                        .apply(std::mem::take(&mut edit_lists[op_idx]))?;
                     let value = match base_value {
                         Value::Set(_) => Value::Set(updated.tree()),
                         _ => Value::Map(updated.tree()),
                     };
-                    let (uid, branch) =
-                        commit_one(db, &mut staged_chunks, key, &value, heads[pair], opts);
-                    staged_values[pair] = Some(value);
-                    heads[pair] = Some(uid);
-                    outcomes.push(BatchOutcome::Committed(CommitResult { uid, branch }));
+                    staged_at[pair] = Some(staged.len());
+                    let c = commit_one(db, &mut staged, key, &value, &[head], opts);
+                    heads[pair] = Some(c.uid);
+                    BatchOutcome::Committed(c)
                 }
-            }
+                BatchOp::Branch { key, branch, at } => {
+                    let (at, at_staged) = match at {
+                        BranchAt::Version(uid) => {
+                            let fnode = FNode::load(&db.store, uid)?;
+                            if fnode.key != *key {
+                                return Err(DbError::InvalidInput(format!(
+                                    "version {uid} belongs to key {:?}, not {key:?}",
+                                    fnode.key
+                                )));
+                            }
+                            (Some(*uid), None)
+                        }
+                        BranchAt::Head(_) => (heads[from], staged_at[from]),
+                    };
+                    // An existing branch implies its key; a version needs
+                    // its key to exist.
+                    if heads[pair].is_some() {
+                        return Err(DbError::BranchExists {
+                            key: key.clone(),
+                            branch: branch.clone(),
+                        });
+                    }
+                    let Some(uid) = at.filter(|_| key_exists(&keys_created, pair)) else {
+                        return Err(missing_head_err(&keys_created, from));
+                    };
+                    heads[pair] = Some(uid);
+                    staged_at[pair] = at_staged;
+                    BatchOutcome::Committed(CommitResult {
+                        uid,
+                        branch: branch.clone(),
+                    })
+                }
+            };
+            outcomes.push(outcome);
         }
+        db.publish(staged, &distinct, &heads)?;
+        Ok(outcomes)
+    }
 
-        // One store round-trip for every new FNode (value trees were
-        // batched by their own builders above).
-        db.store.put_batch(staged_chunks)?;
+    /// Commit a batch of one put, blob put or map edit and return its
+    /// commit: the single-op verbs.
+    pub(super) fn commit_single(self) -> DbResult<CommitResult> {
+        match self.commit()?.pop() {
+            Some(BatchOutcome::Committed(c)) => Ok(c),
+            other => Err(DbError::InvalidInput(format!(
+                "a one-op commit yielded {other:?}"
+            ))),
+        }
+    }
+}
 
-        // The commit point: swing every head (or drop every deleted ref)
-        // inside a single write section. A reader holding the ref table —
-        // `heads`, `dump_refs` — sees all of these updates or none.
+impl<S: ChunkStore> ForkBase<S> {
+    /// The commit point of every head move: land the staged FNodes through
+    /// one [`ChunkStore::put_batch`], then set each pair's head (`None`
+    /// drops the ref) inside a single write section. A reader holding the
+    /// ref table — `heads`, `dump_refs` — sees all of these updates or
+    /// none. The caller holds the GC gate and the stripe of every pair.
+    pub(super) fn publish(
+        &self,
+        staged: Vec<(Uid, Bytes)>,
+        pairs: &[(&str, &str)],
+        heads: &[Option<Uid>],
+    ) -> DbResult<()> {
+        if !staged.is_empty() {
+            self.store.put_batch(staged)?;
+        }
         // Steady-state head swings mutate in place; owned strings are
         // allocated only for keys/branches that did not exist before.
-        let mut branches = db.branches.write();
-        for (&(key, branch), head) in distinct.iter().zip(&heads) {
+        let mut branches = self.branches.write();
+        for (&(key, branch), head) in pairs.iter().zip(heads) {
             let key_emptied = match (head, branches.get_mut(key)) {
                 (Some(uid), Some(kb)) => {
                     if let Some(slot) = kb.get_mut(branch) {
@@ -488,38 +565,31 @@ impl<'db, S: ChunkStore> WriteBatch<'db, S> {
                 }
                 (None, None) => false,
             };
-            // Same rule as `delete_branch`: a key with no branches left
-            // ceases to exist, so `list_keys` never reports phantom names
-            // after branch-heavy churn (e.g. the fork-sandbox reaper).
+            // Deleting the last branch deletes the key: a branchless key is
+            // unreachable through every verb, and leaving the empty entry
+            // would let high-churn branch users (the fork-sandbox reaper in
+            // particular) grow `list_keys` with phantom names forever.
             if key_emptied {
                 branches.remove(key);
             }
         }
-        Ok(outcomes)
+        Ok(())
     }
 }
 
-/// Encode one commit version against `head` straight from borrowed parts
-/// — no owned `FNode`, no string clones — stage its chunk, and return the
-/// uid plus the target branch for the outcome. Byte-identical to what
+/// Encode one version of `key` on `bases` straight from borrowed parts —
+/// no owned `FNode`, no string clones — stage its chunk, and return the
+/// commit it makes on `opts.branch`. Byte-identical to what
 /// `FNode::encode_with_uid` would produce (pinned by
 /// `fnode::tests::borrowed_encoding_is_byte_identical`).
-fn commit_one<S: ChunkStore>(
+pub(super) fn commit_one<S: ChunkStore>(
     db: &ForkBase<S>,
-    staged_chunks: &mut Vec<(Uid, Bytes)>,
+    staged: &mut Vec<(Uid, Bytes)>,
     key: &str,
     value: &Value,
-    head: Option<Uid>,
+    bases: &[Uid],
     opts: &PutOptions,
-) -> (Uid, String) {
-    let base;
-    let bases: &[Uid] = match head {
-        Some(uid) => {
-            base = [uid];
-            &base
-        }
-        None => &[],
-    };
+) -> CommitResult {
     let (uid, bytes) = fnode::encode_parts_with_uid(
         key,
         value,
@@ -528,6 +598,9 @@ fn commit_one<S: ChunkStore>(
         &opts.message,
         db.clock.fetch_add(1, Ordering::Relaxed),
     );
-    staged_chunks.push((uid, Bytes::from(bytes)));
-    (uid, opts.branch.clone())
+    staged.push((uid, Bytes::from(bytes)));
+    CommitResult {
+        uid,
+        branch: opts.branch.clone(),
+    }
 }

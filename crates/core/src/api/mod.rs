@@ -193,13 +193,15 @@ const HEAD_STRIPES: usize = 64;
 ///
 /// # Concurrency model
 ///
-/// * A commit's head read-modify-write holds one of `HEAD_STRIPES` (64)
-///   striped locks, selected by hashing `(key, branch)`. Commits to
+/// * Every head move holds one of `HEAD_STRIPES` (64) striped locks per
+///   `(key, branch)` it touches, selected by hashing the pair. Commits to
 ///   different keys or branches proceed in parallel; commits to the same
 ///   branch serialize, which is what makes each branch a linear chain.
-/// * Merges and [`WriteBatch`] commits lock the stripes of every touched
-///   branch in stripe-index order, so crossing multi-stripe writers cannot
-///   deadlock.
+/// * Every verb that moves a head commits through [`WriteBatch`]'s code
+///   (single verbs are one-op batches); it and `merge` lock their
+///   stripes in stripe-index order, so crossing multi-stripe writers
+///   cannot deadlock. Bundle and replica imports install verified refs
+///   directly.
 /// * Every mutating verb holds the GC gate shared; [`crate::gc::collect`]
 ///   holds it exclusive, so mark-and-sweep sees quiescent heads and never
 ///   races an in-flight commit's freshly written chunks.

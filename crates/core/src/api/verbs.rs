@@ -2,18 +2,14 @@
 //! `Put Get List Branch Merge Select Stat Export Diff Head Rename Latest
 //! Meta`.
 //!
-//! Since PR 4, every read verb here is a thin wrapper: point reads resolve
-//! a [`Snapshot`](super::Snapshot) and delegate, and scans
-//! (`map_entries`, `map_select`, `list_elements`, `blob_read`) drive the
-//! streaming cursors of [`super::cursor_ext`], so they share one code path
-//! with [`Snapshot::map_range`](super::Snapshot::map_range),
-//! [`Snapshot::list_iter`](super::Snapshot::list_iter), and
-//! [`Snapshot::blob_reader`](super::Snapshot::blob_reader). Signatures and
-//! behavior are unchanged from the pre-snapshot API.
+//! Every read verb here is a thin wrapper: point reads resolve a
+//! [`Snapshot`](super::Snapshot) and delegate, and scans (`map_entries`,
+//! `map_select`, `list_elements`, `blob_read`) drive the streaming cursors
+//! of [`super::cursor_ext`]. Every write verb commits through
+//! [`super::batch`], the one code path that moves a branch head.
 
 use std::collections::HashSet;
 use std::io::Write;
-use std::sync::atomic::Ordering;
 
 use bytes::Bytes;
 use forkbase_postree::merge::{merge_maps, MergePolicy};
@@ -21,6 +17,7 @@ use forkbase_postree::{MapDiff, MapEdit, PosBlob, PosList, PosMap};
 use forkbase_store::ChunkStore;
 use forkbase_types::Value;
 
+use super::batch::{commit_one, BranchAt};
 use super::{cursor_ext, expect_map};
 use super::{CommitResult, ForkBase, GetResult, HistoryEntry, PutOptions, VersionSpec};
 use crate::error::{DbError, DbResult};
@@ -58,6 +55,17 @@ pub enum ValueDiff {
     },
 }
 
+/// How `theirs` relates to `ours` (see `ForkBase::ancestry`), with the
+/// merge base where one was met.
+enum Ancestry {
+    /// `theirs` is `ours` or one of its ancestors.
+    Contained,
+    /// `ours` is an ancestor of `theirs`.
+    FastForward(Option<Uid>),
+    /// Neither contains the other.
+    Diverged(Option<Uid>),
+}
+
 impl ValueDiff {
     /// Whether the two versions were identical.
     pub fn is_identical(&self) -> bool {
@@ -76,53 +84,9 @@ impl<S: ChunkStore> ForkBase<S> {
     /// Commits to distinct `(key, branch)` pairs proceed in parallel;
     /// commits to the same branch serialize on its head-lock stripe.
     pub fn put(&self, key: &str, value: Value, opts: &PutOptions) -> DbResult<CommitResult> {
-        Self::validate_name("key", key)?;
-        Self::validate_name("branch", &opts.branch)?;
-        let _gc = self.gc_gate.read();
-        self.put_inner(key, value, opts)
-    }
-
-    /// `put` minus validation and the GC gate (the caller holds it).
-    pub(crate) fn put_inner(
-        &self,
-        key: &str,
-        value: Value,
-        opts: &PutOptions,
-    ) -> DbResult<CommitResult> {
-        let _head = self.head_locks[Self::head_stripe(key, &opts.branch)].lock();
-        self.commit_locked(key, value, opts)
-    }
-
-    /// Append a version to `opts.branch`. The caller must hold the head
-    /// stripe for `(key, opts.branch)` — that lock is what makes the
-    /// read-head / store-FNode / advance-head sequence atomic per branch.
-    fn commit_locked(&self, key: &str, value: Value, opts: &PutOptions) -> DbResult<CommitResult> {
-        let bases = {
-            let branches = self.branches.read();
-            branches
-                .get(key)
-                .and_then(|b| b.get(&opts.branch))
-                .map(|h| vec![*h])
-                .unwrap_or_default()
-        };
-        let fnode = FNode {
-            key: key.to_string(),
-            value,
-            bases,
-            author: opts.author.clone(),
-            message: opts.message.clone(),
-            logical_time: self.clock.fetch_add(1, Ordering::Relaxed),
-        };
-        let uid = fnode.store(&self.store)?;
-        self.branches
-            .write()
-            .entry(key.to_string())
-            .or_default()
-            .insert(opts.branch.clone(), uid);
-        Ok(CommitResult {
-            uid,
-            branch: opts.branch.clone(),
-        })
+        let mut batch = self.write_batch();
+        batch.put(key, value, opts);
+        batch.commit_single()
     }
 
     /// Compound commit: chunk `content` into a `Blob` value and commit it
@@ -131,12 +95,9 @@ impl<S: ChunkStore> ForkBase<S> {
     /// safe against a concurrent [`crate::gc::collect`], unlike a separate
     /// [`Self::new_blob_bytes`] + [`Self::put`] sequence.
     pub fn put_blob(&self, key: &str, content: Bytes, opts: &PutOptions) -> DbResult<CommitResult> {
-        Self::validate_name("key", key)?;
-        Self::validate_name("branch", &opts.branch)?;
-        let _gc = self.gc_gate.read();
-        let blob = PosBlob::new(&self.store, self.cfg);
-        let value = Value::Blob(blob.write_bytes(content)?);
-        self.put_inner(key, value, opts)
+        let mut batch = self.write_batch();
+        batch.put_blob(key, content, opts);
+        batch.commit_single()
     }
 
     /// `Get`: the value at a branch head.
@@ -159,86 +120,37 @@ impl<S: ChunkStore> ForkBase<S> {
     /// `Branch`: create `new_branch` pointing at the head of `from_branch`.
     pub fn branch(&self, key: &str, from_branch: &str, new_branch: &str) -> DbResult<()> {
         Self::validate_name("branch", new_branch)?;
-        let _gc = self.gc_gate.read();
-        let head = self.head(key, from_branch)?;
-        self.branch_from_version_inner(key, &head, new_branch)
+        // A missing source outranks an existing target, and the source
+        // head must load; the commit re-reads it under its stripe.
+        FNode::load(&self.store, &self.head(key, from_branch)?)?;
+        let mut batch = self.write_batch();
+        batch.branch_at(key, new_branch, BranchAt::Head(from_branch.to_string()));
+        batch.commit_unchecked().map(drop)
     }
 
     /// `Branch` from an explicit historical version.
     pub fn branch_from_version(&self, key: &str, uid: &Uid, new_branch: &str) -> DbResult<()> {
-        let _gc = self.gc_gate.read();
-        self.branch_from_version_inner(key, uid, new_branch)
-    }
-
-    fn branch_from_version_inner(&self, key: &str, uid: &Uid, new_branch: &str) -> DbResult<()> {
         Self::validate_name("branch", new_branch)?;
-        // The version must exist and belong to this key.
-        let fnode = FNode::load(&self.store, uid)?;
-        if fnode.key != key {
-            return Err(DbError::InvalidInput(format!(
-                "version {uid} belongs to key {:?}, not {key:?}",
-                fnode.key
-            )));
-        }
-        let mut branches = self.branches.write();
-        let key_branches = branches
-            .get_mut(key)
-            .ok_or_else(|| DbError::NoSuchKey(key.to_string()))?;
-        if key_branches.contains_key(new_branch) {
-            return Err(DbError::BranchExists {
-                key: key.to_string(),
-                branch: new_branch.to_string(),
-            });
-        }
-        key_branches.insert(new_branch.to_string(), *uid);
-        Ok(())
+        let mut batch = self.write_batch();
+        batch.branch_at(key, new_branch, BranchAt::Version(*uid));
+        batch.commit_unchecked().map(drop)
     }
 
     /// `Rename`: rename a branch.
     pub fn rename_branch(&self, key: &str, old: &str, new: &str) -> DbResult<()> {
         Self::validate_name("branch", new)?;
-        let _gc = self.gc_gate.read();
-        let mut branches = self.branches.write();
-        let key_branches = branches
-            .get_mut(key)
-            .ok_or_else(|| DbError::NoSuchKey(key.to_string()))?;
-        if key_branches.contains_key(new) {
-            return Err(DbError::BranchExists {
-                key: key.to_string(),
-                branch: new.to_string(),
-            });
-        }
-        let head = key_branches
-            .remove(old)
-            .ok_or_else(|| DbError::NoSuchBranch {
-                key: key.to_string(),
-                branch: old.to_string(),
-            })?;
-        key_branches.insert(new.to_string(), head);
-        Ok(())
+        let mut batch = self.write_batch();
+        batch
+            .branch_at(key, new, BranchAt::Head(old.to_string()))
+            .delete_branch(key, old);
+        batch.commit_unchecked().map(drop)
     }
 
     /// Delete a branch (the versions remain; only the ref goes away).
     pub fn delete_branch(&self, key: &str, branch: &str) -> DbResult<()> {
-        let _gc = self.gc_gate.read();
-        let mut branches = self.branches.write();
-        let key_branches = branches
-            .get_mut(key)
-            .ok_or_else(|| DbError::NoSuchKey(key.to_string()))?;
-        key_branches
-            .remove(branch)
-            .ok_or_else(|| DbError::NoSuchBranch {
-                key: key.to_string(),
-                branch: branch.to_string(),
-            })?;
-        // Deleting the last branch deletes the key: a branchless key is
-        // unreachable through every verb, and leaving the empty entry
-        // would let high-churn branch users (the fork-sandbox reaper in
-        // particular) grow `list_keys` with phantom names forever.
-        if key_branches.is_empty() {
-            branches.remove(key);
-        }
-        Ok(())
+        let mut batch = self.write_batch();
+        batch.delete_branch(key, branch);
+        batch.commit_unchecked().map(drop)
     }
 
     /// Walk history from a version, following first parents.
@@ -408,13 +320,9 @@ impl<S: ChunkStore> ForkBase<S> {
         edits: Vec<MapEdit>,
         opts: &PutOptions,
     ) -> DbResult<CommitResult> {
-        Self::validate_name("key", key)?;
-        Self::validate_name("branch", &opts.branch)?;
-        let _gc = self.gc_gate.read();
-        let _head = self.head_locks[Self::head_stripe(key, &opts.branch)].lock();
-        let head = self.get(key, &opts.branch)?;
-        let updated = self.map_apply(&head.value, edits)?;
-        self.commit_locked(key, updated, opts)
+        let mut batch = self.write_batch();
+        batch.map_edits(key, edits, opts);
+        batch.commit_single()
     }
 
     // ------------------------------------------------------------------
@@ -435,17 +343,14 @@ impl<S: ChunkStore> ForkBase<S> {
 
     /// Diff two values directly.
     pub fn diff_values(&self, from: &Value, to: &Value) -> DbResult<ValueDiff> {
+        if from == to {
+            return Ok(ValueDiff::Identical);
+        }
         match (from, to) {
             (Value::Map(a), Value::Map(b)) | (Value::Set(a), Value::Set(b)) => {
-                if a == b {
-                    return Ok(ValueDiff::Identical);
-                }
                 Ok(ValueDiff::Map(self.map(*a).diff(*b)?))
             }
             (Value::Blob(a), Value::Blob(b)) => {
-                if a == b {
-                    return Ok(ValueDiff::Identical);
-                }
                 let blob = PosBlob::new(&self.store, self.cfg);
                 let refs_a = blob.chunk_refs(a)?;
                 let refs_b = blob.chunk_refs(b)?;
@@ -460,9 +365,6 @@ impl<S: ChunkStore> ForkBase<S> {
                 })
             }
             (Value::List(a), Value::List(b)) => {
-                if a == b {
-                    return Ok(ValueDiff::Identical);
-                }
                 // Lists diff at chunk granularity (leaf-node hashes).
                 let la = PosList::open(&self.store, self.cfg.node, *a);
                 let lb = PosList::open(&self.store, self.cfg.node, *b);
@@ -478,46 +380,47 @@ impl<S: ChunkStore> ForkBase<S> {
                     to_chunks: chunks_b.len() as u64,
                 })
             }
-            (a, b) => {
-                if a == b {
-                    Ok(ValueDiff::Identical)
-                } else {
-                    Ok(ValueDiff::Primitive {
-                        from: a.clone(),
-                        to: b.clone(),
-                    })
-                }
-            }
+            (a, b) => Ok(ValueDiff::Primitive {
+                from: a.clone(),
+                to: b.clone(),
+            }),
         }
     }
 
     /// Find the lowest common ancestor of two versions by walking bases.
     pub fn common_ancestor(&self, a: &Uid, b: &Uid) -> DbResult<Option<Uid>> {
-        if a == b {
-            return Ok(Some(*a));
-        }
-        // Every ancestor of `a`, then breadth-first from `b` to the first
-        // one met among the bases it loads.
-        let mut ancestors_a = HashSet::new();
-        walk::versions(&self.store, [*a], &mut ancestors_a, |_, _, _| Ok(None))?;
-        if ancestors_a.contains(b) {
-            return Ok(Some(*b));
-        }
-        walk::versions(&self.store, [*b], &mut HashSet::new(), |_, f, _| {
-            Ok(f.bases.iter().find(|u| ancestors_a.contains(*u)).copied())
+        Ok(match self.ancestry(a, b)? {
+            Ancestry::Contained => Some(*b),
+            Ancestry::FastForward(base) | Ancestry::Diverged(base) => base,
         })
     }
 
-    /// Whether `ancestor` is reachable from `descendant` through bases.
-    fn is_ancestor(&self, ancestor: &Uid, descendant: &Uid) -> DbResult<bool> {
-        if ancestor == descendant {
-            return Ok(true);
+    /// How `theirs` relates to `ours`, from one walk of each history: every
+    /// ancestor of `ours`, then the versions of `theirs` outside that set.
+    /// The merge base is the first of `ours`' ancestors the breadth-first
+    /// walk from `theirs` meets, which makes it a lowest common ancestor.
+    fn ancestry(&self, ours: &Uid, theirs: &Uid) -> DbResult<Ancestry> {
+        let mut ancestors = HashSet::new();
+        let contained = ours == theirs
+            || walk::versions(&self.store, [*ours], &mut ancestors, |_, f, _| {
+                Ok(f.bases.contains(theirs).then_some(*theirs))
+            })?
+            .is_some();
+        if contained {
+            return Ok(Ancestry::Contained);
         }
-        let mut seen = HashSet::new();
-        let hit = walk::versions(&self.store, [*descendant], &mut seen, |_, f, _| {
-            Ok(f.bases.contains(ancestor).then_some(*ancestor))
-        })?;
-        Ok(hit.is_some())
+        // Seeding the walk's seen set with `ours`' ancestors keeps it out
+        // of them: a path from `theirs` to `ours` crosses none of them.
+        let mut base = None;
+        let fast_forward =
+            walk::versions(&self.store, [*theirs], &mut ancestors.clone(), |_, f, _| {
+                base = base.or_else(|| f.bases.iter().find(|u| ancestors.contains(*u)).copied());
+                Ok(f.bases.contains(ours).then_some(*ours))
+            })?;
+        Ok(match fast_forward {
+            Some(_) => Ancestry::FastForward(base),
+            None => Ancestry::Diverged(base),
+        })
     }
 
     /// `Merge`: three-way merge `src_branch` into `dst_branch` (§II-B).
@@ -546,53 +449,32 @@ impl<S: ChunkStore> ForkBase<S> {
         let _hi_guard = (hi != lo).then(|| self.head_locks[hi].lock());
         let ours_uid = self.head(key, dst_branch)?;
         let theirs_uid = self.head(key, src_branch)?;
-        if ours_uid == theirs_uid || self.is_ancestor(&theirs_uid, &ours_uid)? {
+        let mut staged = Vec::new();
+        let uid = match self.ancestry(&ours_uid, &theirs_uid)? {
             // src already contained in dst.
-            return Ok(CommitResult {
-                uid: ours_uid,
-                branch: dst_branch.to_string(),
-            });
-        }
-        if self.is_ancestor(&ours_uid, &theirs_uid)? {
+            Ancestry::Contained => ours_uid,
             // Fast-forward dst to src.
-            self.branches
-                .write()
-                .get_mut(key)
-                .expect("key exists")
-                .insert(dst_branch.to_string(), theirs_uid);
-            return Ok(CommitResult {
-                uid: theirs_uid,
-                branch: dst_branch.to_string(),
-            });
-        }
-
-        let base_uid = self
-            .common_ancestor(&ours_uid, &theirs_uid)?
-            .ok_or(DbError::NoCommonAncestor(ours_uid, theirs_uid))?;
-        let ours = FNode::load(&self.store, &ours_uid)?.value;
-        let theirs = FNode::load(&self.store, &theirs_uid)?.value;
-        let base = FNode::load(&self.store, &base_uid)?.value;
-
-        let merged_value = self.merge_values(&base, &ours, &theirs, policy)?;
-
-        let fnode = FNode {
-            key: key.to_string(),
-            value: merged_value,
-            bases: vec![ours_uid, theirs_uid],
-            author: opts.author.clone(),
-            message: if opts.message.is_empty() {
-                format!("merge {src_branch} into {dst_branch}")
-            } else {
-                opts.message.clone()
-            },
-            logical_time: self.clock.fetch_add(1, Ordering::Relaxed),
+            Ancestry::FastForward(_) => theirs_uid,
+            Ancestry::Diverged(base) => {
+                let base_uid = base.ok_or(DbError::NoCommonAncestor(ours_uid, theirs_uid))?;
+                let ours = FNode::load(&self.store, &ours_uid)?.value;
+                let theirs = FNode::load(&self.store, &theirs_uid)?.value;
+                let base = FNode::load(&self.store, &base_uid)?.value;
+                let merged_value = self.merge_values(&base, &ours, &theirs, policy)?;
+                let message = match opts.message.as_str() {
+                    "" => format!("merge {src_branch} into {dst_branch}"),
+                    m => m.to_string(),
+                };
+                let opts = PutOptions::on_branch(dst_branch)
+                    .author(opts.author.clone())
+                    .message(message);
+                let bases = [ours_uid, theirs_uid];
+                commit_one(self, &mut staged, key, &merged_value, &bases, &opts).uid
+            }
         };
-        let uid = fnode.store(&self.store)?;
-        self.branches
-            .write()
-            .get_mut(key)
-            .expect("key exists")
-            .insert(dst_branch.to_string(), uid);
+        if uid != ours_uid {
+            self.publish(staged, &[(key, dst_branch)], &[Some(uid)])?;
+        }
         Ok(CommitResult {
             uid,
             branch: dst_branch.to_string(),

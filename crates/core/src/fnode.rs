@@ -45,8 +45,8 @@ pub struct FNode {
 
 /// Canonical FNode encoding built from borrowed parts. This is THE
 /// definition of the version content-addressing: [`FNode::encode`] and the
-/// write-batch staging path ([`encode_parts_with_uid`]) both call it, so a
-/// batch-committed version and a direct-put version of the same content
+/// commit path's staging ([`encode_parts_with_uid`]) both call it, so a
+/// committed version and an `FNode` built by hand from the same content
 /// can never encode (or hash) differently.
 pub(crate) fn encode_parts(
     key: &str,
@@ -73,7 +73,7 @@ pub(crate) fn encode_parts(
 
 /// [`encode_parts`] plus the uid, without materializing an [`FNode`] (and
 /// therefore without cloning key/author/message into owned `String`s) —
-/// the allocation-free staging path [`crate::api::WriteBatch`] commits
+/// the allocation-free staging every commit (puts, batches, merges) goes
 /// through.
 pub(crate) fn encode_parts_with_uid(
     key: &str,
@@ -151,10 +151,9 @@ impl FNode {
         self.encode_with_uid().0
     }
 
-    /// Canonical encoding plus its uid in one pass — the single place the
-    /// content-addressing of versions is defined. Both the direct store
-    /// path ([`Self::store`]) and the write-batch staging path use this,
-    /// so their uids can never drift apart.
+    /// Canonical encoding plus its uid in one pass. [`Self::store`] uses
+    /// it; the commit path stages the same bytes from borrowed parts
+    /// (`encode_parts_with_uid`), so their uids can never drift apart.
     pub fn encode_with_uid(&self) -> (Uid, Vec<u8>) {
         let bytes = self.encode();
         (sha256(&bytes), bytes)

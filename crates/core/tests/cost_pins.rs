@@ -306,5 +306,8 @@ fn merge_on_a_criss_cross_history() {
         "NJMJOAUTZL6CRGPSZJMKFXUTGRUOVAZLN2THUZ33NN5CYYTJKJEA====",
         "the merge base, and so the merged version, are unchanged"
     );
-    assert!(gets <= 210, "{gets} gets");
+    // One walk of each history: a3's five ancestors, then b3 and b2 (the
+    // versions of b3's history outside them) — 7 FNode reads where
+    // checking containment, fast-forward and merge base apart read 17.
+    assert!(gets <= 200, "{gets} gets");
 }

@@ -17,7 +17,7 @@ use forkbase::db::VersionSpec;
 use forkbase::{gc, ForkBase, PutOptions};
 use forkbase_postree::merge::MergePolicy;
 use forkbase_postree::{MapEdit, TreeConfig};
-use forkbase_store::MemStore;
+use forkbase_store::{ChunkStore, MemStore, StoreResult, StoreStats};
 use forkbase_types::Value;
 
 fn db() -> ForkBase<MemStore> {
@@ -485,4 +485,225 @@ fn stress_blob_reader_streams_64mib() {
         pos += n;
     }
     assert_eq!(pos, content.len(), "every byte streamed exactly once");
+}
+
+/// Run `trials` rounds of a two-writer race on two long-lived threads:
+/// `setup(i)` runs first, then `a(i)` (this thread) and `b(i)` (a helper
+/// that polls for the round, so it is running, not parked, when the
+/// round opens) start together. One side starts after a lag that varies
+/// with `i` (`a` on odd sweeps, `b` on even), so the rounds sweep each
+/// call across the other. Each round uses its own names, so
+/// `violated(i, a, b)` judges every round once both threads are done;
+/// returns the number of violating rounds.
+fn race<A, B: Send>(
+    trials: usize,
+    setup: impl Fn(usize),
+    a: impl Fn(usize) -> A,
+    b: impl Fn(usize) -> B + Sync,
+    violated: impl Fn(usize, A, B) -> bool,
+) -> usize {
+    let opened = std::sync::atomic::AtomicUsize::new(0);
+    let (tx, rx) = std::sync::mpsc::channel();
+    let rounds: Vec<(A, B)> = std::thread::scope(|s| {
+        s.spawn(|| {
+            for i in 0..trials {
+                while opened.load(Ordering::Acquire) <= i {
+                    std::thread::yield_now();
+                }
+                lag(i, 0);
+                tx.send(b(i)).unwrap();
+            }
+        });
+        (0..trials)
+            .map(|i| {
+                setup(i);
+                opened.store(i + 1, Ordering::Release);
+                lag(i, 1);
+                (a(i), rx.recv().unwrap())
+            })
+            .collect()
+    });
+    let rounds = rounds.into_iter().enumerate();
+    rounds
+        .map(|(i, (a, b))| violated(i, a, b))
+        .filter(|&v| v)
+        .count()
+}
+
+/// Round `i`'s lag, if it falls on `side` (0 or 1): up to 252 µs in 4 µs
+/// steps, yielding, so the other side runs even on a shared core.
+fn lag(i: usize, side: usize) {
+    if i / 64 % 2 == side {
+        let until = std::time::Instant::now() + std::time::Duration::from_micros(i as u64 % 64 * 4);
+        while std::time::Instant::now() < until {
+            std::thread::yield_now();
+        }
+    }
+}
+
+/// A `MemStore` whose writes sleep 50 µs: an unserialized commit's head
+/// read and head swing, with its version write between them, then stay
+/// apart long enough for a racer to land in the gap, and the sleep hands
+/// the racer a core even when the test threads outnumber them.
+struct SlowWrites(MemStore);
+
+impl SlowWrites {
+    fn stall() {
+        std::thread::sleep(std::time::Duration::from_micros(50));
+    }
+}
+
+impl ChunkStore for SlowWrites {
+    fn put_with_hash(&self, hash: forkbase::Uid, bytes: Bytes) -> StoreResult<bool> {
+        Self::stall();
+        self.0.put_with_hash(hash, bytes)
+    }
+    fn put_batch(&self, chunks: Vec<(forkbase::Uid, Bytes)>) -> StoreResult<usize> {
+        Self::stall();
+        self.0.put_batch(chunks)
+    }
+    fn get(&self, hash: &forkbase::Uid) -> StoreResult<Option<Bytes>> {
+        self.0.get(hash)
+    }
+    fn stats(&self) -> StoreStats {
+        self.0.stats()
+    }
+    fn chunk_count(&self) -> usize {
+        self.0.chunk_count()
+    }
+    fn stored_bytes(&self) -> u64 {
+        self.0.stored_bytes()
+    }
+}
+
+fn race_db() -> ForkBase<SlowWrites> {
+    ForkBase::with_config(SlowWrites(MemStore::new()), TreeConfig::test_config())
+}
+
+/// The bases of the version a branch head points at, if the branch exists.
+fn head_bases(db: &ForkBase<SlowWrites>, key: &str, branch: &str) -> Option<Vec<forkbase::Uid>> {
+    let head = db.head(key, branch).ok()?;
+    Some(db.meta(&head).unwrap().bases)
+}
+
+const RACE_TRIALS: usize = 5_000;
+
+/// `delete_branch` racing a `put` on the same branch: either the put lands
+/// first and the delete removes the branch, or the delete lands first and
+/// the put starts a new branch with no base. A put based on the deleted
+/// head surviving the delete is a lost delete.
+#[test]
+fn delete_branch_racing_put_loses_no_delete_smoke() {
+    let db = race_db();
+    let branch = |i: usize| format!("d{i}");
+    let lost = race(
+        RACE_TRIALS,
+        |i| {
+            db.put("k", Value::Int(0), &PutOptions::on_branch(branch(i)))
+                .unwrap();
+        },
+        |i| db.delete_branch("k", &branch(i)),
+        |i| db.put("k", Value::Int(i as i64), &PutOptions::on_branch(branch(i))),
+        |i, deleted, put| {
+            deleted.unwrap();
+            put.unwrap();
+            head_bases(&db, "k", &branch(i)).is_some_and(|b| !b.is_empty())
+        },
+    );
+    assert_eq!(lost, 0, "{lost} deletes lost to a racing put");
+}
+
+/// `branch_from_version` racing a `put` on the new branch: either the
+/// branch lands first and the put builds on its version, or the put
+/// creates the branch and the branch call fails with `BranchExists`. Both
+/// succeeding with a base-less put overwrote the new branch.
+#[test]
+fn branch_from_version_racing_put_overwrites_no_branch_smoke() {
+    let db = race_db();
+    let root = db.put("k", Value::Int(0), &PutOptions::default()).unwrap();
+    let branch = |i: usize| format!("b{i}");
+    let overwritten = race(
+        RACE_TRIALS,
+        |_| {},
+        |i| db.branch_from_version("k", &root.uid, &branch(i)),
+        |i| db.put("k", Value::Int(i as i64), &PutOptions::on_branch(branch(i))),
+        |_, branched, put| {
+            let put = put.unwrap();
+            branched.is_ok() && db.meta(&put.uid).unwrap().bases.is_empty()
+        },
+    );
+    assert_eq!(overwritten, 0, "{overwritten} new branches overwritten");
+}
+
+/// `rename_branch` racing a `put` on the old name: the put lands on the
+/// old branch before the rename moves it, or after, on a new branch of
+/// that name with no base. The old name coming back with a base means the
+/// put's version was lost from the renamed branch.
+#[test]
+fn rename_branch_racing_put_recreates_no_old_branch_smoke() {
+    let db = race_db();
+    let (old, new) = (|i: usize| format!("o{i}"), |i: usize| format!("n{i}"));
+    let recreated = race(
+        RACE_TRIALS,
+        |i| {
+            db.put("k", Value::Int(0), &PutOptions::on_branch(old(i)))
+                .unwrap();
+        },
+        |i| db.rename_branch("k", &old(i), &new(i)),
+        |i| db.put("k", Value::Int(i as i64), &PutOptions::on_branch(old(i))),
+        |i, renamed, put| {
+            renamed.unwrap();
+            put.unwrap();
+            head_bases(&db, "k", &old(i)).is_some_and(|b| !b.is_empty())
+        },
+    );
+    assert_eq!(
+        recreated, 0,
+        "{recreated} old branches recreated with a base"
+    );
+}
+
+/// `merge` racing the deletion of both its branches: the merge holds both
+/// stripes, so the deletions land wholly before it (the merge fails with
+/// a missing key) or wholly after. It must never panic.
+#[test]
+fn merge_racing_deletion_of_both_branches_never_panics_smoke() {
+    let db = race_db();
+    let rows = (0..200)
+        .map(|r| (Bytes::from(format!("r{r:03}")), Bytes::from_static(b"x")))
+        .collect();
+    let base = db.new_map(rows).unwrap();
+    let key = |i: usize| format!("m{i}");
+    let panics = race(
+        RACE_TRIALS,
+        |i| {
+            db.put(&key(i), base.clone(), &PutOptions::default())
+                .unwrap();
+            db.branch(&key(i), "master", "dev").unwrap();
+            // Disjoint edits on diverged heads: a real three-way map
+            // merge, which keeps the window for the deletions open.
+            for branch in ["master", "dev"] {
+                let edit = MapEdit::put(Bytes::from(branch), Bytes::from_static(b"y"));
+                db.put_map_edits(&key(i), vec![edit], &PutOptions::on_branch(branch))
+                    .unwrap();
+            }
+        },
+        |i| {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                db.merge(
+                    &key(i),
+                    "master",
+                    "dev",
+                    MergePolicy::Fail,
+                    &PutOptions::default(),
+                )
+            }))
+        },
+        |i| {
+            let master = db.delete_branch(&key(i), "master");
+            (master, db.delete_branch(&key(i), "dev"))
+        },
+        |_, merged, _| merged.is_err(),
+    );
+    assert_eq!(panics, 0, "{panics} merges panicked");
 }

@@ -3,7 +3,10 @@
 //! Two rule groups, both scanned over shipped (non-`#[cfg(test)]`) code:
 //!
 //! * **Privileged verbs** are only legal from an allowlisted set of
-//!   modules: direct ref-table head swings (`branches.write()`),
+//!   modules: direct ref-table head swings (`branches.write()`: the
+//!   batch committer, which every verb commits through, and the engine's
+//!   own ref installs for bundle, replica, rebalance and refs-file
+//!   imports),
 //!   chunk installs (everything goes through `put_batch`, and only the
 //!   batch committer and the bundle importer may call it; raw
 //!   single-chunk `store.put(…)` is legal nowhere in core/cli),
@@ -15,7 +18,8 @@
 //!   a panicking thread kills a servelet worker, a listener or a routed
 //!   call, or a save leaves records half-written; and in the history
 //!   walk, GC and bundle modules, which parse and walk bytes shipped from
-//!   another process (replica `Replicate`, rebalance). A
+//!   another process (replica `Replicate`, rebalance); and in the verb
+//!   and commit modules every servelet request ends in. A
 //!   genuinely unreachable case can carry a
 //!   `// forkbase-lint: allow(no-panic): <why>` waiver on its own or
 //!   the preceding line.
@@ -29,8 +33,9 @@ const PASS: &str = "P3/caps";
 
 /// Request-path modules where a panic kills a servelet worker, an
 /// accept loop, a gateway connection handler, or a routed call (the
-/// cluster router) — and the CLI session, which serves servelets and
-/// persists every record.
+/// cluster router) — the CLI session, which serves servelets and
+/// persists every record, and the verbs and commit path a servelet
+/// applies every request through.
 const NO_PANIC_FILES: &[&str] = &[
     "crates/core/src/accept.rs",
     "crates/cli/src/rest.rs",
@@ -44,6 +49,8 @@ const NO_PANIC_FILES: &[&str] = &[
     "crates/core/src/walk.rs",
     "crates/core/src/gc.rs",
     "crates/core/src/bundle.rs",
+    "crates/core/src/api/verbs.rs",
+    "crates/core/src/api/batch.rs",
 ];
 
 const PANIC_TOKENS: &[&str] = &[".unwrap()", ".expect(", "panic!"];
@@ -54,11 +61,7 @@ const CAPABILITIES: &[(&str, &str, &[&str])] = &[
     (
         "branches.write()",
         "raw ref-table head swing",
-        &[
-            "crates/core/src/api/mod.rs",
-            "crates/core/src/api/verbs.rs",
-            "crates/core/src/api/batch.rs",
-        ],
+        &["crates/core/src/api/mod.rs", "crates/core/src/api/batch.rs"],
     ),
     (
         ".put_batch(",

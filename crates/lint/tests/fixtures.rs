@@ -540,6 +540,21 @@ fn p3_capability_outside_allowlist_is_flagged() {
     fs::remove_file(root.join("crates/core/src/gc.rs")).unwrap();
     assert!(findings_of(&root, "P3").is_empty());
 
+    // The verbs move heads only through the batch committer.
+    put(
+        &root,
+        "crates/core/src/api/verbs.rs",
+        "pub fn rename(db: &Db) {\n    db.branches.write().clear();\n}\n",
+    );
+    let findings = findings_of(&root, "P3");
+    assert!(
+        findings
+            .iter()
+            .any(|f| f.contains("api/verbs.rs") && f.contains("head swing")),
+        "{findings:?}"
+    );
+    fs::remove_file(root.join("crates/core/src/api/verbs.rs")).unwrap();
+
     // The FORKS record has exactly one writer: the session.
     let write_forks = "pub fn save(s: &Session) {\n    write(&s.forks.dump());\n}\n";
     put(&root, "crates/cli/src/commands.rs", write_forks);
