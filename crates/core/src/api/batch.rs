@@ -1,9 +1,7 @@
-//! [`WriteBatch`]: atomic multi-key commits, and the one code path that
-//! moves a branch head: the single-op verbs commit one-op batches (a
-//! rename is a branch creation plus a deletion), and `merge` lands its
-//! version through the same `publish`. Only the verified imports in the
-//! parent module (bundle, replica, rebalance, refs file) write refs
-//! otherwise.
+//! [`WriteBatch`]: atomic multi-key commits, and the one writer of the ref
+//! table: the single-op verbs commit one-op batches (a rename is a branch
+//! creation plus a deletion), and `merge` and the verified imports (bundle,
+//! replica, refs file, rebalance's forget) land through the same `publish`.
 //!
 //! A batch collects puts, compound map edits, and branch deletions across
 //! any number of `(key, branch)` pairs, then commits them in one step:
@@ -19,6 +17,12 @@
 //! 4. every head is swung inside **one** ref-table write section — or, if
 //!    any step failed, none are.
 //!
+//! A `ReplaceKey` (replica import, rebalance's forget) replaces every
+//! branch of its key, even one created while it waits (forks add branches
+//! at any time), so a batch holding one locks **every** stripe, in order,
+//! and reads the key's branch set under them: rare ops, never on a
+//! primary's write path, so no retry loop or per-key lock rule is needed.
+//!
 //! Readers that look at multiple heads through [`ForkBase::heads`] (one
 //! consistent read of the ref table) therefore observe either all of a
 //! batch's updates or none of them: no torn multi-key states. The
@@ -26,15 +30,16 @@
 //! reclaimed by the next [`crate::gc::collect`].
 
 use std::collections::{BTreeMap, HashMap};
+use std::iter;
 use std::sync::Arc;
 
 use bytes::Bytes;
 use forkbase_postree::{MapEdit, PosBlob};
 use forkbase_store::ChunkStore;
 use forkbase_types::Value;
-use parking_lot::MutexGuard;
+use parking_lot::{MutexGuard, RwLockReadGuard};
 
-use super::{expect_map, CommitResult, ForkBase, PutOptions};
+use super::{expect_map, CommitResult, ForkBase, PutOptions, HEAD_STRIPES};
 use crate::error::{DbError, DbResult};
 use crate::fnode::{self, FNode, Uid};
 use std::sync::atomic::Ordering;
@@ -66,21 +71,29 @@ enum BatchOp {
     },
     /// Delete a branch ref (versions remain, like `delete_branch`).
     DeleteBranch { key: String, branch: String },
-    /// Create `branch` at `at`. Staged only by the branch verbs: the
-    /// public [`WriteBatch`] surface has no way to stage it.
+    /// Create `branch` at `at`. Staged only by the branch verbs and the
+    /// imports: the public [`WriteBatch`] surface has no way to stage it.
     Branch {
         key: String,
         branch: String,
         at: BranchAt,
     },
+    /// Make `refs`, verified versions of `key`, its whole branch set.
+    ReplaceKey {
+        key: String,
+        refs: BTreeMap<String, Uid>,
+    },
 }
 
 /// Where a [`BatchOp::Branch`] points its new branch.
-pub(super) enum BranchAt {
+pub(crate) enum BranchAt {
     /// A version, which must load as one of the key's.
     Version(Uid),
     /// Another branch's head, read under that branch's stripe.
     Head(String),
+    /// A version of the key the caller verified (imports): not reloaded,
+    /// and an existing head equal to it is accepted.
+    Verified(Uid),
 }
 
 impl BatchOp {
@@ -99,6 +112,8 @@ impl BatchOp {
             BatchOp::DeleteBranch { key, branch } | BatchOp::Branch { key, branch, .. } => {
                 [(key, branch); 2]
             }
+            // Never paired: it is lowered first (`lower_key_wide`).
+            BatchOp::ReplaceKey { key, .. } => [(key, ""); 2],
         }
     }
 }
@@ -278,12 +293,22 @@ impl<'db, S: ChunkStore> WriteBatch<'db, S> {
         self
     }
 
-    /// Stage the creation of `branch` at `at` (the branch verbs).
-    pub(super) fn branch_at(&mut self, key: &str, branch: &str, at: BranchAt) -> &mut Self {
+    /// Stage the creation of `branch` at `at` (the branch verbs and the
+    /// imports).
+    pub(crate) fn branch_at(&mut self, key: &str, branch: &str, at: BranchAt) -> &mut Self {
         self.ops.push(BatchOp::Branch {
             key: key.to_string(),
             branch: branch.to_string(),
             at,
+        });
+        self
+    }
+
+    /// Stage `ReplaceKey` (no refs forgets the key); at most one per key.
+    pub(crate) fn replace_key(&mut self, key: &str, refs: BTreeMap<String, Uid>) -> &mut Self {
+        self.ops.push(BatchOp::ReplaceKey {
+            key: key.to_string(),
+            refs,
         });
         self
     }
@@ -317,12 +342,18 @@ impl<'db, S: ChunkStore> WriteBatch<'db, S> {
 
     /// [`Self::commit`] without the name checks: the branch verbs keep the
     /// checks (and error order) they have always had.
-    pub(super) fn commit_unchecked(self) -> DbResult<Vec<BatchOutcome>> {
+    pub(crate) fn commit_unchecked(self) -> DbResult<Vec<BatchOutcome>> {
+        let gc = self.db.gc_gate.read();
+        self.commit_gated(&gc)
+    }
+
+    /// The committer, under the caller's shared hold of the GC gate: the
+    /// imports hold it across verify and commit, and it is not re-entrant.
+    pub(crate) fn commit_gated(self, _gc: &RwLockReadGuard<'_, ()>) -> DbResult<Vec<BatchOutcome>> {
         let (db, mut ops) = (self.db, self.ops);
         if ops.is_empty() {
             return Ok(Vec::new());
         }
-        let _gc = db.gc_gate.read();
 
         // Chunk blob contents BEFORE any head stripe is taken: chunking is
         // content-addressed and independent of heads, and a large blob
@@ -340,6 +371,29 @@ impl<'db, S: ChunkStore> WriteBatch<'db, S> {
                     opts: Arc::clone(opts),
                 };
             }
+        }
+
+        // Lock every touched stripe in index order (deduplicated): the
+        // same total order merge uses, so no lock cycle can form. A
+        // key-wide batch locks all of them (module docs).
+        let key_wide = ops
+            .iter()
+            .any(|op| matches!(op, BatchOp::ReplaceKey { .. }));
+        let mut stripes: Vec<usize> = if key_wide {
+            (0..HEAD_STRIPES).collect()
+        } else {
+            let pairs = ops.iter().map(BatchOp::pairs);
+            pairs
+                .flat_map(|[pair, from]| iter::once(pair).chain(Some(from).filter(|&f| f != pair)))
+                .map(|(key, branch)| ForkBase::<S>::head_stripe(key, branch))
+                .collect()
+        };
+        stripes.sort_unstable();
+        stripes.dedup();
+        let _guards: Vec<MutexGuard<'_, ()>> =
+            stripes.iter().map(|&i| db.head_locks[i].lock()).collect();
+        if key_wide {
+            ops = lower_key_wide(ops, &db.branches.read());
         }
 
         // Detach the edit lists `PosMap::apply` consumes before the ops are
@@ -374,17 +428,6 @@ impl<'db, S: ChunkStore> WriteBatch<'db, S> {
                 .collect();
             (distinct, op_pairs)
         };
-
-        // Lock every touched stripe in index order (deduplicated): the
-        // same total order merge uses, so no lock cycle can form.
-        let mut stripes: Vec<usize> = distinct
-            .iter()
-            .map(|(key, branch)| ForkBase::<S>::head_stripe(key, branch))
-            .collect();
-        stripes.sort_unstable();
-        stripes.dedup();
-        let _guards: Vec<MutexGuard<'_, ()>> =
-            stripes.iter().map(|&i| db.head_locks[i].lock()).collect();
 
         // One consistent read of the current heads (the stripes are held,
         // so these cannot move under the batch).
@@ -447,9 +490,9 @@ impl<'db, S: ChunkStore> WriteBatch<'db, S> {
                     heads[pair] = Some(c.uid);
                     BatchOutcome::Committed(c)
                 }
-                BatchOp::PutBlob { .. } => {
+                BatchOp::PutBlob { .. } | BatchOp::ReplaceKey { .. } => {
                     return Err(DbError::InvalidInput(
-                        "a blob op reached the locked section unchunked".into(),
+                        "an op reached the head swings unlowered".into(),
                     ))
                 }
                 BatchOp::MapEdits { key, opts, .. } => {
@@ -474,6 +517,7 @@ impl<'db, S: ChunkStore> WriteBatch<'db, S> {
                     BatchOutcome::Committed(c)
                 }
                 BatchOp::Branch { key, branch, at } => {
+                    let verified = matches!(at, BranchAt::Verified(_));
                     let (at, at_staged) = match at {
                         BranchAt::Version(uid) => {
                             let fnode = FNode::load(&db.store, uid)?;
@@ -486,16 +530,19 @@ impl<'db, S: ChunkStore> WriteBatch<'db, S> {
                             (Some(*uid), None)
                         }
                         BranchAt::Head(_) => (heads[from], staged_at[from]),
+                        BranchAt::Verified(uid) => (Some(*uid), None),
                     };
                     // An existing branch implies its key; a version needs
-                    // its key to exist.
-                    if heads[pair].is_some() {
+                    // its key to exist, unless it is an import's, which
+                    // brings its key along.
+                    if heads[pair].is_some_and(|head| !verified || at != Some(head)) {
                         return Err(DbError::BranchExists {
                             key: key.clone(),
                             branch: branch.clone(),
                         });
                     }
-                    let Some(uid) = at.filter(|_| key_exists(&keys_created, pair)) else {
+                    let Some(uid) = at.filter(|_| verified || key_exists(&keys_created, pair))
+                    else {
                         return Err(missing_head_err(&keys_created, from));
                     };
                     heads[pair] = Some(uid);
@@ -575,6 +622,30 @@ impl<S: ChunkStore> ForkBase<S> {
         }
         Ok(())
     }
+}
+
+/// Lower each `ReplaceKey` into the ops it stands for, every stripe held:
+/// delete each branch its key has in `table`, then create each ref.
+fn lower_key_wide(
+    ops: Vec<BatchOp>,
+    table: &HashMap<String, BTreeMap<String, Uid>>,
+) -> Vec<BatchOp> {
+    let mut lowered = Vec::with_capacity(ops.len());
+    for op in ops {
+        let BatchOp::ReplaceKey { key, refs } = op else {
+            lowered.push(op);
+            continue;
+        };
+        for branch in table.get(&key).into_iter().flat_map(BTreeMap::keys) {
+            let (key, branch) = (key.clone(), branch.clone());
+            lowered.push(BatchOp::DeleteBranch { key, branch });
+        }
+        for (branch, uid) in refs {
+            let (key, at) = (key.clone(), BranchAt::Verified(uid));
+            lowered.push(BatchOp::Branch { key, branch, at });
+        }
+    }
+    lowered
 }
 
 /// Encode one version of `key` on `bases` straight from borrowed parts —

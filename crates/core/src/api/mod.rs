@@ -197,11 +197,11 @@ const HEAD_STRIPES: usize = 64;
 ///   `(key, branch)` it touches, selected by hashing the pair. Commits to
 ///   different keys or branches proceed in parallel; commits to the same
 ///   branch serialize, which is what makes each branch a linear chain.
-/// * Every verb that moves a head commits through [`WriteBatch`]'s code
-///   (single verbs are one-op batches); it and `merge` lock their
-///   stripes in stripe-index order, so crossing multi-stripe writers
-///   cannot deadlock. Bundle and replica imports install verified refs
-///   directly.
+/// * Every write to the ref table — each verb's head move, `merge`, the
+///   bundle, replica and refs-file imports, rebalance's forget — lands
+///   through [`WriteBatch`]'s `publish` (single verbs are one-op
+///   batches); batches and `merge` lock their stripes in stripe-index
+///   order, so crossing multi-stripe writers cannot deadlock.
 /// * Every mutating verb holds the GC gate shared; [`crate::gc::collect`]
 ///   holds it exclusive, so mark-and-sweep sees quiescent heads and never
 ///   races an in-flight commit's freshly written chunks.
@@ -225,7 +225,8 @@ pub struct ForkBase<S> {
     pub(crate) clock: AtomicU64,
     /// Striped per-(key, branch) commit locks (head read-modify-write).
     pub(crate) head_locks: Vec<Mutex<()>>,
-    /// Commits and ref updates hold this shared; GC holds it exclusive.
+    /// Commits hold this shared; GC holds it exclusive. Not re-entrant: an
+    /// import holding it commits through `WriteBatch::commit_gated`.
     pub(crate) gc_gate: RwLock<()>,
     /// Verified, decoded POS-Tree pages shared by this database's map
     /// readers.
@@ -264,23 +265,6 @@ impl<S: ChunkStore> ForkBase<S> {
         key.hash(&mut h);
         branch.hash(&mut h);
         h.finish() as usize % HEAD_STRIPES
-    }
-
-    /// Block all mutating verbs for the guard's lifetime. Used by GC so the
-    /// mark phase sees quiescent heads and no commit can publish chunks
-    /// between mark and sweep.
-    pub(crate) fn gc_exclusive(&self) -> parking_lot::RwLockWriteGuard<'_, ()> {
-        self.gc_gate.write()
-    }
-
-    /// Hold the GC gate shared for a multi-step write sequence (e.g. bundle
-    /// import: store chunks, verify, install refs). While held, a concurrent
-    /// [`crate::gc::collect`] cannot sweep the not-yet-referenced chunks.
-    ///
-    /// The gate is NOT re-entrant: while holding this guard call only verbs
-    /// that do not themselves take the gate (`install_ref`, read verbs).
-    pub(crate) fn gc_shared(&self) -> parking_lot::RwLockReadGuard<'_, ()> {
-        self.gc_gate.read()
     }
 
     /// The underlying chunk store.
@@ -406,45 +390,6 @@ impl<S: ChunkStore> ForkBase<S> {
         self.clock.fetch_max(time + 1, Ordering::Relaxed);
     }
 
-    /// Drop every branch ref of `key` in one step. Used by cluster
-    /// rebalance after a key's full history has been imported (and
-    /// verified) on its new owner servelet; the versions remain as
-    /// unreferenced chunks until the next [`crate::gc::collect`].
-    pub(crate) fn forget_key(&self, key: &str) {
-        let _gc = self.gc_gate.read();
-        self.branches.write().remove(key);
-    }
-
-    /// Install a branch ref directly (bundle import). The caller must have
-    /// verified that `uid` resolves to a valid FNode of `key`, and must
-    /// already hold the GC gate ([`Self::gc_shared`]) so the chunks backing
-    /// `uid` cannot be swept before the ref is published.
-    pub(crate) fn install_ref(&self, key: &str, branch: &str, uid: Uid) -> DbResult<()> {
-        Self::validate_name("key", key)?;
-        Self::validate_name("branch", branch)?;
-        self.branches
-            .write()
-            .entry(key.to_string())
-            .or_default()
-            .insert(branch.to_string(), uid);
-        Ok(())
-    }
-
-    /// Replace **every** branch ref of `key` with exactly `refs` in one
-    /// atomic step (replication import: a replica's branch set must mirror
-    /// its primary's, including branches the primary deleted). Same caller
-    /// contract as [`Self::install_ref`]: every uid verified, GC gate held.
-    pub(crate) fn replace_key_refs(&self, key: &str, refs: Vec<(String, Uid)>) -> DbResult<()> {
-        Self::validate_name("key", key)?;
-        let mut set = BTreeMap::new();
-        for (branch, uid) in refs {
-            Self::validate_name("branch", &branch)?;
-            set.insert(branch, uid);
-        }
-        self.branches.write().insert(key.to_string(), set);
-        Ok(())
-    }
-
     // ------------------------------------------------------------------
     // Ref persistence (CLI / restart support)
     // ------------------------------------------------------------------
@@ -470,21 +415,19 @@ impl<S: ChunkStore> ForkBase<S> {
         out
     }
 
-    /// Restore branch heads from [`Self::dump_refs`] output. Each head is
-    /// validated to exist in the chunk store (a malicious/corrupt refs
-    /// file cannot point at garbage silently). Also advances the logical
-    /// clock past every referenced commit.
+    /// Restore branch heads from [`Self::dump_refs`] output in one commit.
+    /// Each head is validated to exist in the chunk store (a malicious/
+    /// corrupt refs file cannot point at garbage silently); a line that
+    /// moves a head already present is `BranchExists` and installs nothing.
+    /// Also advances the logical clock past every referenced commit.
     pub fn load_refs(&self, text: &str) -> DbResult<()> {
-        // Hold the GC gate across validation AND installation: a collector
+        // Hold the GC gate across validation AND the commit: a collector
         // running in the gap could sweep the (still unreferenced) FNodes
         // this refs file points at, leaving dangling refs.
-        let _gc = self.gc_gate.read();
-        let mut parsed: Vec<(String, String, Uid)> = Vec::new();
+        let gc = self.gc_gate.read();
+        let mut batch = self.write_batch();
         let mut max_time = 0u64;
-        for (i, line) in text.lines().enumerate() {
-            if line.is_empty() {
-                continue;
-            }
+        for (i, line) in text.lines().enumerate().filter(|(_, l)| !l.is_empty()) {
             let mut parts = line.splitn(3, '\t');
             let (Some(key), Some(branch), Some(hex)) = (parts.next(), parts.next(), parts.next())
             else {
@@ -504,13 +447,10 @@ impl<S: ChunkStore> ForkBase<S> {
                 )));
             }
             max_time = max_time.max(fnode.logical_time);
-            parsed.push((key.to_string(), branch.to_string(), uid));
+            batch.branch_at(key, branch, batch::BranchAt::Verified(uid));
         }
-        let mut branches = self.branches.write();
-        for (key, branch, uid) in parsed {
-            branches.entry(key).or_default().insert(branch, uid);
-        }
-        self.clock.fetch_max(max_time + 1, Ordering::Relaxed);
+        batch.commit_gated(&gc)?;
+        self.bump_clock_past(max_time);
         Ok(())
     }
 }

@@ -24,6 +24,7 @@ use bytes::Bytes;
 use forkbase_crypto::{sha256, Hash};
 use forkbase_store::ChunkStore;
 
+use crate::api::{batch::BranchAt, WriteBatch};
 use crate::db::ForkBase;
 use crate::error::{DbError, DbResult};
 use crate::walk;
@@ -155,38 +156,18 @@ fn export_refs<S: ChunkStore>(
 /// before its ref is installed. Returns the installed refs.
 ///
 /// An existing branch whose head **differs** from the bundle's is refused
-/// ([`DbError::BranchExists`]) — importing must never discard local work.
-/// Replication wants the opposite contract; see
-/// [`import_bundle_replace`].
+/// ([`DbError::BranchExists`]) — importing must never discard local work —
+/// and then no ref of the bundle is installed. Replication wants the
+/// opposite contract; see [`import_bundle_replace`].
 pub fn import_bundle<S: ChunkStore>(
     db: &ForkBase<S>,
     input: &mut dyn Read,
 ) -> DbResult<Vec<BundleRef>> {
-    // Hold the GC gate across the whole write-verify-install sequence: the
-    // imported chunks are unreachable from any branch head until the refs
-    // are installed, so a concurrent gc::collect in between would sweep
-    // them and publish a branch with unreadable history. (install_ref
-    // deliberately does not take the gate itself — we hold it here.)
-    let _gc = db.gc_shared();
-    let (refs, max_time) = verify_bundle(db, input)?;
-    for r in &refs {
-        // Create the key/branch (overwriting an existing branch head would
-        // discard local work; require it to be absent or identical).
-        match db.head(&r.key, &r.branch) {
-            Ok(existing) if existing == r.uid => {}
-            Ok(_) => {
-                return Err(DbError::BranchExists {
-                    key: r.key.clone(),
-                    branch: r.branch.clone(),
-                })
-            }
-            Err(_) => {
-                db.install_ref(&r.key, &r.branch, r.uid)?;
-            }
+    import_with(db, input, |batch, key, refs| {
+        for r in refs {
+            batch.branch_at(key, &r.branch, BranchAt::Verified(r.uid));
         }
-    }
-    db.bump_clock_past(max_time);
-    Ok(refs)
+    })
 }
 
 /// Import a bundle with **replace** semantics: after the same chunk-hash
@@ -203,32 +184,29 @@ pub fn import_bundle_replace<S: ChunkStore>(
     db: &ForkBase<S>,
     input: &mut dyn Read,
 ) -> DbResult<Vec<BundleRef>> {
-    // Same GC-gate discipline as `import_bundle` (see comment there).
-    let _gc = db.gc_shared();
-    let (refs, max_time) = verify_bundle(db, input)?;
-    let mut by_key: BTreeMap<String, Vec<(String, Hash)>> = BTreeMap::new();
-    for r in &refs {
-        by_key
-            .entry(r.key.clone())
-            .or_default()
-            .push((r.branch.clone(), r.uid));
-    }
-    for (key, branches) in by_key {
-        db.replace_key_refs(&key, branches)?;
-    }
-    db.bump_clock_past(max_time);
-    Ok(refs)
+    import_with(db, input, |batch, key, refs| {
+        batch.replace_key(
+            key,
+            refs.iter().map(|r| (r.branch.clone(), r.uid)).collect(),
+        );
+    })
 }
 
-/// Shared import front half: parse the stream, hash-verify and stage
-/// every chunk, and verify every version under the refs, once per key,
-/// before anything is published. Returns the verified refs plus the
-/// highest logical time seen (callers advance the clock past it). The
-/// caller must hold the GC gate.
-fn verify_bundle<S: ChunkStore>(
+/// The shared import: parse the stream, hash-verify and store every
+/// chunk, verify each key's history once from all of its refs, then
+/// `stage` each key's refs and commit them in one batch. Returns the
+/// bundle's refs.
+fn import_with<S: ChunkStore>(
     db: &ForkBase<S>,
     input: &mut dyn Read,
-) -> DbResult<(Vec<BundleRef>, u64)> {
+    mut stage: impl FnMut(&mut WriteBatch<'_, S>, &str, &[&BundleRef]),
+) -> DbResult<Vec<BundleRef>> {
+    // Hold the GC gate across the whole write-verify-commit sequence: the
+    // imported chunks are unreachable from any branch head until the refs
+    // are committed, so a concurrent gc::collect in between would sweep
+    // them and publish a branch with unreadable history. The commit takes
+    // this hold instead of the (non-re-entrant) gate.
+    let gc = db.gc_gate.read();
     if &read_array::<8>(input)? != MAGIC {
         return Err(DbError::InvalidInput("not a ForkBase bundle".into()));
     }
@@ -276,20 +254,27 @@ fn verify_bundle<S: ChunkStore>(
         db.store().put_batch(staged)?;
     }
 
-    // Install refs only after their full histories verify, each key's
+    // Commit refs only after their full histories verify, each key's
     // history walked once from all of its refs. Track the highest logical
     // time seen so the destination's clock can be advanced past every
     // imported commit (like `load_refs`): a later put on an imported key
     // must never be stamped earlier than its own history.
-    let mut heads: BTreeMap<&str, Vec<Hash>> = BTreeMap::new();
+    let mut by_key: BTreeMap<&str, Vec<&BundleRef>> = BTreeMap::new();
     for r in &refs {
-        heads.entry(&r.key).or_default().push(r.uid);
+        by_key.entry(&r.key).or_default().push(r);
     }
-    let mut max_time = 0u64;
-    for (key, uids) in heads {
-        max_time = max_time.max(db.verify_history(key, uids)?.1);
+    let (mut batch, mut max_time) = (db.write_batch(), 0u64);
+    for (key, refs) in by_key {
+        max_time = max_time.max(db.verify_history(key, refs.iter().map(|r| r.uid))?.1);
+        ForkBase::<S>::validate_name("key", key)?;
+        for r in &refs {
+            ForkBase::<S>::validate_name("branch", &r.branch)?;
+        }
+        stage(&mut batch, key, &refs);
     }
-    Ok((refs, max_time))
+    batch.commit_gated(&gc)?;
+    db.bump_clock_past(max_time);
+    Ok(refs)
 }
 
 #[cfg(test)]
@@ -466,6 +451,28 @@ mod tests {
             import_bundle(&dst, &mut bundle.as_slice()),
             Err(DbError::BranchExists { .. })
         ));
+    }
+
+    #[test]
+    fn import_refused_on_a_later_ref_installs_none() {
+        let src = db();
+        for key in ["a", "b"] {
+            src.put(key, Value::string(key), &PutOptions::default())
+                .unwrap();
+        }
+        let mut bundle = Vec::new();
+        export_bundle_keys(&src, &["a".into(), "b".into()], &mut bundle).unwrap();
+
+        // The second ref, b@master, conflicts with local work: the import
+        // is one commit, so a@master is not installed either.
+        let dst = db();
+        dst.put("b", Value::string("local work"), &PutOptions::default())
+            .unwrap();
+        assert!(matches!(
+            import_bundle(&dst, &mut bundle.as_slice()),
+            Err(DbError::BranchExists { .. })
+        ));
+        assert_eq!(dst.list_keys(), ["b"]);
     }
 
     #[test]

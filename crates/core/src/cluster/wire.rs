@@ -1192,9 +1192,11 @@ fn run<S: SweepStore>(db: &ForkBase<S>, req: Request) -> DbResult<Reply> {
             Ok(Reply::Unit)
         }
         Request::ForgetKeys { keys } => {
-            for key in &keys {
-                db.forget_key(key);
+            let mut batch = db.write_batch();
+            for key in keys.iter().collect::<std::collections::BTreeSet<_>>() {
+                batch.replace_key(key, Default::default());
             }
+            batch.commit_unchecked()?;
             Ok(Reply::Unit)
         }
         Request::LoadRefs { refs } => {

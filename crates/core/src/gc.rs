@@ -90,7 +90,7 @@ impl std::fmt::Display for GcReport {
 /// page outside the live set. The mark itself reads the store, not the
 /// cache, and adds nothing to it.
 pub fn collect<S: SweepStore>(db: &ForkBase<S>) -> DbResult<GcReport> {
-    let _world_stopped = db.gc_exclusive();
+    let _world_stopped = db.gc_gate.write();
     let live = mark(db)?;
     let sweep = db.store().sweep(&|h| live.contains(h));
     // Even a failed sweep may have dropped chunks: forget every cached

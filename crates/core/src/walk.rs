@@ -5,8 +5,9 @@
 //!
 //! - [`versions`] visits the FNodes reachable from its roots through
 //!   `bases`, breadth-first: the roots in order, then level by level, each
-//!   FNode's bases in listed order. Breadth-first is what makes the first
-//!   common version the merge-base search meets a lowest common ancestor.
+//!   FNode's bases in listed order. The merge base is the first common
+//!   version this order meets from `theirs`, which need not be a lowest
+//!   common ancestor (ROADMAP § 20).
 //! - [`pages`] visits a value's pages breadth-first from the root: map,
 //!   set and list pages down to their leaves, blob index pages down to
 //!   depth 1. A blob's raw chunks (depth 0) are visited but never read.

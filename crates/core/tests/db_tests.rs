@@ -930,3 +930,38 @@ fn bundle_ships_a_branch_between_databases() {
         src.head("ds", "master").unwrap()
     );
 }
+
+#[test]
+fn load_refs_refuses_contradicting_lines_and_installs_nothing() {
+    let src = db();
+    let j = src.put("j", Value::Int(0), &PutOptions::default()).unwrap();
+    let v1 = src.put("k", Value::Int(1), &PutOptions::default()).unwrap();
+    let v2 = src.put("k", Value::Int(2), &PutOptions::default()).unwrap();
+    let text = format!(
+        "j\tmaster\t{}\nk\tmaster\t{}\nk\tmaster\t{}\n",
+        j.uid.to_hex(),
+        v1.uid.to_hex(),
+        v2.uid.to_hex()
+    );
+    // The refs file is one commit: the contradicting second line for
+    // k@master refuses the whole file, including the earlier j line.
+    let fresh = ForkBase::with_config(src.store(), TreeConfig::test_config());
+    let err = fresh.load_refs(&text).unwrap_err();
+    assert!(matches!(err, DbError::BranchExists { .. }), "{err:?}");
+    assert!(fresh.list_keys().is_empty());
+}
+
+#[test]
+fn load_refs_twice_is_ok() {
+    let src = db();
+    src.put("k", Value::Int(1), &PutOptions::default()).unwrap();
+    src.branch("k", "master", "dev").unwrap();
+    src.put("k", Value::Int(2), &PutOptions::on_branch("dev"))
+        .unwrap();
+    let text = src.dump_refs();
+    // A retried load (the `LoadRefs` servelet verb) finds its own heads.
+    let fresh = ForkBase::with_config(src.store(), TreeConfig::test_config());
+    fresh.load_refs(&text).unwrap();
+    fresh.load_refs(&text).unwrap();
+    assert_eq!(fresh.dump_refs(), text);
+}

@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use forkbase::db::VersionSpec;
-use forkbase::{gc, ForkBase, PutOptions};
+use forkbase::{gc, DbError, ForkBase, PutOptions};
 use forkbase_postree::merge::MergePolicy;
 use forkbase_postree::{MapEdit, TreeConfig};
 use forkbase_store::{ChunkStore, MemStore, StoreResult, StoreStats};
@@ -706,4 +706,146 @@ fn merge_racing_deletion_of_both_branches_never_panics_smoke() {
         |_, merged, _| merged.is_err(),
     );
     assert_eq!(panics, 0, "{panics} merges panicked");
+}
+
+const IMPORT_TRIALS: usize = 1_000;
+
+/// A bundle of `branch` of `key` holding one version, from a source
+/// database of its own, and that version's uid.
+fn one_version_bundle(key: &str, branch: &str) -> (Vec<u8>, forkbase::Uid) {
+    let src = db();
+    let c = src
+        .put(key, Value::Int(-1), &PutOptions::on_branch(branch))
+        .unwrap();
+    let mut bundle = Vec::new();
+    forkbase::export_bundle(&src, key, &[], &mut bundle).unwrap();
+    (bundle, c.uid)
+}
+
+/// `import_bundle` of a one-version branch racing a `put` on it: either
+/// the import lands first and the put builds on the imported head, or the
+/// put creates the branch and the import is refused as `BranchExists`.
+/// Any other outcome lost the acked put or overwrote the imported head
+/// with a version that has no base.
+#[test]
+fn import_bundle_racing_put_overwrites_neither_smoke() {
+    let db = race_db();
+    let branch = |i: usize| format!("i{i}");
+    let bundles: Vec<_> = (0..IMPORT_TRIALS)
+        .map(|i| one_version_bundle("k", &branch(i)))
+        .collect();
+    let violated = race(
+        IMPORT_TRIALS,
+        |_| {},
+        |i| forkbase::import_bundle(&db, &mut bundles[i].0.as_slice()),
+        |i| db.put("k", Value::Int(i as i64), &PutOptions::on_branch(branch(i))),
+        |i, imported, put| {
+            let put = put.unwrap();
+            let serialized = match imported {
+                Err(DbError::BranchExists { .. }) => true,
+                Ok(_) => db.meta(&put.uid).unwrap().bases == [bundles[i].1],
+                Err(e) => panic!("{e}"),
+            };
+            !serialized || db.head("k", &branch(i)).unwrap() != put.uid
+        },
+    );
+    assert_eq!(violated, 0, "{violated} imports overwrote or lost a put");
+}
+
+/// The refs of `key` after a round of a replace-import race: exactly the
+/// bundle's, or the bundle's followed by `local` — the later local op's
+/// effect on the bundle's branch set.
+fn replaced_or_after(
+    db: &ForkBase<SlowWrites>,
+    key: &str,
+    bundle: &[(String, forkbase::Uid)],
+    local: impl FnOnce(&mut Vec<(String, forkbase::Uid)>),
+) -> bool {
+    let now: Vec<(String, forkbase::Uid)> = db
+        .latest(key)
+        .map(|bs| bs.into_iter().map(|b| (b.name, b.head)).collect())
+        .unwrap_or_default();
+    let mut after = bundle.to_vec();
+    local(&mut after);
+    now == bundle || now == after
+}
+
+/// `import_bundle_replace` (replica apply) racing a `put` on the same
+/// branch: the key's branch set must be the bundle's (the put landed
+/// first and the replace dropped it) or the bundle's with the put on top
+/// of the imported head — never the put's version without that base.
+#[test]
+fn import_bundle_replace_racing_put_mixes_no_branch_set_smoke() {
+    let db = race_db();
+    let key = |i: usize| format!("r{i}");
+    let bundles: Vec<_> = (0..IMPORT_TRIALS)
+        .map(|i| one_version_bundle(&key(i), "master"))
+        .collect();
+    let mixed = race(
+        IMPORT_TRIALS,
+        |_| {},
+        |i| forkbase::import_bundle_replace(&db, &mut bundles[i].0.as_slice()),
+        |i| db.put(&key(i), Value::Int(i as i64), &PutOptions::default()),
+        |i, replaced, put| {
+            replaced.unwrap();
+            let put = put.unwrap();
+            let imported = bundles[i].1;
+            let bundle = [("master".to_string(), imported)];
+            let on_top = db.meta(&put.uid).unwrap().bases == [imported];
+            !replaced_or_after(&db, &key(i), &bundle, |refs| {
+                if on_top {
+                    refs[0].1 = put.uid;
+                }
+            })
+        },
+    );
+    assert_eq!(mixed, 0, "{mixed} replace imports mixed with a put");
+}
+
+/// `import_bundle_replace` racing a `delete_branch` of a local branch the
+/// bundle also names: the key's branch set is the bundle's (the delete
+/// landed first) or the bundle's without that branch (it landed after).
+#[test]
+fn import_bundle_replace_racing_delete_mixes_no_branch_set_smoke() {
+    let db = race_db();
+    let key = |i: usize| format!("x{i}");
+    let bundles: Vec<_> = (0..IMPORT_TRIALS)
+        .map(|i| {
+            let src = db_with_two_branches(&key(i));
+            let mut bundle = Vec::new();
+            forkbase::export_bundle(&src, &key(i), &[], &mut bundle).unwrap();
+            (bundle, src.latest(&key(i)).unwrap())
+        })
+        .collect();
+    let mixed = race(
+        IMPORT_TRIALS,
+        |i| {
+            db.put(&key(i), Value::Int(0), &PutOptions::default())
+                .unwrap();
+        },
+        |i| forkbase::import_bundle_replace(&db, &mut bundles[i].0.as_slice()),
+        |i| db.delete_branch(&key(i), "master"),
+        |i, replaced, deleted| {
+            replaced.unwrap();
+            deleted.unwrap();
+            let bundle: Vec<_> = bundles[i]
+                .1
+                .iter()
+                .map(|b| (b.name.clone(), b.head))
+                .collect();
+            !replaced_or_after(&db, &key(i), &bundle, |refs| {
+                refs.retain(|(name, _)| name != "master")
+            })
+        },
+    );
+    assert_eq!(mixed, 0, "{mixed} replace imports mixed with a delete");
+}
+
+/// A source database whose `key` has branches `dev` and `master`.
+fn db_with_two_branches(key: &str) -> ForkBase<MemStore> {
+    let src = db();
+    src.put(key, Value::Int(-1), &PutOptions::default())
+        .unwrap();
+    src.branch(key, "master", "dev").unwrap();
+    src
 }

@@ -3,15 +3,13 @@
 //! Two rule groups, both scanned over shipped (non-`#[cfg(test)]`) code:
 //!
 //! * **Privileged verbs** are only legal from an allowlisted set of
-//!   modules: direct ref-table head swings (`branches.write()`: the
-//!   batch committer, which every verb commits through, and the engine's
-//!   own ref installs for bundle, replica, rebalance and refs-file
-//!   imports),
+//!   modules: ref-table writes (`branches.write()`: only the batch
+//!   committer's `publish`, which every verb, merge, import and
+//!   rebalance forget commits through),
 //!   chunk installs (everything goes through `put_batch`, and only the
 //!   batch committer and the bundle importer may call it; raw
-//!   single-chunk `store.put(…)` is legal nowhere in core/cli),
-//!   `install_ref` (hash-verified bundle import only), and persisting
-//!   the `TOPOLOGY` / `FORKS` records.
+//!   single-chunk `store.put(…)` is legal nowhere in core/cli), and
+//!   persisting the `TOPOLOGY` / `FORKS` records.
 //! * **No panics in request paths**: `unwrap()` / `expect(` / `panic!`
 //!   are denied in the cluster router, RPC, net, wire, replication,
 //!   rate-limit, accept loop, REST gateway and CLI session modules, where
@@ -61,7 +59,7 @@ const CAPABILITIES: &[(&str, &str, &[&str])] = &[
     (
         "branches.write()",
         "raw ref-table head swing",
-        &["crates/core/src/api/mod.rs", "crates/core/src/api/batch.rs"],
+        &["crates/core/src/api/batch.rs"],
     ),
     (
         ".put_batch(",
@@ -77,11 +75,6 @@ const CAPABILITIES: &[(&str, &str, &[&str])] = &[
         "store().put(",
         "raw single-chunk install (use put_batch)",
         &[],
-    ),
-    (
-        "install_ref(",
-        "direct branch-ref install",
-        &["crates/core/src/api/mod.rs", "crates/core/src/bundle.rs"],
     ),
     (
         "topology().encode()",
@@ -144,11 +137,6 @@ pub fn run(root: &Path) -> Vec<Finding> {
                 continue;
             }
             for off in find_pattern_ws(&shipped, pattern) {
-                // Skip the definition site (`fn install_ref(`): a
-                // capability is about *calls*.
-                if is_definition(&shipped, off) {
-                    continue;
-                }
                 let line = m.line_of(off);
                 if m.has_waiver(line, "caps") {
                     continue;
@@ -166,17 +154,4 @@ pub fn run(root: &Path) -> Vec<Finding> {
         }
     }
     findings
-}
-
-/// Is the pattern occurrence at `off` a `fn name(` definition rather
-/// than a call?
-fn is_definition(code: &str, off: usize) -> bool {
-    let before = &code.as_bytes()[..off];
-    let mut i = before.len();
-    while i > 0 && (before[i - 1].is_ascii_whitespace()) {
-        i -= 1;
-    }
-    i >= 2
-        && &before[i - 2..i] == b"fn"
-        && (i == 2 || !(before[i - 3].is_ascii_alphanumeric() || before[i - 3] == b'_'))
 }
