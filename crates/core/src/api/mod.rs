@@ -419,7 +419,8 @@ impl<S: ChunkStore> ForkBase<S> {
     /// Each head is validated to exist in the chunk store (a malicious/
     /// corrupt refs file cannot point at garbage silently); a line that
     /// moves a head already present is `BranchExists` and installs nothing.
-    /// Also advances the logical clock past every referenced commit.
+    /// Also advances the logical clock past every referenced commit, even
+    /// when the load is refused (the clock need only be monotone).
     pub fn load_refs(&self, text: &str) -> DbResult<()> {
         // Hold the GC gate across validation AND the commit: a collector
         // running in the gap could sweep the (still unreferenced) FNodes
@@ -449,8 +450,10 @@ impl<S: ChunkStore> ForkBase<S> {
             max_time = max_time.max(fnode.logical_time);
             batch.branch_at(key, branch, batch::BranchAt::Verified(uid));
         }
-        batch.commit_gated(&gc)?;
+        // Advance the clock before the heads publish, so a put on a
+        // loaded head is never stamped below it.
         self.bump_clock_past(max_time);
+        batch.commit_gated(&gc)?;
         Ok(())
     }
 }

@@ -257,7 +257,8 @@ fn import_with<S: ChunkStore>(
     // Commit refs only after their full histories verify, each key's
     // history walked once from all of its refs. Track the highest logical
     // time seen so the destination's clock can be advanced past every
-    // imported commit (like `load_refs`): a later put on an imported key
+    // imported commit (like `load_refs`) before the commit publishes
+    // them: a put that lands on an imported head right after the commit
     // must never be stamped earlier than its own history.
     let mut by_key: BTreeMap<&str, Vec<&BundleRef>> = BTreeMap::new();
     for r in &refs {
@@ -272,8 +273,8 @@ fn import_with<S: ChunkStore>(
         }
         stage(&mut batch, key, &refs);
     }
-    batch.commit_gated(&gc)?;
     db.bump_clock_past(max_time);
+    batch.commit_gated(&gc)?;
     Ok(refs)
 }
 

@@ -63,9 +63,8 @@
 //! outcome** — only a provably-undelivered request is retried, because a
 //! timed-out write may still apply. Dead servelets are restarted in place
 //! from their durable backends ([`Cluster::restart_servelet`], the
-//! [`Supervisor`] loop), scatter verbs offer `*_partial` variants that
-//! degrade instead of failing wholesale, and the whole layer is testable
-//! under a seeded, replayable fault schedule ([`ChaosPlan`]).
+//! [`Supervisor`] loop), and the whole layer is testable under a seeded,
+//! replayable fault schedule ([`ChaosPlan`]).
 
 mod chaos;
 pub mod net;
@@ -80,7 +79,6 @@ pub use net::{PersistFn, ServeletServer};
 pub use ratelimit::{RateLimit, RateLimiter};
 pub use replication::{
     PrimaryReplication, ReplicaRead, ReplicaStatus, ReplicationStatus, ShipReport,
-    PARTIAL_READ_MAX_LAG,
 };
 pub use rpc::{RetryPolicy, RpcConfig};
 pub use supervisor::{
@@ -202,16 +200,6 @@ impl ClusterTopology {
             .iter()
             .position(|&s| s == id)
             .and_then(|i| self.roles.get(i))
-    }
-
-    /// The ids of the primary servelets, in slot order.
-    pub fn primary_ids(&self) -> Vec<u64> {
-        self.servelet_ids
-            .iter()
-            .zip(&self.roles)
-            .filter(|(_, r)| matches!(r, TopoRole::Primary { .. }))
-            .map(|(&id, _)| id)
-            .collect()
     }
 
     /// Serialize as stable text (one record per line). Self-anchored
@@ -439,47 +427,6 @@ pub struct MapPage {
     pub truncated: bool,
     /// The snapshot version the page was served from.
     pub version: Uid,
-}
-
-/// A degradable scatter-gather result: per-servelet successes plus the
-/// set of servelets that could not be reached within the deadline.
-///
-/// The degradation contract: `results` holds every reachable servelet's
-/// answer (in slot order), `degraded` the stable ids of the unreachable
-/// ones. `degraded` empty ⟺ the result is equivalent to the strict verb.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Partial<T> {
-    /// `(servelet id, result)` for every servelet that answered.
-    pub results: Vec<(u64, T)>,
-    /// Stable ids of servelets that were dead or timed out.
-    pub degraded: Vec<u64>,
-}
-
-impl<T> Default for Partial<T> {
-    fn default() -> Self {
-        Partial {
-            results: Vec::new(),
-            degraded: Vec::new(),
-        }
-    }
-}
-
-impl<T> Partial<T> {
-    /// Whether any servelet failed to answer.
-    pub fn is_degraded(&self) -> bool {
-        !self.degraded.is_empty()
-    }
-}
-
-/// Result of [`Cluster::heads_partial`]: per-pair heads with `None` for
-/// pairs owned by unreachable servelets.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct PartialHeads {
-    /// One entry per input pair, in input order; `None` when the owning
-    /// servelet was unreachable.
-    pub heads: Vec<Option<Uid>>,
-    /// Stable ids of the unreachable servelets.
-    pub degraded: Vec<u64>,
 }
 
 /// Result of [`Cluster::gc`]: per-servelet reports plus the servelets
@@ -982,48 +929,6 @@ impl<S: SweepStore + Send + 'static> Cluster<S> {
             .collect()
     }
 
-    /// Degrading scatter-gather: unreachable servelets land in
-    /// [`Partial::degraded`] instead of failing the call. (The verbs
-    /// using this are infallible server-side, so an extraction failure —
-    /// a malformed or error reply — also degrades.)
-    fn scatter_partial<R>(
-        &self,
-        req: &Request,
-        extract: impl Fn(Reply) -> DbResult<R>,
-    ) -> Partial<R> {
-        let mut partial = Partial::default();
-        for (id, r) in self.scatter_results(req) {
-            match r.and_then(&extract) {
-                Ok(v) => partial.results.push((id, v)),
-                Err(_) => partial.degraded.push(id),
-            }
-        }
-        partial
-    }
-
-    /// [`Self::scatter_partial`] with a replica second chance: each
-    /// degraded primary is re-asked via
-    /// [`Self::replica_answer`] before being reported degraded. The
-    /// recovered entry keeps the *primary's* id.
-    fn scatter_partial_with_replicas<R>(
-        &self,
-        req: &Request,
-        extract: impl Fn(Reply) -> DbResult<R>,
-    ) -> Partial<R> {
-        let mut partial = self.scatter_partial(req, &extract);
-        if partial.degraded.is_empty() {
-            return partial;
-        }
-        let degraded = std::mem::take(&mut partial.degraded);
-        for pid in degraded {
-            match self.replica_answer(pid, req).and_then(|r| extract(r).ok()) {
-                Some(v) => partial.results.push((pid, v)),
-                None => partial.degraded.push(pid),
-            }
-        }
-        partial
-    }
-
     /// Shut down servelet slot `slot`'s worker **without** removing it
     /// from the ring — fault injection for dead-servelet handling: every
     /// later RPC routed to it returns [`DbError::ServeletUnavailable`]
@@ -1217,69 +1122,30 @@ impl<S: SweepStore + Send + 'static> Cluster<S> {
     /// [`ForkBase::heads`] read, so the returned uids are torn-free **per
     /// servelet** (the same granularity [`ClusterWriteBatch`] commits at);
     /// results come back in input order. Strict: any unreachable owner
-    /// fails the call — see [`Self::heads_partial`] to degrade instead.
+    /// fails the call.
     pub fn heads(&self, pairs: &[(&str, &str)]) -> DbResult<Vec<Uid>> {
-        in_input_order(self.heads_per_owner(pairs))
-    }
-
-    /// Degrading [`Self::heads`]: pairs owned by unreachable servelets
-    /// come back `None` and the owners are reported in
-    /// [`PartialHeads::degraded`]. Data errors (e.g. a missing branch on
-    /// a *reachable* servelet) still fail the call.
-    pub fn heads_partial(&self, pairs: &[(&str, &str)]) -> DbResult<PartialHeads> {
-        let mut out = PartialHeads {
-            heads: vec![None; pairs.len()],
-            degraded: Vec::new(),
-        };
-        for (indices, result) in self.heads_per_owner(pairs) {
-            match result {
-                Ok(uids) => {
-                    for (i, uid) in indices.into_iter().zip(uids) {
-                        out.heads[i] = Some(uid);
-                    }
-                }
-                Err(
-                    DbError::ServeletUnavailable { servelet }
-                    | DbError::ServeletTimeout { servelet },
-                ) => out.degraded.push(servelet),
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(out)
-    }
-
-    /// One consistent [`ForkBase::heads`] read per owning servelet.
-    fn heads_per_owner(&self, pairs: &[(&str, &str)]) -> Vec<(Vec<usize>, DbResult<Vec<Uid>>)> {
-        self.per_owner(
+        in_input_order(self.per_owner(
             pairs.to_vec(),
             |(key, _)| key,
             true,
-            |group| Request::Heads {
-                pairs: group
-                    .into_iter()
-                    .map(|(k, b)| (k.to_string(), b.to_string()))
-                    .collect(),
+            |group| {
+                Request::Heads {
+                    pairs: group
+                        .into_iter()
+                        .map(|(k, b)| (k.to_string(), b.to_string()))
+                        .collect(),
+                }
             },
             |_, reply| reply.expect_uids(),
-        )
+        ))
     }
 
-    /// Scatter-gather statistics from every servelet. Strict — see
-    /// [`Self::stats_partial`] to degrade instead.
+    /// Scatter-gather statistics from every servelet. Strict: any
+    /// unreachable servelet fails the call.
     pub fn stats(&self) -> DbResult<ClusterStat> {
         Ok(ClusterStat {
             servelets: self.scatter(&Request::Stat, Reply::expect_stat)?,
         })
-    }
-
-    /// Degrading [`Self::stats`]: statistics from every reachable
-    /// servelet plus the set of unreachable ones. A dead primary with a
-    /// caught-up replica (lag ≤
-    /// [`replication::PARTIAL_READ_MAX_LAG`]) is
-    /// answered by that replica instead of degrading — the result keeps
-    /// the primary's id, since it reports the primary's data.
-    pub fn stats_partial(&self) -> Partial<DbStat> {
-        self.scatter_partial_with_replicas(&Request::Stat, Reply::expect_stat)
     }
 
     /// Snapshot-backed routed range scan: one bounded page of map entries
@@ -1308,36 +1174,10 @@ impl<S: SweepStore + Send + 'static> Cluster<S> {
         .expect_page()
     }
 
-    /// Degrading [`Self::map_range`]: an unreachable owner yields an
-    /// empty result set with the owner reported in
-    /// [`Partial::degraded`]; data errors still fail the call.
-    pub fn map_range_partial(
-        &self,
-        key: &str,
-        branch: &str,
-        start: Option<Bytes>,
-        end: Option<Bytes>,
-        limit: usize,
-    ) -> DbResult<Partial<MapPage>> {
-        match self.map_range(key, branch, start, end, limit) {
-            Ok(page) => Ok(Partial {
-                results: vec![(self.owner_id(key), page)],
-                degraded: Vec::new(),
-            }),
-            Err(
-                DbError::ServeletUnavailable { servelet } | DbError::ServeletTimeout { servelet },
-            ) => Ok(Partial {
-                results: Vec::new(),
-                degraded: vec![servelet],
-            }),
-            Err(e) => Err(e),
-        }
-    }
-
     /// All keys across every servelet, sorted and deduplicated (a key can
     /// transiently exist on two servelets after an interrupted rebalance,
-    /// until the next one cleans the stale copy up). Strict — see
-    /// [`Self::list_keys_partial`] to degrade instead.
+    /// until the next one cleans the stale copy up). Strict: any
+    /// unreachable servelet fails the call.
     pub fn list_keys(&self) -> DbResult<Vec<String>> {
         let mut keys: Vec<String> = self
             .scatter(&Request::ListKeys, Reply::expect_keys)?
@@ -1347,14 +1187,6 @@ impl<S: SweepStore + Send + 'static> Cluster<S> {
         keys.sort();
         keys.dedup();
         Ok(keys)
-    }
-
-    /// Degrading [`Self::list_keys`]: per-servelet key lists from every
-    /// reachable servelet plus the set of unreachable ones. Like
-    /// [`Self::stats_partial`], a dead primary's caught-up replica
-    /// answers for it before the primary is declared degraded.
-    pub fn list_keys_partial(&self) -> Partial<Vec<String>> {
-        self.scatter_partial_with_replicas(&Request::ListKeys, Reply::expect_keys)
     }
 
     /// Aggregate stored chunk-payload bytes across servelets.
@@ -2119,7 +1951,6 @@ mod tests {
         assert_eq!(t3.role_of(3), Some(&TopoRole::Primary { anchor: 0 }));
         assert_eq!(t3.role_of(1), Some(&TopoRole::Primary { anchor: 1 }));
         assert_eq!(t3.role_of(4), Some(&TopoRole::Replica { primary: 3 }));
-        assert_eq!(t3.primary_ids(), vec![3, 1]);
         let reparsed = ClusterTopology::parse(&t3.encode()).unwrap();
         assert_eq!(reparsed, t3, "role layout round-trips");
         // The bare-`primary` shorthand normalizes to the legacy layout on

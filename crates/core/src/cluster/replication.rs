@@ -60,13 +60,6 @@ use super::rpc::{call_control, maint_call, remote_node, shutdown_node, spawn_nod
 use super::wire::{Reply, Request};
 use super::{route_on, Cluster};
 
-/// How many unacked ship entries a replica may trail its primary by and
-/// still serve a degraded partial scatter read
-/// ([`Cluster::stats_partial`], [`Cluster::list_keys_partial`]) in the
-/// primary's stead. Zero: only fully caught-up replicas answer, so a
-/// fallback answer is exact as of the last shipped write.
-pub const PARTIAL_READ_MAX_LAG: u64 = 0;
-
 /// One captured write, self-contained: shippable (and re-shippable)
 /// without the primary being alive.
 pub(super) enum ShipPayload {
@@ -501,20 +494,6 @@ impl<S: SweepStore + Send + 'static> Cluster<S> {
         report
     }
 
-    /// Deterministically catch replica `id` up: stop-the-world (no new
-    /// writes can race in), full key sync, ship log drained. After this
-    /// returns the replica's lag is 0.
-    pub fn catch_up_replica(&self, id: u64) -> DbResult<()> {
-        let _gate = self.rebalance_gate.write();
-        let pid = self
-            .primary_of(id)
-            .ok_or_else(|| DbError::InvalidInput(format!("no replica with id {id}")))?;
-        let deadline = self.rpc.read().control_deadline;
-        self.full_sync_replica(pid, id, deadline)?;
-        self.drain_pending(id, deadline)?;
-        Ok(())
-    }
-
     /// Mirror the primary's full key set onto the replica: forget keys
     /// the primary no longer has, replace-import everything it does, then
     /// retire the ship-log entries the sync subsumed. Callers hold the
@@ -813,41 +792,6 @@ impl<S: SweepStore + Send + 'static> Cluster<S> {
     // ------------------------------------------------------------------
     // Reads + status
     // ------------------------------------------------------------------
-
-    /// A degraded scatter read's fallback: ask a caught-up replica of
-    /// dead primary `pid` to answer `req`. Candidates are lag-bounded
-    /// ([`PARTIAL_READ_MAX_LAG`]) and never mid-full-sync, so the
-    /// answer is at worst that many ship entries stale; an error reply
-    /// or RPC failure just tries the next candidate. `None` means the
-    /// primary stays degraded.
-    // `lag <= PARTIAL_READ_MAX_LAG` is "absurd" only while the tunable
-    // bound happens to be 0; the comparison is the policy, not a typo.
-    #[allow(clippy::absurd_extreme_comparisons)]
-    pub(super) fn replica_answer(&self, pid: u64, req: &Request) -> Option<Reply> {
-        let deadline = self.rpc.read().deadline;
-        let mut candidates: Vec<(u64, Arc<Node<S>>, u64)> = {
-            let repl = self.replication.lock();
-            match repl.sets.get(&pid) {
-                Some(set) => set
-                    .replicas
-                    .iter()
-                    .filter(|r| !r.needs_full_sync)
-                    .map(|r| (r.id, Arc::clone(&r.node), set.seq - r.acked_seq))
-                    .filter(|&(_, _, lag)| lag <= PARTIAL_READ_MAX_LAG)
-                    .collect(),
-                None => Vec::new(),
-            }
-        };
-        candidates.sort_by_key(|&(_, _, lag)| lag);
-        for (_, node, _) in candidates {
-            if let Ok(reply) = call_control(&node, deadline, req.clone()) {
-                if !matches!(reply, Reply::Err(_)) {
-                    return Some(reply);
-                }
-            }
-        }
-        None
-    }
 
     /// `Get` served by a replica of `key`'s owner when one can answer,
     /// with the staleness bound surfaced in the reply. Candidate order is

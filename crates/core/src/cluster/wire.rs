@@ -40,15 +40,15 @@
 //! # The verb table
 //!
 //! Every request, reply, error, batch op, outcome, diff and version
-//! spec is declared once as a `wire_enum!` row: tag constant, variant,
+//! spec is declared once as a `wire_enum!` row: tag literal, variant,
 //! fields in wire order. The enum, `encode`, `decode` and the `expect_*`
 //! extractors all come from that row; each field type's bytes come from
 //! its one `Field` impl. Adding a verb:
 //!
-//! 1. a fresh top-level `const REQ_*: u8` (lint P1 reads tags from these
-//!    constants);
-//! 2. one row in the `Request` table, an arm in `Request::retry_class`
-//!    (idempotent? persisted before ack?) and one in `run`;
+//! 1. a row in the `Request` table with a fresh tag literal (lint P1
+//!    reads tags from these rows);
+//! 2. an arm in `Request::retry_class` (idempotent? persisted before
+//!    ack?) and one in `run`;
 //! 3. a row in `PROTOCOL.md`'s tag table and a golden-byte pin below;
 //! 4. a `WIRE_VERSION` bump, and only with it
 //!    `cargo run -p forkbase-lint -- --bless` (PROTOCOL.md § Version bump
@@ -464,14 +464,14 @@ macro_rules! wire_struct {
 /// variant's fields in wire order: none, `{ name: Type, .. }`, or one
 /// `(binding: Type)` optionally followed by its `Reply` extractor,
 /// `expect_x "what"`. The `pub enum` form also defines the enum; the
-/// `impl` form encodes an enum declared elsewhere. Every `TAG` is a
-/// top-level `u8` constant, where lint P1 and `lint/wire.lock` find it.
+/// `impl` form encodes an enum declared elsewhere. Every `TAG` is a `u8`
+/// literal on its row, where lint P1 and `lint/wire.lock` find it.
 macro_rules! wire_enum {
     (
         $(#[$meta:meta])*
         pub enum $name:ident ($what:literal) {$(
             $(#[$vmeta:meta])*
-            $tag:ident => $v:ident
+            $tag:literal => $v:ident
             $({ $($(#[$fmeta:meta])* $f:ident: $t:ty),* $(,)? })?
             $(($b:ident: $bt:ty) $($x:ident $label:literal)?)?,
         )*}
@@ -489,7 +489,7 @@ macro_rules! wire_enum {
     };
     (
         impl $name:ident ($what:literal) {$(
-            $tag:ident => $v:ident
+            $tag:literal => $v:ident
             $({ $($f:ident: $t:ty),* $(,)? })?
             $(($b:ident: $bt:ty) $($x:ident $label:literal)?)?,
         )*}
@@ -585,13 +585,10 @@ wire_struct! {
     }
 }
 
-const SPEC_BRANCH: u8 = 0x01;
-const SPEC_VERSION: u8 = 0x02;
-
 wire_enum! {
     impl VersionSpec ("version-spec") {
-        SPEC_BRANCH => Branch(b: String),
-        SPEC_VERSION => Version(uid: Uid),
+        0x01 => Branch(b: String),
+        0x02 => Version(uid: Uid),
     }
 }
 
@@ -599,38 +596,12 @@ wire_enum! {
 // Requests
 // ----------------------------------------------------------------------
 
-const REQ_PROBE: u8 = 0x01;
-const REQ_PUT: u8 = 0x02;
-const REQ_PUT_BLOB: u8 = 0x03;
-const REQ_GET: u8 = 0x04;
-const REQ_HEADS: u8 = 0x05;
-const REQ_STAT: u8 = 0x06;
-const REQ_MAP_RANGE: u8 = 0x07;
-const REQ_LIST_KEYS: u8 = 0x08;
-const REQ_STORED_BYTES: u8 = 0x09;
-const REQ_GC: u8 = 0x0A;
-const REQ_BATCH: u8 = 0x0B;
-const REQ_EXPORT_BUNDLE: u8 = 0x20;
-const REQ_IMPORT_BUNDLE: u8 = 0x21;
-const REQ_FORGET_KEYS: u8 = 0x22;
-const REQ_LOAD_REFS: u8 = 0x23;
-const REQ_DUMP_REFS: u8 = 0x24;
-const REQ_REPLICATE: u8 = 0x25;
-const REQ_GET_AT: u8 = 0x26;
-const REQ_BRANCH_FROM_VERSION: u8 = 0x27;
-const REQ_DELETE_BRANCH: u8 = 0x28;
-const REQ_DIFF_SPECS: u8 = 0x29;
-const REQ_MAP_RANGE_AT: u8 = 0x2A;
-
-const OP_PUT: u8 = 0x01;
-const OP_DELETE_BRANCH: u8 = 0x02;
-
 wire_enum! {
     /// One operation of a routed [`Request::Batch`].
     #[derive(Clone, Debug, PartialEq)]
     pub enum WireOp ("batch op") {
         /// Stage a put of `value` on `(key, opts.branch)`.
-        OP_PUT => Put {
+        0x01 => Put {
             /// Target key.
             key: String,
             /// The value to commit.
@@ -639,7 +610,7 @@ wire_enum! {
             opts: PutOptions,
         },
         /// Stage a branch deletion.
-        OP_DELETE_BRANCH => DeleteBranch {
+        0x02 => DeleteBranch {
             /// Target key.
             key: String,
             /// Branch to delete.
@@ -657,9 +628,9 @@ wire_enum! {
     #[derive(Clone, Debug, PartialEq)]
     pub enum Request ("request") {
         /// Control: liveness probe (no work, short deadline).
-        REQ_PROBE => Probe,
+        0x01 => Probe,
         /// `Put` a value on the owning servelet.
-        REQ_PUT => Put {
+        0x02 => Put {
             /// Target key.
             key: String,
             /// The value to commit.
@@ -668,7 +639,7 @@ wire_enum! {
             opts: PutOptions,
         },
         /// `Put` a blob built from raw content on the owning servelet.
-        REQ_PUT_BLOB => PutBlob {
+        0x03 => PutBlob {
             /// Target key.
             key: String,
             /// Raw blob content (chunked on the servelet).
@@ -677,21 +648,21 @@ wire_enum! {
             opts: PutOptions,
         },
         /// `Get` the head of `key@branch`.
-        REQ_GET => Get {
+        0x04 => Get {
             /// Target key.
             key: String,
             /// Branch whose head to read.
             branch: String,
         },
         /// Read many branch heads in one consistent call.
-        REQ_HEADS => Heads {
+        0x05 => Heads {
             /// `(key, branch)` pairs.
             pairs: Vec<(String, String)>,
         },
         /// Database statistics.
-        REQ_STAT => Stat,
+        0x06 => Stat,
         /// One bounded page of a map range scan.
-        REQ_MAP_RANGE => MapRange {
+        0x07 => MapRange {
             /// Target key.
             key: String,
             /// Branch whose head to scan.
@@ -704,41 +675,41 @@ wire_enum! {
             limit: u64,
         },
         /// List every key this servelet holds.
-        REQ_LIST_KEYS => ListKeys,
+        0x08 => ListKeys,
         /// Stored chunk-payload bytes.
-        REQ_STORED_BYTES => StoredBytes,
+        0x09 => StoredBytes,
         /// Run a garbage-collection pass.
-        REQ_GC => Gc,
+        0x0A => Gc,
         /// A multi-op write batch, committed atomically on this servelet.
-        REQ_BATCH => Batch {
+        0x0B => Batch {
             /// The staged operations, in batch order.
             ops: Vec<WireOp>,
         },
         /// Control: export the full history of `keys` as a bundle
         /// (migration copy phase).
-        REQ_EXPORT_BUNDLE => ExportBundle {
+        0x20 => ExportBundle {
             /// Keys whose branches to export.
             keys: Vec<String>,
         },
         /// Control: import a bundle produced by [`Request::ExportBundle`].
         /// Every chunk is re-hashed and every history walked before a ref
         /// installs — the wire inherits the bundle codec's tamper evidence.
-        REQ_IMPORT_BUNDLE => ImportBundle {
+        0x21 => ImportBundle {
             /// The bundle bytes.
             bundle: Vec<u8>,
         },
         /// Control: drop the refs of `keys` (migration cutover).
-        REQ_FORGET_KEYS => ForgetKeys {
+        0x22 => ForgetKeys {
             /// Keys to forget.
             keys: Vec<String>,
         },
         /// Control: restore persisted branch heads (supervised restart).
-        REQ_LOAD_REFS => LoadRefs {
+        0x23 => LoadRefs {
             /// The refs text ([`ForkBase::dump_refs`] format).
             refs: String,
         },
         /// Control: dump branch heads for persistence.
-        REQ_DUMP_REFS => DumpRefs,
+        0x24 => DumpRefs,
         /// Control: apply a replication bundle with **replace** semantics —
         /// after import the receiver's branch set for every key in the
         /// bundle exactly mirrors the sender's, including branches the
@@ -747,14 +718,14 @@ wire_enum! {
         /// bundle (or an older one out of order) converges instead of
         /// erroring, which is what makes replication shipping retryable.
         /// Wire version 2.
-        REQ_REPLICATE => Replicate {
+        0x25 => Replicate {
             /// The bundle bytes.
             bundle: Vec<u8>,
         },
         /// `Get` the value at an arbitrary [`VersionSpec`] (branch head *or*
         /// pinned version uid). The fork service reads untouched keys through
         /// the fork's base spec with this. Wire version 3.
-        REQ_GET_AT => GetAt {
+        0x26 => GetAt {
             /// Target key.
             key: String,
             /// Branch head or version uid to read.
@@ -763,7 +734,7 @@ wire_enum! {
         /// Create `new_branch` pointing at an existing version of `key` —
         /// the lazy copy-on-write step of a fork's first write to a key.
         /// Wire version 3.
-        REQ_BRANCH_FROM_VERSION => BranchFromVersion {
+        0x27 => BranchFromVersion {
             /// Target key.
             key: String,
             /// The version the new branch starts from.
@@ -772,7 +743,7 @@ wire_enum! {
             new_branch: String,
         },
         /// Drop a single branch of `key` (fork reaping). Wire version 3.
-        REQ_DELETE_BRANCH => DeleteBranch {
+        0x28 => DeleteBranch {
             /// Target key.
             key: String,
             /// Branch to delete.
@@ -780,7 +751,7 @@ wire_enum! {
         },
         /// Structural diff between two versions of `key`, summarized for the
         /// wire (entry deltas are sampled, counts are exact). Wire version 3.
-        REQ_DIFF_SPECS => DiffSpecs {
+        0x29 => DiffSpecs {
             /// Target key.
             key: String,
             /// The "from" side.
@@ -791,7 +762,7 @@ wire_enum! {
         /// One bounded page of a map range scan at an arbitrary
         /// [`VersionSpec`] (the spec-generic [`Request::MapRange`]).
         /// Wire version 3.
-        REQ_MAP_RANGE_AT => MapRangeAt {
+        0x2A => MapRangeAt {
             /// Target key.
             key: String,
             /// Branch head or version uid to scan.
@@ -863,19 +834,6 @@ impl Request {
 // Errors on the wire
 // ----------------------------------------------------------------------
 
-const ERR_NO_SUCH_KEY: u8 = 0x01;
-const ERR_NO_SUCH_BRANCH: u8 = 0x02;
-const ERR_NO_SUCH_VERSION: u8 = 0x03;
-const ERR_BRANCH_EXISTS: u8 = 0x04;
-const ERR_NO_COMMON_ANCESTOR: u8 = 0x05;
-const ERR_TAMPER_DETECTED: u8 = 0x06;
-const ERR_SERVELET_UNAVAILABLE: u8 = 0x07;
-const ERR_SERVELET_TIMEOUT: u8 = 0x08;
-const ERR_PERMISSION_DENIED: u8 = 0x09;
-const ERR_INVALID_INPUT: u8 = 0x0A;
-const ERR_REMOTE: u8 = 0x0B;
-const ERR_RATE_LIMITED: u8 = 0x0C;
-
 wire_enum! {
     /// A [`DbError`] flattened for the wire. Variants whose fields survive a
     /// round trip map 1:1; the rest (store/tree/value internals, merge
@@ -884,69 +842,69 @@ wire_enum! {
     #[derive(Clone, Debug, PartialEq, Eq)]
     pub enum WireError ("error") {
         /// `no_such_key`.
-        ERR_NO_SUCH_KEY => NoSuchKey {
+        0x01 => NoSuchKey {
             /// The key queried.
             key: String,
         },
         /// `no_such_branch`.
-        ERR_NO_SUCH_BRANCH => NoSuchBranch {
+        0x02 => NoSuchBranch {
             /// The key queried.
             key: String,
             /// The missing branch.
             branch: String,
         },
         /// `no_such_version`.
-        ERR_NO_SUCH_VERSION => NoSuchVersion {
+        0x03 => NoSuchVersion {
             /// The missing uid.
             uid: Uid,
         },
         /// `branch_exists`.
-        ERR_BRANCH_EXISTS => BranchExists {
+        0x04 => BranchExists {
             /// The key.
             key: String,
             /// The already-present branch.
             branch: String,
         },
         /// `no_common_ancestor`.
-        ERR_NO_COMMON_ANCESTOR => NoCommonAncestor {
+        0x05 => NoCommonAncestor {
             /// First version.
             a: Uid,
             /// Second version.
             b: Uid,
         },
         /// `tamper_detected`.
-        ERR_TAMPER_DETECTED => TamperDetected {
+        0x06 => TamperDetected {
             /// What failed validation.
             message: String,
         },
         /// `servelet_unavailable`.
-        ERR_SERVELET_UNAVAILABLE => ServeletUnavailable {
+        0x07 => ServeletUnavailable {
             /// Stable id of the unreachable servelet.
             servelet: u64,
         },
         /// `servelet_timeout`.
-        ERR_SERVELET_TIMEOUT => ServeletTimeout {
+        0x08 => ServeletTimeout {
             /// Stable id of the servelet that missed its deadline.
             servelet: u64,
         },
         /// `permission_denied`.
-        ERR_PERMISSION_DENIED => PermissionDenied {
+        0x09 => PermissionDenied {
             /// Why.
             message: String,
         },
         /// `invalid_input`.
-        ERR_INVALID_INPUT => InvalidInput {
+        0x0A => InvalidInput {
             /// Why.
             message: String,
         },
         /// `rate_limited` (wire version 3).
-        ERR_RATE_LIMITED => RateLimited {
+        0x0C => RateLimited {
             /// Suggested wait before retrying, in milliseconds.
             retry_after_ms: u64,
         },
         /// Any error without a richer wire form; `code` is the original
         /// stable [`DbError::code`].
-        ERR_REMOTE => Remote {
+        0x0B => Remote {
             /// The original stable error code.
             code: String,
             /// The rendered error message.
@@ -1015,40 +973,17 @@ impl WireError {
 // Replies
 // ----------------------------------------------------------------------
 
-const REP_UNIT: u8 = 0x80;
-const REP_COMMITTED: u8 = 0x81;
-const REP_GOT: u8 = 0x82;
-const REP_UIDS: u8 = 0x83;
-const REP_STAT: u8 = 0x84;
-const REP_PAGE: u8 = 0x85;
-const REP_KEYS: u8 = 0x86;
-const REP_COUNT: u8 = 0x87;
-const REP_GC: u8 = 0x88;
-const REP_OUTCOMES: u8 = 0x89;
-const REP_BLOB: u8 = 0x8A;
-const REP_TEXT: u8 = 0x8B;
-const REP_DIFF: u8 = 0x8C;
-const REP_ERR: u8 = 0xEE;
-
-const DIFF_IDENTICAL: u8 = 0x01;
-const DIFF_PRIMITIVE: u8 = 0x02;
-const DIFF_MAP: u8 = 0x03;
-const DIFF_CHUNKED: u8 = 0x04;
-
-const OUTCOME_COMMITTED: u8 = 0x01;
-const OUTCOME_DELETED: u8 = 0x02;
-
 wire_enum! {
     impl DiffSummary ("diff") {
-        DIFF_IDENTICAL => Identical,
-        DIFF_PRIMITIVE => Primitive { from: Value, to: Value },
-        DIFF_MAP => Map {
+        0x01 => Identical,
+        0x02 => Primitive { from: Value, to: Value },
+        0x03 => Map {
             added: u64,
             removed: u64,
             modified: u64,
             entries: Vec<MapEntryDelta>,
         },
-        DIFF_CHUNKED => Chunked {
+        0x04 => Chunked {
             from_len: u64,
             to_len: u64,
             shared_chunks: u64,
@@ -1061,8 +996,8 @@ wire_enum! {
 
 wire_enum! {
     impl BatchOutcome ("outcome") {
-        OUTCOME_COMMITTED => Committed(c: CommitResult),
-        OUTCOME_DELETED => Deleted { key: String, branch: String },
+        0x01 => Committed(c: CommitResult),
+        0x02 => Deleted { key: String, branch: String },
     }
 }
 
@@ -1072,33 +1007,33 @@ wire_enum! {
     #[derive(Clone, Debug, PartialEq)]
     pub enum Reply ("reply") {
         /// Success with no payload.
-        REP_UNIT => Unit,
+        0x80 => Unit,
         /// A commit landed.
-        REP_COMMITTED => Committed(c: CommitResult) expect_commit "commit",
+        0x81 => Committed(c: CommitResult) expect_commit "commit",
         /// A `Get` result.
-        REP_GOT => Got(g: GetResult) expect_get "get result",
+        0x82 => Got(g: GetResult) expect_get "get result",
         /// Branch heads, in request order.
-        REP_UIDS => Uids(u: Vec<Uid>) expect_uids "uids",
+        0x83 => Uids(u: Vec<Uid>) expect_uids "uids",
         /// Database statistics.
-        REP_STAT => Stat(s: DbStat) expect_stat "stat",
+        0x84 => Stat(s: DbStat) expect_stat "stat",
         /// One page of a map range scan.
-        REP_PAGE => Page(p: MapPage) expect_page "map page",
+        0x85 => Page(p: MapPage) expect_page "map page",
         /// Key listing.
-        REP_KEYS => Keys(k: Vec<String>) expect_keys "keys",
+        0x86 => Keys(k: Vec<String>) expect_keys "keys",
         /// A single counter.
-        REP_COUNT => Count(n: u64) expect_count "count",
+        0x87 => Count(n: u64) expect_count "count",
         /// A garbage-collection report.
-        REP_GC => Gc(r: GcReport) expect_gc "gc report",
+        0x88 => Gc(r: GcReport) expect_gc "gc report",
         /// Per-op outcomes of a write batch, in batch order.
-        REP_OUTCOMES => Outcomes(o: Vec<BatchOutcome>) expect_outcomes "batch outcomes",
+        0x89 => Outcomes(o: Vec<BatchOutcome>) expect_outcomes "batch outcomes",
         /// Raw bytes (bundle export).
-        REP_BLOB => Blob(b: Vec<u8>) expect_blob "blob",
+        0x8A => Blob(b: Vec<u8>) expect_blob "blob",
         /// Text (refs dump).
-        REP_TEXT => Text(t: String) expect_text "text",
+        0x8B => Text(t: String) expect_text "text",
         /// A structural diff summary (wire version 3).
-        REP_DIFF => Diff(d: DiffSummary) expect_diff "diff summary",
+        0x8C => Diff(d: DiffSummary) expect_diff "diff summary",
         /// The request failed; the error crossed the wire.
-        REP_ERR => Err(e: WireError),
+        0xEE => Err(e: WireError),
     }
 }
 
@@ -1529,7 +1464,7 @@ mod tests {
         // pairs with 64 bytes behind them (a (String, String) is at least
         // 8 bytes), is refused before anything is reserved for the pairs.
         for (count, behind) in [(u32::MAX, 0), (64, 64)] {
-            let mut body = vec![REQ_HEADS];
+            let mut body = vec![0x05]; // the `Heads` request tag
             put_u32(&mut body, count);
             body.resize(body.len() + behind, 0);
             match Request::decode(&body) {

@@ -59,10 +59,9 @@ pub use backend::Backend;
 pub use bundle::{export_bundle, import_bundle, import_bundle_replace, BundleRef};
 pub use cluster::{
     ChaosPlan, ChaosReport, Cluster, ClusterGcReport, ClusterStat, ClusterTopology,
-    ClusterWriteBatch, HealthState, MapPage, Partial, PartialHeads, PersistFn, PrimaryReplication,
-    RateLimit, RateLimiter, RemoteRespawnFn, ReplicaRead, ReplicaStatus, ReplicationStatus,
-    Respawned, RetryPolicy, RpcConfig, ServeletHealth, ServeletServer, ShipReport,
-    SupervisionReport, Supervisor, TopoRole,
+    ClusterWriteBatch, HealthState, MapPage, PersistFn, PrimaryReplication, RateLimit, RateLimiter,
+    RemoteRespawnFn, ReplicaRead, ReplicaStatus, ReplicationStatus, Respawned, RetryPolicy,
+    RpcConfig, ServeletHealth, ServeletServer, ShipReport, SupervisionReport, Supervisor, TopoRole,
 };
 pub use error::{DbError, DbResult};
 pub use fnode::{FNode, Uid};

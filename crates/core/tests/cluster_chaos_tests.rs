@@ -1,5 +1,5 @@
 //! Self-healing cluster tests: RPC deadlines, the ambiguous-write retry
-//! rule, supervised restart from durable backends, graceful degradation,
+//! rule, supervised restart from durable backends, dead-servelet errors,
 //! and the seeded chaos harness.
 //!
 //! The fast tests here run in tier-1. The seeded property suite is
@@ -164,19 +164,25 @@ fn a_seed_replays_its_faults_across_parallel_owner_groups() {
         let pairs: Vec<(&str, &str)> = keys.iter().map(|k| (k.as_str(), "master")).collect();
         c.arm_chaos(ChaosPlan::seeded(77).drops(500));
         let mut acked = Vec::new();
-        let degraded: Vec<Vec<u64>> = (0..8)
+        // Each round's strict `heads` outcome: the uids, or the error
+        // code plus the servelet it names.
+        let heads: Vec<_> = (0..8)
             .map(|round| {
                 batch_across_every_primary(&c, round, &mut acked);
-                c.heads_partial(&pairs).unwrap().degraded
+                c.heads(&pairs).map_err(|e| match e {
+                    DbError::ServeletUnavailable { servelet }
+                    | DbError::ServeletTimeout { servelet } => (e.code(), Some(servelet)),
+                    other => (other.code(), None),
+                })
             })
             .collect();
         let acked: Vec<String> = acked.into_iter().map(|(key, _)| key).collect();
-        (degraded, acked, c.disarm_chaos().unwrap())
+        (heads, acked, c.disarm_chaos().unwrap())
     };
     let first = run();
     assert!(
-        first.0.iter().any(|d| !d.is_empty()),
-        "the plan degrades some group: {first:?}"
+        first.0.iter().any(Result::is_err),
+        "some round's heads fails: {first:?}"
     );
     assert_eq!(run(), first, "one seed, one fault schedule and outcome");
 }
@@ -243,7 +249,7 @@ fn supervisor_restarts_a_killed_servelet_to_full_health() {
 }
 
 #[test]
-fn partial_variants_degrade_instead_of_failing() {
+fn strict_scatter_verbs_fail_and_gc_skips_a_dead_servelet() {
     let c = Cluster::new(3, TreeConfig::test_config());
     fast_rpc(&c);
     for i in 0..30 {
@@ -254,60 +260,9 @@ fn partial_variants_degrade_instead_of_failing() {
     let victim_id = c.ids()[victim_slot];
     c.kill_servelet(victim_slot).unwrap();
 
-    // Strict scatter verbs fail wholesale…
+    // Strict scatter verbs fail wholesale.
     assert_eq!(c.stats().unwrap_err().code(), "servelet_unavailable");
     assert_eq!(c.list_keys().unwrap_err().code(), "servelet_unavailable");
-
-    // …the partial variants serve what is reachable and say what is not.
-    let stats = c.stats_partial();
-    assert!(stats.is_degraded());
-    assert_eq!(stats.degraded, vec![victim_id]);
-    assert_eq!(stats.results.len(), 2);
-
-    let keys = c.list_keys_partial();
-    assert_eq!(keys.degraded, vec![victim_id]);
-    let reachable: usize = keys.results.iter().map(|(_, k)| k.len()).sum();
-    assert!(reachable > 0 && reachable < 30);
-
-    // heads_partial: pairs owned by the dead servelet come back None.
-    let pairs: Vec<(String, String)> = (0..30)
-        .map(|i| (format!("k{i}"), "master".to_string()))
-        .collect();
-    let refs: Vec<(&str, &str)> = pairs
-        .iter()
-        .map(|(k, b)| (k.as_str(), b.as_str()))
-        .collect();
-    let heads = c.heads_partial(&refs).unwrap();
-    assert_eq!(heads.degraded, vec![victim_id]);
-    for (i, (key, _)) in pairs.iter().enumerate() {
-        let dead_owner = c.route(key) == victim_slot;
-        assert_eq!(
-            heads.heads[i].is_none(),
-            dead_owner,
-            "{key}: None iff its owner is dead"
-        );
-    }
-    // A data error on a REACHABLE servelet still fails the call.
-    let live_key = pairs
-        .iter()
-        .map(|(k, _)| k.clone())
-        .find(|k| c.route(k) != victim_slot)
-        .unwrap();
-    assert!(c
-        .heads_partial(&[(live_key.as_str(), "no-such-branch")])
-        .is_err());
-
-    // map_range_partial degrades for a dead owner.
-    let dead_key = pairs
-        .iter()
-        .map(|(k, _)| k.clone())
-        .find(|k| c.route(k) == victim_slot)
-        .unwrap();
-    let page = c
-        .map_range_partial(&dead_key, "master", None, None, 10)
-        .unwrap();
-    assert_eq!(page.degraded, vec![victim_id]);
-    assert!(page.results.is_empty());
 
     // gc skips and reports the unreachable servelet.
     let gc = c.gc().unwrap();
@@ -739,9 +694,9 @@ fn chaos_round(seed: u64) {
                 t.elapsed()
             );
 
-            // Scatter verbs degrade, never hang.
+            // Scatter verbs fail or answer, never hang.
             let t = Instant::now();
-            let _ = c.stats_partial();
+            let _ = c.stats();
             assert!(
                 t.elapsed() < bound,
                 "stats exceeded its bound: {:?}",

@@ -448,12 +448,15 @@ fn dead_servelet_case(h: &TestCluster) {
             .unwrap();
     }
     let victim_slot = h.c.route("k0");
+    let victim_id = h.c.ids()[victim_slot];
     h.kill(victim_slot).unwrap();
 
     // Routed single-key verbs.
     let err = h.c.get("k0", "master").unwrap_err();
     assert_eq!(err.code(), "servelet_unavailable");
     assert!(matches!(err, DbError::ServeletUnavailable { .. }));
+    let err = h.c.map_range("k0", "master", None, None, 10).unwrap_err();
+    assert_eq!(err.code(), "servelet_unavailable");
     assert!(h
         .c
         .put(
@@ -468,12 +471,31 @@ fn dead_servelet_case(h: &TestCluster) {
     assert_eq!(h.c.list_keys().unwrap_err().code(), "servelet_unavailable");
     assert_eq!(h.c.stats().unwrap_err().code(), "servelet_unavailable");
 
-    // A batch whose groups include the dead servelet fails with the same
-    // code; groups routed entirely to live servelets still commit.
+    // `heads` over pairs spanning the dead owner fails naming it; a data
+    // error from a live owner stays a data error.
+    let keys: Vec<String> = (0..30).map(|i| format!("k{i}")).collect();
+    let pairs: Vec<(&str, &str)> = keys.iter().map(|k| (k.as_str(), "master")).collect();
+    match h.c.heads(&pairs) {
+        Err(DbError::ServeletUnavailable { servelet }) => assert_eq!(servelet, victim_id),
+        other => panic!("heads across a dead owner: {other:?}"),
+    }
     let live_key = (0..)
         .map(|i| format!("probe-{i}"))
         .find(|k| h.c.route(k) != victim_slot)
         .unwrap();
+    let live_written = keys.iter().find(|k| h.c.route(k) != victim_slot).unwrap();
+    let err =
+        h.c.heads(&[(live_written.as_str(), "no-such-branch")])
+            .unwrap_err();
+    assert_eq!(err.code(), "no_such_branch");
+
+    // gc skips the dead servelet and reports it; the others run.
+    let gc = h.c.gc().unwrap();
+    assert_eq!(gc.degraded, vec![victim_id]);
+    assert_eq!(gc.reports.len(), 2);
+
+    // A batch whose groups include the dead servelet fails with the same
+    // code; groups routed entirely to live servelets still commit.
     let mut wb = h.c.write_batch();
     wb.put(
         &live_key,
@@ -706,22 +728,36 @@ fn replica_serves_reads_with_staleness_bound_over_tcp() {
     replica_read_case(&TestCluster::tcp(3));
 }
 
-/// A replica that fell far behind catches up: `catch_up_replica` leaves
-/// it at lag 0 mirroring the primary's exact branch heads and histories.
+/// A replica that fell far behind catches up: with no writer running,
+/// one `ship_replication` pass leaves it at lag 0 mirroring the
+/// primary's exact branch heads and histories.
 fn replica_catch_up_case(h: &TestCluster) {
     let pid = h.c.ids()[0];
-    let rid = h.add_replica(pid).unwrap();
     let mut rng = Rng(0x5EED_F08B_A5E5_0002);
+    // The seed writes its extra branches and maps straight to the
+    // servelets, past the ship log, so the replica attaches after it (the
+    // attach syncs in full) and falls behind on routed writes only.
     seed_workload(h, &mut rng, 40);
+    let rid = h.add_replica(pid).unwrap();
+    for i in 0..40 {
+        for key in [format!("key-{i:03}"), format!("late-{i:03}")] {
+            h.c.put_string(&key, format!("{key} after attach"), PutOptions::default())
+                .unwrap();
+        }
+    }
+    let status = || {
+        h.c.replication_status()
+            .primaries
+            .into_iter()
+            .flat_map(|p| p.replicas)
+            .find(|r| r.id == rid)
+            .unwrap()
+    };
+    assert!(status().lag > 0, "the replica lags before the pass");
 
-    h.c.catch_up_replica(rid).unwrap();
-    let status = h.c.replication_status();
-    let r = status
-        .primaries
-        .iter()
-        .flat_map(|p| p.replicas.iter())
-        .find(|r| r.id == rid)
-        .unwrap();
+    let report = h.c.ship_replication();
+    assert!(report.failed.is_empty(), "ship failed: {:?}", report.failed);
+    let r = status();
     assert_eq!(r.lag, 0);
     assert_eq!(r.pending, 0);
     assert!(!r.needs_full_sync);
@@ -737,6 +773,7 @@ fn replica_catch_up_case(h: &TestCluster) {
         assert!(read.from_replica, "{key} not served by the replica");
         assert_eq!(read.result.uid, primary_head, "{key} head drifted");
     }
+    assert_mirrors(h, pid, rid);
 }
 
 #[test]
@@ -817,64 +854,6 @@ fn promote_after_kill_preserves_every_acked_write() {
 #[test]
 fn promote_after_kill_preserves_every_acked_write_over_tcp() {
     promote_preserves_acked_case(&TestCluster::tcp(3));
-}
-
-/// Replica-aware partial reads: a dead primary's caught-up replica
-/// answers `stats_partial`/`list_keys_partial` in its stead (attributed
-/// to the primary's id); a *lagging* replica does not — the lag bound
-/// keeps degraded-mode answers exact as of the last shipped write.
-fn partial_reads_fall_back_to_replica_case(h: &TestCluster) {
-    for i in 0..30 {
-        h.c.put_string(&format!("key-{i}"), format!("v{i}"), PutOptions::default())
-            .unwrap();
-    }
-    let pid = h.c.ids()[0];
-    let _rid = h.add_replica(pid).unwrap();
-    // A write to the replicated shard that is acked but never shipped:
-    // the replica now lags by one.
-    let shard_key = (0..)
-        .map(|i| format!("probe-{i}"))
-        .find(|k| h.c.owner_id(k) == pid)
-        .unwrap();
-    h.c.put_string(&shard_key, "unshipped".into(), PutOptions::default())
-        .unwrap();
-    h.kill(0).unwrap();
-
-    // Lagging replica: the primary stays degraded (lag-bounded refusal).
-    let stats = h.c.stats_partial();
-    assert_eq!(stats.degraded, vec![pid]);
-    assert!(stats.results.iter().all(|(id, _)| *id != pid));
-
-    // Ship log drains without the primary (payloads are self-contained);
-    // at lag 0 the replica answers for the dead primary.
-    let report = h.c.ship_replication();
-    assert!(report.failed.is_empty(), "ship failed: {:?}", report.failed);
-    let stats = h.c.stats_partial();
-    assert!(stats.degraded.is_empty(), "degraded: {:?}", stats.degraded);
-    assert!(stats.results.iter().any(|(id, _)| *id == pid));
-
-    let keys = h.c.list_keys_partial();
-    assert!(keys.degraded.is_empty(), "degraded: {:?}", keys.degraded);
-    let from_fallback: &Vec<String> = &keys
-        .results
-        .iter()
-        .find(|(id, _)| *id == pid)
-        .expect("replica answered for the dead primary")
-        .1;
-    assert!(
-        from_fallback.contains(&shard_key),
-        "the shipped write is visible through the fallback"
-    );
-}
-
-#[test]
-fn partial_reads_fall_back_to_caught_up_replica() {
-    partial_reads_fall_back_to_replica_case(&TestCluster::in_process(3));
-}
-
-#[test]
-fn partial_reads_fall_back_to_caught_up_replica_over_tcp() {
-    partial_reads_fall_back_to_replica_case(&TestCluster::tcp(3));
 }
 
 // ---------------------------------------------------------------------

@@ -752,6 +752,48 @@ fn import_bundle_racing_put_overwrites_neither_smoke() {
     assert_eq!(violated, 0, "{violated} imports overwrote or lost a put");
 }
 
+/// `import_bundle` racing a `put` on the imported branch: a put whose
+/// base is the imported head carries a logical time above that head's,
+/// however close behind the import's commit it lands. Each bundle's head
+/// is stamped ahead of this database's clock (its source writes three
+/// filler versions per round, this database one put), so a put that
+/// reads the clock before the import advances it stamps a lower time.
+#[test]
+fn import_bundle_racing_put_stamps_above_the_imported_head_smoke() {
+    let src = db();
+    let db = race_db();
+    let branch = |i: usize| format!("t{i}");
+    let bundles: Vec<_> = (0..IMPORT_TRIALS)
+        .map(|i| {
+            for _ in 0..3 {
+                src.put("filler", Value::Int(0), &PutOptions::default())
+                    .unwrap();
+            }
+            let head = src
+                .put("k", Value::Int(-1), &PutOptions::on_branch(branch(i)))
+                .unwrap();
+            let mut bundle = Vec::new();
+            forkbase::export_bundle(&src, "k", &[branch(i).as_str()], &mut bundle).unwrap();
+            (bundle, src.meta(&head.uid).unwrap())
+        })
+        .collect();
+    let violated = race(
+        IMPORT_TRIALS,
+        |_| {},
+        |i| forkbase::import_bundle(&db, &mut bundles[i].0.as_slice()),
+        |i| db.put("k", Value::Int(i as i64), &PutOptions::on_branch(branch(i))),
+        |i, _, put| {
+            let put = db.meta(&put.unwrap().uid).unwrap();
+            let head = &bundles[i].1;
+            put.bases == [head.uid] && put.logical_time <= head.logical_time
+        },
+    );
+    assert_eq!(
+        violated, 0,
+        "{violated} puts stamped at or below their base"
+    );
+}
+
 /// The refs of `key` after a round of a replace-import race: exactly the
 /// bundle's, or the bundle's followed by `local` — the later local op's
 /// effect on the bundle's branch set.

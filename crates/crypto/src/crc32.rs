@@ -145,7 +145,7 @@ fn update_slicing_by_8(mut crc: u32, data: &[u8]) -> u32 {
 mod clmul {
     use std::arch::x86_64::*;
 
-    use super::{update_slicing_by_8, FOLD_MIN};
+    use super::update_slicing_by_8;
 
     // Folding constants for the reflected polynomial: each is x^n mod P(x),
     // bit-reflected and shifted left by one, for the distance it folds.
@@ -177,15 +177,15 @@ mod clmul {
         /// whole 16-byte blocks, slicing-by-8 the tail. Inputs too short to
         /// fill the four lanes go to slicing-by-8 whole.
         pub(super) fn update(self, crc: u32, data: &[u8]) -> u32 {
-            if data.len() < FOLD_MIN {
-                return update_slicing_by_8(crc, data);
-            }
             let (blocks, tail) = data.as_chunks::<16>();
+            let Some((first, rest)) = blocks.split_first_chunk::<4>() else {
+                return update_slicing_by_8(crc, data);
+            };
             // SAFETY: `kernel` is compiled for pclmulqdq, sse2 and sse4.1,
             // and a `Clmul` exists only after `detect` saw the running CPU
             // report each of them.
             #[allow(unsafe_code)]
-            let crc = unsafe { kernel(crc, blocks) };
+            let crc = unsafe { kernel(crc, first, rest) };
             update_slicing_by_8(crc, tail)
         }
     }
@@ -207,10 +207,11 @@ mod clmul {
         _mm_xor_si128(next, _mm_xor_si128(lo, hi))
     }
 
-    /// The register after every block of `blocks` (at least four).
+    /// The register after the four lane-filling blocks `first`, then
+    /// every block of `rest`. The caller splits them off, so the kernel
+    /// has no bounds check to fail and calls nothing.
     #[target_feature(enable = "pclmulqdq,sse2,sse4.1")]
-    fn kernel(crc: u32, blocks: &[[u8; 16]]) -> u32 {
-        let (first, rest) = blocks.split_at(4);
+    fn kernel(crc: u32, first: &[[u8; 16]; 4], rest: &[[u8; 16]]) -> u32 {
         let mut lanes = [
             load(&first[0]),
             load(&first[1]),

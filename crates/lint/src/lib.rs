@@ -13,8 +13,8 @@
 //!
 //! Passes:
 //!
-//! * **P1 `wire`** — wire-protocol drift: tag constants and versions in
-//!   `cluster/wire.rs` vs `PROTOCOL.md` vs `lint/wire.lock`.
+//! * **P1 `wire`** — wire-protocol drift: `wire_enum!` tag rows and
+//!   versions in `cluster/wire.rs` vs `PROTOCOL.md` vs `lint/wire.lock`.
 //! * **P2 `format`** — format-constant freeze: `GAMMA_SEED`, frame
 //!   layout, `HEAD_STRIPES`, ring derivation, record magics vs
 //!   `lint/format.lock`; plus the `#![forbid(unsafe_code)]` crate-root

@@ -16,8 +16,10 @@
 //!   a panicking thread kills a servelet worker, a listener or a routed
 //!   call, or a save leaves records half-written; and in the history
 //!   walk, GC and bundle modules, which parse and walk bytes shipped from
-//!   another process (replica `Replicate`, rebalance); and in the verb
-//!   and commit modules every servelet request ends in. A
+//!   another process (replica `Replicate`, rebalance); in the verb
+//!   and commit modules every servelet request ends in; and in the
+//!   supervisor, chaos hooks and `Backend` adapter the router and both
+//!   gateways run on. A
 //!   genuinely unreachable case can carry a
 //!   `// forkbase-lint: allow(no-panic): <why>` waiver on its own or
 //!   the preceding line.
@@ -32,8 +34,9 @@ const PASS: &str = "P3/caps";
 /// Request-path modules where a panic kills a servelet worker, an
 /// accept loop, a gateway connection handler, or a routed call (the
 /// cluster router) — the CLI session, which serves servelets and
-/// persists every record, and the verbs and commit path a servelet
-/// applies every request through.
+/// persists every record, the verbs and commit path a servelet
+/// applies every request through, and the supervisor loop and chaos
+/// hooks every routed call consults.
 const NO_PANIC_FILES: &[&str] = &[
     "crates/core/src/accept.rs",
     "crates/cli/src/rest.rs",
@@ -49,6 +52,10 @@ const NO_PANIC_FILES: &[&str] = &[
     "crates/core/src/bundle.rs",
     "crates/core/src/api/verbs.rs",
     "crates/core/src/api/batch.rs",
+    "crates/core/src/api/mod.rs",
+    "crates/core/src/backend.rs",
+    "crates/core/src/cluster/supervisor.rs",
+    "crates/core/src/cluster/chaos.rs",
 ];
 
 const PANIC_TOKENS: &[&str] = &[".unwrap()", ".expect(", "panic!"];

@@ -5,8 +5,6 @@ use crate::lexer::Masked;
 /// A `const NAME: TYPE = VALUE;` extracted from a source file.
 pub struct ConstDecl {
     pub name: String,
-    /// Declared type, whitespace-normalized (e.g. `u8`, `&[u8; 4]`).
-    pub ty: String,
     /// Right-hand side, whitespace-normalized, read from the *raw*
     /// source so string/byte literals keep their contents.
     pub value: String,
@@ -40,11 +38,9 @@ pub fn consts(m: &Masked) -> Vec<ConstDecl> {
         if j >= code.len() || code[j] != b':' {
             continue; // not a const item (e.g. `const` in a path)
         }
-        let ty_start = j + 1;
-        let Some(eq) = m.code[ty_start..].find('=').map(|p| p + ty_start) else {
+        let Some(eq) = m.code[j..].find('=').map(|p| p + j) else {
             continue;
         };
-        let ty = normalize_ws(&m.code[ty_start..eq]);
         // Find the terminating `;` at bracket depth 0 in the masked view.
         let mut depth = 0i32;
         let mut end = None;
@@ -62,7 +58,6 @@ pub fn consts(m: &Masked) -> Vec<ConstDecl> {
         let Some(end) = end else { continue };
         out.push(ConstDecl {
             name,
-            ty,
             value: normalize_ws(&m.raw[eq + 1..end]),
             line: m.line_of(name_start),
         });
@@ -104,19 +99,4 @@ pub fn parse_u8(value: &str) -> Option<u8> {
     } else {
         v.parse().ok()
     }
-}
-
-/// `SOME_TAG_NAME` → `SomeTagName`.
-pub fn pascal_case(upper_snake: &str) -> String {
-    upper_snake
-        .split('_')
-        .filter(|p| !p.is_empty())
-        .map(|p| {
-            let mut c = p.chars();
-            match c.next() {
-                Some(f) => f.to_ascii_uppercase().to_string() + &c.as_str().to_ascii_lowercase(),
-                None => String::new(),
-            }
-        })
-        .collect()
 }

@@ -1,8 +1,9 @@
 //! P1 — wire-protocol drift.
 //!
-//! Extracts every `Request`/`Reply`/`WireError` (and batch-op, outcome,
-//! diff, spec) tag constant plus `WIRE_VERSION`/`MIN_WIRE_VERSION`/
-//! `MAX_FRAME_LEN` from `crates/core/src/cluster/wire.rs`, then checks:
+//! Extracts every `TAG => Variant` row of the seven `wire_enum!` blocks
+//! (`Request`, `Reply`, `WireError`, batch op, outcome, diff, spec) plus
+//! `WIRE_VERSION`/`MIN_WIRE_VERSION`/`MAX_FRAME_LEN` from
+//! `crates/core/src/cluster/wire.rs`, then checks:
 //!
 //! * tag uniqueness within each family;
 //! * presence and value agreement against `PROTOCOL.md`'s tag tables,
@@ -18,7 +19,8 @@ use std::collections::BTreeMap;
 use std::path::Path;
 
 use super::lockfile;
-use super::rust_src::{self, pascal_case};
+use super::rust_src;
+use crate::lexer::Masked;
 use crate::{read_masked, Finding};
 
 const PASS: &str = "P1/wire-drift";
@@ -26,18 +28,19 @@ pub(crate) const WIRE_RS: &str = "crates/core/src/cluster/wire.rs";
 const PROTOCOL_MD: &str = "PROTOCOL.md";
 pub(crate) const LOCK: &str = "lint/wire.lock";
 
-/// Tag families: lockfile prefix, constant prefix, whether PROTOCOL.md
-/// documents the family as `| 0xNN | Name |` table rows.
-const FAMILIES: &[(&str, &str, bool)] = &[
-    ("req", "REQ_", true),
-    ("err", "ERR_", true),
-    ("rep", "REP_", true),
-    ("op", "OP_", true),
-    ("outcome", "OUTCOME_", true),
-    ("diff", "DIFF_", true),
+/// Tag families: the `wire_enum!` enum, lockfile prefix, entry prefix,
+/// and whether PROTOCOL.md documents the family as `| 0xNN | Name |`
+/// table rows. An entry is named `<PREFIX>_<SCREAMING_SNAKE(variant)>`.
+const FAMILIES: &[(&str, &str, &str, bool)] = &[
+    ("Request", "req", "REQ", true),
+    ("WireError", "err", "ERR", true),
+    ("Reply", "rep", "REP", true),
+    ("WireOp", "op", "OP", true),
+    ("BatchOutcome", "outcome", "OUTCOME", true),
+    ("DiffSummary", "diff", "DIFF", true),
     // Spec discriminants are documented prose-style in the type table,
     // not as a tag table, so they are locked but not row-checked.
-    ("spec", "SPEC_", false),
+    ("VersionSpec", "spec", "SPEC", false),
 ];
 
 const LOCK_HEADER: &str = "forkbase-lint P1: frozen wire surface (tags, versions, frame cap).\n\
@@ -98,42 +101,40 @@ pub fn run(root: &Path, bless: bool) -> Vec<Finding> {
 
     // Tag families: collect, check uniqueness, build the lock image and
     // the set of (tag, name) pairs the docs must agree with.
+    let rows = wire_rows(&wire);
     let mut documented_pairs: Vec<(u8, String, usize)> = Vec::new();
-    for (lock_prefix, const_prefix, in_docs) in FAMILIES {
-        let mut seen: BTreeMap<u8, (&str, usize)> = BTreeMap::new();
-        for c in consts.iter().filter(|c| c.name.starts_with(const_prefix)) {
-            if c.ty != "u8" {
-                continue;
-            }
-            let Some(tag) = rust_src::parse_u8(&c.value) else {
+    for (family, lock_prefix, entry_prefix, in_docs) in FAMILIES {
+        let mut seen: BTreeMap<u8, &str> = BTreeMap::new();
+        for row in rows.iter().filter(|r| r.family == *family) {
+            let Some(tag) = rust_src::parse_u8(&row.tag) else {
                 findings.push(Finding::new(
                     WIRE_RS,
-                    c.line,
+                    row.line,
                     PASS,
                     format!(
-                        "tag constant `{}` is not a u8 literal: `{}`",
-                        c.name, c.value
+                        "tag `{}` of `{family}::{}` is not a u8 literal",
+                        row.tag, row.variant
                     ),
                 ));
                 continue;
             };
-            if let Some((other, _)) = seen.get(&tag) {
+            if let Some(other) = seen.get(&tag) {
                 findings.push(Finding::new(
                     WIRE_RS,
-                    c.line,
+                    row.line,
                     PASS,
                     format!(
-                        "duplicate tag {tag:#04x} in family `{const_prefix}*`: `{}` collides with `{other}`",
-                        c.name
+                        "duplicate tag {tag:#04x} in `{family}`: `{}` collides with `{other}`",
+                        row.variant
                     ),
                 ));
             } else {
-                seen.insert(tag, (&c.name, c.line));
+                seen.insert(tag, &row.variant);
             }
-            lock.insert(format!("{lock_prefix} {}", c.name), format!("{tag:#04x}"));
+            let entry = format!("{entry_prefix}_{}", screaming_snake(&row.variant));
+            lock.insert(format!("{lock_prefix} {entry}"), format!("{tag:#04x}"));
             if *in_docs {
-                let suffix = &c.name[const_prefix.len()..];
-                documented_pairs.push((tag, pascal_case(suffix), c.line));
+                documented_pairs.push((tag, row.variant.clone(), row.line));
             }
         }
         if seen.is_empty() {
@@ -141,7 +142,7 @@ pub fn run(root: &Path, bless: bool) -> Vec<Finding> {
                 WIRE_RS,
                 0,
                 PASS,
-                format!("no `{const_prefix}*` tag constants found (renamed? update crates/lint)"),
+                format!("no `wire_enum!` rows for `{family}` found (renamed? update crates/lint)"),
             ));
         }
     }
@@ -167,7 +168,7 @@ pub fn run(root: &Path, bless: bool) -> Vec<Finding> {
                 PROTOCOL_MD,
                 *doc_line,
                 PASS,
-                format!("documented tag {tag:#04x} `{name}` has no matching constant in {WIRE_RS} (stale row?)"),
+                format!("documented tag {tag:#04x} `{name}` has no matching `wire_enum!` row in {WIRE_RS} (stale row?)"),
             ));
         }
     }
@@ -240,6 +241,88 @@ pub fn run(root: &Path, bless: bool) -> Vec<Finding> {
         }
     }
     findings
+}
+
+/// One `TAG => Variant` row of a `wire_enum!` block.
+struct Row {
+    /// The enum the block declares or implements.
+    family: String,
+    /// The tag literal as written.
+    tag: String,
+    variant: String,
+    line: usize,
+}
+
+/// Every row of every `wire_enum!` invocation: the enum named after the
+/// block's `enum` or `impl`, and each `TAG => Variant` at the depth of
+/// the rows' braces. The macro's own recursive call names `$name`, not
+/// an enum, and is skipped.
+fn wire_rows(m: &Masked) -> Vec<Row> {
+    let code = &m.code;
+    // The identifier starting at the first non-blank byte from `at`.
+    let word = |at: usize| {
+        let start = code.len() - code[at..].trim_start().len();
+        let len = code[start..]
+            .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+            .unwrap_or(code.len() - start);
+        (start, start + len)
+    };
+    let mut out = Vec::new();
+    let mut from = 0;
+    while let Some(pos) = rust_src::find_word(code, "wire_enum", from) {
+        from = pos + "wire_enum".len();
+        let Some(open) = code[from..].find('{').map(|p| from + p) else {
+            break;
+        };
+        let keyword = ["enum", "impl"]
+            .iter()
+            .filter_map(|w| rust_src::find_word(code, w, open).map(|p| p + w.len()))
+            .min();
+        let (name_start, name_end) = word(keyword.unwrap_or(open));
+        let body = code[name_end..]
+            .find('{')
+            .map_or(code.len(), |p| name_end + p + 1);
+        if !code[from..].trim_start().starts_with('!') || name_start == name_end {
+            continue; // the `macro_rules!` definition or its recursive call
+        }
+        let mut depth = 0i32;
+        let mut i = body;
+        while i < code.len() && depth >= 0 {
+            match code.as_bytes()[i] {
+                b'{' | b'(' | b'[' => depth += 1,
+                b'}' | b')' | b']' => depth -= 1,
+                b'=' if depth == 0 && code[i..].starts_with("=>") => {
+                    let before = code[..i].trim_end();
+                    let tag_start = before
+                        .rfind(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+                        .map_or(0, |p| p + 1);
+                    let (variant_start, variant_end) = word(i + 2);
+                    out.push(Row {
+                        family: code[name_start..name_end].to_string(),
+                        tag: before[tag_start..].to_string(),
+                        variant: code[variant_start..variant_end].to_string(),
+                        line: m.line_of(tag_start),
+                    });
+                }
+                _ => {}
+            }
+            i += 1;
+        }
+        from = i;
+    }
+    out
+}
+
+/// `GetAt` → `GET_AT`.
+fn screaming_snake(pascal: &str) -> String {
+    let mut out = String::new();
+    for (i, c) in pascal.chars().enumerate() {
+        if i > 0 && c.is_ascii_uppercase() {
+            out.push('_');
+        }
+        out.push(c.to_ascii_uppercase());
+    }
+    out
 }
 
 /// Extract `(tag, name, line)` from every markdown table row whose first

@@ -21,20 +21,56 @@ pub const WIRE_VERSION: u8 = 0x02;
 pub const MIN_WIRE_VERSION: u8 = 0x01;
 pub const MAX_FRAME_LEN: u32 = 1024;
 
-const REQ_GET: u8 = 0x01;
-const REQ_PUT: u8 = 0x02;
-const ERR_NO_SUCH_KEY: u8 = 0x01;
-const ERR_REMOTE: u8 = 0x0b;
-const REP_VALUE: u8 = 0x80;
-const OP_PUT: u8 = 0x01;
-const OUTCOME_COMMITTED: u8 = 0x01;
-const DIFF_IDENTICAL: u8 = 0x01;
-const SPEC_HEAD: u8 = 0x00;
+wire_enum! {
+    /// Requests.
+    #[derive(Clone, Debug)]
+    pub enum Request ("request") {
+        0x01 => Get { key: String },
+        0x02 => Put { key: String, value: Value },
+    }
+}
 
-pub fn encode_err(e: &DbError) -> u8 {
+wire_enum! {
+    pub enum WireError ("error") {
+        0x01 => NoSuchKey(key: String),
+        0x0b => Remote { code: String, message: String },
+    }
+}
+
+wire_enum! {
+    pub enum Reply ("reply") {
+        0x80 => Value(value: Value) expect_value "a value",
+    }
+}
+
+wire_enum! {
+    pub enum WireOp ("batch op") {
+        0x01 => Put { key: String },
+    }
+}
+
+wire_enum! {
+    impl BatchOutcome ("outcome") {
+        0x01 => Committed(c: CommitResult),
+    }
+}
+
+wire_enum! {
+    impl DiffSummary ("diff") {
+        0x01 => Identical,
+    }
+}
+
+wire_enum! {
+    impl VersionSpec ("version-spec") {
+        0x00 => Head,
+    }
+}
+
+pub fn encode_err(e: &DbError) -> WireError {
     match e {
-        DbError::NoSuchKey(_) => ERR_NO_SUCH_KEY,
-        DbError::Remote { .. } => ERR_REMOTE,
+        DbError::NoSuchKey(k) => WireError::NoSuchKey(k.clone()),
+        DbError::Remote { code, message } => WireError::Remote { code, message },
     }
 }
 "#;
@@ -184,13 +220,13 @@ fn clean_fixture_has_no_findings() {
 #[test]
 fn p1_retag_without_version_bump_is_flagged() {
     let root = fixture("p1-retag");
-    // Re-tag REQ_GET and keep the docs in step, but do NOT bump
+    // Re-tag Request::Get and keep the docs in step, but do NOT bump
     // WIRE_VERSION: the lockfile diff plus the sharper no-bump finding
     // must both fire.
     put(
         &root,
         WIRE_RS,
-        &WIRE_SRC.replace("REQ_GET: u8 = 0x01", "REQ_GET: u8 = 0x05"),
+        &WIRE_SRC.replace("0x01 => Get", "0x05 => Get"),
     );
     put(
         &root,
@@ -241,7 +277,7 @@ fn p1_duplicate_tag_is_flagged() {
     put(
         &root,
         WIRE_RS,
-        &WIRE_SRC.replace("REQ_PUT: u8 = 0x02", "REQ_PUT: u8 = 0x01"),
+        &WIRE_SRC.replace("0x02 => Put", "0x01 => Put"),
     );
     let findings = findings_of(&root, "P1");
     assert!(
@@ -257,7 +293,7 @@ fn p1_bless_roundtrip_accepts_the_new_surface() {
         &root,
         WIRE_RS,
         &WIRE_SRC
-            .replace("REQ_GET: u8 = 0x01", "REQ_GET: u8 = 0x05")
+            .replace("0x01 => Get", "0x05 => Get")
             .replace("WIRE_VERSION: u8 = 0x02", "WIRE_VERSION: u8 = 0x03"),
     );
     put(
@@ -511,6 +547,20 @@ fn p3_panic_in_request_path_is_flagged_waiver_and_tests_are_not() {
         findings
             .iter()
             .any(|f| f.contains("session.rs") && f.contains("unwrap()")),
+        "{findings:?}"
+    );
+
+    // So is the supervisor: a panic there stops every restart and failover.
+    put(
+        &root,
+        "crates/core/src/cluster/supervisor.rs",
+        "fn tick(h: &Mutex<u64>) {\n    h.lock().expect(\"poisoned\");\n}\n",
+    );
+    let findings = findings_of(&root, "P3");
+    assert!(
+        findings
+            .iter()
+            .any(|f| f.contains("supervisor.rs") && f.contains("expect(")),
         "{findings:?}"
     );
 }
