@@ -1,7 +1,8 @@
 //! Criterion microbenchmarks for the substrate layers: SHA-256, the
 //! frame CRC-32, the rolling hash, the content-defined chunker, the chunk
 //! stores (single put vs batched group commit), and the concurrent commit
-//! pipeline (striped head locks vs an emulated global commit lock).
+//! pipeline (striped head locks vs an emulated global commit lock), and
+//! the persist behind one servelet ack.
 //!
 //! These bound every higher-level number: a 4 KiB page costs one SHA-256
 //! compression pass per load (verification) and per store (addressing).
@@ -496,6 +497,48 @@ fn bench_write_batch(c: &mut Criterion) {
     group.finish();
 }
 
+/// One routed ack's persist on a servelet holding 2 000 refs: an 8-key
+/// batch commits to a `FileStore`, then `reflog::commit` makes its heads
+/// durable (drain the ref journal, sync the store, append one delta frame
+/// with one `fdatasync`; every few acks, fold into a fresh checkpoint).
+fn bench_persist(c: &mut Criterion) {
+    const REFS: usize = 2_000;
+    const ACK_KEYS: usize = 8;
+    let mut group = c.benchmark_group("cli/persist");
+    group.sample_size(20);
+    let dir = std::env::temp_dir().join(format!("fkb-persist-bench-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let db = ForkBase::new(FileStore::open(dir.join("chunks")).unwrap());
+    let opts = PutOptions::default();
+    let keys: Vec<String> = (0..REFS).map(|i| format!("key-{i:08}")).collect();
+    let mut batch = db.write_batch();
+    for key in &keys {
+        batch.put(key.clone(), Value::string("v0"), &opts);
+    }
+    batch.commit().unwrap();
+    forkbase_cli::reflog::commit(&dir, &db).unwrap();
+    let mut round = 0usize;
+    group.bench_function("ack_8_of_2000_refs", |b| {
+        b.iter(|| {
+            round += 1;
+            let mut batch = db.write_batch();
+            for key in keys
+                .iter()
+                .cycle()
+                .skip(round * ACK_KEYS % REFS)
+                .take(ACK_KEYS)
+            {
+                batch.put(key.clone(), Value::string(format!("v{round}")), &opts);
+            }
+            batch.commit().unwrap();
+            forkbase_cli::reflog::commit(&dir, &db).unwrap();
+        });
+    });
+    group.finish();
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Routed cluster throughput: 64 single-key puts through the
 /// consistent-hash router of a 4-servelet MemStore cluster vs the same 64
 /// puts on one local `ForkBase`, plus the routed write batch (ops grouped
@@ -694,6 +737,7 @@ criterion_group!(
     bench_map_get,
     bench_snapshot_scan,
     bench_write_batch,
+    bench_persist,
     bench_cluster_put,
     bench_cluster_get,
     bench_ship_drain

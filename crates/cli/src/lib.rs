@@ -12,6 +12,7 @@
 
 mod commands;
 pub mod fork_cmd;
+pub mod reflog;
 pub mod rest;
 mod session;
 

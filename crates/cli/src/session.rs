@@ -7,12 +7,15 @@
 //! ```text
 //! <data>/chunks/MANIFEST            — node: chunk-store segment list (atomic swap)
 //! <data>/chunks/pack-*.fbk          — node: the chunk store (append-only pack files)
-//! <data>/refs                       — node: branch heads
+//! <data>/refs.log                   — node: branch heads (a checkpoint plus
+//!                                     appended swings; see [`crate::reflog`])
+//! <data>/refs                       — node: legacy text heads, adopted on
+//!                                     open, deleted by the first save
 //! <data>/FORKS                      — node: fork-sandbox registry (leases resume on reopen)
 //! <data>/cluster/TOPOLOGY           — servelet ids, roles + next id (stable routing)
 //! <data>/cluster/FORKS              — cluster: fork-sandbox registry
 //! <data>/cluster/REPLICAS_SYNCED    — replicas proven caught-up at last clean save
-//! <data>/cluster/servelet-<id>/     — one servelet's `chunks/` and `refs`, a node's layout
+//! <data>/cluster/servelet-<id>/     — one servelet's `chunks/` and `refs.log`, a node's layout
 //! ```
 //!
 //! Every cluster servelet runs its own worker thread with a private
@@ -42,9 +45,10 @@ use forkbase::{
     Backend, Cluster, ClusterTopology, DbError, DbResult, ForkBase, ForkService, RateLimit,
     RateLimiter, ServeletServer, Supervisor,
 };
-use forkbase_store::{ChunkStore, FileStore, SweepStore};
+use forkbase_store::{FileStore, SweepStore};
 
 use crate::commands::{cluster_verb, node_verb, run_command, Flags};
+use crate::reflog;
 use crate::rest::RestServer;
 
 /// First line of the `REPLICAS_SYNCED` marker; an unrecognized magic is
@@ -103,7 +107,7 @@ impl<S: SweepStore + 'static> Shape for ForkBase<S> {
     }
 
     fn save(&self, dir: &Path) -> DbResult<()> {
-        write_durable(&dir.join("refs"), &synced_refs(self)?)
+        reflog::commit(dir, self)
     }
 
     fn serve(
@@ -142,8 +146,9 @@ impl Shape for Cluster<FileStore> {
         cluster_verb(session, verb, flags)
     }
 
-    /// Persist every local servelet's branch heads (syncing each chunk
-    /// store first) and the topology record. Ships the replication log
+    /// Persist every local servelet's branch heads (each a
+    /// [`reflog::commit`]: its chunk store synced, its swings appended)
+    /// and the topology record. Ships the replication log
     /// first (best-effort), so replicas are as fresh as possible at the
     /// durability point.
     fn save(&self, dir: &Path) -> DbResult<()> {
@@ -154,11 +159,13 @@ impl Shape for Cluster<FileStore> {
         // is ours to record.
         let primaries = self.ids().into_iter().enumerate();
         for (slot, id) in primaries.filter(|(_, id)| topology.addr_of(*id).is_none()) {
-            write_refs(dir, id, &self.on_node(slot, synced_refs)??)?;
+            let servelet = servelet_dir(dir, id);
+            self.on_node(slot, move |db| reflog::commit(&servelet, db))??;
         }
         for (rid, _) in self.replica_ids() {
             if topology.addr_of(rid).is_none() {
-                write_refs(dir, rid, &self.on_replica(rid, synced_refs)??)?;
+                let servelet = servelet_dir(dir, rid);
+                self.on_replica(rid, move |db| reflog::commit(&servelet, db))??;
             }
         }
         write_durable(&dir.join("TOPOLOGY"), &topology.encode())?;
@@ -312,7 +319,7 @@ impl Session {
     pub fn open(root: impl AsRef<Path>) -> DbResult<Session> {
         let root = root.as_ref();
         let db = ForkBase::new(FileStore::open(root.join("chunks"))?);
-        if let Some(text) = read_if_present(&root.join("refs"))? {
+        if let Some(text) = reflog::read(root)? {
             db.load_refs(&text)?;
         }
         Session::resume(db, root.to_path_buf())
@@ -369,7 +376,7 @@ impl Session<Cluster<FileStore>> {
         // `forkbase serve` process loads them on startup.
         let local_refs = |id: u64| match cluster.servelet_addr(id) {
             Some(_) => Ok(None),
-            None => read_if_present(&servelet_dir(&dir, id).join("refs")),
+            None => reflog::read(&servelet_dir(&dir, id)),
         };
         for (slot, id) in cluster.ids().into_iter().enumerate() {
             if let Some(text) = local_refs(id)? {
@@ -411,7 +418,7 @@ impl Session<Cluster<FileStore>> {
         cluster.set_respawn(move |id| {
             let servelet = servelet_dir(&respawn_dir, id);
             let store = FileStore::open(servelet.join("chunks"))?;
-            let refs = read_if_present(&servelet.join("refs"))?;
+            let refs = reflog::read(&servelet)?;
             Ok(forkbase::Respawned { store, refs })
         });
         Session::resume(cluster, dir)
@@ -432,13 +439,14 @@ impl Session<Cluster<FileStore>> {
 
     /// Provision the next servelet id's data directory, hand its store to
     /// `join` (which returns the id the cluster assigned), then make the
-    /// joiner's refs (from `refs`) and the new topology durable. A failed
-    /// join burns the id (ids are never reused) and drops the fresh
-    /// directory, so it leaks no partial packs on disk.
+    /// joiner's heads (through `commit`, given the id and the directory)
+    /// and the new topology durable. A failed join burns the id (ids are
+    /// never reused) and drops the fresh directory, so it leaks no partial
+    /// packs on disk.
     fn provision(
         &self,
         join: impl FnOnce(FileStore) -> DbResult<u64>,
-        refs: impl FnOnce(u64) -> DbResult<String>,
+        commit: impl FnOnce(u64, PathBuf) -> DbResult<()>,
     ) -> DbResult<u64> {
         let dir = servelet_dir(&self.dir, self.backend.next_servelet_id());
         let id = match join(FileStore::open(dir.join("chunks"))?) {
@@ -448,7 +456,7 @@ impl Session<Cluster<FileStore>> {
                 return Err(e);
             }
         };
-        write_durable(&dir.join("refs"), &refs(id)?)?;
+        commit(id, dir)?;
         self.save_topology()?;
         Ok(id)
     }
@@ -466,11 +474,11 @@ impl Session<Cluster<FileStore>> {
         let cluster = &self.backend;
         self.provision(
             |store| cluster.add_servelet(store),
-            |id| {
+            |id, dir| {
                 // A servelet that is gone again by now cannot be saved.
                 let slot = cluster.ids().iter().position(|&i| i == id);
                 let slot = slot.ok_or(DbError::ServeletUnavailable { servelet: id })?;
-                cluster.on_node(slot, synced_refs)?
+                cluster.on_node(slot, move |db| reflog::commit(&dir, db))?
             },
         )
     }
@@ -481,7 +489,7 @@ impl Session<Cluster<FileStore>> {
         let cluster = &self.backend;
         self.provision(
             |store| cluster.add_replica(primary_id, store),
-            |id| cluster.on_replica(id, synced_refs)?,
+            |id, dir| cluster.on_replica(id, move |db| reflog::commit(&dir, db))?,
         )
     }
 
@@ -526,22 +534,23 @@ impl Session<Cluster<FileStore>> {
 
 /// Start a standalone servelet process: a [`ServeletServer`] executing
 /// wire requests against a durable [`FileStore`] under `root` (a node's
-/// layout). Every mutating request syncs the store and durably rewrites
-/// the refs file **before** it is acked — kill -9 after an ack never
-/// loses the write. This is what `forkbase serve --servelet ADDR` runs.
+/// layout). Every mutating request syncs the store and appends its head
+/// swings to `refs.log` (see [`reflog`]) **before** it is acked — kill -9
+/// after an ack never loses the write. This is what `forkbase serve
+/// --servelet ADDR` runs.
 pub fn serve_servelet(addr: &str, root: impl AsRef<Path>) -> DbResult<ServeletServer> {
-    let refs_path = root.as_ref().join("refs");
-    let db = Session::open(root)?.backend;
-    // Connections are served on a thread each, and `write_durable` goes
-    // through one fixed temporary file: one sync + refs rewrite at a time.
-    // The refs are dumped inside the lock, so the file never goes back to
-    // an older set of heads than an earlier ack already made durable.
+    let root = root.as_ref().to_path_buf();
+    let db = Session::open(&root)?.backend;
+    // Connections are served on a thread each; one commit at a time, so
+    // each drain of the ref journal is appended before the next is taken
+    // and the log never goes back to older heads than an earlier ack
+    // already made durable.
     let persisting = std::sync::Mutex::new(());
     let persist: forkbase::PersistFn<FileStore> = Arc::new(move |db| {
         let _one_at_a_time = persisting
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        write_durable(&refs_path, &synced_refs(db)?)
+        reflog::commit(&root, db)
     });
     // Per-peer admission control: a chatty router cannot monopolize the
     // servelet's worker threads; shed frames answer a structured
@@ -555,26 +564,12 @@ fn servelet_dir(dir: &Path, id: u64) -> PathBuf {
     dir.join(format!("servelet-{id}"))
 }
 
-/// Durably write servelet `id`'s `refs`, creating its directory.
-fn write_refs(dir: &Path, id: u64, refs: &str) -> DbResult<()> {
-    let servelet = servelet_dir(dir, id);
-    std::fs::create_dir_all(&servelet).map_err(io_err)?;
-    write_durable(&servelet.join("refs"), refs)
-}
-
-/// Flush `db`'s chunk store, then dump its branch heads: the contents of
-/// a `refs` file that never names a chunk the disk lacks.
-fn synced_refs<S: ChunkStore>(db: &ForkBase<S>) -> DbResult<String> {
-    db.store().sync()?;
-    Ok(db.dump_refs())
-}
-
 pub(crate) fn io_err(e: std::io::Error) -> DbError {
     DbError::Store(forkbase_store::StoreError::Io(e))
 }
 
 /// The contents of the record at `path`, `None` when there is none.
-fn read_if_present(path: &Path) -> DbResult<Option<String>> {
+pub(crate) fn read_if_present(path: &Path) -> DbResult<Option<String>> {
     match std::fs::read_to_string(path) {
         Ok(text) => Ok(Some(text)),
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
@@ -585,14 +580,15 @@ fn read_if_present(path: &Path) -> DbResult<Option<String>> {
 /// Durably replace `path` with `contents`: write a tmp file, fsync it,
 /// atomically rename it into place, then fsync the parent directory —
 /// the same protocol the chunk store uses for its MANIFEST. Every record
-/// the CLI persists (refs, `FORKS`, `TOPOLOGY`, the replica marker) goes
-/// through here, so a crash leaves either the old file or the new one.
-fn write_durable(path: &Path, contents: &str) -> DbResult<()> {
+/// the CLI persists (`FORKS`, `TOPOLOGY`, the replica marker, a fresh
+/// `refs.log` checkpoint) goes through here, so a crash leaves either the
+/// old file or the new one.
+pub(crate) fn write_durable(path: &Path, contents: impl AsRef<[u8]>) -> DbResult<()> {
     let tmp = path.with_extension("tmp");
     (|| -> std::io::Result<()> {
         {
             let mut f = std::fs::File::create(&tmp)?;
-            std::io::Write::write_all(&mut f, contents.as_bytes())?;
+            std::io::Write::write_all(&mut f, contents.as_ref())?;
             f.sync_all()?;
         }
         std::fs::rename(&tmp, path)?;
@@ -713,7 +709,9 @@ mod tests {
                 .unwrap();
             s.save().unwrap();
         }
-        // Point the ref at a nonexistent uid.
+        // Point the ref at a nonexistent uid, in a text refs file adopted
+        // in place of the log (`reflog`'s tests cover the log itself).
+        std::fs::remove_file(root.join("refs.log")).unwrap();
         let refs = root.join("refs");
         std::fs::write(&refs, format!("k\tmaster\t{}\n", "ab".repeat(32))).unwrap();
         assert!(Session::open(&root).is_err());

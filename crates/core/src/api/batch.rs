@@ -15,7 +15,8 @@
 //!    [`ChunkStore::put_batch`]** round-trip (one lock acquisition per
 //!    shard, at most one fsync on a `FileStore`);
 //! 4. every head is swung inside **one** ref-table write section — or, if
-//!    any step failed, none are.
+//!    any step failed, none are — and, when a persister drains the ref
+//!    journal ([`ForkBase::take_ref_journal`]), journaled in that section.
 //!
 //! A `ReplaceKey` (replica import, rebalance's forget) replaces every
 //! branch of its key, even one created while it waits (forks add branches
@@ -39,7 +40,7 @@ use forkbase_store::ChunkStore;
 use forkbase_types::Value;
 use parking_lot::{MutexGuard, RwLockReadGuard};
 
-use super::{expect_map, CommitResult, ForkBase, PutOptions, HEAD_STRIPES};
+use super::{expect_map, CommitResult, ForkBase, PutOptions, RefSwing, HEAD_STRIPES};
 use crate::error::{DbError, DbResult};
 use crate::fnode::{self, FNode, Uid};
 use std::sync::atomic::Ordering;
@@ -576,7 +577,9 @@ impl<S: ChunkStore> ForkBase<S> {
     /// one [`ChunkStore::put_batch`], then set each pair's head (`None`
     /// drops the ref) inside a single write section. A reader holding the
     /// ref table — `heads`, `dump_refs` — sees all of these updates or
-    /// none. The caller holds the GC gate and the stripe of every pair.
+    /// none, and the ref journal, when it records, gets the swings in the
+    /// same section, so its order is publish order. The caller holds the
+    /// GC gate and the stripe of every pair.
     pub(super) fn publish(
         &self,
         staged: Vec<(Uid, Bytes)>,
@@ -618,6 +621,24 @@ impl<S: ChunkStore> ForkBase<S> {
             // particular) grow `list_keys` with phantom names forever.
             if key_emptied {
                 branches.remove(key);
+            }
+        }
+        let mut journal = self.journal.lock();
+        if let Some(swings) = journal.as_mut() {
+            swings.extend(
+                pairs
+                    .iter()
+                    .zip(heads)
+                    .map(|(&(key, branch), head)| RefSwing {
+                        key: key.to_string(),
+                        branch: branch.to_string(),
+                        head: *head,
+                    }),
+            );
+            // A journal longer than the table costs more to keep and to
+            // write than the table itself.
+            if swings.len() > branches.len() {
+                *journal = None;
             }
         }
         Ok(())

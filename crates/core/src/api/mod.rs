@@ -181,6 +181,28 @@ impl std::fmt::Display for DbStat {
     }
 }
 
+/// One head swing in the ref table.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct RefSwing {
+    /// The key.
+    pub key: String,
+    /// The branch.
+    pub branch: String,
+    /// The branch's new head; `None` when the branch was deleted.
+    pub head: Option<Uid>,
+}
+
+/// What [`ForkBase::take_ref_journal`] hands a persister.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum RefJournal {
+    /// Every head in the table, sorted by key, then branch: the journal
+    /// was not recording, so only the whole table says what is current.
+    Table(Vec<RefSwing>),
+    /// The swings published since the previous drain, the last one per
+    /// (key, branch) only, in the order each pair last moved.
+    Swings(Vec<RefSwing>),
+}
+
 /// Number of striped head locks. Power of two and comfortably above the
 /// bench thread counts, so commits to distinct (key, branch) pairs rarely
 /// share a stripe.
@@ -231,6 +253,12 @@ pub struct ForkBase<S> {
     /// Verified, decoded POS-Tree pages shared by this database's map
     /// readers.
     pub(crate) nodes: NodeCache,
+    /// The head swings since the last [`Self::take_ref_journal`], in
+    /// publish order; `None` records nothing and stands for "the whole
+    /// table" (the state of a database nobody persists). Written by
+    /// `publish` under the ref table's write lock, drained under its
+    /// read lock; when both are held, `branches` is locked first.
+    pub(crate) journal: Mutex<Option<Vec<RefSwing>>>,
 }
 
 impl<S: ChunkStore> ForkBase<S> {
@@ -249,6 +277,7 @@ impl<S: ChunkStore> ForkBase<S> {
             head_locks: (0..HEAD_STRIPES).map(|_| Mutex::new(())).collect(),
             gc_gate: RwLock::new(()),
             nodes: NodeCache::new(),
+            journal: Mutex::new(None),
         }
     }
 
@@ -415,6 +444,48 @@ impl<S: ChunkStore> ForkBase<S> {
         out
     }
 
+    /// Drain the ref journal for a persister that keeps the table as a
+    /// checkpoint plus deltas. The first drain (and the first after
+    /// [`Self::reset_ref_journal`], or after the journal outgrew the table)
+    /// returns [`RefJournal::Table`]; each later one the swings since the
+    /// drain before it. Either way the journal records from here on. The
+    /// drain is taken under the ref table's lock, so it is exact: every
+    /// head it names was published before it, every later publish lands
+    /// in the next drain.
+    pub fn take_ref_journal(&self) -> RefJournal {
+        let table = self.branches.read();
+        let drained = self.journal.lock().replace(Vec::new());
+        let Some(swings) = drained else {
+            let mut keys: Vec<&String> = table.keys().collect();
+            keys.sort();
+            let heads = keys.into_iter().flat_map(|key| {
+                table[key].iter().map(|(branch, head)| RefSwing {
+                    key: key.clone(),
+                    branch: branch.clone(),
+                    head: Some(*head),
+                })
+            });
+            return RefJournal::Table(heads.collect());
+        };
+        drop(table);
+        // Keep the last swing per pair: walk backwards, first sight wins.
+        let mut seen = std::collections::HashSet::new();
+        let mut last: Vec<RefSwing> = swings
+            .into_iter()
+            .rev()
+            .filter(|s| seen.insert((s.key.clone(), s.branch.clone())))
+            .collect();
+        last.reverse();
+        RefJournal::Swings(last)
+    }
+
+    /// Stop recording and drop the journal's swings: the next
+    /// [`Self::take_ref_journal`] returns the whole table. A persister
+    /// calls this when a drained journal did not reach its disk.
+    pub fn reset_ref_journal(&self) {
+        *self.journal.lock() = None;
+    }
+
     /// Restore branch heads from [`Self::dump_refs`] output in one commit.
     /// Each head is validated to exist in the chunk store (a malicious/
     /// corrupt refs file cannot point at garbage silently); a line that
@@ -472,4 +543,80 @@ pub(crate) fn expect_map(value: &Value) -> DbResult<TreeRef> {
 /// Wrap an I/O error from an export sink as a store error.
 pub(crate) fn store_io(e: std::io::Error) -> DbError {
     DbError::Store(forkbase_store::StoreError::Io(e))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use forkbase_store::MemStore;
+
+    fn swing(key: &str, branch: &str, head: Option<Uid>) -> RefSwing {
+        RefSwing {
+            key: key.into(),
+            branch: branch.into(),
+            head,
+        }
+    }
+
+    #[test]
+    fn ref_journal_drains_the_table_then_the_last_swing_per_pair() {
+        let db = ForkBase::new(MemStore::new());
+        let opts = PutOptions::default();
+        let a1 = db.put("a", Value::Int(1), &opts).unwrap().uid;
+        // Filler keys, so the swings below stay shorter than the table.
+        let z = db.put("z", Value::Int(0), &opts).unwrap().uid;
+        for i in 0..8 {
+            db.put(&format!("z{i}"), Value::Int(i), &opts).unwrap();
+        }
+        // Nobody drained yet: nothing is recorded, the drain is the table.
+        assert!(db.journal.lock().is_none());
+        let RefJournal::Table(table) = db.take_ref_journal() else {
+            panic!("the first drain is the table");
+        };
+        assert_eq!(table.len(), 10);
+        assert_eq!(table[0], swing("a", "master", Some(a1)));
+        assert_eq!(table[1], swing("z", "master", Some(z)));
+        db.put("a", Value::Int(2), &opts).unwrap();
+        let b1 = db.put("b", Value::Int(1), &opts).unwrap().uid;
+        let a3 = db.put("a", Value::Int(3), &opts).unwrap().uid;
+        db.branch("a", "master", "dev").unwrap();
+        db.delete_branch("a", "dev").unwrap();
+        assert_eq!(
+            db.take_ref_journal(),
+            RefJournal::Swings(vec![
+                swing("b", "master", Some(b1)),
+                swing("a", "master", Some(a3)),
+                swing("a", "dev", None),
+            ])
+        );
+        assert_eq!(db.take_ref_journal(), RefJournal::Swings(vec![]));
+        // Deleting the key's last branch, then re-creating it.
+        db.delete_branch("b", "master").unwrap();
+        let b2 = db.put("b", Value::Int(2), &opts).unwrap().uid;
+        assert_eq!(
+            db.take_ref_journal(),
+            RefJournal::Swings(vec![swing("b", "master", Some(b2))])
+        );
+        db.reset_ref_journal();
+        assert!(matches!(db.take_ref_journal(), RefJournal::Table(t) if t.len() == 11));
+    }
+
+    #[test]
+    fn ref_journal_longer_than_the_table_falls_back_to_the_table() {
+        let db = ForkBase::new(MemStore::new());
+        let opts = PutOptions::default();
+        db.put("a", Value::Int(0), &opts).unwrap();
+        db.put("b", Value::Int(0), &opts).unwrap();
+        let _ = db.take_ref_journal();
+        db.put("a", Value::Int(1), &opts).unwrap();
+        db.put("a", Value::Int(2), &opts).unwrap();
+        assert!(db.journal.lock().as_ref().is_some_and(|j| j.len() == 2));
+        let a3 = db.put("a", Value::Int(3), &opts).unwrap().uid;
+        assert!(db.journal.lock().is_none(), "three swings outgrow two keys");
+        let RefJournal::Table(table) = db.take_ref_journal() else {
+            panic!("an overflowed journal drains the table");
+        };
+        assert_eq!(table[0], swing("a", "master", Some(a3)));
+        assert_eq!(table.len(), 2);
+    }
 }

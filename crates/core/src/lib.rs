@@ -53,7 +53,8 @@ mod walk;
 pub use accept::AcceptLoop;
 pub use api::{
     BatchOutcome, BlobReader, BranchInfo, CommitResult, DbStat, ForkBase, GetResult, HistoryEntry,
-    ListStream, MapRange, PutOptions, Snapshot, ValueDiff, VersionSpec, WriteBatch, DEFAULT_BRANCH,
+    ListStream, MapRange, PutOptions, RefJournal, RefSwing, Snapshot, ValueDiff, VersionSpec,
+    WriteBatch, DEFAULT_BRANCH,
 };
 pub use backend::Backend;
 pub use bundle::{export_bundle, import_bundle, import_bundle_replace, BundleRef};

@@ -34,13 +34,14 @@ const PASS: &str = "P3/caps";
 /// Request-path modules where a panic kills a servelet worker, an
 /// accept loop, a gateway connection handler, or a routed call (the
 /// cluster router) — the CLI session, which serves servelets and
-/// persists every record, the verbs and commit path a servelet
+/// persists every record, the ref log every ack appends to, the verbs and commit path a servelet
 /// applies every request through, and the supervisor loop and chaos
 /// hooks every routed call consults.
 const NO_PANIC_FILES: &[&str] = &[
     "crates/core/src/accept.rs",
     "crates/cli/src/rest.rs",
     "crates/cli/src/session.rs",
+    "crates/cli/src/reflog.rs",
     "crates/core/src/cluster/mod.rs",
     "crates/core/src/cluster/rpc.rs",
     "crates/core/src/cluster/net.rs",

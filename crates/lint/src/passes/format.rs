@@ -43,6 +43,7 @@ const FROZEN: &[(&str, &str)] = &[
     ("crates/core/src/api/mod.rs", "HEAD_STRIPES"),
     ("crates/core/src/cluster/mod.rs", "TOPOLOGY_MAGIC"),
     ("crates/core/src/forks/manager.rs", "FORKS_MAGIC"),
+    ("crates/cli/src/reflog.rs", "LOG_MAGIC"),
 ];
 
 /// (crate root, the kernel files under it that may `allow(unsafe_code)`):

@@ -196,6 +196,11 @@ fn fixture(name: &str) -> PathBuf {
         "crates/core/src/forks/manager.rs",
         "pub const FORKS_MAGIC: &str = \"forks v1\";\n",
     );
+    put(
+        &root,
+        "crates/cli/src/reflog.rs",
+        "const LOG_MAGIC: &[u8; 8] = b\"FBREFS01\";\n",
+    );
 
     let blessed = run_all(&root, true);
     assert!(blessed.is_empty(), "bless of clean fixture: {blessed:?}");
@@ -330,6 +335,25 @@ fn p2_format_constant_drift_is_flagged() {
             .any(|f| f.contains("GAMMA_SEED") && f.contains("changed")),
         "{findings:?}"
     );
+}
+
+#[test]
+fn p2_ref_log_magic_drift_is_flagged_until_blessed() {
+    let root = fixture("p2-reflog");
+    put(
+        &root,
+        "crates/cli/src/reflog.rs",
+        "const LOG_MAGIC: &[u8; 8] = b\"FBREFS02\";\n",
+    );
+    let findings = findings_of(&root, "P2");
+    assert!(
+        findings
+            .iter()
+            .any(|f| f.contains("LOG_MAGIC") && f.contains("changed")),
+        "{findings:?}"
+    );
+    assert!(run_all(&root, true).is_empty());
+    assert!(findings_of(&root, "P2").is_empty());
 }
 
 #[test]
