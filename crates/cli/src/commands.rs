@@ -396,7 +396,7 @@ pub(crate) fn cluster_verb(
     let cluster = session.cluster();
     match verb {
         "add" => {
-            let id = session.add_servelet()?;
+            let id = session.provision(|servelet| cluster.add_servelet(servelet))?;
             Ok(format!(
                 "servelet {id} joined; keys per servelet now {:?}",
                 cluster.key_distribution()?
@@ -404,7 +404,7 @@ pub(crate) fn cluster_verb(
         }
         "add-remote" => {
             let addr = flags.pos(0)?;
-            let id = session.add_remote(None, addr)?;
+            let id = cluster.add_remote_servelet(addr)?;
             Ok(format!(
                 "remote servelet {id} ({addr}) joined; keys per servelet now {:?}",
                 cluster.key_distribution()?
@@ -412,7 +412,7 @@ pub(crate) fn cluster_verb(
         }
         "add-replica" => {
             let primary = flags.id(0, "add-replica needs a primary id")?;
-            let id = session.add_replica(primary)?;
+            let id = session.provision(|servelet| cluster.add_replica(primary, servelet))?;
             Ok(format!(
                 "replica {id} attached to primary {primary} (synced)"
             ))
@@ -420,14 +420,14 @@ pub(crate) fn cluster_verb(
         "add-remote-replica" => {
             let primary = flags.id(0, "add-remote-replica needs a primary id")?;
             let addr = flags.pos(1)?;
-            let id = session.add_remote(Some(primary), addr)?;
+            let id = cluster.add_remote_replica(primary, addr)?;
             Ok(format!(
                 "remote replica {id} ({addr}) attached to primary {primary} (synced)"
             ))
         }
         "promote" => {
             let id = flags.id(0, "promote needs a replica id")?;
-            let old = session.promote_replica(id)?;
+            let old = cluster.promote_replica(id)?;
             Ok(format!(
                 "replica {id} promoted; primary {old} retired (its id is burned; \
                  its directory remains on disk until you delete it)"

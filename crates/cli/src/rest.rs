@@ -956,6 +956,7 @@ mod tests {
             Ok(forkbase::Respawned {
                 store: Arc::clone(&by_id[&id]),
                 refs: respawn_refs.lock().unwrap().get(&id).cloned(),
+                persist: None,
             })
         });
         let server =
@@ -1435,7 +1436,7 @@ mod tests {
         let (server, cluster, _refs) = start_cluster();
         let pid = cluster.ids()[0];
         let rid = cluster
-            .add_replica(pid, forkbase_store::MemStore::new().into())
+            .add_replica(pid, Arc::new(forkbase_store::MemStore::new()))
             .unwrap();
 
         // No unshipped writes yet: the replica sits at lag 0.

@@ -26,6 +26,18 @@
 //! branch/version history and byte-identical chunk addresses. Replicas
 //! use the same `servelet-<id>/` layout and are re-attached on reopen.
 //!
+//! # Durability
+//!
+//! Every servelet, local or remote, persists its own acks through one
+//! constructor, [`persist_to`]: a mutating request's head swings reach
+//! its `refs.log` (chunk store synced first) before the ack. The session
+//! persists no servelet heads; the cluster's placement hook rewrites
+//! `TOPOLOGY` after every join, removal, promotion and replica attach or
+//! detach, before any source forgets a key it handed over. A single
+//! node persists on the serve loop's 5 s beat and after every verb (a
+//! per-ack flush would cost every REST `PUT` a device flush), so a
+//! killed node gateway loses up to 5 s of chunks and heads.
+//!
 //! `REPLICAS_SYNCED` is the cross-process half of the zero-acked-write-
 //! loss story: a (re)attached replica is conservatively marked for full
 //! resync, which needs a live primary — so promoting a dead primary's
@@ -42,8 +54,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use forkbase::{
-    Backend, Cluster, ClusterTopology, DbError, DbResult, ForkBase, ForkService, RateLimit,
-    RateLimiter, ServeletServer, Supervisor,
+    Backend, Cluster, ClusterTopology, DbError, DbResult, ForkBase, ForkService, PersistFn,
+    RateLimit, RateLimiter, Respawned, ServeletServer, Supervisor,
 };
 use forkbase_store::{FileStore, SweepStore};
 
@@ -83,7 +95,8 @@ pub trait Shape: Backend + Send + Sync + Sized + 'static {
     /// Run a verb only this shape has, or answer the usage error.
     fn own_verb(session: &Session<Self>, verb: &str, flags: &Flags) -> DbResult<String>;
 
-    /// Make everything but `FORKS` durable under `dir`.
+    /// Make the shape's own records durable under `dir` (the session
+    /// writes `FORKS`).
     fn save(&self, dir: &Path) -> DbResult<()>;
 
     /// Start the REST gateway, and whatever keeps the shape healthy
@@ -146,33 +159,16 @@ impl Shape for Cluster<FileStore> {
         cluster_verb(session, verb, flags)
     }
 
-    /// Persist every local servelet's branch heads (each a
-    /// [`reflog::commit`]: its chunk store synced, its swings appended)
-    /// and the topology record. Ships the replication log
-    /// first (best-effort), so replicas are as fresh as possible at the
-    /// durability point.
+    /// Ship the replication log (best-effort), so replicas are as fresh
+    /// as possible, then record which replicas it left caught up. The
+    /// servelets persist their own heads on every ack and the placement
+    /// hook records `TOPOLOGY` (see the module doc).
     fn save(&self, dir: &Path) -> DbResult<()> {
         let _ = self.ship_replication();
-        let topology = self.topology();
-        // Primaries by slot, then replicas. Remote servelets persist on
-        // their own side (ack-implies-durable); only their topology entry
-        // is ours to record.
-        let primaries = self.ids().into_iter().enumerate();
-        for (slot, id) in primaries.filter(|(_, id)| topology.addr_of(*id).is_none()) {
-            let servelet = servelet_dir(dir, id);
-            self.on_node(slot, move |db| reflog::commit(&servelet, db))??;
-        }
-        for (rid, _) in self.replica_ids() {
-            if topology.addr_of(rid).is_none() {
-                let servelet = servelet_dir(dir, rid);
-                self.on_replica(rid, move |db| reflog::commit(&servelet, db))??;
-            }
-        }
-        write_durable(&dir.join("TOPOLOGY"), &topology.encode())?;
         // Record which replicas this save proved caught-up (shipped to
-        // lag 0 above, refs now durable): they may re-attach without a
-        // full resync on the next open — see the module doc. Written
-        // last: the marker must never assert more than what is on disk.
+        // lag 0 above; each applied ship was persisted before its ack):
+        // they may re-attach without a full resync on the next open — see
+        // the module doc.
         let caught_up: Vec<String> = self
             .replication_status()
             .primaries
@@ -190,7 +186,7 @@ impl Shape for Cluster<FileStore> {
         } else {
             write_durable(
                 &marker_path,
-                &format!("{SYNCED_MARKER_MAGIC}\n{}\n", caught_up.join("\n")),
+                format!("{SYNCED_MARKER_MAGIC}\n{}\n", caught_up.join("\n")),
             )
         }
     }
@@ -241,11 +237,11 @@ impl<B: Shape> Session<B> {
         &self.forks
     }
 
-    /// Persist the shape's records and the fork registry durably, each
-    /// chunk store flushed before the heads that name its chunks.
+    /// Persist the shape's records and the fork registry durably: a
+    /// node's heads (its chunk store flushed first), a cluster's ship.
     pub fn save(&self) -> DbResult<()> {
         self.backend.save(&self.dir)?;
-        write_durable(&self.dir.join("FORKS"), &self.forks.dump())
+        write_durable(&self.dir.join("FORKS"), self.forks.dump())
     }
 
     /// Run one invocation's arguments (the verb and its arguments, after
@@ -281,8 +277,10 @@ impl<B: Shape> Session<B> {
     }
 
     /// Serve the REST gateway on `port` until the process is killed,
-    /// saving every 5 s so a Ctrl-C loses at most 5 s of head movement
-    /// (chunks themselves are always durable).
+    /// saving every 5 s. On a node that save is the only persist, so a
+    /// kill loses up to 5 s of writes: chunks wait in the `FileStore`'s
+    /// write buffer until its sync, heads until the ref log's append. A
+    /// cluster's servelets persist every ack themselves.
     fn serve(&self, port: u16) -> ExitCode {
         // Per-peer admission: generous enough that a human or a
         // well-behaved script never sees it, tight enough that one
@@ -350,12 +348,21 @@ impl Session<Cluster<FileStore>> {
         }
         std::fs::create_dir_all(&dir).map_err(io_err)?;
         let topology = ClusterTopology::local((0..n as u64).collect(), n as u64);
-        write_durable(&topo_path, &topology.encode())?;
+        write_durable(&topo_path, topology.encode())?;
         Self::open_cluster(root)
     }
 
     /// Open the cluster persisted under `<root>/cluster`.
     pub fn open_cluster(root: impl AsRef<Path>) -> DbResult<Self> {
+        Self::open_cluster_with(root, persist_to)
+    }
+
+    /// [`Self::open_cluster`] with `persist` constructing each opened
+    /// local servelet's persist hook from its directory.
+    fn open_cluster_with(
+        root: impl AsRef<Path>,
+        persist: impl Fn(PathBuf) -> PersistFn<FileStore> + Send + Sync + 'static,
+    ) -> DbResult<Self> {
         let dir = root.as_ref().join("cluster");
         let topo_path = dir.join("TOPOLOGY");
         let text = std::fs::read_to_string(&topo_path).map_err(|e| {
@@ -365,32 +372,19 @@ impl Session<Cluster<FileStore>> {
             ))
         })?;
         let topology = ClusterTopology::parse(&text)?;
+        // Local servelets open with their persisted heads and persist
+        // hook; the opener is also the supervisor's respawn factory.
+        // Remote servelets own their stores and refs.
         let open_dir = dir.clone();
         let cluster = Cluster::from_topology(
             &topology,
             forkbase_postree::TreeConfig::default_config(),
-            move |id| Ok(FileStore::open(servelet_dir(&open_dir, id).join("chunks"))?),
+            move |id| {
+                let servelet = servelet_dir(&open_dir, id);
+                open_servelet(&servelet, persist(servelet.clone()))
+            },
         )?;
-        // Load each LOCAL servelet's branch heads (validated against its
-        // store). Remote servelets own their stores and refs — their
-        // `forkbase serve` process loads them on startup.
-        let local_refs = |id: u64| match cluster.servelet_addr(id) {
-            Some(_) => Ok(None),
-            None => reflog::read(&servelet_dir(&dir, id)),
-        };
-        for (slot, id) in cluster.ids().into_iter().enumerate() {
-            if let Some(text) = local_refs(id)? {
-                cluster.on_node(slot, move |db| db.load_refs(&text))??;
-            }
-        }
-        // Local replicas restore their mirrored heads the same way — the
-        // catch-up marker below can only vouch for a replica whose
-        // persisted refs are actually loaded.
-        for (rid, _) in cluster.replica_ids() {
-            if let Some(text) = local_refs(rid)? {
-                cluster.on_replica(rid, move |db| db.load_refs(&text))??;
-            }
-        }
+        cluster.set_placement_hook(move |topology| write_durable(&topo_path, topology.encode()));
         // Consume the catch-up marker: replicas the last clean save
         // proved at lag 0 (with refs persisted) re-attach caught-up, so
         // `promote` works even when their primary never comes back. The
@@ -412,15 +406,6 @@ impl Session<Cluster<FileStore>> {
             }
             std::fs::remove_file(&marker_path).map_err(io_err)?;
         }
-        // Supervised restarts reopen the packs AND restore the persisted
-        // branch heads — richer than the bare `open` factory above.
-        let respawn_dir = dir.clone();
-        cluster.set_respawn(move |id| {
-            let servelet = servelet_dir(&respawn_dir, id);
-            let store = FileStore::open(servelet.join("chunks"))?;
-            let refs = reflog::read(&servelet)?;
-            Ok(forkbase::Respawned { store, refs })
-        });
         Session::resume(cluster, dir)
     }
 
@@ -429,101 +414,30 @@ impl Session<Cluster<FileStore>> {
         &self.backend
     }
 
-    /// Durably rewrite the `TOPOLOGY` record from the live placement.
-    fn save_topology(&self) -> DbResult<()> {
-        write_durable(
-            &self.dir.join("TOPOLOGY"),
-            &self.backend.topology().encode(),
-        )
-    }
-
-    /// Provision the next servelet id's data directory, hand its store to
-    /// `join` (which returns the id the cluster assigned), then make the
-    /// joiner's heads (through `commit`, given the id and the directory)
-    /// and the new topology durable. A failed join burns the id (ids are
-    /// never reused) and drops the fresh directory, so it leaks no partial
-    /// packs on disk.
-    fn provision(
+    /// Provision the next servelet id's data directory and hand the
+    /// opened servelet to `join` (`add_servelet` or `add_replica`), which
+    /// returns the id the cluster assigned. A join that failed before
+    /// placing the servelet drops the fresh directory, so it leaks no
+    /// partial packs on disk.
+    pub(crate) fn provision(
         &self,
-        join: impl FnOnce(FileStore) -> DbResult<u64>,
-        commit: impl FnOnce(u64, PathBuf) -> DbResult<()>,
+        join: impl FnOnce(Respawned<FileStore>) -> DbResult<u64>,
     ) -> DbResult<u64> {
-        let dir = servelet_dir(&self.dir, self.backend.next_servelet_id());
-        let id = match join(FileStore::open(dir.join("chunks"))?) {
-            Ok(id) => id,
-            Err(e) => {
-                let _ = std::fs::remove_dir_all(&dir);
-                return Err(e);
-            }
-        };
-        commit(id, dir)?;
-        self.save_topology()?;
-        Ok(id)
-    }
-
-    /// Add a servelet (provisioning its data directory) and migrate the
-    /// keys it now owns. Returns the new servelet's id.
-    ///
-    /// Durability order matters: the new servelet's refs (it holds the
-    /// migrated keys now) and the TOPOLOGY that makes reopen load it must
-    /// be on disk BEFORE any source refs lacking those keys are rewritten
-    /// (the caller's save()). A crash between here and that save leaves at
-    /// worst a shadowed duplicate on the sources — routing prefers the new
-    /// owner — never a lost key.
-    pub(crate) fn add_servelet(&self) -> DbResult<u64> {
-        let cluster = &self.backend;
-        self.provision(
-            |store| cluster.add_servelet(store),
-            |id, dir| {
-                // A servelet that is gone again by now cannot be saved.
-                let slot = cluster.ids().iter().position(|&i| i == id);
-                let slot = slot.ok_or(DbError::ServeletUnavailable { servelet: id })?;
-                cluster.on_node(slot, move |db| reflog::commit(&dir, db))?
-            },
-        )
-    }
-
-    /// Attach a new local replica (provisioning its data directory) to
-    /// primary `primary_id`, fully synced before this returns.
-    pub(crate) fn add_replica(&self, primary_id: u64) -> DbResult<u64> {
-        let cluster = &self.backend;
-        self.provision(
-            |store| cluster.add_replica(primary_id, store),
-            |id, dir| cluster.on_replica(id, move |db| reflog::commit(&dir, db))?,
-        )
-    }
-
-    /// Join a servelet process (already listening via `forkbase serve
-    /// --servelet ADDR`) as a primary, or with `primary_id` as a replica,
-    /// and persist the topology so a reopen routes to it again.
-    pub(crate) fn add_remote(&self, primary_id: Option<u64>, addr: &str) -> DbResult<u64> {
-        let id = match primary_id {
-            None => self.backend.add_remote_servelet(addr)?,
-            Some(primary) => self.backend.add_remote_replica(primary, addr)?,
-        };
-        self.save_topology()?;
-        Ok(id)
-    }
-
-    /// Promote replica `id` to primary of its slot (see
-    /// [`Cluster::promote_replica`]) and persist the swung topology.
-    /// The retired primary's data directory is left on disk — its id is
-    /// burned, so nothing will ever route to it; delete it by hand once
-    /// you no longer want the forensic copy. Returns the retired id.
-    pub(crate) fn promote_replica(&self, id: u64) -> DbResult<u64> {
-        let old = self.backend.promote_replica(id)?;
-        self.save()?;
-        Ok(old)
+        let id = self.backend.next_servelet_id();
+        let dir = servelet_dir(&self.dir, id);
+        let joined = join(open_servelet(&dir, persist_to(dir.clone()))?);
+        if joined.is_err() && !self.backend.topology().servelet_ids.contains(&id) {
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+        joined
     }
 
     /// Remove servelet `id` after migrating its keys away, then delete its
-    /// drained data directory.
+    /// drained data directory: its keys are durable on their new owners
+    /// (each import was persisted before its ack) and `TOPOLOGY` no
+    /// longer names it.
     pub(crate) fn remove_servelet(&self, id: u64) -> DbResult<()> {
         self.backend.remove_servelet(id)?;
-        // Make the migrated keys durable on their destinations (sync +
-        // refs + topology) BEFORE deleting the victim's directory — until
-        // this save the victim held the only on-disk copy.
-        self.save()?;
         let dir = servelet_dir(&self.dir, id);
         if dir.exists() {
             std::fs::remove_dir_all(&dir).map_err(io_err)?;
@@ -534,29 +448,45 @@ impl Session<Cluster<FileStore>> {
 
 /// Start a standalone servelet process: a [`ServeletServer`] executing
 /// wire requests against a durable [`FileStore`] under `root` (a node's
-/// layout). Every mutating request syncs the store and appends its head
-/// swings to `refs.log` (see [`reflog`]) **before** it is acked — kill -9
-/// after an ack never loses the write. This is what `forkbase serve
+/// layout), persisting every ack through `persist_to` — kill -9 after
+/// an ack never loses the write. This is what `forkbase serve
 /// --servelet ADDR` runs.
 pub fn serve_servelet(addr: &str, root: impl AsRef<Path>) -> DbResult<ServeletServer> {
     let root = root.as_ref().to_path_buf();
     let db = Session::open(&root)?.backend;
-    // Connections are served on a thread each; one commit at a time, so
-    // each drain of the ref journal is appended before the next is taken
-    // and the log never goes back to older heads than an earlier ack
-    // already made durable.
-    let persisting = std::sync::Mutex::new(());
-    let persist: forkbase::PersistFn<FileStore> = Arc::new(move |db| {
-        let _one_at_a_time = persisting
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        reflog::commit(&root, db)
-    });
     // Per-peer admission control: a chatty router cannot monopolize the
     // servelet's worker threads; shed frames answer a structured
     // `WireError::RateLimited` with a retry hint, connection kept open.
     let limiter = Arc::new(RateLimiter::new(RateLimit::new(2000.0, 4000.0)));
-    ServeletServer::spawn_limited(addr, db, Some(persist), Some(limiter))
+    ServeletServer::spawn_limited(addr, db, Some(persist_to(root)), Some(limiter))
+}
+
+/// The persist hook of the servelet whose records live in `dir`, local
+/// or remote: each mutating request's head swings are appended to
+/// `dir/refs.log`, the chunk store synced first ([`reflog::commit`]),
+/// before the request is acked.
+fn persist_to(dir: PathBuf) -> PersistFn<FileStore> {
+    // A TCP servelet serves each connection on a thread of its own; one
+    // commit at a time, so each drain of the ref journal is appended
+    // before the next is taken and the log never goes back to older
+    // heads than an earlier ack already made durable.
+    let persisting = std::sync::Mutex::new(());
+    Arc::new(move |db| {
+        let _one_at_a_time = persisting
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        reflog::commit(&dir, db)
+    })
+}
+
+/// Open the local servelet whose records live in `dir`: its chunk store,
+/// its persisted heads, and `persist`.
+fn open_servelet(dir: &Path, persist: PersistFn<FileStore>) -> DbResult<Respawned<FileStore>> {
+    Ok(Respawned {
+        store: FileStore::open(dir.join("chunks"))?,
+        refs: reflog::read(dir)?,
+        persist: Some(persist),
+    })
 }
 
 /// A cluster servelet's data directory under the cluster's `dir`.
@@ -920,6 +850,88 @@ mod tests {
         }
         drop(cluster);
         drop(server);
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// Copy the directory tree `from` to `to`.
+    fn copy_tree(from: &Path, to: &Path) {
+        std::fs::create_dir_all(to).unwrap();
+        for entry in std::fs::read_dir(from).unwrap() {
+            let entry = entry.unwrap();
+            let target = to.join(entry.file_name());
+            if entry.file_type().unwrap().is_dir() {
+                copy_tree(&entry.path(), &target);
+            } else {
+                std::fs::copy(entry.path(), target).unwrap();
+            }
+        }
+    }
+
+    /// Placement order: a source forgets the keys it handed over only
+    /// after `TOPOLOGY` names their new owner. Every persist of a
+    /// servelet the session opens takes a crash copy of `<data>/cluster`
+    /// right after it committed — a source's `ForgetKeys` included — and
+    /// each copy must reopen with every key readable at its routed owner,
+    /// through a local `add`, an `add-remote` and a `remove`.
+    #[test]
+    fn placement_is_recorded_before_any_source_forgets() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let root = temp_root("placement-order");
+        let data = root.join("data");
+        let keys: Vec<(String, String)> = (0..40)
+            .map(|i| (format!("k{i}"), format!("v{i}")))
+            .collect();
+        let s = Session::init_cluster(&data, 2).unwrap();
+        for (key, value) in &keys {
+            run_command(&s, &["put", key, value]).unwrap();
+        }
+        drop(s);
+        let taken = Arc::new(AtomicUsize::new(0));
+        let (cluster_dir, copies) = (data.join("cluster"), root.join("copies"));
+        let (counter, into) = (Arc::clone(&taken), copies.clone());
+        let crash_copies = move |dir: PathBuf| -> PersistFn<FileStore> {
+            let persist = persist_to(dir);
+            let (cluster, into, taken) = (cluster_dir.clone(), into.clone(), Arc::clone(&counter));
+            Arc::new(move |db| {
+                persist(db)?;
+                let n = taken.fetch_add(1, Ordering::SeqCst);
+                copy_tree(&cluster, &into.join(n.to_string()).join("cluster"));
+                Ok(())
+            })
+        };
+        let remote = serve_servelet("127.0.0.1:0", root.join("remote")).unwrap();
+        let remote_addr = remote.addr().to_string();
+        let mut lost = Vec::new();
+        for verb in [
+            vec!["add"],
+            vec!["add-remote", &remote_addr],
+            vec!["remove", "0"],
+        ] {
+            // Each verb in a session of its own, as each CLI invocation is,
+            // so every servelet the verb touches was opened with the copier.
+            let before = taken.load(Ordering::SeqCst);
+            let s = Session::open_cluster_with(&data, crash_copies.clone()).unwrap();
+            run_command(&s, &verb).unwrap();
+            drop(s);
+            let after = taken.load(Ordering::SeqCst);
+            assert!(after > before, "{verb:?} persisted nothing");
+            // Checked after the verb: the remote servelet only gains keys.
+            for n in before..after {
+                let copy = copies.join(n.to_string());
+                let s = Session::open_cluster(&copy)
+                    .unwrap_or_else(|e| panic!("crash copy {n} does not open: {e}"));
+                let missing = keys.iter().filter(|(key, value)| {
+                    let got = s.cluster().get(key, "master");
+                    got.map_or(true, |g| g.value != Value::string(value.clone()))
+                });
+                if let Some((key, _)) = missing.clone().next() {
+                    let count = missing.count();
+                    lost.push(format!("{verb:?}: copy {n} lost {count} keys, {key} first"));
+                }
+            }
+        }
+        assert!(lost.is_empty(), "{lost:#?}");
+        drop(remote);
         std::fs::remove_dir_all(&root).unwrap();
     }
 

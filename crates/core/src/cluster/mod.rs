@@ -9,8 +9,8 @@
 //! * **in-process** — every servelet is a worker thread owning a private
 //!   [`ForkBase`] over any [`SweepStore`] backend (durable
 //!   [`forkbase_store::FileStore`] packs in the CLI, [`MemStore`] in
-//!   tests and benches); requests travel over crossbeam channels. Kept
-//!   for tests, benches, and deterministic chaos injection.
+//!   tests and benches); requests travel over crossbeam channels, which
+//!   also carry the deterministic chaos injection.
 //! * **TCP** — a servelet is a standalone process
 //!   (`forkbase serve --servelet ADDR --data DIR`, served by
 //!   [`net::ServeletServer`]) and the router reaches it over a
@@ -19,8 +19,8 @@
 //!   record.
 //!
 //! Keys are placed by consistent hashing either way, and every verb runs
-//! through the same server-side dispatch, so the two transports are
-//! behaviorally identical at the API.
+//! through the same servelet-side step (dispatch, then the servelet's own
+//! persist before the ack; see [`net`]), so the transports are identical.
 //!
 //! # Placement rule
 //!
@@ -39,7 +39,8 @@
 //! uids, dedup, and tamper evidence survive the move: the import re-hashes
 //! every chunk and walks every history before a single ref is installed.
 //! Copy-phase failures roll back (placement unchanged); after every copy
-//! verified, the new ring installs before sources drop their shadowed
+//! verified, the new ring installs and the placement hook records it
+//! ([`Cluster::set_placement_hook`]) before sources drop their shadowed
 //! copies, so later failures roll forward and the next rebalance heals
 //! any residue (`plan_and_copy`'s authoritative-copy rule: of duplicate
 //! holders, only the old ring owner's copy ever received writes).
@@ -105,9 +106,13 @@ use forkbase_types::Value;
 
 use chaos::{ChaosState, Fault};
 use replication::ReplicationState;
-use rpc::{call_control, maint_call, remote_node, shutdown_node, spawn_node, Node};
+use rpc::{call_control, maint_call, remote_node, shutdown_node, spawn_local, spawn_node, Node};
 use supervisor::{HealthRecord, RespawnFn};
 use wire::{Reply, Request, WireOp};
+
+/// Hook recording a placement change durably
+/// ([`Cluster::set_placement_hook`]).
+type PlacementFn = Arc<dyn Fn(&ClusterTopology) -> DbResult<()> + Send + Sync>;
 
 /// The mutable routing state: swapped atomically by rebalance.
 struct State<S> {
@@ -357,9 +362,11 @@ pub struct Cluster<S = MemStore> {
     rpc: RwLock<RpcConfig>,
     /// Armed chaos schedule, if any ([`Cluster::arm_chaos`]).
     chaos: RwLock<Option<Arc<ChaosState>>>,
-    /// Factory rebuilding a crashed servelet's store
-    /// ([`Cluster::set_respawn`]).
+    /// Factory rebuilding a crashed local servelet
+    /// ([`Cluster::from_topology`]'s opener, or [`Cluster::set_respawn`]).
     respawn: RwLock<Option<RespawnFn<S>>>,
+    /// Records every placement change ([`Cluster::set_placement_hook`]).
+    placement: RwLock<Option<PlacementFn>>,
     /// Hook re-launching a crashed **remote** servelet process
     /// ([`Cluster::set_remote_respawn`]).
     remote_respawn: RwLock<Option<RemoteRespawnFn>>,
@@ -458,7 +465,7 @@ impl<S: SweepStore + Send + 'static> Cluster<S> {
         assert!(!stores.is_empty(), "a cluster needs at least one servelet");
         let nodes: Vec<Arc<Node<S>>> = stores
             .into_iter()
-            .map(|(id, store)| spawn_node(id, store, cfg))
+            .map(|(id, store)| spawn_node(id, ForkBase::with_config(store, cfg), None))
             .collect();
         Self::from_nodes(nodes, cfg)
     }
@@ -500,6 +507,7 @@ impl<S: SweepStore + Send + 'static> Cluster<S> {
             rpc: RwLock::new(RpcConfig::default()),
             chaos: RwLock::new(None),
             respawn: RwLock::new(None),
+            placement: RwLock::new(None),
             remote_respawn: RwLock::new(None),
             health_records: Mutex::new(BTreeMap::new()),
             replication: Mutex::new(ReplicationState::default()),
@@ -513,16 +521,17 @@ impl<S: SweepStore + Send + 'static> Cluster<S> {
     /// record. `cfg` must match the configuration the data was written
     /// with (chunk boundaries are on-disk format).
     ///
-    /// `open` doubles as the respawn factory for supervised restarts of
-    /// the **local** servelets (without refs restoration — install a
-    /// richer factory via [`Self::set_respawn`] if the backend also
-    /// persists refs; remote restarts use
+    /// `open` returns a local servelet's store, or a whole [`Respawned`]
+    /// (store, persisted heads, persist hook) for a backend that persists
+    /// its heads; it doubles as the respawn factory for supervised
+    /// restarts of the **local** servelets (remote restarts use
     /// [`Self::set_remote_respawn`]).
-    pub fn from_topology(
+    pub fn from_topology<R: Into<Respawned<S>>>(
         topology: &ClusterTopology,
         cfg: TreeConfig,
-        open: impl Fn(u64) -> DbResult<S> + Send + Sync + 'static,
+        open: impl Fn(u64) -> DbResult<R> + Send + Sync + 'static,
     ) -> DbResult<Self> {
+        let open: RespawnFn<S> = Arc::new(move |id| open(id).map(Into::into));
         let mut seen = std::collections::HashSet::new();
         for &id in &topology.servelet_ids {
             if !seen.insert(id) {
@@ -548,7 +557,7 @@ impl<S: SweepStore + Send + 'static> Cluster<S> {
                 TopoRole::Primary { anchor } => {
                     match addr {
                         Some(addr) => nodes.push(remote_node(id, addr)),
-                        None => nodes.push(spawn_node(id, open(id)?, cfg)),
+                        None => nodes.push(spawn_local(id, open(id)?, cfg)?),
                     }
                     anchors.push(anchor);
                 }
@@ -565,18 +574,13 @@ impl<S: SweepStore + Send + 'static> Cluster<S> {
         for (id, primary, addr) in replicas {
             let node = match addr {
                 Some(addr) => remote_node(id, addr),
-                None => spawn_node(id, open(id)?, cfg),
+                None => spawn_local(id, open(id)?, cfg)?,
             };
             // A reopened replica's lag relative to its primary is
             // unknown: it resyncs in full on the first ship.
             cluster.attach_replica_handle(primary, node)?;
         }
-        cluster.set_respawn(move |id| {
-            Ok(Respawned {
-                store: open(id)?,
-                refs: None,
-            })
-        });
+        *cluster.respawn.write() = Some(open);
         Ok(cluster)
     }
 
@@ -593,7 +597,7 @@ impl<S: SweepStore + Send + 'static> Cluster<S> {
             }
         }
         Self::from_topology(topology, cfg, |id| {
-            Err(DbError::InvalidInput(format!(
+            Err::<S, _>(DbError::InvalidInput(format!(
                 "servelet {id}: no local store in a connect()-ed cluster"
             )))
         })
@@ -673,6 +677,26 @@ impl<S: SweepStore + Send + 'static> Cluster<S> {
                 .find(|r| r.id == id)
                 .and_then(|r| r.node.addr().map(String::from))
         })
+    }
+
+    /// Install the hook the cluster calls with its new [`ClusterTopology`]
+    /// after every placement change (a join, removal or promotion, a
+    /// replica attach or detach), under the rebalance gate and before any
+    /// source forgets the keys it handed over — if it fails, none does.
+    /// So a recorded placement never routes a key to a servelet that
+    /// dropped it. Without a hook (a pure router) nothing is recorded.
+    pub fn set_placement_hook(
+        &self,
+        f: impl Fn(&ClusterTopology) -> DbResult<()> + Send + Sync + 'static,
+    ) {
+        *self.placement.write() = Some(Arc::new(f));
+    }
+
+    /// Run the placement hook, if any, over the current topology. The
+    /// caller holds the rebalance gate exclusively.
+    fn record_placement(&self) -> DbResult<()> {
+        let hook = self.placement.read().clone();
+        hook.map_or(Ok(()), |hook| hook(&self.topology()))
     }
 
     /// The id the next [`Self::add_servelet`] will assign (so callers can
@@ -1238,10 +1262,13 @@ impl<S: SweepStore + Send + 'static> Cluster<S> {
     /// their (now shadowed) copies, so a cutover error rolls *forward*:
     /// the topology change sticks, every key is served by its new owner,
     /// and the next rebalance cleans up any stale source copies.
-    pub fn add_servelet(&self, store: S) -> DbResult<u64> {
+    ///
+    /// `servelet` is a bare store, or a [`Respawned`] whose persist hook
+    /// makes the new servelet's acks — its imports included — durable.
+    pub fn add_servelet(&self, servelet: impl Into<Respawned<S>>) -> DbResult<u64> {
         let _gate = self.rebalance_gate.write();
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        self.join(spawn_node(id, store, self.cfg))
+        self.join(spawn_local(id, servelet.into(), self.cfg)?)
     }
 
     /// [`Self::add_servelet`] for a **remote** servelet process already
@@ -1260,8 +1287,8 @@ impl<S: SweepStore + Send + 'static> Cluster<S> {
     }
 
     /// Make `node` a primary: extend the ring with it, copy over the keys
-    /// it now owns, install it, and cut over. The caller holds the
-    /// rebalance gate.
+    /// it now owns, install it, record the placement, and cut over. The
+    /// caller holds the rebalance gate.
     fn join(&self, node: Arc<Node<S>>) -> DbResult<u64> {
         let deadline = self.rpc.read().control_deadline;
         let id = node.id;
@@ -1282,6 +1309,7 @@ impl<S: SweepStore + Send + 'static> Cluster<S> {
         // Keys just moved between primaries: every replica's mirror is
         // now of the wrong key set, so all resync in full on next ship.
         self.mark_replicas_stale();
+        self.record_placement()?;
         cutover(&all_nodes, plan, deadline)?;
         Ok(id)
     }
@@ -1355,8 +1383,11 @@ impl<S: SweepStore + Send + 'static> Cluster<S> {
         self.replication.lock().sets.remove(&id);
         // Roll forward like `add_servelet`: copies are verified and the
         // ring no longer routes to the victim, so cutover/shutdown errors
-        // must not resurrect it.
-        let cut = cutover(&nodes, plan, deadline);
+        // must not resurrect it. The victim forgets only once the record
+        // stops routing to it.
+        let cut = self
+            .record_placement()
+            .and_then(|()| cutover(&nodes, plan, deadline));
         shutdown_node(&node);
         self.health_records.lock().remove(&id);
         cut
@@ -1641,9 +1672,9 @@ fn plan_and_copy<S: SweepStore + Send + 'static>(
 }
 
 /// Cutover: drop the source refs of a copied-and-verified plan. Runs
-/// AFTER the new ring is installed, so an error here (e.g. a source
-/// worker died mid-loop) leaves shadowed stale copies — cleaned up by the
-/// next rebalance — never an unreachable key. The chunks themselves stay
+/// AFTER the new ring is installed and recorded, so an error here (e.g.
+/// a source worker died mid-loop) leaves shadowed stale copies — cleaned
+/// up by the next rebalance — never an unreachable key. The chunks themselves stay
 /// until each servelet's next GC.
 fn cutover<S: SweepStore + Send + 'static>(
     nodes: &[Arc<Node<S>>],

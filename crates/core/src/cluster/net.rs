@@ -9,19 +9,20 @@
 //! requests out to several servelets at once without a thread per call.
 //! A connection goes back to the pool only after a complete, decoded
 //! reply, so a socket that saw a timeout, a torn frame or any other
-//! ambiguous outcome is never used again. The server executes every request
-//! through [`wire::dispatch`] — the same function the in-process
-//! transport uses — so a verb behaves identically no matter how it
-//! arrived.
+//! ambiguous outcome is never used again. The server applies every
+//! request through `apply` — the same function the in-process
+//! transport's worker uses — so a verb behaves, and persists, identically
+//! no matter how it arrived.
 //!
 //! # Durability contract
 //!
-//! A servelet acks a mutating request only **after** its persist hook
-//! ran (chunk-store sync + durable refs write). If the process dies
-//! between applying a write and acking it, the client observes an
-//! ambiguous outcome and never blind-retries — but an *acked* write is
-//! on disk and survives the kill. This is what the CI `net` job proves
-//! end to end.
+//! Every servelet, local or remote, acks a mutating request only
+//! **after** its persist hook ran (`apply`: chunk-store sync, then the
+//! request's head swings appended to its ref log). If it dies between
+//! applying a write and acking it, the client observes an ambiguous
+//! outcome and never blind-retries — but an *acked* write is on disk and
+//! survives the kill. The CI `net` and `recovery` jobs prove this end to
+//! end for a TCP servelet and for a local cluster's servelets.
 
 use std::collections::HashMap;
 use std::io::{ErrorKind, Write};
@@ -55,6 +56,26 @@ const IDLE_TIMEOUT: Duration = Duration::from_secs(60);
 /// Runs after every mutating request, before the ack: make the applied
 /// state durable (sync the store, persist the branch heads).
 pub type PersistFn<S> = Arc<dyn Fn(&ForkBase<S>) -> DbResult<()> + Send + Sync>;
+
+/// Apply one request on a servelet: [`wire::dispatch`], then, when the
+/// request mutated and succeeded, the servelet's persist hook. A failed
+/// persist becomes the reply, so a write is never acked before it is
+/// durable. Both transports serve every request through here.
+pub(super) fn apply<S: SweepStore>(
+    db: &ForkBase<S>,
+    persist: Option<&PersistFn<S>>,
+    req: Request,
+) -> Reply {
+    let mutating = wire::mutates(&req);
+    let reply = wire::dispatch(db, req);
+    match persist {
+        Some(persist) if mutating && !matches!(reply, Reply::Err(_)) => match persist(db) {
+            Ok(()) => reply,
+            Err(e) => Reply::Err(WireError::from(&e)),
+        },
+        _ => reply,
+    }
+}
 
 /// The accepted connections of one [`ServeletServer`], by connection id:
 /// a second handle on each socket (to end its reads at stop) and its
@@ -266,17 +287,7 @@ fn serve_conn<S: SweepStore>(
                 continue;
             }
         }
-        let mutating = wire::mutates(&req);
-        let mut reply = wire::dispatch(db, req);
-        if mutating && !matches!(reply, Reply::Err(_)) {
-            if let Some(persist) = persist {
-                // Never ack a write that is not durable: a failed persist
-                // downgrades the reply to the persist error.
-                if let Err(e) = persist(db) {
-                    reply = Reply::Err(WireError::from(&e));
-                }
-            }
-        }
+        let reply = apply(db, persist, req);
         if conn
             .write_all(&wire::encode_frame_with_version(version, &reply.encode()))
             .and_then(|_| conn.flush())

@@ -56,7 +56,8 @@ use crate::api::GetResult;
 use crate::db::ForkBase;
 use crate::error::{DbError, DbResult};
 
-use super::rpc::{call_control, maint_call, remote_node, shutdown_node, spawn_node, Node};
+use super::rpc::{call_control, maint_call, remote_node, shutdown_node, spawn_local, Node};
+use super::supervisor::Respawned;
 use super::wire::{Reply, Request};
 use super::{route_on, Cluster};
 
@@ -191,16 +192,17 @@ impl<S: SweepStore + Send + 'static> Cluster<S> {
     // Membership
     // ------------------------------------------------------------------
 
-    /// Attach a fresh in-process replica (backed by `store`) to primary
-    /// `primary_id` and fully sync it before returning. The new replica's
-    /// stable id is returned; it starts caught up (lag 0).
+    /// Attach a fresh in-process replica (a bare store, or a
+    /// [`Respawned`] with a persist hook) to primary `primary_id`, fully
+    /// sync it and record the placement before returning. The new
+    /// replica's stable id is returned; it starts caught up (lag 0).
     /// Stop-the-world for routed verbs while the initial sync runs, so
     /// the mirror is a consistent snapshot.
-    pub fn add_replica(&self, primary_id: u64, store: S) -> DbResult<u64> {
+    pub fn add_replica(&self, primary_id: u64, servelet: impl Into<Respawned<S>>) -> DbResult<u64> {
         let _gate = self.rebalance_gate.write();
         self.require_primary(primary_id)?;
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let node = spawn_node(id, store, self.cfg);
+        let node = spawn_local(id, servelet.into(), self.cfg)?;
         self.register_replica(primary_id, node)
     }
 
@@ -216,9 +218,9 @@ impl<S: SweepStore + Send + 'static> Cluster<S> {
         self.register_replica(primary_id, node)
     }
 
-    /// Detach replica `id` and shut its worker down. Its data stays in
-    /// its store (a durable backend can be re-attached later — it will
-    /// resync in full).
+    /// Detach replica `id`, record the placement, and shut its worker
+    /// down. Its data stays in its store (a durable backend can be
+    /// re-attached later — it will resync in full).
     pub fn remove_replica(&self, id: u64) -> DbResult<()> {
         let _gate = self.rebalance_gate.write();
         let handle = {
@@ -236,7 +238,7 @@ impl<S: SweepStore + Send + 'static> Cluster<S> {
             Some(h) => {
                 shutdown_node(&h.node);
                 self.health_records.lock().remove(&id);
-                Ok(())
+                self.record_placement()
             }
             None => Err(DbError::InvalidInput(format!("no replica with id {id}"))),
         }
@@ -320,7 +322,8 @@ impl<S: SweepStore + Send + 'static> Cluster<S> {
         let id = node.id;
         self.attach_replica_handle(primary_id, Arc::clone(&node))?;
         let deadline = self.rpc.read().control_deadline;
-        match self.full_sync_replica(primary_id, id, deadline) {
+        let synced = self.full_sync_replica(primary_id, id, deadline);
+        match synced.and_then(|()| self.record_placement()) {
             Ok(()) => Ok(id),
             Err(e) => {
                 // Roll back the attach; the burned id is never reused.
@@ -752,6 +755,8 @@ impl<S: SweepStore + Send + 'static> Cluster<S> {
         };
         shutdown_node(&old_node);
         self.health_records.lock().remove(&pid);
+        // The swap stands even if the record fails: the error reports it.
+        self.record_placement()?;
         Ok(pid)
     }
 
@@ -786,7 +791,9 @@ impl<S: SweepStore + Send + 'static> Cluster<S> {
         candidates
             .into_iter()
             .map(|(_, _, rid)| rid)
-            .find(|&rid| self.promote_replica(rid).is_ok())
+            // A promotion whose placement record failed still swapped the
+            // slot: with `pid` gone, a second candidate must not follow.
+            .find(|&rid| self.promote_replica(rid).is_ok() || !self.ids().contains(&pid))
     }
 
     // ------------------------------------------------------------------

@@ -6,9 +6,9 @@
 //! [`Transport`] carries the request:
 //!
 //! * [`ChannelTransport`] — the in-process channel pair. A worker thread
-//!   owns a private `ForkBase<S>` and executes requests via
-//!   [`wire::dispatch`]. Kept for tests, benches, and the chaos harness,
-//!   whose fault injection needs deterministic, instant "network" hops.
+//!   owns a private `ForkBase<S>` and applies requests through
+//!   [`net::apply`], dispatch then persist, as a TCP servelet does. Its
+//!   deterministic, instant "network" hops carry the chaos harness.
 //! * [`TcpTransport`] — frames the same request bytes over TCP to a
 //!   standalone servelet process, on connections pooled per servelet
 //!   and reused across calls (see [`super::net`]). An attempt is
@@ -52,17 +52,22 @@ use crate::db::ForkBase;
 use crate::error::{DbError, DbResult};
 
 use super::chaos::{ChaosState, Fault};
-use super::net;
-use super::wire::{dispatch, Reply, Request};
+use super::net::{self, PersistFn};
+use super::supervisor::Respawned;
+use super::wire::{Reply, Request};
 
 /// A maintenance job shipped to an in-process servelet thread. Not part
-/// of the wire surface: tests and local administration (refs dump/load
-/// on the CLI's own servelets, key fingerprinting in the test suites)
-/// use this side door, which only [`ChannelTransport`] provides.
+/// of the wire surface, and not persisted: a side door for tests only
+/// (key fingerprinting, refs dumps), which only [`ChannelTransport`]
+/// provides. Lint P3 keeps its callers out of shipped code.
 pub(super) type Job<S> = Box<dyn FnOnce(&ForkBase<S>) + Send>;
 
 /// What travels over an in-process servelet's channel.
 pub(super) enum Msg<S> {
+    /// `(request, reply, lost)`: apply the request and send its outcome
+    /// on `reply`, unless the reply is `lost` on the way back (the sender
+    /// is held until the request is applied all the same).
+    Request(Request, Sender<Outcome>, bool),
     Job(Job<S>),
     /// Stop the worker loop (clean shutdown or fault injection).
     Shutdown,
@@ -293,29 +298,16 @@ impl<S: SweepStore + 'static> Transport<S> for ChannelTransport<S> {
         }
         // Capacity 2 so the worker never blocks replying to a duplicate.
         let (tx, rx) = bounded::<Outcome>(2);
-        let suppress = matches!(fault, Fault::DropReply | Fault::CrashAfter);
-        let jtx = tx.clone();
-        let main_req = req.clone();
-        let job: Job<S> = Box::new(move |db| {
-            let r = dispatch(db, main_req);
-            if !suppress {
-                let _ = jtx.send(Ok(r));
-            }
-        });
         // DropReply models a lost reply with a live worker: keep a sender
         // open so the caller times out instead of observing a disconnect.
         let keepalive = (fault == Fault::DropReply).then(|| tx.clone());
         if fault == Fault::Duplicate {
             // At-least-once network: the request arrives twice; the first
             // reply wins.
-            let jtx = tx.clone();
-            let dup: Job<S> = Box::new(move |db| {
-                let _ = jtx.send(Ok(dispatch(db, req)));
-            });
-            let _ = self.tx.send(Msg::Job(dup));
+            let _ = self.tx.send(Msg::Request(req.clone(), tx.clone(), false));
         }
-        drop(tx);
-        if self.tx.send(Msg::Job(job)).is_err() {
+        let lost = matches!(fault, Fault::DropReply | Fault::CrashAfter);
+        if self.tx.send(Msg::Request(req, tx, lost)).is_err() {
             return Pending::Fail(AttemptError::NotDelivered);
         }
         if fault == Fault::CrashAfter {
@@ -378,16 +370,38 @@ impl<S> Transport<S> for TcpTransport {
     }
 }
 
+/// Start a local servelet from what its opener handed back: a database
+/// over its store with its persisted heads loaded, and its persist hook.
+pub(super) fn spawn_local<S: SweepStore + Send + 'static>(
+    id: u64,
+    servelet: Respawned<S>,
+    cfg: TreeConfig,
+) -> DbResult<Arc<Node<S>>> {
+    let db = ForkBase::with_config(servelet.store, cfg);
+    if let Some(refs) = &servelet.refs {
+        db.load_refs(refs)?;
+    }
+    Ok(spawn_node(id, db, servelet.persist))
+}
+
+/// Start a worker thread owning `db`: it applies each request through
+/// [`net::apply`] (so `persist` runs before every mutating ack) and runs
+/// maintenance jobs, in arrival order, until shut down.
 pub(super) fn spawn_node<S: SweepStore + Send + 'static>(
     id: u64,
-    store: S,
-    cfg: TreeConfig,
+    db: ForkBase<S>,
+    persist: Option<PersistFn<S>>,
 ) -> Arc<Node<S>> {
     let (tx, rx) = unbounded::<Msg<S>>();
     let handle = std::thread::spawn(move || {
-        let db = ForkBase::with_config(store, cfg);
         while let Ok(msg) = rx.recv() {
             match msg {
+                Msg::Request(req, reply, lost) => {
+                    let r = net::apply(&db, persist.as_ref(), req);
+                    if !lost {
+                        let _ = reply.send(Ok(r));
+                    }
+                }
                 Msg::Job(job) => job(&db),
                 Msg::Shutdown => break,
             }
@@ -425,8 +439,8 @@ pub(super) fn draw_fault(chaos: Option<&ChaosState>) -> Fault {
 }
 
 /// Run a maintenance closure on an in-process servelet's thread: the
-/// local-only side door for tests and CLI administration. One attempt,
-/// no chaos. Remote servelets reject — closures cannot cross the wire.
+/// local-only side door for tests. One attempt, no chaos, no persist.
+/// Remote servelets reject — closures cannot cross the wire.
 pub(super) fn maint_call<S, R: Send + 'static>(
     node: &Node<S>,
     deadline: Duration,
@@ -568,7 +582,8 @@ mod tests {
 
     #[test]
     fn channel_transport_round_trips_requests() {
-        let node = spawn_node(7, MemStore::new(), TreeConfig::default());
+        let db = ForkBase::with_config(MemStore::new(), TreeConfig::default());
+        let node = spawn_node(7, db, None);
         let reply = attempt(
             &node,
             Duration::from_secs(5),

@@ -4,12 +4,11 @@
 //! A dead servelet is not removed from the ring — its keys live in its
 //! store, and dropping them would lose data. Instead the supervisor
 //! rebuilds the worker **in place**: join the dead thread (releasing the
-//! store's advisory lock for durable backends), reopen the store through
-//! the cluster's *respawn factory*, restore branch heads from persisted
-//! refs when the factory supplies them, and swap the fresh worker into
-//! the same slot under the same stable id. Routing never changes; this is
-//! the PR-3 crash-recovery path (reopen `FileStore` packs + refs) driven
-//! end-to-end from the cluster layer.
+//! store's advisory lock for durable backends), reopen the servelet
+//! through the cluster's *respawn factory* — its store, its persisted
+//! branch heads and its persist hook, the same [`Respawned`] a local
+//! servelet is first spawned from — and swap the fresh worker into the
+//! same slot under the same stable id. Routing never changes.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -19,7 +18,8 @@ use forkbase_store::SweepStore;
 
 use crate::error::{DbError, DbResult};
 
-use super::rpc::{call_control, shutdown_node, spawn_node};
+use super::net::PersistFn;
+use super::rpc::{call_control, shutdown_node, spawn_local};
 use super::wire::{Reply, Request};
 use super::Cluster;
 
@@ -66,17 +66,29 @@ pub(super) struct HealthRecord {
     pub(super) last_error: Option<String>,
 }
 
-/// What a respawn factory hands back: the reopened store, plus the
-/// servelet's persisted refs text (see
-/// [`ForkBase::dump_refs`](crate::ForkBase::dump_refs)) when the backend
-/// persists branch heads. Without refs, committed versions remain
-/// resolvable by uid but branch heads start empty.
+/// Everything a local servelet is spawned from, as a
+/// [`Cluster::from_topology`] opener (also the respawn factory),
+/// [`Cluster::add_servelet`] and [`Cluster::add_replica`] take it. A
+/// bare store converts into one with no heads and no persist hook.
 pub struct Respawned<S> {
     /// The reopened store (e.g. `FileStore` packs recovered on open).
     pub store: S,
-    /// Persisted refs to restore via
-    /// [`ForkBase::load_refs`](crate::ForkBase::load_refs), if any.
+    /// Persisted refs text, loaded before the servelet serves (without
+    /// it branch heads start empty).
     pub refs: Option<String>,
+    /// Runs after every mutating request that succeeded, before its
+    /// reply, as a [`ServeletServer`](super::ServeletServer)'s hook does.
+    pub persist: Option<PersistFn<S>>,
+}
+
+impl<S> From<S> for Respawned<S> {
+    fn from(store: S) -> Self {
+        Respawned {
+            store,
+            refs: None,
+            persist: None,
+        }
+    }
 }
 
 pub(super) type RespawnFn<S> = Arc<dyn Fn(u64) -> DbResult<Respawned<S>> + Send + Sync>;
@@ -106,11 +118,8 @@ pub struct SupervisionReport {
 }
 
 impl<S: SweepStore + Send + 'static> Cluster<S> {
-    /// Install the respawn factory used by [`Self::restart_servelet`] /
-    /// [`Self::supervise_once`] to rebuild a crashed servelet from its
-    /// durable backend. [`Self::from_topology`] installs its `open`
-    /// closure automatically (without refs); callers whose backend also
-    /// persists refs should install a factory that returns them.
+    /// Install the respawn factory of a cluster built from bare stores
+    /// ([`Self::from_topology`] installs its opener).
     pub fn set_respawn(&self, f: impl Fn(u64) -> DbResult<Respawned<S>> + Send + Sync + 'static) {
         *self.respawn.write() = Some(Arc::new(f));
     }
@@ -191,9 +200,9 @@ impl<S: SweepStore + Send + 'static> Cluster<S> {
     }
 
     /// Rebuild servelet `id`'s worker from its durable backend: join the
-    /// dead thread (releasing any store lock), reopen the store via the
-    /// respawn factory, restore refs if supplied, and swap the fresh
-    /// worker into the same slot. Safe on a live servelet too (a bounce).
+    /// dead thread (releasing any store lock), reopen the servelet via the
+    /// respawn factory, and swap the fresh worker into the same slot.
+    /// Safe on a live servelet too (a bounce).
     ///
     /// Fails with [`DbError::InvalidInput`] if no respawn factory is
     /// installed or the id is unknown; factory errors pass through.
@@ -256,12 +265,7 @@ impl<S: SweepStore + Send + 'static> Cluster<S> {
                 // Join first: drops the old worker's ForkBase and store,
                 // releasing e.g. FileStore's advisory lock before reopen.
                 shutdown_node(&old);
-                let Respawned { store, refs } = respawn(id)?;
-                let node = spawn_node(id, store, self.cfg);
-                if let Some(refs) = refs {
-                    let deadline = self.rpc.read().control_deadline;
-                    call_control(&node, deadline, Request::LoadRefs { refs })?.expect_unit()?;
-                }
+                let node = spawn_local(id, respawn(id)?, self.cfg)?;
                 let mut state = self.state.write();
                 match state.nodes.iter().position(|n| n.id == id) {
                     Some(slot) => {

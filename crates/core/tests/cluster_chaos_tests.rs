@@ -36,6 +36,7 @@ fn supervised_mem_cluster(n: u64) -> (MemCluster, Vec<Arc<MemStore>>, RefsMap) {
         Ok(Respawned {
             store: Arc::clone(&respawn_stores[id as usize]),
             refs: respawn_refs.lock().get(&id).cloned(),
+            persist: None,
         })
     });
     (Arc::new(cluster), stores, refs)
@@ -349,6 +350,7 @@ fn filestore_servelet_killed_mid_batch_recovers_every_acked_write() {
         Ok(Respawned {
             store: Arc::new(FaultyStore::new(store)),
             refs: respawn_refs.lock().get(&id).cloned(),
+            persist: None,
         })
     });
 

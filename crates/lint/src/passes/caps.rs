@@ -9,7 +9,12 @@
 //!   chunk installs (everything goes through `put_batch`, and only the
 //!   batch committer and the bundle importer may call it; raw
 //!   single-chunk `store.put(…)` is legal nowhere in core/cli), and
-//!   persisting the `TOPOLOGY` / `FORKS` records.
+//!   persisting the `TOPOLOGY` / `FORKS` records, and the cluster's
+//!   maintenance closures (`on_node`, `with_key`, `on_replica`): a
+//!   closure runs on a local servelet's thread outside the request path,
+//!   so nothing it changes is persisted. They stay public for tests and
+//!   are legal nowhere in shipped code (a lint rule rather than a Cargo
+//!   feature, which would add a build option).
 //! * **No panics in request paths**: `unwrap()` / `expect(` / `panic!`
 //!   are denied in the cluster router, RPC, net, wire, replication,
 //!   rate-limit, accept loop, REST gateway and CLI session modules, where
@@ -98,6 +103,21 @@ const CAPABILITIES: &[(&str, &str, &[&str])] = &[
         "forks.dump()",
         "FORKS record write",
         &["crates/cli/src/session.rs"],
+    ),
+    (
+        ".on_node(",
+        "maintenance closure (unpersisted; tests only)",
+        &[],
+    ),
+    (
+        ".with_key(",
+        "maintenance closure (unpersisted; tests only)",
+        &[],
+    ),
+    (
+        ".on_replica(",
+        "maintenance closure (unpersisted; tests only)",
+        &[],
     ),
 ];
 

@@ -649,6 +649,24 @@ fn p3_capability_outside_allowlist_is_flagged() {
     fs::remove_file(root.join("crates/cli/src/commands.rs")).unwrap();
     put(&root, "crates/cli/src/session.rs", write_forks);
     assert!(findings_of(&root, "P3").is_empty());
+
+    // Maintenance closures bypass a servelet's persist hook: no shipped
+    // module may call one, the session included.
+    let dump = "pub fn dump(c: &Cluster) {\n    c.on_node(0, |db| db.dump_refs());\n}\n";
+    put(
+        &root,
+        "crates/cli/src/session.rs",
+        &format!("{write_forks}{dump}"),
+    );
+    let findings = findings_of(&root, "P3");
+    assert!(
+        findings
+            .iter()
+            .any(|f| f.contains("session.rs") && f.contains("maintenance closure")),
+        "{findings:?}"
+    );
+    put(&root, "crates/cli/src/session.rs", write_forks);
+    assert!(findings_of(&root, "P3").is_empty());
 }
 
 #[test]
