@@ -1,8 +1,9 @@
 //! Criterion microbenchmarks for the substrate layers: SHA-256, the
 //! frame CRC-32, the rolling hash, the content-defined chunker, the chunk
 //! stores (single put vs batched group commit), and the concurrent commit
-//! pipeline (striped head locks vs an emulated global commit lock), and
-//! the persist behind one servelet ack.
+//! pipeline (striped head locks vs an emulated global commit lock), the
+//! persist behind one servelet ack, and a REST `GET` on a fresh
+//! connection.
 //!
 //! These bound every higher-level number: a 4 KiB page costs one SHA-256
 //! compression pass per load (verification) and per store (addressing).
@@ -539,6 +540,38 @@ fn bench_persist(c: &mut Criterion) {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A REST `GET` on a fresh loopback connection, as a `connection: close`
+/// client sends it, against an in-process gateway over a `MemStore` node:
+/// the connect, the accept and hand-off to a handler thread, the HTTP
+/// parse, one `get`, the response and the close.
+fn bench_rest_get(c: &mut Criterion) {
+    use std::io::{Read, Write};
+    use std::net::TcpStream;
+    use std::sync::Arc;
+
+    let db = Arc::new(ForkBase::new(MemStore::new()));
+    db.put("k", Value::string("v"), &PutOptions::default())
+        .unwrap();
+    let server =
+        forkbase_cli::RestServer::start(db, 0, Arc::new(forkbase::ForkService::new()), None)
+            .unwrap();
+    let addr = server.addr();
+    let request = b"GET /get/k HTTP/1.1\r\nhost: bench\r\nconnection: close\r\n\r\n";
+    let mut group = c.benchmark_group("cli/rest");
+    group.bench_function("get_per_connection", |b| {
+        let mut response = Vec::with_capacity(256);
+        b.iter(|| {
+            let mut conn = TcpStream::connect(addr).unwrap();
+            conn.write_all(request).unwrap();
+            response.clear();
+            conn.read_to_end(&mut response).unwrap();
+            assert!(response.starts_with(b"HTTP/1.1 200"));
+        });
+    });
+    group.finish();
+    server.stop();
+}
+
 /// Routed cluster throughput: 64 single-key puts through the
 /// consistent-hash router of a 4-servelet MemStore cluster vs the same 64
 /// puts on one local `ForkBase`, plus the routed write batch (ops grouped
@@ -738,6 +771,7 @@ criterion_group!(
     bench_snapshot_scan,
     bench_write_batch,
     bench_persist,
+    bench_rest_get,
     bench_cluster_put,
     bench_cluster_get,
     bench_ship_drain

@@ -1,7 +1,9 @@
 //! Minimal RESTful interface (paper Fig. 1, "RESTful" semantic view).
 //!
-//! A deliberately small HTTP/1.1 server on `std::net::TcpListener` — one
-//! thread per connection, no external dependencies. One [`RestServer`]
+//! A deliberately small HTTP/1.1 server on `std::net::TcpListener`, no
+//! external dependencies. A connection carries one request and is served
+//! by a pooled handler thread: threads outlive their connections, and a
+//! new one is spawned only when none is idle, up to 64. One [`RestServer`]
 //! serves either deployment shape, a single node ([`RestServer::start`])
 //! or a [`Cluster`] ([`RestServer::start_cluster`]), from one route
 //! table. Unmarked routes go through [`Backend`] and answer alike on
@@ -40,9 +42,9 @@
 //! the ceiling of 64 gets `503` + `retry-after` (code `overloaded`), and
 //! a configured per-peer rate limiter sheds with `429` + `retry-after`.
 
+use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -53,11 +55,14 @@ use forkbase::{
 };
 use forkbase_store::SweepStore;
 use forkbase_types::Value;
+use parking_lot::{Condvar, Mutex};
 
 use crate::commands::parse_uid;
 
-/// Connections served at once; past this a new one is shed with `503`.
-/// One thread per connection only stays cheap while the count is bounded.
+/// Handler threads at once, and so connections served at once; past this
+/// a new connection is shed with `503`. A handler thread outlives its
+/// connection and waits for the next one, so a gateway under a steady
+/// client keeps as many threads as it has connections in flight.
 const MAX_CONNECTIONS: usize = 64;
 
 /// Largest request body accepted; a longer `content-length` is refused
@@ -73,6 +78,7 @@ const RANGE_LIMIT_MAX: u64 = 10_000;
 /// Handle to a running REST server. Dropping it stops the server.
 pub struct RestServer {
     accept: AcceptLoop,
+    pool: Arc<Pool>,
 }
 
 impl RestServer {
@@ -106,24 +112,16 @@ impl RestServer {
         limiter: Option<Arc<RateLimiter>>,
     ) -> std::io::Result<RestServer> {
         let listener = TcpListener::bind(("127.0.0.1", port))?;
-        // A counting semaphore over connection-handler threads.
-        let active = Arc::new(AtomicUsize::new(0));
-        let accept = AcceptLoop::spawn(listener, move |mut stream, peer| {
-            if active.fetch_add(1, Ordering::SeqCst) >= MAX_CONNECTIONS {
-                active.fetch_sub(1, Ordering::SeqCst);
+        let pool = Pool::new(move |stream, peer| {
+            let _ = handle_connection(stream, &*backend, &forks, limiter.as_deref(), peer);
+        });
+        let workers = Arc::clone(&pool);
+        let accept = AcceptLoop::spawn(listener, move |stream, peer| {
+            if let Err(mut stream) = workers.hand_off(stream, peer.ip()) {
                 let _ = shed_connection(&mut stream);
-                return;
             }
-            let slot = SlotGuard(Arc::clone(&active));
-            let backend = Arc::clone(&backend);
-            let forks = Arc::clone(&forks);
-            let limiter = limiter.clone();
-            std::thread::spawn(move || {
-                let _slot = slot;
-                let _ = handle_connection(stream, &*backend, &forks, limiter.as_deref(), peer.ip());
-            });
         })?;
-        Ok(RestServer { accept })
+        Ok(RestServer { accept, pool })
     }
 
     /// The bound address.
@@ -131,26 +129,130 @@ impl RestServer {
         self.accept.addr()
     }
 
-    /// Stop accepting connections and join the accept loop.
+    /// Stop accepting connections, join the accept loop and end the idle
+    /// handler threads; a busy one ends when its connection does.
     pub fn stop(self) {
-        self.accept.stop();
+        drop(self);
     }
 }
 
-/// Releases one connection-semaphore slot when the handler thread exits,
-/// however it exits.
-struct SlotGuard(Arc<AtomicUsize>);
-
-impl Drop for SlotGuard {
+impl Drop for RestServer {
     fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::SeqCst);
+        self.accept.stop();
+        self.pool.stop();
+    }
+}
+
+/// The gateway's connection handler threads. Each serves one connection,
+/// then waits for the next. The accept thread hands a connection to an
+/// idle thread, spawns one when none is idle and fewer than
+/// [`MAX_CONNECTIONS`] live, and otherwise gets it back to shed.
+struct Pool {
+    state: Mutex<PoolState>,
+    /// Signalled when a connection is queued and when the pool stops.
+    wake: Condvar,
+    serve: Handler,
+}
+
+/// What a handler thread runs for each connection it takes.
+type Handler = Box<dyn Fn(&mut TcpStream, IpAddr) + Send + Sync>;
+
+#[derive(Default)]
+struct PoolState {
+    /// Handed-off connections, each promised to a waiting thread.
+    queue: VecDeque<(TcpStream, IpAddr)>,
+    /// Live handler threads, busy or waiting.
+    workers: usize,
+    /// Waiting threads not yet promised a connection.
+    idle: usize,
+    /// Handler threads ever spawned.
+    spawned: usize,
+    stopping: bool,
+}
+
+impl Pool {
+    fn new(serve: impl Fn(&mut TcpStream, IpAddr) + Send + Sync + 'static) -> Arc<Pool> {
+        Arc::new(Pool {
+            state: Mutex::default(),
+            wake: Condvar::new(),
+            serve: Box::new(serve),
+        })
+    }
+
+    /// Give `stream` to a handler thread, or back to the caller when all
+    /// [`MAX_CONNECTIONS`] are busy.
+    fn hand_off(self: &Arc<Self>, stream: TcpStream, peer: IpAddr) -> Result<(), TcpStream> {
+        let mut state = self.state.lock();
+        if state.idle > 0 {
+            state.idle -= 1;
+            state.queue.push_back((stream, peer));
+            drop(state);
+            self.wake.notify_one();
+            return Ok(());
+        }
+        if state.workers >= MAX_CONNECTIONS {
+            return Err(stream);
+        }
+        state.workers += 1;
+        state.spawned += 1;
+        drop(state);
+        // The count is given back however the thread ends, and by the
+        // dropped closure if it never starts (the connection closes).
+        let worker = Worker(Arc::clone(self));
+        let _ = std::thread::Builder::new()
+            .name("forkbase-rest".into())
+            .spawn(move || worker.run(stream, peer));
+        Ok(())
+    }
+
+    /// End the waiting threads now and each busy one after its
+    /// connection; connections already handed off are served first. The
+    /// accept loop is stopped before, so nothing is handed off after.
+    fn stop(&self) {
+        self.state.lock().stopping = true;
+        self.wake.notify_all();
+    }
+}
+
+/// One live handler thread's share of [`PoolState::workers`], released
+/// when it drops: on stop, on a panic in the handler, or on a failed
+/// spawn.
+struct Worker(Arc<Pool>);
+
+impl Worker {
+    fn run(self, mut stream: TcpStream, mut peer: IpAddr) {
+        let pool = &self.0;
+        loop {
+            (pool.serve)(&mut stream, peer);
+            // Idle before the close: a client that connects again once it
+            // reads EOF finds this thread waiting, not a new one spawned.
+            pool.state.lock().idle += 1;
+            drop(stream);
+            let mut state = pool.state.lock();
+            (stream, peer) = loop {
+                if let Some(next) = state.queue.pop_front() {
+                    break next;
+                }
+                if state.stopping {
+                    state.idle -= 1;
+                    return;
+                }
+                pool.wake.wait(&mut state);
+            };
+        }
+    }
+}
+
+impl Drop for Worker {
+    fn drop(&mut self) {
+        self.0.state.lock().workers -= 1;
     }
 }
 
 /// Read briefly and discard what arrives, so that closing does not reset
 /// the connection (unread bytes make the kernel send RST) before the
 /// client has read the refusal written next.
-fn drain(stream: &mut TcpStream) {
+fn drain(mut stream: &TcpStream) {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
     let _ = stream.read(&mut [0u8; 4096]);
 }
@@ -381,9 +483,9 @@ impl Request {
 /// Read one request off `stream`. A request refused before routing —
 /// malformed request line, bad or oversized `content-length` — comes
 /// back as the error to answer with.
-fn read_request(stream: &mut TcpStream) -> std::io::Result<DbResult<Request>> {
+fn read_request(stream: &TcpStream) -> std::io::Result<DbResult<Request>> {
     stream.set_read_timeout(Some(Duration::from_secs(5)))?;
-    let mut reader = BufReader::new(stream.try_clone()?);
+    let mut reader = BufReader::new(stream);
 
     let mut request_line = String::new();
     reader.read_line(&mut request_line)?;
@@ -436,18 +538,18 @@ fn read_request(stream: &mut TcpStream) -> std::io::Result<DbResult<Request>> {
 }
 
 fn handle_connection<B: Shape>(
-    mut stream: TcpStream,
+    stream: &mut TcpStream,
     backend: &B,
     forks: &ForkService,
     limiter: Option<&RateLimiter>,
     peer: IpAddr,
 ) -> std::io::Result<()> {
-    let req = match read_request(&mut stream)? {
+    let req = match read_request(stream)? {
         Ok(req) => req,
-        Err(e) => return respond_error(&mut stream, &e, ""),
+        Err(e) => return respond_error(stream, &e, ""),
     };
     if let Some(Err(e)) = limiter.map(|l| l.check(peer)) {
-        return respond_error(&mut stream, &e, "");
+        return respond_error(stream, &e, "");
     }
     let segments: Vec<&str> = req.path.split('/').filter(|s| !s.is_empty()).collect();
     // Fork error bodies name no servelet, on either shape.
@@ -469,7 +571,7 @@ fn handle_connection<B: Shape>(
             } else {
                 TEXT
             };
-            respond(&mut stream, 200, ctype, None, &text)
+            respond(stream, 200, ctype, None, &text)
         }
         Err(e) => {
             let fields = if named {
@@ -477,7 +579,7 @@ fn handle_connection<B: Shape>(
             } else {
                 String::new()
             };
-            respond_error(&mut stream, &e, &fields)
+            respond_error(stream, &e, &fields)
         }
     }
 }
@@ -1589,6 +1691,130 @@ mod tests {
                 std::thread::sleep(Duration::from_millis(10));
             }
             g.server.stop();
+        }
+    }
+
+    /// Poll `done` until it holds or `within` passes; whether it held.
+    fn eventually(within: Duration, mut done: impl FnMut() -> bool) -> bool {
+        let deadline = Instant::now() + within;
+        while !done() {
+            if Instant::now() > deadline {
+                return false;
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        true
+    }
+
+    #[test]
+    fn sequential_connections_reuse_a_handler_thread() {
+        for make in SHAPES {
+            let g = make();
+            let shape = g.shape;
+            let addr = g.server.addr();
+            for _ in 0..200 {
+                assert_eq!(request(addr, "GET", "/keys", "").0, 200, "{shape}");
+            }
+            let spawned = g.server.pool.state.lock().spawned;
+            assert!(
+                spawned <= 2,
+                "{shape}: 200 sequential GETs spawned {spawned} threads"
+            );
+            g.server.stop();
+        }
+    }
+
+    #[test]
+    fn a_handler_that_exits_early_frees_its_slot() {
+        let (server, _db) = start();
+        let addr = server.addr();
+        // Every thread holds a connection that never sends its request.
+        let mut parked: Vec<TcpStream> = (0..MAX_CONNECTIONS)
+            .map(|_| TcpStream::connect(addr).unwrap())
+            .collect();
+        let pool = Arc::clone(&server.pool);
+        assert!(eventually(Duration::from_secs(5), || pool
+            .state
+            .lock()
+            .workers
+            == MAX_CONNECTIONS));
+        assert!(request_raw(addr, "GET", "/keys", "").starts_with("HTTP/1.1 503"));
+        // One client hangs up: its handler ends at EOF, before any
+        // request, and its thread takes the next connection.
+        drop(parked.pop());
+        assert!(
+            eventually(Duration::from_secs(5), || request(addr, "GET", "/keys", "")
+                .0
+                == 200),
+            "the freed slot never served"
+        );
+        assert_eq!(pool.state.lock().spawned, MAX_CONNECTIONS);
+        drop(parked);
+        server.stop();
+    }
+
+    #[test]
+    fn a_panicking_handler_frees_its_slot() {
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let pool = Pool::new(|stream, _| {
+            let mut first = [0u8; 1];
+            if stream.read_exact(&mut first).is_ok() && first[0] == b'!' {
+                panic!("handler panics on request");
+            }
+            let _ = stream.write_all(b"ok");
+        });
+        let workers = Arc::clone(&pool);
+        let accept = AcceptLoop::spawn(listener, move |stream, peer| {
+            let _ = workers.hand_off(stream, peer.ip());
+        })
+        .unwrap();
+        let addr = accept.addr();
+        for _ in 0..3 {
+            let mut conn = TcpStream::connect(addr).unwrap();
+            conn.write_all(b"!").unwrap();
+            // The panic closes the connection without a reply.
+            let mut reply = Vec::new();
+            let _ = conn.read_to_end(&mut reply);
+            assert!(reply.is_empty());
+            assert!(eventually(Duration::from_secs(5), || {
+                pool.state.lock().workers == 0
+            }));
+        }
+        assert_eq!(exchange(addr, "?"), "ok");
+        accept.stop();
+        pool.stop();
+    }
+
+    #[test]
+    fn stopped_gateways_end_their_handler_threads() {
+        for stop_by_drop in [false, true] {
+            let (server, _db) = start();
+            let addr = server.addr();
+            // Four connections in flight at once make four threads.
+            let mut conns: Vec<TcpStream> =
+                (0..4).map(|_| TcpStream::connect(addr).unwrap()).collect();
+            let pool = Arc::clone(&server.pool);
+            assert!(eventually(Duration::from_secs(5), || pool
+                .state
+                .lock()
+                .workers
+                == 4));
+            for conn in &mut conns {
+                conn.write_all(b"GET /keys HTTP/1.1\r\ncontent-length: 0\r\n\r\n")
+                    .unwrap();
+                let mut response = String::new();
+                conn.read_to_string(&mut response).unwrap();
+                assert!(response.starts_with("HTTP/1.1 200"), "{response}");
+            }
+            if stop_by_drop {
+                drop(server);
+            } else {
+                server.stop();
+            }
+            assert!(
+                eventually(Duration::from_secs(5), || pool.state.lock().workers == 0),
+                "handler threads outlived the gateway (drop: {stop_by_drop})"
+            );
         }
     }
 

@@ -58,6 +58,7 @@ use forkbase::{
     RateLimit, RateLimiter, Respawned, ServeletServer, Supervisor,
 };
 use forkbase_store::{FileStore, SweepStore};
+use parking_lot::Mutex;
 
 use crate::commands::{cluster_verb, node_verb, run_command, Flags};
 use crate::reflog;
@@ -284,8 +285,8 @@ impl<B: Shape> Session<B> {
     fn serve(&self, port: u16) -> ExitCode {
         // Per-peer admission: generous enough that a human or a
         // well-behaved script never sees it, tight enough that one
-        // runaway client cannot monopolize the thread-per-connection
-        // server. Shed requests answer `429` + `retry-after`.
+        // runaway client cannot monopolize the gateway's 64 handler
+        // threads. Shed requests answer `429` + `retry-after`.
         let limiter = Arc::new(RateLimiter::new(RateLimit::new(500.0, 1000.0)));
         let (server, supervisor) = match B::serve(self, port, limiter) {
             Ok(serving) => serving,
@@ -470,11 +471,9 @@ fn persist_to(dir: PathBuf) -> PersistFn<FileStore> {
     // commit at a time, so each drain of the ref journal is appended
     // before the next is taken and the log never goes back to older
     // heads than an earlier ack already made durable.
-    let persisting = std::sync::Mutex::new(());
+    let persisting = Mutex::new(());
     Arc::new(move |db| {
-        let _one_at_a_time = persisting
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let _one_at_a_time = persisting.lock();
         reflog::commit(&dir, db)
     })
 }

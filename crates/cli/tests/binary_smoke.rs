@@ -1,8 +1,11 @@
 //! True end-to-end smoke tests: drive the compiled `forkbase` binary as a
 //! subprocess against a durable on-disk store, exactly as a user would.
 
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::TcpStream;
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Child, Command, Stdio};
+use std::time::Duration;
 
 fn temp_data(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("fkb-bin-{tag}-{}", std::process::id()));
@@ -189,4 +192,83 @@ fn cluster_workflow_across_process_restarts() {
     assert!(ok);
 
     std::fs::remove_dir_all(&data).unwrap();
+}
+
+/// Kills the child on drop, so a failing assert leaks no process.
+struct Killed(Child);
+
+impl Drop for Killed {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// One request on a fresh connection, as `connection: close` clients
+/// send it; the status and body back.
+fn http(addr: &str, method: &str, path: &str, body: &str) -> (u16, String) {
+    let mut conn = TcpStream::connect(addr).expect("connect to the gateway");
+    conn.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    write!(
+        conn,
+        "{method} {path} HTTP/1.1\r\nhost: smoke\r\nconnection: close\r\n\
+         content-length: {}\r\n\r\n{body}",
+        body.len()
+    )
+    .unwrap();
+    let mut response = String::new();
+    conn.read_to_string(&mut response).unwrap();
+    let status = response
+        .split_whitespace()
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(0);
+    let body = response
+        .split_once("\r\n\r\n")
+        .map(|(_, b)| b.to_string())
+        .unwrap_or_default();
+    (status, body)
+}
+
+#[test]
+fn node_gateway_serves_puts_and_gets_over_http() {
+    let data = temp_data("serve");
+    let child = Command::new(env!("CARGO_BIN_EXE_forkbase"))
+        .arg("--data")
+        .arg(&data)
+        .args(["serve", "0"])
+        .stdin(Stdio::null())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn the gateway");
+    let mut child = Killed(child);
+    let stdout = child.0.stdout.take().expect("piped stdout");
+    const LISTENING: &str = "forkbase REST server listening on http://";
+    // Kept open until the end: a child printing to a closed pipe fails.
+    let mut lines = BufReader::new(stdout).lines();
+    let addr = lines
+        .by_ref()
+        .map_while(Result::ok)
+        .find_map(|line| line.strip_prefix(LISTENING).map(str::to_string))
+        .expect("the gateway prints its address");
+
+    let (status, uid) = http(&addr, "PUT", "/put/greeting", "hello smoke");
+    assert_eq!(status, 200, "{uid}");
+    let uid = uid.trim().to_string();
+    assert!(!uid.is_empty());
+    let (status, body) = http(&addr, "GET", "/get/greeting", "");
+    assert_eq!(status, 200, "{body}");
+    assert!(body.contains("hello smoke"), "{body}");
+    assert!(body.contains(&format!("version: {uid}")), "{body}");
+    let (status, head) = http(&addr, "GET", "/head/greeting", "");
+    assert_eq!((status, head.trim()), (200, uid.as_str()));
+    let (status, body) = http(&addr, "GET", "/get/missing", "");
+    assert_eq!(status, 404, "{body}");
+    assert!(body.contains("\"code\":\"no_such_key\""), "{body}");
+
+    drop(child);
+    drop(lines);
+    let _ = std::fs::remove_dir_all(&data);
 }

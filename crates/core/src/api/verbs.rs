@@ -387,7 +387,14 @@ impl<S: ChunkStore> ForkBase<S> {
         }
     }
 
-    /// Find the lowest common ancestor of two versions by walking bases.
+    /// A common ancestor of two versions, found by walking bases: `b`
+    /// when `a` contains it, else the first of `a`'s ancestors that the
+    /// breadth-first walk from `b` meets (see `ancestry`). That base is
+    /// not always the lowest one, and may differ with the argument order:
+    /// when a lower common ancestor lies on a sibling path of `b`'s
+    /// history, the walk can meet a higher one first (ROADMAP § 20's
+    /// probe: `common_ancestor(ours, fb)` returns b although its child c
+    /// is also common, while `common_ancestor(fb, ours)` returns c).
     pub fn common_ancestor(&self, a: &Uid, b: &Uid) -> DbResult<Option<Uid>> {
         Ok(match self.ancestry(a, b)? {
             Ancestry::Contained => Some(*b),
@@ -398,7 +405,9 @@ impl<S: ChunkStore> ForkBase<S> {
     /// How `theirs` relates to `ours`, from one walk of each history: every
     /// ancestor of `ours`, then the versions of `theirs` outside that set.
     /// The merge base is the first of `ours`' ancestors the breadth-first
-    /// walk from `theirs` meets, which makes it a lowest common ancestor.
+    /// walk from `theirs` meets. It is a common ancestor but not always the
+    /// lowest: a lower one reached through a longer path from `theirs` is
+    /// never compared (ROADMAP § 20).
     fn ancestry(&self, ours: &Uid, theirs: &Uid) -> DbResult<Ancestry> {
         let mut ancestors = HashSet::new();
         let contained = ours == theirs

@@ -28,6 +28,11 @@
 //!   genuinely unreachable case can carry a
 //!   `// forkbase-lint: allow(no-panic): <why>` waiver on its own or
 //!   the preceding line.
+//! * **Locks through the shim**: shipped code under `crates/cli/src`
+//!   names no `std::sync::{Mutex, RwLock, Condvar}` (as a path or in a
+//!   `use` list); it takes the vendored `parking_lot` ones, which do not
+//!   poison, so no lock call needs an `unwrap` or a poison arm. A
+//!   deliberate exception carries `// forkbase-lint: allow(std-lock)`.
 
 use std::path::Path;
 
@@ -121,6 +126,30 @@ const CAPABILITIES: &[(&str, &str, &[&str])] = &[
     ),
 ];
 
+/// The sources whose shipped code takes its locks from the `parking_lot`
+/// shim.
+const SHIM_LOCK_DIR: &str = "crates/cli/src";
+
+/// The `std::sync` names the shim replaces.
+const STD_LOCKS: &[&str] = &["Mutex", "RwLock", "Condvar"];
+
+/// The identifiers a `std::sync::` path at `at` names: the one segment
+/// after it, or every identifier in a following `{…}` use list.
+fn names_after_std_sync(code: &str, at: usize) -> Vec<&str> {
+    let ident = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    let rest = code[at..].split_once("sync").map_or("", |(_, r)| r);
+    let rest = rest.trim_start().trim_start_matches(':').trim_start();
+    let named = if rest.starts_with('{') {
+        rest.split(';').next().unwrap_or("")
+    } else {
+        &rest[..rest.find(|c| !ident(c)).unwrap_or(rest.len())]
+    };
+    named
+        .split(|c| !ident(c))
+        .filter(|w| !w.is_empty())
+        .collect()
+}
+
 /// Run the pass over `crates/core` and `crates/cli` sources.
 pub fn run(root: &Path) -> Vec<Finding> {
     let mut findings = Vec::new();
@@ -178,6 +207,33 @@ pub fn run(root: &Path) -> Vec<Finding> {
                         allowed.join(", ")
                     ),
                 ));
+            }
+        }
+    }
+
+    for rel in rust_files_under(root, SHIM_LOCK_DIR) {
+        let Ok(text) = std::fs::read_to_string(root.join(&rel)) else {
+            continue;
+        };
+        let m = Masked::new(text);
+        let shipped = m.code_without_tests();
+        for off in find_pattern_ws(&shipped, "std::sync::") {
+            let line = m.line_of(off);
+            if m.has_waiver(line, "std-lock") {
+                continue;
+            }
+            for name in names_after_std_sync(&shipped, off) {
+                if STD_LOCKS.contains(&name) {
+                    findings.push(Finding::new(
+                        rel.clone(),
+                        line,
+                        PASS,
+                        format!(
+                            "`std::sync::{name}` in shipped code — use \
+                             `parking_lot::{name}` (the vendored shim does not poison)"
+                        ),
+                    ));
+                }
             }
         }
     }

@@ -670,6 +670,46 @@ fn p3_capability_outside_allowlist_is_flagged() {
 }
 
 #[test]
+fn p3_std_lock_in_cli_is_flagged_shim_tests_and_core_are_not() {
+    let root = fixture("p3-std-lock");
+    let rel = "crates/cli/src/session.rs";
+    for (src, name) in [
+        (
+            "static M: std::sync::Mutex<u8> = std::sync::Mutex::new(0);\n",
+            "Mutex",
+        ),
+        ("use std::sync::{Arc, RwLock};\n", "RwLock"),
+        (
+            "use std::sync::{atomic::{AtomicBool, Ordering},\n    Condvar as Cv};\n",
+            "Condvar",
+        ),
+    ] {
+        put(&root, rel, src);
+        let findings = findings_of(&root, "P3");
+        assert!(
+            findings
+                .iter()
+                .any(|f| f.starts_with(rel) && f.contains(&format!("std::sync::{name}"))),
+            "{src}: {findings:?}"
+        );
+    }
+    // The shim's lock, std's other sync items, a test module, a waiver
+    // and code outside crates/cli are all clean.
+    put(
+        &root,
+        rel,
+        "use parking_lot::Mutex;\nuse std::sync::{atomic::AtomicBool, mpsc, Arc};\n\
+         static M: Mutex<u8> = Mutex::new(0);\n\
+         // forkbase-lint: allow(std-lock): needs std's poisoning\n\
+         static P: std::sync::Mutex<u8> = std::sync::Mutex::new(0);\n\
+         #[cfg(test)]\nmod tests {\n    use std::sync::Mutex;\n}\n",
+    );
+    put(&root, "crates/core/src/gc.rs", "use std::sync::Mutex;\n");
+    let findings = findings_of(&root, "P3");
+    assert!(findings.is_empty(), "{findings:?}");
+}
+
+#[test]
 fn p4_unordered_double_stripe_is_flagged() {
     let root = fixture("p4-order");
     put(
