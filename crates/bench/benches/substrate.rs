@@ -499,7 +499,7 @@ fn bench_write_batch(c: &mut Criterion) {
 }
 
 /// One routed ack's persist on a servelet holding 2 000 refs: an 8-key
-/// batch commits to a `FileStore`, then `reflog::commit` makes its heads
+/// batch commits to a `FileStore`, then `reflog::Log::commit` makes its heads
 /// durable (drain the ref journal, sync the store, append one delta frame
 /// with one `fdatasync`; every few acks, fold into a fresh checkpoint).
 fn bench_persist(c: &mut Criterion) {
@@ -517,7 +517,8 @@ fn bench_persist(c: &mut Criterion) {
         batch.put(key.clone(), Value::string("v0"), &opts);
     }
     batch.commit().unwrap();
-    forkbase_cli::reflog::commit(&dir, &db).unwrap();
+    let (log, _) = forkbase_cli::reflog::Log::open(&dir).unwrap();
+    log.commit(Some(&db), &[]).unwrap();
     let mut round = 0usize;
     group.bench_function("ack_8_of_2000_refs", |b| {
         b.iter(|| {
@@ -532,7 +533,7 @@ fn bench_persist(c: &mut Criterion) {
                 batch.put(key.clone(), Value::string(format!("v{round}")), &opts);
             }
             batch.commit().unwrap();
-            forkbase_cli::reflog::commit(&dir, &db).unwrap();
+            log.commit(Some(&db), &[]).unwrap();
         });
     });
     group.finish();

@@ -601,7 +601,7 @@ mod tests {
                 TreeConfig::test_config(),
             )),
             forks: std::sync::Arc::default(),
-            dir: std::path::PathBuf::new(),
+            log: std::sync::Arc::default(),
         }
     }
 

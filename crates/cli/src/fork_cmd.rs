@@ -15,7 +15,7 @@
 //! code path drives a single-node [`forkbase::ForkBase`] session and a
 //! [`forkbase::Cluster`] session (`forkbase cluster fork …`). The fork
 //! registry itself lives in the caller's [`ForkService`], which the CLI
-//! sessions persist to a `FORKS` record next to the branch heads — a
+//! sessions persist in the `refs.log` that holds the branch heads — a
 //! reopened session resumes every lease where it left off.
 
 use forkbase::{Backend, DbError, DbResult, ForkInfo, ForkService, PutOptions, VersionSpec};

@@ -41,7 +41,7 @@ fn main() -> ExitCode {
     let opened = match rest.as_slice() {
         // A standalone servelet process: no REST, no routing — just the
         // wire protocol on a socket over its own durable store. Routers
-        // reach it via `cluster add-remote ADDR` or a TOPOLOGY record.
+        // reach it via `cluster add-remote ADDR` or a topology record.
         ["serve", "--servelet", addr @ ..] => return servelet(addr.first(), &data_dir),
         ["cluster", "init", n @ ..] => {
             let Some(n) = n.first().and_then(|n| n.parse::<usize>().ok()) else {

@@ -2,20 +2,16 @@
 //! opened, saved and served the same way for a node and a cluster.
 //!
 //! A node keeps its records in the data directory itself; a cluster
-//! keeps them in `<data>/cluster/`:
+//! keeps them in `<data>/cluster/`. Each directory keeps every record in
+//! one log, [`crate::reflog`]'s `refs.log`:
 //!
 //! ```text
 //! <data>/chunks/MANIFEST            — node: chunk-store segment list (atomic swap)
 //! <data>/chunks/pack-*.fbk          — node: the chunk store (append-only pack files)
-//! <data>/refs.log                   — node: branch heads (a checkpoint plus
-//!                                     appended swings; see [`crate::reflog`])
-//! <data>/refs                       — node: legacy text heads, adopted on
-//!                                     open, deleted by the first save
-//! <data>/FORKS                      — node: fork-sandbox registry (leases resume on reopen)
-//! <data>/cluster/TOPOLOGY           — servelet ids, roles + next id (stable routing)
-//! <data>/cluster/FORKS              — cluster: fork-sandbox registry
-//! <data>/cluster/REPLICAS_SYNCED    — replicas proven caught-up at last clean save
-//! <data>/cluster/servelet-<id>/     — one servelet's `chunks/` and `refs.log`, a node's layout
+//! <data>/refs.log                   — node: branch heads and the fork registry
+//! <data>/cluster/refs.log           — servelet ids, roles + next id (stable routing),
+//!                                     the fork registry, the caught-up replicas
+//! <data>/cluster/servelet-<id>/     — one servelet's `chunks/` and `refs.log` (heads)
 //! ```
 //!
 //! Every cluster servelet runs its own worker thread with a private
@@ -30,23 +26,19 @@
 //!
 //! Every servelet, local or remote, persists its own acks through one
 //! constructor, [`persist_to`]: a mutating request's head swings reach
-//! its `refs.log` (chunk store synced first) before the ack. The session
-//! persists no servelet heads; the cluster's placement hook rewrites
-//! `TOPOLOGY` after every join, removal, promotion and replica attach or
-//! detach, before any source forgets a key it handed over. A single
-//! node persists on the serve loop's 5 s beat and after every verb (a
-//! per-ack flush would cost every REST `PUT` a device flush), so a
-//! killed node gateway loses up to 5 s of chunks and heads.
+//! its `refs.log` (chunk store synced first) before the ack. The
+//! cluster's placement hook appends the topology after every placement
+//! change (a join first as soon as it takes its id), before any source
+//! forgets a key it handed over. A single node appends its heads and
+//! fork registry in one write on the serve loop's 5 s beat and after
+//! every verb (a per-ack flush would cost every REST `PUT` a device
+//! flush), so a killed node gateway loses up to 5 s of chunks and heads.
 //!
-//! `REPLICAS_SYNCED` is the cross-process half of the zero-acked-write-
-//! loss story: a (re)attached replica is conservatively marked for full
-//! resync, which needs a live primary — so promoting a dead primary's
-//! replica from a *fresh* process would be refused. The marker, written
-//! durably at every clean save for exactly the replicas the ship left at
-//! lag 0 (refs already persisted), and **consumed (deleted) on open**,
-//! lets those replicas re-attach caught-up: `cluster promote` then works
-//! with the primary dead, draining an empty log. Any unclean exit leaves
-//! no marker and the next open falls back to the conservative resync.
+//! A clean cluster save records the replicas its ship left caught up
+//! ([`Cluster::synced_record`]); the next open lets them re-attach
+//! without a full resync, so `cluster promote` works with their primary
+//! dead, and empties the record before any command runs, so after an
+//! unclean exit every replica resyncs conservatively.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -58,24 +50,19 @@ use forkbase::{
     RateLimit, RateLimiter, Respawned, ServeletServer, Supervisor,
 };
 use forkbase_store::{FileStore, SweepStore};
-use parking_lot::Mutex;
 
 use crate::commands::{cluster_verb, node_verb, run_command, Flags};
-use crate::reflog;
+use crate::reflog::{Log, FORKS, SYNCED, TOPOLOGY};
 use crate::rest::RestServer;
-
-/// First line of the `REPLICAS_SYNCED` marker; an unrecognized magic is
-/// ignored (conservative: the replicas just resync in full).
-const SYNCED_MARKER_MAGIC: &str = "forkbase-cluster-replicas-synced-v1";
 
 /// One deployment shape's durable state, bound to a directory: a single
 /// node (the default) or a [`Cluster`].
 pub struct Session<B = ForkBase<FileStore>> {
     pub(crate) backend: Arc<B>,
     pub(crate) forks: Arc<ForkService>,
-    /// Where this shape's records live: the data directory for a node,
-    /// `<data>/cluster` for a cluster.
-    pub(crate) dir: PathBuf,
+    /// The log of the directory this shape's records live in: the data
+    /// directory for a node, `<data>/cluster` for a cluster.
+    pub(crate) log: Arc<Log>,
 }
 
 /// What one deployment shape adds to the shared session and verb table.
@@ -96,9 +83,9 @@ pub trait Shape: Backend + Send + Sync + Sized + 'static {
     /// Run a verb only this shape has, or answer the usage error.
     fn own_verb(session: &Session<Self>, verb: &str, flags: &Flags) -> DbResult<String>;
 
-    /// Make the shape's own records durable under `dir` (the session
-    /// writes `FORKS`).
-    fn save(&self, dir: &Path) -> DbResult<()>;
+    /// Make the shape's own records durable in `log`, the fork
+    /// registry's `forks` text in the same commit.
+    fn save(&self, log: &Log, forks: String) -> DbResult<()>;
 
     /// Start the REST gateway, and whatever keeps the shape healthy
     /// while it serves.
@@ -120,8 +107,8 @@ impl<S: SweepStore + 'static> Shape for ForkBase<S> {
         node_verb(&session.backend, verb, flags)
     }
 
-    fn save(&self, dir: &Path) -> DbResult<()> {
-        reflog::commit(dir, self)
+    fn save(&self, log: &Log, forks: String) -> DbResult<()> {
+        log.commit(Some(self), &[(FORKS, forks)])
     }
 
     fn serve(
@@ -160,36 +147,12 @@ impl Shape for Cluster<FileStore> {
         cluster_verb(session, verb, flags)
     }
 
-    /// Ship the replication log (best-effort), so replicas are as fresh
-    /// as possible, then record which replicas it left caught up. The
-    /// servelets persist their own heads on every ack and the placement
-    /// hook records `TOPOLOGY` (see the module doc).
-    fn save(&self, dir: &Path) -> DbResult<()> {
+    /// Ship the replication log (best-effort), then record which replicas
+    /// it left caught up; the servelets persist their own heads on every
+    /// ack and the placement hook the topology (see the module doc).
+    fn save(&self, log: &Log, forks: String) -> DbResult<()> {
         let _ = self.ship_replication();
-        // Record which replicas this save proved caught-up (shipped to
-        // lag 0 above; each applied ship was persisted before its ack):
-        // they may re-attach without a full resync on the next open — see
-        // the module doc.
-        let caught_up: Vec<String> = self
-            .replication_status()
-            .primaries
-            .iter()
-            .flat_map(|p| &p.replicas)
-            .filter(|r| r.lag == 0 && r.pending == 0 && !r.needs_full_sync)
-            .map(|r| r.id.to_string())
-            .collect();
-        let marker_path = dir.join("REPLICAS_SYNCED");
-        if caught_up.is_empty() {
-            match std::fs::remove_file(&marker_path) {
-                Err(e) if e.kind() != std::io::ErrorKind::NotFound => Err(io_err(e)),
-                _ => Ok(()),
-            }
-        } else {
-            write_durable(
-                &marker_path,
-                format!("{SYNCED_MARKER_MAGIC}\n{}\n", caught_up.join("\n")),
-            )
-        }
+        log.record(&[(FORKS, forks), (SYNCED, self.synced_record())])
     }
 
     fn serve(
@@ -217,19 +180,19 @@ impl Shape for Cluster<FileStore> {
 }
 
 impl<B: Shape> Session<B> {
-    /// A session over a loaded `backend` whose records live in `dir`,
-    /// resuming fork leases from `dir/FORKS`. Leases are absolute unix
-    /// seconds, so a fork created before a restart keeps exactly the
+    /// A session over a loaded `backend` whose records live in `log`,
+    /// resuming fork leases from its fork registry. Leases are absolute
+    /// unix seconds, so a fork created before a restart keeps exactly the
     /// expiry it was promised.
-    fn resume(backend: B, dir: PathBuf) -> DbResult<Self> {
+    fn resume(backend: B, log: Arc<Log>) -> DbResult<Self> {
         let forks = ForkService::new();
-        if let Some(text) = read_if_present(&dir.join("FORKS"))? {
+        if let Some(text) = log.body(FORKS) {
             forks.load(&text)?;
         }
         Ok(Session {
             backend: Arc::new(backend),
             forks: Arc::new(forks),
-            dir,
+            log,
         })
     }
 
@@ -238,11 +201,11 @@ impl<B: Shape> Session<B> {
         &self.forks
     }
 
-    /// Persist the shape's records and the fork registry durably: a
-    /// node's heads (its chunk store flushed first), a cluster's ship.
+    /// Persist the shape's records and the fork registry durably in one
+    /// commit: a node's heads (its chunk store flushed first), a
+    /// cluster's ship.
     pub fn save(&self) -> DbResult<()> {
-        self.backend.save(&self.dir)?;
-        write_durable(&self.dir.join("FORKS"), self.forks.dump())
+        self.backend.save(&self.log, self.forks.dump())
     }
 
     /// Run one invocation's arguments (the verb and its arguments, after
@@ -301,7 +264,7 @@ impl<B: Shape> Session<B> {
         } else {
             ""
         };
-        println!("data directory: {}{note}", self.dir.display());
+        println!("data directory: {}{note}", self.log.dir.display());
         println!("press Ctrl-C to stop");
         loop {
             std::thread::sleep(Duration::from_secs(5));
@@ -318,10 +281,11 @@ impl Session {
     pub fn open(root: impl AsRef<Path>) -> DbResult<Session> {
         let root = root.as_ref();
         let db = ForkBase::new(FileStore::open(root.join("chunks"))?);
-        if let Some(text) = reflog::read(root)? {
+        let (log, heads) = Log::open(root)?;
+        if let Some(text) = heads {
             db.load_refs(&text)?;
         }
-        Session::resume(db, root.to_path_buf())
+        Session::resume(db, Arc::new(log))
     }
 
     /// The database handle.
@@ -340,16 +304,16 @@ impl Session<Cluster<FileStore>> {
                 "a cluster needs at least one servelet".into(),
             ));
         }
-        let topo_path = dir.join("TOPOLOGY");
-        if topo_path.exists() {
+        std::fs::create_dir_all(&dir).map_err(io_err)?;
+        let (log, _) = Log::open(&dir)?;
+        if log.body(TOPOLOGY).is_some() {
             return Err(DbError::InvalidInput(format!(
                 "cluster already initialized at {}",
-                topo_path.display()
+                dir.display()
             )));
         }
-        std::fs::create_dir_all(&dir).map_err(io_err)?;
         let topology = ClusterTopology::local((0..n as u64).collect(), n as u64);
-        write_durable(&topo_path, topology.encode())?;
+        log.record(&[(TOPOLOGY, topology.encode())])?;
         Self::open_cluster(root)
     }
 
@@ -359,55 +323,37 @@ impl Session<Cluster<FileStore>> {
     }
 
     /// [`Self::open_cluster`] with `persist` constructing each opened
-    /// local servelet's persist hook from its directory.
+    /// local servelet's persist hook from its log.
     fn open_cluster_with(
         root: impl AsRef<Path>,
-        persist: impl Fn(PathBuf) -> PersistFn<FileStore> + Send + Sync + 'static,
+        persist: impl Fn(Arc<Log>) -> PersistFn<FileStore> + Send + Sync + 'static,
     ) -> DbResult<Self> {
         let dir = root.as_ref().join("cluster");
-        let topo_path = dir.join("TOPOLOGY");
-        let text = std::fs::read_to_string(&topo_path).map_err(|e| {
+        let log = Arc::new(Log::open(&dir)?.0);
+        let text = log.body(TOPOLOGY).ok_or_else(|| {
             DbError::InvalidInput(format!(
-                "no cluster at {} ({e}); run `cluster init N` first",
-                topo_path.display()
+                "no cluster at {}; run `cluster init N` first",
+                dir.display()
             ))
         })?;
         let topology = ClusterTopology::parse(&text)?;
         // Local servelets open with their persisted heads and persist
         // hook; the opener is also the supervisor's respawn factory.
         // Remote servelets own their stores and refs.
-        let open_dir = dir.clone();
         let cluster = Cluster::from_topology(
             &topology,
             forkbase_postree::TreeConfig::default_config(),
-            move |id| {
-                let servelet = servelet_dir(&open_dir, id);
-                open_servelet(&servelet, persist(servelet.clone()))
-            },
+            move |id| open_servelet(&servelet_dir(&dir, id), &persist),
         )?;
-        cluster.set_placement_hook(move |topology| write_durable(&topo_path, topology.encode()));
-        // Consume the catch-up marker: replicas the last clean save
-        // proved at lag 0 (with refs persisted) re-attach caught-up, so
-        // `promote` works even when their primary never comes back. The
-        // marker is deleted BEFORE any command runs — a crash from here
-        // on leaves no marker, and the next open resyncs conservatively.
-        let marker_path = dir.join("REPLICAS_SYNCED");
-        if let Some(text) = read_if_present(&marker_path)? {
-            let mut lines = text.lines();
-            if lines.next() == Some(SYNCED_MARKER_MAGIC) {
-                let attached: Vec<u64> =
-                    cluster.replica_ids().iter().map(|&(rid, _)| rid).collect();
-                for line in lines {
-                    if let Ok(rid) = line.trim().parse::<u64>() {
-                        if attached.contains(&rid) {
-                            cluster.mark_replica_synced(rid)?;
-                        }
-                    }
-                }
-            }
-            std::fs::remove_file(&marker_path).map_err(io_err)?;
+        let placed = Arc::clone(&log);
+        cluster.set_placement_hook(move |topology| placed.record(&[(TOPOLOGY, topology.encode())]));
+        // Consume the catch-up record before any command runs (see the
+        // module doc).
+        if let Some(text) = log.body(SYNCED) {
+            cluster.resume_synced(&text);
+            log.record(&[(SYNCED, String::new())])?;
         }
-        Session::resume(cluster, dir)
+        Session::resume(cluster, log)
     }
 
     /// The cluster handle.
@@ -425,8 +371,8 @@ impl Session<Cluster<FileStore>> {
         join: impl FnOnce(Respawned<FileStore>) -> DbResult<u64>,
     ) -> DbResult<u64> {
         let id = self.backend.next_servelet_id();
-        let dir = servelet_dir(&self.dir, id);
-        let joined = join(open_servelet(&dir, persist_to(dir.clone()))?);
+        let dir = servelet_dir(&self.log.dir, id);
+        let joined = join(open_servelet(&dir, persist_to)?);
         if joined.is_err() && !self.backend.topology().servelet_ids.contains(&id) {
             let _ = std::fs::remove_dir_all(&dir);
         }
@@ -435,11 +381,11 @@ impl Session<Cluster<FileStore>> {
 
     /// Remove servelet `id` after migrating its keys away, then delete its
     /// drained data directory: its keys are durable on their new owners
-    /// (each import was persisted before its ack) and `TOPOLOGY` no
-    /// longer names it.
+    /// (each import was persisted before its ack) and the recorded
+    /// topology no longer names it.
     pub(crate) fn remove_servelet(&self, id: u64) -> DbResult<()> {
         self.backend.remove_servelet(id)?;
-        let dir = servelet_dir(&self.dir, id);
+        let dir = servelet_dir(&self.log.dir, id);
         if dir.exists() {
             std::fs::remove_dir_all(&dir).map_err(io_err)?;
         }
@@ -453,38 +399,36 @@ impl Session<Cluster<FileStore>> {
 /// an ack never loses the write. This is what `forkbase serve
 /// --servelet ADDR` runs.
 pub fn serve_servelet(addr: &str, root: impl AsRef<Path>) -> DbResult<ServeletServer> {
-    let root = root.as_ref().to_path_buf();
-    let db = Session::open(&root)?.backend;
+    let session = Session::open(root)?;
     // Per-peer admission control: a chatty router cannot monopolize the
     // servelet's worker threads; shed frames answer a structured
     // `WireError::RateLimited` with a retry hint, connection kept open.
     let limiter = Arc::new(RateLimiter::new(RateLimit::new(2000.0, 4000.0)));
-    ServeletServer::spawn_limited(addr, db, Some(persist_to(root)), Some(limiter))
+    let persist = persist_to(session.log);
+    ServeletServer::spawn_limited(addr, session.backend, Some(persist), Some(limiter))
 }
 
-/// The persist hook of the servelet whose records live in `dir`, local
-/// or remote: each mutating request's head swings are appended to
-/// `dir/refs.log`, the chunk store synced first ([`reflog::commit`]),
+/// The persist hook of the servelet whose records live in `log`, local
+/// or remote: each mutating request's head swings are appended to the
+/// log, the chunk store synced first ([`Log::commit`], one at a time),
 /// before the request is acked.
-fn persist_to(dir: PathBuf) -> PersistFn<FileStore> {
-    // A TCP servelet serves each connection on a thread of its own; one
-    // commit at a time, so each drain of the ref journal is appended
-    // before the next is taken and the log never goes back to older
-    // heads than an earlier ack already made durable.
-    let persisting = Mutex::new(());
-    Arc::new(move |db| {
-        let _one_at_a_time = persisting.lock();
-        reflog::commit(&dir, db)
-    })
+fn persist_to(log: Arc<Log>) -> PersistFn<FileStore> {
+    Arc::new(move |db| log.commit(Some(db), &[]))
 }
 
 /// Open the local servelet whose records live in `dir`: its chunk store,
-/// its persisted heads, and `persist`.
-fn open_servelet(dir: &Path, persist: PersistFn<FileStore>) -> DbResult<Respawned<FileStore>> {
+/// its persisted heads, and the persist hook `persist` makes of its log.
+fn open_servelet(
+    dir: &Path,
+    persist: impl Fn(Arc<Log>) -> PersistFn<FileStore>,
+) -> DbResult<Respawned<FileStore>> {
+    let (log, refs) = Log::open(dir)?;
+    let persist = Some(persist(Arc::new(log)));
+    let store = FileStore::open(dir.join("chunks"))?;
     Ok(Respawned {
-        store: FileStore::open(dir.join("chunks"))?,
-        refs: reflog::read(dir)?,
-        persist: Some(persist),
+        store,
+        refs,
+        persist,
     })
 }
 
@@ -495,38 +439,6 @@ fn servelet_dir(dir: &Path, id: u64) -> PathBuf {
 
 pub(crate) fn io_err(e: std::io::Error) -> DbError {
     DbError::Store(forkbase_store::StoreError::Io(e))
-}
-
-/// The contents of the record at `path`, `None` when there is none.
-pub(crate) fn read_if_present(path: &Path) -> DbResult<Option<String>> {
-    match std::fs::read_to_string(path) {
-        Ok(text) => Ok(Some(text)),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
-        Err(e) => Err(io_err(e)),
-    }
-}
-
-/// Durably replace `path` with `contents`: write a tmp file, fsync it,
-/// atomically rename it into place, then fsync the parent directory —
-/// the same protocol the chunk store uses for its MANIFEST. Every record
-/// the CLI persists (`FORKS`, `TOPOLOGY`, the replica marker, a fresh
-/// `refs.log` checkpoint) goes through here, so a crash leaves either the
-/// old file or the new one.
-pub(crate) fn write_durable(path: &Path, contents: impl AsRef<[u8]>) -> DbResult<()> {
-    let tmp = path.with_extension("tmp");
-    (|| -> std::io::Result<()> {
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            std::io::Write::write_all(&mut f, contents.as_ref())?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, path)?;
-        if let Some(parent) = path.parent() {
-            std::fs::File::open(parent)?.sync_all()?;
-        }
-        Ok(())
-    })()
-    .map_err(io_err)
 }
 
 #[cfg(test)]
@@ -540,6 +452,27 @@ mod tests {
             std::env::temp_dir().join(format!("forkbase-session-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
+    }
+
+    /// The latest text of record `kind` in `dir`'s log.
+    fn logged(dir: &Path, kind: u8) -> Option<String> {
+        Log::open(dir).unwrap().0.body(kind)
+    }
+
+    /// The names in `dir`, sorted, with every `servelet-<id>` as one
+    /// `servelet-*`.
+    fn listing(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .map(|n| match n.starts_with("servelet-") {
+                true => "servelet-*".to_string(),
+                false => n,
+            })
+            .collect();
+        names.sort();
+        names.dedup();
+        names
     }
 
     #[test]
@@ -615,6 +548,9 @@ mod tests {
                 )
                 .unwrap();
             s.save().unwrap();
+            // Heads and registry are in the log, and nothing beside it.
+            assert_eq!(logged(&root, FORKS), Some(s.forks().dump()));
+            assert_eq!(listing(&root), ["chunks", "refs.log"]);
         }
         let s = Session::open(&root).unwrap();
         // The lease, the pinned base, and the touched-key set all resume.
@@ -749,15 +685,17 @@ mod tests {
         );
         s.save().unwrap();
         // The clean save proved the replica caught-up and recorded it.
-        let marker = std::fs::read_to_string(root.join("cluster/REPLICAS_SYNCED")).unwrap();
+        let dir = root.join("cluster");
+        let marker = logged(&dir, SYNCED).unwrap();
         assert!(marker.contains(&rid.to_string()), "{marker}");
+        assert_eq!(listing(&dir), ["refs.log", "servelet-*"]);
         drop(s);
 
-        // Reopen re-attaches the replica. The catch-up marker is consumed
-        // (deleted) and the replica re-attaches already caught-up — no
+        // Reopen re-attaches the replica. The catch-up record is consumed
+        // (emptied) and the replica re-attaches already caught-up — no
         // full resync, so the dead-primary promote below can work.
         let s = Session::open_cluster(&root).unwrap();
-        assert!(!root.join("cluster/REPLICAS_SYNCED").exists());
+        assert_eq!(logged(&dir, SYNCED), None);
         assert_eq!(s.cluster().replica_ids(), vec![(rid, pid)]);
         let status = s.cluster().replication_status();
         assert!(
@@ -867,7 +805,7 @@ mod tests {
     }
 
     /// Placement order: a source forgets the keys it handed over only
-    /// after `TOPOLOGY` names their new owner. Every persist of a
+    /// after the recorded topology names their new owner. Every persist of a
     /// servelet the session opens takes a crash copy of `<data>/cluster`
     /// right after it committed — a source's `ForgetKeys` included — and
     /// each copy must reopen with every key readable at its routed owner,
@@ -888,8 +826,8 @@ mod tests {
         let taken = Arc::new(AtomicUsize::new(0));
         let (cluster_dir, copies) = (data.join("cluster"), root.join("copies"));
         let (counter, into) = (Arc::clone(&taken), copies.clone());
-        let crash_copies = move |dir: PathBuf| -> PersistFn<FileStore> {
-            let persist = persist_to(dir);
+        let crash_copies = move |log: Arc<Log>| -> PersistFn<FileStore> {
+            let persist = persist_to(log);
             let (cluster, into, taken) = (cluster_dir.clone(), into.clone(), Arc::clone(&counter));
             Arc::new(move |db| {
                 persist(db)?;
@@ -931,6 +869,150 @@ mod tests {
         }
         assert!(lost.is_empty(), "{lost:#?}");
         drop(remote);
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// Adoption: directories holding the text records the log replaces
+    /// (every historical `TOPOLOGY` layout, a `FORKS` file, a synced-
+    /// replica marker, a text `refs`) open with the state those hold.
+    /// The first commit folds them into the log and deletes them, and a
+    /// reopen gives the same state again.
+    #[test]
+    fn legacy_text_records_are_adopted_then_folded_into_the_log() {
+        let root = temp_root("legacy-records");
+        let remote = serve_servelet("127.0.0.1:0", root.join("remote")).unwrap();
+        let addr = remote.addr().to_string();
+        let magic = ClusterTopology::local(vec![], 0).encode();
+        let layouts = [
+            // Local servelets only, one column.
+            ("next-id\t4\nservelet\t0\nservelet\t2\n".to_string(), None),
+            // An address column.
+            (
+                format!("next-id\t2\nservelet\t0\t{addr}\nservelet\t1\n"),
+                None,
+            ),
+            // The role column, a re-anchored primary and its replica.
+            (
+                "next-id\t5\nservelet\t3\t-\tprimary:0\nservelet\t4\t-\treplica:3\n".into(),
+                Some(4),
+            ),
+            // A bare `primary`, remote, with a local replica.
+            (
+                format!("next-id\t3\nservelet\t1\t{addr}\tprimary\nservelet\t2\t-\treplica:1\n"),
+                Some(2),
+            ),
+        ];
+        for (n, (layout, replica)) in layouts.into_iter().enumerate() {
+            let data = root.join(format!("layout-{n}"));
+            let dir = data.join("cluster");
+            std::fs::create_dir_all(&dir).unwrap();
+            let text = format!("{}\n{layout}", magic.lines().next().unwrap_or_default());
+            let topology = ClusterTopology::parse(&text).unwrap();
+            let forks = ForkService::new();
+            let id = Some(format!("legacy{n}"));
+            forks
+                .create(VersionSpec::branch("master"), Some(3600), id)
+                .unwrap();
+            std::fs::write(dir.join("TOPOLOGY"), &text).unwrap();
+            std::fs::write(dir.join("FORKS"), forks.dump()).unwrap();
+            if let Some(rid) = replica {
+                let marker = format!("forkbase-cluster-replicas-synced-v1\n{rid}\n");
+                std::fs::write(dir.join("REPLICAS_SYNCED"), marker).unwrap();
+            }
+            for pass in 0..2 {
+                let s = Session::open_cluster(&data).unwrap();
+                assert_eq!(s.cluster().topology(), topology, "layout {n} pass {pass}");
+                assert_eq!(s.forks().dump(), forks.dump(), "layout {n} pass {pass}");
+                let synced: Vec<u64> = s
+                    .cluster()
+                    .replication_status()
+                    .primaries
+                    .iter()
+                    .flat_map(|p| &p.replicas)
+                    .filter(|r| !r.needs_full_sync)
+                    .map(|r| r.id)
+                    .collect();
+                assert_eq!(synced, Vec::from_iter(replica), "layout {n} pass {pass}");
+                s.save().unwrap();
+                drop(s);
+                assert_eq!(listing(&dir), ["refs.log", "servelet-*"], "layout {n}");
+            }
+        }
+        // A node: text heads and a `FORKS` file.
+        let node = root.join("node");
+        let (heads, forks) = {
+            let s = Session::open(&node).unwrap();
+            run_command(&s, &["put", "doc", "v"]).unwrap();
+            run_command(&s, &["fork", "create", "--ttl", "3600"]).unwrap();
+            s.save().unwrap();
+            (s.db().dump_refs(), s.forks().dump())
+        };
+        std::fs::remove_file(node.join("refs.log")).unwrap();
+        std::fs::write(node.join("refs"), &heads).unwrap();
+        std::fs::write(node.join("FORKS"), &forks).unwrap();
+        for _ in 0..2 {
+            let s = Session::open(&node).unwrap();
+            assert_eq!(
+                (s.db().dump_refs(), s.forks().dump()),
+                (heads.clone(), forks.clone())
+            );
+            s.save().unwrap();
+            drop(s);
+            assert_eq!(listing(&node), ["chunks", "refs.log"]);
+        }
+        drop(remote);
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// The placement hook's appends on one thread racing `Session::save`
+    /// on another lose no frame: the directory log's mutex serializes
+    /// them, folds included, so a reopen sees the last topology and the
+    /// last fork registry.
+    #[test]
+    fn placement_records_racing_saves_lose_no_frame() {
+        let root = temp_root("placement-race");
+        let s = Session::init_cluster(&root, 1).unwrap();
+        run_command(&s, &["put", "k", "v"]).unwrap();
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for _ in 0..8 {
+                    let cluster = s.cluster();
+                    let rid = s.provision(|servelet| cluster.add_replica(0, servelet));
+                    cluster.remove_replica(rid.unwrap()).unwrap();
+                }
+            });
+            for _ in 0..40 {
+                let base = VersionSpec::branch("master");
+                s.forks().create(base, Some(3600), None).unwrap();
+                s.save().unwrap();
+            }
+        });
+        let (topology, forks) = (s.cluster().topology(), s.forks().dump());
+        drop(s);
+        let s = Session::open_cluster(&root).unwrap();
+        assert_eq!(s.cluster().topology(), topology);
+        assert_eq!(s.forks().dump(), forks);
+        assert_eq!(listing(&root.join("cluster")), ["refs.log", "servelet-*"]);
+        drop(s);
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// A join records the id it takes before the joiner exists, so a
+    /// failed `add-remote` burns its id for every later session too.
+    #[test]
+    fn a_failed_join_burns_its_id_for_every_later_session() {
+        let root = temp_root("burned-id");
+        let s = Session::init_cluster(&root, 2).unwrap();
+        let closed = std::net::TcpListener::bind("127.0.0.1:0")
+            .and_then(|listener| listener.local_addr())
+            .unwrap()
+            .to_string();
+        assert!(run_command(&s, &["add-remote", &closed]).is_err());
+        drop(s);
+        let s = Session::open_cluster(&root).unwrap();
+        let out = run_command(&s, &["add"]).unwrap();
+        assert!(out.contains("servelet 3 joined"), "{out}");
+        drop(s);
         std::fs::remove_dir_all(&root).unwrap();
     }
 

@@ -684,7 +684,10 @@ impl<S: SweepStore + Send + 'static> Cluster<S> {
     /// replica attach or detach), under the rebalance gate and before any
     /// source forgets the keys it handed over — if it fails, none does.
     /// So a recorded placement never routes a key to a servelet that
-    /// dropped it. Without a hook (a pure router) nothing is recorded.
+    /// dropped it. A join also calls it right after taking its id, before
+    /// the joiner is spawned or probed — if that fails, there is no join —
+    /// so no later cluster over the record reuses the id of a failed
+    /// join. Without a hook (a pure router) nothing is recorded.
     pub fn set_placement_hook(
         &self,
         f: impl Fn(&ClusterTopology) -> DbResult<()> + Send + Sync + 'static,
@@ -1268,6 +1271,7 @@ impl<S: SweepStore + Send + 'static> Cluster<S> {
     pub fn add_servelet(&self, servelet: impl Into<Respawned<S>>) -> DbResult<u64> {
         let _gate = self.rebalance_gate.write();
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        self.record_placement()?;
         self.join(spawn_local(id, servelet.into(), self.cfg)?)
     }
 
@@ -1280,6 +1284,7 @@ impl<S: SweepStore + Send + 'static> Cluster<S> {
     pub fn add_remote_servelet(&self, addr: impl Into<String>) -> DbResult<u64> {
         let _gate = self.rebalance_gate.write();
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        self.record_placement()?;
         let node = remote_node(id, addr.into());
         // Fail fast if nobody is listening, before any state changes.
         call_control(&node, self.rpc.read().probe_deadline, Request::Probe)?.expect_unit()?;

@@ -61,6 +61,10 @@ use super::supervisor::Respawned;
 use super::wire::{Reply, Request};
 use super::{route_on, Cluster};
 
+/// First line of the synced-replica record ([`Cluster::synced_record`]);
+/// a record without it marks no replica (they just resync in full).
+const SYNCED_MAGIC: &str = "forkbase-cluster-replicas-synced-v1";
+
 /// One captured write, self-contained: shippable (and re-shippable)
 /// without the primary being alive.
 pub(super) enum ShipPayload {
@@ -202,6 +206,7 @@ impl<S: SweepStore + Send + 'static> Cluster<S> {
         let _gate = self.rebalance_gate.write();
         self.require_primary(primary_id)?;
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        self.record_placement()?;
         let node = spawn_local(id, servelet.into(), self.cfg)?;
         self.register_replica(primary_id, node)
     }
@@ -212,6 +217,7 @@ impl<S: SweepStore + Send + 'static> Cluster<S> {
         let _gate = self.rebalance_gate.write();
         self.require_primary(primary_id)?;
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        self.record_placement()?;
         let node = remote_node(id, addr.into());
         // Fail fast if nobody is listening, before any state changes.
         call_control(&node, self.rpc.read().probe_deadline, Request::Probe)?.expect_unit()?;
@@ -316,6 +322,38 @@ impl<S: SweepStore + Send + 'static> Cluster<S> {
         Err(DbError::InvalidInput(format!(
             "no replica with id {replica_id}"
         )))
+    }
+
+    /// The synced-replica record: the replicas the last ship left caught
+    /// up (lag 0, nothing pending, no full resync owed), one id a line
+    /// after a magic line; empty when there are none. A session persists
+    /// it after a clean save, whose ship persisted every entry before its
+    /// ack, and hands it to [`Self::resume_synced`] on the next open.
+    pub fn synced_record(&self) -> String {
+        let caught_up: Vec<String> = self
+            .replication_status()
+            .primaries
+            .iter()
+            .flat_map(|p| &p.replicas)
+            .filter(|r| r.lag == 0 && r.pending == 0 && !r.needs_full_sync)
+            .map(|r| r.id.to_string())
+            .collect();
+        match caught_up.is_empty() {
+            true => String::new(),
+            false => format!("{SYNCED_MAGIC}\n{}\n", caught_up.join("\n")),
+        }
+    }
+
+    /// [`Self::mark_replica_synced`] every attached replica a
+    /// [`Self::synced_record`] names.
+    pub fn resume_synced(&self, record: &str) {
+        let mut lines = record.lines();
+        if lines.next() == Some(SYNCED_MAGIC) {
+            for id in lines.filter_map(|line| line.trim().parse().ok()) {
+                // A replica no longer attached has nothing to resume.
+                let _ = self.mark_replica_synced(id);
+            }
+        }
     }
 
     fn register_replica(&self, primary_id: u64, node: Arc<Node<S>>) -> DbResult<u64> {

@@ -2,7 +2,7 @@
 //!
 //! A lease is two absolute unix-seconds timestamps (`created_at`,
 //! `expires_at`). Absolute time — not a countdown — is what makes the
-//! persisted `FORKS` record resumable: a process that reopens the store
+//! persisted fork registry resumable: a process that reopens the store
 //! hours later sees exactly the leases that survived, already expired or
 //! not, with no clock state to replay.
 //!

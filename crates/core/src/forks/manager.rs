@@ -10,10 +10,10 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 use bytes::Bytes;
 use forkbase_types::Value;
+use parking_lot::Mutex;
 
 use super::diff::{ForkDiff, KeyDiff};
 use super::lease::{Lease, LeaseClock};
@@ -116,7 +116,7 @@ impl ForkService {
 
     /// Number of registered forks (live and expired-but-unreaped).
     pub fn len(&self) -> usize {
-        self.forks.lock().unwrap().len()
+        self.forks.lock().len()
     }
 
     /// Whether the registry is empty.
@@ -129,7 +129,6 @@ impl ForkService {
         let now = self.clock.now();
         self.forks
             .lock()
-            .unwrap()
             .values()
             .filter(|i| i.lease.live_at(now))
             .count()
@@ -153,7 +152,7 @@ impl ForkService {
         }
         let ttl = ttl_secs.unwrap_or(self.default_ttl_secs);
         let now = self.clock.now();
-        let mut forks = self.forks.lock().unwrap();
+        let mut forks = self.forks.lock();
         let id = match id {
             Some(id) => {
                 if forks.contains_key(&id) {
@@ -187,14 +186,14 @@ impl ForkService {
     /// Snapshot of every registry entry, in id order (includes expired
     /// forks the reaper has not collected yet).
     pub fn list(&self) -> Vec<ForkInfo> {
-        self.forks.lock().unwrap().values().cloned().collect()
+        self.forks.lock().values().cloned().collect()
     }
 
     /// Look up a live fork. Expired or unknown ids both yield
     /// [`DbError::ForkExpired`] — after reaping the two states are
     /// indistinguishable, so the API never distinguishes them.
     pub fn info(&self, id: &str) -> DbResult<ForkInfo> {
-        let forks = self.forks.lock().unwrap();
+        let forks = self.forks.lock();
         self.live(&forks, id).cloned()
     }
 
@@ -203,9 +202,15 @@ impl ForkService {
     pub fn touch(&self, id: &str, ttl_secs: Option<u64>) -> DbResult<ForkInfo> {
         let ttl = ttl_secs.unwrap_or(self.default_ttl_secs);
         let now = self.clock.now();
-        let mut forks = self.forks.lock().unwrap();
-        self.live(&forks, id)?;
-        let info = forks.get_mut(id).expect("liveness check found it");
+        let mut forks = self.forks.lock();
+        let info = match forks.get_mut(id) {
+            Some(info) if info.lease.live_at(now) => info,
+            _ => {
+                return Err(DbError::ForkExpired {
+                    fork: id.to_string(),
+                })
+            }
+        };
         info.lease.expires_at = now.saturating_add(ttl);
         Ok(info.clone())
     }
@@ -216,7 +221,7 @@ impl ForkService {
     /// the number of branches deleted.
     pub fn drop_fork<B: Backend + ?Sized>(&self, backend: &B, id: &str) -> DbResult<u64> {
         let (branch, keys) = {
-            let forks = self.forks.lock().unwrap();
+            let forks = self.forks.lock();
             let info = forks.get(id).ok_or_else(|| DbError::ForkExpired {
                 fork: id.to_string(),
             })?;
@@ -226,7 +231,7 @@ impl ForkService {
             )
         };
         let dropped = drop_branches(backend, &branch, &keys)?;
-        self.forks.lock().unwrap().remove(id);
+        self.forks.lock().remove(id);
         Ok(dropped)
     }
 
@@ -238,7 +243,7 @@ impl ForkService {
     pub fn reap_expired<B: Backend + ?Sized>(&self, backend: &B) -> ReapReport {
         let now = self.clock.now();
         let expired: Vec<(String, String, Vec<String>)> = {
-            let forks = self.forks.lock().unwrap();
+            let forks = self.forks.lock();
             forks
                 .values()
                 .filter(|i| !i.lease.live_at(now))
@@ -255,7 +260,7 @@ impl ForkService {
         for (id, branch, keys) in expired {
             match drop_branches(backend, &branch, &keys) {
                 Ok(n) => {
-                    self.forks.lock().unwrap().remove(&id);
+                    self.forks.lock().remove(&id);
                     report.branches_dropped += n;
                     report.reaped.push(id);
                 }
@@ -310,7 +315,7 @@ impl ForkService {
         opts: &PutOptions,
     ) -> DbResult<CommitResult> {
         let (branch, base_spec, needs_fork) = {
-            let forks = self.forks.lock().unwrap();
+            let forks = self.forks.lock();
             let info = self.live(&forks, id)?;
             (
                 info.branch(),
@@ -332,7 +337,7 @@ impl ForkService {
                 Err(DbError::NoSuchKey(_)) | Err(DbError::NoSuchBranch { .. }) => None,
                 Err(e) => return Err(e),
             };
-            let mut forks = self.forks.lock().unwrap();
+            let mut forks = self.forks.lock();
             if let Some(info) = forks.get_mut(id) {
                 info.touched.entry(key.to_string()).or_insert(base);
             }
@@ -343,7 +348,7 @@ impl ForkService {
             message: opts.message.clone(),
         };
         let res = backend.put_at(key, value, &opts)?;
-        let mut forks = self.forks.lock().unwrap();
+        let mut forks = self.forks.lock();
         match forks.get_mut(id) {
             Some(info) => {
                 info.writes += 1;
@@ -367,7 +372,7 @@ impl ForkService {
     /// fork created (no base version) carry no value summary.
     pub fn diff<B: Backend + ?Sized>(&self, backend: &B, id: &str) -> DbResult<ForkDiff> {
         let (branch, touched) = {
-            let forks = self.forks.lock().unwrap();
+            let forks = self.forks.lock();
             let info = self.live(&forks, id)?;
             (info.branch(), info.touched.clone())
         };
@@ -403,7 +408,7 @@ impl ForkService {
     /// Expiry is stored as absolute unix seconds so a later reopen
     /// resumes leases exactly.
     pub fn dump(&self) -> String {
-        let forks = self.forks.lock().unwrap();
+        let forks = self.forks.lock();
         let mut out = String::from(FORKS_MAGIC);
         out.push('\n');
         for info in forks.values() {
@@ -510,7 +515,7 @@ impl ForkService {
             }
         }
         let n = loaded.len();
-        *self.forks.lock().unwrap() = loaded;
+        *self.forks.lock() = loaded;
         // Keep generated ids collision-free across the reopen.
         self.next_seq.fetch_max(max_seq + 1, Ordering::Relaxed);
         Ok(n)
@@ -522,7 +527,7 @@ impl ForkService {
 
     /// The spec a fork read of `key` resolves against.
     fn read_spec(&self, id: &str, key: &str) -> DbResult<VersionSpec> {
-        let forks = self.forks.lock().unwrap();
+        let forks = self.forks.lock();
         let info = self.live(&forks, id)?;
         Ok(if info.touched.contains_key(key) {
             VersionSpec::Branch(info.branch())

@@ -9,7 +9,8 @@
 //!   chunk installs (everything goes through `put_batch`, and only the
 //!   batch committer and the bundle importer may call it; raw
 //!   single-chunk `store.put(…)` is legal nowhere in core/cli), and
-//!   persisting the `TOPOLOGY` / `FORKS` records, and the cluster's
+//!   encoding the topology and fork-registry records the session
+//!   appends to its directory's log, and the cluster's
 //!   maintenance closures (`on_node`, `with_key`, `on_replica`): a
 //!   closure runs on a local servelet's thread outside the request path,
 //!   so nothing it changes is persisted. They stay public for tests and
@@ -24,15 +25,16 @@
 //!   another process (replica `Replicate`, rebalance); in the verb
 //!   and commit modules every servelet request ends in; and in the
 //!   supervisor, chaos hooks and `Backend` adapter the router and both
-//!   gateways run on. A
-//!   genuinely unreachable case can carry a
+//!   gateways run on; and in the fork registry every fork verb of both
+//!   gateways locks. A genuinely unreachable case can carry a
 //!   `// forkbase-lint: allow(no-panic): <why>` waiver on its own or
 //!   the preceding line.
-//! * **Locks through the shim**: shipped code under `crates/cli/src`
-//!   names no `std::sync::{Mutex, RwLock, Condvar}` (as a path or in a
-//!   `use` list); it takes the vendored `parking_lot` ones, which do not
-//!   poison, so no lock call needs an `unwrap` or a poison arm. A
-//!   deliberate exception carries `// forkbase-lint: allow(std-lock)`.
+//! * **Locks through the shim**: shipped code under `crates/cli/src` and
+//!   `crates/core/src` names no `std::sync::{Mutex, RwLock, Condvar}` (as
+//!   a path or in a `use` list); it takes the vendored `parking_lot`
+//!   ones, which do not poison, so no lock call needs an `unwrap` or a
+//!   poison arm. A deliberate exception carries
+//!   `// forkbase-lint: allow(std-lock)`.
 
 use std::path::Path;
 
@@ -44,9 +46,10 @@ const PASS: &str = "P3/caps";
 /// Request-path modules where a panic kills a servelet worker, an
 /// accept loop, a gateway connection handler, or a routed call (the
 /// cluster router) — the CLI session, which serves servelets and
-/// persists every record, the ref log every ack appends to, the verbs and commit path a servelet
-/// applies every request through, and the supervisor loop and chaos
-/// hooks every routed call consults.
+/// persists every record, the directory log every ack appends to, the
+/// verbs and commit path a servelet applies every request through, the
+/// supervisor loop and chaos hooks every routed call consults, and the
+/// fork registry both gateways' fork routes lock.
 const NO_PANIC_FILES: &[&str] = &[
     "crates/core/src/accept.rs",
     "crates/cli/src/rest.rs",
@@ -67,6 +70,7 @@ const NO_PANIC_FILES: &[&str] = &[
     "crates/core/src/backend.rs",
     "crates/core/src/cluster/supervisor.rs",
     "crates/core/src/cluster/chaos.rs",
+    "crates/core/src/forks/manager.rs",
 ];
 
 const PANIC_TOKENS: &[&str] = &[".unwrap()", ".expect(", "panic!"];
@@ -128,7 +132,7 @@ const CAPABILITIES: &[(&str, &str, &[&str])] = &[
 
 /// The sources whose shipped code takes its locks from the `parking_lot`
 /// shim.
-const SHIM_LOCK_DIR: &str = "crates/cli/src";
+const SHIM_LOCK_DIRS: &[&str] = &["crates/cli/src", "crates/core/src"];
 
 /// The `std::sync` names the shim replaces.
 const STD_LOCKS: &[&str] = &["Mutex", "RwLock", "Condvar"];
@@ -211,7 +215,10 @@ pub fn run(root: &Path) -> Vec<Finding> {
         }
     }
 
-    for rel in rust_files_under(root, SHIM_LOCK_DIR) {
+    for rel in SHIM_LOCK_DIRS
+        .iter()
+        .flat_map(|dir| rust_files_under(root, dir))
+    {
         let Ok(text) = std::fs::read_to_string(root.join(&rel)) else {
             continue;
         };

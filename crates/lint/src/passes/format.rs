@@ -14,7 +14,10 @@
 //!   striped-commit design assume.
 //! * The consistent-hash ring-point derivation domain string — moving it
 //!   re-routes every key in every persisted topology.
-//! * The `TOPOLOGY` and `FORKS` record magics.
+//! * The topology and fork-registry text magics.
+//! * The directory log's `LOG_MAGIC` and its record `kind` bytes
+//!   (checkpoint, delta, topology, forks, synced replicas): a retagged
+//!   kind replays every existing `refs.log` wrong.
 //!
 //! The pass also enforces the crate-root hygiene rule that rides along
 //! with the freeze: every non-vendor crate root carries
@@ -44,6 +47,11 @@ const FROZEN: &[(&str, &str)] = &[
     ("crates/core/src/cluster/mod.rs", "TOPOLOGY_MAGIC"),
     ("crates/core/src/forks/manager.rs", "FORKS_MAGIC"),
     ("crates/cli/src/reflog.rs", "LOG_MAGIC"),
+    ("crates/cli/src/reflog.rs", "CHECKPOINT"),
+    ("crates/cli/src/reflog.rs", "DELTA"),
+    ("crates/cli/src/reflog.rs", "TOPOLOGY"),
+    ("crates/cli/src/reflog.rs", "FORKS"),
+    ("crates/cli/src/reflog.rs", "SYNCED"),
 ];
 
 /// (crate root, the kernel files under it that may `allow(unsafe_code)`):

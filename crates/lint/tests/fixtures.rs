@@ -16,6 +16,11 @@ fn put(root: &Path, rel: &str, text: &str) {
 
 const WIRE_RS: &str = "crates/core/src/cluster/wire.rs";
 
+/// The directory log's frozen constants: its magic and its kind bytes.
+const REFLOG_SRC: &str = "const LOG_MAGIC: &[u8; 8] = b\"FBREFS01\";\n\
+    const CHECKPOINT: u8 = 0;\nconst DELTA: u8 = 1;\npub const TOPOLOGY: u8 = 2;\n\
+    pub const FORKS: u8 = 3;\npub const SYNCED: u8 = 4;\n";
+
 const WIRE_SRC: &str = r#"
 pub const WIRE_VERSION: u8 = 0x02;
 pub const MIN_WIRE_VERSION: u8 = 0x01;
@@ -196,11 +201,7 @@ fn fixture(name: &str) -> PathBuf {
         "crates/core/src/forks/manager.rs",
         "pub const FORKS_MAGIC: &str = \"forks v1\";\n",
     );
-    put(
-        &root,
-        "crates/cli/src/reflog.rs",
-        "const LOG_MAGIC: &[u8; 8] = b\"FBREFS01\";\n",
-    );
+    put(&root, "crates/cli/src/reflog.rs", REFLOG_SRC);
 
     let blessed = run_all(&root, true);
     assert!(blessed.is_empty(), "bless of clean fixture: {blessed:?}");
@@ -339,21 +340,27 @@ fn p2_format_constant_drift_is_flagged() {
 
 #[test]
 fn p2_ref_log_magic_drift_is_flagged_until_blessed() {
-    let root = fixture("p2-reflog");
-    put(
-        &root,
-        "crates/cli/src/reflog.rs",
-        "const LOG_MAGIC: &[u8; 8] = b\"FBREFS02\";\n",
-    );
-    let findings = findings_of(&root, "P2");
-    assert!(
-        findings
-            .iter()
-            .any(|f| f.contains("LOG_MAGIC") && f.contains("changed")),
-        "{findings:?}"
-    );
-    assert!(run_all(&root, true).is_empty());
-    assert!(findings_of(&root, "P2").is_empty());
+    // A new magic, and a retagged record kind.
+    for (from, to, name) in [
+        ("FBREFS01", "FBREFS02", "LOG_MAGIC"),
+        ("FORKS: u8 = 3", "FORKS: u8 = 5", "FORKS"),
+    ] {
+        let root = fixture("p2-reflog");
+        put(
+            &root,
+            "crates/cli/src/reflog.rs",
+            &REFLOG_SRC.replace(from, to),
+        );
+        let findings = findings_of(&root, "P2");
+        assert!(
+            findings
+                .iter()
+                .any(|f| f.contains(&format!("reflog.rs {name}` changed"))),
+            "{findings:?}"
+        );
+        assert!(run_all(&root, true).is_empty());
+        assert!(findings_of(&root, "P2").is_empty());
+    }
 }
 
 #[test]
@@ -670,41 +677,44 @@ fn p3_capability_outside_allowlist_is_flagged() {
 }
 
 #[test]
-fn p3_std_lock_in_cli_is_flagged_shim_tests_and_core_are_not() {
+fn p3_std_lock_in_cli_or_core_is_flagged_shim_and_tests_are_not() {
     let root = fixture("p3-std-lock");
-    let rel = "crates/cli/src/session.rs";
-    for (src, name) in [
-        (
-            "static M: std::sync::Mutex<u8> = std::sync::Mutex::new(0);\n",
-            "Mutex",
-        ),
-        ("use std::sync::{Arc, RwLock};\n", "RwLock"),
-        (
-            "use std::sync::{atomic::{AtomicBool, Ordering},\n    Condvar as Cv};\n",
-            "Condvar",
-        ),
-    ] {
-        put(&root, rel, src);
-        let findings = findings_of(&root, "P3");
-        assert!(
-            findings
-                .iter()
-                .any(|f| f.starts_with(rel) && f.contains(&format!("std::sync::{name}"))),
-            "{src}: {findings:?}"
-        );
-    }
-    // The shim's lock, std's other sync items, a test module, a waiver
-    // and code outside crates/cli are all clean.
-    put(
-        &root,
-        rel,
-        "use parking_lot::Mutex;\nuse std::sync::{atomic::AtomicBool, mpsc, Arc};\n\
+    let clean = "use parking_lot::Mutex;\nuse std::sync::{atomic::AtomicBool, mpsc, Arc};\n\
          static M: Mutex<u8> = Mutex::new(0);\n\
          // forkbase-lint: allow(std-lock): needs std's poisoning\n\
          static P: std::sync::Mutex<u8> = std::sync::Mutex::new(0);\n\
-         #[cfg(test)]\nmod tests {\n    use std::sync::Mutex;\n}\n",
+         #[cfg(test)]\nmod tests {\n    use std::sync::Mutex;\n}\n";
+    for rel in ["crates/cli/src/session.rs", "crates/core/src/gc.rs"] {
+        for (src, name) in [
+            (
+                "static M: std::sync::Mutex<u8> = std::sync::Mutex::new(0);\n",
+                "Mutex",
+            ),
+            ("use std::sync::{Arc, RwLock};\n", "RwLock"),
+            (
+                "use std::sync::{atomic::{AtomicBool, Ordering},\n    Condvar as Cv};\n",
+                "Condvar",
+            ),
+        ] {
+            put(&root, rel, src);
+            let findings = findings_of(&root, "P3");
+            assert!(
+                findings
+                    .iter()
+                    .any(|f| f.starts_with(rel) && f.contains(&format!("std::sync::{name}"))),
+                "{src}: {findings:?}"
+            );
+        }
+        // The shim's lock, std's other sync items, a test module and a
+        // waiver are all clean.
+        put(&root, rel, clean);
+    }
+    // So is a std lock outside the shipped crates' sources.
+    put(
+        &root,
+        "crates/core/tests/stress.rs",
+        "use std::sync::Mutex;\n",
     );
-    put(&root, "crates/core/src/gc.rs", "use std::sync::Mutex;\n");
     let findings = findings_of(&root, "P3");
     assert!(findings.is_empty(), "{findings:?}");
 }
