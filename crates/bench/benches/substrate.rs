@@ -415,8 +415,8 @@ fn bench_snapshot_scan(c: &mut Criterion) {
 /// write section instead of 16 of each, while op staging is an
 /// `Arc`-interned options clone plus a borrowed-parts FNode encoding (no
 /// per-op string clones) — so the batch must not lose to sequential. On a
-/// durable `FileStore` (`sync_every_put`) the group commit dominates: 16
-/// sequential puts are 16 fsyncs, the batch is one.
+/// durable `FileStore` (a store sync after each put or commit) the group
+/// commit dominates: 16 sequential puts are 16 fsyncs, the batch is one.
 fn bench_write_batch(c: &mut Criterion) {
     const KEYS: usize = 16;
     let keys: Vec<String> = (0..KEYS).map(|i| format!("batch-key-{i}")).collect();
@@ -454,15 +454,8 @@ fn bench_write_batch(c: &mut Criterion) {
     let durable = |tag: &str| {
         let dir = std::env::temp_dir().join(format!("fkb-wb-bench-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let store = FileStore::open_with(
-            &dir,
-            FileStoreConfig {
-                sync_every_put: true,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        (dir, ForkBase::new(store))
+        let db = ForkBase::new(FileStore::open(&dir).unwrap());
+        (dir, db)
     };
     {
         let (dir, db) = durable("seq");
@@ -474,6 +467,7 @@ fn bench_write_batch(c: &mut Criterion) {
                 for key in &keys {
                     db.put(key, Value::string(format!("v{round}")), &opts)
                         .unwrap();
+                    db.store().sync().unwrap();
                 }
             });
         });
@@ -490,7 +484,9 @@ fn bench_write_batch(c: &mut Criterion) {
                 for key in &keys {
                     batch.put(key.clone(), Value::string(format!("v{round}")), &opts);
                 }
-                batch.commit().unwrap()
+                let outcomes = batch.commit().unwrap();
+                db.store().sync().unwrap();
+                outcomes
             });
         });
         let _ = std::fs::remove_dir_all(&dir);
@@ -646,7 +642,7 @@ fn bench_cluster_get(c: &mut Criterion) {
     let servers: Vec<ServeletServer> = (0..2)
         .map(|_| {
             let db = Arc::new(ForkBase::with_config(MemStore::new(), cfg));
-            ServeletServer::spawn("127.0.0.1:0", db, None).unwrap()
+            ServeletServer::spawn("127.0.0.1:0", db, None, None).unwrap()
         })
         .collect();
     let topology = ClusterTopology {

@@ -2,12 +2,12 @@
 //!
 //! A deliberately small HTTP/1.1 server on `std::net::TcpListener`, no
 //! external dependencies. A connection carries one request and is served
-//! by a pooled handler thread: threads outlive their connections, and a
-//! new one is spawned only when none is idle, up to 64. One [`RestServer`]
-//! serves either deployment shape, a single node ([`RestServer::start`])
-//! or a [`Cluster`] ([`RestServer::start_cluster`]), from one route
-//! table. Unmarked routes go through [`Backend`] and answer alike on
-//! both shapes; rows marked *node* or *cluster* exist on that shape only.
+//! by a pooled handler thread of the [`AcceptLoop`] the servelets run on,
+//! at most 64 at once. One [`RestServer`] serves either deployment shape,
+//! a single node ([`RestServer::start`]) or a [`Cluster`]
+//! ([`RestServer::start_cluster`]), from one route table. Unmarked routes
+//! go through [`Backend`] and answer alike on both shapes; rows marked
+//! *node* or *cluster* exist on that shape only.
 //!
 //! ```text
 //! GET  /keys                        → key list (one per line)
@@ -42,27 +42,24 @@
 //! the ceiling of 64 gets `503` + `retry-after` (code `overloaded`), and
 //! a configured per-peer rate limiter sheds with `429` + `retry-after`.
 
-use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
 use forkbase::{
-    AcceptLoop, Backend, Cluster, DbError, DbResult, DiffSummary, ForkBase, ForkDiff, ForkInfo,
-    ForkService, MapPage, PutOptions, RateLimiter, VersionSpec,
+    AcceptLoop, Backend, Cap, Cluster, DbError, DbResult, DiffSummary, ForkBase, ForkDiff,
+    ForkInfo, ForkService, MapPage, PutOptions, RateLimiter, VersionSpec,
 };
 use forkbase_store::SweepStore;
 use forkbase_types::Value;
-use parking_lot::{Condvar, Mutex};
 
 use crate::commands::parse_uid;
 
 /// Handler threads at once, and so connections served at once; past this
-/// a new connection is shed with `503`. A handler thread outlives its
-/// connection and waits for the next one, so a gateway under a steady
-/// client keeps as many threads as it has connections in flight.
+/// a new connection is shed with `503`.
 const MAX_CONNECTIONS: usize = 64;
 
 /// Largest request body accepted; a longer `content-length` is refused
@@ -78,7 +75,6 @@ const RANGE_LIMIT_MAX: u64 = 10_000;
 /// Handle to a running REST server. Dropping it stops the server.
 pub struct RestServer {
     accept: AcceptLoop,
-    pool: Arc<Pool>,
 }
 
 impl RestServer {
@@ -112,16 +108,12 @@ impl RestServer {
         limiter: Option<Arc<RateLimiter>>,
     ) -> std::io::Result<RestServer> {
         let listener = TcpListener::bind(("127.0.0.1", port))?;
-        let pool = Pool::new(move |stream, peer| {
-            let _ = handle_connection(stream, &*backend, &forks, limiter.as_deref(), peer);
-        });
-        let workers = Arc::clone(&pool);
-        let accept = AcceptLoop::spawn(listener, move |stream, peer| {
-            if let Err(mut stream) = workers.hand_off(stream, peer.ip()) {
-                let _ = shed_connection(&mut stream);
-            }
+        let cap: Cap = (MAX_CONNECTIONS, shed_connection);
+        let accept = AcceptLoop::spawn(listener, Some(cap), move |stream, peer, stopping| {
+            let limiter = limiter.as_deref();
+            let _ = handle_connection(stream, &*backend, &forks, limiter, peer.ip(), stopping);
         })?;
-        Ok(RestServer { accept, pool })
+        Ok(RestServer { accept })
     }
 
     /// The bound address.
@@ -129,123 +121,9 @@ impl RestServer {
         self.accept.addr()
     }
 
-    /// Stop accepting connections, join the accept loop and end the idle
-    /// handler threads; a busy one ends when its connection does.
+    /// Stop serving, as [`AcceptLoop::stop`] does.
     pub fn stop(self) {
         drop(self);
-    }
-}
-
-impl Drop for RestServer {
-    fn drop(&mut self) {
-        self.accept.stop();
-        self.pool.stop();
-    }
-}
-
-/// The gateway's connection handler threads. Each serves one connection,
-/// then waits for the next. The accept thread hands a connection to an
-/// idle thread, spawns one when none is idle and fewer than
-/// [`MAX_CONNECTIONS`] live, and otherwise gets it back to shed.
-struct Pool {
-    state: Mutex<PoolState>,
-    /// Signalled when a connection is queued and when the pool stops.
-    wake: Condvar,
-    serve: Handler,
-}
-
-/// What a handler thread runs for each connection it takes.
-type Handler = Box<dyn Fn(&mut TcpStream, IpAddr) + Send + Sync>;
-
-#[derive(Default)]
-struct PoolState {
-    /// Handed-off connections, each promised to a waiting thread.
-    queue: VecDeque<(TcpStream, IpAddr)>,
-    /// Live handler threads, busy or waiting.
-    workers: usize,
-    /// Waiting threads not yet promised a connection.
-    idle: usize,
-    /// Handler threads ever spawned.
-    spawned: usize,
-    stopping: bool,
-}
-
-impl Pool {
-    fn new(serve: impl Fn(&mut TcpStream, IpAddr) + Send + Sync + 'static) -> Arc<Pool> {
-        Arc::new(Pool {
-            state: Mutex::default(),
-            wake: Condvar::new(),
-            serve: Box::new(serve),
-        })
-    }
-
-    /// Give `stream` to a handler thread, or back to the caller when all
-    /// [`MAX_CONNECTIONS`] are busy.
-    fn hand_off(self: &Arc<Self>, stream: TcpStream, peer: IpAddr) -> Result<(), TcpStream> {
-        let mut state = self.state.lock();
-        if state.idle > 0 {
-            state.idle -= 1;
-            state.queue.push_back((stream, peer));
-            drop(state);
-            self.wake.notify_one();
-            return Ok(());
-        }
-        if state.workers >= MAX_CONNECTIONS {
-            return Err(stream);
-        }
-        state.workers += 1;
-        state.spawned += 1;
-        drop(state);
-        // The count is given back however the thread ends, and by the
-        // dropped closure if it never starts (the connection closes).
-        let worker = Worker(Arc::clone(self));
-        let _ = std::thread::Builder::new()
-            .name("forkbase-rest".into())
-            .spawn(move || worker.run(stream, peer));
-        Ok(())
-    }
-
-    /// End the waiting threads now and each busy one after its
-    /// connection; connections already handed off are served first. The
-    /// accept loop is stopped before, so nothing is handed off after.
-    fn stop(&self) {
-        self.state.lock().stopping = true;
-        self.wake.notify_all();
-    }
-}
-
-/// One live handler thread's share of [`PoolState::workers`], released
-/// when it drops: on stop, on a panic in the handler, or on a failed
-/// spawn.
-struct Worker(Arc<Pool>);
-
-impl Worker {
-    fn run(self, mut stream: TcpStream, mut peer: IpAddr) {
-        let pool = &self.0;
-        loop {
-            (pool.serve)(&mut stream, peer);
-            // Idle before the close: a client that connects again once it
-            // reads EOF finds this thread waiting, not a new one spawned.
-            pool.state.lock().idle += 1;
-            drop(stream);
-            let mut state = pool.state.lock();
-            (stream, peer) = loop {
-                if let Some(next) = state.queue.pop_front() {
-                    break next;
-                }
-                if state.stopping {
-                    state.idle -= 1;
-                    return;
-                }
-                pool.wake.wait(&mut state);
-            };
-        }
-    }
-}
-
-impl Drop for Worker {
-    fn drop(&mut self) {
-        self.0.state.lock().workers -= 1;
     }
 }
 
@@ -260,16 +138,16 @@ fn drain(mut stream: &TcpStream) {
 /// Refuse a connection at the door: the gateway is at its concurrency
 /// ceiling. Cheap by construction — drain, write one canned response,
 /// close.
-fn shed_connection(stream: &mut TcpStream) -> std::io::Result<()> {
+fn shed_connection(stream: &TcpStream) {
     drain(stream);
-    respond(
+    let _ = respond(
         stream,
         503,
         JSON,
         Some(1),
         "{\"error\":{\"code\":\"overloaded\",\
           \"message\":\"gateway at its concurrent connection limit; retry shortly\"}}",
-    )
+    );
 }
 
 /// What one deployment shape adds to the shared route table.
@@ -484,7 +362,10 @@ impl Request {
 /// malformed request line, bad or oversized `content-length` — comes
 /// back as the error to answer with.
 fn read_request(stream: &TcpStream) -> std::io::Result<DbResult<Request>> {
-    stream.set_read_timeout(Some(Duration::from_secs(5)))?;
+    // A stalled client must not pin a handler thread, nor `stop`.
+    let timeout = Some(Duration::from_secs(5));
+    stream.set_read_timeout(timeout)?;
+    stream.set_write_timeout(timeout)?;
     let mut reader = BufReader::new(stream);
 
     let mut request_line = String::new();
@@ -538,13 +419,20 @@ fn read_request(stream: &TcpStream) -> std::io::Result<DbResult<Request>> {
 }
 
 fn handle_connection<B: Shape>(
-    stream: &mut TcpStream,
+    stream: &TcpStream,
     backend: &B,
     forks: &ForkService,
     limiter: Option<&RateLimiter>,
     peer: IpAddr,
+    stopping: &AtomicBool,
 ) -> std::io::Result<()> {
-    let req = match read_request(stream)? {
+    let read = read_request(stream);
+    // A request that arrives once `stop` has begun is not started: the
+    // connection closes without a response.
+    if stopping.load(Ordering::SeqCst) {
+        return Ok(());
+    }
+    let req = match read? {
         Ok(req) => req,
         Err(e) => return respond_error(stream, &e, ""),
     };
@@ -623,7 +511,7 @@ fn shared_route<B: Backend + ?Sized>(
 /// error body, with `extra_fields` (empty, or led by `,`) spliced into
 /// the `error` object. One mapping for both shapes, so clients see
 /// identical behavior whether they talk to a single node or a cluster.
-fn respond_error(stream: &mut TcpStream, e: &DbError, extra_fields: &str) -> std::io::Result<()> {
+fn respond_error(stream: &TcpStream, e: &DbError, extra_fields: &str) -> std::io::Result<()> {
     let status = match e {
         DbError::NoSuchKey(_) | DbError::NoSuchBranch { .. } | DbError::NoSuchVersion(_) => 404,
         // An expired (or reaped, or never-created — indistinguishable
@@ -927,7 +815,7 @@ const JSON: &str = "application/json";
 /// Write one whole response; `retry_after` (seconds) becomes the
 /// `retry-after` header.
 fn respond(
-    stream: &mut TcpStream,
+    mut stream: &TcpStream,
     status: u16,
     content_type: &str,
     retry_after: Option<u64>,
@@ -1715,7 +1603,7 @@ mod tests {
             for _ in 0..200 {
                 assert_eq!(request(addr, "GET", "/keys", "").0, 200, "{shape}");
             }
-            let spawned = g.server.pool.state.lock().spawned;
+            let (_, spawned) = g.server.accept.threads();
             assert!(
                 spawned <= 2,
                 "{shape}: 200 sequential GETs spawned {spawned} threads"
@@ -1725,79 +1613,17 @@ mod tests {
     }
 
     #[test]
-    fn a_handler_that_exits_early_frees_its_slot() {
-        let (server, _db) = start();
-        let addr = server.addr();
-        // Every thread holds a connection that never sends its request.
-        let mut parked: Vec<TcpStream> = (0..MAX_CONNECTIONS)
-            .map(|_| TcpStream::connect(addr).unwrap())
-            .collect();
-        let pool = Arc::clone(&server.pool);
-        assert!(eventually(Duration::from_secs(5), || pool
-            .state
-            .lock()
-            .workers
-            == MAX_CONNECTIONS));
-        assert!(request_raw(addr, "GET", "/keys", "").starts_with("HTTP/1.1 503"));
-        // One client hangs up: its handler ends at EOF, before any
-        // request, and its thread takes the next connection.
-        drop(parked.pop());
-        assert!(
-            eventually(Duration::from_secs(5), || request(addr, "GET", "/keys", "")
-                .0
-                == 200),
-            "the freed slot never served"
-        );
-        assert_eq!(pool.state.lock().spawned, MAX_CONNECTIONS);
-        drop(parked);
-        server.stop();
-    }
-
-    #[test]
-    fn a_panicking_handler_frees_its_slot() {
-        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
-        let pool = Pool::new(|stream, _| {
-            let mut first = [0u8; 1];
-            if stream.read_exact(&mut first).is_ok() && first[0] == b'!' {
-                panic!("handler panics on request");
-            }
-            let _ = stream.write_all(b"ok");
-        });
-        let workers = Arc::clone(&pool);
-        let accept = AcceptLoop::spawn(listener, move |stream, peer| {
-            let _ = workers.hand_off(stream, peer.ip());
-        })
-        .unwrap();
-        let addr = accept.addr();
-        for _ in 0..3 {
-            let mut conn = TcpStream::connect(addr).unwrap();
-            conn.write_all(b"!").unwrap();
-            // The panic closes the connection without a reply.
-            let mut reply = Vec::new();
-            let _ = conn.read_to_end(&mut reply);
-            assert!(reply.is_empty());
-            assert!(eventually(Duration::from_secs(5), || {
-                pool.state.lock().workers == 0
-            }));
-        }
-        assert_eq!(exchange(addr, "?"), "ok");
-        accept.stop();
-        pool.stop();
-    }
-
-    #[test]
     fn stopped_gateways_end_their_handler_threads() {
         for stop_by_drop in [false, true] {
-            let (server, _db) = start();
+            let (server, db) = start();
             let addr = server.addr();
             // Four connections in flight at once make four threads.
             let mut conns: Vec<TcpStream> =
                 (0..4).map(|_| TcpStream::connect(addr).unwrap()).collect();
-            let pool = Arc::clone(&server.pool);
-            assert!(eventually(Duration::from_secs(5), || pool
-                .state
-                .lock()
-                .workers
+            assert!(eventually(Duration::from_secs(5), || server
+                .accept
+                .threads()
+                .0
                 == 4));
             for conn in &mut conns {
                 conn.write_all(b"GET /keys HTTP/1.1\r\ncontent-length: 0\r\n\r\n")
@@ -1811,8 +1637,11 @@ mod tests {
             } else {
                 server.stop();
             }
-            assert!(
-                eventually(Duration::from_secs(5), || pool.state.lock().workers == 0),
+            // Each handler thread holds the handler, and with it the
+            // backend, until it exits.
+            assert_eq!(
+                Arc::strong_count(&db),
+                1,
                 "handler threads outlived the gateway (drop: {stop_by_drop})"
             );
         }

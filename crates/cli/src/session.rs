@@ -405,7 +405,7 @@ pub fn serve_servelet(addr: &str, root: impl AsRef<Path>) -> DbResult<ServeletSe
     // `WireError::RateLimited` with a retry hint, connection kept open.
     let limiter = Arc::new(RateLimiter::new(RateLimit::new(2000.0, 4000.0)));
     let persist = persist_to(session.log);
-    ServeletServer::spawn_limited(addr, session.backend, Some(persist), Some(limiter))
+    ServeletServer::spawn(addr, session.backend, Some(persist), Some(limiter))
 }
 
 /// The persist hook of the servelet whose records live in `log`, local

@@ -9,10 +9,10 @@
 //! requests out to several servelets at once without a thread per call.
 //! A connection goes back to the pool only after a complete, decoded
 //! reply, so a socket that saw a timeout, a torn frame or any other
-//! ambiguous outcome is never used again. The server applies every
-//! request through `apply` — the same function the in-process
-//! transport's worker uses — so a verb behaves, and persists, identically
-//! no matter how it arrived.
+//! ambiguous outcome is never used again. The server runs on the shared
+//! [`AcceptLoop`], uncapped, and applies every request through `apply` —
+//! the same function the in-process transport's worker uses — so a verb
+//! behaves, and persists, identically no matter how it arrived.
 //!
 //! # Durability contract
 //!
@@ -24,12 +24,10 @@
 //! survives the kill. The CI `net` and `recovery` jobs prove this end to
 //! end for a TCP servelet and for a local cluster's servelets.
 
-use std::collections::HashMap;
 use std::io::{ErrorKind, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use forkbase_store::SweepStore;
@@ -77,59 +75,21 @@ pub(super) fn apply<S: SweepStore>(
     }
 }
 
-/// The accepted connections of one [`ServeletServer`], by connection id:
-/// a second handle on each socket (to end its reads at stop) and its
-/// handler thread. Kept apart so that `stop` can wait on the threads
-/// while each handler still closes its own socket as it exits.
-#[derive(Default)]
-struct Conns {
-    next_id: u64,
-    socks: HashMap<u64, TcpStream>,
-    threads: HashMap<u64, JoinHandle<()>>,
-}
-
-/// Removes a handler's entry from [`Conns`] when it exits, however it
-/// exits, so the table only ever holds connections still being served.
-struct ConnGuard {
-    conns: Arc<Mutex<Conns>>,
-    id: u64,
-}
-
-impl Drop for ConnGuard {
-    fn drop(&mut self) {
-        let mut conns = self.conns.lock();
-        // Closed before the table shows the entry gone: whoever sees the
-        // table empty knows every peer already has its FIN.
-        drop(conns.socks.remove(&self.id));
-        drop(conns.threads.remove(&self.id));
-    }
-}
-
 /// A standalone servelet: a TCP listener executing wire requests against
 /// one `ForkBase`.
 pub struct ServeletServer {
     accept: AcceptLoop,
-    conns: Arc<Mutex<Conns>>,
 }
 
 impl ServeletServer {
     /// Bind `addr` and serve `db` until [`Self::stop`]. `persist`, when
     /// given, runs after every mutating request before the reply is
-    /// written — the ack-implies-durable contract.
+    /// written — the ack-implies-durable contract. `limiter`, when given,
+    /// rate-limits per peer: each request frame spends one token from its
+    /// peer's bucket, and an empty bucket sheds the request with a
+    /// structured `rate_limited` error (the connection stays open — a
+    /// well-behaved client backs off by the carried `retry_after_ms`).
     pub fn spawn<S: SweepStore + Send + Sync + 'static>(
-        addr: &str,
-        db: Arc<ForkBase<S>>,
-        persist: Option<PersistFn<S>>,
-    ) -> DbResult<ServeletServer> {
-        Self::spawn_limited(addr, db, persist, None)
-    }
-
-    /// [`Self::spawn`] with per-peer rate limiting: each request frame
-    /// spends one token from its peer's bucket, and an empty bucket
-    /// sheds the request with a structured `rate_limited` error (the
-    /// connection stays open — a well-behaved client backs off by the
-    /// carried `retry_after_ms`).
-    pub fn spawn_limited<S: SweepStore + Send + Sync + 'static>(
         addr: &str,
         db: Arc<ForkBase<S>>,
         persist: Option<PersistFn<S>>,
@@ -147,50 +107,14 @@ impl ServeletServer {
     ) -> DbResult<ServeletServer> {
         let listener = TcpListener::bind(addr)
             .map_err(|e| DbError::InvalidInput(format!("bind {addr}: {e}")))?;
-        let stopping = Arc::new(AtomicBool::new(false));
-        let conns = Arc::new(Mutex::new(Conns::default()));
-        let (stop_flag, table) = (Arc::clone(&stopping), Arc::clone(&conns));
-        let accept = AcceptLoop::spawn_with_flag(listener, stopping, move |conn, peer| {
-            // Without a second handle `stop` could not end this
-            // connection, so it is not served at all.
-            let Ok(handle) = conn.try_clone() else {
-                return;
-            };
-            let db = Arc::clone(&db);
-            let persist = persist.clone();
-            let limiter = limiter.clone();
-            let stop_flag = Arc::clone(&stop_flag);
-            // The table stays locked across the spawn so that a handler
-            // that exits at once finds its entry to remove.
-            let mut conns = table.lock();
-            let id = conns.next_id;
-            conns.next_id += 1;
-            let guard = ConnGuard {
-                conns: Arc::clone(&table),
-                id,
-            };
-            let thread = std::thread::spawn(move || {
-                let _guard = guard;
-                // Moved into locals declared after the guard, so they drop
-                // before it: a closure's captures would outlive the
-                // unregistration, and `stop` could return while this thread
-                // still holds the database (and a FileStore's `LOCK`).
-                let (db, persist, limiter, stop_flag) = (db, persist, limiter, stop_flag);
-                serve_conn(
-                    conn,
-                    &db,
-                    persist.as_ref(),
-                    limiter.as_deref(),
-                    peer,
-                    &stop_flag,
-                    idle,
-                );
-            });
-            conns.socks.insert(id, handle);
-            conns.threads.insert(id, thread);
+        // No cap: a connection closed unread would turn a router's write
+        // into an ambiguous outcome.
+        let accept = AcceptLoop::spawn(listener, None, move |conn, peer, stopping| {
+            let (persist, limiter) = (persist.as_ref(), limiter.as_deref());
+            serve_conn(conn, &db, persist, limiter, peer, stopping, idle);
         })
         .map_err(|e| DbError::InvalidInput(format!("listen on {addr}: {e}")))?;
-        Ok(ServeletServer { accept, conns })
+        Ok(ServeletServer { accept })
     }
 
     /// The bound address (resolves port 0 to the actual port).
@@ -206,34 +130,11 @@ impl ServeletServer {
     /// unavailable, and no request is still executing against the store.
     pub fn stop(&self) {
         self.accept.stop();
-        // No accept thread, so no new entries.
-        let threads = {
-            let mut conns = self.conns.lock();
-            // Ending only the read half wakes a handler blocked between
-            // frames and leaves a busy one free to write its ack.
-            for conn in conns.socks.values() {
-                let _ = conn.shutdown(Shutdown::Read);
-            }
-            std::mem::take(&mut conns.threads)
-        };
-        // The second socket handles stay in the table for the handlers to
-        // close: an idle connection is gone as soon as its handler wakes,
-        // not only once the busy ones joined ahead of it are done, so no
-        // router can write a request into a socket nobody will read.
-        for thread in threads.into_values() {
-            let _ = thread.join();
-        }
-    }
-}
-
-impl Drop for ServeletServer {
-    fn drop(&mut self) {
-        self.stop();
     }
 }
 
 fn serve_conn<S: SweepStore>(
-    mut conn: TcpStream,
+    mut conn: &TcpStream,
     db: &ForkBase<S>,
     persist: Option<&PersistFn<S>>,
     limiter: Option<&RateLimiter>,
@@ -431,7 +332,7 @@ mod tests {
 
     fn server() -> (ServeletServer, Arc<ForkBase<MemStore>>) {
         let db = Arc::new(ForkBase::new(MemStore::new()));
-        let srv = ServeletServer::spawn("127.0.0.1:0", db.clone(), None).unwrap();
+        let srv = ServeletServer::spawn("127.0.0.1:0", db.clone(), None, None).unwrap();
         (srv, db)
     }
 
@@ -452,24 +353,21 @@ mod tests {
     }
 
     /// A hand-driven peer: accepts on a real listener, counts accepts,
-    /// and gives each connection to `serve` on its own thread.
+    /// and gives each connection to `serve` on a handler thread.
     fn scripted_peer(
-        serve: impl Fn(usize, TcpStream) + Send + Sync + 'static,
+        serve: impl Fn(usize, &TcpStream) + Send + Sync + 'static,
     ) -> (AcceptLoop, Arc<AtomicUsize>) {
         let accepts = Arc::new(AtomicUsize::new(0));
         let count = Arc::clone(&accepts);
-        let serve = Arc::new(serve);
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let accept = AcceptLoop::spawn(listener, move |conn, _peer| {
-            let nth = count.fetch_add(1, Ordering::SeqCst);
-            let serve = Arc::clone(&serve);
-            std::thread::spawn(move || serve(nth, conn));
+        let accept = AcceptLoop::spawn(listener, None, move |conn, _peer, _stopping| {
+            serve(count.fetch_add(1, Ordering::SeqCst), conn);
         })
         .unwrap();
         (accept, accepts)
     }
 
-    fn send_reply(conn: &mut TcpStream, reply: &Reply) {
+    fn send_reply(mut conn: &TcpStream, reply: &Reply) {
         let _ = conn.write_all(&wire::encode_frame(&reply.encode()));
     }
 
@@ -531,7 +429,7 @@ mod tests {
     fn sequential_calls_share_one_connection() {
         let (peer, accepts) = scripted_peer(|_nth, mut conn| {
             while wire::read_frame(&mut conn).is_ok() {
-                send_reply(&mut conn, &Reply::Unit);
+                send_reply(conn, &Reply::Unit);
             }
         });
         let pool = pool_at(peer.addr());
@@ -550,7 +448,7 @@ mod tests {
         let (peer, accepts) = scripted_peer(move |_nth, mut conn| {
             if wire::read_frame(&mut conn).is_ok() {
                 all_in_flight.wait();
-                send_reply(&mut conn, &Reply::Unit);
+                send_reply(conn, &Reply::Unit);
             }
             // Keep the connection open until the router closes it.
             let _ = wire::read_frame(&mut conn);
@@ -579,9 +477,9 @@ mod tests {
             while wire::read_frame(&mut conn).is_ok() {
                 if nth == 0 {
                     let _ = late_rx.lock().unwrap().recv();
-                    send_reply(&mut conn, &Reply::Count(7));
+                    send_reply(conn, &Reply::Count(7));
                 } else {
-                    send_reply(&mut conn, &Reply::Unit);
+                    send_reply(conn, &Reply::Unit);
                 }
             }
         });
@@ -608,7 +506,7 @@ mod tests {
     fn a_send_never_received_is_closed_not_pooled() {
         let (peer, accepts) = scripted_peer(|_nth, mut conn| {
             while wire::read_frame(&mut conn).is_ok() {
-                send_reply(&mut conn, &Reply::Unit);
+                send_reply(conn, &Reply::Unit);
             }
         });
         let pool = pool_at(peer.addr());
@@ -633,9 +531,9 @@ mod tests {
             while wire::read_frame(&mut conn).is_ok() {
                 if nth == 0 {
                     let _ = late_rx.lock().unwrap().recv();
-                    send_reply(&mut conn, &Reply::Count(7));
+                    send_reply(conn, &Reply::Count(7));
                 } else {
-                    send_reply(&mut conn, &Reply::Unit);
+                    send_reply(conn, &Reply::Unit);
                 }
             }
         });
@@ -681,7 +579,7 @@ mod tests {
                         let _ = conn.write_all(&frame[..frame.len() / 2]);
                         return;
                     }
-                    _ => send_reply(&mut conn, &Reply::Unit),
+                    _ => send_reply(conn, &Reply::Unit),
                 }
             }
         });
@@ -710,7 +608,7 @@ mod tests {
         // Wait until the servelet has closed the pooled connection: its
         // handler leaves the table when it does.
         let until = Instant::now() + DEADLINE;
-        while !srv.conns.lock().socks.is_empty() {
+        while srv.accept.serving() > 0 {
             assert!(Instant::now() < until, "idle connection never closed");
             std::thread::sleep(Duration::from_millis(5));
         }
@@ -725,7 +623,7 @@ mod tests {
     #[test]
     fn stop_closes_pooled_connections_and_respawn_heals_without_ambiguity() {
         let db = Arc::new(ForkBase::new(MemStore::new()));
-        let srv = ServeletServer::spawn("127.0.0.1:0", db.clone(), None).unwrap();
+        let srv = ServeletServer::spawn("127.0.0.1:0", db.clone(), None, None).unwrap();
         let addr = srv.addr().to_string();
         let pool = Arc::new(ConnPool::new(addr.clone()));
         pool.call(&put("before"), DEADLINE)
@@ -744,7 +642,7 @@ mod tests {
             );
         }
         assert!(!db.list_keys().contains(&"during".to_string()));
-        let srv = ServeletServer::spawn(&addr, db.clone(), None).unwrap();
+        let srv = ServeletServer::spawn(&addr, db.clone(), None, None).unwrap();
         pool.call(&put("after"), DEADLINE)
             .unwrap()
             .expect_commit()
@@ -766,8 +664,9 @@ mod tests {
             let _ = release_rx.lock().unwrap().recv();
             Ok(())
         });
-        let srv =
-            Arc::new(ServeletServer::spawn("127.0.0.1:0", db.clone(), Some(persist)).unwrap());
+        let srv = Arc::new(
+            ServeletServer::spawn("127.0.0.1:0", db.clone(), Some(persist), None).unwrap(),
+        );
         // Other routers, each holding one idle connection.
         let bystanders: Vec<_> = (0..4).map(|_| pool_for(&srv)).collect();
         for other in &bystanders {
@@ -787,7 +686,7 @@ mod tests {
         // are closed meanwhile, not after it: a bystander's write is
         // refused, never swallowed by a socket nobody reads.
         let until = Instant::now() + DEADLINE;
-        while srv.conns.lock().socks.len() > 1 || !srv.accept.stop.load(Ordering::SeqCst) {
+        while srv.accept.serving() > 1 {
             assert!(Instant::now() < until, "idle connections never closed");
             std::thread::sleep(Duration::from_millis(1));
         }
@@ -831,12 +730,12 @@ mod tests {
             Ok(())
         });
         let db = Arc::new(ForkBase::new(MemStore::new()));
-        let srv = ServeletServer::spawn("127.0.0.1:0", db, Some(persist)).unwrap();
+        let srv = ServeletServer::spawn("127.0.0.1:0", db, Some(persist), None).unwrap();
         let pool = pool_for(&srv);
         assert_eq!(pool.call(&Request::Probe, DEADLINE).unwrap(), Reply::Unit);
-        // With the accept loop (and its copy of the hook) gone first, the
-        // handler holds the last copy, as when `stop` races a hang-up.
-        srv.accept.stop();
+        // The router hangs up: the handler returns at EOF and its thread
+        // waits for the next connection, still holding the hook, as when
+        // `stop` races a hang-up.
         drop(pool);
         std::thread::sleep(Duration::from_millis(50));
         srv.stop();
@@ -848,7 +747,7 @@ mod tests {
         let served = Arc::new(AtomicUsize::new(0));
         let count = Arc::clone(&served);
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let accept = AcceptLoop::spawn(listener, move |mut conn, _peer| {
+        let accept = AcceptLoop::spawn(listener, None, move |mut conn, _peer, _stopping| {
             count.fetch_add(1, Ordering::SeqCst);
             let _ = conn.write_all(b"ok");
         })
@@ -863,6 +762,12 @@ mod tests {
         let mut got = [0u8; 2];
         conn.read_exact(&mut got).unwrap();
         assert_eq!(&got, b"ok");
+        // The aborted connections may still be on other handler threads.
+        let until = Instant::now() + DEADLINE;
+        while served.load(Ordering::SeqCst) < 21 {
+            assert!(Instant::now() < until, "aborted connections never served");
+            std::thread::sleep(Duration::from_millis(1));
+        }
         assert_eq!(served.load(Ordering::SeqCst), 21);
         // Nothing in flight: stop must not wait out any poll or timeout.
         let t = Instant::now();
@@ -885,11 +790,32 @@ mod tests {
     }
 
     #[test]
+    fn sequential_connections_reuse_a_handler_thread() {
+        use std::io::Read;
+        let (srv, _db) = server();
+        for _ in 0..200 {
+            let mut conn = TcpStream::connect(srv.addr()).unwrap();
+            conn.write_all(&wire::encode_frame(&Request::Probe.encode()))
+                .unwrap();
+            let reply = Reply::decode(&wire::read_frame(&mut conn).unwrap()).unwrap();
+            assert_eq!(reply, Reply::Unit);
+            // Hang up, and see the servelet close its end too.
+            conn.shutdown(std::net::Shutdown::Write).unwrap();
+            assert_eq!(conn.read(&mut [0u8; 1]).unwrap(), 0);
+        }
+        let (_, spawned) = srv.accept.threads();
+        assert!(
+            spawned <= 2,
+            "200 sequential connections spawned {spawned} threads"
+        );
+    }
+
+    #[test]
     fn limited_server_sheds_with_retry_hint_then_recovers() {
         use super::super::ratelimit::{RateLimit, RateLimiter};
         let db = Arc::new(ForkBase::new(MemStore::new()));
         let limiter = Arc::new(RateLimiter::new(RateLimit::new(5.0, 2.0)));
-        let srv = ServeletServer::spawn_limited("127.0.0.1:0", db, None, Some(limiter)).unwrap();
+        let srv = ServeletServer::spawn("127.0.0.1:0", db, None, Some(limiter)).unwrap();
         let pool = pool_for(&srv);
         // The burst admits the first two requests.
         for _ in 0..2 {
@@ -910,7 +836,7 @@ mod tests {
         // same connection: a shed frame is a clean reply.
         std::thread::sleep(Duration::from_millis(retry_after_ms + 50));
         assert_eq!(pool.call(&Request::Probe, DEADLINE).unwrap(), Reply::Unit);
-        assert_eq!(srv.conns.lock().socks.len(), 1);
+        assert_eq!(srv.accept.serving(), 1);
     }
 
     #[test]

@@ -50,7 +50,7 @@ pub mod forks;
 pub mod gc;
 mod walk;
 
-pub use accept::AcceptLoop;
+pub use accept::{AcceptLoop, Cap};
 pub use api::{
     BatchOutcome, BlobReader, BranchInfo, CommitResult, DbStat, ForkBase, GetResult, HistoryEntry,
     ListStream, MapRange, PutOptions, RefJournal, RefSwing, Snapshot, ValueDiff, VersionSpec,

@@ -89,7 +89,7 @@ impl TestCluster {
         let mut addrs = Vec::new();
         for id in 0..n as u64 {
             let db = Arc::new(ForkBase::with_config(MemStore::new(), cfg));
-            let server = ServeletServer::spawn("127.0.0.1:0", Arc::clone(&db), None).unwrap();
+            let server = ServeletServer::spawn("127.0.0.1:0", Arc::clone(&db), None, None).unwrap();
             servelet_ids.push(id);
             addrs.push(Some(server.addr().to_string()));
             remote.insert(
@@ -156,7 +156,7 @@ impl TestCluster {
             Backend::InProcess => self.c.add_servelet(MemStore::new()),
             Backend::Tcp => {
                 let db = Arc::new(ForkBase::with_config(MemStore::new(), self.cfg));
-                let server = ServeletServer::spawn("127.0.0.1:0", Arc::clone(&db), None)?;
+                let server = ServeletServer::spawn("127.0.0.1:0", Arc::clone(&db), None, None)?;
                 let addr = server.addr().to_string();
                 let id = self.c.add_remote_servelet(addr)?;
                 self.remote.lock().unwrap().insert(
@@ -190,7 +190,7 @@ impl TestCluster {
             Backend::InProcess => self.c.add_replica(pid, MemStore::new()),
             Backend::Tcp => {
                 let db = Arc::new(ForkBase::with_config(MemStore::new(), self.cfg));
-                let server = ServeletServer::spawn("127.0.0.1:0", Arc::clone(&db), None)?;
+                let server = ServeletServer::spawn("127.0.0.1:0", Arc::clone(&db), None, None)?;
                 let addr = server.addr().to_string();
                 let id = self.c.add_remote_replica(pid, addr)?;
                 self.remote.lock().unwrap().insert(
@@ -1223,7 +1223,7 @@ impl Proxy {
         let hold = Arc::new(AtomicBool::new(false));
         let (count, held) = (Arc::clone(&accepts), Arc::clone(&hold));
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let accept = forkbase::AcceptLoop::spawn(listener, move |mut client, _peer| {
+        let accept = forkbase::AcceptLoop::spawn(listener, None, move |mut client, _peer, _| {
             count.fetch_add(1, Ordering::SeqCst);
             let mut up = TcpStream::connect(upstream).unwrap();
             let (mut replies, mut back) = (up.try_clone().unwrap(), client.try_clone().unwrap());
@@ -1231,20 +1231,17 @@ impl Proxy {
                 let _ = std::io::copy(&mut replies, &mut back);
                 let _ = back.shutdown(Shutdown::Both);
             });
-            let (held, rendezvous) = (Arc::clone(&held), Arc::clone(&rendezvous));
-            std::thread::spawn(move || {
-                // The requests used here fit one read.
-                let mut buf = [0u8; 64 * 1024];
-                while let Ok(n @ 1..) = client.read(&mut buf) {
-                    if held.load(Ordering::SeqCst) {
-                        rendezvous.wait();
-                    }
-                    if up.write_all(&buf[..n]).is_err() {
-                        break;
-                    }
+            // The requests used here fit one read.
+            let mut buf = [0u8; 64 * 1024];
+            while let Ok(n @ 1..) = client.read(&mut buf) {
+                if held.load(Ordering::SeqCst) {
+                    rendezvous.wait();
                 }
-                let _ = up.shutdown(Shutdown::Both);
-            });
+                if up.write_all(&buf[..n]).is_err() {
+                    break;
+                }
+            }
+            let _ = up.shutdown(Shutdown::Both);
         })
         .unwrap();
         Proxy {
@@ -1274,7 +1271,7 @@ fn routed_calls_share_one_connection_and_scatter_begins_all_before_gathering_ove
     let servers: Vec<ServeletServer> = (0..2)
         .map(|_| {
             let db = Arc::new(ForkBase::with_config(MemStore::new(), cfg));
-            ServeletServer::spawn("127.0.0.1:0", db, None).unwrap()
+            ServeletServer::spawn("127.0.0.1:0", db, None, None).unwrap()
         })
         .collect();
     let rendezvous = Arc::new(std::sync::Barrier::new(2));
@@ -1375,13 +1372,13 @@ fn hung_owner_costs_one_deadline_over_tcp() {
     use std::time::{Duration, Instant};
     let cfg = TreeConfig::test_config();
     let db = Arc::new(ForkBase::with_config(MemStore::new(), cfg));
-    let live = ServeletServer::spawn("127.0.0.1:0", Arc::clone(&db), None).unwrap();
+    let live = ServeletServer::spawn("127.0.0.1:0", Arc::clone(&db), None, None).unwrap();
     let replica_db = Arc::new(ForkBase::with_config(MemStore::new(), cfg));
-    let replica = ServeletServer::spawn("127.0.0.1:0", replica_db, None).unwrap();
+    let replica = ServeletServer::spawn("127.0.0.1:0", replica_db, None, None).unwrap();
     // Accepts and reads every request, never answers one.
     let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-    let hung = forkbase::AcceptLoop::spawn(listener, |mut conn, _peer| {
-        std::thread::spawn(move || while let Ok(1..) = conn.read(&mut [0u8; 4096]) {});
+    let hung = forkbase::AcceptLoop::spawn(listener, None, |mut conn, _peer, _| {
+        while let Ok(1..) = conn.read(&mut [0u8; 4096]) {}
     })
     .unwrap();
     let topology = two_remote_primaries([live.addr().to_string(), hung.addr().to_string()]);
@@ -1451,7 +1448,7 @@ fn stopped_servelet_is_down_for_a_router_holding_its_connection_over_tcp() {
         .collect();
     let mut servers: Vec<ServeletServer> = dbs
         .iter()
-        .map(|db| ServeletServer::spawn("127.0.0.1:0", Arc::clone(db), None).unwrap())
+        .map(|db| ServeletServer::spawn("127.0.0.1:0", Arc::clone(db), None, None).unwrap())
         .collect();
     let addrs = [servers[0].addr().to_string(), servers[1].addr().to_string()];
     let c = Cluster::<MemStore>::connect(&two_remote_primaries(addrs.clone()), cfg).unwrap();
@@ -1480,7 +1477,8 @@ fn stopped_servelet_is_down_for_a_router_holding_its_connection_over_tcp() {
 
     // Respawn on the same address: the stale pooled socket is noticed
     // before use, so the very next write goes through on a fresh one.
-    servers[slot] = ServeletServer::spawn(&addrs[slot], Arc::clone(&dbs[slot]), None).unwrap();
+    servers[slot] =
+        ServeletServer::spawn(&addrs[slot], Arc::clone(&dbs[slot]), None, None).unwrap();
     c.put_string("k", "after".into(), PutOptions::default())
         .unwrap();
     assert_eq!(c.get("k", "master").unwrap().value.as_str(), Some("after"));

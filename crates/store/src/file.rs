@@ -244,9 +244,6 @@ impl Manifest {
 pub struct FileStoreConfig {
     /// Rotate to a new segment file once the active one exceeds this size.
     pub segment_bytes: u64,
-    /// If true, fsync after every put (durable but slow); otherwise only on
-    /// [`ChunkStore::sync`] and rotation.
-    pub sync_every_put: bool,
     /// Compaction victim threshold: a segment is rewritten when its live
     /// frame bytes fall below this fraction of its file size. At the
     /// default 0.8 every retained segment is ≥ 80% live, bounding total
@@ -259,7 +256,6 @@ impl Default for FileStoreConfig {
     fn default() -> Self {
         FileStoreConfig {
             segment_bytes: 64 * 1024 * 1024,
-            sync_every_put: false,
             compact_min_utilization: 0.8,
         }
     }
@@ -1124,12 +1120,6 @@ impl ChunkStore for FileStore {
         }
 
         let slot = self.append_frame(&mut active, &hash, &bytes)?;
-
-        if self.cfg.sync_every_put {
-            self.flush_active(&mut active)?;
-            active.writer.get_ref().sync_all()?;
-        }
-
         self.index.write().insert(hash, slot);
         drop(active);
 
@@ -1168,12 +1158,6 @@ impl ChunkStore for FileStore {
             let slot = self.append_frame(&mut active, &hash, &bytes)?;
             new_bytes += bytes.len() as u64;
             staged.push((hash, slot));
-        }
-
-        // At most one fsync per batch, only when durability-per-put is on.
-        if self.cfg.sync_every_put && !staged.is_empty() {
-            self.flush_active(&mut active)?;
-            active.writer.get_ref().sync_all()?;
         }
 
         let new_chunks = staged.len() as u64;
@@ -1396,7 +1380,6 @@ mod tests {
         let dir = temp_dir("batchrotate");
         let cfg = FileStoreConfig {
             segment_bytes: 256,
-            sync_every_put: true, // group commit: still at most one fsync
             ..Default::default()
         };
         let s = FileStore::open_with(&dir, cfg).unwrap();
@@ -1583,7 +1566,6 @@ mod tests {
         let dir = temp_dir("rotate");
         let cfg = FileStoreConfig {
             segment_bytes: 256,
-            sync_every_put: false,
             ..Default::default()
         };
         let s = FileStore::open_with(&dir, cfg).unwrap();
@@ -1731,7 +1713,6 @@ mod tests {
         let dir = temp_dir("compact");
         let cfg = FileStoreConfig {
             segment_bytes: 16 * 1024,
-            sync_every_put: false,
             ..Default::default()
         };
         let s = FileStore::open_with(&dir, cfg).unwrap();
@@ -1912,7 +1893,6 @@ mod tests {
         let dir = temp_dir("compact-rot");
         let cfg = FileStoreConfig {
             segment_bytes: 16 * 1024,
-            sync_every_put: false,
             ..Default::default()
         };
         let s = FileStore::open_with(&dir, cfg).unwrap();

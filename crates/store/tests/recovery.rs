@@ -43,7 +43,6 @@ fn chunk(tag: &str, i: u32, len: usize) -> Bytes {
 fn small_cfg() -> FileStoreConfig {
     FileStoreConfig {
         segment_bytes: 4096,
-        sync_every_put: false,
         ..Default::default()
     }
 }
