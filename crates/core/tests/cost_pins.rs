@@ -9,7 +9,9 @@
 //! - a map key with V ∈ {10, 100} versions of one-entry edits;
 //! - a blob key whose versions share most raw chunks;
 //! - a map key whose three branches share a 20-version trunk;
-//! - a criss-cross history: two branches merged into each other twice.
+//! - a criss-cross history: two branches merged into each other twice;
+//! - one-version map keys of N ∈ {1 k, 64 k} entries, for
+//!   `put_map_edits` of D ∈ {1, 100} edits.
 //!
 //! A distinct page is a chunk reachable from some head: an FNode, a tree
 //! page, or a raw blob chunk. The walks that only mark (GC, bundle
@@ -20,7 +22,7 @@ use std::collections::HashSet;
 
 use bytes::Bytes;
 use forkbase::{gc, ForkBase, PutOptions, Uid, VersionSpec};
-use forkbase_postree::{MapEdit, MergePolicy, PosBlob, TreeConfig};
+use forkbase_postree::{MapEdit, MergePolicy, Node, PosBlob, TreeConfig};
 use forkbase_store::{ChunkStore, MemStore};
 
 struct Fixture {
@@ -243,6 +245,63 @@ fn verify_branch_reads_each_distinct_page_once() {
     let (mark_gets, _) = fx.gets(|db| gc::mark(db).unwrap());
     let (gets, _) = fx.gets(|db| db.verify_branch(fx.key, "master").unwrap());
     assert!(gets <= mark_gets, "{gets} gets against {mark_gets} pages");
+}
+
+/// A map key holding `n` rows in one version, and its tree's height.
+fn one_version_map(n: u32) -> (Fixture, u64) {
+    let fx = Fixture::new("accounts", |db| {
+        let map = db.new_map(rows(n)).unwrap();
+        db.put("accounts", map, &PutOptions::default()).unwrap();
+    });
+    let tree = fx
+        .fresh()
+        .get("accounts", "master")
+        .unwrap()
+        .value
+        .tree_ref();
+    let root = Node::load(&fx.store, &tree.unwrap().root).unwrap();
+    (fx, u64::from(root.level()))
+}
+
+#[test]
+#[ignore = "ROADMAP § 7(c): measured 161 gets / 161 puts at N 1 k, D 1 and 11 246 / 11 243 at N 64 k, D 1 (11 365 / 11 390 at D 100): every level-1 index page is read and re-put"]
+fn put_map_edits_reads_and_writes_d_root_to_leaf_paths() {
+    let mut rows = Vec::new();
+    let mut within = true;
+    for n in [1_000, 64_000] {
+        let (fx, height) = one_version_map(n);
+        for d in [1, 100] {
+            // D puts spread evenly over the key space, half updates, half
+            // inserts between existing keys.
+            let edits: Vec<MapEdit> = (0..d)
+                .map(|i| {
+                    let at = i * (n / d) + n / (2 * d);
+                    let key = if i % 2 == 0 {
+                        format!("acct-{at:05}")
+                    } else {
+                        format!("acct-{at:05}-new")
+                    };
+                    MapEdit::put(key, format!("edit {i}"))
+                })
+                .collect();
+            let puts_before = fx.store.stats().puts;
+            let (gets, _) = fx.gets(|db| {
+                db.put_map_edits("accounts", edits, &PutOptions::default())
+                    .unwrap()
+            });
+            let puts = fx.store.stats().puts - puts_before;
+            // Per edit: the index pages on its root-to-leaf path, the leaf
+            // it lands in, and up to two leaves re-chunked after it before
+            // the boundaries line up again. Plus the head's FNode (read)
+            // and the new FNode (written).
+            let bound = 1 + u64::from(d) * (height + 3);
+            rows.push(format!(
+                "N {n}, D {d}, height {height}: {gets} gets, {puts} puts, bound {bound}"
+            ));
+            within &= gets <= bound && puts <= bound;
+        }
+    }
+    assert!(within, "{}", rows.join("\n"));
 }
 
 /// Two branches merged into each other twice:

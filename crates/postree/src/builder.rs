@@ -1,10 +1,28 @@
 //! Bottom-up POS-Tree construction.
 //!
-//! [`TreeBuilder`] consumes an ordered stream of leaf entries, detecting
-//! node boundaries with the [`forkbase_chunk::EntryChunker`], and emits
-//! finished nodes into the chunk store. Each finished node becomes an index
-//! entry in the level above, which is itself chunked with the same pattern
-//! rule — recursively, until one node remains: the root (paper Fig. 2).
+//! [`TreeBuilder`] consumes an ordered stream of leaf entries, cuts it into
+//! pages at content-defined boundaries, and emits finished nodes into the
+//! chunk store. Each finished node becomes an index entry in the level
+//! above, which is itself chunked with the same pattern rule — recursively,
+//! until one node remains: the root (paper Fig. 2).
+//!
+//! **Leaf pages are built as bytes.** The unfinished leaf is kept as its
+//! encoding: each entry is encoded straight into the page, and the cut
+//! test is the bulk kernel [`forkbase_chunk::scan_boundary`] run over the
+//! page from the entry's first pattern-eligible byte. The page starts at a
+//! chunker reset, so the kernel's streaming semantics are exactly
+//! [`forkbase_chunk::EntryChunker`]'s, which [`crate::verify`] runs entry
+//! by entry as the independent reference. Emitting a leaf writes its 7-byte
+//! header in front of the entries and hashes the page; no leaf is ever
+//! encoded from a decoded [`Node`]. Index levels feed an `EntryChunker`
+//! the child hashes and encode each node with [`Node::encode`].
+//!
+//! **Runs are copied, not entries.** `TreeBuilder::copy_from` takes each
+//! old leaf's admitted entries from the cursor by reference, appends them
+//! to the page and scans the run once. A run that is a strict prefix of an
+//! old leaf, on a page that began where that leaf began, is not scanned at
+//! all: from the same fresh state over the same bytes, the old leaf did
+//! not cut before its last entry.
 //!
 //! **Invariant maintained across bulk builds and incremental updates:**
 //! every non-final node at every level was terminated by a pattern (or the
@@ -14,17 +32,20 @@
 //! the builder is at a node boundary, because the pattern is a property of
 //! the node's own bytes (reset-on-cut chunking) and will re-occur in the
 //! new stream at exactly the same place.
+//!
+//! The builder hands pages to the store only; it does not fill a node
+//! cache. The first reader of a new page loads and verifies it like any
+//! other (see [`crate::cache`]).
 
-use std::sync::Arc;
+use std::ops::Range;
 
 use bytes::Bytes;
-use forkbase_chunk::{ChunkerConfig, EntryChunker};
+use forkbase_chunk::{scan_boundary, ChunkerConfig, EntryChunker};
 use forkbase_crypto::{sha256, Hash};
 use forkbase_store::ChunkStore;
 
-use crate::cache::NodeCache;
 use crate::cursor::LeafCursor;
-use crate::node::{IndexEntry, LeafEntry, Node, NodeResult};
+use crate::node::{leaf_header, IndexEntry, LeafEntry, Node, NodeResult, HEADER_LEN};
 
 /// Where [`TreeBuilder::copy_from`] stops: it copies every entry the bound
 /// admits and leaves the cursor on the first one it does not.
@@ -44,6 +65,17 @@ impl Until<'_> {
             Until::Key(bound) => key < bound,
             Until::Position(bound) => position < bound,
             Until::End => true,
+        }
+    }
+
+    /// How many of `entries`, the first at `position`, this bound admits.
+    fn admitted(self, entries: &[LeafEntry], position: u64) -> usize {
+        match self {
+            Until::Key(bound) => entries.partition_point(|e| e.key.as_ref() < bound),
+            Until::Position(bound) => {
+                bound.saturating_sub(position).min(entries.len() as u64) as usize
+            }
+            Until::End => entries.len(),
         }
     }
 }
@@ -66,38 +98,41 @@ pub struct FinishedTree {
     pub split_key: bytes::Bytes,
 }
 
-/// Per-level accumulation state.
-struct LevelBuilder {
-    chunker: EntryChunker,
-    pending_leaf: Vec<LeafEntry>,
-    pending_index: Vec<IndexEntry>,
-    nodes_emitted: u64,
+/// The unfinished leaf, kept as the bytes of its page.
+struct LeafPage {
+    /// A header-sized gap, then the canonical encoding of every entry
+    /// pushed since the last cut. Reused from page to page.
+    bytes: Vec<u8>,
+    /// Entries in the page.
+    count: u32,
+    /// Where the last entry's key sits in `bytes`.
+    last_key: Range<usize>,
 }
 
-impl LevelBuilder {
-    fn new(cfg: ChunkerConfig) -> Self {
-        LevelBuilder {
-            chunker: EntryChunker::new(cfg),
-            pending_leaf: Vec::new(),
-            pending_index: Vec::new(),
-            nodes_emitted: 0,
-        }
+impl LeafPage {
+    /// The entries' bytes: the stream the leaf chunker sees since its
+    /// last reset.
+    fn body(&self) -> &[u8] {
+        &self.bytes[HEADER_LEN..]
     }
+}
 
-    fn pending_len(&self) -> usize {
-        self.pending_leaf.len() + self.pending_index.len()
-    }
+/// One index level's accumulation state.
+struct IndexLevel {
+    chunker: EntryChunker,
+    pending: Vec<IndexEntry>,
+    nodes_emitted: u64,
 }
 
 /// Streaming, bottom-up tree builder.
 pub struct TreeBuilder<'s, S> {
     store: &'s S,
     cfg: ChunkerConfig,
-    /// `levels[0]` accumulates leaf entries, `levels[i]` index entries of
-    /// height `i`.
-    levels: Vec<LevelBuilder>,
-    /// Scratch buffer for entry encoding (reused across pushes).
-    scratch: Vec<u8>,
+    /// The leaf chunker's pattern mask, `2^pattern_bits − 1`.
+    mask: u64,
+    leaf: LeafPage,
+    /// `index[i]` accumulates the entries of level-`i + 1` nodes.
+    index: Vec<IndexLevel>,
     /// Total number of nodes written (including dedup hits), for metrics.
     nodes_written: u64,
     /// Finished chunks awaiting one batched store round-trip. Nothing
@@ -107,34 +142,26 @@ pub struct TreeBuilder<'s, S> {
     /// of once per node.
     staged: Vec<(Hash, Bytes)>,
     staged_bytes: usize,
-    /// Receives the nodes this builder emits, once the store holds them.
-    cache: Option<&'s NodeCache>,
-    /// The staged chunks that are nodes (not raw blob data), kept for
-    /// `cache` until their batch is stored.
-    staged_nodes: Vec<(Hash, Bytes)>,
 }
 
 impl<'s, S: ChunkStore> TreeBuilder<'s, S> {
     /// Create a builder writing nodes into `store` with chunking `cfg`.
     pub fn new(store: &'s S, cfg: ChunkerConfig) -> Self {
+        cfg.validate();
         TreeBuilder {
             store,
             cfg,
-            levels: vec![LevelBuilder::new(cfg)],
-            scratch: Vec::with_capacity(256),
+            mask: (1u64 << cfg.pattern_bits) - 1,
+            leaf: LeafPage {
+                bytes: vec![0; HEADER_LEN],
+                count: 0,
+                last_key: 0..0,
+            },
+            index: Vec::new(),
             nodes_written: 0,
             staged: Vec::new(),
             staged_bytes: 0,
-            cache: None,
-            staged_nodes: Vec::new(),
         }
-    }
-
-    /// Add every node this builder emits to `cache` once the store has
-    /// accepted its chunk.
-    pub(crate) fn caching(mut self, cache: Option<&'s NodeCache>) -> Self {
-        self.cache = cache;
-        self
     }
 
     /// Stage an arbitrary content-addressed chunk for the next batched
@@ -150,36 +177,25 @@ impl<'s, S: ChunkStore> TreeBuilder<'s, S> {
         Ok(())
     }
 
-    /// Send all staged chunks to the store in one `put_batch` round-trip,
-    /// then hand the nodes among them to the cache.
+    /// Send all staged chunks to the store in one `put_batch` round-trip.
     fn flush_staged(&mut self) -> NodeResult<()> {
         if self.staged.is_empty() {
             return Ok(());
         }
         self.staged_bytes = 0;
-        let nodes = std::mem::take(&mut self.staged_nodes);
-        let epoch = self.cache.map(NodeCache::epoch);
         self.store.put_batch(std::mem::take(&mut self.staged))?;
-        if let (Some(cache), Some(epoch)) = (self.cache, epoch) {
-            for (hash, chunk) in nodes {
-                // Decoded from the chunk, so the cached node views only
-                // its own page, not the buffers its entries came from.
-                let node = Node::decode(&chunk)?;
-                cache.insert(hash, Arc::new(node), chunk.len(), epoch);
-            }
-        }
         Ok(())
     }
 
     /// Number of leaf entries buffered in the unfinished leaf node.
     pub fn leaf_pending(&self) -> usize {
-        self.levels[0].pending_len()
+        self.leaf.count as usize
     }
 
     /// Whether the builder sits exactly at a leaf-node boundary (fresh
     /// chunker state) — the precondition for [`Self::append_leaf_node`].
     pub fn at_leaf_boundary(&self) -> bool {
-        self.leaf_pending() == 0
+        self.leaf.count == 0
     }
 
     /// Total nodes written so far (including dedup hits).
@@ -190,16 +206,48 @@ impl<'s, S: ChunkStore> TreeBuilder<'s, S> {
     /// Push the next leaf entry (must be in key order for map trees —
     /// enforced by callers, verified downstream by `verify`).
     pub fn push(&mut self, entry: LeafEntry) -> NodeResult<()> {
-        self.scratch.clear();
-        entry.encode_into(&mut self.scratch);
-        let cut = {
-            let lvl = &mut self.levels[0];
-            lvl.pending_leaf.push(entry);
-            lvl.chunker.push_entry(&self.scratch)
-        };
-        if cut {
-            let e = self.emit_node(0)?;
-            self.push_index(1, e)?;
+        self.push_run(std::slice::from_ref(&entry), 0)
+    }
+
+    /// Append `run` to the leaf page and cut the page after every entry
+    /// where the leaf chunker would: after an entry in which the pattern
+    /// fires, or that takes the page to `max_size`. The first `settled`
+    /// entries are known not to end a page, so the scan starts after them.
+    fn push_run(&mut self, mut run: &[LeafEntry], mut settled: usize) -> NodeResult<()> {
+        let mut start = self.leaf.bytes.len() - HEADER_LEN;
+        for e in run {
+            e.encode_into(&mut self.leaf.bytes);
+        }
+        while let Some(last) = run.last() {
+            let body = self.leaf.body();
+            let skipped: usize = run[..settled].iter().map(LeafEntry::encoded_len).sum();
+            let from = (start + skipped).max(self.cfg.min_size - 1);
+            let pattern = scan_boundary(body, self.cfg.window, self.mask, from, body.len());
+            if pattern.is_none() && body.len() < self.cfg.max_size {
+                let key_at = HEADER_LEN + body.len() - last.encoded_len() + 4;
+                self.leaf.last_key = key_at..key_at + last.key.len();
+                self.leaf.count += run.len() as u32;
+                return Ok(());
+            }
+            // The page ends after the first entry that holds the pattern
+            // or reaches `max_size`; both exist, so the walk finds one.
+            let mut end = start;
+            let mut taken = 0;
+            for e in run {
+                let key_at = HEADER_LEN + end + 4;
+                end += e.encoded_len();
+                taken += 1;
+                if end >= self.cfg.max_size || pattern.is_some_and(|p| p < end) {
+                    self.leaf.last_key = key_at..key_at + e.key.len();
+                    break;
+                }
+            }
+            self.leaf.count += taken as u32;
+            let cut = self.emit_leaf(end)?;
+            self.push_index(1, cut)?;
+            run = &run[taken..];
+            start = 0;
+            settled = 0;
         }
         Ok(())
     }
@@ -212,17 +260,16 @@ impl<'s, S: ChunkStore> TreeBuilder<'s, S> {
             self.at_leaf_boundary(),
             "append_leaf_node requires fresh chunker state at the leaf level"
         );
-        self.levels[0].nodes_emitted += 1;
         self.push_index(1, node_ref)
     }
 
     /// Copy `cursor`'s entries up to `until` into the tree, resynchronizing
     /// after every edit: whenever the builder is at a leaf boundary and the
     /// cursor at the start of a leaf that lies wholly before the bound, the
-    /// leaf is spliced by reference (no decode, no re-hash); otherwise one
-    /// entry is streamed. The tree's final leaf is spliced only by
-    /// [`Until::End`]: its boundary was the end of the old stream, not a
-    /// pattern, so mid-stream it would not re-occur.
+    /// leaf is spliced by reference (no decode, no re-hash); otherwise the
+    /// leaf's admitted entries are appended as one run. The tree's final
+    /// leaf is spliced only by [`Until::End`]: its boundary was the end of
+    /// the old stream, not a pattern, so mid-stream it would not re-occur.
     pub(crate) fn copy_from(
         &mut self,
         cursor: &mut LeafCursor<'_, S>,
@@ -234,8 +281,8 @@ impl<'s, S: ChunkStore> TreeBuilder<'s, S> {
             let Some(leaf) = cursor.leaf_ref() else {
                 return Ok(());
             };
-            if self.at_leaf_boundary()
-                && cursor.at_leaf_start()
+            let page_starts_with_leaf = self.at_leaf_boundary() && cursor.at_leaf_start();
+            if page_starts_with_leaf
                 && (matches!(until, Until::End) || !cursor.leaf_is_last())
                 && until.admits(&leaf.split_key, position + leaf.count - 1)
             {
@@ -244,14 +291,25 @@ impl<'s, S: ChunkStore> TreeBuilder<'s, S> {
                 cursor.skip_leaf()?;
                 continue;
             }
-            if !cursor
-                .peek()?
-                .is_some_and(|next| until.admits(&next.key, position))
-            {
+            let unread = cursor.unread_entries()?;
+            let n = until.admitted(unread, position);
+            if n == 0 {
                 return Ok(());
             }
-            let entry = cursor.next_entry()?.expect("peeked");
-            self.push(entry)?;
+            // A page that began where this leaf began cannot end before
+            // the leaf's last entry: the old leaf, chunked from the same
+            // fresh state over the same bytes, did not.
+            let settled = if page_starts_with_leaf {
+                n.min(unread.len() - 1)
+            } else {
+                0
+            };
+            let drained = n == unread.len();
+            self.push_run(&unread[..n], settled)?;
+            cursor.consume(n);
+            if !drained {
+                return Ok(());
+            }
         }
     }
 
@@ -266,50 +324,68 @@ impl<'s, S: ChunkStore> TreeBuilder<'s, S> {
     /// is re-randomized and the cascade terminates almost surely, while
     /// remaining a pure function of tree content (structural invariance).
     fn push_index(&mut self, level: usize, entry: IndexEntry) -> NodeResult<()> {
-        while self.levels.len() <= level {
-            self.levels.push(LevelBuilder::new(self.cfg));
+        while self.index.len() < level {
+            self.index.push(IndexLevel {
+                chunker: EntryChunker::new(self.cfg),
+                pending: Vec::new(),
+                nodes_emitted: 0,
+            });
         }
-        let cut = {
-            let lvl = &mut self.levels[level];
-            let cut = lvl.chunker.push_entry(entry.hash.as_bytes());
-            lvl.pending_index.push(entry);
-            cut
-        };
+        let lvl = &mut self.index[level - 1];
+        let cut = lvl.chunker.push_entry(entry.hash.as_bytes());
+        lvl.pending.push(entry);
         if cut {
-            let e = self.emit_node(level)?;
+            let e = self.emit_index(level)?;
             self.push_index(level + 1, e)?;
         }
         Ok(())
     }
 
-    /// Seal the pending entries at `level` into a stored node and return
-    /// its index entry. The level's chunker is reset.
-    fn emit_node(&mut self, level: usize) -> NodeResult<IndexEntry> {
-        let lvl = &mut self.levels[level];
-        let node = if level == 0 {
-            Node::Leaf(std::mem::take(&mut lvl.pending_leaf))
-        } else {
-            Node::Index {
-                level: level as u8,
-                children: std::mem::take(&mut lvl.pending_index),
-            }
-        };
-        lvl.chunker.reset();
-        lvl.nodes_emitted += 1;
-        let count = node.subtree_count();
-        let split_key = node.split_key().unwrap_or_default();
-        let encoded = Bytes::from(node.encode());
-        let hash = sha256(&encoded);
-        if self.cache.is_some() {
-            self.staged_nodes.push((hash, encoded.clone()));
-        }
-        self.stage_chunk(hash, encoded)?;
-        self.nodes_written += 1;
+    /// Seal the leaf page's first `end` body bytes, which hold its
+    /// entries, into a stored node and return its index entry. Bytes past
+    /// `end` move to the front of the next page.
+    fn emit_leaf(&mut self, end: usize) -> NodeResult<IndexEntry> {
+        let leaf = &mut self.leaf;
+        leaf.bytes[..HEADER_LEN].copy_from_slice(&leaf_header(leaf.count));
+        let page = Bytes::copy_from_slice(&leaf.bytes[..HEADER_LEN + end]);
+        let split_key = page.slice(leaf.last_key.clone());
+        let count = u64::from(leaf.count);
+        leaf.bytes.drain(HEADER_LEN..HEADER_LEN + end);
+        leaf.count = 0;
+        leaf.last_key = 0..0;
+        let hash = self.stage_node(page)?;
         Ok(IndexEntry {
             split_key,
             hash,
             count,
         })
+    }
+
+    /// Seal the pending entries at index `level` into a stored node and
+    /// return its index entry. The level's chunker is reset.
+    fn emit_index(&mut self, level: usize) -> NodeResult<IndexEntry> {
+        let lvl = &mut self.index[level - 1];
+        lvl.chunker.reset();
+        lvl.nodes_emitted += 1;
+        let node = Node::Index {
+            level: level as u8,
+            children: std::mem::take(&mut lvl.pending),
+        };
+        let count = node.subtree_count();
+        let split_key = node.split_key().unwrap_or_default();
+        let hash = self.stage_node(Bytes::from(node.encode()))?;
+        Ok(IndexEntry {
+            split_key,
+            hash,
+            count,
+        })
+    }
+
+    fn stage_node(&mut self, page: Bytes) -> NodeResult<Hash> {
+        let hash = sha256(&page);
+        self.stage_chunk(hash, page)?;
+        self.nodes_written += 1;
+        Ok(hash)
     }
 
     /// Flush all levels and return the root reference.
@@ -324,55 +400,47 @@ impl<'s, S: ChunkStore> TreeBuilder<'s, S> {
     }
 
     fn finish_root(&mut self) -> NodeResult<FinishedTree> {
-        let mut level = 0usize;
+        let rest = self.leaf.body().len();
+        if self.index.is_empty() {
+            // Whole tree fits in (or is) a single leaf node.
+            let e = self.emit_leaf(rest)?;
+            return Ok(FinishedTree {
+                hash: e.hash,
+                count: e.count,
+                level: 0,
+                split_key: e.split_key,
+            });
+        }
+        if !self.at_leaf_boundary() {
+            let e = self.emit_leaf(rest)?;
+            self.push_index(1, e)?;
+        }
+        let mut level = 1;
         loop {
-            let is_top = level + 1 == self.levels.len();
-            let emitted = self.levels[level].nodes_emitted;
-            let pending = self.levels[level].pending_len();
-
-            if is_top {
-                if level == 0 {
-                    // Whole tree fits in (or is) a single leaf node.
-                    debug_assert_eq!(emitted, 0, "emitting creates the level above");
-                    let e = self.emit_node(0)?;
-                    return Ok(FinishedTree {
-                        hash: e.hash,
-                        count: e.count,
-                        level: 0,
-                        split_key: e.split_key,
-                    });
-                }
-                if emitted == 0 && pending == 1 {
-                    // Exactly one child bubbled up: it is the root itself.
-                    let e = self.levels[level].pending_index.pop().expect("one entry");
-                    return Ok(FinishedTree {
-                        hash: e.hash,
-                        count: e.count,
-                        // The child of a level-`level` builder sits at
-                        // `level - 1`... unless it was a fast-appended leaf.
-                        // Its true level is encoded in the node itself; for
-                        // the root ref we only promise "root of height ≤
-                        // level-1"; callers that need the exact level read
-                        // the node header. We report level-1 which is exact
-                        // for all builder-emitted nodes.
-                        level: (level - 1) as u8,
-                        split_key: e.split_key,
-                    });
-                }
-                if pending > 0 {
-                    let e = self.emit_node(level)?;
-                    self.push_index(level + 1, e)?;
-                }
-                level += 1;
-            } else {
-                if pending > 0 {
-                    let e = self.emit_node(level)?;
-                    // Push into the parent WITHOUT triggering recursion
-                    // above the top: push_index handles cascades naturally.
-                    self.push_index(level + 1, e)?;
-                }
-                level += 1;
+            let is_top = level == self.index.len();
+            let lvl = &mut self.index[level - 1];
+            if is_top && lvl.nodes_emitted == 0 && lvl.pending.len() == 1 {
+                // Exactly one child bubbled up: it is the root itself.
+                let e = lvl.pending.pop().expect("one entry");
+                return Ok(FinishedTree {
+                    hash: e.hash,
+                    count: e.count,
+                    // The child of a level-`level` node sits at
+                    // `level - 1`... unless it was a fast-appended leaf.
+                    // Its true level is encoded in the node itself; for
+                    // the root ref we only promise "root of height ≤
+                    // level-1"; callers that need the exact level read
+                    // the node header. We report level-1 which is exact
+                    // for all builder-emitted nodes.
+                    level: (level - 1) as u8,
+                    split_key: e.split_key,
+                });
             }
+            if !lvl.pending.is_empty() {
+                let e = self.emit_index(level)?;
+                self.push_index(level + 1, e)?;
+            }
+            level += 1;
         }
     }
 }

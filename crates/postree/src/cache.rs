@@ -6,12 +6,12 @@
 //! invalidation. The one exception is garbage collection, which deletes
 //! pages; its owner drops the swept ones with [`NodeCache::retain`].
 //!
-//! A node enters only through two doors:
-//!
-//! * `load_node` — a miss fetches the chunk, checks its SHA-256 against
-//!   the address ([`Node::load`]'s check) and decodes it;
-//! * [`crate::TreeBuilder`] — a node this process built and encoded
-//!   itself, inserted once the store has accepted its chunk.
+//! A node enters through one door, `load_node`: a miss fetches the chunk,
+//! checks its SHA-256 against the address ([`Node::load`]'s check) and
+//! decodes it. [`crate::TreeBuilder`] inserts nothing: a page it has just
+//! written is first read, like any other page, through this miss path, so
+//! a build never pays to decode pages nobody reads and every cached node
+//! is one whose stored bytes were checked.
 //!
 //! Readers share entries as `Arc<Node>`. The cache bounds the sum of the
 //! entries' chunk bytes plus their decoded struct sizes. Each of

@@ -290,6 +290,25 @@ impl<'s, S: ChunkStore> LeafCursor<'s, S> {
         }
     }
 
+    /// The current leaf's entries from the cursor on, by reference, for
+    /// copying a run of them; [`Self::consume`] then moves past the ones
+    /// taken. The cursor must be normalized and not at the end.
+    pub(crate) fn unread_entries(&mut self) -> NodeResult<&[LeafEntry]> {
+        let idx = self.entry_idx;
+        Ok(&self.load_leaf()?[idx..])
+    }
+
+    /// Move past the next `n` entries, all in the current leaf.
+    pub(crate) fn consume(&mut self, n: usize) {
+        debug_assert!(
+            self.leaf
+                .as_ref()
+                .is_some_and(|l| self.entry_idx + n <= l.entries().len()),
+            "consume past the end of the leaf"
+        );
+        self.entry_idx += n;
+    }
+
     /// Move to the next leaf node **without decoding the current one**.
     /// The cursor must be at a leaf (not at end).
     pub fn skip_leaf(&mut self) -> NodeResult<()> {

@@ -9,8 +9,10 @@
 //! last, the builder's resync loop (`TreeBuilder::copy_from`) copies the
 //! old tree up to the edit: wherever the builder stands at a leaf boundary
 //! and the cursor at a leaf start, the whole leaf is spliced in by
-//! reference (no decode, no re-hash); elsewhere entries are re-chunked one
-//! by one with the edits merged in. Reset-on-cut chunking makes the new
+//! reference (no decode, no re-hash); elsewhere the old leaf's entries
+//! are appended to the new page as one run, with the edits pushed between
+//! runs, and re-chunked by one scan of the run's bytes. Reset-on-cut
+//! chunking makes the new
 //! boundary sequence converge back onto the old one within a leaf or two
 //! of each edit, and splicing resumes there.
 //!
@@ -109,7 +111,8 @@ impl<'s, S: ChunkStore> PosMap<'s, S> {
         }
     }
 
-    /// Read (and, in [`Self::apply`], keep built) nodes through `cache`.
+    /// Read nodes through `cache`. [`Self::apply`] puts nothing in it: a
+    /// page it wrote enters when it is first read.
     #[must_use = "returns the cached handle; the original is consumed"]
     pub fn with_cache(mut self, cache: &'s NodeCache) -> Self {
         self.cache = Some(cache);
@@ -262,12 +265,12 @@ impl<'s, S: ChunkStore> PosMap<'s, S> {
         edits.reverse();
 
         let mut cursor = self.leaf_cursor(None)?;
-        let mut builder = TreeBuilder::new(self.store, self.cfg).caching(self.cache);
+        let mut builder = TreeBuilder::new(self.store, self.cfg);
         for edit in &edits {
             builder.copy_from(&mut cursor, Until::Key(&edit.key))?;
             // Drop the old value, then emit the new one (none for deletes).
             if cursor.peek()?.is_some_and(|e| e.key == edit.key) {
-                cursor.next_entry()?;
+                cursor.consume(1);
             }
             if let Some(v) = &edit.value {
                 builder.push(LeafEntry::new(edit.key.clone(), v.clone()))?;
@@ -607,11 +610,12 @@ mod tests {
         let plain2 = plain.apply(edits.clone()).unwrap();
         let cached2 = cached.apply(edits).unwrap();
         assert_eq!(plain2.tree(), cached2.tree());
-        // `apply` kept the nodes it built; the uncached handle kept none.
-        assert!(cache.contains(&cached2.root()));
+        // `apply` cached nothing it built; the cached handle's reads do.
+        assert!(!cache.contains(&cached2.root()));
         for i in (0..2100).step_by(7) {
             assert_eq!(plain2.get(&k(i)).unwrap(), cached2.get(&k(i)).unwrap());
         }
+        assert!(cache.contains(&cached2.root()));
         assert_eq!(plain2.to_vec().unwrap(), cached2.to_vec().unwrap());
         let mut range = cached2.cursor(Some(&k(1500))).unwrap();
         assert_eq!(range.next_entry().unwrap().unwrap().key, k(1500));
@@ -622,29 +626,31 @@ mod tests {
     }
 
     #[test]
-    fn built_nodes_are_cached_only_once_stored() {
-        use forkbase_store::{FaultyStore, WriteFault};
+    fn a_build_caches_nothing_and_the_first_read_of_its_root_is_verified() {
+        use forkbase_store::{FaultMode, FaultyStore};
         let store = FaultyStore::new(MemStore::new());
         let cache = NodeCache::new();
         let map = PosMap::build_from_sorted(&store, cfg(), (0..500).map(|i| (k(i), v(i))))
             .unwrap()
             .with_cache(&cache);
-        // The root the insert builds, by structural invariance.
-        let elsewhere = MemStore::new();
-        let expected =
-            PosMap::build_from_sorted(&elsewhere, cfg(), (0..=500).map(|i| (k(i), v(i))))
-                .unwrap()
-                .root();
-
-        store.inject_write(WriteFault::FailPut);
-        assert!(map.insert(k(500), v(500)).is_err());
-        assert!(
-            !cache.contains(&expected),
-            "a refused chunk must not be cached"
-        );
-        store.heal_writes();
         let updated = map.insert(k(500), v(500)).unwrap();
-        assert_eq!(updated.root(), expected);
-        assert!(cache.contains(&expected));
+        let root = updated.root();
+        assert!(!cache.contains(&root), "a build inserts nothing");
+
+        // The first read is a miss: it fetches the page and checks it
+        // against its address, so a tampered page is refused, not cached.
+        store.inject(root, FaultMode::FlipBit { byte: 3 });
+        assert!(matches!(
+            updated.get(&k(500)),
+            Err(crate::NodeError::HashMismatch { .. })
+        ));
+        assert!(!cache.contains(&root));
+        store.heal_all();
+        assert_eq!(updated.get(&k(500)).unwrap(), Some(v(500)));
+        assert!(cache.contains(&root));
+
+        // The next read is a hit: the store is not consulted again.
+        store.inject(root, FaultMode::FlipBit { byte: 3 });
+        assert_eq!(updated.get(&k(500)).unwrap(), Some(v(500)));
     }
 }

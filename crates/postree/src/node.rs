@@ -39,6 +39,15 @@ pub const NODE_MAGIC: u8 = b'N';
 const KIND_LEAF: u8 = 0;
 const KIND_INDEX: u8 = 1;
 
+/// Bytes in front of a node's entries: magic, kind, level, entry count.
+pub(crate) const HEADER_LEN: usize = 7;
+
+/// The header of a leaf node holding `count` entries.
+pub(crate) fn leaf_header(count: u32) -> [u8; HEADER_LEN] {
+    let [c0, c1, c2, c3] = count.to_le_bytes();
+    [NODE_MAGIC, KIND_LEAF, 0, c0, c1, c2, c3]
+}
+
 /// Chunking parameters for a tree family.
 ///
 /// All instances that should share pages must use identical configs — the
@@ -269,17 +278,15 @@ impl Node {
     /// Canonical encoding: `magic | kind | level | n | entries…`.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.encoded_size_hint());
-        out.push(NODE_MAGIC);
         match self {
             Node::Leaf(entries) => {
-                out.push(KIND_LEAF);
-                out.push(0u8);
-                put_u32(&mut out, entries.len() as u32);
+                out.extend_from_slice(&leaf_header(entries.len() as u32));
                 for e in entries {
                     e.encode_into(&mut out);
                 }
             }
             Node::Index { level, children } => {
+                out.push(NODE_MAGIC);
                 out.push(KIND_INDEX);
                 out.push(*level);
                 put_u32(&mut out, children.len() as u32);
@@ -292,12 +299,13 @@ impl Node {
     }
 
     fn encoded_size_hint(&self) -> usize {
-        7 + match self {
-            Node::Leaf(entries) => entries.iter().map(LeafEntry::encoded_len).sum::<usize>(),
-            Node::Index { children, .. } => {
-                children.iter().map(IndexEntry::encoded_len).sum::<usize>()
+        HEADER_LEN
+            + match self {
+                Node::Leaf(entries) => entries.iter().map(LeafEntry::encoded_len).sum::<usize>(),
+                Node::Index { children, .. } => {
+                    children.iter().map(IndexEntry::encoded_len).sum::<usize>()
+                }
             }
-        }
     }
 
     /// Decode a node from chunk bytes, validating structural invariants.

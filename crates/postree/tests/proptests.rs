@@ -10,14 +10,21 @@
 //! * lists behave like `Vec` under arbitrary splices;
 //! * an incremental update of a multi-level tree (`PosMap::apply`,
 //!   `PosList::splice`) yields exactly the root of a full rebuild;
-//! * blobs round-trip arbitrary byte strings and serve correct ranges.
+//! * blobs round-trip arbitrary byte strings and serve correct ranges;
+//! * differentially, every map and list the builder makes — bulk builds
+//!   and incremental applies and splices, under both node configs — is
+//!   the canonical tree by `verify_map`'s per-entry `EntryChunker`
+//!   reference, which shares no code with the builder's page scan.
 
 use std::collections::BTreeMap;
 
 use bytes::Bytes;
 use forkbase_chunk::ChunkerConfig;
+use forkbase_crypto::Hash;
 use forkbase_postree::diff::diff_maps;
-use forkbase_postree::{DiffEntry, MapEdit, PosBlob, PosList, PosMap, TreeConfig};
+use forkbase_postree::{
+    verify_map, DiffEntry, MapEdit, Node, PosBlob, PosList, PosMap, TreeConfig,
+};
 use forkbase_store::MemStore;
 use proptest::prelude::*;
 
@@ -106,6 +113,68 @@ fn expand_edits(n: u32, ops: &[EditOp]) -> Vec<MapEdit> {
     }
     out
 }
+
+/// The two node configs whose pages the differential tests check.
+fn node_configs() -> [ChunkerConfig; 2] {
+    [ChunkerConfig::node_default(), ChunkerConfig::test_small()]
+}
+
+/// A two-byte key; the gaps between consecutive keys leave room for
+/// inserts (see [`key_after`]).
+fn short_key(i: usize) -> Bytes {
+    Bytes::from(((i as u16 + 1) * 4).to_be_bytes().to_vec())
+}
+
+/// The smallest key above `key`: an insert right after it.
+fn key_after(key: &Bytes) -> Bytes {
+    let mut k = key.to_vec();
+    k.push(0);
+    Bytes::from(k)
+}
+
+/// A value whose entry lands on one side of one of `cfg`'s size
+/// thresholds: shorter than the rolling window, straddling `min_size` or
+/// the window, or (rarely) longer than `max_size`. The bytes are mixed so
+/// patterns fire at arbitrary offsets, except in the rare runs of one
+/// repeated byte, where no pattern fires and `max_size` ends the page.
+fn sized_value(cfg: ChunkerConfig, bucket: u8, salt: u8) -> Bytes {
+    let jitter = usize::from(salt % 24);
+    let len = match bucket % 8 {
+        0 | 1 => jitter % 4,
+        2 | 3 => (cfg.min_size + jitter).saturating_sub(22),
+        4 => (cfg.window + jitter).saturating_sub(22),
+        5 | 6 => jitter * 3,
+        _ if salt.is_multiple_of(8) => cfg.max_size + jitter,
+        _ if salt % 8 == 1 => return Bytes::from(vec![salt; cfg.max_size / 3 + jitter]),
+        _ => cfg.min_size / 2 + jitter,
+    };
+    let mut x = u32::from(salt) | u32::from(bucket) << 8 | 0x9E37_0000;
+    Bytes::from(
+        (0..len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 17;
+                x ^= x << 5;
+                x as u8
+            })
+            .collect::<Vec<u8>>(),
+    )
+}
+
+/// The keys of every leaf of the tree at `root`, leaf by leaf (list
+/// leaves give empty keys, one per element).
+fn leaf_keys(store: &MemStore, root: &Hash) -> Vec<Vec<Bytes>> {
+    match Node::load(store, root).unwrap() {
+        Node::Leaf(entries) => vec![entries.into_iter().map(|e| e.key).collect()],
+        Node::Index { children, .. } => children
+            .iter()
+            .flat_map(|c| leaf_keys(store, &c.hash))
+            .collect(),
+    }
+}
+
+/// A differential edit `(kind, anchor, bucket, salt)`.
+type SizedEdit = (u8, u16, u8, u8);
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
@@ -308,6 +377,110 @@ proptest! {
             let rebuilt = PosList::build(&fresh, cfg(), model.clone()).unwrap();
             prop_assert_eq!(list.root(), rebuilt.root());
             prop_assert_eq!(list.len(), rebuilt.len());
+        }
+    }
+
+    /// Maps built and edited through the builder's byte pages are
+    /// canonical by the per-entry reference and equal a full rebuild,
+    /// under both configs. Edits land on a leaf's first key (the run
+    /// before it ends exactly at the previous leaf's last entry), right
+    /// after a leaf's last key, across whole leaves and past the last key.
+    #[test]
+    fn maps_are_canonical_by_the_entry_chunker_reference(
+        entries in proptest::collection::vec((proptest::num::u8::ANY, proptest::num::u8::ANY), 0..300),
+        edits in proptest::collection::vec((0u8..8, proptest::num::u16::ANY, proptest::num::u8::ANY, proptest::num::u8::ANY), 1..16),
+    ) {
+        for cfg in node_configs() {
+            let store = MemStore::new();
+            let mut model: BTreeMap<Bytes, Bytes> = entries
+                .iter()
+                .enumerate()
+                .map(|(i, &(bucket, salt))| (short_key(i), sized_value(cfg, bucket, salt)))
+                .collect();
+            let base = PosMap::build_from_sorted(&store, cfg, model.clone()).unwrap();
+            prop_assert!(verify_map(&store, base.tree(), cfg, true).is_ok());
+
+            let leaves = leaf_keys(&store, &base.root());
+            let mut batch = Vec::new();
+            for &(kind, anchor, bucket, salt) in &edits as &[SizedEdit] {
+                let existing = short_key(usize::from(anchor) % entries.len().max(1));
+                let leaf = &leaves[usize::from(anchor) % leaves.len()];
+                let value = sized_value(cfg, bucket, salt);
+                match (kind, leaf.first(), leaf.last()) {
+                    (0, ..) => batch.push(MapEdit::put(existing, value)),
+                    (1, ..) => batch.push(MapEdit::put(key_after(&existing), value)),
+                    (2, ..) => batch.push(MapEdit::delete(existing)),
+                    (3, Some(first), _) => batch.push(MapEdit::put(first.clone(), value)),
+                    (4, _, Some(last)) => batch.push(MapEdit::put(key_after(last), value)),
+                    (5, Some(first), _) => batch.push(MapEdit::delete(first.clone())),
+                    (6, ..) => batch.extend(leaf.iter().cloned().map(MapEdit::delete)),
+                    (7, ..) => {
+                        // Past the last key: the old final leaf is copied
+                        // mid-stream, where its own end is no boundary.
+                        let last = leaves.iter().rev().find_map(|l| l.last());
+                        let key = last.map_or_else(|| short_key(0), key_after);
+                        batch.push(MapEdit::put(key, value));
+                    }
+                    _ => batch.push(MapEdit::put(key_after(&existing), value)),
+                }
+            }
+            let applied = base.apply(batch.clone()).unwrap();
+            for e in &batch {
+                match &e.value {
+                    Some(v) => { model.insert(e.key.clone(), v.clone()); }
+                    None => { model.remove(&e.key); }
+                }
+            }
+            let verified = verify_map(&store, applied.tree(), cfg, true);
+            prop_assert!(verified.is_ok(), "{:?}", verified);
+            let fresh = MemStore::new();
+            let rebuilt = PosMap::build_from_sorted(&fresh, cfg, model).unwrap();
+            prop_assert_eq!(applied.root(), rebuilt.root());
+            prop_assert_eq!(applied.len(), rebuilt.len());
+        }
+    }
+
+    /// Lists built and spliced through the builder's byte pages are
+    /// canonical by the per-entry reference and equal a full rebuild,
+    /// under both configs; some splices start exactly at a leaf's first
+    /// element.
+    #[test]
+    fn lists_are_canonical_by_the_entry_chunker_reference(
+        elements in proptest::collection::vec((proptest::num::u8::ANY, proptest::num::u8::ANY), 0..300),
+        splices in proptest::collection::vec((proptest::bool::ANY, proptest::num::u16::ANY, 0u16..40, proptest::collection::vec((proptest::num::u8::ANY, proptest::num::u8::ANY), 0..8)), 1..4),
+    ) {
+        for cfg in node_configs() {
+            let store = MemStore::new();
+            let mut model: Vec<Bytes> = elements
+                .iter()
+                .map(|&(bucket, salt)| sized_value(cfg, bucket, salt))
+                .collect();
+            let mut list = PosList::build(&store, cfg, model.clone()).unwrap();
+            prop_assert!(verify_map(&store, list.tree(), cfg, true).is_ok());
+
+            for (at_leaf_start, anchor, remove, inserted) in &splices {
+                let start = if *at_leaf_start {
+                    let leaves = leaf_keys(&store, &list.root());
+                    let j = usize::from(*anchor) % leaves.len();
+                    leaves[..j].iter().map(Vec::len).sum()
+                } else {
+                    usize::from(*anchor) % (model.len() + 1)
+                };
+                let remove = usize::from(*remove).min(model.len() - start);
+                let inserted: Vec<Bytes> = inserted
+                    .iter()
+                    .map(|&(bucket, salt)| sized_value(cfg, bucket, salt))
+                    .collect();
+                list = list.splice(start as u64, remove as u64, inserted.clone()).unwrap();
+                model.splice(start..start + remove, inserted);
+
+                let verified = verify_map(&store, list.tree(), cfg, true);
+                prop_assert!(verified.is_ok(), "{:?}", verified);
+                let fresh = MemStore::new();
+                let rebuilt = PosList::build(&fresh, cfg, model.clone()).unwrap();
+                prop_assert_eq!(list.root(), rebuilt.root());
+                prop_assert_eq!(list.len(), rebuilt.len());
+            }
         }
     }
 
