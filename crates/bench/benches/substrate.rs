@@ -17,7 +17,7 @@ use forkbase::{ForkBase, PutOptions};
 use forkbase_bench::workload;
 use forkbase_chunk::{ByteChunker, ChunkerConfig, RollingHash};
 use forkbase_crypto::{crc32, sha256, Hash};
-use forkbase_store::{ChunkStore, FileStore, FileStoreConfig, MemStore};
+use forkbase_store::{ChunkStore, FileStore, FileStoreConfig, MemStore, SweepStore};
 use forkbase_types::Value;
 
 fn bench_sha256(c: &mut Criterion) {
@@ -169,7 +169,7 @@ fn bench_put_batch(c: &mut Criterion) {
 }
 
 /// Physical space reclamation on the segmented pack-file store: ingest a
-/// working set, drop half of it, run `compact` against the survivor set,
+/// working set, drop half of it, run `sweep` against the survivor set,
 /// and re-read every survivor. Throughput is the full cycle over the
 /// ingested bytes, so regressions in any leg (group commit, segment
 /// utilization accounting, compaction rewrite, post-compaction reads)
@@ -202,7 +202,7 @@ fn bench_compaction(c: &mut Criterion) {
             .unwrap();
             store.put_batch(chunks.clone()).unwrap();
             store.sync().unwrap();
-            let report = store.compact(&live).unwrap();
+            let report = store.sweep(&|h| live.contains(h)).unwrap();
             assert_eq!(report.chunks_reclaimed as usize, COUNT - live.len());
             assert!(
                 report.disk_bytes_after < report.disk_bytes_before,

@@ -649,9 +649,6 @@ mod tests {
     }
 
     impl ChunkStore for PutDuringSync {
-        fn put_with_hash(&self, hash: Uid, bytes: Bytes) -> StoreResult<bool> {
-            self.store.put_with_hash(hash, bytes)
-        }
         fn put_batch(&self, chunks: Vec<(Uid, Bytes)>) -> StoreResult<usize> {
             self.store.put_batch(chunks)
         }
@@ -660,12 +657,6 @@ mod tests {
         }
         fn stats(&self) -> StoreStats {
             self.store.stats()
-        }
-        fn chunk_count(&self) -> usize {
-            self.store.chunk_count()
-        }
-        fn stored_bytes(&self) -> u64 {
-            self.store.stored_bytes()
         }
         fn sync(&self) -> StoreResult<()> {
             self.store.sync()?;

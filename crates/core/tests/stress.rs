@@ -554,10 +554,6 @@ impl SlowWrites {
 }
 
 impl ChunkStore for SlowWrites {
-    fn put_with_hash(&self, hash: forkbase::Uid, bytes: Bytes) -> StoreResult<bool> {
-        Self::stall();
-        self.0.put_with_hash(hash, bytes)
-    }
     fn put_batch(&self, chunks: Vec<(forkbase::Uid, Bytes)>) -> StoreResult<usize> {
         Self::stall();
         self.0.put_batch(chunks)
@@ -567,12 +563,6 @@ impl ChunkStore for SlowWrites {
     }
     fn stats(&self) -> StoreStats {
         self.0.stats()
-    }
-    fn chunk_count(&self) -> usize {
-        self.0.chunk_count()
-    }
-    fn stored_bytes(&self) -> u64 {
-        self.0.stored_bytes()
     }
 }
 

@@ -20,10 +20,6 @@ struct LeafReads {
 }
 
 impl ChunkStore for LeafReads {
-    fn put_with_hash(&self, hash: Hash, bytes: Bytes) -> StoreResult<bool> {
-        self.inner.put_with_hash(hash, bytes)
-    }
-
     fn put_batch(&self, chunks: Vec<(Hash, Bytes)>) -> StoreResult<usize> {
         self.inner.put_batch(chunks)
     }
@@ -40,14 +36,6 @@ impl ChunkStore for LeafReads {
 
     fn stats(&self) -> StoreStats {
         self.inner.stats()
-    }
-
-    fn chunk_count(&self) -> usize {
-        self.inner.chunk_count()
-    }
-
-    fn stored_bytes(&self) -> u64 {
-        self.inner.stored_bytes()
     }
 }
 

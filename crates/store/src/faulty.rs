@@ -40,14 +40,15 @@ pub enum FaultMode {
 /// store), write faults model a *crashing* provider: the put fails with an
 /// I/O error and — for [`WriteFault::FailPutBatchAfter`] — may leave a torn
 /// prefix of the batch behind, exactly what a mid-batch power cut leaves in
-/// a pack file before the commit record lands.
+/// a pack file before the commit record lands. Both act on `put_batch`,
+/// the store's one write; a single `put` / `put_with_hash` is a batch of
+/// one and fails or spends budget as one.
 #[derive(Clone, Copy, Debug)]
 pub enum WriteFault {
-    /// Every `put` / `put_with_hash` fails; `put_batch` fails before
-    /// writing anything.
+    /// Every write fails before writing anything.
     FailPut,
-    /// `put_batch` writes the first `n` chunks to the inner store, then
-    /// fails — a torn batch. Single puts count against the same budget.
+    /// Writes land the next `n` chunks in the inner store, then fail — a
+    /// torn batch. The budget spans calls: a batch of one spends one.
     FailPutBatchAfter(usize),
 }
 
@@ -144,13 +145,6 @@ impl<S: ChunkStore> FaultyStore<S> {
 }
 
 impl<S: ChunkStore> ChunkStore for FaultyStore<S> {
-    fn put_with_hash(&self, hash: Hash, bytes: Bytes) -> StoreResult<bool> {
-        match self.take_write_budget(1) {
-            None | Some(1) => self.inner.put_with_hash(hash, bytes),
-            Some(_) => Err(Self::injected_write_error()),
-        }
-    }
-
     fn put_batch(&self, chunks: Vec<(Hash, Bytes)>) -> StoreResult<usize> {
         match self.take_write_budget(chunks.len()) {
             // Read-side faults never touch writes (§II-D: the adversary
@@ -204,14 +198,6 @@ impl<S: ChunkStore> ChunkStore for FaultyStore<S> {
 
     fn stats(&self) -> StoreStats {
         self.inner.stats()
-    }
-
-    fn chunk_count(&self) -> usize {
-        self.inner.chunk_count()
-    }
-
-    fn stored_bytes(&self) -> u64 {
-        self.inner.stored_bytes()
     }
 
     fn sync(&self) -> StoreResult<()> {

@@ -57,7 +57,7 @@
 //!
 //! # Compaction
 //!
-//! [`FileStore::compact`] takes the live-chunk set (produced by
+//! [`SweepStore::sweep`] takes the liveness predicate (produced by
 //! `forkbase::gc`'s mark phase), drops dead index entries, and rewrites the
 //! survivors of low-utilization segments into fresh segments:
 //!
@@ -733,8 +733,8 @@ impl FileStore {
     }
 
     /// Append one frame to the active segment (rotating first if it is
-    /// full), returning the chunk's slot. Does not flush or fsync; the
-    /// caller decides durability (per put or once per batch).
+    /// full), returning the chunk's slot. Does not flush or fsync:
+    /// durability is [`ChunkStore::sync`]'s.
     fn append_frame(&self, active: &mut Active, hash: &Hash, bytes: &Bytes) -> StoreResult<Slot> {
         // Rotate if the active segment is full.
         if active.offset >= self.cfg.segment_bytes {
@@ -822,13 +822,173 @@ impl FileStore {
         Ok(Bytes::from(buf).slice(HASH_LEN..HASH_LEN + len))
     }
 
-    /// Physically compact the store against a live-chunk set (the mark
-    /// phase's output): drop dead index entries, rewrite the survivors of
-    /// low-utilization segments into fresh segments, swap the manifest,
-    /// and delete the victims. See the module docs for the crash-recovery
-    /// protocol. Writers block for the duration (they share the active
-    /// lock); readers keep running and retry through the slot relocation.
-    pub fn compact(&self, live: &HashSet<Hash>) -> StoreResult<SweepReport> {
+    /// Copy `to_move` into fresh temp segments (fsynced), pushing each
+    /// new segment id onto `new_segments` as it is created, and return the
+    /// new slots. Every frame is read through [`Self::read_frame`], so a
+    /// survivor damaged on media fails the copy instead of being rewritten
+    /// under a fresh, valid CRC.
+    fn copy_survivors(
+        &self,
+        to_move: &[(Hash, Slot)],
+        new_segments: &mut Vec<u64>,
+    ) -> StoreResult<Vec<(Hash, Slot)>> {
+        let mut moved = Vec::with_capacity(to_move.len());
+        // (id, writer, offset) of the temp segment being filled.
+        let mut writer: Option<(u64, BufWriter<File>, u64)> = None;
+        for (hash, slot) in to_move {
+            let buf = self.read_frame(*slot, hash)?;
+            if let Some((_, _, offset)) = &writer {
+                if *offset >= self.cfg.segment_bytes {
+                    let (_, mut w, _) = writer.take().expect("writer present");
+                    w.flush()?;
+                    w.get_ref().sync_all()?;
+                }
+            }
+            if writer.is_none() {
+                let id = self.allocate_segment();
+                let file = File::create(Self::pack_tmp_path(&self.dir, id))?;
+                writer = Some((id, BufWriter::new(file), 0));
+                new_segments.push(id);
+            }
+            let (id, w, offset) = writer.as_mut().expect("writer just ensured");
+            moved.push((*hash, write_frame(w, *id, offset, hash, &buf)?));
+        }
+        if let Some((_, mut w, _)) = writer.take() {
+            w.flush()?;
+            w.get_ref().sync_all()?;
+        }
+        Ok(moved)
+    }
+
+    /// Flush the active writer if `slot` may still be buffered in it. The
+    /// lock is released before the caller's file read: holding it across
+    /// disk I/O + hashing would serialize readers of fresh chunks against
+    /// every writer, and the read path's retry loop already copes with a
+    /// concurrent compaction relocating the slot.
+    fn flush_if_active(&self, slot: Slot) -> StoreResult<()> {
+        let mut active = self.active.lock();
+        if slot.segment == active.segment {
+            self.flush_active(&mut active)?;
+        }
+        Ok(())
+    }
+}
+
+impl ChunkStore for FileStore {
+    fn put_batch(&self, chunks: Vec<(Hash, Bytes)>) -> StoreResult<usize> {
+        if chunks.is_empty() {
+            return Ok(0);
+        }
+        let puts = chunks.len() as u64;
+        let logical: u64 = chunks.iter().map(|(_, b)| b.len() as u64).sum();
+
+        // Group commit: the active-segment lock is taken once for the whole
+        // batch. Every other writer also serializes on this lock, so the
+        // index cannot gain entries while we hold it — one read acquisition
+        // suffices to split the batch into fresh vs dedup-hit chunks.
+        let mut active = self.active.lock();
+        let mut fresh: Vec<(Hash, Bytes)> = Vec::with_capacity(chunks.len());
+        {
+            let index = self.index.read();
+            let mut seen = HashSet::new();
+            for (hash, bytes) in chunks {
+                debug_assert_eq!(forkbase_crypto::sha256(&bytes), hash);
+                if index.contains_key(&hash) || !seen.insert(hash) {
+                    continue;
+                }
+                fresh.push((hash, bytes));
+            }
+        }
+
+        let mut staged: Vec<(Hash, Slot)> = Vec::with_capacity(fresh.len());
+        let mut new_bytes = 0u64;
+        for (hash, bytes) in fresh {
+            let slot = self.append_frame(&mut active, &hash, &bytes)?;
+            new_bytes += bytes.len() as u64;
+            staged.push((hash, slot));
+        }
+
+        let new_chunks = staged.len() as u64;
+        {
+            let mut index = self.index.write();
+            for (hash, slot) in staged {
+                index.insert(hash, slot);
+            }
+        }
+        drop(active);
+
+        self.stats.record_put_batch(
+            puts,
+            logical,
+            new_chunks,
+            new_bytes,
+            puts - new_chunks,
+            logical - new_bytes,
+        );
+        Ok(new_chunks as usize)
+    }
+
+    fn get(&self, hash: &Hash) -> StoreResult<Option<Bytes>> {
+        // A concurrent compaction can relocate the slot and delete the old
+        // segment between our index read and the file read; the frame
+        // itself is immutable, so retrying through the index is enough.
+        const ATTEMPTS: usize = 3;
+        let mut attempt = 1;
+        loop {
+            let slot = self.index.read().get(hash).copied();
+            let Some(slot) = slot else {
+                self.stats.record_get(false);
+                return Ok(None);
+            };
+            // The slot may still be buffered in the active writer. The
+            // lock-free watermark check covers the common cases — sealed
+            // segments and already-flushed active frames (including the
+            // whole of a compaction, which seals the log up front) — so
+            // only a read of genuinely unflushed data touches the lock.
+            let frame_end = slot.payload_offset + u64::from(slot.len) + TRAILER_LEN as u64;
+            if slot.segment == self.active_segment.load(Ordering::Acquire)
+                && frame_end > self.active_flushed.load(Ordering::Acquire)
+            {
+                self.flush_if_active(slot)?;
+            }
+            match self.read_frame(slot, hash) {
+                Ok(bytes) => {
+                    self.stats.record_get(true);
+                    return Ok(Some(bytes));
+                }
+                Err(StoreError::Io(e)) if e.kind() == ErrorKind::NotFound && attempt < ATTEMPTS => {
+                    attempt += 1;
+                }
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
+    fn contains(&self, hash: &Hash) -> StoreResult<bool> {
+        Ok(self.index.read().contains_key(hash))
+    }
+
+    fn stats(&self) -> StoreStats {
+        self.stats.snapshot()
+    }
+
+    fn sync(&self) -> StoreResult<()> {
+        let mut active = self.active.lock();
+        self.flush_active(&mut active)?;
+        active.writer.get_ref().sync_all()?;
+        Ok(())
+    }
+}
+
+impl SweepStore for FileStore {
+    /// Physically compact the store against a liveness predicate (the
+    /// mark phase's output): drop dead index entries, rewrite the
+    /// survivors of low-utilization segments into fresh segments, swap
+    /// the manifest, and delete the victims. See the module docs for the
+    /// crash-recovery protocol. Writers block for the duration (they share
+    /// the active lock); readers keep running and retry through the slot
+    /// relocation.
+    fn sweep(&self, live: &(dyn Fn(&Hash) -> bool + Sync)) -> StoreResult<SweepReport> {
         let mut active = self.active.lock();
         // Seal the log: every acked frame is on disk before we decide
         // anything based on file contents. Publishing the watermark also
@@ -847,7 +1007,7 @@ impl FileStore {
         {
             let mut index = self.index.write();
             index.retain(|h, slot| {
-                if live.contains(h) {
+                if live(h) {
                     true
                 } else {
                     chunks_reclaimed += 1;
@@ -1047,206 +1207,6 @@ impl FileStore {
             disk_bytes_before,
             disk_bytes_after,
         })
-    }
-
-    /// Copy `to_move` into fresh temp segments (fsynced), pushing each
-    /// new segment id onto `new_segments` as it is created, and return the
-    /// new slots. Every frame is read through [`Self::read_frame`], so a
-    /// survivor damaged on media fails the copy instead of being rewritten
-    /// under a fresh, valid CRC.
-    fn copy_survivors(
-        &self,
-        to_move: &[(Hash, Slot)],
-        new_segments: &mut Vec<u64>,
-    ) -> StoreResult<Vec<(Hash, Slot)>> {
-        let mut moved = Vec::with_capacity(to_move.len());
-        // (id, writer, offset) of the temp segment being filled.
-        let mut writer: Option<(u64, BufWriter<File>, u64)> = None;
-        for (hash, slot) in to_move {
-            let buf = self.read_frame(*slot, hash)?;
-            if let Some((_, _, offset)) = &writer {
-                if *offset >= self.cfg.segment_bytes {
-                    let (_, mut w, _) = writer.take().expect("writer present");
-                    w.flush()?;
-                    w.get_ref().sync_all()?;
-                }
-            }
-            if writer.is_none() {
-                let id = self.allocate_segment();
-                let file = File::create(Self::pack_tmp_path(&self.dir, id))?;
-                writer = Some((id, BufWriter::new(file), 0));
-                new_segments.push(id);
-            }
-            let (id, w, offset) = writer.as_mut().expect("writer just ensured");
-            moved.push((*hash, write_frame(w, *id, offset, hash, &buf)?));
-        }
-        if let Some((_, mut w, _)) = writer.take() {
-            w.flush()?;
-            w.get_ref().sync_all()?;
-        }
-        Ok(moved)
-    }
-
-    /// Flush the active writer if `slot` may still be buffered in it. The
-    /// lock is released before the caller's file read: holding it across
-    /// disk I/O + hashing would serialize readers of fresh chunks against
-    /// every writer, and the read path's retry loop already copes with a
-    /// concurrent compaction relocating the slot.
-    fn flush_if_active(&self, slot: Slot) -> StoreResult<()> {
-        let mut active = self.active.lock();
-        if slot.segment == active.segment {
-            self.flush_active(&mut active)?;
-        }
-        Ok(())
-    }
-}
-
-impl ChunkStore for FileStore {
-    fn put_with_hash(&self, hash: Hash, bytes: Bytes) -> StoreResult<bool> {
-        debug_assert_eq!(forkbase_crypto::sha256(&bytes), hash);
-        let len = bytes.len() as u64;
-
-        // Fast path: already stored.
-        if self.index.read().contains_key(&hash) {
-            self.stats.record_put(len, false);
-            return Ok(false);
-        }
-
-        let mut active = self.active.lock();
-        // Re-check under the writer lock (another thread may have won).
-        if self.index.read().contains_key(&hash) {
-            self.stats.record_put(len, false);
-            return Ok(false);
-        }
-
-        let slot = self.append_frame(&mut active, &hash, &bytes)?;
-        self.index.write().insert(hash, slot);
-        drop(active);
-
-        self.stats.record_put(len, true);
-        Ok(true)
-    }
-
-    fn put_batch(&self, chunks: Vec<(Hash, Bytes)>) -> StoreResult<usize> {
-        if chunks.is_empty() {
-            return Ok(0);
-        }
-        let puts = chunks.len() as u64;
-        let logical: u64 = chunks.iter().map(|(_, b)| b.len() as u64).sum();
-
-        // Group commit: the active-segment lock is taken once for the whole
-        // batch. Every other writer also serializes on this lock, so the
-        // index cannot gain entries while we hold it — one read acquisition
-        // suffices to split the batch into fresh vs dedup-hit chunks.
-        let mut active = self.active.lock();
-        let mut fresh: Vec<(Hash, Bytes)> = Vec::with_capacity(chunks.len());
-        {
-            let index = self.index.read();
-            let mut seen = HashSet::new();
-            for (hash, bytes) in chunks {
-                debug_assert_eq!(forkbase_crypto::sha256(&bytes), hash);
-                if index.contains_key(&hash) || !seen.insert(hash) {
-                    continue;
-                }
-                fresh.push((hash, bytes));
-            }
-        }
-
-        let mut staged: Vec<(Hash, Slot)> = Vec::with_capacity(fresh.len());
-        let mut new_bytes = 0u64;
-        for (hash, bytes) in fresh {
-            let slot = self.append_frame(&mut active, &hash, &bytes)?;
-            new_bytes += bytes.len() as u64;
-            staged.push((hash, slot));
-        }
-
-        let new_chunks = staged.len() as u64;
-        {
-            let mut index = self.index.write();
-            for (hash, slot) in staged {
-                index.insert(hash, slot);
-            }
-        }
-        drop(active);
-
-        self.stats.record_put_batch(
-            puts,
-            logical,
-            new_chunks,
-            new_bytes,
-            puts - new_chunks,
-            logical - new_bytes,
-        );
-        Ok(new_chunks as usize)
-    }
-
-    fn get(&self, hash: &Hash) -> StoreResult<Option<Bytes>> {
-        // A concurrent compaction can relocate the slot and delete the old
-        // segment between our index read and the file read; the frame
-        // itself is immutable, so retrying through the index is enough.
-        const ATTEMPTS: usize = 3;
-        let mut attempt = 1;
-        loop {
-            let slot = self.index.read().get(hash).copied();
-            let Some(slot) = slot else {
-                self.stats.record_get(false);
-                return Ok(None);
-            };
-            // The slot may still be buffered in the active writer. The
-            // lock-free watermark check covers the common cases — sealed
-            // segments and already-flushed active frames (including the
-            // whole of a compaction, which seals the log up front) — so
-            // only a read of genuinely unflushed data touches the lock.
-            let frame_end = slot.payload_offset + u64::from(slot.len) + TRAILER_LEN as u64;
-            if slot.segment == self.active_segment.load(Ordering::Acquire)
-                && frame_end > self.active_flushed.load(Ordering::Acquire)
-            {
-                self.flush_if_active(slot)?;
-            }
-            match self.read_frame(slot, hash) {
-                Ok(bytes) => {
-                    self.stats.record_get(true);
-                    return Ok(Some(bytes));
-                }
-                Err(StoreError::Io(e)) if e.kind() == ErrorKind::NotFound && attempt < ATTEMPTS => {
-                    attempt += 1;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    fn contains(&self, hash: &Hash) -> StoreResult<bool> {
-        Ok(self.index.read().contains_key(hash))
-    }
-
-    fn stats(&self) -> StoreStats {
-        self.stats.snapshot()
-    }
-
-    fn chunk_count(&self) -> usize {
-        self.index.read().len()
-    }
-
-    fn stored_bytes(&self) -> u64 {
-        self.stats.snapshot().stored_bytes
-    }
-
-    fn sync(&self) -> StoreResult<()> {
-        let mut active = self.active.lock();
-        self.flush_active(&mut active)?;
-        active.writer.get_ref().sync_all()?;
-        Ok(())
-    }
-}
-
-impl SweepStore for FileStore {
-    fn sweep(&self, live: &(dyn Fn(&Hash) -> bool + Sync)) -> StoreResult<SweepReport> {
-        let live_set: HashSet<Hash> = {
-            let index = self.index.read();
-            index.keys().filter(|h| live(h)).copied().collect()
-        };
-        self.compact(&live_set)
     }
 
     fn utilization(&self) -> StoreResult<Utilization> {
@@ -1730,7 +1690,7 @@ mod tests {
 
         // Keep every fourth chunk live.
         let live: HashSet<Hash> = hashes.iter().step_by(4).copied().collect();
-        let report = s.compact(&live).unwrap();
+        let report = s.sweep(&|h| live.contains(h)).unwrap();
         assert_eq!(report.chunks_reclaimed, 48);
         assert!(report.segments_deleted > 0);
         assert!(report.disk_bytes_after < disk_full / 2);
@@ -1792,12 +1752,12 @@ mod tests {
         assert_eq!(s.manifest.lock().active, 1);
         // Segment 0 is a victim: `a` moves into new segment 2, above the
         // active segment.
-        s.compact(&HashSet::from([a.0, b.0])).unwrap();
+        s.sweep(&|h| [a.0, b.0].contains(h)).unwrap();
         let stale = s.index.read()[&a.0];
         assert_eq!(stale.segment, 2);
         assert_eq!(s.manifest.lock().packs, vec![1, 2]);
         // `a` dies: segment 2 is deleted and nothing is written.
-        s.compact(&HashSet::from([b.0])).unwrap();
+        s.sweep(&|h| *h == b.0).unwrap();
         assert_eq!(s.manifest.lock().packs, vec![1]);
 
         // Fill segment 1 until it rotates, then write one more chunk of
@@ -1851,7 +1811,7 @@ mod tests {
         s.put_batch(batch).unwrap();
         s.sync().unwrap();
         let epoch_before = s.manifest_epoch();
-        let report = s.compact(&live).unwrap();
+        let report = s.sweep(&|h| live.contains(h)).unwrap();
         assert_eq!(report.chunks_reclaimed, 0);
         assert_eq!(report.chunks_rewritten, 0);
         assert_eq!(report.segments_deleted, 0);
@@ -1872,7 +1832,7 @@ mod tests {
         // Only one chunk stays live → the (only, active) segment is a
         // victim; the store must swap to a fresh active and keep working.
         let live: HashSet<Hash> = [keep].into_iter().collect();
-        let report = s.compact(&live).unwrap();
+        let report = s.sweep(&|h| live.contains(h)).unwrap();
         assert_eq!(report.chunks_reclaimed, 9);
         assert_eq!(report.chunks_rewritten, 1);
         assert!(s.get(&keep).unwrap().is_some());
@@ -1920,7 +1880,7 @@ mod tests {
 
         let packs = s.manifest.lock().packs.clone();
         let epoch = s.manifest_epoch();
-        match s.compact(&live) {
+        match s.sweep(&|h| live.contains(h)) {
             Err(StoreError::BadFrame { segment, .. }) => assert_eq!(segment, slot.segment),
             other => panic!("compaction must refuse a damaged survivor: {other:?}"),
         }
@@ -1942,7 +1902,7 @@ mod tests {
 
         // Repaired, the same compaction goes through.
         file.write_all_at(&byte, at).unwrap();
-        let report = s.compact(&live).unwrap();
+        let report = s.sweep(&|h| live.contains(h)).unwrap();
         assert_eq!(report.chunks_rewritten, live.len() as u64);
         assert_eq!(s.get(&victim).unwrap(), Some(batch[4].1.clone()));
         fs::remove_dir_all(&dir).unwrap();
@@ -1959,7 +1919,7 @@ mod tests {
         assert_eq!(u.live_bytes, 4096);
         assert!(u.disk_bytes >= u.live_bytes);
         let live: HashSet<Hash> = [keep].into_iter().collect();
-        s.compact(&live).unwrap();
+        s.sweep(&|h| live.contains(h)).unwrap();
         let u = s.utilization().unwrap();
         assert_eq!(u.live_bytes, 2048);
         assert!(u.ratio() > 0.9, "compaction restored utilization");

@@ -19,6 +19,11 @@
 //!   *malicious storage provider* (§II-D): corrupts, drops, or substitutes
 //!   chunks so tamper-evidence tests can prove detection.
 //!
+//! Each implements one write, [`ChunkStore::put_batch`]. A single put is
+//! a batch of one, and the chunk and byte counts are read from
+//! [`StoreStats`], so a wrapper that intercepts writes (fault injection,
+//! tracing) has one method to wrap.
+//!
 //! Stores that can physically reclaim dead-chunk space additionally
 //! implement the [`SweepStore`] capability (see [`sweep`]); the fault
 //! wrapper forwards it.
@@ -45,8 +50,10 @@ pub use sweep::{SweepReport, SweepStore, Utilization};
 
 /// A content-addressed store of immutable chunks.
 ///
-/// Implementations must be safe for concurrent use; ForkBase servelets share
-/// one store across request threads.
+/// A backend implements one write, [`Self::put_batch`]; the single puts
+/// are batches of one, and [`Self::chunk_count`] / [`Self::stored_bytes`]
+/// read [`Self::stats`]. Implementations must be safe for concurrent use;
+/// ForkBase servelets share one store across request threads.
 pub trait ChunkStore: Send + Sync {
     /// Store `bytes` under its content hash. Returns the hash. Storing the
     /// same content twice is a dedup hit and costs no extra space.
@@ -59,29 +66,25 @@ pub trait ChunkStore: Send + Sync {
     /// Store `bytes` under a caller-computed `hash` (callers hash the
     /// canonical encoding once and reuse it). Returns `true` if the chunk
     /// was newly stored, `false` if it was already present (dedup hit).
+    /// A batch of one.
     ///
     /// The hash **must** be the SHA-256 of `bytes`; debug builds verify.
-    fn put_with_hash(&self, hash: Hash, bytes: Bytes) -> StoreResult<bool>;
+    fn put_with_hash(&self, hash: Hash, bytes: Bytes) -> StoreResult<bool> {
+        Ok(self.put_batch(vec![(hash, bytes)])? == 1)
+    }
 
     /// Store a batch of caller-hashed chunks in one store round-trip,
     /// returning how many were newly stored (the rest were dedup hits).
+    /// The one write every backend implements.
     ///
-    /// Semantically identical to calling [`Self::put_with_hash`] once per
-    /// element, in order — including when the same hash appears twice in
-    /// one batch (the second occurrence is a dedup hit) — and every chunk
-    /// updates [`StoreStats`] exactly once. Backends override this to
-    /// amortize locking and fsync: one lock acquisition per shard
-    /// (`MemStore`), one active-segment lock and at most one fsync per
-    /// batch (`FileStore`).
-    fn put_batch(&self, chunks: Vec<(Hash, Bytes)>) -> StoreResult<usize> {
-        let mut newly = 0usize;
-        for (hash, bytes) in chunks {
-            if self.put_with_hash(hash, bytes)? {
-                newly += 1;
-            }
-        }
-        Ok(newly)
-    }
+    /// Chunks are stored in order; a hash that appears twice in one batch
+    /// is a dedup hit the second time, and every chunk updates
+    /// [`StoreStats`] exactly once. Backends amortize locking over the
+    /// batch: `FileStore` takes its active-segment lock once per batch.
+    ///
+    /// Every hash **must** be the SHA-256 of its bytes; debug builds
+    /// verify.
+    fn put_batch(&self, chunks: Vec<(Hash, Bytes)>) -> StoreResult<usize>;
 
     /// Fetch a chunk by hash. `Ok(None)` means the store has no such chunk.
     ///
@@ -102,11 +105,15 @@ pub trait ChunkStore: Send + Sync {
     fn stats(&self) -> StoreStats;
 
     /// Number of unique chunks stored.
-    fn chunk_count(&self) -> usize;
+    fn chunk_count(&self) -> usize {
+        self.stats().unique_chunks as usize
+    }
 
     /// Total unique (deduplicated) payload bytes stored. This is the number
     /// the Fig. 4 demo reports as "storage increased by X KB".
-    fn stored_bytes(&self) -> u64;
+    fn stored_bytes(&self) -> u64 {
+        self.stats().stored_bytes
+    }
 
     /// Flush any buffered writes to durable media. No-op for volatile
     /// stores.
@@ -195,25 +202,19 @@ mod trait_tests {
         assert_eq!(store.chunk_count(), 1);
     }
 
-    /// A store that only implements the required methods, so `put_batch`
-    /// resolves to the trait default.
+    /// A store that only implements the required methods, so the single
+    /// puts and the counters resolve to the trait's provided methods.
     struct DefaultOnly(MemStore);
 
     impl ChunkStore for DefaultOnly {
-        fn put_with_hash(&self, hash: Hash, bytes: Bytes) -> StoreResult<bool> {
-            self.0.put_with_hash(hash, bytes)
+        fn put_batch(&self, chunks: Vec<(Hash, Bytes)>) -> StoreResult<usize> {
+            self.0.put_batch(chunks)
         }
         fn get(&self, hash: &Hash) -> StoreResult<Option<Bytes>> {
             self.0.get(hash)
         }
         fn stats(&self) -> StoreStats {
             self.0.stats()
-        }
-        fn chunk_count(&self) -> usize {
-            self.0.chunk_count()
-        }
-        fn stored_bytes(&self) -> u64 {
-            self.0.stored_bytes()
         }
     }
 
@@ -224,18 +225,30 @@ mod trait_tests {
     }
 
     #[test]
-    fn default_put_batch_matches_sequential_puts() {
+    fn put_with_hash_is_a_batch_of_one() {
         let store = DefaultOnly(MemStore::new());
-        let batch = hashed(&[b"one", b"two", b"two", b"three"]);
-        let newly = store.put_batch(batch).unwrap();
+        let newly = store
+            .put_batch(hashed(&[b"one", b"two", b"two", b"three"]))
+            .unwrap();
         assert_eq!(newly, 3, "intra-batch duplicate is a dedup hit");
         let st = store.stats();
         assert_eq!(st.puts, 4);
         assert_eq!(st.unique_chunks, 3);
         assert_eq!(st.dedup_hits, 1);
-        // A second batch of the same chunks is all hits.
-        let again = store.put_batch(hashed(&[b"one", b"three"])).unwrap();
-        assert_eq!(again, 0);
+        // A single put of a resident chunk is a one-chunk batch of hits...
+        assert!(!store
+            .put_with_hash(sha256(b"one"), Bytes::from_static(b"one"))
+            .unwrap());
+        // ...and of a fresh chunk, a one-chunk batch that stores it.
+        assert!(store
+            .put_with_hash(sha256(b"four"), Bytes::from_static(b"four"))
+            .unwrap());
+        let st = store.stats();
+        assert_eq!(st.puts, 6);
+        assert_eq!(st.unique_chunks, 4);
+        assert_eq!(st.dedup_hits, 2);
+        assert_eq!(store.chunk_count(), 4);
+        assert_eq!(store.stored_bytes(), b"onetwothreefour".len() as u64);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! SHA-256 digests, so the map uses a pass-through hasher that reads the
 //! first 8 bytes of the digest instead of re-hashing with SipHash.
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
 
 use bytes::Bytes;
@@ -125,85 +125,25 @@ impl Default for MemStore {
 }
 
 impl ChunkStore for MemStore {
-    fn put_with_hash(&self, hash: Hash, bytes: Bytes) -> StoreResult<bool> {
-        debug_assert_eq!(
-            forkbase_crypto::sha256(&bytes),
-            hash,
-            "put_with_hash called with a hash that does not match the content"
-        );
-        let len = bytes.len() as u64;
-        let mut guard = self.shard(&hash).write();
-        let newly = match guard.entry(hash) {
-            std::collections::hash_map::Entry::Occupied(_) => false,
-            std::collections::hash_map::Entry::Vacant(v) => {
+    fn put_batch(&self, chunks: Vec<(Hash, Bytes)>) -> StoreResult<usize> {
+        let puts = chunks.len() as u64;
+        let logical: u64 = chunks.iter().map(|(_, b)| b.len() as u64).sum();
+        let mut new_chunks = 0u64;
+        let mut new_bytes = 0u64;
+        for (hash, bytes) in chunks {
+            debug_assert_eq!(
+                forkbase_crypto::sha256(&bytes),
+                hash,
+                "put_batch called with a hash that does not match the content"
+            );
+            let len = bytes.len() as u64;
+            if let Entry::Vacant(v) = self.shard(&hash).write().entry(hash) {
                 // Retain a compact buffer: a chunk arriving as a small
                 // slice of a large ingest buffer (the zero-copy blob path)
                 // must not pin that whole buffer for the store's lifetime.
                 v.insert(bytes.compact());
-                true
-            }
-        };
-        drop(guard);
-        self.stats.record_put(len, newly);
-        Ok(newly)
-    }
-
-    fn put_batch(&self, mut chunks: Vec<(Hash, Bytes)>) -> StoreResult<usize> {
-        if chunks.is_empty() {
-            return Ok(0);
-        }
-        let puts = chunks.len() as u64;
-        let logical: u64 = chunks.iter().map(|(_, b)| b.len() as u64).sum();
-        for (hash, bytes) in &chunks {
-            debug_assert_eq!(
-                forkbase_crypto::sha256(bytes),
-                *hash,
-                "put_batch called with a hash that does not match the content"
-            );
-        }
-
-        let shard_of = |hash: &Hash| hash.as_bytes()[31] as usize % SHARDS;
-        let mut new_chunks = 0u64;
-        let mut new_bytes = 0u64;
-        if chunks.len() <= SHARDS * 2 {
-            // Small batch (the write-batch hot path): with ~one chunk per
-            // shard, grouping costs more than the lock batching saves —
-            // uncontended shard locks are ~20 ns, the grouping sort and
-            // bucket bookkeeping are not. Straight-line install.
-            for (hash, bytes) in chunks {
-                let len = bytes.len() as u64;
-                let mut guard = self.shards[shard_of(&hash)].write();
-                if let std::collections::hash_map::Entry::Vacant(v) = guard.entry(hash) {
-                    v.insert(bytes.compact());
-                    new_chunks += 1;
-                    new_bytes += len;
-                }
-            }
-        } else {
-            // Large batch (tree-builder flushes): group by shard via an
-            // in-place sort so each shard lock is taken once per batch,
-            // not once per chunk.
-            chunks.sort_unstable_by_key(|(hash, _)| shard_of(hash));
-            let mut iter = chunks.into_iter().peekable();
-            while let Some((hash, bytes)) = iter.next() {
-                let shard = shard_of(&hash);
-                let mut guard = self.shards[shard].write();
-                let mut install = |hash: Hash, bytes: Bytes| {
-                    let len = bytes.len() as u64;
-                    if let std::collections::hash_map::Entry::Vacant(v) = guard.entry(hash) {
-                        v.insert(bytes.compact());
-                        new_chunks += 1;
-                        new_bytes += len;
-                    }
-                };
-                install(hash, bytes);
-                while let Some((next_hash, _)) = iter.peek() {
-                    if shard_of(next_hash) != shard {
-                        break;
-                    }
-                    let (hash, bytes) = iter.next().expect("peeked");
-                    install(hash, bytes);
-                }
+                new_chunks += 1;
+                new_bytes += len;
             }
         }
         self.stats.record_put_batch(
@@ -231,14 +171,6 @@ impl ChunkStore for MemStore {
 
     fn stats(&self) -> StoreStats {
         self.stats.snapshot()
-    }
-
-    fn chunk_count(&self) -> usize {
-        self.shards.iter().map(|s| s.read().len()).sum()
-    }
-
-    fn stored_bytes(&self) -> u64 {
-        self.stats.snapshot().stored_bytes
     }
 }
 

@@ -85,26 +85,13 @@ impl StatsCell {
         Self::default()
     }
 
-    /// Record a put of `len` bytes; `newly_stored` is false on a dedup hit.
-    pub fn record_put(&self, len: u64, newly_stored: bool) {
-        self.puts.fetch_add(1, Ordering::Relaxed);
-        self.logical_bytes.fetch_add(len, Ordering::Relaxed);
-        if newly_stored {
-            self.unique_chunks.fetch_add(1, Ordering::Relaxed);
-            self.stored_bytes.fetch_add(len, Ordering::Relaxed);
-        } else {
-            self.dedup_hits.fetch_add(1, Ordering::Relaxed);
-            self.dedup_saved_bytes.fetch_add(len, Ordering::Relaxed);
-        }
-    }
-
     /// Record a whole batch of puts with one atomic add per counter.
     ///
     /// `puts`/`logical_bytes` cover every chunk presented (including dedup
     /// hits); `new_chunks`/`new_bytes` cover the newly stored subset and
     /// `dup_chunks`/`dup_bytes` the dedup-hit subset. Callers must ensure
     /// `puts == new_chunks + dup_chunks` so each chunk is counted exactly
-    /// once, matching a sequence of [`Self::record_put`] calls.
+    /// once; a single put is a batch of one.
     #[allow(clippy::too_many_arguments)]
     pub fn record_put_batch(
         &self,
@@ -209,12 +196,26 @@ impl std::fmt::Display for StoreStats {
 mod tests {
     use super::*;
 
+    /// Record one put of `len` bytes as a batch of one; `newly_stored` is
+    /// false on a dedup hit.
+    fn put_one(cell: &StatsCell, len: u64, newly_stored: bool) {
+        let (new_chunks, new_bytes) = if newly_stored { (1, len) } else { (0, 0) };
+        cell.record_put_batch(
+            1,
+            len,
+            new_chunks,
+            new_bytes,
+            1 - new_chunks,
+            len - new_bytes,
+        );
+    }
+
     #[test]
     fn put_accounting() {
         let cell = StatsCell::new();
-        cell.record_put(100, true);
-        cell.record_put(100, false); // dedup hit
-        cell.record_put(50, true);
+        put_one(&cell, 100, true);
+        put_one(&cell, 100, false); // dedup hit
+        put_one(&cell, 50, true);
         let s = cell.snapshot();
         assert_eq!(s.unique_chunks, 2);
         assert_eq!(s.stored_bytes, 150);
@@ -227,9 +228,9 @@ mod tests {
     #[test]
     fn batch_accounting_matches_sequential() {
         let seq = StatsCell::new();
-        seq.record_put(100, true);
-        seq.record_put(100, false);
-        seq.record_put(40, true);
+        put_one(&seq, 100, true);
+        put_one(&seq, 100, false);
+        put_one(&seq, 40, true);
         let batched = StatsCell::new();
         batched.record_put_batch(3, 240, 2, 140, 1, 100);
         assert_eq!(seq.snapshot(), batched.snapshot());
@@ -248,10 +249,10 @@ mod tests {
     #[test]
     fn deltas() {
         let cell = StatsCell::new();
-        cell.record_put(1000, true);
+        put_one(&cell, 1000, true);
         let before = cell.snapshot();
-        cell.record_put(1000, false);
-        cell.record_put(40, true);
+        put_one(&cell, 1000, false);
+        put_one(&cell, 40, true);
         let after = cell.snapshot();
         assert_eq!(after.stored_delta(&before), 40);
         assert_eq!(after.chunk_delta(&before), 1);
@@ -260,8 +261,8 @@ mod tests {
     #[test]
     fn sweep_and_compaction_accounting_stay_separate() {
         let cell = StatsCell::new();
-        cell.record_put(100, true);
-        cell.record_put(60, true);
+        put_one(&cell, 100, true);
+        put_one(&cell, 60, true);
         let before = cell.snapshot();
         // Compaction rewrites the 100-byte chunk and sweeps the 60-byte one.
         cell.record_swept(1, 60);
@@ -288,7 +289,7 @@ mod tests {
     #[test]
     fn display_contains_key_fields() {
         let cell = StatsCell::new();
-        cell.record_put(10, true);
+        put_one(&cell, 10, true);
         let text = cell.snapshot().to_string();
         assert!(text.contains("chunks:"));
         assert!(text.contains("ratio"));

@@ -21,7 +21,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use bytes::Bytes;
 use forkbase_crypto::{crc32, sha256, Hash};
-use forkbase_store::{ChunkStore, FileStore, FileStoreConfig};
+use forkbase_store::{ChunkStore, FileStore, FileStoreConfig, SweepStore};
 
 fn temp_dir(tag: &str) -> PathBuf {
     static SEQ: AtomicU64 = AtomicU64::new(0);
@@ -112,7 +112,7 @@ fn compaction_fixture(tag: &str, total: u32, keep_mod: u32) -> CompactionFixture
     snapshot_dir(&dir, &before);
 
     let live_set: HashSet<Hash> = live.keys().copied().collect();
-    let report = s.compact(&live_set).unwrap();
+    let report = s.sweep(&|h| live_set.contains(h)).unwrap();
     assert!(report.segments_deleted > 0, "fixture must actually compact");
     drop(s);
     let after = temp_dir(&format!("{tag}-after"));
@@ -257,7 +257,7 @@ fn recovery_gc_retry_after_compaction_is_idempotent() {
     let f = compaction_fixture("retry", 40, 4);
     let s = FileStore::open_with(&f.dir, small_cfg()).unwrap();
     let live_set: HashSet<Hash> = f.live.keys().copied().collect();
-    let report = s.compact(&live_set).unwrap();
+    let report = s.sweep(&|h| live_set.contains(h)).unwrap();
     assert_eq!(report.chunks_reclaimed, 0, "second pass finds no garbage");
     for (h, payload) in &f.live {
         assert_eq!(s.get(h).unwrap().as_ref(), Some(payload));
@@ -289,7 +289,7 @@ fn recovery_swept_chunks_stay_dead_across_reopen() {
             .map(|(h, _)| *h)
             .filter(|h| *h != dead)
             .collect();
-        let report = s.compact(&live).unwrap();
+        let report = s.sweep(&|h| live.contains(h)).unwrap();
         assert_eq!(report.chunks_reclaimed, 1);
         assert_eq!(report.segments_deleted, 0, "well-utilized: no rewrite");
         assert_eq!(s.get(&dead).unwrap(), None);
@@ -308,7 +308,7 @@ fn recovery_swept_chunks_stay_dead_across_reopen() {
         .map(|(h, _)| *h)
         .filter(|h| *h != dead)
         .collect();
-    assert_eq!(s.compact(&live).unwrap().chunks_reclaimed, 0);
+    assert_eq!(s.sweep(&|h| live.contains(h)).unwrap().chunks_reclaimed, 0);
     let _ = fs::remove_dir_all(&dir);
 }
 
@@ -337,7 +337,7 @@ fn recovery_reput_after_sweep_survives_reopen() {
             .collect();
         s.sync().unwrap();
         let live: HashSet<Hash> = live.into_iter().chain(filler).collect();
-        let report = s.compact(&live).unwrap();
+        let report = s.sweep(&|h| live.contains(h)).unwrap();
         assert_eq!(report.chunks_reclaimed, 1);
         assert_eq!(report.segments_deleted, 0);
         assert!(s.put_with_hash(h_doomed, doomed.clone()).unwrap(), "re-put");
