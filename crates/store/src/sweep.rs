@@ -71,6 +71,8 @@ pub trait SweepStore: ChunkStore {
     /// reclaim the space (for segmented stores, by compacting
     /// low-utilization segments). The caller is responsible for quiescing
     /// writers — in ForkBase, `gc::collect` holds the GC gate exclusively.
+    /// `live` runs under the store's index locks, so it must not call
+    /// back into the store.
     fn sweep(&self, live: &(dyn Fn(&Hash) -> bool + Sync)) -> StoreResult<SweepReport>;
 
     /// Current live-vs-physical byte occupancy of the backing media.
