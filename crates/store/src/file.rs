@@ -917,14 +917,8 @@ impl ChunkStore for FileStore {
         }
         drop(active);
 
-        self.stats.record_put_batch(
-            puts,
-            logical,
-            new_chunks,
-            new_bytes,
-            puts - new_chunks,
-            logical - new_bytes,
-        );
+        self.stats
+            .record_put_batch(puts, logical, new_chunks, new_bytes);
         Ok(new_chunks as usize)
     }
 

@@ -146,14 +146,8 @@ impl ChunkStore for MemStore {
                 new_bytes += len;
             }
         }
-        self.stats.record_put_batch(
-            puts,
-            logical,
-            new_chunks,
-            new_bytes,
-            puts - new_chunks,
-            logical - new_bytes,
-        );
+        self.stats
+            .record_put_batch(puts, logical, new_chunks, new_bytes);
         Ok(new_chunks as usize)
     }
 

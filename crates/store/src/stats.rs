@@ -88,30 +88,19 @@ impl StatsCell {
     /// Record a whole batch of puts with one atomic add per counter.
     ///
     /// `puts`/`logical_bytes` cover every chunk presented (including dedup
-    /// hits); `new_chunks`/`new_bytes` cover the newly stored subset and
-    /// `dup_chunks`/`dup_bytes` the dedup-hit subset. Callers must ensure
-    /// `puts == new_chunks + dup_chunks` so each chunk is counted exactly
-    /// once; a single put is a batch of one.
-    #[allow(clippy::too_many_arguments)]
-    pub fn record_put_batch(
-        &self,
-        puts: u64,
-        logical_bytes: u64,
-        new_chunks: u64,
-        new_bytes: u64,
-        dup_chunks: u64,
-        dup_bytes: u64,
-    ) {
-        debug_assert_eq!(puts, new_chunks + dup_chunks);
-        debug_assert_eq!(logical_bytes, new_bytes + dup_bytes);
+    /// hits) and `new_chunks`/`new_bytes` the newly stored subset; the
+    /// rest are dedup hits, so each chunk is counted exactly once. A
+    /// single put is a batch of one.
+    pub fn record_put_batch(&self, puts: u64, logical_bytes: u64, new_chunks: u64, new_bytes: u64) {
         self.puts.fetch_add(puts, Ordering::Relaxed);
         self.logical_bytes
             .fetch_add(logical_bytes, Ordering::Relaxed);
         self.unique_chunks.fetch_add(new_chunks, Ordering::Relaxed);
         self.stored_bytes.fetch_add(new_bytes, Ordering::Relaxed);
-        self.dedup_hits.fetch_add(dup_chunks, Ordering::Relaxed);
+        self.dedup_hits
+            .fetch_add(puts - new_chunks, Ordering::Relaxed);
         self.dedup_saved_bytes
-            .fetch_add(dup_bytes, Ordering::Relaxed);
+            .fetch_add(logical_bytes - new_bytes, Ordering::Relaxed);
     }
 
     /// Record a get; `hit` is whether the chunk existed.
@@ -200,14 +189,7 @@ mod tests {
     /// false on a dedup hit.
     fn put_one(cell: &StatsCell, len: u64, newly_stored: bool) {
         let (new_chunks, new_bytes) = if newly_stored { (1, len) } else { (0, 0) };
-        cell.record_put_batch(
-            1,
-            len,
-            new_chunks,
-            new_bytes,
-            1 - new_chunks,
-            len - new_bytes,
-        );
+        cell.record_put_batch(1, len, new_chunks, new_bytes);
     }
 
     #[test]
@@ -232,7 +214,7 @@ mod tests {
         put_one(&seq, 100, false);
         put_one(&seq, 40, true);
         let batched = StatsCell::new();
-        batched.record_put_batch(3, 240, 2, 140, 1, 100);
+        batched.record_put_batch(3, 240, 2, 140);
         assert_eq!(seq.snapshot(), batched.snapshot());
     }
 
