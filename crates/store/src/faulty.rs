@@ -147,11 +147,7 @@ impl<S: ChunkStore> FaultyStore<S> {
 impl<S: ChunkStore> ChunkStore for FaultyStore<S> {
     fn put_batch(&self, chunks: Vec<(Hash, Bytes)>) -> StoreResult<usize> {
         match self.take_write_budget(chunks.len()) {
-            // Read-side faults never touch writes (§II-D: the adversary
-            // serves bad data, the write path is honest).
-            None => self.inner.put_batch(chunks),
-            Some(allowed) if allowed >= chunks.len() => self.inner.put_batch(chunks),
-            Some(allowed) => {
+            Some(allowed) if allowed < chunks.len() => {
                 // Torn batch: a prefix lands in the inner store, then the
                 // "crash". The caller sees only the error.
                 let prefix: Vec<(Hash, Bytes)> = chunks.into_iter().take(allowed).collect();
@@ -160,6 +156,9 @@ impl<S: ChunkStore> ChunkStore for FaultyStore<S> {
                 }
                 Err(Self::injected_write_error())
             }
+            // Read-side faults never touch writes (§II-D: the adversary
+            // serves bad data, the write path is honest).
+            _ => self.inner.put_batch(chunks),
         }
     }
 
